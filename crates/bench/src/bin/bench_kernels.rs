@@ -3,8 +3,13 @@
 //! Writes `BENCH_kernels.json` into the current directory:
 //!
 //! * `kernels` — GFLOP/s of the blocked matmul kernels (and the
-//!   packed-panel decode matvec) at several shapes alongside the naive
+//!   packed-panel GEMM) at several shapes alongside the naive
 //!   reference kernels, with the measured speedup.
+//! * `ffn` — the packed GEMM inference runs against the row-major
+//!   blocked kernel it replaced there, on the two feed-forward shapes of
+//!   a memory-bound LLM (`96×8192` up, `8192×96` down) at decode,
+//!   tree-verify and prefill row counts, with the weight bytes each
+//!   loop nest streams per call.
 //! * `end_to_end` — tokens/step and tokens/s of incremental vs
 //!   tree-speculative generation on the smoke-scale trained suite.
 //! * `simd_backend` / `cpu_features` — which ISA backend the kernels
@@ -34,6 +39,25 @@ struct KernelResult {
     speedup: f64,
 }
 
+/// One feed-forward shape at one row count, packed against blocked.
+/// Each call multiplies against the next of [`FFN_COPIES`] distinct
+/// weight matrices, so the weights come from memory as they do in a
+/// forward of a model larger than the cache.
+#[derive(Serialize)]
+struct FfnResult {
+    m: usize,
+    k: usize,
+    n: usize,
+    packed_gflops: f64,
+    blocked_gflops: f64,
+    /// Weight bytes one call streams, counted from the loop nest: the
+    /// packed GEMM walks its panels once whatever `m` is.
+    packed_weight_bytes: usize,
+    /// The blocked kernel streams the whole weight once per four-row
+    /// block and once per leftover row of every thread's row chunk.
+    blocked_weight_bytes: usize,
+}
+
 #[derive(Serialize)]
 struct EndToEnd {
     mode: String,
@@ -49,6 +73,7 @@ struct Report {
     simd_backend: String,
     cpu_features: Vec<String>,
     kernels: Vec<KernelResult>,
+    ffn: Vec<FfnResult>,
     end_to_end: Vec<EndToEnd>,
 }
 
@@ -116,19 +141,76 @@ fn bench_kernels() -> Vec<KernelResult> {
             ref_gflops: flops / ref_nt / 1e9,
             speedup: ref_nt / fast_nt,
         });
-        // Decode shapes also run the packed-panel matvec — the path the
-        // model's dense layers take for m ≤ PACKED_SMALL_M_MAX.
-        if m <= specinfer_tensor::PACKED_SMALL_M_MAX {
-            let panels = PackedPanels::from_nn(b.data(), k, n);
-            let fast_packed = time_per_iter(|| a.matmul_packed_into(&panels, &mut out));
-            results.push(KernelResult {
-                op: "nn_packed".into(),
+        let panels = PackedPanels::from_nn(b.data(), k, n);
+        let fast_packed = time_per_iter(|| a.matmul_packed_into(&panels, &mut out));
+        results.push(KernelResult {
+            op: "nn_packed".into(),
+            m,
+            k,
+            n,
+            fast_gflops: flops / fast_packed / 1e9,
+            ref_gflops: flops / ref_nn / 1e9,
+            speedup: ref_nn / fast_packed,
+        });
+    }
+    results
+}
+
+/// Distinct weight matrices the feed-forward rows cycle over: the
+/// three projections of three layers, 28 MB, as in the serving
+/// benchmark's inflated LLM.
+const FFN_COPIES: usize = 9;
+
+fn bench_ffn() -> Vec<FfnResult> {
+    let mut rng = SeededRng::new(2);
+    let threads = specinfer_tensor::effective_threads();
+    let mut results = Vec::new();
+    for (k, n) in [(96usize, 8192usize), (8192, 96)] {
+        let dense: Vec<Tensor> = (0..FFN_COPIES)
+            .map(|_| Tensor::randn(&[k, n], 1.0, &mut rng))
+            .collect();
+        let packed: Vec<PackedPanels> = dense
+            .iter()
+            .map(|w| PackedPanels::from_nn(w.data(), k, n))
+            .collect();
+        for m in [1usize, 2, 5, 8, 20, 48, 256] {
+            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+            let flops = (2 * m * k * n) as f64;
+            let mut out = Tensor::default();
+            let mut turn = 0;
+            let packed_s = time_per_iter(|| {
+                turn += 1;
+                a.matmul_packed_into(&packed[turn % FFN_COPIES], &mut out);
+            });
+            let blocked_s = time_per_iter(|| {
+                turn += 1;
+                a.matmul_into(&dense[turn % FFN_COPIES], &mut out);
+            });
+            // The blocked kernel splits rows over threads above its
+            // threshold (one row: columns, one pass in total).
+            let split = if m * k * n < specinfer_tensor::kernels::PAR_MIN_FLOPS {
+                1
+            } else {
+                threads.min(m)
+            };
+            let chunk = m.div_ceil(split);
+            let passes: usize = if m == 1 {
+                1
+            } else {
+                (0..m)
+                    .step_by(chunk)
+                    .map(|r0| (m - r0).min(chunk))
+                    .map(|rows| rows / 4 + rows % 4)
+                    .sum()
+            };
+            results.push(FfnResult {
                 m,
                 k,
                 n,
-                fast_gflops: flops / fast_packed / 1e9,
-                ref_gflops: flops / ref_nn / 1e9,
-                speedup: ref_nn / fast_packed,
+                packed_gflops: flops / packed_s / 1e9,
+                blocked_gflops: flops / blocked_s / 1e9,
+                packed_weight_bytes: 4 * packed[0].packed_len(),
+                blocked_weight_bytes: 4 * k * n * passes,
             });
         }
     }
@@ -172,6 +254,8 @@ fn run_mode(
 fn main() {
     eprintln!("[bench_kernels] timing kernels…");
     let kernels = bench_kernels();
+    eprintln!("[bench_kernels] timing feed-forward shapes, packed against blocked…");
+    let ffn = bench_ffn();
     eprintln!("[bench_kernels] preparing smoke suite…");
     let suite = Suite::prepare(Scale::Smoke);
     eprintln!("[bench_kernels] timing end-to-end generation…");
@@ -208,6 +292,7 @@ fn main() {
             .map(str::to_string)
             .collect(),
         kernels,
+        ffn,
         end_to_end,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize");

@@ -5,12 +5,12 @@
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
-use specinfer_tensor::{kernels, ops, PackedPanels, Tensor, PACKED_SMALL_M_MAX};
+use specinfer_tensor::{kernels, ops, PackedPanels, Tensor};
 use specinfer_tokentree::{LinearizedTree, NodeId, TokenId, TokenTree, TopologyMask};
 
 use crate::config::ModelConfig;
 use crate::kvcache::KvCache;
-use crate::weights::ModelWeights;
+use crate::weights::{LayerWeights, ModelWeights};
 
 /// Attention visibility policy for a batch of new rows appended on top of
 /// an existing KV cache.
@@ -304,18 +304,16 @@ fn attention_block(
     }
 }
 
-/// Derived decode-time weight representations, built once and reused
-/// every step: the fused `[d, 3·d]` Q|K|V projection per layer, plus
-/// packed column panels (see [`specinfer_tensor::pack`]) of every dense
-/// weight the decode path multiplies against. Lifetime mirrors the old
-/// fused-QKV pack: built lazily on first forward, dropped by
-/// [`Transformer::weights_mut`] so training always sees fresh weights.
+/// Derived inference-time weight representations, built once and
+/// reused by every forward: packed column panels (see
+/// [`specinfer_tensor::pack`]) of every dense weight, the per-layer Q, K
+/// and V projections fused into one `[d, 3·d]` operand. Built lazily on
+/// first forward, dropped by [`Transformer::weights_mut`] so training
+/// always sees fresh weights.
 #[derive(Debug)]
 struct DecodePacks {
-    /// Fused `[d, 3·d]` Q|K|V projection per layer (large-batch path).
-    qkv: Vec<Tensor>,
-    /// Panel-packed fused QKV per layer (small-batch matvec path).
-    qkv_panels: Vec<PackedPanels>,
+    /// Panel-packed fused Q|K|V projection per layer.
+    qkv: Vec<PackedPanels>,
     /// Panel-packed attention output projection per layer.
     wo: Vec<PackedPanels>,
     /// Panel-packed SwiGLU gate / up / down projections per layer.
@@ -326,18 +324,13 @@ struct DecodePacks {
     lm_head: PackedPanels,
 }
 
-/// Dense `x × w`, dispatching on batch size alone: decode-shaped blocks
-/// (`rows ≤ PACKED_SMALL_M_MAX`) stream the packed panels, larger
-/// blocks run the blocked matmul. Within a backend both paths produce
-/// bitwise-identical elements (packing changes layout, not reduction
-/// order), so this threshold is pure performance — stacked batches and
-/// solo rows still agree bitwise.
-fn dense_into(x: &Tensor, w: &Tensor, panels: &PackedPanels, out: &mut Tensor) {
-    if x.rows() <= PACKED_SMALL_M_MAX {
-        x.matmul_packed_into(panels, out);
-    } else {
-        x.matmul_into(w, out);
-    }
+/// Dense `x × W` against `W`'s packed panels, at every row count: a
+/// decode step, a tree verify and a prefill read each weight once. Per
+/// element the packed product is the blocked matmul's reduction chain
+/// (packing changes layout, not order), so stacked batches and solo rows
+/// agree bitwise with each other and with [`Tensor::matmul`].
+fn dense_into(x: &Tensor, panels: &PackedPanels, out: &mut Tensor) {
+    x.matmul_packed_into(panels, out);
 }
 
 /// A decoder-only Transformer (RMSNorm + RoPE + SwiGLU) with explicit KV
@@ -360,13 +353,12 @@ fn dense_into(x: &Tensor, w: &Tensor, panels: &PackedPanels, out: &mut Tensor) {
 pub struct Transformer {
     config: ModelConfig,
     weights: ModelWeights,
-    /// Decode-time weight representations (fused QKV + packed panels):
-    /// row `r` of the fused pack is `wq.row(r) ‖ wk.row(r) ‖ wv.row(r)`,
-    /// so one matmul per layer replaces three, and every dense weight is
-    /// additionally panel-packed for the small-batch matvec path.
-    /// Columns reduce over `k` in the same ascending order as the
-    /// separate matmuls, so the projected values are bitwise identical.
-    /// Built lazily on first use; dropped by
+    /// Inference-time weight representations (packed panels, Q|K|V
+    /// fused): row `r` of the fused operand is
+    /// `wq.row(r) ‖ wk.row(r) ‖ wv.row(r)`, so one matmul per layer
+    /// replaces three. Columns reduce over `k` in the same ascending
+    /// order as the separate matmuls, so the projected values are
+    /// bitwise identical. Built lazily on first use; dropped by
     /// [`Transformer::weights_mut`] so training sees fresh weights.
     packs: OnceLock<Arc<DecodePacks>>,
 }
@@ -414,28 +406,24 @@ impl Transformer {
         &mut self.weights
     }
 
-    /// The decode-time weight representations: fused `[d, 3·d]` QKV
-    /// projections plus packed panels of every dense weight.
+    /// The inference-time weight representations: packed panels of
+    /// every dense weight, Q|K|V fused per layer.
     fn decode_packs(&self) -> Arc<DecodePacks> {
         Arc::clone(self.packs.get_or_init(|| {
             let d = self.config.d_model;
             let layers = &self.weights.layers;
-            let qkv: Vec<Tensor> = layers
-                .iter()
-                .map(|layer| {
-                    let mut data = Vec::with_capacity(d * 3 * d);
-                    for r in 0..d {
-                        data.extend_from_slice(layer.wq.row(r));
-                        data.extend_from_slice(layer.wk.row(r));
-                        data.extend_from_slice(layer.wv.row(r));
-                    }
-                    Tensor::from_vec(data, &[d, 3 * d])
-                })
-                .collect();
             let pack_nn = |w: &Tensor| PackedPanels::from_nn(w.data(), w.rows(), w.cols());
+            let pack_qkv = |layer: &LayerWeights| {
+                let mut fused = Vec::with_capacity(d * 3 * d);
+                for r in 0..d {
+                    fused.extend_from_slice(layer.wq.row(r));
+                    fused.extend_from_slice(layer.wk.row(r));
+                    fused.extend_from_slice(layer.wv.row(r));
+                }
+                PackedPanels::from_nn(&fused, d, 3 * d)
+            };
             Arc::new(DecodePacks {
-                qkv_panels: qkv.iter().map(pack_nn).collect(),
-                qkv,
+                qkv: layers.iter().map(pack_qkv).collect(),
                 wo: layers.iter().map(|l| pack_nn(&l.wo)).collect(),
                 w1: layers.iter().map(|l| pack_nn(&l.w1)).collect(),
                 w3: layers.iter().map(|l| pack_nn(&l.w3)).collect(),
@@ -614,14 +602,8 @@ impl Transformer {
             for (layer_idx, layer) in self.weights.layers.iter().enumerate() {
                 ops::rmsnorm_rows_into(&s.x, &layer.attn_norm, ModelConfig::RMS_EPS, &mut s.h);
                 // One fused matmul computes Q|K|V side by side for the
-                // whole stacked batch; decode-shaped batches stream the
-                // packed panels instead of the row-major weights.
-                dense_into(
-                    &s.h,
-                    &packs.qkv[layer_idx],
-                    &packs.qkv_panels[layer_idx],
-                    &mut s.qkv,
-                );
+                // whole stacked batch.
+                dense_into(&s.h, &packs.qkv[layer_idx], &mut s.qkv);
                 for (r, q) in reqs.iter().enumerate() {
                     for (i, &pos) in q.positions.iter().enumerate() {
                         let row = s.qkv.row_mut(offs[r] + i);
@@ -712,15 +694,15 @@ impl Transformer {
                         );
                     }
                 }
-                dense_into(&s.att, &layer.wo, &packs.wo[layer_idx], &mut s.proj);
+                dense_into(&s.att, &packs.wo[layer_idx], &mut s.proj);
                 s.x.add_assign(&s.proj);
 
                 ops::rmsnorm_rows_into(&s.x, &layer.ffn_norm, ModelConfig::RMS_EPS, &mut s.h);
-                dense_into(&s.h, &layer.w1, &packs.w1[layer_idx], &mut s.gate);
+                dense_into(&s.h, &packs.w1[layer_idx], &mut s.gate);
                 ops::silu_inplace(&mut s.gate);
-                dense_into(&s.h, &layer.w3, &packs.w3[layer_idx], &mut s.lin);
+                dense_into(&s.h, &packs.w3[layer_idx], &mut s.lin);
                 s.gate.mul_assign(&s.lin);
-                dense_into(&s.gate, &layer.w2, &packs.w2[layer_idx], &mut s.proj);
+                dense_into(&s.gate, &packs.w2[layer_idx], &mut s.proj);
                 s.x.add_assign(&s.proj);
             }
             for (r, q) in reqs.iter_mut().enumerate() {
@@ -734,7 +716,7 @@ impl Transformer {
                 &mut s.h,
             );
             let mut logits = Tensor::default();
-            dense_into(&s.h, &self.weights.lm_head, &packs.lm_head, &mut logits);
+            dense_into(&s.h, &packs.lm_head, &mut logits);
             if reqs.len() == 1 {
                 vec![logits]
             } else {
@@ -1002,11 +984,12 @@ mod tests {
         let packs = m.decode_packs();
         let h = Tensor::randn(&[5, d], 1.0, &mut specinfer_tensor::rng::SeededRng::new(11));
         for (layer, pack) in m.weights().layers.iter().zip(packs.qkv.iter()) {
-            assert_eq!(pack.dims(), &[d, 3 * d]);
+            assert_eq!((pack.k(), pack.n()), (d, 3 * d));
             let q = h.matmul(&layer.wq);
             let k = h.matmul(&layer.wk);
             let v = h.matmul(&layer.wv);
-            let fused = h.matmul(pack);
+            let mut fused = Tensor::default();
+            dense_into(&h, pack, &mut fused);
             for r in 0..5 {
                 assert_eq!(&fused.row(r)[..d], q.row(r));
                 assert_eq!(&fused.row(r)[d..2 * d], k.row(r));
@@ -1028,27 +1011,29 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_unpacked_dense_paths_agree_bitwise() {
-        // `dense_into` switches representation at PACKED_SMALL_M_MAX
-        // rows; both sides of the threshold must produce identical bits
-        // for the rows they share, or batch size would leak into logits.
+    fn dense_path_matches_tensor_matmul_bitwise_at_every_row_count() {
+        // The model multiplies against packed panels at every row count;
+        // the result must be `Tensor::matmul`'s bits, and a row must not
+        // depend on how many rows are stacked with it, or batch size
+        // would leak into logits.
         let m = model();
-        let d = m.config().d_model;
         let packs = m.decode_packs();
-        let small = Tensor::randn(&[1, d], 1.0, &mut specinfer_tensor::rng::SeededRng::new(12));
-        let mut big_data = small.data().to_vec();
-        let filler = Tensor::randn(
-            &[PACKED_SMALL_M_MAX + 3, d],
-            1.0,
-            &mut specinfer_tensor::rng::SeededRng::new(13),
-        );
-        big_data.extend_from_slice(filler.data());
-        let big = Tensor::from_vec(big_data, &[PACKED_SMALL_M_MAX + 4, d]);
-        let mut out_small = Tensor::default();
-        let mut out_big = Tensor::default();
-        dense_into(&small, &packs.qkv[0], &packs.qkv_panels[0], &mut out_small);
-        dense_into(&big, &packs.qkv[0], &packs.qkv_panels[0], &mut out_big);
-        assert_eq!(out_small.row(0), out_big.row(0));
+        let layer = &m.weights().layers[0];
+        for (w, panels) in [(&layer.w1, &packs.w1[0]), (&layer.w2, &packs.w2[0])] {
+            let x = Tensor::randn(
+                &[24, w.rows()],
+                1.0,
+                &mut specinfer_tensor::rng::SeededRng::new(12),
+            );
+            let want = x.matmul(w);
+            for rows in 1..=24 {
+                let head =
+                    Tensor::from_vec(x.data()[..rows * w.rows()].to_vec(), &[rows, w.rows()]);
+                let mut got = Tensor::default();
+                dense_into(&head, panels, &mut got);
+                assert_eq!(got.data(), &want.data()[..rows * w.cols()], "m = {rows}");
+            }
+        }
     }
 
     #[test]

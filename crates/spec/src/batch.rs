@@ -187,13 +187,11 @@ enum Slot {
     },
 }
 
-/// One surviving subtree staged for (or returned from) pass B.
+/// One surviving subtree forwarded in pass B; its rows are staged as a
+/// [`Prep`] of their own.
 struct PassB {
     /// Linear index of the subtree root (the paused walk's current node).
     s0: usize,
-    tokens: Vec<TokenId>,
-    positions: Vec<usize>,
-    mask: TopologyMask,
     logits_b: Option<Tensor>,
 }
 
@@ -527,7 +525,13 @@ fn step_hierarchical(
     // session's cache tail is compacted to [root, survivor] — a prefix
     // of what commit retains anyway, making every remaining cache row an
     // ancestor of every pass-B row.
-    for ((item, proposal), slot) in items.iter_mut().zip(proposals.iter()).zip(slots.iter_mut()) {
+    let mut preps_b: Vec<Prep> = Vec::new();
+    for (idx, ((item, proposal), slot)) in items
+        .iter_mut()
+        .zip(proposals.iter())
+        .zip(slots.iter_mut())
+        .enumerate()
+    {
         let (
             Some(proposal),
             Some(Slot::Tree {
@@ -580,31 +584,16 @@ fn step_hierarchical(
             .map(|d| *base + d)
             .collect();
         row_stats.pass_b_rows += end - s0;
-        *pass_b = Some(PassB {
-            s0,
+        *pass_b = Some(PassB { s0, logits_b: None });
+        preps_b.push(Prep {
+            idx,
             tokens,
             positions,
-            mask,
-            logits_b: None,
+            mask: Some(mask),
         });
     }
 
     // Pass B: one fused forward over the surviving subtrees.
-    let mut preps_b: Vec<Prep> = Vec::new();
-    for (idx, slot) in slots.iter().enumerate() {
-        let Some(Slot::Tree {
-            pass_b: Some(pb), ..
-        }) = slot
-        else {
-            continue;
-        };
-        preps_b.push(Prep {
-            idx,
-            tokens: pb.tokens.clone(),
-            positions: pb.positions.clone(),
-            mask: Some(pb.mask.clone()),
-        });
-    }
     let logits_b = forward_fused(llm, items, &preps_b);
     let mut logits_iter = logits_b.into_iter();
     for prep in &preps_b {

@@ -1,9 +1,10 @@
 //! SIMD backend selection and explicit-ISA matmul microkernels.
 //!
-//! Decode-time matvecs (`m ∈ 1..8`) are latency-bound on the scalar
-//! kernels, so this module provides explicit `std::arch` paths: AVX2+FMA
-//! on x86-64, NEON on aarch64, with the scalar kernels in
-//! [`crate::kernels`] as the cross-platform reference. The backend is
+//! Inference's matmuls — one-row decode steps up to whole-prompt
+//! prefills — are latency-bound on the scalar kernels, so this module
+//! provides explicit `std::arch` paths: AVX2+FMA on x86-64, NEON on
+//! aarch64, with the scalar kernels in [`crate::kernels`] and
+//! [`crate::pack`] as the cross-platform reference. The backend is
 //! selected **exactly once** at startup — same discipline as
 //! [`crate::kernels::set_max_threads`] — from the `SPECINFER_SIMD`
 //! environment variable (`scalar` / `avx2` / `neon` / `native`) falling
@@ -162,8 +163,10 @@ pub fn detected_features() -> Vec<&'static str> {
 pub(crate) mod avx2 {
     use core::arch::x86_64::{
         __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        _mm256_storeu_ps, _mm_prefetch, _MM_HINT_T0,
     };
+
+    use crate::pack::{PanelTile, PANEL_WIDTH};
 
     /// Folds the eight lane partials with a fixed pairwise tree:
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. The tree shape is a
@@ -403,105 +406,124 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// AVX2 packed-panel matvec: `out[r, :] = A[r, :] × B` where `B` is
-    /// pre-packed into 32-column panels (see [`crate::pack`]). Two-row
-    /// blocks share every panel load; each output column is one fused
-    /// ascending-`k` chain, bitwise identical to the unpacked
-    /// [`nn_rows`]/[`nn_cols`] result for the same element.
-    // SAFETY: backend selection guarantees AVX2+FMA; loads/stores stay
-    // inside the debug-asserted slices or a local 32-float spill.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn packed_matvec(
-        panels: &[f32],
-        a: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let n_panels = n.div_ceil(32);
-        debug_assert_eq!(panels.len(), n_panels * k * 32, "panel buffer shape");
-        debug_assert_eq!(a.len(), m * k, "A must be m×k");
-        debug_assert_eq!(out.len(), m * n, "out must be m×n");
-        let pp = panels.as_ptr();
-        let mut r = 0;
-        while r + 2 <= m {
-            let a0 = a.as_ptr().add(r * k);
-            let a1 = a.as_ptr().add((r + 1) * k);
-            for p in 0..n_panels {
-                let base = pp.add(p * k * 32);
-                let mut c00 = _mm256_setzero_ps();
-                let mut c01 = _mm256_setzero_ps();
-                let mut c02 = _mm256_setzero_ps();
-                let mut c03 = _mm256_setzero_ps();
-                let mut c10 = _mm256_setzero_ps();
-                let mut c11 = _mm256_setzero_ps();
-                let mut c12 = _mm256_setzero_ps();
-                let mut c13 = _mm256_setzero_ps();
-                for t in 0..k {
-                    let bq = base.add(t * 32);
-                    let b0 = _mm256_loadu_ps(bq);
-                    let b1 = _mm256_loadu_ps(bq.add(8));
-                    let b2 = _mm256_loadu_ps(bq.add(16));
-                    let b3 = _mm256_loadu_ps(bq.add(24));
-                    let v0 = _mm256_set1_ps(*a0.add(t));
-                    c00 = _mm256_fmadd_ps(v0, b0, c00);
-                    c01 = _mm256_fmadd_ps(v0, b1, c01);
-                    c02 = _mm256_fmadd_ps(v0, b2, c02);
-                    c03 = _mm256_fmadd_ps(v0, b3, c03);
-                    let v1 = _mm256_set1_ps(*a1.add(t));
-                    c10 = _mm256_fmadd_ps(v1, b0, c10);
-                    c11 = _mm256_fmadd_ps(v1, b1, c11);
-                    c12 = _mm256_fmadd_ps(v1, b2, c12);
-                    c13 = _mm256_fmadd_ps(v1, b3, c13);
+    /// The AVX2 register tile of the packed GEMM (see [`crate::pack`]):
+    /// `R` rows × one 32-column panel as `4·R` accumulator registers.
+    /// Each output column is one fused ascending-`k` chain, bitwise
+    /// identical to the unpacked [`nn_rows`]/[`nn_cols`] result for the
+    /// same element.
+    pub(crate) struct PackedTile;
+
+    impl PanelTile for PackedTile {
+        // SAFETY: the caller guarantees AVX2+FMA; every raw access below
+        // is inside a slice whose length the asserts pin.
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn tile<const R: usize>(
+            b: &[f32],
+            a: [&[f32]; R],
+            o: [&mut [f32]; R],
+            carry: bool,
+            ahead: &[f32],
+        ) {
+            let kc = b.len() / PANEL_WIDTH;
+            assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
+            let mut acc = [[_mm256_setzero_ps(); 4]; R];
+            for r in 0..R {
+                assert_eq!(a[r].len(), kc, "one A element per panel row");
+                assert!(o[r].len() <= PANEL_WIDTH, "one panel of columns");
+                if carry {
+                    acc[r] = load_panel(o[r]);
                 }
-                store_panel(&[c00, c01, c02, c03], out, r * n, p, n);
-                store_panel(&[c10, c11, c12, c13], out, (r + 1) * n, p, n);
             }
-            r += 2;
-        }
-        while r < m {
-            let a0 = a.as_ptr().add(r * k);
-            for p in 0..n_panels {
-                let base = pp.add(p * k * 32);
-                let mut c0 = _mm256_setzero_ps();
-                let mut c1 = _mm256_setzero_ps();
-                let mut c2 = _mm256_setzero_ps();
-                let mut c3 = _mm256_setzero_ps();
-                for t in 0..k {
-                    let bq = base.add(t * 32);
-                    let v = _mm256_set1_ps(*a0.add(t));
-                    c0 = _mm256_fmadd_ps(v, _mm256_loadu_ps(bq), c0);
-                    c1 = _mm256_fmadd_ps(v, _mm256_loadu_ps(bq.add(8)), c1);
-                    c2 = _mm256_fmadd_ps(v, _mm256_loadu_ps(bq.add(16)), c2);
-                    c3 = _mm256_fmadd_ps(v, _mm256_loadu_ps(bq.add(24)), c3);
+            let ap = a.map(<[f32]>::as_ptr);
+            // The rows of `ahead` are fetched at even intervals over the
+            // slice, two cache lines each: a burst would fill the line
+            // fill buffers and stall the multiply behind it.
+            let pf = ahead.len() / PANEL_WIDTH;
+            let (bp, fp) = (b.as_ptr(), ahead.as_ptr());
+            let mut t = 0;
+            if let Some(period) = kc.checked_div(pf) {
+                for j in 0..pf {
+                    _mm_prefetch::<_MM_HINT_T0>(fp.add(j * PANEL_WIDTH).cast());
+                    _mm_prefetch::<_MM_HINT_T0>(fp.add(j * PANEL_WIDTH + 16).cast());
+                    for _ in 0..period {
+                        fma_step(&mut acc, bp.add(t * PANEL_WIDTH), &ap, t);
+                        t += 1;
+                    }
                 }
-                store_panel(&[c0, c1, c2, c3], out, r * n, p, n);
             }
-            r += 1;
+            while t < kc {
+                fma_step(&mut acc, bp.add(t * PANEL_WIDTH), &ap, t);
+                t += 1;
+            }
+            for r in 0..R {
+                store_panel(&acc[r], o[r]);
+            }
         }
     }
 
-    /// Stores a 32-wide panel of accumulators into row `row0` of `out`,
-    /// truncating the zero-padded columns of the final partial panel.
-    // SAFETY: backend selection guarantees AVX2+FMA; full panels store
-    // in bounds, partial panels spill locally and copy the prefix.
+    /// One reduction step of the tile: `acc[r] += a[r][t] · b_row`.
+    #[inline]
+    // SAFETY: the caller guarantees AVX2+FMA, 32 readable floats at
+    // `b_row` and `t` in bounds of every `a[r]`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn store_panel(acc: &[__m256; 4], out: &mut [f32], row0: usize, p: usize, n: usize) {
-        let j = p * 32;
-        if j + 32 <= n {
-            let op = out.as_mut_ptr().add(row0 + j);
-            _mm256_storeu_ps(op, acc[0]);
-            _mm256_storeu_ps(op.add(8), acc[1]);
-            _mm256_storeu_ps(op.add(16), acc[2]);
-            _mm256_storeu_ps(op.add(24), acc[3]);
+    unsafe fn fma_step<const R: usize>(
+        acc: &mut [[__m256; 4]; R],
+        b_row: *const f32,
+        a: &[*const f32; R],
+        t: usize,
+    ) {
+        let b0 = _mm256_loadu_ps(b_row);
+        let b1 = _mm256_loadu_ps(b_row.add(8));
+        let b2 = _mm256_loadu_ps(b_row.add(16));
+        let b3 = _mm256_loadu_ps(b_row.add(24));
+        for r in 0..R {
+            let v = _mm256_set1_ps(*a[r].add(t));
+            acc[r][0] = _mm256_fmadd_ps(v, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(v, b1, acc[r][1]);
+            acc[r][2] = _mm256_fmadd_ps(v, b2, acc[r][2]);
+            acc[r][3] = _mm256_fmadd_ps(v, b3, acc[r][3]);
+        }
+    }
+
+    /// Loads the accumulators a previous k-slice left in `o` (a panel's
+    /// real columns of one output row), zero in the padding lanes.
+    // SAFETY: the caller guarantees AVX2+FMA and `o.len() <= 32`; a full
+    // panel loads in bounds, a partial one goes through a local copy.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load_panel(o: &[f32]) -> [__m256; 4] {
+        let mut spill = [0.0f32; PANEL_WIDTH];
+        let p = if o.len() == PANEL_WIDTH {
+            o.as_ptr()
         } else {
-            let mut spill = [0.0f32; 32];
-            _mm256_storeu_ps(spill.as_mut_ptr(), acc[0]);
-            _mm256_storeu_ps(spill.as_mut_ptr().add(8), acc[1]);
-            _mm256_storeu_ps(spill.as_mut_ptr().add(16), acc[2]);
-            _mm256_storeu_ps(spill.as_mut_ptr().add(24), acc[3]);
-            out[row0 + j..row0 + n].copy_from_slice(&spill[..n - j]);
+            spill[..o.len()].copy_from_slice(o);
+            spill.as_ptr()
+        };
+        [
+            _mm256_loadu_ps(p),
+            _mm256_loadu_ps(p.add(8)),
+            _mm256_loadu_ps(p.add(16)),
+            _mm256_loadu_ps(p.add(24)),
+        ]
+    }
+
+    /// Stores a 32-wide panel of accumulators into `o`, truncating the
+    /// zero-padded columns of the final partial panel.
+    // SAFETY: the caller guarantees AVX2+FMA and `o.len() <= 32`; a full
+    // panel stores in bounds, a partial one spills to a local first.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store_panel(acc: &[__m256; 4], o: &mut [f32]) {
+        let mut spill = [0.0f32; PANEL_WIDTH];
+        let p = if o.len() == PANEL_WIDTH {
+            o.as_mut_ptr()
+        } else {
+            spill.as_mut_ptr()
+        };
+        _mm256_storeu_ps(p, acc[0]);
+        _mm256_storeu_ps(p.add(8), acc[1]);
+        _mm256_storeu_ps(p.add(16), acc[2]);
+        _mm256_storeu_ps(p.add(24), acc[3]);
+        if o.len() < PANEL_WIDTH {
+            o.copy_from_slice(&spill[..o.len()]);
         }
     }
 }
@@ -511,6 +533,8 @@ pub(crate) mod avx2 {
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon {
     use core::arch::aarch64::{float32x4_t, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32};
+
+    use crate::pack::{PanelTile, PANEL_WIDTH};
 
     /// Folds the four lane partials with the fixed pairwise tree
     /// `(l0+l1) + (l2+l3)`.
@@ -721,44 +745,93 @@ pub(crate) mod neon {
         }
     }
 
-    /// NEON packed-panel matvec: 32-column panels as eight accumulator
-    /// registers; one fused ascending-`k` chain per output column.
-    // SAFETY: NEON is baseline on aarch64; loads/stores stay inside
-    // the debug-asserted slices or a local 32-float spill.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn packed_matvec(
-        panels: &[f32],
-        a: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let n_panels = n.div_ceil(32);
-        debug_assert_eq!(panels.len(), n_panels * k * 32, "panel buffer shape");
-        debug_assert_eq!(a.len(), m * k, "A must be m×k");
-        debug_assert_eq!(out.len(), m * n, "out must be m×n");
-        let pp = panels.as_ptr();
-        for r in 0..m {
-            let a0 = a.as_ptr().add(r * k);
-            for p in 0..n_panels {
-                let base = pp.add(p * k * 32);
-                let mut acc = [vdupq_n_f32(0.0); 8];
-                for t in 0..k {
-                    let bq = base.add(t * 32);
-                    let v = vdupq_n_f32(*a0.add(t));
-                    for (q, slot) in acc.iter_mut().enumerate() {
-                        *slot = vfmaq_f32(*slot, v, vld1q_f32(bq.add(q * 4)));
+    /// The NEON register tile of the packed GEMM (see [`crate::pack`]):
+    /// `R` rows × one 32-column panel as `8·R` accumulator registers, one
+    /// fused ascending-`k` chain per output column. No software prefetch:
+    /// the AVX2 tile's was sized by measurement, and this backend has not
+    /// been measured.
+    pub(crate) struct PackedTile;
+
+    impl PanelTile for PackedTile {
+        // SAFETY: NEON is baseline on aarch64; every raw access below is
+        // inside a slice whose length the asserts pin.
+        #[target_feature(enable = "neon")]
+        unsafe fn tile<const R: usize>(
+            b: &[f32],
+            a: [&[f32]; R],
+            o: [&mut [f32]; R],
+            carry: bool,
+            _ahead: &[f32],
+        ) {
+            let kc = b.len() / PANEL_WIDTH;
+            assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
+            let mut acc = [[vdupq_n_f32(0.0); 8]; R];
+            for r in 0..R {
+                assert_eq!(a[r].len(), kc, "one A element per panel row");
+                assert!(o[r].len() <= PANEL_WIDTH, "one panel of columns");
+                if carry {
+                    acc[r] = load_panel(o[r]);
+                }
+            }
+            let ap = a.map(<[f32]>::as_ptr);
+            let bp = b.as_ptr();
+            for t in 0..kc {
+                let bq = bp.add(t * PANEL_WIDTH);
+                let mut b_row = [vdupq_n_f32(0.0); 8];
+                for (q, lane) in b_row.iter_mut().enumerate() {
+                    *lane = vld1q_f32(bq.add(q * 4));
+                }
+                for r in 0..R {
+                    let v = vdupq_n_f32(*ap[r].add(t));
+                    for (slot, lane) in acc[r].iter_mut().zip(b_row) {
+                        *slot = vfmaq_f32(*slot, v, lane);
                     }
                 }
-                let j = p * 32;
-                let mut spill = [0.0f32; 32];
-                for (q, slot) in acc.iter().enumerate() {
-                    vst1q_f32(spill.as_mut_ptr().add(q * 4), *slot);
-                }
-                let cols = (n - j).min(32);
-                out[r * n + j..r * n + j + cols].copy_from_slice(&spill[..cols]);
             }
+            for r in 0..R {
+                store_panel(&acc[r], o[r]);
+            }
+        }
+    }
+
+    /// Loads the accumulators a previous k-slice left in `o` (a panel's
+    /// real columns of one output row), zero in the padding lanes.
+    // SAFETY: NEON is baseline; the caller guarantees `o.len() <= 32`; a
+    // full panel loads in bounds, a partial one through a local copy.
+    #[target_feature(enable = "neon")]
+    unsafe fn load_panel(o: &[f32]) -> [float32x4_t; 8] {
+        let mut spill = [0.0f32; PANEL_WIDTH];
+        let p = if o.len() == PANEL_WIDTH {
+            o.as_ptr()
+        } else {
+            spill[..o.len()].copy_from_slice(o);
+            spill.as_ptr()
+        };
+        let mut acc = [vdupq_n_f32(0.0); 8];
+        for (q, slot) in acc.iter_mut().enumerate() {
+            *slot = vld1q_f32(p.add(q * 4));
+        }
+        acc
+    }
+
+    /// Stores a 32-wide panel of accumulators into `o`: a full panel
+    /// directly, the final partial panel through a local spill whose
+    /// zero-padded columns are dropped.
+    // SAFETY: NEON is baseline; the caller guarantees `o.len() <= 32`; a
+    // full panel stores in bounds, a partial one spills to a local first.
+    #[target_feature(enable = "neon")]
+    unsafe fn store_panel(acc: &[float32x4_t; 8], o: &mut [f32]) {
+        let mut spill = [0.0f32; PANEL_WIDTH];
+        let p = if o.len() == PANEL_WIDTH {
+            o.as_mut_ptr()
+        } else {
+            spill.as_mut_ptr()
+        };
+        for (q, slot) in acc.iter().enumerate() {
+            vst1q_f32(p.add(q * 4), *slot);
+        }
+        if o.len() < PANEL_WIDTH {
+            o.copy_from_slice(&spill[..o.len()]);
         }
     }
 }

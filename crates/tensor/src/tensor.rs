@@ -287,9 +287,9 @@ impl Tensor {
     /// `self × B` against a pre-packed weight operand, writing into a
     /// caller-owned tensor. Within a backend the result is bitwise
     /// identical to [`Tensor::matmul_into`] (or [`Tensor::matmul_nt_into`])
-    /// against the tensor the panels were packed from — packing changes
-    /// memory layout, never per-element reduction order — so callers
-    /// may dispatch on `m` for performance alone.
+    /// against the tensor the panels were packed from, at every row
+    /// count — packing changes memory layout, never per-element
+    /// reduction order.
     ///
     /// # Panics
     ///
