@@ -1,41 +1,36 @@
-//! A live serving daemon: the request-manager loop of Figure 6 running
-//! on a real background thread.
+//! A live serving daemon: the iteration driver running on a real
+//! background thread.
 //!
-//! [`Server`](crate::Server) replays a whole trace on a simulated clock;
+//! [`Server`](crate::Server) hands the driver a whole trace up front;
 //! [`ServerDaemon`] instead accepts submissions *while running* (from any
-//! thread, via channels) and continuously executes **ragged** decoding
-//! iterations: every iteration, finished requests retire, and queued
-//! submissions join mid-flight through the
-//! [`IterationScheduler`](crate::IterationScheduler)'s
-//! occupancy-maximizing admission — the batch never runs in lockstep.
+//! thread, via channels). Its thread is a thin shell — pump the channel,
+//! tick the driver, repeat — so everything an iteration does (ragged
+//! admission through the [`IterationScheduler`](crate::IterationScheduler),
+//! the batched step, the clock charge, retirement, the
+//! [`FaultPlan`](crate::FaultPlan)) is the code trace replay runs, and
+//! this module owns only what is live-specific: the client handle, the
+//! message protocol, the idle heartbeat and the drain-on-shutdown flag.
 //! Simulated time is still used for the latency metrics (the cost model
 //! prices each iteration); wall-clock arrival order drives admission.
 //! The per-iteration audit trail ([`ServeReport::iteration_log`]) and
 //! batch/slab occupancy ([`ServeReport::occupancy`]) are reported on
 //! shutdown.
 //!
-//! The daemon honours the same [`FaultPlan`](crate::FaultPlan) as the
-//! trace-driven server, plus *client-initiated* cancellation: any thread
-//! holding the daemon handle can cut a request mid-stream with
-//! [`ServerDaemon::cancel`], and the partial output is returned through
-//! the request's [`Ticket`].
+//! Any thread holding the daemon handle can cut a request — queued or
+//! mid-stream — with [`ServerDaemon::cancel`]; whatever was generated is
+//! returned through the request's [`Ticket`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use specinfer_model::Transformer;
-use specinfer_spec::{
-    BatchItem, BatchRowStats, BatchedVerifier, ControllerSnapshot, InferenceMode, Session,
-    StepStats,
-};
 use specinfer_tokentree::TokenId;
 
-use crate::metrics::{FaultCounters, IterationRecord, OccupancyStats, ServeReport};
-use crate::request::{Request, RequestId, RequestOutcome, Response};
-use crate::scheduler::IterationScheduler;
+use crate::driver::IterationDriver;
+use crate::metrics::ServeReport;
+use crate::request::{Request, RequestId, Response};
 use crate::server::ServerConfig;
 
 enum Msg {
@@ -140,7 +135,7 @@ impl ServerDaemon {
     /// Submits a request with a latency budget: if the request hasn't
     /// finished within `budget_s` simulated seconds of admission, it is
     /// shed mid-stream and its ticket resolves with
-    /// [`RequestOutcome::DeadlineMissed`].
+    /// [`RequestOutcome::DeadlineMissed`](crate::RequestOutcome::DeadlineMissed).
     pub fn submit_with_deadline(
         &self,
         prompt: Vec<TokenId>,
@@ -171,9 +166,11 @@ impl ServerDaemon {
         Ok(Ticket { id, rx: reply_rx })
     }
 
-    /// Cancels an in-flight request. The request's ticket resolves with
-    /// [`RequestOutcome::Cancelled`] and whatever tokens were generated
-    /// before the cut. Cancelling an unknown or finished id is a no-op.
+    /// Cancels a request, queued or in flight. Its ticket resolves with
+    /// [`RequestOutcome::Cancelled`](crate::RequestOutcome::Cancelled)
+    /// and whatever tokens were generated before the cut; a queued
+    /// request leaves the queue at once. Cancelling an unknown or
+    /// finished id is a no-op.
     pub fn cancel(&self, id: RequestId) {
         let _ = self.tx.send(Msg::Cancel(id));
     }
@@ -200,137 +197,23 @@ impl Drop for ServerDaemon {
     }
 }
 
-struct LiveRequest {
-    id: RequestId,
-    prompt_len: usize,
-    session: Session,
-    config: specinfer_spec::EngineConfig,
-    reply: Sender<Response>,
-    arrival_s: f64,
-    /// Absolute simulated-clock deadline, if the submission had a budget.
-    deadline_s: Option<f64>,
-    /// Fault-plan cancellation threshold (generated tokens), if any.
-    cancel_at: Option<usize>,
-    /// Set by a client [`Msg::Cancel`]; retired before the next step.
-    client_cancelled: bool,
-    /// Iterations executed — the fault plan's step index.
-    steps_taken: usize,
-    last: Option<StepStats>,
-}
-
-impl LiveRequest {
-    fn retire(
-        self,
-        clock: f64,
-        outcome: RequestOutcome,
-        faults: &mut FaultCounters,
-        controller: &mut ControllerSnapshot,
-    ) -> Response {
-        let d = self.session.degradation();
-        faults.fallbacks_taken += d.fallbacks_taken;
-        faults.fallback_steps += d.fallback_steps;
-        faults.reprobes += d.reprobes;
-        if let Some(snap) = self.session.controller_snapshot() {
-            controller.absorb(&snap);
-        }
-        let result = self.session.into_result();
-        let response = Response {
-            id: self.id,
-            dataset: None,
-            prompt_len: self.prompt_len,
-            generated: result.generated().to_vec(),
-            arrival_s: self.arrival_s,
-            finish_s: clock,
-            steps: result.steps,
-            outcome,
-        };
-        let _ = self.reply.send(response.clone());
-        response
-    }
-}
-
-/// A submission parked in the scheduler queue: the ticket's reply
-/// channel and whether the client already cancelled it while queued.
-struct Waiting {
-    reply: Sender<Response>,
-    cancelled: bool,
-}
-
-/// Answers a never-decoded request's ticket with a stub response and
-/// records it in the run's response list.
-fn stub_reply(
-    waiting: &mut HashMap<u64, Waiting>,
-    responses: &mut Vec<Response>,
-    request: &Request,
-    clock: f64,
-    outcome: RequestOutcome,
-) {
-    let response = Response {
-        id: request.id,
-        dataset: request.dataset,
-        prompt_len: request.prompt.len(),
-        generated: Vec::new(),
-        arrival_s: request.arrival_s,
-        finish_s: clock,
-        steps: Vec::new(),
-        outcome,
-    };
-    if let Some(w) = waiting.remove(&request.id.0) {
-        let _ = w.reply.send(response.clone());
-    }
-    responses.push(response);
-}
-
 /// Upper bound on a single idle wait in [`daemon_loop`]'s message pump.
 /// A timeout is not an event — the loop just re-checks its state — so
 /// the value only trades shutdown latency against idle wakeups.
 const IDLE_HEARTBEAT: Duration = Duration::from_millis(50);
 
+/// The live front-end of the iteration driver: pump the channel, tick,
+/// repeat. Arrivals are stamped with the driver's simulated clock and
+/// join mid-flight at the next tick's admission.
 fn daemon_loop(
     llm: &Transformer,
     ssms: &[Arc<Transformer>],
     config: &ServerConfig,
     rx: &Receiver<Msg>,
 ) -> ServeReport {
-    let wall = crate::clock::Stopwatch::start();
     let ssm_refs: Vec<&Transformer> = ssms.iter().map(Arc::as_ref).collect();
-    let verifier = BatchedVerifier::new();
-    let plan = config.faults.as_ref();
-    // The join half of the ragged lifecycle: arrivals queue here and are
-    // admitted mid-flight, every iteration, under the same FIFO/
-    // backpressure semantics as the trace-driven server.
-    let mut scheduler =
-        IterationScheduler::with_policy(config.max_batch_size, config.queue.clone());
-    let mut waiting: HashMap<u64, Waiting> = HashMap::new();
-    // Slab sizing stays worst-case (under adaptive, the top of the
-    // controller's ladder) so a session can climb to any rung without
-    // overflowing its right-sized KV slab…
-    let spec_rows = config.engine.speculation_rows();
-    let max_ctx = llm.config().max_seq_len;
-    let session_rows = move |r: &Request| (r.kv_rows() + spec_rows).min(max_ctx);
-    // …but admission *charges* what the request will actually append per
-    // iteration: a fresh adaptive request starts on the initial rung, so
-    // charging the worst case would leave paid-for batch slots empty.
-    let adaptive = matches!(config.engine.mode, InferenceMode::Adaptive { .. });
-    let admit_spec_rows = match &config.engine.mode {
-        InferenceMode::Adaptive { config: acfg } => {
-            acfg.admission_rows(config.engine.decode.is_greedy())
-        }
-        _ => spec_rows,
-    };
-    let admit_rows = move |r: &Request| (r.kv_rows() + admit_spec_rows).min(max_ctx);
-    let mut clock = 0.0f64;
+    let mut driver = IterationDriver::new(llm, &ssm_refs, config);
     let mut next_id = 0u64;
-    let mut active: Vec<LiveRequest> = Vec::new();
-    let mut responses: Vec<Response> = Vec::new();
-    let mut iterations = 0usize;
-    let mut iteration_log: Vec<IterationRecord> = Vec::new();
-    let mut batch_fill_sum = 0.0f64;
-    let mut slab_fill_sum = 0.0f64;
-    let mut peak_batch = 0usize;
-    let mut faults = FaultCounters::default();
-    let mut controller_snap = ControllerSnapshot::default();
-    let mut verify_rows = BatchRowStats::default();
     let mut draining = false;
 
     loop {
@@ -338,7 +221,7 @@ fn daemon_loop(
         // no live batch and no queued work — otherwise drain whatever
         // has arrived and get back to decoding.
         loop {
-            let msg = if active.is_empty() && !scheduler.has_pending() && !draining {
+            let msg = if driver.is_idle() && !draining {
                 // Idle wait with a deadline: the heartbeat bounds every
                 // blocking wait on the serving path (unbounded_wait lint)
                 // and keeps the loop responsive to shutdown even if a
@@ -346,22 +229,7 @@ fn daemon_loop(
                 match rx.recv_timeout(IDLE_HEARTBEAT) {
                     Ok(m) => Some(m),
                     Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        let q = scheduler.stats();
-                        faults.retries = q.retries;
-                        faults.rejected = q.rejected;
-                        return finish(
-                            responses,
-                            clock,
-                            iterations,
-                            iteration_log,
-                            occupancy(batch_fill_sum, slab_fill_sum, peak_batch, iterations),
-                            faults,
-                            wall.elapsed_s(),
-                            controller_snap,
-                            verify_rows,
-                        );
-                    }
+                    Err(RecvTimeoutError::Disconnected) => return driver.into_report(),
                 }
             } else {
                 rx.try_recv().ok()
@@ -377,328 +245,28 @@ fn daemon_loop(
                     let id = RequestId(next_id);
                     next_id += 1;
                     let _ = id_reply.send(id);
-                    waiting.insert(
-                        id.0,
-                        Waiting {
-                            reply,
-                            cancelled: false,
+                    let now = driver.clock();
+                    driver.submit(
+                        Request {
+                            id,
+                            prompt,
+                            max_new_tokens,
+                            arrival_s: now,
+                            deadline_s: budget_s.map(|b| now + b),
+                            dataset: None,
                         },
+                        Some(reply),
                     );
-                    scheduler.submit(Request {
-                        id,
-                        prompt,
-                        max_new_tokens,
-                        arrival_s: clock,
-                        deadline_s: budget_s.map(|b| clock + b),
-                        dataset: None,
-                    });
                 }
-                Some(Msg::Cancel(id)) => {
-                    if let Some(r) = active.iter_mut().find(|r| r.id == id) {
-                        r.client_cancelled = true;
-                    } else if let Some(w) = waiting.get_mut(&id.0) {
-                        w.cancelled = true;
-                    }
-                }
+                Some(Msg::Cancel(id)) => driver.cancel(id),
                 Some(Msg::Shutdown) => draining = true,
                 None => break,
             }
         }
-
-        // Join: shed expired/dropped queue entries, then admit as many
-        // arrivals as fit the free slots (and, under a slab budget, the
-        // free KV rows — the occupancy-maximizing first-fit scan).
-        for request in scheduler.expire(clock) {
-            faults.deadline_misses += 1;
-            stub_reply(
-                &mut waiting,
-                &mut responses,
-                &request,
-                clock,
-                RequestOutcome::DeadlineMissed,
-            );
+        driver.tick();
+        if draining && driver.is_idle() {
+            return driver.into_report();
         }
-        let admitted = match config.slab_rows {
-            Some(budget) => {
-                // Live adaptive requests are charged their controller's
-                // *current* shape (committed rows + this iteration's
-                // speculation rows) rather than their whole worst-case
-                // slab: parked/low-rung requests free real admission
-                // headroom. Non-adaptive requests always append their
-                // configured shape, so their full slab stays charged.
-                let used: usize = active
-                    .iter()
-                    .map(|a| match adaptive {
-                        true => (a.session.kv_rows()
-                            + a.session.current_speculation_rows(&a.config))
-                        .min(a.session.kv_capacity()),
-                        false => a.session.kv_capacity(),
-                    })
-                    .sum();
-                scheduler.admit_budgeted(
-                    clock,
-                    active.len(),
-                    budget.saturating_sub(used),
-                    admit_rows,
-                )
-            }
-            None => scheduler.admit(clock, active.len()),
-        };
-        for request in admitted {
-            if waiting.get(&request.id.0).is_none_or(|w| w.cancelled) {
-                faults.cancellations += 1;
-                stub_reply(
-                    &mut waiting,
-                    &mut responses,
-                    &request,
-                    clock,
-                    RequestOutcome::Cancelled,
-                );
-                continue;
-            }
-            let mut engine = config.engine.clone();
-            engine.max_new_tokens = request.max_new_tokens;
-            let kv_rows = match config.slab_rows {
-                Some(_) => session_rows(&request),
-                None => usize::MAX,
-            };
-            // An invalid prompt rejects this one request; it must never
-            // tear down the daemon thread the rest of the batch is
-            // running on.
-            match Session::try_new_budgeted(
-                llm,
-                &ssm_refs,
-                &request.prompt,
-                config.seed.wrapping_add(request.id.0),
-                kv_rows,
-            ) {
-                Ok(mut session) => {
-                    session.set_degradation_policy(config.degradation);
-                    let reply = match waiting.remove(&request.id.0) {
-                        Some(w) => w.reply,
-                        None => continue, // checked present above
-                    };
-                    active.push(LiveRequest {
-                        id: request.id,
-                        prompt_len: request.prompt.len(),
-                        session,
-                        config: engine,
-                        reply,
-                        arrival_s: request.arrival_s,
-                        deadline_s: request.deadline_s,
-                        cancel_at: plan.and_then(|p| p.cancel_after(request.id)),
-                        client_cancelled: false,
-                        steps_taken: 0,
-                        last: None,
-                    });
-                }
-                Err(_) => {
-                    faults.invalid += 1;
-                    stub_reply(
-                        &mut waiting,
-                        &mut responses,
-                        &request,
-                        clock,
-                        RequestOutcome::Rejected,
-                    );
-                }
-            }
-        }
-        // Backpressure drops (retries exhausted) leave as cancelled
-        // stubs.
-        for request in scheduler.take_rejected() {
-            stub_reply(
-                &mut waiting,
-                &mut responses,
-                &request,
-                clock,
-                RequestOutcome::Cancelled,
-            );
-        }
-
-        // Retire client-cancelled requests before spending an iteration
-        // on them.
-        let mut i = 0;
-        while let Some(r) = active.get(i) {
-            if r.client_cancelled {
-                faults.cancellations += 1;
-                let done = active.swap_remove(i);
-                responses.push(done.retire(
-                    clock,
-                    RequestOutcome::Cancelled,
-                    &mut faults,
-                    &mut controller_snap,
-                ));
-            } else {
-                i += 1;
-            }
-        }
-
-        if active.is_empty() {
-            if scheduler.has_pending() {
-                // Deferred submissions backing off: advance the simulated
-                // clock to their retry time so admission can make
-                // progress (the starvation guard ensures it does).
-                if let Some(next) = scheduler.next_arrival_s() {
-                    clock = clock.max(next);
-                }
-                continue;
-            }
-            if draining {
-                let q = scheduler.stats();
-                faults.retries = q.retries;
-                faults.rejected = q.rejected;
-                return finish(
-                    responses,
-                    clock,
-                    iterations,
-                    iteration_log,
-                    occupancy(batch_fill_sum, slab_fill_sum, peak_batch, iterations),
-                    faults,
-                    wall.elapsed_s(),
-                    controller_snap,
-                    verify_rows,
-                );
-            }
-            continue;
-        }
-
-        // One ragged decoding iteration over whatever is live right now
-        // (admission above caps `active` at the batch limit). All
-        // non-faulted sessions are verified by the LLM in a single
-        // batched tree-parallel forward; a stalled/OOM request drops out
-        // to the serial incremental path without touching batch-mates.
-        let batch: usize = active.len();
-        let mut items: Vec<BatchItem<'_>> = Vec::with_capacity(batch);
-        for r in active.iter_mut() {
-            let fault = plan
-                .and_then(|p| p.step_fault(r.id, r.steps_taken))
-                .unwrap_or_default();
-            faults.ssm_garbage += usize::from(fault.ssm_garbage.is_some());
-            faults.ssm_stalls += usize::from(fault.ssm_stall);
-            faults.kv_ooms += usize::from(fault.kv_oom);
-            faults.injected += usize::from(fault.ssm_garbage.is_some())
-                + usize::from(fault.ssm_stall)
-                + usize::from(fault.kv_oom);
-            items.push(BatchItem {
-                session: &mut r.session,
-                config: &r.config,
-                fault,
-            });
-        }
-        let (stats, rows) = verifier.step_batch_counted(llm, &ssm_refs, &mut items);
-        verify_rows.absorb(&rows);
-        drop(items);
-        for (r, last) in active.iter_mut().zip(stats) {
-            r.last = last;
-            r.steps_taken += 1;
-        }
-        iterations += 1;
-        let mean_tree = active
-            .iter()
-            .filter_map(|r| r.last.map(|s| s.tree_size as f64))
-            .sum::<f64>()
-            / batch as f64;
-        let mean_ctx = active
-            .iter()
-            .map(|r| r.session.tokens().len())
-            .sum::<usize>()
-            / batch;
-        let mut dt = config
-            .timing
-            .iteration_s(&config.engine.mode, batch, mean_tree, mean_ctx);
-        if let Some(factor) = plan.and_then(|p| p.verifier_slowdown(iterations - 1)) {
-            faults.slowdowns += 1;
-            faults.injected += 1;
-            dt *= factor;
-        }
-        iteration_log.push(IterationRecord {
-            start_s: clock,
-            duration_s: dt,
-            batch,
-            mean_tree_size: mean_tree,
-            emitted: active
-                .iter()
-                .filter_map(|r| r.last.map(|s| s.emitted))
-                .sum(),
-        });
-        batch_fill_sum += batch as f64 / config.max_batch_size as f64;
-        let cap: usize = active.iter().map(|r| r.session.kv_capacity()).sum();
-        if cap > 0 {
-            let rows: usize = active.iter().map(|r| r.session.kv_rows()).sum();
-            slab_fill_sum += rows as f64 / cap as f64;
-        }
-        peak_batch = peak_batch.max(batch);
-        clock += dt;
-
-        // Retire finished, plan-cancelled and expired requests and answer
-        // their tickets — the other half of the ragged lifecycle; the
-        // freed slots and slab rows are re-filled by the next
-        // iteration's admission.
-        let mut i = 0;
-        while let Some(r) = active.get(i) {
-            let outcome = if r.session.is_finished() {
-                Some(RequestOutcome::Completed)
-            } else if r
-                .cancel_at
-                .is_some_and(|n| r.session.generated().len() >= n)
-            {
-                faults.cancellations += 1;
-                Some(RequestOutcome::Cancelled)
-            } else if r.deadline_s.is_some_and(|d| d <= clock) {
-                faults.deadline_misses += 1;
-                Some(RequestOutcome::DeadlineMissed)
-            } else {
-                None
-            };
-            match outcome {
-                Some(outcome) => {
-                    let done = active.swap_remove(i);
-                    responses.push(done.retire(clock, outcome, &mut faults, &mut controller_snap));
-                }
-                None => i += 1,
-            }
-        }
-    }
-}
-
-fn occupancy(
-    batch_fill_sum: f64,
-    slab_fill_sum: f64,
-    peak_batch: usize,
-    iterations: usize,
-) -> OccupancyStats {
-    let denom = iterations.max(1) as f64;
-    OccupancyStats {
-        mean_batch_fill: batch_fill_sum / denom,
-        mean_slab_fill: slab_fill_sum / denom,
-        peak_batch,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    mut responses: Vec<Response>,
-    clock: f64,
-    iterations: usize,
-    iteration_log: Vec<IterationRecord>,
-    occupancy: OccupancyStats,
-    faults: FaultCounters,
-    wall_s: f64,
-    controller: ControllerSnapshot,
-    verify_rows: BatchRowStats,
-) -> ServeReport {
-    responses.sort_by_key(|r| r.id);
-    ServeReport {
-        responses,
-        makespan_s: clock,
-        iterations,
-        iteration_log,
-        occupancy,
-        faults,
-        wall_s,
-        controller,
-        verify_rows,
     }
 }
 
@@ -706,6 +274,7 @@ fn finish(
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultSpec};
+    use crate::request::RequestOutcome;
     use crate::scheduler::QueuePolicy;
     use crate::server::TimingConfig;
     use specinfer_model::{DecodeMode, ModelConfig};

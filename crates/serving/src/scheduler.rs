@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use crate::request::Request;
+use crate::request::{Request, RequestId};
 
 /// Bounds on the admission queue and its retry behaviour.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,6 +214,18 @@ impl IterationScheduler {
         expired
     }
 
+    /// Withdraws a waiting request — queued or deferred — and returns it,
+    /// or `None` if `id` is not waiting. Its queue slot is free at once,
+    /// so a cancelled request never holds a bounded queue against later
+    /// submissions.
+    pub fn cancel(&mut self, id: RequestId) -> Option<Request> {
+        if let Some(i) = self.pending.iter().position(|r| r.id == id) {
+            return self.pending.remove(i);
+        }
+        let i = self.deferred.iter().position(|d| d.request.id == id)?;
+        Some(self.deferred.swap_remove(i).request)
+    }
+
     /// Retries deferred submissions whose backoff has elapsed by `now`.
     fn pump_deferred(&mut self, now: f64) {
         let mut i = 0;
@@ -313,7 +325,6 @@ impl IterationScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestId;
 
     fn request(id: u64, arrival: f64) -> Request {
         Request {
@@ -460,6 +471,21 @@ mod tests {
         assert_eq!(expired[0].id, RequestId(0));
         assert_eq!(s.stats().expired, 1);
         assert_eq!(s.pending_len(), 1);
+    }
+
+    #[test]
+    fn cancel_withdraws_queued_and_deferred_requests() {
+        let mut s = IterationScheduler::with_policy(1, QueuePolicy::bounded(1));
+        s.submit(request(0, 0.0));
+        s.submit(request(1, 0.0)); // deferred: the queue holds one
+        assert_eq!(s.cancel(RequestId(0)).map(|r| r.id), Some(RequestId(0)));
+        assert_eq!(s.cancel(RequestId(0)), None, "already withdrawn");
+        // The freed slot takes a new submission without backoff.
+        s.submit(request(2, 0.0));
+        assert_eq!(s.cancel(RequestId(1)).map(|r| r.id), Some(RequestId(1)));
+        assert_eq!(s.pending_len(), 1);
+        assert_eq!(s.admit(0.0, 0).first().map(|r| r.id), Some(RequestId(2)));
+        assert_eq!(s.stats(), QueueStats::default());
     }
 
     #[test]

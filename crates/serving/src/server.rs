@@ -1,12 +1,14 @@
-//! The serving engine: real token-level decoding on the workspace's
-//! models, timed by the hardware cost model on a simulated clock.
+//! Serving configuration, the simulated-clock cost model, and the
+//! trace-replay front-end.
 //!
-//! Every decoding iteration runs the batch of active [`Session`]s (real
-//! speculation + tree verification on the tiny models), then charges the
-//! simulated clock what the *paper-scale* models would have cost on the
-//! configured cluster (see `specinfer-sim`). This separation is the
-//! substitution DESIGN.md documents: token-level behaviour is measured,
-//! hardware time is modelled.
+//! Every decoding iteration steps the batch of live sessions for real
+//! (speculation + tree verification on the workspace's tiny models),
+//! then charges the simulated clock what the *paper-scale* models would
+//! have cost on the configured cluster ([`TimingConfig`], priced by
+//! `specinfer-sim`). This separation is the substitution DESIGN.md
+//! documents: token-level behaviour is measured, hardware time is
+//! modelled. The iteration itself lives in `driver.rs`; [`Server`] only
+//! hands it a trace.
 //!
 //! When a [`FaultPlan`] is configured the loop additionally injects
 //! deterministic faults — SSM garbage/stalls, KV-arena pressure, slow
@@ -20,17 +22,15 @@ use specinfer_model::Transformer;
 use specinfer_sim::{
     ClusterSpec, LlmProfile, OffloadSpec, ParallelismPlan, StepWorkload, SystemProfile,
 };
-use specinfer_spec::{
-    BatchRowStats, ControllerSnapshot, DegradationPolicy, EngineConfig, InferenceMode, Session,
-    StepFault, StepStats,
-};
-use specinfer_tokentree::ExpansionConfig;
+use specinfer_spec::{DegradationPolicy, EngineConfig, InferenceMode};
+use specinfer_tokentree::{ExpansionConfig, TokenId};
 use specinfer_workloads::trace::Trace;
 
+use crate::driver::IterationDriver;
 use crate::fault::FaultPlan;
-use crate::metrics::{FaultCounters, ServeReport};
-use crate::request::{Request, RequestId, RequestOutcome, Response};
-use crate::scheduler::{IterationScheduler, QueuePolicy};
+use crate::metrics::ServeReport;
+use crate::request::{Request, RequestId};
+use crate::scheduler::QueuePolicy;
 
 /// How simulated time is charged per iteration.
 #[derive(Debug, Clone)]
@@ -150,26 +150,29 @@ pub struct ServerConfig {
     /// budget, each session's slab is right-sized to
     /// `prompt + max_new + speculation_rows` and admission is the
     /// occupancy-maximizing first-fit scan
-    /// ([`IterationScheduler::admit_budgeted`]).
+    /// ([`IterationScheduler::admit_budgeted`](crate::IterationScheduler::admit_budgeted)).
     pub slab_rows: Option<usize>,
 }
 
-struct ActiveRequest {
-    request: Request,
-    config: EngineConfig,
-    session: Session,
-    last_stats: Option<StepStats>,
-    /// Iterations this request has executed (the fault plan's step index).
-    steps_taken: usize,
-    /// Generated-token threshold after which the fault plan cuts this
-    /// request, if it is scheduled for cancellation.
-    cancel_at: Option<usize>,
-    /// Fault chosen for the upcoming iteration (set by the main loop,
-    /// consumed by the batch step).
-    pending_fault: StepFault,
+#[derive(Default)]
+struct Inbox {
+    next_id: u64,
+    /// Submitted since the last [`Server::run`], in submission order.
+    requests: Vec<Request>,
 }
 
-/// A thread-safe admission front door plus the iteration loop.
+impl Inbox {
+    fn fresh_id(&mut self) -> RequestId {
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        id
+    }
+}
+
+/// Trace replay: a thread-safe front door that collects submissions, and
+/// [`Server::run`], which feeds them to the iteration driver (the same
+/// loop [`ServerDaemon`](crate::ServerDaemon) runs live) and ticks it
+/// until nothing is left.
 ///
 /// # Example
 ///
@@ -210,8 +213,7 @@ pub struct Server<'m> {
     llm: &'m Transformer,
     ssms: Vec<&'m Transformer>,
     config: ServerConfig,
-    scheduler: Mutex<IterationScheduler>,
-    next_id: Mutex<u64>,
+    inbox: Mutex<Inbox>,
 }
 
 impl std::fmt::Debug for Server<'_> {
@@ -220,32 +222,14 @@ impl std::fmt::Debug for Server<'_> {
     }
 }
 
-/// A response stub for a request that never decoded (shed in queue or
-/// rejected by backpressure).
-fn stub_response(request: &Request, finish_s: f64, outcome: RequestOutcome) -> Response {
-    Response {
-        id: request.id,
-        dataset: request.dataset,
-        prompt_len: request.prompt.len(),
-        generated: Vec::new(),
-        arrival_s: request.arrival_s,
-        finish_s,
-        steps: Vec::new(),
-        outcome,
-    }
-}
-
 impl<'m> Server<'m> {
     /// Creates a server over shared models.
     pub fn new(llm: &'m Transformer, ssms: Vec<&'m Transformer>, config: ServerConfig) -> Self {
-        let max_batch = config.max_batch_size;
-        let queue = config.queue.clone();
         Server {
             llm,
             ssms,
             config,
-            scheduler: Mutex::new(IterationScheduler::with_policy(max_batch, queue)),
-            next_id: Mutex::new(0),
+            inbox: Mutex::new(Inbox::default()),
         }
     }
 
@@ -255,12 +239,7 @@ impl<'m> Server<'m> {
     }
 
     /// Submits a request for the next [`Server::run`] call. Thread-safe.
-    pub fn submit(
-        &self,
-        prompt: Vec<specinfer_tokentree::TokenId>,
-        max_new_tokens: usize,
-        arrival_s: f64,
-    ) -> RequestId {
+    pub fn submit(&self, prompt: Vec<TokenId>, max_new_tokens: usize, arrival_s: f64) -> RequestId {
         self.submit_with_deadline(prompt, max_new_tokens, arrival_s, None)
     }
 
@@ -269,18 +248,14 @@ impl<'m> Server<'m> {
     /// clock passes it. Thread-safe.
     pub fn submit_with_deadline(
         &self,
-        prompt: Vec<specinfer_tokentree::TokenId>,
+        prompt: Vec<TokenId>,
         max_new_tokens: usize,
         arrival_s: f64,
         deadline_s: Option<f64>,
     ) -> RequestId {
-        let id = {
-            let mut n = self.next_id.lock();
-            let id = RequestId(*n);
-            *n += 1;
-            id
-        };
-        self.scheduler.lock().submit(Request {
+        let mut inbox = self.inbox.lock();
+        let id = inbox.fresh_id();
+        inbox.requests.push(Request {
             id,
             prompt,
             max_new_tokens,
@@ -295,29 +270,25 @@ impl<'m> Server<'m> {
     /// is configured) and runs it to completion.
     pub fn serve_trace(&self, trace: &Trace) -> ServeReport {
         {
-            // Global lock order: next_id before scheduler (matches
-            // submit_with_deadline; checked by the lock_order lint).
-            let mut n = self.next_id.lock();
-            let mut sched = self.scheduler.lock();
+            let mut inbox = self.inbox.lock();
             for r in &trace.requests {
-                sched.submit(Request {
-                    id: RequestId(*n),
+                let id = inbox.fresh_id();
+                inbox.requests.push(Request {
+                    id,
                     prompt: r.prompt.tokens.clone(),
                     max_new_tokens: r.prompt.max_new_tokens,
                     arrival_s: r.arrival_s,
                     deadline_s: None,
                     dataset: Some(r.dataset),
                 });
-                *n += 1;
             }
             // Burst ids come after the trace's, so the per-request seeds
             // of the original requests are identical with and without the
             // overload.
             if let Some(plan) = &self.config.faults {
-                for request in plan.burst_requests(*n) {
-                    *n += 1;
-                    sched.submit(request);
-                }
+                let burst = plan.burst_requests(inbox.next_id);
+                inbox.next_id += burst.len() as u64;
+                inbox.requests.extend(burst);
             }
         }
         self.run()
@@ -325,285 +296,22 @@ impl<'m> Server<'m> {
 
     /// Runs all submitted requests to completion on the simulated clock.
     pub fn run(&self) -> ServeReport {
-        let wall = crate::clock::Stopwatch::start();
-        let mut clock = 0.0f64;
-        let mut active: Vec<ActiveRequest> = Vec::new();
-        let mut responses: Vec<Response> = Vec::new();
-        let mut iterations = 0usize;
-        let mut iteration_log: Vec<crate::metrics::IterationRecord> = Vec::new();
-        let mut faults = FaultCounters::default();
-        let plan = self.config.faults.as_ref();
-        // Per-session slab budget: committed context plus one iteration's
-        // worst-case speculation, clamped to the model's context window.
-        let spec_rows = self.config.engine.speculation_rows();
-        let max_ctx = self.llm.config().max_seq_len;
-        let session_rows = move |r: &Request| (r.kv_rows() + spec_rows).min(max_ctx);
-        // Admission charges a fresh adaptive request its initial rung's
-        // shape, not the worst case the slab is sized for; live adaptive
-        // requests are charged their controller's current shape below.
-        let adaptive = matches!(self.config.engine.mode, InferenceMode::Adaptive { .. });
-        let admit_spec_rows = match &self.config.engine.mode {
-            InferenceMode::Adaptive { config: acfg } => {
-                acfg.admission_rows(self.config.engine.decode.is_greedy())
-            }
-            _ => spec_rows,
-        };
-        let admit_rows = move |r: &Request| (r.kv_rows() + admit_spec_rows).min(max_ctx);
-        let mut controller_snap = ControllerSnapshot::default();
-        let mut batch_fill_sum = 0.0f64;
-        let mut slab_fill_sum = 0.0f64;
-        let mut peak_batch = 0usize;
-
-        loop {
-            // Admission (iteration-level scheduling).
-            {
-                let mut sched = self.scheduler.lock();
-                if active.is_empty() {
-                    if let Some(next) = sched.next_arrival_s() {
-                        clock = clock.max(next);
-                    }
-                }
-                // Shed queued requests whose deadline already passed.
-                for request in sched.expire(clock) {
-                    faults.deadline_misses += 1;
-                    responses.push(stub_response(
-                        &request,
-                        clock,
-                        RequestOutcome::DeadlineMissed,
-                    ));
-                }
-                let admitted = match self.config.slab_rows {
-                    Some(budget) => {
-                        let used: usize = active
-                            .iter()
-                            .map(|a| match adaptive {
-                                true => (a.session.kv_rows()
-                                    + a.session.current_speculation_rows(&a.config))
-                                .min(a.session.kv_capacity()),
-                                false => a.session.kv_capacity(),
-                            })
-                            .sum();
-                        sched.admit_budgeted(
-                            clock,
-                            active.len(),
-                            budget.saturating_sub(used),
-                            admit_rows,
-                        )
-                    }
-                    None => sched.admit(clock, active.len()),
-                };
-                for request in admitted {
-                    let mut config = self.config.engine.clone();
-                    config.max_new_tokens = request.max_new_tokens;
-                    let kv_rows = match self.config.slab_rows {
-                        Some(_) => session_rows(&request),
-                        None => usize::MAX,
-                    };
-                    // An invalid prompt retires its own request as
-                    // `Rejected`; the rest of the trace keeps running.
-                    let mut session = match Session::try_new_budgeted(
-                        self.llm,
-                        &self.ssms,
-                        &request.prompt,
-                        self.config.seed.wrapping_add(request.id.0),
-                        kv_rows,
-                    ) {
-                        Ok(s) => s,
-                        Err(_) => {
-                            faults.invalid += 1;
-                            responses.push(stub_response(
-                                &request,
-                                clock,
-                                RequestOutcome::Rejected,
-                            ));
-                            continue;
-                        }
-                    };
-                    session.set_degradation_policy(self.config.degradation);
-                    let cancel_at = plan.and_then(|p| p.cancel_after(request.id));
-                    active.push(ActiveRequest {
-                        request,
-                        config,
-                        session,
-                        last_stats: None,
-                        steps_taken: 0,
-                        cancel_at,
-                        pending_fault: StepFault::default(),
-                    });
-                }
-                // Backpressure drops (retries exhausted) leave as
-                // cancelled stubs.
-                for request in sched.take_rejected() {
-                    responses.push(stub_response(&request, clock, RequestOutcome::Cancelled));
-                }
-                if active.is_empty() && !sched.has_pending() {
-                    break; // neither active nor pending work
-                }
-            }
-            if active.is_empty() {
-                continue; // everything due was shed; fast-forward again
-            }
-
-            // Choose this iteration's faults (main thread, so the tally
-            // is deterministic) …
-            if let Some(plan) = plan {
-                for a in &mut active {
-                    let fault = plan
-                        .step_fault(a.request.id, a.steps_taken)
-                        .unwrap_or_default();
-                    faults.ssm_garbage += usize::from(fault.ssm_garbage.is_some());
-                    faults.ssm_stalls += usize::from(fault.ssm_stall);
-                    faults.kv_ooms += usize::from(fault.kv_oom);
-                    faults.injected += usize::from(fault.ssm_garbage.is_some())
-                        + usize::from(fault.ssm_stall)
-                        + usize::from(fault.kv_oom);
-                    a.pending_fault = fault;
-                }
-            }
-
-            // … then run one decoding iteration over the batch, in
-            // parallel.
-            self.step_batch(&mut active);
-            iterations += 1;
-
-            // Charge the simulated clock for this iteration.
-            let batch = active.len();
-            let mean_tree = active
-                .iter()
-                .filter_map(|a| a.last_stats.map(|s| s.tree_size as f64))
-                .sum::<f64>()
-                / batch as f64;
-            let mean_context = active
-                .iter()
-                .map(|a| a.session.tokens().len())
-                .sum::<usize>()
-                / batch;
-            let mut dt = self.config.timing.iteration_s(
-                &self.config.engine.mode,
-                batch,
-                mean_tree,
-                mean_context,
-            );
-            if let Some(factor) = plan.and_then(|p| p.verifier_slowdown(iterations - 1)) {
-                faults.slowdowns += 1;
-                faults.injected += 1;
-                dt *= factor;
-            }
-            iteration_log.push(crate::metrics::IterationRecord {
-                start_s: clock,
-                duration_s: dt,
-                batch,
-                mean_tree_size: mean_tree,
-                emitted: active
-                    .iter()
-                    .filter_map(|a| a.last_stats.map(|s| s.emitted))
-                    .sum(),
-            });
-            batch_fill_sum += batch as f64 / self.config.max_batch_size as f64;
-            let cap: usize = active.iter().map(|a| a.session.kv_capacity()).sum();
-            if cap > 0 {
-                let rows: usize = active.iter().map(|a| a.session.kv_rows()).sum();
-                slab_fill_sum += rows as f64 / cap as f64;
-            }
-            peak_batch = peak_batch.max(batch);
-            clock += dt;
-
-            // Retire finished, cancelled and expired requests.
-            let mut i = 0;
-            while i < active.len() {
-                let outcome = if active[i].session.is_finished() {
-                    Some(RequestOutcome::Completed)
-                } else if active[i]
-                    .cancel_at
-                    .is_some_and(|n| active[i].session.generated().len() >= n)
-                {
-                    faults.cancellations += 1;
-                    Some(RequestOutcome::Cancelled)
-                } else if active[i].request.deadline_missed(clock) {
-                    faults.deadline_misses += 1;
-                    Some(RequestOutcome::DeadlineMissed)
-                } else {
-                    None
-                };
-                match outcome {
-                    Some(outcome) => {
-                        let done = active.swap_remove(i);
-                        let d = done.session.degradation();
-                        faults.fallbacks_taken += d.fallbacks_taken;
-                        faults.fallback_steps += d.fallback_steps;
-                        faults.reprobes += d.reprobes;
-                        if let Some(snap) = done.session.controller_snapshot() {
-                            controller_snap.absorb(&snap);
-                        }
-                        let result = done.session.into_result();
-                        responses.push(Response {
-                            id: done.request.id,
-                            dataset: done.request.dataset,
-                            prompt_len: done.request.prompt.len(),
-                            generated: result.generated().to_vec(),
-                            arrival_s: done.request.arrival_s,
-                            finish_s: clock,
-                            steps: result.steps,
-                            outcome,
-                        });
-                    }
-                    None => i += 1,
-                }
-            }
+        let requests = std::mem::take(&mut self.inbox.lock().requests);
+        let mut driver = IterationDriver::new(self.llm, &self.ssms, &self.config);
+        for request in requests {
+            driver.submit(request, None);
         }
-
-        let queue_stats = self.scheduler.lock().stats();
-        faults.retries = queue_stats.retries;
-        faults.rejected = queue_stats.rejected;
-
-        responses.sort_by_key(|r| r.id);
-        let denom = iterations.max(1) as f64;
-        ServeReport {
-            responses,
-            makespan_s: clock,
-            iterations,
-            iteration_log,
-            occupancy: crate::metrics::OccupancyStats {
-                mean_batch_fill: batch_fill_sum / denom,
-                mean_slab_fill: slab_fill_sum / denom,
-                peak_batch,
-            },
-            faults,
-            wall_s: wall.elapsed_s(),
-            controller: controller_snap,
-            // The trace-driven server steps sessions serially (one
-            // forward per session), so there is no fused-pass row
-            // accounting to report; the daemon path measures it.
-            verify_rows: BatchRowStats::default(),
+        while !driver.is_idle() {
+            driver.tick();
         }
-    }
-
-    fn step_batch(&self, active: &mut [ActiveRequest]) {
-        let llm = self.llm;
-        let ssms = &self.ssms;
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(active.len())
-            .max(1);
-        let chunk = active.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for slice in active.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for a in slice {
-                        let fault = std::mem::take(&mut a.pending_fault);
-                        a.last_stats = a.session.step_faulted(llm, ssms, &a.config, fault);
-                        a.steps_taken += 1;
-                    }
-                });
-            }
-        });
+        driver.into_report()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::RequestOutcome;
     use specinfer_model::{DecodeMode, ModelConfig};
     use specinfer_spec::StochasticVerifier;
     use specinfer_tokentree::ExpansionConfig;

@@ -643,11 +643,7 @@ fn step_hierarchical(
     // two-pass cache layout; faulted items run the serial incremental
     // forward here, after the fused passes.
     let mut stats: Vec<Option<StepStats>> = Vec::with_capacity(n);
-    for ((item, proposal), slot) in items
-        .iter_mut()
-        .zip(proposals.iter_mut())
-        .zip(slots.into_iter())
-    {
+    for ((item, proposal), slot) in items.iter_mut().zip(proposals.iter_mut()).zip(slots) {
         let Some(proposal) = proposal.take() else {
             stats.push(None);
             continue;

@@ -318,7 +318,8 @@ impl SpecController {
             // speculative rung so a request that turned predictable can
             // climb back out.
             self.parked_decisions += 1;
-            if self.parked_decisions % self.cfg.probe_period == 0 && self.ladder.len() > 1 {
+            if self.parked_decisions.is_multiple_of(self.cfg.probe_period) && self.ladder.len() > 1
+            {
                 (1, true)
             } else {
                 (0, false)
@@ -331,7 +332,8 @@ impl SpecController {
             0
         } else {
             self.spec_decisions += 1;
-            if self.ssm_flop.len() > 1 && self.spec_decisions % self.cfg.probe_period == 0 {
+            if self.ssm_flop.len() > 1 && self.spec_decisions.is_multiple_of(self.cfg.probe_period)
+            {
                 // Round-robin probe slot: cycle the pool deterministically.
                 let pick = (self.spec_decisions / self.cfg.probe_period) % self.ssm_flop.len();
                 probe = probe || pick != self.best_ssm();

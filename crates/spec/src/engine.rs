@@ -676,14 +676,14 @@ impl Session {
                 InferenceMode::Incremental => ProposalKind::Incremental,
                 InferenceMode::SequenceSpeculative { depth } => {
                     let expansion = ExpansionConfig::sequence(*depth);
-                    if self.speculation_fits(ssms, expansion.node_count()) {
+                    if self.speculation_fits(expansion.node_count()) {
                         self.propose_speculative(llm, ssms, &expansion, config, fault.ssm_garbage)
                     } else {
                         ProposalKind::Incremental
                     }
                 }
                 InferenceMode::TreeSpeculative { expansion } => {
-                    if self.speculation_fits(ssms, expansion.node_count()) {
+                    if self.speculation_fits(expansion.node_count()) {
                         self.propose_speculative(llm, ssms, expansion, config, fault.ssm_garbage)
                     } else {
                         // Near the context limit a full tree no longer fits;
@@ -692,7 +692,7 @@ impl Session {
                     }
                 }
                 InferenceMode::DynamicTree { config: dyn_cfg } => {
-                    if self.speculation_fits(ssms, dyn_cfg.max_nodes) {
+                    if self.speculation_fits(dyn_cfg.max_nodes) {
                         self.propose_dynamic(llm, ssms, dyn_cfg, 0, fault.ssm_garbage)
                     } else {
                         ProposalKind::Incremental
@@ -711,7 +711,7 @@ impl Session {
                         if matches!(d.shape, DraftShape::Incremental) {
                             decision = Some(d);
                             ProposalKind::Incremental
-                        } else if self.speculation_fits(ssms, d.shape.node_count()) {
+                        } else if self.speculation_fits(d.shape.node_count()) {
                             let kind =
                                 self.propose_adaptive(llm, ssms, &d, config, fault.ssm_garbage);
                             decision = Some(d);
@@ -883,12 +883,11 @@ impl Session {
 
     /// Whether a speculated tree of up to `worst_nodes` nodes (plus the
     /// root) fits in every cache involved.
-    fn speculation_fits(&self, ssms: &[&Transformer], worst_nodes: usize) -> bool {
+    fn speculation_fits(&self, worst_nodes: usize) -> bool {
         let need = worst_nodes + 1;
         if self.llm_cache.len() + need > self.llm_cache.max_len() {
             return false;
         }
-        let _ = ssms;
         self.ssm_caches
             .iter()
             .all(|c| c.len() + need <= c.max_len())

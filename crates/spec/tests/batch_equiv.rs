@@ -43,6 +43,9 @@ fn prompt(slot: usize) -> Vec<TokenId> {
     vec![1 + slot as TokenId, 2, 3 + (slot % 5) as TokenId]
 }
 
+/// Per batch slot: the session's token sequence and its step stats.
+type Outputs = Vec<(Vec<TokenId>, Vec<StepStats>)>;
+
 /// Runs `batch` sessions serially (one `step_faulted` each per
 /// iteration) and returns their token sequences and step stats.
 fn run_serial(
@@ -52,7 +55,7 @@ fn run_serial(
     seed: u64,
     batch: usize,
     faults: impl Fn(usize, usize) -> StepFault,
-) -> Vec<(Vec<TokenId>, Vec<StepStats>)> {
+) -> Outputs {
     let ssms = [ssm];
     let mut sessions: Vec<Session> = (0..batch)
         .map(|b| Session::new(llm, &ssms, &prompt(b), seed.wrapping_add(b as u64)))
@@ -82,7 +85,7 @@ fn run_batched(
     seed: u64,
     batch: usize,
     faults: impl Fn(usize, usize) -> StepFault,
-) -> Vec<(Vec<TokenId>, Vec<StepStats>)> {
+) -> Outputs {
     let ssms = [ssm];
     let verifier = BatchedVerifier::new();
     let mut sessions: Vec<Session> = (0..batch)
@@ -257,7 +260,7 @@ fn run_with_verifier(
     cfg: &EngineConfig,
     seed: u64,
     batch: usize,
-) -> (Vec<(Vec<TokenId>, Vec<StepStats>)>, BatchRowStats) {
+) -> (Outputs, BatchRowStats) {
     let ssms = [ssm];
     let mut rows = BatchRowStats::default();
     let mut sessions: Vec<Session> = (0..batch)
@@ -391,7 +394,7 @@ fn run_specs_serial(
     decode: DecodeMode,
     seed: u64,
     specs: &[RaggedSpec],
-) -> Vec<(Vec<TokenId>, Vec<StepStats>)> {
+) -> Outputs {
     let ssms = [ssm];
     specs
         .iter()
@@ -420,7 +423,7 @@ fn run_specs_ragged(
     seed: u64,
     cap: usize,
     specs: &[RaggedSpec],
-) -> Vec<(Vec<TokenId>, Vec<StepStats>)> {
+) -> Outputs {
     let ssms = [ssm];
     let verifier = BatchedVerifier::new();
     let configs: Vec<EngineConfig> = specs.iter().map(|s| s.config(decode.clone())).collect();

@@ -133,6 +133,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     }
     cache::prune(&cache_dir, &live);
     let facts = WorkspaceFacts::build(parsed);
+    semantic::stale_root_findings(&facts.graph, &mut findings);
     semantic::semantic_findings_with_graph(&facts.files, &facts.graph, false, &mut findings);
     taint::taint_findings(&facts, false, &mut findings);
     race::race_findings(&facts, &shim_parsed, false, &mut findings);

@@ -110,16 +110,16 @@ pub const NO_UNWRAP_SCOPE: &[&str] = &[
 pub const CLOCK_MODULE: &str = "crates/serving/src/clock.rs";
 
 /// Modules sanctioned to create threads: the tensor kernel pool, the
-/// data-parallel SSM speculation pool, and the serving daemon/iteration
-/// loop. A `thread::spawn` anywhere else is a determinism hazard — its
-/// interleaving is unmodelled and untested.
+/// data-parallel SSM speculation pool, and the serving daemon (its one
+/// background thread; the iteration driver and trace replay spawn
+/// nothing). A `thread::spawn` anywhere else is a determinism hazard —
+/// its interleaving is unmodelled and untested.
 pub const THREAD_SANCTIONED: &[&str] = &[
     "crates/tensor/src/kernels.rs",
     "crates/model/src/transformer.rs",
     "crates/spec/src/speculator.rs",
     "crates/spec/src/batch.rs",
     "crates/serving/src/daemon.rs",
-    "crates/serving/src/server.rs",
 ];
 
 /// Paths exempt from the determinism rule: benchmark binaries (timing is

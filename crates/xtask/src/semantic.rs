@@ -32,9 +32,13 @@ use crate::callgraph::{self, CallGraph, FnNode};
 use crate::parse::{Fact, ParsedFile};
 use crate::rules::{Finding, Severity};
 
-/// Serving entry points for `panic_reachability` (path suffix, fn name).
-/// In strict mode (fixtures) matching is by name alone.
+/// Serving entry points for `panic_reachability` (path suffix, fn name):
+/// the iteration driver's `tick` (what both trace replay and the live
+/// daemon run), the daemon's channel pump around it, and the engine
+/// entries under them. In strict mode (fixtures) matching is by name
+/// alone.
 pub const PANIC_ENTRY_POINTS: &[(&str, &str)] = &[
+    ("crates/serving/src/driver.rs", "tick"),
     ("crates/serving/src/daemon.rs", "daemon_loop"),
     ("crates/spec/src/batch.rs", "step_batch"),
     ("crates/spec/src/engine.rs", "try_generate"),
@@ -159,7 +163,9 @@ pub fn semantic_findings_with_graph(
 }
 
 /// Resolves configured (path-suffix, name) roots against the graph; in
-/// strict mode any function with a matching name counts.
+/// strict mode any function with a matching name counts. Roots that do
+/// not resolve are skipped here — unit tests lint one-file workspaces —
+/// and reported by [`stale_root_findings`] on whole-workspace runs.
 pub fn resolve_roots(graph: &CallGraph, roots: &[(&str, &str)], strict: bool) -> Vec<usize> {
     let mut out = Vec::new();
     if strict {
@@ -176,6 +182,38 @@ pub fn resolve_roots(graph: &CallGraph, roots: &[(&str, &str)], strict: bool) ->
         }
     }
     out
+}
+
+/// Every root table a graph rule starts from, by rule.
+const ROOT_TABLES: &[(&str, &[(&str, &str)])] = &[
+    ("panic_reachability", PANIC_ENTRY_POINTS),
+    ("hot_loop_alloc", HOT_LOOP_ROOTS),
+    ("unbounded_wait", crate::taint::WAIT_ENTRY_POINTS),
+];
+
+/// An error finding per configured root the workspace no longer defines.
+/// A rule whose entry point was renamed or moved would otherwise go
+/// vacuous — pass on everything because it reaches nothing.
+pub fn stale_root_findings(graph: &CallGraph, out: &mut Vec<Finding>) {
+    for &(rule, roots) in ROOT_TABLES {
+        for (suffix, name) in roots {
+            if graph.find(suffix, name).is_none() {
+                out.push(Finding {
+                    rule,
+                    severity: Severity::Error,
+                    path: suffix.to_string(),
+                    line: 0,
+                    message: format!(
+                        "stale root: `{name}` is a configured entry point of `{rule}` but \
+                         `{suffix}` defines no such function, so the rule checks nothing from \
+                         it; point the root table at the function's new name or file"
+                    ),
+                    snippet: String::new(),
+                    call_path: Vec::new(),
+                });
+            }
+        }
+    }
 }
 
 /// Panic sites of one function: (line, kind) pairs.

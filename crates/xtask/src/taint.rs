@@ -56,6 +56,7 @@ pub const ALLOC_SINKS: &[&str] = &[
 /// Serving entries for `unbounded_wait` (path suffix, fn name); strict
 /// mode matches by name alone, like the panic-reachability entries.
 pub const WAIT_ENTRY_POINTS: &[(&str, &str)] = &[
+    ("crates/serving/src/driver.rs", "tick"),
     ("crates/serving/src/daemon.rs", "daemon_loop"),
     ("crates/serving/src/daemon.rs", "submit_with_deadline"),
     ("crates/spec/src/batch.rs", "step_batch"),

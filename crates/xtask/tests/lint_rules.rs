@@ -393,6 +393,65 @@ fn binary_exit_codes_match_findings() {
     assert_eq!(usage.code(), Some(2), "unknown command: expected exit 2");
 }
 
+/// Copies every file the lint reads (`.rs`, `Cargo.toml`, the allowlist)
+/// from `from` to `to`, skipping what its own walk skips.
+fn copy_lint_inputs(from: &std::path::Path, to: &std::path::Path) {
+    for entry in std::fs::read_dir(from)
+        .expect("source dir is readable")
+        .flatten()
+    {
+        let (path, name) = (entry.path(), entry.file_name());
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if name != "target" && name != "fixtures" {
+                copy_lint_inputs(&path, &to.join(&*name));
+            }
+        } else if name.ends_with(".rs") || name == "Cargo.toml" || name == "lint-allow.txt" {
+            std::fs::create_dir_all(to).expect("copy dir is creatable");
+            std::fs::copy(&path, to.join(&*name)).expect("file copies");
+        }
+    }
+}
+
+/// A graph rule must not go vacuous when its entry point is renamed: in
+/// a workspace copy whose iteration driver calls its `tick` something
+/// else, the binary fails and names the stale root of both rules that
+/// start there — and nothing else.
+#[test]
+fn renamed_entry_point_is_reported_as_a_stale_root() {
+    let root = workspace_root();
+    let copy = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("stale_root_workspace");
+    std::fs::remove_dir_all(&copy).ok();
+    for dir in ["crates", "shims"] {
+        copy_lint_inputs(&root.join(dir), &copy.join(dir));
+    }
+    let driver = copy.join("crates/serving/src/driver.rs");
+    let src = std::fs::read_to_string(&driver).expect("the driver was copied");
+    assert!(src.contains("fn tick(&mut self)"));
+    std::fs::write(
+        &driver,
+        src.replace("fn tick(&mut self)", "fn turn(&mut self)"),
+    )
+    .expect("the copy is writable");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_specinfer-xtask"))
+        .args(["lint", "--root"])
+        .arg(&copy)
+        .output()
+        .expect("lint binary runs");
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{report}");
+    for rule in ["panic_reachability", "unbounded_wait"] {
+        assert!(
+            report.lines().any(|l| l.contains(rule)
+                && l.contains("stale root: `tick`")
+                && l.contains("crates/serving/src/driver.rs")),
+            "{rule} must name its stale root:\n{report}"
+        );
+    }
+    assert!(report.contains("specinfer-lint: 2 finding(s)"), "{report}");
+}
+
 /// `--json` reports carry the rule/path/line/call-path fields the CI
 /// annotation step consumes, and keep the text mode's exit codes.
 #[test]

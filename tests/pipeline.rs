@@ -3,11 +3,14 @@
 
 use specinfer::model::train::{distill_step, train_step};
 use specinfer::model::{DecodeMode, ModelConfig, Transformer};
-use specinfer::serving::{QueuePolicy, Server, ServerConfig, TimingConfig};
-use specinfer::spec::{DegradationPolicy, EngineConfig, InferenceMode, StochasticVerifier};
+use specinfer::serving::{QueuePolicy, Server, ServerConfig, ServerDaemon, TimingConfig};
+use specinfer::spec::{
+    AdaptiveConfig, DegradationPolicy, EngineConfig, InferenceMode, StochasticVerifier,
+};
 use specinfer::tensor::optim::Adam;
 use specinfer::tokentree::ExpansionConfig;
 use specinfer::workloads::{trace::Trace, Dataset, Grammar, EOS_TOKEN};
+use std::sync::Arc;
 
 fn tiny_cfg(d: usize) -> ModelConfig {
     ModelConfig {
@@ -119,6 +122,95 @@ fn serving_is_deterministic() {
         run(),
         "same seed must reproduce identical generations"
     );
+}
+
+/// Trace replay and the live daemon are two front-ends of one iteration
+/// driver, so the same jobs must come out identical per request id —
+/// tokens and per-step stats — whichever front-end fed them in, whatever
+/// batches wall-time admission happened to form in the daemon.
+#[test]
+fn trace_replay_and_daemon_agree_per_request() {
+    let grammar = Grammar::synthetic(256, 11);
+    let llm = Arc::new(Transformer::from_seed(tiny_cfg(16), 7));
+    let ssms: Vec<Arc<Transformer>> = (0..3)
+        .map(|i| Arc::new(Transformer::from_seed(tiny_cfg(8), 8 + i)))
+        .collect();
+    // Ragged prompts and budgets, so requests retire at different
+    // iterations and later ones join mid-flight.
+    let mut trace = Trace::closed_batch(&grammar, Dataset::Alpaca, 7, 8, 12, 4);
+    for (i, r) in trace.requests.iter_mut().enumerate() {
+        r.prompt.tokens.truncate(3 + i % 5);
+        r.prompt.max_new_tokens = 4 + (i * 5) % 9;
+    }
+    let modes = [
+        (
+            InferenceMode::TreeSpeculative {
+                expansion: ExpansionConfig::new(vec![2, 2, 1]),
+            },
+            1,
+        ),
+        (
+            InferenceMode::Adaptive {
+                config: AdaptiveConfig::default(),
+            },
+            3,
+        ),
+        (InferenceMode::Incremental, 0),
+    ];
+    for (mode, pool) in modes {
+        for slab_rows in [None, Some(96)] {
+            let what = format!("{mode:?}, slab_rows {slab_rows:?}");
+            let pool = &ssms[..pool];
+            let config = ServerConfig {
+                engine: EngineConfig {
+                    decode: DecodeMode::Greedy,
+                    verifier: StochasticVerifier::MultiStep,
+                    mode: mode.clone(),
+                    max_new_tokens: 12,
+                    eos_token: Some(EOS_TOKEN),
+                },
+                max_batch_size: 4,
+                timing: TimingConfig::llama_7b_single_gpu(),
+                seed: 21,
+                faults: None,
+                degradation: DegradationPolicy::serving_default(),
+                queue: QueuePolicy::unbounded(),
+                slab_rows,
+            };
+            let refs = pool.iter().map(Arc::as_ref).collect();
+            let replay = Server::new(&llm, refs, config.clone()).serve_trace(&trace);
+
+            let daemon =
+                ServerDaemon::spawn(llm.clone(), pool.to_vec(), config).expect("daemon spawns");
+            let tickets: Vec<_> = trace
+                .requests
+                .iter()
+                .map(|r| {
+                    daemon
+                        .submit(r.prompt.tokens.clone(), r.prompt.max_new_tokens)
+                        .expect("daemon accepts")
+                })
+                .collect();
+            for t in tickets {
+                t.wait().expect("ticket resolves");
+            }
+            let live = daemon.shutdown().expect("clean shutdown");
+
+            assert_eq!(replay.responses.len(), trace.requests.len(), "{what}");
+            assert_eq!(live.responses.len(), trace.requests.len(), "{what}");
+            for (a, b) in replay.responses.iter().zip(&live.responses) {
+                assert_eq!(a.id, b.id, "{what}");
+                assert_eq!(a.generated, b.generated, "{what}: {} tokens", a.id);
+                assert_eq!(a.steps, b.steps, "{what}: {} steps", a.id);
+            }
+            // Replay steps through the batched verifier like the daemon,
+            // so its fused-pass row accounting is real (it used to step
+            // sessions serially and report zeros) and — being a sum of
+            // per-session quantities — equal to the daemon's.
+            assert!(replay.verify_rows.forwarded_rows() > 0, "{what}");
+            assert_eq!(replay.verify_rows, live.verify_rows, "{what}");
+        }
+    }
 }
 
 #[test]
