@@ -198,17 +198,6 @@ pub fn generate(args: &Parsed) -> Result<(), String> {
         .into_iter()
         .map(load_model)
         .collect::<Result<_, _>>()?;
-    let mode = inference_mode(args)?;
-    if matches!(
-        mode,
-        InferenceMode::SequenceSpeculative { .. }
-            | InferenceMode::TreeSpeculative { .. }
-            | InferenceMode::DynamicTree { .. }
-    ) && ssms.is_empty()
-    {
-        // Adaptive is exempt: with an empty pool it serves incrementally.
-        return Err("speculative modes need at least one --ssm".into());
-    }
     let tokens: usize = args.num("tokens", 48)?;
     let seed: u64 = args.num("seed", 0)?;
     let ds = dataset(args.get("dataset").unwrap_or("alpaca"))?;
@@ -222,17 +211,21 @@ pub fn generate(args: &Parsed) -> Result<(), String> {
     } else {
         DecodeMode::Greedy
     };
-    let engine = SpecEngine::new(
-        &llm,
-        ssms.iter().collect(),
-        EngineConfig {
-            decode,
-            verifier: StochasticVerifier::MultiStep,
-            mode,
-            max_new_tokens: tokens,
-            eos_token: Some(EOS_TOKEN),
-        },
-    );
+    let config = EngineConfig {
+        decode,
+        verifier: StochasticVerifier::MultiStep,
+        mode: inference_mode(args)?,
+        max_new_tokens: tokens,
+        eos_token: Some(EOS_TOKEN),
+    };
+    // An empty pool decodes every mode incrementally; asking for a fixed
+    // speculative shape without a drafter is a mistake worth naming.
+    // Adaptive is exempt: serving incrementally is one of its rungs.
+    let with_an_ssm = config.pool_speculation_rows(1);
+    if ssms.is_empty() && with_an_ssm.worst_case > 1 && !with_an_ssm.adapts {
+        return Err("speculative modes need at least one --ssm".into());
+    }
+    let engine = SpecEngine::new(&llm, ssms.iter().collect(), config);
     let audit = args.switch("audit");
     let is_greedy = matches!(engine.config().decode, DecodeMode::Greedy);
     let result = engine.generate(&prompt.tokens, seed);

@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use crossbeam::channel::Sender;
 use specinfer_model::Transformer;
 use specinfer_spec::{
-    BatchItem, BatchRowStats, BatchedVerifier, ControllerSnapshot, EngineConfig, InferenceMode,
-    Session, StepStats,
+    BatchItem, BatchRowStats, BatchedVerifier, ControllerSnapshot, EngineConfig, Session,
+    SpeculationRows, StepStats,
 };
 use specinfer_tokentree::TokenId;
 
@@ -58,15 +58,12 @@ pub(crate) struct IterationDriver<'m> {
     faults: FaultCounters,
     controller: ControllerSnapshot,
     verify_rows: BatchRowStats,
-    /// Worst-case speculation rows of one iteration: what a slab is
-    /// sized for (under adaptive, the top of the controller's ladder), so
-    /// a session can climb to any rung without overflowing its
-    /// right-sized KV slab.
-    slab_spec_rows: usize,
-    /// What admission *charges* a fresh request: under adaptive the
-    /// initial rung's shape, because charging the worst case would leave
-    /// paid-for batch slots empty.
-    admit_spec_rows: usize,
+    /// Speculation rows of one iteration over this SSM pool. A slab is
+    /// sized for the worst case, so a session can draft any shape of its
+    /// plan without overflowing its right-sized KV slab; admission
+    /// *charges* a fresh request its first iteration only, because
+    /// charging the worst case would leave paid-for batch slots empty.
+    spec_rows: SpeculationRows,
 }
 
 impl<'m> IterationDriver<'m> {
@@ -75,7 +72,6 @@ impl<'m> IterationDriver<'m> {
         ssms: &'m [&'m Transformer],
         config: &'m ServerConfig,
     ) -> Self {
-        let slab_spec_rows = config.engine.speculation_rows();
         IterationDriver {
             llm,
             ssms,
@@ -94,13 +90,7 @@ impl<'m> IterationDriver<'m> {
             faults: FaultCounters::default(),
             controller: ControllerSnapshot::default(),
             verify_rows: BatchRowStats::default(),
-            slab_spec_rows,
-            admit_spec_rows: match &config.engine.mode {
-                InferenceMode::Adaptive { config: acfg } => {
-                    acfg.admission_rows(config.engine.decode.is_greedy())
-                }
-                _ => slab_spec_rows,
-            },
+            spec_rows: config.engine.pool_speculation_rows(ssms.len()),
         }
     }
 
@@ -187,29 +177,28 @@ impl<'m> IterationDriver<'m> {
         let max_ctx = self.llm.config().max_seq_len;
         let admitted = match self.config.slab_rows {
             Some(budget) => {
-                // Live adaptive requests are charged their controller's
-                // *current* shape (committed rows + this iteration's
+                // Live requests whose shape adapts are charged their
+                // *current* one (committed rows + this iteration's
                 // speculation rows) rather than their whole worst-case
                 // slab: parked/low-rung requests free real admission
-                // headroom. Non-adaptive requests always append their
-                // configured shape, so their full slab stays charged.
-                let adaptive = matches!(self.config.engine.mode, InferenceMode::Adaptive { .. });
+                // headroom. A fixed shape appends the same rows every
+                // iteration, so its full slab stays charged.
+                let spec_rows = self.spec_rows;
                 let used: usize = self
                     .live
                     .iter()
-                    .map(|a| match adaptive {
+                    .map(|a| match spec_rows.adapts {
                         true => (a.session.kv_rows()
                             + a.session.current_speculation_rows(&a.engine))
                         .min(a.session.kv_capacity()),
                         false => a.session.kv_capacity(),
                     })
                     .sum();
-                let admit_spec_rows = self.admit_spec_rows;
                 self.scheduler.admit_budgeted(
                     self.clock,
                     self.live.len(),
                     budget.saturating_sub(used),
-                    |r| (r.kv_rows() + admit_spec_rows).min(max_ctx),
+                    |r| (r.kv_rows() + spec_rows.next_iteration).min(max_ctx),
                 )
             }
             None => self.scheduler.admit(self.clock, self.live.len()),
@@ -218,7 +207,7 @@ impl<'m> IterationDriver<'m> {
             let mut engine = self.config.engine.clone();
             engine.max_new_tokens = request.max_new_tokens;
             let kv_rows = match self.config.slab_rows {
-                Some(_) => (request.kv_rows() + self.slab_spec_rows).min(max_ctx),
+                Some(_) => (request.kv_rows() + self.spec_rows.worst_case).min(max_ctx),
                 None => usize::MAX,
             };
             // An invalid prompt rejects this one request; it must never
@@ -402,7 +391,7 @@ mod tests {
     use crate::server::TimingConfig;
     use crossbeam::channel::bounded;
     use specinfer_model::{DecodeMode, ModelConfig};
-    use specinfer_spec::{DegradationPolicy, StochasticVerifier};
+    use specinfer_spec::{DegradationPolicy, InferenceMode, StochasticVerifier};
 
     fn request(id: u64) -> Request {
         Request {

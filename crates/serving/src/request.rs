@@ -41,8 +41,8 @@ impl Request {
 
     /// Committed KV rows this request needs if it runs to its budget:
     /// the whole prompt plus every generated token. Speculation headroom
-    /// is the scheduler's concern (it adds the engine's
-    /// `speculation_rows()` on top before admitting against the slab).
+    /// is the driver's concern (it adds the engine's
+    /// `pool_speculation_rows` on top before admitting against the slab).
     pub fn kv_rows(&self) -> usize {
         self.prompt.len() + self.max_new_tokens
     }

@@ -147,8 +147,9 @@ pub struct ServerConfig {
     /// Total KV-slab budget in rows shared by all live sessions, or
     /// `None` for unbudgeted admission (every session gets a
     /// full-`max_seq_len` slab and admission only counts slots). With a
-    /// budget, each session's slab is right-sized to
-    /// `prompt + max_new + speculation_rows` and admission is the
+    /// budget, each session's slab is right-sized to `prompt + max_new +`
+    /// the worst case of `EngineConfig::pool_speculation_rows` for the
+    /// server's SSM pool, and admission is the
     /// occupancy-maximizing first-fit scan
     /// ([`IterationScheduler::admit_budgeted`](crate::IterationScheduler::admit_budgeted)).
     pub slab_rows: Option<usize>,

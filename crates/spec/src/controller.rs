@@ -29,14 +29,21 @@
 //! here is a pure function of observed step statistics — no clocks, no
 //! unseeded entropy — so runs replay bit-for-bit (the determinism lint
 //! rule enforces exactly this; see the `adaptive_spec_bad` fixture).
+//!
+//! [`DraftShape`] is also what the *static* inference modes lower to
+//! (`engine.rs`): a session's plan is either one constant shape or this
+//! controller, and the same drafter and row count serve both — the
+//! controller is simply the only plan whose answer changes.
+
+use std::borrow::Cow;
 
 use specinfer_model::ModelConfig;
 use specinfer_tokentree::ExpansionConfig;
 
 use crate::dynamic::DynamicExpansionConfig;
 
-/// One rung of the speculation ladder: the draft shape a session uses
-/// for its next iteration.
+/// What one iteration drafts: a rung of the speculation ladder, or the
+/// constant a static `InferenceMode` lowers to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DraftShape {
     /// No speculation: one ordinary decode step.
@@ -77,6 +84,20 @@ impl DraftShape {
     /// (root + speculated nodes; 1 for incremental).
     pub fn speculation_rows(&self) -> usize {
         self.node_count() + 1
+    }
+
+    /// The static ⟨k₁…k_m⟩ schedule of this shape: the tree's own, a
+    /// chain for a sequence, and for a best-first budget the chain no
+    /// deeper than it — what a garbage-logits draft of it degenerates to.
+    /// `None` for incremental, which drafts nothing.
+    pub(crate) fn static_expansion(&self) -> Option<Cow<'_, ExpansionConfig>> {
+        let chain = |m| Some(Cow::Owned(ExpansionConfig::sequence(m)));
+        match self {
+            DraftShape::Incremental => None,
+            DraftShape::Sequence(m) => chain(*m),
+            DraftShape::Dynamic(c) => chain(c.max_depth.clamp(1, c.max_nodes.max(1))),
+            DraftShape::Tree(e) => Some(Cow::Borrowed(e)),
+        }
     }
 }
 
@@ -120,12 +141,8 @@ impl AdaptiveConfig {
     /// controller's current rung instead
     /// ([`SpecController::current_rows`]).
     pub fn admission_rows(&self, greedy: bool) -> usize {
-        let ladder = ladder_for(greedy);
-        let rung = self.initial_rung.min(ladder.len() - 1);
-        match ladder.get(rung) {
-            Some(shape) => shape.speculation_rows(),
-            None => unreachable!("initial rung clamped into the ladder"),
-        }
+        // A fresh controller sits on the initial rung whatever its pool.
+        SpecController::new(self.clone(), greedy, vec![1.0]).current_rows()
     }
 }
 
@@ -296,12 +313,6 @@ impl SpecController {
     /// occupancy cost `admit_budgeted` should charge this request now.
     pub fn current_rows(&self) -> usize {
         self.shape_at(self.rung).speculation_rows()
-    }
-
-    /// The shape the controller would pick right now, without committing
-    /// to a decision.
-    pub fn current_shape(&self) -> &DraftShape {
-        self.shape_at(self.rung)
     }
 
     fn shape_at(&self, rung: usize) -> &DraftShape {

@@ -5,6 +5,15 @@
 //! exactly the granularity the serving layer's continuous batching
 //! schedules. [`SpecEngine`] packages models + configuration for
 //! single-request generation.
+//!
+//! [`InferenceMode`] is only the public spelling of what to draft. A
+//! session lowers it once (`DraftPlan::lower`, the file's only `match`
+//! over the modes) to a [`DraftShape`] plus the SSMs that draft it — a
+//! constant for the static modes, the [`SpecController`]'s choice under
+//! `Adaptive`, plain incremental for any mode whose pool is empty — and
+//! one drafter (`Session::draft`) consumes the pair. Every row count
+//! (slab sizing, admission charging, "does it still fit") is read off
+//! that plan, so it counts a merged pool's one-expansion-per-SSM.
 
 use std::collections::VecDeque;
 
@@ -17,6 +26,7 @@ use crate::controller::{
     draft_flop_weight, AdaptiveConfig, AdaptiveDecision, ControllerSnapshot, DraftShape,
     SpecController,
 };
+use crate::dynamic::speculate_dynamic;
 use crate::speculator::{
     expand_into, speculate_garbage, speculate_pool_parallel, ExpansionMode, Speculation,
     SsmDistTable,
@@ -25,7 +35,9 @@ use crate::verifier::{
     verify_greedy, verify_naive, verify_stochastic, StochasticVerifier, VerifyOutcome,
 };
 
-/// Which inference algorithm drives a generation.
+/// Which inference algorithm drives a generation. The sequence and tree
+/// modes draft with every SSM of the pool and merge the trees
+/// (Definition 3.2); with an empty pool every mode decodes incrementally.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InferenceMode {
     /// Ordinary incremental decoding (Algorithm 1) — one LLM pass per
@@ -95,30 +107,120 @@ impl EngineConfig {
     }
 
     /// Worst-case KV rows one decoding iteration appends before commit
-    /// compacts back to the accepted path: the speculated node count
-    /// plus the tree root, or a single row when incremental.
-    ///
-    /// A session whose LLM cache holds
-    /// `prompt_len + max_new_tokens + speculation_rows()` rows can never
-    /// hit a capacity guard that a full-capacity session would not also
-    /// hit, so budgeted sessions stay bitwise-identical to unbudgeted
-    /// ones (see [`Session::try_new_budgeted`]).
+    /// compacts back to the accepted path when a single SSM drafts: the
+    /// speculated node count plus the tree root, or a single row when
+    /// incremental. A merged pool drafts more — size slabs with
+    /// [`EngineConfig::pool_speculation_rows`].
     pub fn speculation_rows(&self) -> usize {
-        match &self.mode {
-            InferenceMode::Incremental => 1,
+        self.pool_speculation_rows(1).worst_case
+    }
+
+    /// The row accounting of this configuration over a pool of `n_ssms`
+    /// SSMs, read off the same lowered plan a session of that pool
+    /// drafts by — so slab sizing, admission and the session's own
+    /// "does it still fit" check cannot disagree.
+    pub fn pool_speculation_rows(&self, n_ssms: usize) -> SpeculationRows {
+        // Row counts do not depend on the SSMs' draft-FLOP weights.
+        DraftPlan::lower(self, vec![1.0; n_ssms]).rows()
+    }
+}
+
+/// KV rows one decoding iteration appends before commit compacts back
+/// to the accepted path: the tree root plus every speculated node, or
+/// one row when incremental.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpeculationRows {
+    /// The most any iteration can append: what a right-sized slab
+    /// reserves on top of `prompt + max_new`
+    /// (see [`Session::try_new_budgeted`]).
+    pub worst_case: usize,
+    /// What the next iteration appends — of a fresh plan, a session's
+    /// first: the adaptive ladder's initial rung, else `worst_case`.
+    pub next_iteration: usize,
+    /// Whether `next_iteration` moves with acceptance (the adaptive
+    /// ladder; see [`Session::current_speculation_rows`]) or stays
+    /// `worst_case` (a fixed shape).
+    pub adapts: bool,
+}
+
+/// Which SSMs of the pool draft an iteration's shape.
+#[derive(Debug, Clone, Copy)]
+enum Drafters {
+    /// One SSM (by pool index), expanding inline on the session's RNG
+    /// stream.
+    One(usize),
+    /// The whole pool of this many SSMs: each expands the shape on its
+    /// own forked stream and the trees merge in pool order
+    /// (Definition 3.2).
+    Pool(usize),
+}
+
+impl Drafters {
+    /// Rows an iteration drafting `shape` appends: the root plus one
+    /// worst-case expansion per drafter (merging only deduplicates).
+    fn rows(self, shape: &DraftShape) -> usize {
+        let expansions = match self {
+            Drafters::One(_) => 1,
+            Drafters::Pool(n) => n,
+        };
+        expansions * shape.node_count() + 1
+    }
+}
+
+/// What an [`InferenceMode`] means to one session: the shape each
+/// iteration drafts and the SSMs that draft it. Lowered once, on the
+/// session's first proposal; every row question and the drafter read it.
+#[derive(Debug)]
+enum DraftPlan {
+    /// The static modes: the same shape and drafters every iteration.
+    Fixed(DraftShape, Drafters),
+    /// [`InferenceMode::Adaptive`]: the controller picks each
+    /// iteration's rung of its ladder and routes it to one SSM.
+    Adaptive(SpecController),
+}
+
+impl DraftPlan {
+    /// The one place an [`InferenceMode`] is interpreted. `ssm_flops`
+    /// holds one draft-FLOP weight per SSM of the pool.
+    fn lower(config: &EngineConfig, ssm_flops: Vec<f32>) -> Self {
+        // A static mode drafts with the whole pool merged; a pool of one
+        // is that SSM inline on the session's own RNG stream.
+        let pool = match ssm_flops.len() {
+            // No drafters: every mode decodes incrementally.
+            0 => return DraftPlan::Fixed(DraftShape::Incremental, Drafters::One(0)),
+            1 => Drafters::One(0),
+            n => Drafters::Pool(n),
+        };
+        match &config.mode {
+            InferenceMode::Incremental => DraftPlan::Fixed(DraftShape::Incremental, pool),
             InferenceMode::SequenceSpeculative { depth } => {
-                ExpansionConfig::sequence(*depth).node_count() + 1
+                DraftPlan::Fixed(DraftShape::Sequence(*depth), pool)
             }
-            InferenceMode::TreeSpeculative { expansion } => expansion.node_count() + 1,
-            InferenceMode::DynamicTree { config } => config.max_nodes + 1,
-            // The adaptive ladder tops out at paper_default, so the
-            // worst case over every rung the controller can pick is the
-            // paper tree plus the root. Reserving this keeps budgeted
-            // adaptive sessions bitwise-identical to full-capacity ones
-            // no matter how the controller moves; the per-iteration cost
-            // of the rung actually chosen is
-            // [`Session::current_speculation_rows`].
-            InferenceMode::Adaptive { .. } => ExpansionConfig::paper_default().node_count() + 1,
+            InferenceMode::TreeSpeculative { expansion } => {
+                DraftPlan::Fixed(DraftShape::Tree(expansion.clone()), pool)
+            }
+            // Best-first expansion is a single-SSM algorithm: the pool's
+            // first drafts it.
+            InferenceMode::DynamicTree { config } => {
+                DraftPlan::Fixed(DraftShape::Dynamic(config.clone()), Drafters::One(0))
+            }
+            InferenceMode::Adaptive { config: adaptive } => DraftPlan::Adaptive(
+                SpecController::new(adaptive.clone(), config.decode.is_greedy(), ssm_flops),
+            ),
+        }
+    }
+
+    fn rows(&self) -> SpeculationRows {
+        let (worst_case, next_iteration, adapts) = match self {
+            DraftPlan::Fixed(shape, drafters) => {
+                (drafters.rows(shape), drafters.rows(shape), false)
+            }
+            DraftPlan::Adaptive(c) => (c.worst_case_rows(), c.current_rows(), true),
+        };
+        SpeculationRows {
+            worst_case,
+            next_iteration,
+            adapts,
         }
     }
 }
@@ -314,11 +416,9 @@ impl std::error::Error for EngineError {}
 #[derive(Debug)]
 pub(crate) struct Proposal {
     kind: ProposalKind,
-    speculative_mode: bool,
     forced_incremental: bool,
-    in_fallback: bool,
-    /// The controller decision behind this proposal (adaptive mode only);
-    /// fed back to the controller at commit.
+    /// The controller decision behind a drafted tree (adaptive plans
+    /// only); fed back to the controller at commit.
     decision: Option<AdaptiveDecision>,
 }
 
@@ -393,10 +493,10 @@ pub struct Session {
     degradation: DegradationStats,
     accept_window: VecDeque<f64>,
     fallback_until: Option<usize>,
-    /// Adaptive speculation state, installed lazily on the first
-    /// [`InferenceMode::Adaptive`] proposal (it needs the SSM pool's FLOP
-    /// weights, which only arrive with the first step).
-    controller: Option<SpecController>,
+    /// The lowered [`InferenceMode`], installed by the first proposal
+    /// (the configuration and the SSM pool's FLOP weights only arrive
+    /// with the first step).
+    plan: Option<DraftPlan>,
 }
 
 impl Session {
@@ -434,11 +534,13 @@ impl Session {
     ///
     /// Ragged serving right-sizes each session's slab so hundreds of
     /// short requests fit in memory at once. A budget of at least
-    /// `prompt.len() + max_new_tokens +`
-    /// [`EngineConfig::speculation_rows`] is provably sufficient for
-    /// bitwise-identical behavior to the full-capacity session: the last
-    /// decoding iteration starts with at most `prompt + max_new − 2`
-    /// committed rows, so neither the context-exhaustion guard nor the
+    /// `prompt.len() + max_new_tokens +` the `worst_case` of
+    /// [`EngineConfig::pool_speculation_rows`] for this pool is provably
+    /// sufficient for bitwise-identical behavior to the full-capacity
+    /// session: the last decoding iteration starts with at most
+    /// `prompt + max_new − 2` committed rows and no iteration — a merged
+    /// pool's `n_ssms` expansions included — appends more than
+    /// `worst_case`, so neither the context-exhaustion guard nor the
     /// speculation-fits check can trigger before generation finishes.
     /// Smaller budgets are accepted but degrade to incremental decoding
     /// (and eventually early termination) near the capacity limit.
@@ -491,7 +593,7 @@ impl Session {
             degradation: DegradationStats::default(),
             accept_window: VecDeque::new(),
             fallback_until: None,
-            controller: None,
+            plan: None,
         })
     }
 
@@ -536,22 +638,27 @@ impl Session {
     }
 
     /// Speculation rows the session's *next* iteration will actually
-    /// append: the controller's current rung under
-    /// [`InferenceMode::Adaptive`], the static worst case otherwise.
-    /// This is the per-request occupancy cost `admit_budgeted` charges —
-    /// the width-vs-batch-depth tradeoff: a request parked at incremental
+    /// append: the controller's current rung under an adaptive plan, the
+    /// fixed shape's (pool-aware) count otherwise. This is the
+    /// per-request occupancy cost `admit_budgeted` charges — the
+    /// width-vs-batch-depth tradeoff: a request parked at incremental
     /// frees ~20 rows of budget for admitting more batch-mates.
     pub fn current_speculation_rows(&self, config: &EngineConfig) -> usize {
-        match (&config.mode, &self.controller) {
-            (InferenceMode::Adaptive { .. }, Some(c)) => c.current_rows(),
-            _ => config.speculation_rows(),
+        match &self.plan {
+            Some(plan) => plan.rows(),
+            None => config.pool_speculation_rows(self.ssm_caches.len()),
         }
+        .next_iteration
     }
 
     /// Telemetry snapshot of the adaptive controller, if this session has
-    /// one (i.e. it stepped under [`InferenceMode::Adaptive`]).
+    /// one (i.e. it stepped under [`InferenceMode::Adaptive`] with a
+    /// non-empty pool).
     pub fn controller_snapshot(&self) -> Option<ControllerSnapshot> {
-        self.controller.as_ref().map(|c| c.snapshot())
+        match &self.plan {
+            Some(DraftPlan::Adaptive(controller)) => Some(controller.snapshot()),
+            _ => None,
+        }
     }
 
     /// Enables (or replaces) the acceptance-collapse degradation ladder.
@@ -624,13 +731,14 @@ impl Session {
 
     /// Phase 1 of an iteration: decide what the LLM must verify.
     ///
-    /// Runs the fault/fallback bookkeeping and — for speculative modes —
-    /// the whole SSM expansion, consuming the session's RNG stream
-    /// exactly as [`Session::step_faulted`] always has. Returns `None`
-    /// when the session is finished (or just exhausted its context).
-    /// The returned [`Proposal`] must be carried through
-    /// [`Session::forward_proposal`] and [`Session::commit`] before the
-    /// session can step again.
+    /// Runs the fault/fallback bookkeeping, lowers `config.mode` for this
+    /// session's pool on the first call (later calls keep that plan), and
+    /// — when the plan drafts — runs the whole SSM expansion, consuming
+    /// the session's RNG stream exactly as [`Session::step_faulted`]
+    /// always has. Returns `None` when the session is finished (or just
+    /// exhausted its context). The returned [`Proposal`] must be carried
+    /// through [`Session::forward_proposal`] and [`Session::commit`]
+    /// before the session can step again.
     pub(crate) fn propose(
         &mut self,
         llm: &Transformer,
@@ -660,99 +768,111 @@ impl Session {
                 self.accept_window.clear();
             }
         }
-        let speculative_mode = !matches!(config.mode, InferenceMode::Incremental);
+        let mut plan = match self.plan.take() {
+            Some(plan) => plan,
+            None => DraftPlan::lower(
+                config,
+                ssms.iter().map(|s| draft_flop_weight(s.config())).collect(),
+            ),
+        };
+        let speculative_mode = !matches!(plan, DraftPlan::Fixed(DraftShape::Incremental, _));
         let forced_incremental = speculative_mode && (fault.ssm_stall || fault.kv_oom);
-        let in_fallback = speculative_mode && self.fallback_until.is_some();
 
         let mut decision = None;
         let kind = if forced_incremental {
             self.degradation.forced_incremental += 1;
             ProposalKind::Incremental
-        } else if in_fallback {
+        } else if self.fallback_until.is_some() {
             self.degradation.fallback_steps += 1;
             ProposalKind::Incremental
         } else {
-            match &config.mode {
-                InferenceMode::Incremental => ProposalKind::Incremental,
-                InferenceMode::SequenceSpeculative { depth } => {
-                    let expansion = ExpansionConfig::sequence(*depth);
-                    if self.speculation_fits(expansion.node_count()) {
-                        self.propose_speculative(llm, ssms, &expansion, config, fault.ssm_garbage)
-                    } else {
-                        ProposalKind::Incremental
-                    }
+            match &mut plan {
+                DraftPlan::Fixed(shape, drafters) => {
+                    self.draft(llm, ssms, shape, *drafters, config, fault.ssm_garbage)
                 }
-                InferenceMode::TreeSpeculative { expansion } => {
-                    if self.speculation_fits(expansion.node_count()) {
-                        self.propose_speculative(llm, ssms, expansion, config, fault.ssm_garbage)
-                    } else {
-                        // Near the context limit a full tree no longer fits;
-                        // degrade to incremental decoding for the tail.
-                        ProposalKind::Incremental
+                DraftPlan::Adaptive(controller) => {
+                    let d = controller.decide();
+                    let routed = Drafters::One(d.ssm);
+                    let kind = self.draft(llm, ssms, &d.shape, routed, config, fault.ssm_garbage);
+                    // Only a draft that ran teaches the controller: the
+                    // incremental rung offers nothing, and a shape that
+                    // no longer fits near the context limit must not
+                    // count against it.
+                    if matches!(kind, ProposalKind::Tree(_)) {
+                        decision = Some(d);
                     }
-                }
-                InferenceMode::DynamicTree { config: dyn_cfg } => {
-                    if self.speculation_fits(dyn_cfg.max_nodes) {
-                        self.propose_dynamic(llm, ssms, dyn_cfg, 0, fault.ssm_garbage)
-                    } else {
-                        ProposalKind::Incremental
-                    }
-                }
-                InferenceMode::Adaptive { config: acfg } => {
-                    if ssms.is_empty() {
-                        // No drafters: adaptive degenerates to incremental.
-                        ProposalKind::Incremental
-                    } else {
-                        self.ensure_controller(acfg, config, ssms);
-                        let d = match self.controller.as_mut() {
-                            Some(c) => c.decide(),
-                            None => unreachable!("ensure_controller installs one"),
-                        };
-                        if matches!(d.shape, DraftShape::Incremental) {
-                            decision = Some(d);
-                            ProposalKind::Incremental
-                        } else if self.speculation_fits(d.shape.node_count()) {
-                            let kind =
-                                self.propose_adaptive(llm, ssms, &d, config, fault.ssm_garbage);
-                            decision = Some(d);
-                            kind
-                        } else {
-                            // Near the context limit the chosen shape no
-                            // longer fits: decode incrementally and drop
-                            // the decision so the controller is not
-                            // penalized for a draft that never ran.
-                            ProposalKind::Incremental
-                        }
-                    }
+                    kind
                 }
             }
         };
+        self.plan = Some(plan);
         Some(Proposal {
             kind,
-            speculative_mode,
             forced_incremental,
-            in_fallback,
             decision,
         })
     }
 
-    /// Installs the adaptive controller on first use: it needs the SSM
-    /// pool's relative draft-FLOP weights, which only arrive with the
-    /// first proposal.
-    fn ensure_controller(
+    /// The one drafter: speculates `shape` with `drafters`, or answers
+    /// incremental when the shape is the incremental one or — near the
+    /// context limit — no longer fits the caches. A garbage-logits fault
+    /// replaces the draft with uniform draws in the shape's static
+    /// expansion, without consulting the SSMs or their caches. One SSM
+    /// expands inline on the session's RNG stream; a pool expands
+    /// data-parallel — one private tree and forked RNG stream per SSM —
+    /// and the trees merge deterministically in pool order (§3).
+    fn draft(
         &mut self,
-        acfg: &AdaptiveConfig,
-        config: &EngineConfig,
+        llm: &Transformer,
         ssms: &[&Transformer],
-    ) {
-        if self.controller.is_none() {
-            let flops: Vec<f32> = ssms.iter().map(|s| draft_flop_weight(s.config())).collect();
-            self.controller = Some(SpecController::new(
-                acfg.clone(),
-                config.decode.is_greedy(),
-                flops,
-            ));
+        shape: &DraftShape,
+        drafters: Drafters,
+        config: &EngineConfig,
+        garbage: Option<u64>,
+    ) -> ProposalKind {
+        let Some(expansion) = shape.static_expansion() else {
+            return ProposalKind::Incremental;
+        };
+        if !self.speculation_fits(drafters.rows(shape)) {
+            return ProposalKind::Incremental;
         }
+        assert_eq!(
+            ssms.len(),
+            self.ssm_caches.len(),
+            "the session was created for a different SSM pool"
+        );
+        let root = self.last_token();
+        if let Some(seed) = garbage {
+            let spec = speculate_garbage(root, &expansion, llm.config().vocab_size, seed);
+            return ProposalKind::tree(spec);
+        }
+        let mode = ExpansionMode::for_decode_mode(&config.decode);
+        let spec = match drafters {
+            Drafters::Pool(n) => speculate_pool_parallel(
+                ssms,
+                &mut self.ssm_caches,
+                root,
+                &vec![&*expansion; n],
+                mode,
+                &mut self.rng,
+            ),
+            Drafters::One(id) => {
+                let (ssm, cache) = match (ssms.get(id), self.ssm_caches.get_mut(id)) {
+                    (Some(&ssm), Some(cache)) => (ssm, cache),
+                    _ => unreachable!("drafts are routed within the SSM pool"),
+                };
+                if let DraftShape::Dynamic(budget) = shape {
+                    speculate_dynamic(ssm, cache, root, budget, id)
+                } else {
+                    let mut tree = TokenTree::new(root);
+                    let mut dists = SsmDistTable::new();
+                    let rng = &mut self.rng;
+                    expand_into(&mut tree, &mut dists, ssm, id, cache, &expansion, mode, rng);
+                    Speculation { tree, dists }
+                }
+            }
+        };
+        ProposalKind::tree(spec)
     }
 
     /// Phase 2: the single LLM forward pass verifying `proposal` —
@@ -780,13 +900,7 @@ impl Session {
         proposal: Proposal,
         logits: &Tensor,
     ) -> StepStats {
-        let Proposal {
-            kind,
-            speculative_mode,
-            forced_incremental,
-            in_fallback,
-            decision,
-        } = proposal;
+        let Proposal { kind, decision, .. } = proposal;
         let stats = match kind {
             ProposalKind::Incremental => self.commit_incremental(config, logits),
             ProposalKind::Tree(t) => {
@@ -794,13 +908,7 @@ impl Session {
                 self.commit_tree(ssms, config, spec, lin, logits)
             }
         };
-        self.finish_step(
-            speculative_mode,
-            forced_incremental,
-            in_fallback,
-            decision,
-            stats,
-        )
+        self.finish_step(decision, stats)
     }
 
     /// Commits a tree proposal whose verification already ran *outside*
@@ -819,13 +927,7 @@ impl Session {
         prefix: usize,
         keep: Vec<usize>,
     ) -> StepStats {
-        let Proposal {
-            kind,
-            speculative_mode,
-            forced_incremental,
-            in_fallback,
-            decision,
-        } = proposal;
+        let Proposal { kind, decision, .. } = proposal;
         let spec = match kind {
             ProposalKind::Tree(t) => t.spec,
             ProposalKind::Incremental => {
@@ -833,36 +935,19 @@ impl Session {
             }
         };
         let stats = self.apply_tree_outcome(ssms, config, &spec, outcome, prefix, keep);
-        self.finish_step(
-            speculative_mode,
-            forced_incremental,
-            in_fallback,
-            decision,
-            stats,
-        )
+        self.finish_step(decision, stats)
     }
 
     /// Shared tail of every commit path: feed the adaptive controller and
     /// the degradation ladder, record the step.
-    fn finish_step(
-        &mut self,
-        speculative_mode: bool,
-        forced_incremental: bool,
-        in_fallback: bool,
-        decision: Option<AdaptiveDecision>,
-        stats: StepStats,
-    ) -> StepStats {
+    fn finish_step(&mut self, decision: Option<AdaptiveDecision>, stats: StepStats) -> StepStats {
         let idx = self.steps.len();
-        if let (Some(c), Some(d)) = (self.controller.as_mut(), decision.as_ref()) {
-            c.observe(d, stats.accepted);
+        if let (Some(DraftPlan::Adaptive(controller)), Some(d)) = (&mut self.plan, &decision) {
+            controller.observe(d, stats.accepted);
         }
-        // Feed the ladder with the acceptance of speculative iterations.
-        if self.policy.is_enabled()
-            && speculative_mode
-            && !forced_incremental
-            && !in_fallback
-            && stats.tree_size > 0
-        {
+        // Feed the ladder with the acceptance of speculative iterations
+        // (forced-incremental and fallback steps draft no tree).
+        if self.policy.is_enabled() && stats.tree_size > 0 {
             self.accept_window
                 .push_back(stats.accepted as f64 / stats.tree_size as f64);
             while self.accept_window.len() > self.policy.window {
@@ -881,10 +966,9 @@ impl Session {
         stats
     }
 
-    /// Whether a speculated tree of up to `worst_nodes` nodes (plus the
-    /// root) fits in every cache involved.
-    fn speculation_fits(&self, worst_nodes: usize) -> bool {
-        let need = worst_nodes + 1;
+    /// Whether an iteration appending up to `need` rows (the root plus
+    /// every drafted node) fits in every cache involved.
+    fn speculation_fits(&self, need: usize) -> bool {
         if self.llm_cache.len() + need > self.llm_cache.max_len() {
             return false;
         }
@@ -908,99 +992,6 @@ impl Session {
             accepted: 0,
             emitted: 1,
         }
-    }
-
-    fn propose_speculative(
-        &mut self,
-        llm: &Transformer,
-        ssms: &[&Transformer],
-        expansion: &ExpansionConfig,
-        config: &EngineConfig,
-        garbage: Option<u64>,
-    ) -> ProposalKind {
-        assert!(!ssms.is_empty(), "speculative modes need at least one SSM");
-        assert_eq!(
-            ssms.len(),
-            self.ssm_caches.len(),
-            "the session was created for a different SSM pool"
-        );
-        let root = self.last_token();
-        let exp_mode = ExpansionMode::for_decode_mode(&config.decode);
-
-        // A garbage-logits fault replaces the whole pool's drafts with
-        // uniform draws; the SSMs (and their caches) are not consulted.
-        if let Some(seed) = garbage {
-            let spec = speculate_garbage(root, expansion, llm.config().vocab_size, seed);
-            return ProposalKind::tree(spec);
-        }
-
-        // Speculate (§3). A single SSM expands inline on the session's
-        // RNG stream; a pool expands data-parallel — one thread, private
-        // tree and forked RNG stream per SSM — and the private trees are
-        // merged deterministically in pool order.
-        let spec = match (ssms, self.ssm_caches.as_mut_slice()) {
-            ([ssm], [cache]) => {
-                let mut tree = TokenTree::new(root);
-                let mut dists = SsmDistTable::new();
-                expand_into(
-                    &mut tree,
-                    &mut dists,
-                    ssm,
-                    0,
-                    cache,
-                    expansion,
-                    exp_mode,
-                    &mut self.rng,
-                );
-                Speculation { tree, dists }
-            }
-            _ => {
-                let configs: Vec<&ExpansionConfig> = vec![expansion; ssms.len()];
-                speculate_pool_parallel(
-                    ssms,
-                    &mut self.ssm_caches,
-                    root,
-                    &configs,
-                    exp_mode,
-                    &mut self.rng,
-                )
-            }
-        };
-        ProposalKind::tree(spec)
-    }
-
-    fn propose_dynamic(
-        &mut self,
-        llm: &Transformer,
-        ssms: &[&Transformer],
-        dyn_cfg: &crate::dynamic::DynamicExpansionConfig,
-        ssm_id: usize,
-        garbage: Option<u64>,
-    ) -> ProposalKind {
-        assert!(
-            !ssms.is_empty(),
-            "dynamic speculation needs at least one SSM"
-        );
-        assert_eq!(
-            ssms.len(),
-            self.ssm_caches.len(),
-            "the session was created for a different SSM pool"
-        );
-        let root = self.last_token();
-        if let Some(seed) = garbage {
-            // A garbage dynamic tree degenerates to a uniform chain no
-            // deeper than the configured budget.
-            let depth = dyn_cfg.max_depth.clamp(1, dyn_cfg.max_nodes.max(1));
-            let expansion = ExpansionConfig::sequence(depth);
-            let spec = speculate_garbage(root, &expansion, llm.config().vocab_size, seed);
-            return ProposalKind::tree(spec);
-        }
-        let (ssm, cache) = match (ssms.get(ssm_id), self.ssm_caches.get_mut(ssm_id)) {
-            (Some(&s), Some(c)) => (s, c),
-            _ => unreachable!("dynamic speculation routed outside the SSM pool"),
-        };
-        let spec = crate::dynamic::speculate_dynamic(ssm, cache, root, dyn_cfg, ssm_id);
-        ProposalKind::tree(spec)
     }
 
     /// Verifies a speculation whose tree forward already ran (the rows
@@ -1077,97 +1068,6 @@ impl Session {
             accepted,
             emitted: outcome.tokens.len(),
         }
-    }
-
-    /// Drafts one adaptive-mode iteration: the controller-chosen shape,
-    /// expanded by the controller-chosen SSM alone on the session's RNG
-    /// stream.
-    fn propose_adaptive(
-        &mut self,
-        llm: &Transformer,
-        ssms: &[&Transformer],
-        decision: &AdaptiveDecision,
-        config: &EngineConfig,
-        garbage: Option<u64>,
-    ) -> ProposalKind {
-        assert!(
-            !ssms.is_empty(),
-            "adaptive speculation needs at least one SSM"
-        );
-        assert_eq!(
-            ssms.len(),
-            self.ssm_caches.len(),
-            "the session was created for a different SSM pool"
-        );
-        let root = self.last_token();
-        let exp_mode = ExpansionMode::for_decode_mode(&config.decode);
-
-        if let Some(seed) = garbage {
-            // Garbage faults replace the draft with uniform draws in an
-            // equivalent static shape; the controller still observes the
-            // (collapsed) acceptance and parks itself.
-            let expansion = match &decision.shape {
-                DraftShape::Incremental => {
-                    unreachable!("incremental decisions never reach propose_adaptive")
-                }
-                DraftShape::Sequence(m) => ExpansionConfig::sequence(*m),
-                DraftShape::Dynamic(c) => {
-                    let depth = c.max_depth.clamp(1, c.max_nodes.max(1));
-                    ExpansionConfig::sequence(depth)
-                }
-                DraftShape::Tree(e) => e.clone(),
-            };
-            let spec = speculate_garbage(root, &expansion, llm.config().vocab_size, seed);
-            return ProposalKind::tree(spec);
-        }
-
-        let (ssm, cache) = match (
-            ssms.get(decision.ssm),
-            self.ssm_caches.get_mut(decision.ssm),
-        ) {
-            (Some(&s), Some(c)) => (s, c),
-            _ => unreachable!("controller routes within the SSM pool"),
-        };
-        let spec = match &decision.shape {
-            DraftShape::Incremental => {
-                unreachable!("incremental decisions never reach propose_adaptive")
-            }
-            DraftShape::Sequence(m) => {
-                let expansion = ExpansionConfig::sequence(*m);
-                let mut tree = TokenTree::new(root);
-                let mut dists = SsmDistTable::new();
-                expand_into(
-                    &mut tree,
-                    &mut dists,
-                    ssm,
-                    decision.ssm,
-                    cache,
-                    &expansion,
-                    exp_mode,
-                    &mut self.rng,
-                );
-                Speculation { tree, dists }
-            }
-            DraftShape::Tree(expansion) => {
-                let mut tree = TokenTree::new(root);
-                let mut dists = SsmDistTable::new();
-                expand_into(
-                    &mut tree,
-                    &mut dists,
-                    ssm,
-                    decision.ssm,
-                    cache,
-                    expansion,
-                    exp_mode,
-                    &mut self.rng,
-                );
-                Speculation { tree, dists }
-            }
-            DraftShape::Dynamic(dyn_cfg) => {
-                crate::dynamic::speculate_dynamic(ssm, cache, root, dyn_cfg, decision.ssm)
-            }
-        };
-        ProposalKind::tree(spec)
     }
 
     fn check_termination(&mut self, config: &EngineConfig, new_tokens: &[TokenId]) {

@@ -65,7 +65,7 @@ pub use controller::{
 pub use dynamic::{speculate_dynamic, DynamicExpansionConfig};
 pub use engine::{
     DegradationPolicy, DegradationStats, EngineConfig, EngineError, GenerationResult,
-    InferenceMode, Session, SpecEngine, StepFault, StepStats,
+    InferenceMode, Session, SpecEngine, SpeculationRows, StepFault, StepStats,
 };
 pub use speculator::{
     expand_into, speculate_expansion, speculate_garbage, speculate_merged, speculate_pool_parallel,

@@ -618,56 +618,33 @@ fn rule_filter_selects_a_single_rule() {
 }
 
 /// The on-disk fact cache (`target/xtask-cache/`, keyed by FNV-1a
-/// content hash) memoizes the parse pass across invocations: a warm
-/// second run must produce byte-identical output and not be slower
-/// than the cold run that populated the cache. Timing is compared as
-/// best-of-three on each side so a scheduler hiccup on one run cannot
-/// flip the comparison.
+/// content hash) memoizes the parse pass across invocations: a cold run
+/// populates it and a warm second run must produce byte-identical
+/// output. (Wall times are not compared: they flip under load; the
+/// budget test below catches a cache that stopped paying.)
 #[test]
-fn warm_fact_cache_is_byte_identical_and_no_slower() {
+fn warm_fact_cache_is_byte_identical() {
     let bin = env!("CARGO_BIN_EXE_specinfer-xtask");
     let root = workspace_root();
     let cache_dir = root.join("target").join("xtask-cache");
     let run = || {
-        let started = std::time::Instant::now();
         let out = Command::new(bin)
             .args(["lint", "--root"])
             .arg(&root)
             .output()
             .expect("lint binary runs");
         assert_eq!(out.status.code(), Some(0));
-        (started.elapsed(), out.stdout)
+        out.stdout
     };
 
-    let mut cold = std::time::Duration::MAX;
-    let mut cold_out = Vec::new();
-    for _ in 0..3 {
-        std::fs::remove_dir_all(&cache_dir).ok();
-        let (t, out) = run();
-        if t < cold {
-            cold = t;
-            cold_out = out;
-        }
-    }
+    std::fs::remove_dir_all(&cache_dir).ok();
+    let cold_out = run();
     assert!(cache_dir.is_dir(), "cold run populates the cache");
-
-    let mut warm = std::time::Duration::MAX;
-    let mut warm_out = Vec::new();
-    for _ in 0..3 {
-        let (t, out) = run();
-        if t < warm {
-            warm = t;
-            warm_out = out;
-        }
-    }
+    let warm_out = run();
     assert_eq!(
         String::from_utf8_lossy(&cold_out),
         String::from_utf8_lossy(&warm_out),
         "warm output must be byte-identical to cold"
-    );
-    assert!(
-        warm <= cold,
-        "warm lint ({warm:?}) must not be slower than cold ({cold:?})"
     );
 }
 

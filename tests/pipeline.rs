@@ -156,6 +156,17 @@ fn trace_replay_and_daemon_agree_per_request() {
             3,
         ),
         (InferenceMode::Incremental, 0),
+        // A merged pool drafts one expansion per SSM: slabs must be sized
+        // for all three.
+        (InferenceMode::SequenceSpeculative { depth: 4 }, 3),
+        // No drafters: a speculative mode serves incrementally instead of
+        // taking the loop down.
+        (
+            InferenceMode::TreeSpeculative {
+                expansion: ExpansionConfig::new(vec![2, 2, 1]),
+            },
+            0,
+        ),
     ];
     for (mode, pool) in modes {
         for slab_rows in [None, Some(96)] {
@@ -202,6 +213,10 @@ fn trace_replay_and_daemon_agree_per_request() {
                 assert_eq!(a.id, b.id, "{what}");
                 assert_eq!(a.generated, b.generated, "{what}: {} tokens", a.id);
                 assert_eq!(a.steps, b.steps, "{what}: {} steps", a.id);
+                assert!(!a.generated.is_empty(), "{what}: {} completes", a.id);
+                if pool.is_empty() {
+                    assert!(a.steps.iter().all(|s| s.tree_size == 0), "{what}");
+                }
             }
             // Replay steps through the batched verifier like the daemon,
             // so its fused-pass row accounting is real (it used to step
