@@ -8,8 +8,9 @@
 //! * `ffn` — the packed GEMM inference runs against the row-major
 //!   blocked kernel it replaced there, on the two feed-forward shapes of
 //!   a memory-bound LLM (`96×8192` up, `8192×96` down) at decode,
-//!   tree-verify and prefill row counts, with the weight bytes each
-//!   loop nest streams per call.
+//!   tree-verify and prefill row counts, at one thread and at every
+//!   thread the machine has, with the weight bytes each loop nest
+//!   streams per call.
 //! * `end_to_end` — tokens/step and tokens/s of incremental vs
 //!   tree-speculative generation on the smoke-scale trained suite.
 //! * `simd_backend` / `cpu_features` — which ISA backend the kernels
@@ -25,7 +26,7 @@ use specinfer_bench::{Scale, Suite};
 use specinfer_model::DecodeMode;
 use specinfer_spec::{EngineConfig, InferenceMode, SpecEngine, StochasticVerifier};
 use specinfer_tensor::rng::SeededRng;
-use specinfer_tensor::{simd, PackedPanels, Tensor};
+use specinfer_tensor::{pool, simd, PackedPanels, Tensor};
 use specinfer_tokentree::ExpansionConfig;
 
 #[derive(Serialize)]
@@ -45,6 +46,8 @@ struct KernelResult {
 /// forward of a model larger than the cache.
 #[derive(Serialize)]
 struct FfnResult {
+    /// `set_max_threads` for this row: the caller plus pool workers.
+    threads: usize,
     m: usize,
     k: usize,
     n: usize,
@@ -54,7 +57,7 @@ struct FfnResult {
     /// packed GEMM walks its panels once whatever `m` is.
     packed_weight_bytes: usize,
     /// The blocked kernel streams the whole weight once per four-row
-    /// block and once per leftover row of every thread's row chunk.
+    /// block and once per leftover row of every task's row chunk.
     blocked_weight_bytes: usize,
 }
 
@@ -163,7 +166,7 @@ const FFN_COPIES: usize = 9;
 
 fn bench_ffn() -> Vec<FfnResult> {
     let mut rng = SeededRng::new(2);
-    let threads = specinfer_tensor::effective_threads();
+    let all = specinfer_tensor::effective_threads();
     let mut results = Vec::new();
     for (k, n) in [(96usize, 8192usize), (8192, 96)] {
         let dense: Vec<Tensor> = (0..FFN_COPIES)
@@ -178,40 +181,41 @@ fn bench_ffn() -> Vec<FfnResult> {
             let flops = (2 * m * k * n) as f64;
             let mut out = Tensor::default();
             let mut turn = 0;
-            let packed_s = time_per_iter(|| {
-                turn += 1;
-                a.matmul_packed_into(&packed[turn % FFN_COPIES], &mut out);
-            });
-            let blocked_s = time_per_iter(|| {
-                turn += 1;
-                a.matmul_into(&dense[turn % FFN_COPIES], &mut out);
-            });
-            // The blocked kernel splits rows over threads above its
-            // threshold (one row: columns, one pass in total).
-            let split = if m * k * n < specinfer_tensor::kernels::PAR_MIN_FLOPS {
-                1
-            } else {
-                threads.min(m)
-            };
-            let chunk = m.div_ceil(split);
-            let passes: usize = if m == 1 {
-                1
-            } else {
-                (0..m)
-                    .step_by(chunk)
-                    .map(|r0| (m - r0).min(chunk))
-                    .map(|rows| rows / 4 + rows % 4)
-                    .sum()
-            };
-            results.push(FfnResult {
-                m,
-                k,
-                n,
-                packed_gflops: flops / packed_s / 1e9,
-                blocked_gflops: flops / blocked_s / 1e9,
-                packed_weight_bytes: 4 * packed[0].packed_len(),
-                blocked_weight_bytes: 4 * k * n * passes,
-            });
+            // One thread, then all of them (once, on a one-core machine).
+            for threads in [1, all].into_iter().take(all.min(2)) {
+                specinfer_tensor::set_max_threads(threads);
+                let packed_s = time_per_iter(|| {
+                    turn += 1;
+                    a.matmul_packed_into(&packed[turn % FFN_COPIES], &mut out);
+                });
+                let blocked_s = time_per_iter(|| {
+                    turn += 1;
+                    a.matmul_into(&dense[turn % FFN_COPIES], &mut out);
+                });
+                // The blocked kernel deals runs of rows out as pool
+                // tasks (one row: columns, one pass in total).
+                let chunk = m.div_ceil(pool::tasks_for(m, 4 * m * k * n));
+                let passes: usize = if m == 1 {
+                    1
+                } else {
+                    (0..m)
+                        .step_by(chunk)
+                        .map(|r0| (m - r0).min(chunk))
+                        .map(|rows| rows / 4 + rows % 4)
+                        .sum()
+                };
+                results.push(FfnResult {
+                    threads,
+                    m,
+                    k,
+                    n,
+                    packed_gflops: flops / packed_s / 1e9,
+                    blocked_gflops: flops / blocked_s / 1e9,
+                    packed_weight_bytes: 4 * packed[0].packed_len(),
+                    blocked_weight_bytes: 4 * k * n * passes,
+                });
+            }
+            specinfer_tensor::set_max_threads(0);
         }
     }
     results

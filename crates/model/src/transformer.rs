@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
-use specinfer_tensor::{kernels, ops, PackedPanels, Tensor};
+use specinfer_tensor::{kernels, ops, pool, PackedPanels, Tensor};
 use specinfer_tokentree::{LinearizedTree, NodeId, TokenId, TokenTree, TopologyMask};
 
 use crate::config::ModelConfig;
@@ -202,8 +202,6 @@ struct ForwardScratch {
     gate: Tensor,
     /// SwiGLU linear branch, `[Σn, d_ff]`.
     lin: Tensor,
-    /// Blocked-attention scratch of the serial path.
-    attn: AttnScratch,
     /// RoPE inverse frequencies keyed by head_dim (LLM and SSMs with
     /// different head widths may share one thread).
     inv_freqs: Vec<(usize, Vec<f32>)>,
@@ -211,13 +209,13 @@ struct ForwardScratch {
 
 thread_local! {
     static SCRATCH: RefCell<ForwardScratch> = RefCell::new(ForwardScratch::default());
+    /// Apart from [`SCRATCH`] because the thread running a forward holds
+    /// that one borrowed while it claims attention tasks like any pool
+    /// worker.
+    static ATTN_SCRATCH: RefCell<AttnScratch> = RefCell::new(AttnScratch::default());
 }
 
-/// Multiply–add count per (query row × cache row × channel) below which
-/// the attention loop stays serial; matches the kernels' threshold.
-const PAR_MIN_ATT_FLOPS: usize = kernels::PAR_MIN_FLOPS;
-
-/// Per-worker buffers of the blocked attention path: the gathered
+/// Per-thread buffers of the blocked attention path: the gathered
 /// per-head query block, the dense score matrix, and the per-head
 /// output block.
 #[derive(Default)]
@@ -322,6 +320,18 @@ struct DecodePacks {
     w2: Vec<PackedPanels>,
     /// Panel-packed output head.
     lm_head: PackedPanels,
+}
+
+impl DecodePacks {
+    /// Whether any pack is large enough to be multiplied as a pool
+    /// region: such a model's forward brackets itself [`pool::hot`].
+    fn shares_pool(&self) -> bool {
+        [&self.qkv, &self.wo, &self.w1, &self.w3, &self.w2]
+            .into_iter()
+            .flatten()
+            .chain([&self.lm_head])
+            .any(PackedPanels::shares_pool)
+    }
 }
 
 /// Dense `x × W` against `W`'s packed panels, at every row count: a
@@ -598,22 +608,35 @@ impl Transformer {
                 }
             }
 
+            // From here on only positions and caches are needed; taking
+            // the caches out lets the attention region share them
+            // (`Visibility::Custom` closures need not be `Sync`).
+            let positions: Vec<&[usize]> = reqs.iter().map(|q| q.positions).collect();
+            let mut caches: Vec<&mut KvCache> = reqs.iter_mut().map(|q| &mut *q.cache).collect();
+            // Attention tasks of one layer, by the key/value bytes its
+            // score and weighted-sum products stream.
+            let att_bytes: usize = ns.iter().zip(&totals).map(|(&n, &t)| 4 * n * t * d).sum();
+            let att_tasks = pool::tasks_for(big_n, att_bytes);
+            // An LLM-sized model issues regions in quick succession:
+            // keep the workers polling between them until the pass ends.
+            let _hot = packs.shares_pool().then(pool::hot);
+
             let scale = 1.0 / (hd as f32).sqrt();
             for (layer_idx, layer) in self.weights.layers.iter().enumerate() {
                 ops::rmsnorm_rows_into(&s.x, &layer.attn_norm, ModelConfig::RMS_EPS, &mut s.h);
                 // One fused matmul computes Q|K|V side by side for the
                 // whole stacked batch.
                 dense_into(&s.h, &packs.qkv[layer_idx], &mut s.qkv);
-                for (r, q) in reqs.iter().enumerate() {
-                    for (i, &pos) in q.positions.iter().enumerate() {
+                for (r, positions) in positions.iter().enumerate() {
+                    for (i, &pos) in positions.iter().enumerate() {
                         let row = s.qkv.row_mut(offs[r] + i);
                         let inv = &s.inv_freqs[fi].1;
                         ops::rope_rotate_row_cached(&mut row[..d], pos, inv);
                         ops::rope_rotate_row_cached(&mut row[d..2 * d], pos, inv);
                     }
                 }
-                for (r, q) in reqs.iter_mut().enumerate() {
-                    q.cache.append_layer_fused_rows(
+                for (r, cache) in caches.iter_mut().enumerate() {
+                    cache.append_layer_fused_rows(
                         layer_idx,
                         &s.qkv.data()[offs[r] * 3 * d..],
                         3 * d,
@@ -623,90 +646,54 @@ impl Transformer {
                     );
                 }
 
-                // Blocked attention, request by request (block-diagonal:
-                // request r's queries score only request r's cache).
-                // Partitioned by query row when the work justifies
-                // threads; every reduction runs in the same ascending
-                // order either way, so the output is bitwise independent
-                // of the partitioning.
+                // Blocked attention, block-diagonal (request r's queries
+                // score only request r's cache), as one pool region over
+                // runs of stacked query rows. Every reduction runs in
+                // the same ascending order wherever a run is cut, so the
+                // output is bitwise independent of the partitioning.
                 s.att.reset(&[big_n, d]);
-                let flops: usize = ns
-                    .iter()
-                    .zip(&totals)
-                    .map(|(&n_r, &t_r)| n_r * t_r * d)
-                    .sum();
-                let threads = kernels::effective_threads().min(big_n);
-                let (att, qkv, vis, attn) = (&mut s.att, &s.qkv, &s.vis, &mut s.attn);
-                if threads > 1 && flops >= PAR_MIN_ATT_FLOPS {
-                    // Split the stacked rows into per-request slices,
-                    // then chunk each request proportionally to its share
-                    // of the score-matrix work, spawning as we go — no
-                    // per-layer task or cache-ref vectors.
-                    std::thread::scope(|scope| {
-                        let mut rest = att.data_mut();
-                        for (r, q) in reqs.iter().enumerate() {
-                            let cache_ref: &KvCache = &*q.cache;
-                            let (mine, tail) = rest.split_at_mut(ns[r] * d);
-                            rest = tail;
-                            let weight = ns[r] * totals[r] * d;
-                            let chunks = (threads * weight).div_ceil(flops).clamp(1, ns[r]);
-                            let chunk_rows = ns[r].div_ceil(chunks);
-                            let vis_r = &vis[vis_offs[r]..vis_offs[r] + ns[r] * totals[r]];
-                            let (q_row0, total) = (offs[r], totals[r]);
-                            for (ci, chunk) in mine.chunks_mut(chunk_rows * d).enumerate() {
-                                scope.spawn(move || {
-                                    let mut scratch = AttnScratch::default();
-                                    attention_block(
-                                        chunk,
-                                        ci * chunk_rows,
-                                        qkv,
-                                        q_row0,
-                                        vis_r,
-                                        cache_ref,
-                                        layer_idx,
-                                        total,
-                                        n_heads,
-                                        hd,
-                                        scale,
-                                        &mut scratch,
-                                    );
-                                });
+                let (qkv, vis, caches) = (&s.qkv, &s.vis, &caches);
+                pool::run_chunks(s.att.data_mut(), d, att_tasks, |row0, rows| {
+                    ATTN_SCRATCH.with(|cell| {
+                        let scratch = &mut *cell.borrow_mut();
+                        let row1 = row0 + rows.len() / d;
+                        for (r, cache) in caches.iter().enumerate() {
+                            let (lo, hi) = (row0.max(offs[r]), row1.min(offs[r] + ns[r]));
+                            if lo >= hi {
+                                continue;
                             }
+                            attention_block(
+                                &mut rows[(lo - row0) * d..(hi - row0) * d],
+                                lo - offs[r],
+                                qkv,
+                                offs[r],
+                                &vis[vis_offs[r]..vis_offs[r] + ns[r] * totals[r]],
+                                cache,
+                                layer_idx,
+                                totals[r],
+                                n_heads,
+                                hd,
+                                scale,
+                                scratch,
+                            );
                         }
                     });
-                } else {
-                    let att_data = att.data_mut();
-                    for (r, q) in reqs.iter().enumerate() {
-                        let chunk = &mut att_data[offs[r] * d..(offs[r] + ns[r]) * d];
-                        attention_block(
-                            chunk,
-                            0,
-                            qkv,
-                            offs[r],
-                            &vis[vis_offs[r]..vis_offs[r] + ns[r] * totals[r]],
-                            &*q.cache,
-                            layer_idx,
-                            totals[r],
-                            n_heads,
-                            hd,
-                            scale,
-                            attn,
-                        );
-                    }
-                }
+                });
                 dense_into(&s.att, &packs.wo[layer_idx], &mut s.proj);
                 s.x.add_assign(&s.proj);
 
                 ops::rmsnorm_rows_into(&s.x, &layer.ffn_norm, ModelConfig::RMS_EPS, &mut s.h);
-                dense_into(&s.h, &packs.w1[layer_idx], &mut s.gate);
-                ops::silu_inplace(&mut s.gate);
-                dense_into(&s.h, &packs.w3[layer_idx], &mut s.lin);
-                s.gate.mul_assign(&s.lin);
+                s.h.swiglu_packed_into(
+                    &packs.w1[layer_idx],
+                    &packs.w3[layer_idx],
+                    &mut s.gate,
+                    &mut s.lin,
+                );
                 dense_into(&s.gate, &packs.w2[layer_idx], &mut s.proj);
                 s.x.add_assign(&s.proj);
             }
-            for (r, q) in reqs.iter_mut().enumerate() {
-                q.cache.commit_rows(ns[r]);
+            for (r, cache) in caches.iter_mut().enumerate() {
+                cache.commit_rows(ns[r]);
             }
 
             ops::rmsnorm_rows_into(
@@ -717,12 +704,11 @@ impl Transformer {
             );
             let mut logits = Tensor::default();
             dense_into(&s.h, &packs.lm_head, &mut logits);
-            if reqs.len() == 1 {
+            if ns.len() == 1 {
                 vec![logits]
             } else {
-                reqs.iter()
-                    .enumerate()
-                    .map(|(r, _)| {
+                (0..ns.len())
+                    .map(|r| {
                         Tensor::from_vec(
                             logits.data()[offs[r] * vocab..(offs[r] + ns[r]) * vocab].to_vec(),
                             &[ns[r], vocab],

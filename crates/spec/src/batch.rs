@@ -60,7 +60,7 @@
 //! exactly the tokens serial stepping does, seed for seed.
 
 use specinfer_model::{BatchRequest, DecodeMode, Transformer, Visibility};
-use specinfer_tensor::Tensor;
+use specinfer_tensor::{pool, Tensor};
 use specinfer_tokentree::{TokenId, TopologyMask};
 
 use crate::engine::{EngineConfig, Proposal, Session, StepFault, StepStats};
@@ -256,36 +256,34 @@ impl BatchedVerifier {
     }
 }
 
-/// Phase 1: fused speculation — propose for all sessions in one
-/// data-parallel pass. Each session owns its caches and RNG stream and
-/// the kernels are bitwise-identical at any thread count, so sharding
-/// sessions over threads emits exactly the proposals serial per-item
-/// sequencing would.
+/// Phase 1: fused speculation. Sessions whose next proposal drafts
+/// nothing (incremental mode, the adaptive ladder's rung 0, degraded,
+/// faulted, finished) are answered on the spot; the real drafts — SSM
+/// forwards, milliseconds each — become one pool region when there are
+/// at least two. Each session owns its caches and RNG stream and the
+/// kernels are bitwise-identical at any thread count, so this emits
+/// exactly the proposals serial per-item sequencing would.
 fn propose_all(
     llm: &Transformer,
     ssms: &[&Transformer],
     items: &mut [BatchItem<'_>],
 ) -> Vec<Option<Proposal>> {
-    let n = items.len();
-    let mut proposals: Vec<Option<Proposal>> = Vec::with_capacity(n);
-    proposals.resize_with(n, || None);
-    let threads = specinfer_tensor::effective_threads().min(n).max(1);
-    if threads > 1 {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (items_chunk, slots) in items.chunks_mut(chunk).zip(proposals.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (it, slot) in items_chunk.iter_mut().zip(slots.iter_mut()) {
-                        *slot = it.session.propose(llm, ssms, it.config, it.fault);
-                    }
-                });
-            }
-        });
-    } else {
-        for (it, slot) in items.iter_mut().zip(proposals.iter_mut()) {
+    let mut proposals: Vec<Option<Proposal>> = Vec::with_capacity(items.len());
+    proposals.resize_with(items.len(), || None);
+    let mut drafts = Vec::with_capacity(items.len());
+    for (it, slot) in items.iter_mut().zip(proposals.iter_mut()) {
+        if it.session.drafts_next(it.config, it.fault) {
+            drafts.push((it, slot));
+        } else {
             *slot = it.session.propose(llm, ssms, it.config, it.fault);
         }
     }
+    let tasks = drafts.len();
+    pool::run_chunks(&mut drafts, 1, tasks, |_, run| {
+        for (it, slot) in run {
+            **slot = it.session.propose(llm, ssms, it.config, it.fault);
+        }
+    });
     proposals
 }
 

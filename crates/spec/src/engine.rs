@@ -651,6 +651,20 @@ impl Session {
         .next_iteration
     }
 
+    /// Whether the next [`Session::propose`] runs SSM forwards — a real
+    /// draft — rather than answering at once. Advice for scheduling
+    /// only: it may say `true` for a proposal that ends up incremental
+    /// (a shape that no longer fits), and a wrong answer costs
+    /// parallelism, never a different proposal.
+    pub(crate) fn drafts_next(&self, config: &EngineConfig, fault: StepFault) -> bool {
+        !self.finished
+            && fault.is_noop()
+            && self
+                .fallback_until
+                .is_none_or(|until| self.steps.len() >= until)
+            && self.current_speculation_rows(config) > 1
+    }
+
     /// Telemetry snapshot of the adaptive controller, if this session has
     /// one (i.e. it stepped under [`InferenceMode::Adaptive`] with a
     /// non-empty pool).

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use specinfer_model::{sampler, DecodeMode, KvCache, Transformer, Visibility};
+use specinfer_tensor::pool;
 use specinfer_tensor::rng::SeededRng;
 use specinfer_tokentree::{ExpansionConfig, NodeId, TokenId, TokenTree};
 
@@ -445,49 +446,27 @@ pub fn speculate_pool_parallel(
         configs.len(),
         "one expansion config per SSM required"
     );
-    // Fork the per-SSM streams before any threading decision so the
-    // draws cannot depend on the thread count.
-    let mut rngs: Vec<SeededRng> = (0..ssms.len()).map(|i| rng.fork(i as u64)).collect();
-    let mut parts: Vec<Option<(TokenTree, SsmDistTable)>> = ssms.iter().map(|_| None).collect();
-    if specinfer_tensor::effective_threads() > 1 && ssms.len() > 1 {
-        std::thread::scope(|scope| {
-            for (((((i, &ssm), cache), prng), slot), &config) in ssms
-                .iter()
-                .enumerate()
-                .zip(caches.iter_mut())
-                .zip(rngs.iter_mut())
-                .zip(parts.iter_mut())
-                .zip(configs.iter())
-            {
-                scope.spawn(move || {
-                    let mut tree = TokenTree::new(root_token);
-                    let mut dists = SsmDistTable::new();
-                    expand_into(&mut tree, &mut dists, ssm, i, cache, config, mode, prng);
-                    *slot = Some((tree, dists));
-                });
-            }
-        });
-    } else {
-        for (((((i, &ssm), cache), prng), slot), &config) in ssms
-            .iter()
-            .enumerate()
-            .zip(caches.iter_mut())
-            .zip(rngs.iter_mut())
-            .zip(parts.iter_mut())
-            .zip(configs.iter())
-        {
+    // One lane per SSM: the model, its shape, its cache, its RNG stream
+    // — forked here, in pool order, so the draws cannot depend on who
+    // runs the lane — and the slot its private tree lands in.
+    let mut lanes: Vec<_> = (ssms.iter().zip(configs).zip(caches.iter_mut()).enumerate())
+        .map(|(i, ((&ssm, &config), cache))| (ssm, config, cache, rng.fork(i as u64), None))
+        .collect();
+    let tasks = lanes.len();
+    pool::run_chunks(&mut lanes, 1, tasks, |i0, run| {
+        for (i, (ssm, config, cache, prng, slot)) in (i0..).zip(run) {
             let mut tree = TokenTree::new(root_token);
             let mut dists = SsmDistTable::new();
             expand_into(&mut tree, &mut dists, ssm, i, cache, config, mode, prng);
             *slot = Some((tree, dists));
         }
-    }
+    });
     // Deterministic pool-order merge.
     let mut tree = TokenTree::new(root_token);
     let mut dists = SsmDistTable::new();
-    for (i, part) in parts.into_iter().enumerate() {
+    for (i, (.., part)) in lanes.into_iter().enumerate() {
         let Some((ptree, pdists)) = part else {
-            unreachable!("scope join guarantees every SSM worker filled its slot")
+            unreachable!("the region's join guarantees every lane filled its slot")
         };
         graft_into(&mut tree, &mut dists, &ptree, &pdists, i, mode);
     }

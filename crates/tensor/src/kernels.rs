@@ -1,8 +1,8 @@
 //! Parallel blocked matmul kernels.
 //!
 //! All three matmul variants dispatch through this module. Large shapes
-//! are partitioned across threads with `std::thread::scope`; small
-//! shapes stay on a single-threaded fast path. The partitioning is
+//! become one region of the worker pool ([`crate::pool`]); small shapes
+//! are the same call as a single inline task. The partitioning is
 //! always over *output elements* (rows, or columns when there is a
 //! single output row), never over the shared `k` dimension, so every
 //! output element accumulates its products in a fixed order regardless
@@ -20,16 +20,18 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::pool;
 use crate::simd::{self, SimdBackend};
 
 /// Configured thread cap; 0 means "use available parallelism".
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Caps the number of threads matmul kernels may use.
+/// Caps the number of threads a parallel region may use (the caller
+/// plus the pool's workers).
 ///
 /// `0` restores the default (the machine's available parallelism);
 /// `1` forces the serial path. The setting is process-global and takes
-/// effect on the next kernel call. Output values are bitwise identical
+/// effect on the next region. Output values are bitwise identical
 /// at every setting; the cap exists for benchmarking and for tests that
 /// want to exercise a specific path.
 pub fn set_max_threads(n: usize) {
@@ -41,10 +43,6 @@ pub fn max_threads() -> usize {
     MAX_THREADS.load(Ordering::Relaxed)
 }
 
-/// Multiply–add count (`m·k·n`) below which kernels stay serial: at
-/// small sizes thread spawn/join costs more than the arithmetic.
-pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
-
 /// Row count below which `matmul_nt` skips the 4×4 blocked tile and
 /// takes the per-row lane kernel directly. The blocked tile amortises
 /// `B` loads across four `A` rows; with fewer rows there is nothing to
@@ -54,10 +52,8 @@ pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
 /// lanes actually pipeline).
 pub const NT_BLOCK_MIN_M: usize = 4;
 
-/// The thread count kernels will actually use: the configured cap, or
-/// the machine's available parallelism when the cap is 0. Exposed so
-/// higher layers (e.g. the model's attention loop) can make the same
-/// serial-vs-parallel decision the kernels do.
+/// The thread count a region may use: the configured cap, or the
+/// machine's available parallelism when the cap is 0.
 ///
 /// `available_parallelism` is a syscall (~10 µs); querying it on every
 /// kernel call used to dominate decode-shaped matvecs outright, so the
@@ -360,39 +356,15 @@ fn tn_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, m: usize, k: usize,
     }
 }
 
-/// Partitions `out` (treated as `m` rows of width `n`) across threads
-/// and runs `worker(out_chunk, first_row)` on each chunk.
-fn scoped_rows(
-    out: &mut [f32],
-    m: usize,
-    n: usize,
-    threads: usize,
-    worker: impl Fn(&mut [f32], usize) + Sync,
-) {
-    let chunk_rows = m.div_ceil(threads.min(m));
-    std::thread::scope(|scope| {
-        for (ci, out_chunk) in out.chunks_mut(chunk_rows * n).enumerate() {
-            let worker = &worker;
-            scope.spawn(move || worker(out_chunk, ci * chunk_rows));
-        }
-    });
-}
+/// Fewest columns of a single output row worth a task of their own: a
+/// cache line of `B`'s row, so neighbouring tasks share few lines.
+const COL_RUN: usize = 16;
 
-/// Partitions a single output row of width `n` across threads by column
-/// range and runs `worker(out_chunk, first_col)` on each chunk.
-fn scoped_cols(
-    out: &mut [f32],
-    n: usize,
-    threads: usize,
-    worker: impl Fn(&mut [f32], usize) + Sync,
-) {
-    let chunk_cols = n.div_ceil(threads.min(n));
-    std::thread::scope(|scope| {
-        for (ci, out_chunk) in out.chunks_mut(chunk_cols).enumerate() {
-            let worker = &worker;
-            scope.spawn(move || worker(out_chunk, ci * chunk_cols));
-        }
-    });
+/// Tasks for a blocked `m·k·n` multiply over `units` output rows (or
+/// column runs of a single row), by the bytes of `B` it streams — every
+/// row's sweep re-reads it.
+fn tasks(units: usize, m: usize, k: usize, n: usize) -> usize {
+    pool::tasks_for(units, 4 * m * k * n)
 }
 
 /// `out = A × B` on an explicit backend; `out` must be zero-filled,
@@ -408,15 +380,12 @@ pub fn matmul_nn_with(
     n: usize,
 ) {
     debug_assert_eq!(out.len(), m * n);
-    let threads = effective_threads();
-    if threads <= 1 || m * k * n < PAR_MIN_FLOPS {
-        nn_rows_with(be, a, b, out, 0, k, n);
-    } else if m == 1 {
-        scoped_cols(out, n, threads, |chunk, j0| {
+    if m == 1 {
+        pool::run_chunks(out, 1, tasks(n.div_ceil(COL_RUN), m, k, n), |j0, chunk| {
             nn_cols_with(be, a, b, chunk, j0, k, n)
         });
     } else {
-        scoped_rows(out, m, n, threads, |chunk, i0| {
+        pool::run_chunks(out, n, tasks(m, m, k, n), |i0, chunk| {
             nn_rows_with(be, a, b, chunk, i0, k, n)
         });
     }
@@ -440,18 +409,15 @@ pub fn matmul_nt_with(
     n: usize,
 ) {
     debug_assert_eq!(out.len(), m * n);
-    let threads = effective_threads();
-    if threads <= 1 || m * k * n < PAR_MIN_FLOPS {
-        nt_rows_with(be, a, b, out, 0, k, n);
-    } else if m == 1 {
+    if m == 1 {
         // Columns of the single output row are rows of `b`, so each
         // chunk sees a contiguous slice of `b`.
-        scoped_cols(out, n, threads, |chunk, j0| {
+        pool::run_chunks(out, 1, tasks(n.div_ceil(COL_RUN), m, k, n), |j0, chunk| {
             let b_chunk = &b[j0 * k..(j0 + chunk.len()) * k];
             nt_rows_with(be, a, b_chunk, chunk, 0, k, chunk.len());
         });
     } else {
-        scoped_rows(out, m, n, threads, |chunk, i0| {
+        pool::run_chunks(out, n, tasks(m, m, k, n), |i0, chunk| {
             nt_rows_with(be, a, b, chunk, i0, k, n)
         });
     }
@@ -468,15 +434,14 @@ pub(crate) fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 /// are bitwise reproducible across machines.
 pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
-    let threads = effective_threads();
-    if threads <= 1 || m * k * n < PAR_MIN_FLOPS {
-        tn_rows(a, b, out, 0, m, k, n);
-    } else if m == 1 {
+    if m == 1 {
         // With one output row, Aᵀ is a single row of length k stored as
         // a column, which is exactly the nn single-row sweep.
-        scoped_cols(out, n, threads, |chunk, j0| nn_cols(a, b, chunk, j0, k, n));
+        pool::run_chunks(out, 1, tasks(n.div_ceil(COL_RUN), m, k, n), |j0, chunk| {
+            nn_cols(a, b, chunk, j0, k, n)
+        });
     } else {
-        scoped_rows(out, m, n, threads, |chunk, i0| {
+        pool::run_chunks(out, n, tasks(m, m, k, n), |i0, chunk| {
             tn_rows(a, b, chunk, i0, m, k, n)
         });
     }
@@ -487,7 +452,7 @@ pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 ///
 /// Entry point for higher layers that compose blocked kernels inside
 /// their own (already partitioned) work items — e.g. the model's
-/// per-head attention blocks. Never spawns threads; runs on the
+/// per-head attention blocks. Never opens a pool region; runs on the
 /// process-selected backend, with the same per-element reduction order
 /// as [`matmul_nn`], so composing it under a caller's partition is
 /// bitwise-inert.
@@ -504,7 +469,7 @@ pub fn matmul_nn_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
 ///
 /// Entry point for higher layers that compose blocked kernels inside
 /// their own (already partitioned) work items — e.g. scoring a query
-/// block against a contiguous per-head KV slab. Never spawns threads;
+/// block against a contiguous per-head KV slab. Never opens a region;
 /// runs on the process-selected backend with the same per-element
 /// reduction order as [`matmul_nt`].
 pub fn matmul_nt_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -514,14 +479,15 @@ pub fn matmul_nt_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
     nt_rows_with(simd::backend(), a, b, out, 0, k, n);
 }
 
+/// Serializes tests that toggle the global thread cap.
+#[cfg(test)]
+pub(crate) static KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SeededRng;
     use crate::Tensor;
-
-    /// Serializes tests that toggle the global thread cap.
-    static KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn randn(dims: &[usize], seed: u64) -> Tensor {
         Tensor::randn(dims, 1.0, &mut SeededRng::new(seed))
@@ -580,6 +546,26 @@ mod tests {
                     assert_eq!(base_nt, nt, "{be:?} nt {m}x{k}x{n} @ {threads} threads");
                 }
                 set_max_threads(0);
+            }
+            // The packed path, on packs large enough to be pool regions:
+            // many panels, the down-projection's three, a ragged last
+            // panel, fewer panels than workers. `out` starts as NaN.
+            for &(k, n) in &crate::pack::tests::SHARED_SHAPES {
+                let b = randn(&[k, n], 220);
+                let p = crate::PackedPanels::from_nn(b.data(), k, n);
+                for m in [1usize, 3, 20] {
+                    let a = randn(&[m, k], 221);
+                    set_max_threads(1);
+                    let mut base = vec![f32::NAN; m * n];
+                    p.matvec_into_with(be, a.data(), &mut base);
+                    for threads in 2..=8 {
+                        set_max_threads(threads);
+                        let mut out = vec![f32::NAN; m * n];
+                        p.matvec_into_with(be, a.data(), &mut out);
+                        assert!(base == out, "{be:?} packed {m}x{k}x{n} @ {threads} threads");
+                    }
+                    set_max_threads(0);
+                }
             }
         }
     }

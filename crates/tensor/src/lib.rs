@@ -30,6 +30,7 @@ pub mod kernels;
 pub mod ops;
 pub mod optim;
 pub mod pack;
+pub mod pool;
 pub mod rng;
 pub mod simd;
 mod tensor;

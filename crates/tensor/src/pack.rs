@@ -45,7 +45,24 @@
 //! AVX2/NEON — so within a backend the packed product is **bitwise
 //! identical** to the unpacked blocked kernel for the same element, at
 //! every `m`.
+//!
+//! # Tensor parallelism
+//!
+//! A pack of at least [`pool::MIN_SHARE_BYTES`] is multiplied as one
+//! region of the worker pool: the *panels* are dealt out in contiguous
+//! runs, one run per task, and each task runs the loop nest above over
+//! its run for every row of `A` — the paper's §5.2 column sharding with
+//! cores for devices. A task streams its share of the weights once and
+//! writes its own columns of every output row; no output column is ever
+//! split (that would split a `k` chain), so the product is bitwise
+//! independent of the thread count by construction. Smaller packs are
+//! the same call with one task covering every panel. The SwiGLU
+//! up-stage ([`PackedPanels::swiglu_into`]) is one such region for two
+//! packs plus the activation, applied to a task's columns while they
+//! are still in its cache.
 
+use crate::ops::silu_scalar;
+use crate::pool::{self, SharedMut};
 use crate::simd::{self, SimdBackend};
 
 /// Panel width in columns: 32 floats = four AVX2 registers or eight
@@ -127,9 +144,8 @@ impl PackedPanels {
     /// backend. `a` is `[m, k]` row-major for any `m ≥ 0`, `out` is
     /// `[m, n]` and fully overwritten (its prior contents are never
     /// read). The panels are read from memory once per call whatever
-    /// `m` is — see the module docs for the loop nest. Always serial:
-    /// one core multiplies out of its own L1 faster than two share a
-    /// fork-join per matmul, at every row count inference produces.
+    /// `m` is, by one core or — a pack of [`pool::MIN_SHARE_BYTES`] or
+    /// more — by all of them, a run of panels each; see the module docs.
     pub fn matvec_into(&self, a: &[f32], out: &mut [f32]) {
         self.matvec_into_with(simd::backend(), a, out);
     }
@@ -142,41 +158,135 @@ impl PackedPanels {
     /// Panics if the panels have an empty reduction dimension, if `a`
     /// is not whole rows of length `k`, or if `out` is not `m × n`.
     pub fn matvec_into_with(&self, be: SimdBackend, a: &[f32], out: &mut [f32]) {
+        self.check_shapes(a, out.len());
+        let out = SharedMut(out.as_mut_ptr());
+        let tasks = self.tasks();
+        pool::run(tasks, |t| {
+            // SAFETY: `out` is `m × n` (checked above) and mutably
+            // borrowed for the whole region; tasks get disjoint panels.
+            unsafe { self.gemm_with(be, a, out.get(), self.panel_run(t, tasks)) }
+        });
+    }
+
+    /// The SwiGLU up-stage against two packs of one shape, as a single
+    /// region: `gate = silu(A × self) ⊙ (A × up)`. Each task multiplies
+    /// its run of panels of both packs and then gates those columns of
+    /// every row; `lin` (`[m, n]` like `gate`) receives `A × up`. Per
+    /// element exactly `matvec_into` twice, `silu`, multiply.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packs' shapes differ, or under
+    /// [`PackedPanels::matvec_into_with`]'s conditions.
+    pub fn swiglu_into(&self, up: &PackedPanels, a: &[f32], gate: &mut [f32], lin: &mut [f32]) {
+        assert_eq!(
+            (self.k, self.n),
+            (up.k, up.n),
+            "gate and up packs must agree"
+        );
+        self.check_shapes(a, gate.len());
+        assert_eq!(gate.len(), lin.len(), "lin must be m×n");
+        let (be, n, m) = (simd::backend(), self.n, a.len() / self.k);
+        let (gate, lin) = (SharedMut(gate.as_mut_ptr()), SharedMut(lin.as_mut_ptr()));
+        let tasks = self.tasks();
+        pool::run(tasks, |t| {
+            let std::ops::Range { start: p0, end: p1 } = self.panel_run(t, tasks);
+            let (j0, j1) = (p0 * PANEL_WIDTH, n.min(p1 * PANEL_WIDTH));
+            // SAFETY: `gate` and `lin` are `m × n` (checked above) and
+            // mutably borrowed for the whole region; columns `j0..j1` of
+            // their rows belong to this task's panels alone.
+            unsafe {
+                self.gemm_with(be, a, gate.get(), p0..p1);
+                up.gemm_with(be, a, lin.get(), p0..p1);
+                for r in 0..m {
+                    let g = std::slice::from_raw_parts_mut(gate.get().add(r * n + j0), j1 - j0);
+                    let l = std::slice::from_raw_parts(lin.get().add(r * n + j0), j1 - j0);
+                    for (g, &l) in g.iter_mut().zip(l) {
+                        *g = silu_scalar(*g) * l;
+                    }
+                }
+            }
+        });
+    }
+
+    fn check_shapes(&self, a: &[f32], out_len: usize) {
         assert!(
             self.k > 0,
             "packed operand has an empty reduction dimension"
         );
         assert_eq!(a.len() % self.k, 0, "A must be whole rows of length k");
-        assert_eq!(out.len(), a.len() / self.k * self.n, "out must be m×n");
+        assert_eq!(out_len, a.len() / self.k * self.n, "out must be m×n");
+    }
+
+    /// Whether a multiply against this pack is a shared pool region
+    /// (given more than one thread) rather than one inline task.
+    pub fn shares_pool(&self) -> bool {
+        4 * self.data.len() >= pool::MIN_SHARE_BYTES
+    }
+
+    /// Tasks a multiply against this pack is cut into (1: inline).
+    fn tasks(&self) -> usize {
+        pool::tasks_for(self.n.div_ceil(PANEL_WIDTH), 4 * self.data.len())
+    }
+
+    /// The contiguous run of panels task `t` of `tasks` multiplies.
+    fn panel_run(&self, t: usize, tasks: usize) -> std::ops::Range<usize> {
+        let panels = self.n.div_ceil(PANEL_WIDTH);
+        panels * t / tasks..panels * (t + 1) / tasks
+    }
+
+    /// [`PackedPanels::gemm`] on backend `be`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`PackedPanels::gemm`]; `be` came from runtime detection.
+    // SAFETY: (contract above) each tile type is only named under the
+    // backend whose detection vouches for its instruction set.
+    unsafe fn gemm_with(
+        &self,
+        be: SimdBackend,
+        a: &[f32],
+        out: *mut f32,
+        panels: std::ops::Range<usize>,
+    ) {
         match be {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx2Fma` is only selectable when AVX2+FMA were
-            // detected at startup.
-            SimdBackend::Avx2Fma => unsafe { self.gemm::<simd::avx2::PackedTile>(a, out) },
+            // detected at startup; `out` per this fn's contract.
+            SimdBackend::Avx2Fma => unsafe { self.gemm::<simd::avx2::PackedTile>(a, out, panels) },
             #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is baseline on aarch64.
-            SimdBackend::Neon => unsafe { self.gemm::<simd::neon::PackedTile>(a, out) },
-            // SAFETY: the scalar tile uses no ISA extension.
-            _ => unsafe { self.gemm::<ScalarTile>(a, out) },
+            // SAFETY: NEON is baseline on aarch64; `out` as above.
+            SimdBackend::Neon => unsafe { self.gemm::<simd::neon::PackedTile>(a, out, panels) },
+            // SAFETY: the scalar tile uses no ISA extension; `out` as above.
+            _ => unsafe { self.gemm::<ScalarTile>(a, out, panels) },
         }
     }
 
     /// The loop nest of the module docs over one backend's register
-    /// tile; the shapes were asserted by the caller.
+    /// tile and a run of `panels`: writes columns
+    /// `panels.start · 32 .. min(n, panels.end · 32)` of every row of
+    /// `out`, and nothing else.
     ///
     /// # Safety
     ///
-    /// The instruction set `T` is written for must be available.
-    // SAFETY: (contract above) nothing else here is unsafe — every slice
-    // handed to the tile is cut with bounds-checked indexing.
-    unsafe fn gemm<T: PanelTile>(&self, a: &[f32], out: &mut [f32]) {
+    /// The instruction set `T` is written for must be available. `a`
+    /// must be whole rows of length `k` and `out` point at `m × n`
+    /// floats nobody else reads, or writes in these columns, meanwhile.
+    // SAFETY: (contract above) the only raw accesses are the output row
+    // segments: row `< m`, columns `j0..j1` inside `n`, so in bounds of
+    // `out`; segments of different rows are disjoint.
+    unsafe fn gemm<T: PanelTile>(&self, a: &[f32], out: *mut f32, panels: std::ops::Range<usize>) {
         let (k, n) = (self.k, self.n);
-        let blocks = (a.len() / k).div_ceil(ROW_BLOCK);
+        let m = a.len() / k;
+        let blocks = m.div_ceil(ROW_BLOCK);
         // Slices are consecutive in `data` across panel boundaries, so
         // "the slice after this one" is simply what follows `at`.
-        let mut at = 0;
-        for j0 in (0..n.div_ceil(PANEL_WIDTH)).map(|p| p * PANEL_WIDTH) {
+        let mut at = panels.start * k * PANEL_WIDTH;
+        for j0 in panels.map(|p| p * PANEL_WIDTH) {
             let j1 = n.min(j0 + PANEL_WIDTH);
+            // SAFETY: see the function-level argument.
+            let o_row =
+                |r: usize| unsafe { std::slice::from_raw_parts_mut(out.add(r * n + j0), j1 - j0) };
             let mut t0 = 0;
             while t0 < k {
                 let t1 = k.min(t0 + K_SLICE);
@@ -189,19 +299,18 @@ impl PackedPanels {
                     _ => &rest[..rest.len().min(slice.len())],
                 };
                 let ahead_rows = ahead.len() / PANEL_WIDTH;
-                let row_blocks = a.chunks(ROW_BLOCK * k).zip(out.chunks_mut(ROW_BLOCK * n));
-                for (i, (a_blk, o_blk)) in row_blocks.enumerate() {
+                for (i, a_blk) in a.chunks(ROW_BLOCK * k).enumerate() {
                     let share = &ahead[ahead_rows * i / blocks * PANEL_WIDTH
                         ..ahead_rows * (i + 1) / blocks * PANEL_WIDTH];
+                    let r = i * ROW_BLOCK;
                     if a_blk.len() == ROW_BLOCK * k {
                         let (a0, a1) = a_blk.split_at(k);
-                        let (o0, o1) = o_blk.split_at_mut(n);
                         // SAFETY: the caller vouches for `T`'s ISA.
                         unsafe {
                             T::tile(
                                 slice,
                                 [&a0[t0..t1], &a1[t0..t1]],
-                                [&mut o0[j0..j1], &mut o1[j0..j1]],
+                                [o_row(r), o_row(r + 1)],
                                 t0 > 0,
                                 share,
                             );
@@ -209,7 +318,7 @@ impl PackedPanels {
                     } else {
                         // SAFETY: the caller vouches for `T`'s ISA.
                         unsafe {
-                            T::tile(slice, [&a_blk[t0..t1]], [&mut o_blk[j0..j1]], t0 > 0, share);
+                            T::tile(slice, [&a_blk[t0..t1]], [o_row(r)], t0 > 0, share);
                         }
                     }
                 }
@@ -280,10 +389,25 @@ impl PanelTile for ScalarTile {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::kernels::{set_max_threads, KNOB};
     use crate::rng::SeededRng;
     use crate::Tensor;
+
+    /// `(k, n)` of packs of at least [`pool::MIN_SHARE_BYTES`]: the
+    /// up-projection's 256 panels, then down-projection-like packs of
+    /// one panel (never split), two with a ragged last one (fewer
+    /// panels than workers), `w2`'s three, and nine.
+    pub(crate) const SHARED_SHAPES: [(usize, usize); 7] = [
+        (96, 8192),
+        (8192, 1),
+        (8192, 31),
+        (8192, 32),
+        (8192, 33),
+        (8192, 96),
+        (8192, 288),
+    ];
 
     fn randn(dims: &[usize], seed: u64) -> Tensor {
         Tensor::randn(dims, 1.0, &mut SeededRng::new(seed))
@@ -347,6 +471,63 @@ mod tests {
                 }
             }
         }
+        // The same, as pool regions at every thread count: the blocked
+        // reference is computed once, on one thread.
+        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+        for &(k, n) in &SHARED_SHAPES {
+            let b = randn(&[k, n], 5);
+            let p = PackedPanels::from_nn(b.data(), k, n);
+            for m in [1usize, 2, 3, 5, 20, 257] {
+                // 257 rows of the scalar backend are slow: the three
+                // shapes that cut differently, at two and eight threads.
+                let tall = m == 257;
+                if tall && !matches!(n, 8192 | 96 | 33) {
+                    continue;
+                }
+                let a = &a.data()[..m * k];
+                for be in crate::simd::available_backends() {
+                    set_max_threads(1);
+                    let mut unpacked = vec![0.0f32; m * n];
+                    crate::kernels::matmul_nn_with(be, a, b.data(), &mut unpacked, m, k, n);
+                    for threads in (1..=8).filter(|t| !tall || matches!(t, 2 | 8)) {
+                        set_max_threads(threads);
+                        let mut packed = vec![f32::NAN; m * n];
+                        p.matvec_into_with(be, a, &mut packed);
+                        assert!(packed == unpacked, "{be:?} {m}x{k}x{n} @ {threads}");
+                    }
+                }
+            }
+        }
+        set_max_threads(0);
+    }
+
+    #[test]
+    fn swiglu_region_equals_dense_silu_dense_mul_bitwise() {
+        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+        let a = randn(&[20, 8192], 11);
+        for &(k, n) in &SHARED_SHAPES {
+            let w1 = PackedPanels::from_nn(randn(&[k, n], 12).data(), k, n);
+            let w3 = PackedPanels::from_nn(randn(&[k, n], 13).data(), k, n);
+            for m in [1usize, 2, 3, 5, 20] {
+                let a = &a.data()[..m * k];
+                set_max_threads(1);
+                let mut want = Tensor::zeros(&[m, n]);
+                let mut want_lin = Tensor::zeros(&[m, n]);
+                w1.matvec_into(a, want.data_mut());
+                crate::ops::silu_inplace(&mut want);
+                w3.matvec_into(a, want_lin.data_mut());
+                want.mul_assign(&want_lin);
+                for threads in 1..=8 {
+                    set_max_threads(threads);
+                    let mut gate = vec![f32::NAN; m * n];
+                    let mut lin = vec![f32::NAN; m * n];
+                    w1.swiglu_into(&w3, a, &mut gate, &mut lin);
+                    assert!(gate == want.data(), "gate {m}x{k}x{n} @ {threads}");
+                    assert!(lin == want_lin.data(), "lin {m}x{k}x{n} @ {threads}");
+                }
+            }
+        }
+        set_max_threads(0);
     }
 
     #[test]

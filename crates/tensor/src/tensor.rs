@@ -254,6 +254,16 @@ impl Tensor {
         self.dims.extend_from_slice(dims);
     }
 
+    /// [`Tensor::reset`] without the zero-fill, for an output whose every
+    /// element is about to be overwritten: a memset the size of the
+    /// output is not free, and it parks the whole buffer in the calling
+    /// core's cache just before other cores write their share of it.
+    fn reset_overwritten(&mut self, dims: &[usize]) {
+        self.data.resize(dims.iter().product(), 0.0);
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+    }
+
     /// Matrix multiplication `self × other` for 2-D tensors.
     ///
     /// Large shapes run row-partitioned across threads; every output
@@ -302,8 +312,32 @@ impl Tensor {
             "matmul_packed inner dimensions must agree ({k} vs {})",
             panels.k()
         );
-        out.reset(&[m, panels.n()]);
+        out.reset_overwritten(&[m, panels.n()]);
         panels.matvec_into(&self.data, &mut out.data);
+    }
+
+    /// The SwiGLU up-stage against pre-packed weights,
+    /// `gate = silu(self × W₁) ⊙ (self × W₃)`, with `lin` receiving
+    /// `self × W₃`: bitwise [`Tensor::matmul_packed_into`] twice, then
+    /// `silu`, then the product — computed as one pool region (see
+    /// [`crate::pack::PackedPanels::swiglu_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shared dimension disagrees, the packs differ in
+    /// shape, or `self` is not 2-D.
+    pub fn swiglu_packed_into(
+        &self,
+        w1: &crate::pack::PackedPanels,
+        w3: &crate::pack::PackedPanels,
+        gate: &mut Tensor,
+        lin: &mut Tensor,
+    ) {
+        let (m, k) = (self.rows(), self.cols());
+        assert_eq!(k, w1.k(), "swiglu inner dimensions must agree");
+        gate.reset_overwritten(&[m, w1.n()]);
+        lin.reset_overwritten(&[m, w1.n()]);
+        w1.swiglu_into(w3, &self.data, &mut gate.data, &mut lin.data);
     }
 
     /// Matrix multiplication with the second operand transposed:

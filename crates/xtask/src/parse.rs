@@ -291,6 +291,12 @@ impl ParsedFile {
     }
 }
 
+/// Whether `prefix::callee(…)` / `prefix.callee(…)` runs a closure
+/// argument once per task: a `spawn`, or a worker-pool region.
+fn runs_per_task(callee: &str, prefix: &str) -> bool {
+    callee == "spawn" || (prefix == "pool" && matches!(callee, "run" | "run_chunks"))
+}
+
 /// Keywords that look like calls when followed by `(` but are not.
 fn is_expr_keyword(s: &str) -> bool {
     matches!(
@@ -1292,17 +1298,26 @@ impl Parser {
                 }
             }
         }
+        // A closure handed to a task runner executes once per task: to
+        // every in-loop rule its *body* is a loop body, whether or not
+        // the call sits in a lexical loop. (The closure itself is
+        // created where it is written: its own `in_loop` stays lexical.)
+        let per_task = self
+            .call_ctx
+            .last()
+            .is_some_and(|(callee, prefix)| runs_per_task(callee, prefix));
+        let body_depth = loop_depth + usize::from(per_task);
         let body_start;
         let body_end;
         if self.peek_text() == "{" {
             self.pos += 1;
             body_start = self.pos;
-            self.body(facts, loop_depth);
+            self.body(facts, body_depth);
             body_end = self.pos;
             self.eat("}");
         } else {
             body_start = self.pos;
-            self.closure_body_expr(facts, loop_depth);
+            self.closure_body_expr(facts, body_depth);
             body_end = self.pos;
         }
         let body: Vec<Tok> = self.toks[body_start..body_end].to_vec();

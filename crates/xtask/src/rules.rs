@@ -109,18 +109,15 @@ pub const NO_UNWRAP_SCOPE: &[&str] = &[
 /// an input (the simulated clock) or not at all.
 pub const CLOCK_MODULE: &str = "crates/serving/src/clock.rs";
 
-/// Modules sanctioned to create threads: the tensor kernel pool, the
-/// data-parallel SSM speculation pool, and the serving daemon (its one
-/// background thread; the iteration driver and trace replay spawn
-/// nothing). A `thread::spawn` anywhere else is a determinism hazard —
-/// its interleaving is unmodelled and untested.
-pub const THREAD_SANCTIONED: &[&str] = &[
-    "crates/tensor/src/kernels.rs",
-    "crates/model/src/transformer.rs",
-    "crates/spec/src/speculator.rs",
-    "crates/spec/src/batch.rs",
-    "crates/serving/src/daemon.rs",
-];
+/// Modules sanctioned to create threads: the worker pool every
+/// parallel region runs on (kernels, attention, fused speculation all
+/// call `pool::run`; its hand-off is model-checked in `loom_pool.rs`)
+/// and the serving daemon (its one background thread; the iteration
+/// driver and trace replay spawn nothing). A `thread::spawn` anywhere
+/// else is a determinism hazard — its interleaving is unmodelled and
+/// untested.
+pub const THREAD_SANCTIONED: &[&str] =
+    &["crates/tensor/src/pool.rs", "crates/serving/src/daemon.rs"];
 
 /// Paths exempt from the determinism rule: benchmark binaries (timing is
 /// their purpose) and the sanctioned clock module.
@@ -231,8 +228,8 @@ pub fn rule_determinism(file: &ScannedFile, strict: bool, out: &mut Vec<Finding>
     }
 }
 
-/// Rule 4 — concurrency confinement: thread creation only in sanctioned
-/// pool/daemon modules, where the interleavings are model-checked.
+/// Rule 4 — concurrency confinement: thread creation only in the worker
+/// pool and the daemon, where the interleavings are model-checked.
 pub fn rule_thread_confinement(file: &ScannedFile, strict: bool, out: &mut Vec<Finding>) {
     if !strict {
         let in_lib_scope = (file.path.starts_with("crates/") && file.path.contains("/src/"))
@@ -256,8 +253,8 @@ pub fn rule_thread_confinement(file: &ScannedFile, strict: bool, out: &mut Vec<F
                     path: file.path.clone(),
                     line: i + 1,
                     message: format!(
-                        "`{pat}` outside the sanctioned pool/daemon modules \
-                         ({})",
+                        "`{pat}` outside the worker pool and the daemon ({}); \
+                         parallel work goes through `pool::run`",
                         THREAD_SANCTIONED.join(", ")
                     ),
                     snippet: line.raw.clone(),
@@ -416,37 +413,40 @@ mod tests {
     }
 
     #[test]
-    fn thread_rule_sanctions_pool_modules() {
+    fn thread_rule_sanctions_the_pool_and_the_daemon_only() {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(lint_all("crates/workloads/src/text.rs", src).len(), 1);
         assert!(lint_all("crates/serving/src/daemon.rs", src).is_empty());
-        assert!(lint_all("crates/tensor/src/kernels.rs", src).is_empty());
+        assert!(lint_all("crates/tensor/src/pool.rs", src).is_empty());
     }
 
     #[test]
     fn unwrap_and_thread_rules_cover_the_batch_and_kernel_surfaces() {
         // `spec/src/batch.rs` (the cross-request batched verifier) is in
-        // the hot-path unwrap scope via its crate prefix, and it is a
-        // sanctioned thread module: the ragged batch fuses per-session
-        // SSM speculation into one data-parallel scoped pass (the fused
-        // verify itself still gets its parallelism from the blocked
-        // kernels).
+        // the hot-path unwrap scope via its crate prefix. Like every
+        // former spawn site — the kernels, the attention fan-out, the
+        // SSM pool — it gets its parallelism from `pool::run` and may
+        // not create threads itself.
         let unwrap_src = "fn f() { x.unwrap(); }\n";
         let scope_src = "fn f() { std::thread::scope(|s| {}); }\n";
         let f = lint_all("crates/spec/src/batch.rs", unwrap_src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "no_unwrap");
-        assert!(lint_all("crates/spec/src/batch.rs", scope_src).is_empty());
-        // A non-sanctioned spec module still may not spawn.
-        let f = lint_all("crates/spec/src/engine.rs", scope_src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "thread_confinement");
-        // The tensor kernels may spawn (sanctioned pool module) but may
-        // not panic — they run under every batched forward.
+        for path in [
+            "crates/spec/src/batch.rs",
+            "crates/spec/src/speculator.rs",
+            "crates/model/src/transformer.rs",
+            "crates/tensor/src/kernels.rs",
+        ] {
+            let f = lint_all(path, scope_src);
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "thread_confinement");
+        }
+        // The tensor kernels may not panic either — they run under
+        // every batched forward.
         let f = lint_all("crates/tensor/src/kernels.rs", unwrap_src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "no_unwrap");
-        assert!(lint_all("crates/tensor/src/kernels.rs", scope_src).is_empty());
     }
 
     #[test]

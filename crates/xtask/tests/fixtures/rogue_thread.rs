@@ -1,6 +1,8 @@
-// Known-bad fixture: thread creation outside the sanctioned pool and
-// daemon modules. Must trigger exactly the `thread_confinement` rule —
-// two findings (thread::spawn, thread::scope).
+// Known-bad fixture: thread creation outside the worker pool
+// (`crates/tensor/src/pool.rs`) and the serving daemon — a fork-join of
+// its own instead of a `pool::run` region. Must trigger exactly the
+// `thread_confinement` rule — two findings (thread::spawn,
+// thread::scope).
 
 pub fn fire_and_forget(work: impl FnOnce() + Send + 'static) {
     std::thread::spawn(work);

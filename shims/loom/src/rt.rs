@@ -28,7 +28,8 @@ pub(crate) struct Abort;
 /// One recorded scheduling decision.
 #[derive(Debug, Clone)]
 pub(crate) struct Decision {
-    /// Tasks that were runnable at the decision point, ascending.
+    /// Tasks that were runnable at the decision point: the deciding
+    /// task first (when runnable), then ascending.
     pub enabled: Vec<usize>,
     /// Index into `enabled` that was chosen.
     pub chosen: usize,
@@ -45,6 +46,8 @@ struct SchedState {
     tasks: Vec<TaskState>,
     /// Tasks waiting in `join` on the keyed task.
     join_waiters: Vec<Vec<usize>>,
+    /// `thread::park` tokens, one per task.
+    park_tokens: Vec<bool>,
     /// The one task allowed to run; `usize::MAX` before task 0 starts.
     active: usize,
     /// Prescribed choices (indices into the enabled set) to replay.
@@ -104,6 +107,7 @@ impl Scheduler {
             state: StdMutex::new(SchedState {
                 tasks: Vec::new(),
                 join_waiters: Vec::new(),
+                park_tokens: Vec::new(),
                 active: usize::MAX,
                 schedule,
                 decisions: Vec::new(),
@@ -205,15 +209,17 @@ impl Scheduler {
         if me_enabled && st.preemption_bound.is_some_and(|b| st.preemptions >= b) {
             enabled = vec![me];
         }
+        // The current task first, then ascending ids: index 0 — what a
+        // schedule past its prescribed prefix takes — is "stay on the
+        // current task when possible, else lowest id" (fewer context
+        // switches per baseline schedule), and the explorer's "next
+        // untried alternative" (`chosen + 1`) walks through *every*
+        // other enabled task, lower ids than the current one included.
+        enabled.sort_by_key(|&t| (t != me, t));
         let pos = st.decisions.len();
         let chosen = match st.schedule.get(pos) {
             Some(&c) => c.min(enabled.len() - 1),
-            None => {
-                // Past the prescribed prefix: default to staying on the
-                // current task when possible (fewer context switches per
-                // baseline schedule), else lowest id.
-                enabled.iter().position(|&t| t == me).unwrap_or(0)
-            }
+            None => 0,
         };
         let next = enabled[chosen];
         if me_enabled && next != me {
@@ -247,6 +253,38 @@ impl Scheduler {
         st.tasks[me] = TaskState::Blocked;
         self.choose_next(&mut st, me);
         self.wait_for_turn(st, me);
+    }
+
+    /// `thread::park` for task `me`: a decision point, then consume the
+    /// token or block until an [`Scheduler::unpark`] provides one.
+    pub(crate) fn park(&self, me: usize) {
+        self.yield_point(me);
+        loop {
+            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            if st.abort {
+                drop(st);
+                std::panic::panic_any(Abort);
+            }
+            if std::mem::take(&mut st.park_tokens[me]) {
+                return;
+            }
+            st.tasks[me] = TaskState::Blocked;
+            self.choose_next(&mut st, me);
+            self.wait_for_turn(st, me);
+        }
+    }
+
+    /// `Thread::unpark` of `target` by `me`: a decision point, then the
+    /// token is set and a blocked target becomes runnable (every
+    /// blocking primitive re-checks its condition when woken, so waking
+    /// a task blocked on something else is a harmless spurious wake-up).
+    pub(crate) fn unpark(&self, me: usize, target: usize) {
+        self.yield_point(me);
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.park_tokens[target] = true;
+        if st.tasks[target] == TaskState::Blocked {
+            st.tasks[target] = TaskState::Runnable;
+        }
     }
 
     /// Marks `task` runnable again (a wake event: unlock, send, finish).
@@ -319,6 +357,7 @@ pub(crate) fn spawn_task(sched: &Arc<Scheduler>, f: impl FnOnce() + Send + 'stat
         }
         st.tasks.push(TaskState::Runnable);
         st.join_waiters.push(Vec::new());
+        st.park_tokens.push(false);
         st.tasks.len() - 1
     };
     let sched2 = Arc::clone(sched);

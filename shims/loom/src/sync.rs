@@ -173,6 +173,11 @@ pub mod atomic {
             self.v.fetch_sub(val, Ordering::SeqCst)
         }
 
+        pub fn fetch_and(&self, val: usize, _order: Ordering) -> usize {
+            Self::point();
+            self.v.fetch_and(val, Ordering::SeqCst)
+        }
+
         pub fn swap(&self, val: usize, _order: Ordering) -> usize {
             Self::point();
             self.v.swap(val, Ordering::SeqCst)

@@ -27,6 +27,38 @@ where
     JoinHandle { task, result }
 }
 
+/// A handle to a model task, for [`Thread::unpark`].
+#[derive(Debug, Clone)]
+pub struct Thread {
+    task: usize,
+}
+
+/// The calling task's handle.
+pub fn current() -> Thread {
+    Thread {
+        task: rt::current().1,
+    }
+}
+
+/// Blocks the calling task until its park token is available, then
+/// consumes it — `std::thread::park`'s contract, minus spurious
+/// wake-ups (a model that survives without them survives with them only
+/// if it re-checks its condition, which every schedule here exercises
+/// through stale tokens). An `unpark` nobody sends is a deadlock report.
+pub fn park() {
+    let (sched, me) = rt::current();
+    sched.park(me);
+}
+
+impl Thread {
+    /// Makes the task's park token available, waking it if it is parked.
+    /// The token does not count: two `unpark`s before a `park` are one.
+    pub fn unpark(&self) {
+        let (sched, me) = rt::current();
+        sched.unpark(me, self.task);
+    }
+}
+
 /// A voluntary decision point, for models that want to widen the
 /// explored interleavings around plain computation.
 pub fn yield_now() {
@@ -35,6 +67,11 @@ pub fn yield_now() {
 }
 
 impl<T> JoinHandle<T> {
+    /// The spawned task's handle.
+    pub fn thread(&self) -> Thread {
+        Thread { task: self.task }
+    }
+
     /// Blocks until the task finishes. Returns `Err` if the task
     /// panicked (the explorer will also record that execution as a
     /// failure).

@@ -106,3 +106,58 @@ fn greedy_tree_speculation_equals_incremental_on_three_seeds() {
         );
     }
 }
+
+#[test]
+fn greedy_tree_speculation_is_thread_count_invariant_through_the_pool() {
+    // `config()`'s packs are far below `pool::MIN_SHARE_BYTES` and would
+    // never leave the calling thread. With `d_ff = 8192` the three
+    // feed-forward packs are 1.25 MiB each: at two threads every forward
+    // multiplies them (and applies SwiGLU) as pool regions.
+    use specinfer::tensor::{pool, set_max_threads};
+    let llm = Transformer::from_seed(
+        ModelConfig {
+            d_ff: 8192,
+            ..config()
+        },
+        41,
+    );
+    let ssm = Transformer::from_seed(
+        ModelConfig {
+            d_model: 16,
+            n_layers: 1,
+            d_ff: 32,
+            ..config()
+        },
+        141,
+    );
+    let engine = SpecEngine::new(
+        &llm,
+        vec![&ssm],
+        EngineConfig {
+            decode: DecodeMode::Greedy,
+            verifier: StochasticVerifier::MultiStep,
+            mode: InferenceMode::TreeSpeculative {
+                expansion: ExpansionConfig::paper_default(),
+            },
+            max_new_tokens: 24,
+            eos_token: None,
+        },
+    );
+    let prompt = [2u32, 7, 1, 8];
+    set_max_threads(1);
+    let serial = engine.generate(&prompt, 0);
+    #[cfg(debug_assertions)]
+    let regions_before = pool::shared_regions();
+    set_max_threads(2);
+    let pooled = engine.generate(&prompt, 0);
+    set_max_threads(0);
+    // Two regions per layer per forward, were the job slot always free;
+    // one per iteration is proof enough that the run entered the pool.
+    #[cfg(debug_assertions)]
+    assert!(
+        pool::shared_regions() >= regions_before + pooled.steps.len(),
+        "the two-thread run never shared a region with the pool"
+    );
+    assert_eq!(serial.tokens, pooled.tokens, "output depends on threads");
+    assert_eq!(serial.steps, pooled.steps, "StepStats depend on threads");
+}
