@@ -5,12 +5,12 @@
 //! * `kernels` — GFLOP/s of the blocked matmul kernels (and the
 //!   packed-panel GEMM) at several shapes alongside the naive
 //!   reference kernels, with the measured speedup.
-//! * `ffn` — the packed GEMM inference runs against the row-major
-//!   blocked kernel it replaced there, on the two feed-forward shapes of
-//!   a memory-bound LLM (`96×8192` up, `8192×96` down) at decode,
+//! * `ffn` — one feed-forward layer of a memory-bound LLM (`96×8192`
+//!   up, `8192×96` down) stage by stage as a forward runs it: the two
+//!   up-projections (`up_gemm`), the SwiGLU epilogue (the fused
+//!   up-stage minus `up_gemm`) and the down-projection, at decode,
 //!   tree-verify and prefill row counts, at one thread and at every
-//!   thread the machine has, with the weight bytes each loop nest
-//!   streams per call.
+//!   thread the machine has.
 //! * `end_to_end` — tokens/step and tokens/s of incremental vs
 //!   tree-speculative generation on the smoke-scale trained suite.
 //! * `simd_backend` / `cpu_features` — which ISA backend the kernels
@@ -40,25 +40,27 @@ struct KernelResult {
     speedup: f64,
 }
 
-/// One feed-forward shape at one row count, packed against blocked.
-/// Each call multiplies against the next of [`FFN_COPIES`] distinct
-/// weight matrices, so the weights come from memory as they do in a
-/// forward of a model larger than the cache.
+/// One feed-forward layer at one row count, stage by stage. Each call
+/// runs the next of [`FFN_LAYERS`] layers' distinct weights, so they
+/// come from memory as they do in a forward of a model larger than the
+/// cache; times are per layer, inside a [`pool::hot`] bracket.
 #[derive(Serialize)]
 struct FfnResult {
     /// `set_max_threads` for this row: the caller plus pool workers.
     threads: usize,
     m: usize,
-    k: usize,
-    n: usize,
-    packed_gflops: f64,
-    blocked_gflops: f64,
-    /// Weight bytes one call streams, counted from the loop nest: the
-    /// packed GEMM walks its panels once whatever `m` is.
-    packed_weight_bytes: usize,
-    /// The blocked kernel streams the whole weight once per four-row
-    /// block and once per leftover row of every task's row chunk.
-    blocked_weight_bytes: usize,
+    /// `A × W₁` and `A × W₃` as two plain packed GEMMs.
+    up_gemm_us: f64,
+    /// The fused up-stage (`swiglu_packed_into`) minus `up_gemm_us`:
+    /// `silu(g) · l` over `m × 8192` elements.
+    epilogue_us: f64,
+    /// `gate × W₂`.
+    down_us: f64,
+    up_gemm_gflops: f64,
+    down_gflops: f64,
+    /// Weight bytes the layer streams per forward, padding included:
+    /// the packed GEMM walks each pack once whatever `m` is.
+    weight_bytes: usize,
 }
 
 #[derive(Serialize)]
@@ -159,64 +161,71 @@ fn bench_kernels() -> Vec<KernelResult> {
     results
 }
 
-/// Distinct weight matrices the feed-forward rows cycle over: the
-/// three projections of three layers, 28 MB, as in the serving
-/// benchmark's inflated LLM.
-const FFN_COPIES: usize = 9;
+/// Layers the feed-forward rows cycle over: three projections each,
+/// 28 MB in all, as in the serving benchmark's inflated LLM.
+const FFN_LAYERS: usize = 3;
 
 fn bench_ffn() -> Vec<FfnResult> {
     let mut rng = SeededRng::new(2);
     let all = specinfer_tensor::effective_threads();
+    let (d, d_ff) = (96usize, 8192usize);
+    let mut pack = |k: usize, n: usize| -> Vec<PackedPanels> {
+        (0..FFN_LAYERS)
+            .map(|_| PackedPanels::from_nn(Tensor::randn(&[k, n], 0.1, &mut rng).data(), k, n))
+            .collect()
+    };
+    let (w1, w3, w2) = (pack(d, d_ff), pack(d, d_ff), pack(d_ff, d));
     let mut results = Vec::new();
-    for (k, n) in [(96usize, 8192usize), (8192, 96)] {
-        let dense: Vec<Tensor> = (0..FFN_COPIES)
-            .map(|_| Tensor::randn(&[k, n], 1.0, &mut rng))
-            .collect();
-        let packed: Vec<PackedPanels> = dense
-            .iter()
-            .map(|w| PackedPanels::from_nn(w.data(), k, n))
-            .collect();
-        for m in [1usize, 2, 5, 8, 20, 48, 256] {
-            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-            let flops = (2 * m * k * n) as f64;
-            let mut out = Tensor::default();
-            let mut turn = 0;
-            // One thread, then all of them (once, on a one-core machine).
-            for threads in [1, all].into_iter().take(all.min(2)) {
-                specinfer_tensor::set_max_threads(threads);
-                let packed_s = time_per_iter(|| {
-                    turn += 1;
-                    a.matmul_packed_into(&packed[turn % FFN_COPIES], &mut out);
-                });
-                let blocked_s = time_per_iter(|| {
-                    turn += 1;
-                    a.matmul_into(&dense[turn % FFN_COPIES], &mut out);
-                });
-                // The blocked kernel deals runs of rows out as pool
-                // tasks (one row: columns, one pass in total).
-                let chunk = m.div_ceil(pool::tasks_for(m, 4 * m * k * n));
-                let passes: usize = if m == 1 {
-                    1
-                } else {
-                    (0..m)
-                        .step_by(chunk)
-                        .map(|r0| (m - r0).min(chunk))
-                        .map(|rows| rows / 4 + rows % 4)
-                        .sum()
+    for m in [1usize, 2, 5, 20, 32] {
+        let h = Tensor::randn(&[m, d], 1.0, &mut rng);
+        let (mut gate, mut lin, mut proj) =
+            (Tensor::default(), Tensor::default(), Tensor::default());
+        // One thread, then all of them (once, on a one-core machine).
+        for threads in [1, all].into_iter().take(all.min(2)) {
+            specinfer_tensor::set_max_threads(threads);
+            let _hot = pool::hot();
+            // The three stages take turns, layer after layer, so a slow
+            // spell of the host falls on all of them; a stage's time is
+            // the median of its calls.
+            let mut calls: [Vec<f64>; 3] = Default::default();
+            let start = Instant::now();
+            for l in (0..FFN_LAYERS).cycle() {
+                if start.elapsed().as_secs_f64() >= 0.75 {
+                    break;
+                }
+                let mut timed = |stage: usize, f: &mut dyn FnMut()| {
+                    let t = Instant::now();
+                    f();
+                    calls[stage].push(t.elapsed().as_secs_f64());
                 };
-                results.push(FfnResult {
-                    threads,
-                    m,
-                    k,
-                    n,
-                    packed_gflops: flops / packed_s / 1e9,
-                    blocked_gflops: flops / blocked_s / 1e9,
-                    packed_weight_bytes: 4 * packed[0].packed_len(),
-                    blocked_weight_bytes: 4 * k * n * passes,
+                timed(0, &mut || {
+                    h.matmul_packed_into(&w1[l], &mut gate);
+                    h.matmul_packed_into(&w3[l], &mut lin);
                 });
+                // The next layer's weights: this one's were just read.
+                let n = (l + 1) % FFN_LAYERS;
+                timed(1, &mut || {
+                    h.swiglu_packed_into(&w1[n], &w3[n], &mut gate, &mut lin)
+                });
+                timed(2, &mut || gate.matmul_packed_into(&w2[l], &mut proj));
             }
-            specinfer_tensor::set_max_threads(0);
+            let [up_gemm_s, up_stage_s, down_s] = calls.map(|mut v| {
+                v.sort_by(f64::total_cmp);
+                v[v.len() / 2]
+            });
+            let flops = (2 * m * d * d_ff) as f64;
+            results.push(FfnResult {
+                threads,
+                m,
+                up_gemm_us: up_gemm_s * 1e6,
+                epilogue_us: (up_stage_s - up_gemm_s) * 1e6,
+                down_us: down_s * 1e6,
+                up_gemm_gflops: 2.0 * flops / up_gemm_s / 1e9,
+                down_gflops: flops / down_s / 1e9,
+                weight_bytes: 4 * (2 * w1[0].packed_len() + w2[0].packed_len()),
+            });
         }
+        specinfer_tensor::set_max_threads(0);
     }
     results
 }
@@ -258,7 +267,7 @@ fn run_mode(
 fn main() {
     eprintln!("[bench_kernels] timing kernels…");
     let kernels = bench_kernels();
-    eprintln!("[bench_kernels] timing feed-forward shapes, packed against blocked…");
+    eprintln!("[bench_kernels] timing the feed-forward stages…");
     let ffn = bench_ffn();
     eprintln!("[bench_kernels] preparing smoke suite…");
     let suite = Suite::prepare(Scale::Smoke);

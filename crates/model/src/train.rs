@@ -1,7 +1,8 @@
 //! Training and distillation on the autograd tape.
 //!
 //! The tape forward pass here mirrors [`crate::Transformer::forward_rows`]
-//! exactly (same weights, same architecture); the
+//! exactly (same weights, same architecture, and bit for bit on every
+//! backend whose SwiGLU epilogue is libm's); the
 //! `tape_forward_matches_inference` test pins that equivalence. Training
 //! is what lets the workspace *create* aligned SSMs — next-token training
 //! for the base LLM, hard- and soft-label distillation for SSMs, and the
@@ -195,6 +196,9 @@ pub fn train_step(model: &mut Transformer, opt: &mut dyn Optimizer, batch: &[Vec
 ///
 /// Teacher and student must share a vocabulary; they may differ in every
 /// other dimension — that's the SSM/LLM capacity gap the paper builds on.
+/// The teacher's distributions come from the tape forward, like the
+/// student's: trained weights depend on training numerics alone, not on
+/// which SwiGLU epilogue the serving backend runs.
 ///
 /// # Panics
 ///
@@ -214,6 +218,8 @@ pub fn distill_step(
     assert!(!batch.is_empty(), "distillation batch must be non-empty");
     let mut tape = Tape::new();
     let vars = WeightVars::register(&mut tape, student);
+    let mut teacher_tape = Tape::new();
+    let teacher_vars = WeightVars::register(&mut teacher_tape, teacher);
     let mut total: Option<Var> = None;
     for seq in batch {
         assert!(
@@ -221,8 +227,9 @@ pub fn distill_step(
             "sequences need at least two tokens to distill on"
         );
         let inputs = &seq[..seq.len() - 1];
-        let teacher_logits = teacher.logits_for_sequence(inputs);
-        let soft_targets = ops::softmax_rows(&teacher_logits);
+        let teacher_logits =
+            tape_forward(&mut teacher_tape, &teacher_vars, teacher.config(), inputs);
+        let soft_targets = ops::softmax_rows(teacher_tape.value(teacher_logits));
         let logits = tape_forward(&mut tape, &vars, student.config(), inputs);
         let loss = tape.soft_cross_entropy(logits, &soft_targets);
         total = Some(match total {
@@ -289,6 +296,11 @@ mod tests {
             diff < 1e-3,
             "train and inference forward diverged by {diff}"
         );
+        // Same kernels element for element, so the same bits — except
+        // that AVX2 inference gates through its own polynomial SiLU.
+        if specinfer_tensor::simd::backend() != specinfer_tensor::simd::SimdBackend::Avx2Fma {
+            assert_eq!(tape.data(), inference.data());
+        }
     }
 
     #[test]

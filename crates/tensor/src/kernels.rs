@@ -548,7 +548,7 @@ mod tests {
                 set_max_threads(0);
             }
             // The packed path, on packs large enough to be pool regions:
-            // many panels, the down-projection's three, a ragged last
+            // many panels, the down-projection's six, a ragged last
             // panel, fewer panels than workers. `out` starts as NaN.
             for &(k, n) in &crate::pack::tests::SHARED_SHAPES {
                 let b = randn(&[k, n], 220);

@@ -27,11 +27,18 @@
 //! to them:
 //!
 //! ```text
-//! for panel p                       (32 output columns)
+//! for panel p                       (16 output columns)
 //!   for k-slice s of the panel      (≤ K_SLICE reduction steps, ≤ 16 KB: L1-resident)
-//!     for row block i               (2 rows of A, or the odd last one)
+//!     for row block i               (4 rows of A, or the 1–3 left over)
 //!       out[rows, cols] (+)= A[rows, slice] × slice
 //! ```
+//!
+//! The register tile is a row block × one panel: four rows × two AVX2
+//! registers (four NEON ones) of accumulators, so a panel row loaded
+//! from L1 feeds four rows' FMAs and a slice is walked once per *four*
+//! rows. There is one geometry — one panel width, one tile shape per
+//! backend — because every pack of a forward meets every row count: a
+//! per-pack width would be a second layout to test at every `m`.
 //!
 //! The first row block of a slice pulls it from memory, every further
 //! block reads it from L1, and while a slice is being multiplied each
@@ -56,18 +63,23 @@
 //! writes its own columns of every output row; no output column is ever
 //! split (that would split a `k` chain), so the product is bitwise
 //! independent of the thread count by construction. Smaller packs are
-//! the same call with one task covering every panel. The SwiGLU
-//! up-stage ([`PackedPanels::swiglu_into`]) is one such region for two
-//! packs plus the activation, applied to a task's columns while they
-//! are still in its cache.
+//! the same call with one task covering every panel. The panel is the
+//! partition unit, so a narrow pack shares as well as its panel count
+//! divides: the down-projection's 96 columns are six panels, three per
+//! core on two cores. The SwiGLU up-stage
+//! ([`PackedPanels::swiglu_into`]) is one such region for two packs
+//! plus the activation, applied to a task's columns while they are
+//! still in its cache.
+
+use std::array::from_fn;
 
 use crate::ops::silu_scalar;
 use crate::pool::{self, SharedMut};
 use crate::simd::{self, SimdBackend};
 
-/// Panel width in columns: 32 floats = four AVX2 registers or eight
-/// NEON registers per panel row, and a whole number of cache lines.
-pub const PANEL_WIDTH: usize = 32;
+/// Panel width in columns: 16 floats = two AVX2 registers or four NEON
+/// registers per panel row, and exactly one cache line.
+pub const PANEL_WIDTH: usize = 16;
 
 /// Row count up to which the model's dense layers multiply against the
 /// packed panels: every row count takes the packed path. Kept because
@@ -75,13 +87,15 @@ pub const PANEL_WIDTH: usize = 32;
 /// dispatch; nothing in the workspace branches on it any more.
 pub const PACKED_SMALL_M_MAX: usize = usize::MAX;
 
-/// Reduction steps per k-slice: 128 panel rows are 16 KB, so the slice
+/// Reduction steps per k-slice: 256 panel rows are 16 KB, so the slice
 /// being multiplied, the slice being prefetched and the activation
 /// rows of a block share a 48 KB L1 data cache.
-pub(crate) const K_SLICE: usize = 128;
+pub(crate) const K_SLICE: usize = 256;
 
 /// Rows of `A` per register tile.
-const ROW_BLOCK: usize = 2;
+const ROW_BLOCK: usize = 4;
+// `gemm` spells out the short last blocks of 3, 2 and 1 rows.
+const _: () = assert!(ROW_BLOCK == 4);
 
 /// A weight matrix repacked into [`PANEL_WIDTH`]-column panels.
 ///
@@ -172,7 +186,8 @@ impl PackedPanels {
     /// region: `gate = silu(A × self) ⊙ (A × up)`. Each task multiplies
     /// its run of panels of both packs and then gates those columns of
     /// every row; `lin` (`[m, n]` like `gate`) receives `A × up`. Per
-    /// element exactly `matvec_into` twice, `silu`, multiply.
+    /// element exactly `matvec_into` twice, the backend's one `silu`
+    /// ([`swiglu_epilogue`]), multiply.
     ///
     /// # Panics
     ///
@@ -201,9 +216,7 @@ impl PackedPanels {
                 for r in 0..m {
                     let g = std::slice::from_raw_parts_mut(gate.get().add(r * n + j0), j1 - j0);
                     let l = std::slice::from_raw_parts(lin.get().add(r * n + j0), j1 - j0);
-                    for (g, &l) in g.iter_mut().zip(l) {
-                        *g = silu_scalar(*g) * l;
-                    }
+                    swiglu_epilogue(be, g, l);
                 }
             }
         });
@@ -298,32 +311,49 @@ impl PackedPanels {
                     1 => &rest[..0],
                     _ => &rest[..rest.len().min(slice.len())],
                 };
-                let ahead_rows = ahead.len() / PANEL_WIDTH;
+                let (ahead_rows, carry) = (ahead.len() / PANEL_WIDTH, t0 > 0);
                 for (i, a_blk) in a.chunks(ROW_BLOCK * k).enumerate() {
                     let share = &ahead[ahead_rows * i / blocks * PANEL_WIDTH
                         ..ahead_rows * (i + 1) / blocks * PANEL_WIDTH];
-                    let r = i * ROW_BLOCK;
-                    if a_blk.len() == ROW_BLOCK * k {
-                        let (a0, a1) = a_blk.split_at(k);
-                        // SAFETY: the caller vouches for `T`'s ISA.
-                        unsafe {
-                            T::tile(
+                    let a_row = |d: usize| &a_blk[d * k + t0..d * k + t1];
+                    let o = |d: usize| o_row(i * ROW_BLOCK + d);
+                    // SAFETY: the caller vouches for `T`'s ISA; a block's
+                    // rows are distinct, so are their output segments.
+                    unsafe {
+                        match a_blk.len() / k {
+                            ROW_BLOCK => T::tile::<ROW_BLOCK>(
                                 slice,
-                                [&a0[t0..t1], &a1[t0..t1]],
-                                [o_row(r), o_row(r + 1)],
-                                t0 > 0,
+                                from_fn(a_row),
+                                from_fn(o),
+                                carry,
                                 share,
-                            );
-                        }
-                    } else {
-                        // SAFETY: the caller vouches for `T`'s ISA.
-                        unsafe {
-                            T::tile(slice, [&a_blk[t0..t1]], [o_row(r)], t0 > 0, share);
+                            ),
+                            3 => T::tile::<3>(slice, from_fn(a_row), from_fn(o), carry, share),
+                            2 => T::tile::<2>(slice, from_fn(a_row), from_fn(o), carry, share),
+                            _ => T::tile::<1>(slice, from_fn(a_row), from_fn(o), carry, share),
                         }
                     }
                 }
                 at += slice.len();
                 t0 = t1;
+            }
+        }
+    }
+}
+
+/// `g[i] = silu(g[i]) · l[i]`, the only SwiGLU of inference. AVX2
+/// evaluates `silu` by an in-crate polynomial `exp`, eight lanes at a
+/// time (within 2 ulp of SiLU, see [`simd::avx2::silu`]); the scalar
+/// and NEON backends call libm as training does.
+fn swiglu_epilogue(be: SimdBackend, g: &mut [f32], l: &[f32]) {
+    match be {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx2Fma` is only selectable when AVX2+FMA were
+        // detected at startup.
+        SimdBackend::Avx2Fma => unsafe { simd::avx2::swiglu(g, l) },
+        _ => {
+            for (g, &l) in g.iter_mut().zip(l) {
+                *g = silu_scalar(*g) * l;
             }
         }
     }
@@ -365,25 +395,39 @@ impl PanelTile for ScalarTile {
     unsafe fn tile<const R: usize>(
         b: &[f32],
         a: [&[f32]; R],
-        mut o: [&mut [f32]; R],
+        o: [&mut [f32]; R],
         carry: bool,
         _ahead: &[f32],
     ) {
-        // One row at a time: 32 accumulators are the eight SSE registers
-        // of the x86-64 baseline that hide the add latency, and two rows
-        // at once would spill. The slice is L1-resident for the second
-        // row, so the weights are still read from memory once.
-        for (a_row, o_row) in a.iter().zip(o.iter_mut()) {
+        // Two rows at a time: 2 × 16 accumulators are eight of the
+        // sixteen SSE registers of the x86-64 baseline, enough chains to
+        // hide the add latency; four rows at once would spill. The odd
+        // last row is a pair whose second half is empty.
+        let load = |o_row: &[f32]| {
             let mut acc = [0.0f32; PANEL_WIDTH];
             if carry {
                 acc[..o_row.len()].copy_from_slice(o_row);
             }
-            for (&av, b_row) in a_row.iter().zip(b.chunks_exact(PANEL_WIDTH)) {
-                for (slot, &bv) in acc.iter_mut().zip(b_row) {
-                    *slot += av * bv;
+            acc
+        };
+        let mut rows = a.into_iter().zip(o);
+        while let Some((a0, o0)) = rows.next() {
+            let (a1, o1) = rows.next().unwrap_or((&[], &mut []));
+            let (mut acc0, mut acc1) = (load(o0), load(o1));
+            let mut b_rows = b.chunks_exact(PANEL_WIDTH);
+            for ((&av0, &av1), b_row) in a0.iter().zip(a1).zip(b_rows.by_ref()) {
+                for ((s0, s1), &bv) in acc0.iter_mut().zip(&mut acc1).zip(b_row) {
+                    *s0 += av0 * bv;
+                    *s1 += av1 * bv;
                 }
             }
-            o_row.copy_from_slice(&acc[..o_row.len()]);
+            for (&av0, b_row) in a0[a1.len()..].iter().zip(b_rows) {
+                for (s0, &bv) in acc0.iter_mut().zip(b_row) {
+                    *s0 += av0 * bv;
+                }
+            }
+            o0.copy_from_slice(&acc0[..o0.len()]);
+            o1.copy_from_slice(&acc1[..o1.len()]);
         }
     }
 }
@@ -395,16 +439,23 @@ pub(crate) mod tests {
     use crate::rng::SeededRng;
     use crate::Tensor;
 
-    /// `(k, n)` of packs of at least [`pool::MIN_SHARE_BYTES`]: the
-    /// up-projection's 256 panels, then down-projection-like packs of
-    /// one panel (never split), two with a ragged last one (fewer
-    /// panels than workers), `w2`'s three, and nine.
-    pub(crate) const SHARED_SHAPES: [(usize, usize); 7] = [
+    /// `(k, n)` of packs around [`pool::MIN_SHARE_BYTES`]: the
+    /// up-projection's 512 panels, then down-projection-like packs on
+    /// both sides of the first three panel boundaries — one panel (below
+    /// the constant, never split), two to four with a ragged or a full
+    /// last one (fewer panels than workers) — `w2`'s six, and eighteen.
+    pub(crate) const SHARED_SHAPES: [(usize, usize); 13] = [
         (96, 8192),
         (8192, 1),
+        (8192, 15),
+        (8192, 16),
+        (8192, 17),
         (8192, 31),
         (8192, 32),
         (8192, 33),
+        (8192, 47),
+        (8192, 48),
+        (8192, 49),
         (8192, 96),
         (8192, 288),
     ];
@@ -449,9 +500,9 @@ pub(crate) mod tests {
         // size, column counts on both sides of the panel boundary. `out`
         // starts as NaN: the first slice must not read it and padding
         // lanes must never reach it.
-        let ms = [1usize, 2, 3, 5, 8, 9, 20, 21, 48, 257];
+        let ms = [1usize, 2, 3, 4, 5, 7, 8, 9, 20, 21, 48, 257];
         let ks = [1usize, 96, K_SLICE - 1, K_SLICE, K_SLICE + 1, 8192];
-        let ns = [1usize, 31, 32, 33, 288];
+        let ns = [1usize, 15, 16, 17, 31, 32, 33, 47, 48, 49, 288];
         let a = randn(&[257, 8192], 3);
         for &k in &ks {
             for &n in &ns {
@@ -477,7 +528,7 @@ pub(crate) mod tests {
         for &(k, n) in &SHARED_SHAPES {
             let b = randn(&[k, n], 5);
             let p = PackedPanels::from_nn(b.data(), k, n);
-            for m in [1usize, 2, 3, 5, 20, 257] {
+            for m in [1usize, 2, 3, 4, 5, 7, 8, 9, 20, 257] {
                 // 257 rows of the scalar backend are slow: the three
                 // shapes that cut differently, at two and eight threads.
                 let tall = m == 257;
@@ -503,6 +554,13 @@ pub(crate) mod tests {
 
     #[test]
     fn swiglu_region_equals_dense_silu_dense_mul_bitwise() {
+        // The epilogue's `silu`, one element at a time: the polynomial's
+        // scalar twin on AVX2, libm everywhere else.
+        let silu: fn(f32) -> f32 = match simd::backend() {
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx2Fma => simd::avx2::silu,
+            _ => silu_scalar,
+        };
         let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let a = randn(&[20, 8192], 11);
         for &(k, n) in &SHARED_SHAPES {
@@ -514,9 +572,10 @@ pub(crate) mod tests {
                 let mut want = Tensor::zeros(&[m, n]);
                 let mut want_lin = Tensor::zeros(&[m, n]);
                 w1.matvec_into(a, want.data_mut());
-                crate::ops::silu_inplace(&mut want);
                 w3.matvec_into(a, want_lin.data_mut());
-                want.mul_assign(&want_lin);
+                for (g, &l) in want.data_mut().iter_mut().zip(want_lin.data()) {
+                    *g = silu(*g) * l;
+                }
                 for threads in 1..=8 {
                     set_max_threads(threads);
                     let mut gate = vec![f32::NAN; m * n];
@@ -554,15 +613,16 @@ pub(crate) mod tests {
 
     #[test]
     fn padding_columns_never_leak() {
-        // n = 33 leaves 31 zero-padded columns in the second panel; the
-        // output must have exactly n columns of real data per row.
-        let (m, k, n) = (2, 5, 33);
+        // One column past two panels leaves all but one column of the
+        // third zero-padded; the output must have exactly n columns of
+        // real data per row.
+        let (m, k, n) = (2, 5, 2 * PANEL_WIDTH + 1);
         let a = randn(&[m, k], 7);
         let b = randn(&[k, n], 8);
         let p = PackedPanels::from_nn(b.data(), k, n);
         let mut out = vec![f32::NAN; m * n];
         p.matvec_into(a.data(), &mut out);
         assert!(out.iter().all(|v| v.is_finite()));
-        assert_eq!(p.packed_len(), 2 * k * PANEL_WIDTH);
+        assert_eq!(p.packed_len(), 3 * k * PANEL_WIDTH);
     }
 }

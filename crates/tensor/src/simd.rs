@@ -29,6 +29,15 @@
 //! * Scalar tails inside the SIMD kernels use `f32::mul_add` (fused, one
 //!   rounding) so an element computed in a tail is bitwise identical to
 //!   the same element computed in a vector lane.
+//! * The SwiGLU epilogue of inference is element-wise. On AVX2 it
+//!   evaluates SiLU through an in-crate polynomial `exp` whose scalar
+//!   twin ([`avx2::silu`]) performs a lane's IEEE operations one for one,
+//!   so an element's bits depend neither on its lane nor on whether it
+//!   fell in a vector or a tail. Inference has no other SwiGLU, so this
+//!   moves the AVX2 *model function* — by at most 2 ulp of SiLU against
+//!   the libm formula the scalar and NEON epilogues and training keep —
+//!   and nothing else: speculation ≡ incremental, batched ≡ serial and
+//!   thread-count invariance compare the function with itself.
 
 use std::sync::OnceLock;
 
@@ -162,8 +171,12 @@ pub fn detected_features() -> Vec<&'static str> {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use core::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps, _mm_prefetch, _MM_HINT_T0,
+        __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_blendv_ps, _mm256_castsi256_ps,
+        _mm256_cmp_ps, _mm256_cvtps_epi32, _mm256_div_ps, _mm256_fmadd_ps, _mm256_fnmadd_ps,
+        _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_round_ps, _mm256_set1_epi32,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32, _mm256_storeu_ps, _mm256_sub_ps,
+        _mm256_xor_ps, _mm_prefetch, _CMP_LT_OQ, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
+        _MM_HINT_T0,
     };
 
     use crate::pack::{PanelTile, PANEL_WIDTH};
@@ -406,11 +419,102 @@ pub(crate) mod avx2 {
         }
     }
 
+    /// Below `-SILU_FLUSH`, `e^-x` leaves `f32`'s range and [`silu`] is
+    /// its limit `-0.0`; down to it the exponent `n ≤ 127` stays finite.
+    const SILU_FLUSH: f32 = 88.0;
+    /// Lower clamp of `-x`: `e^-87 < 2^-125` vanishes against 1, and
+    /// `n ≥ -126` keeps `2^n` a normal number.
+    const EXP_MIN: f32 = -87.0;
+    const LOG2_E: f32 = std::f32::consts::LOG2_E;
+    /// `ln 2` in two constants: `n · LN2_HI` (nine bits) is exact.
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    /// `e^r ≈ 1 + r + r²·P(r)` on `|r| ≤ ln 2 / 2` (Cephes `expf`).
+    const EXP_POLY: [f32; 6] = [
+        1.987_569_1e-4,
+        1.398_199_9e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        1.666_666_5e-1,
+        5.0e-1,
+    ];
+
+    /// The scalar twin of one lane of [`swiglu`]'s SiLU, operation for
+    /// operation and so bitwise: `x / (1 + e^-x)` with
+    /// `e^-x = 2^n · e^r`, `n = round(-x·log₂e)`, `r = -x - n·ln 2`, a
+    /// degree-5 polynomial for `e^r` and `2^n` built from its exponent
+    /// bits. `1 + e^r` is kept as a rounded value plus its rounding
+    /// error, so the denominator is rounded once and the result is
+    /// within 2 ulp of SiLU (libm's `x / (1 + expf(-x))` reaches 2.4).
+    ///
+    /// NaN stays NaN; `silu(±0) = ±0` and a denormal is halved, as
+    /// through libm; `silu(x) = x` from `x ≈ 17` up, `+∞` included;
+    /// `silu(x) = -0.0` for every `x < -88`, **`-∞` included** (through
+    /// libm that one is `-∞/∞` = NaN, the others flush from `-88.73`).
+    pub(crate) fn silu(x: f32) -> f32 {
+        let x = if x < -SILU_FLUSH { -0.0 } else { x };
+        // `maxps` keeps its second operand unless the first is greater:
+        // a NaN survives.
+        let t = if EXP_MIN > -x { EXP_MIN } else { -x };
+        let n = (t * LOG2_E).round_ties_even();
+        let r = n.mul_add(-LN2_LO, n.mul_add(-LN2_HI, t));
+        let mut p = EXP_POLY[0];
+        for &c in &EXP_POLY[1..] {
+            p = p.mul_add(r, c);
+        }
+        let q = p.mul_add(r * r, r);
+        let e_r = q + 1.0;
+        let lost = q - (e_r - 1.0);
+        // `n` is integral in -126..=127, or NaN and then cast to 0.
+        let two_n = f32::from_bits(((n as i32 + 127) << 23) as u32);
+        x / e_r.mul_add(two_n, lost.mul_add(two_n, 1.0))
+    }
+
+    /// The SwiGLU epilogue, `g[i] = silu(g[i]) · l[i]`, eight lanes at a
+    /// time; the `len % 8` tail goes through [`silu`], so where a vector
+    /// starts never shows in the bits.
+    // SAFETY: the caller guarantees AVX2+FMA; vector accesses stay below
+    // `g.len()`, which the assert makes `l`'s length too.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn swiglu(g: &mut [f32], l: &[f32]) {
+        assert_eq!(g.len(), l.len(), "gate and linear halves must agree");
+        let body = g.len() - g.len() % 8;
+        let (gp, lp) = (g.as_mut_ptr(), l.as_ptr());
+        let (one, neg_zero) = (_mm256_set1_ps(1.0), _mm256_set1_ps(-0.0));
+        for i in (0..body).step_by(8) {
+            let x = _mm256_loadu_ps(gp.add(i));
+            let flush = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(-SILU_FLUSH));
+            let x = _mm256_blendv_ps(x, neg_zero, flush);
+            let t = _mm256_max_ps(_mm256_set1_ps(EXP_MIN), _mm256_xor_ps(x, neg_zero));
+            let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+                _mm256_mul_ps(t, _mm256_set1_ps(LOG2_E)),
+            );
+            let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_HI), t);
+            let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_LO), r);
+            let mut p = _mm256_set1_ps(EXP_POLY[0]);
+            for &c in &EXP_POLY[1..] {
+                p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(c));
+            }
+            let q = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+            let e_r = _mm256_add_ps(q, one);
+            let lost = _mm256_sub_ps(q, _mm256_sub_ps(e_r, one));
+            let biased = _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127));
+            let two_n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased));
+            let den = _mm256_fmadd_ps(e_r, two_n, _mm256_fmadd_ps(lost, two_n, one));
+            let gated = _mm256_mul_ps(_mm256_div_ps(x, den), _mm256_loadu_ps(lp.add(i)));
+            _mm256_storeu_ps(gp.add(i), gated);
+        }
+        for (g, &l) in g[body..].iter_mut().zip(&l[body..]) {
+            *g = silu(*g) * l;
+        }
+    }
+
     /// The AVX2 register tile of the packed GEMM (see [`crate::pack`]):
-    /// `R` rows × one 32-column panel as `4·R` accumulator registers.
-    /// Each output column is one fused ascending-`k` chain, bitwise
-    /// identical to the unpacked [`nn_rows`]/[`nn_cols`] result for the
-    /// same element.
+    /// `R` rows × one 16-column panel as `2·R` accumulator registers —
+    /// at four rows, eight accumulators fed by two panel loads and four
+    /// broadcasts per step. Each output column is one fused
+    /// ascending-`k` chain, bitwise identical to the unpacked
+    /// [`nn_rows`]/[`nn_cols`] result for the same element.
     pub(crate) struct PackedTile;
 
     impl PanelTile for PackedTile {
@@ -426,7 +530,7 @@ pub(crate) mod avx2 {
         ) {
             let kc = b.len() / PANEL_WIDTH;
             assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
-            let mut acc = [[_mm256_setzero_ps(); 4]; R];
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
             for r in 0..R {
                 assert_eq!(a[r].len(), kc, "one A element per panel row");
                 assert!(o[r].len() <= PANEL_WIDTH, "one panel of columns");
@@ -435,8 +539,8 @@ pub(crate) mod avx2 {
                 }
             }
             let ap = a.map(<[f32]>::as_ptr);
-            // The rows of `ahead` are fetched at even intervals over the
-            // slice, two cache lines each: a burst would fill the line
+            // The rows of `ahead` (one cache line each) are fetched at
+            // even intervals over the slice: a burst would fill the line
             // fill buffers and stall the multiply behind it.
             let pf = ahead.len() / PANEL_WIDTH;
             let (bp, fp) = (b.as_ptr(), ahead.as_ptr());
@@ -444,7 +548,6 @@ pub(crate) mod avx2 {
             if let Some(period) = kc.checked_div(pf) {
                 for j in 0..pf {
                     _mm_prefetch::<_MM_HINT_T0>(fp.add(j * PANEL_WIDTH).cast());
-                    _mm_prefetch::<_MM_HINT_T0>(fp.add(j * PANEL_WIDTH + 16).cast());
                     for _ in 0..period {
                         fma_step(&mut acc, bp.add(t * PANEL_WIDTH), &ap, t);
                         t += 1;
@@ -463,34 +566,30 @@ pub(crate) mod avx2 {
 
     /// One reduction step of the tile: `acc[r] += a[r][t] · b_row`.
     #[inline]
-    // SAFETY: the caller guarantees AVX2+FMA, 32 readable floats at
+    // SAFETY: the caller guarantees AVX2+FMA, 16 readable floats at
     // `b_row` and `t` in bounds of every `a[r]`.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn fma_step<const R: usize>(
-        acc: &mut [[__m256; 4]; R],
+        acc: &mut [[__m256; 2]; R],
         b_row: *const f32,
         a: &[*const f32; R],
         t: usize,
     ) {
         let b0 = _mm256_loadu_ps(b_row);
         let b1 = _mm256_loadu_ps(b_row.add(8));
-        let b2 = _mm256_loadu_ps(b_row.add(16));
-        let b3 = _mm256_loadu_ps(b_row.add(24));
         for r in 0..R {
             let v = _mm256_set1_ps(*a[r].add(t));
             acc[r][0] = _mm256_fmadd_ps(v, b0, acc[r][0]);
             acc[r][1] = _mm256_fmadd_ps(v, b1, acc[r][1]);
-            acc[r][2] = _mm256_fmadd_ps(v, b2, acc[r][2]);
-            acc[r][3] = _mm256_fmadd_ps(v, b3, acc[r][3]);
         }
     }
 
     /// Loads the accumulators a previous k-slice left in `o` (a panel's
     /// real columns of one output row), zero in the padding lanes.
-    // SAFETY: the caller guarantees AVX2+FMA and `o.len() <= 32`; a full
+    // SAFETY: the caller guarantees AVX2+FMA and `o.len() <= 16`; a full
     // panel loads in bounds, a partial one goes through a local copy.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn load_panel(o: &[f32]) -> [__m256; 4] {
+    unsafe fn load_panel(o: &[f32]) -> [__m256; 2] {
         let mut spill = [0.0f32; PANEL_WIDTH];
         let p = if o.len() == PANEL_WIDTH {
             o.as_ptr()
@@ -498,20 +597,15 @@ pub(crate) mod avx2 {
             spill[..o.len()].copy_from_slice(o);
             spill.as_ptr()
         };
-        [
-            _mm256_loadu_ps(p),
-            _mm256_loadu_ps(p.add(8)),
-            _mm256_loadu_ps(p.add(16)),
-            _mm256_loadu_ps(p.add(24)),
-        ]
+        [_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8))]
     }
 
-    /// Stores a 32-wide panel of accumulators into `o`, truncating the
+    /// Stores a 16-wide panel of accumulators into `o`, truncating the
     /// zero-padded columns of the final partial panel.
-    // SAFETY: the caller guarantees AVX2+FMA and `o.len() <= 32`; a full
+    // SAFETY: the caller guarantees AVX2+FMA and `o.len() <= 16`; a full
     // panel stores in bounds, a partial one spills to a local first.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn store_panel(acc: &[__m256; 4], o: &mut [f32]) {
+    unsafe fn store_panel(acc: &[__m256; 2], o: &mut [f32]) {
         let mut spill = [0.0f32; PANEL_WIDTH];
         let p = if o.len() == PANEL_WIDTH {
             o.as_mut_ptr()
@@ -520,8 +614,6 @@ pub(crate) mod avx2 {
         };
         _mm256_storeu_ps(p, acc[0]);
         _mm256_storeu_ps(p.add(8), acc[1]);
-        _mm256_storeu_ps(p.add(16), acc[2]);
-        _mm256_storeu_ps(p.add(24), acc[3]);
         if o.len() < PANEL_WIDTH {
             o.copy_from_slice(&spill[..o.len()]);
         }
@@ -746,7 +838,7 @@ pub(crate) mod neon {
     }
 
     /// The NEON register tile of the packed GEMM (see [`crate::pack`]):
-    /// `R` rows × one 32-column panel as `8·R` accumulator registers, one
+    /// `R` rows × one 16-column panel as `4·R` accumulator registers, one
     /// fused ascending-`k` chain per output column. No software prefetch:
     /// the AVX2 tile's was sized by measurement, and this backend has not
     /// been measured.
@@ -765,7 +857,7 @@ pub(crate) mod neon {
         ) {
             let kc = b.len() / PANEL_WIDTH;
             assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
-            let mut acc = [[vdupq_n_f32(0.0); 8]; R];
+            let mut acc = [[vdupq_n_f32(0.0); 4]; R];
             for r in 0..R {
                 assert_eq!(a[r].len(), kc, "one A element per panel row");
                 assert!(o[r].len() <= PANEL_WIDTH, "one panel of columns");
@@ -777,7 +869,7 @@ pub(crate) mod neon {
             let bp = b.as_ptr();
             for t in 0..kc {
                 let bq = bp.add(t * PANEL_WIDTH);
-                let mut b_row = [vdupq_n_f32(0.0); 8];
+                let mut b_row = [vdupq_n_f32(0.0); 4];
                 for (q, lane) in b_row.iter_mut().enumerate() {
                     *lane = vld1q_f32(bq.add(q * 4));
                 }
@@ -796,10 +888,10 @@ pub(crate) mod neon {
 
     /// Loads the accumulators a previous k-slice left in `o` (a panel's
     /// real columns of one output row), zero in the padding lanes.
-    // SAFETY: NEON is baseline; the caller guarantees `o.len() <= 32`; a
+    // SAFETY: NEON is baseline; the caller guarantees `o.len() <= 16`; a
     // full panel loads in bounds, a partial one through a local copy.
     #[target_feature(enable = "neon")]
-    unsafe fn load_panel(o: &[f32]) -> [float32x4_t; 8] {
+    unsafe fn load_panel(o: &[f32]) -> [float32x4_t; 4] {
         let mut spill = [0.0f32; PANEL_WIDTH];
         let p = if o.len() == PANEL_WIDTH {
             o.as_ptr()
@@ -807,20 +899,20 @@ pub(crate) mod neon {
             spill[..o.len()].copy_from_slice(o);
             spill.as_ptr()
         };
-        let mut acc = [vdupq_n_f32(0.0); 8];
+        let mut acc = [vdupq_n_f32(0.0); 4];
         for (q, slot) in acc.iter_mut().enumerate() {
             *slot = vld1q_f32(p.add(q * 4));
         }
         acc
     }
 
-    /// Stores a 32-wide panel of accumulators into `o`: a full panel
+    /// Stores a 16-wide panel of accumulators into `o`: a full panel
     /// directly, the final partial panel through a local spill whose
     /// zero-padded columns are dropped.
-    // SAFETY: NEON is baseline; the caller guarantees `o.len() <= 32`; a
+    // SAFETY: NEON is baseline; the caller guarantees `o.len() <= 16`; a
     // full panel stores in bounds, a partial one spills to a local first.
     #[target_feature(enable = "neon")]
-    unsafe fn store_panel(acc: &[float32x4_t; 8], o: &mut [f32]) {
+    unsafe fn store_panel(acc: &[float32x4_t; 4], o: &mut [f32]) {
         let mut spill = [0.0f32; PANEL_WIDTH];
         let p = if o.len() == PANEL_WIDTH {
             o.as_mut_ptr()
@@ -861,6 +953,93 @@ mod tests {
         assert_eq!(SimdBackend::Scalar.name(), "scalar");
         assert_eq!(SimdBackend::Avx2Fma.name(), "avx2_fma");
         assert_eq!(SimdBackend::Neon.name(), "neon");
+    }
+
+    /// SiLU in `f64`, and the error of `got` against it in units of the
+    /// spacing of `f32` at the reference.
+    #[cfg(target_arch = "x86_64")]
+    fn silu_ulps(x: f32, got: f32) -> f64 {
+        let want = f64::from(x) / (1.0 + (-f64::from(x)).exp());
+        let w = (want as f32).abs();
+        let ulp = f64::from(f32::from_bits(w.to_bits() + 1)) - f64::from(w);
+        (f64::from(got) - want).abs() / ulp
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_silu_equals_its_scalar_twin_bitwise() {
+        if !avx2_available() {
+            return;
+        }
+        // Every length 1..=40 at every offset into a buffer that runs
+        // through the clamps, both zeros and the denormals: whether an
+        // element falls in a vector or the tail, and at which lane, the
+        // bits are the twin's.
+        let mut rng = crate::rng::SeededRng::new(21);
+        let mut src: Vec<f32> = (0..64).map(|_| rng.normal() * 6.0).collect();
+        src.extend([0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE, 16.7, 17.5]);
+        src.extend([87.5, -87.5, -88.0, -88.01, 100.0, -100.0, 3.0e38, -3.0e38]);
+        let lin: Vec<f32> = (0..src.len()).map(|_| rng.normal()).collect();
+        for len in 1..=40 {
+            for at in 0..=src.len() - len {
+                let mut got = src[at..at + len].to_vec();
+                // SAFETY: AVX2+FMA were detected above.
+                unsafe { avx2::swiglu(&mut got, &lin[at..at + len]) };
+                for (i, g) in got.iter().enumerate() {
+                    let want = avx2::silu(src[at + i]) * lin[at + i];
+                    assert_eq!(g.to_bits(), want.to_bits(), "len {len} at {at} + {i}");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn polynomial_silu_is_within_two_ulp_of_silu() {
+        let mut rng = crate::rng::SeededRng::new(22);
+        let sweep = (-2_000_000..=2_000_000).map(|i| i as f32 * 1e-5);
+        let seeded: Vec<f32> = (0..100_000).map(|_| rng.normal() * 8.0).collect();
+        let mut worst = 0.0f64;
+        for x in sweep.chain(seeded) {
+            let ulps = silu_ulps(x, avx2::silu(x));
+            assert!(ulps <= 2.0, "silu({x}) is {ulps} ulp off");
+            worst = worst.max(ulps);
+        }
+        assert!(worst > 0.5, "the reference is not measuring: {worst}");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn polynomial_silu_edge_cases() {
+        let bits = |x: f32| avx2::silu(x).to_bits();
+        assert!(avx2::silu(f32::NAN).is_nan());
+        // ±0 keep the value (and sign) of `x / (1 + expf(-x))`.
+        assert_eq!(bits(0.0), 0.0f32.to_bits());
+        assert_eq!(bits(-0.0), (-0.0f32).to_bits());
+        // Beyond the clamps: the limits, never NaN.
+        assert_eq!(bits(100.0), 100.0f32.to_bits());
+        assert_eq!(bits(f32::MAX), f32::MAX.to_bits());
+        assert_eq!(bits(f32::INFINITY), f32::INFINITY.to_bits());
+        for x in [-88.01, -89.0, -100.0, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(bits(x), (-0.0f32).to_bits(), "silu({x})");
+        }
+        // The last finite `e^-x`: a normal result, not a flushed one.
+        assert!(avx2::silu(-88.0) < -1e-37);
+        // Denormals are halved exactly, as by libm.
+        for x in [1e-40f32, -1e-40, 1e-45, f32::MIN_POSITIVE] {
+            assert_eq!(bits(x), (x / 2.0).to_bits(), "silu({x})");
+        }
+        // A lane agrees on each of them (NaN: is NaN).
+        if avx2_available() {
+            for x in [f32::NAN, 0.0, -0.0, 100.0, -100.0, 1e-40, f32::NEG_INFINITY] {
+                let mut g = [x; 8];
+                // SAFETY: AVX2+FMA were detected above.
+                unsafe { avx2::swiglu(&mut g, &[1.0; 8]) };
+                assert!(g
+                    .iter()
+                    .all(|v| v.to_bits() == bits(x) || (v.is_nan() && x.is_nan())));
+            }
+        }
     }
 
     #[test]

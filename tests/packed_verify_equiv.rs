@@ -5,7 +5,10 @@
 //! must keep emitting the incremental sequence.
 
 use specinfer::model::{DecodeMode, ModelConfig, Transformer};
-use specinfer::spec::{EngineConfig, InferenceMode, SpecEngine, StochasticVerifier};
+use specinfer::spec::{
+    BatchItem, BatchedVerifier, EngineConfig, InferenceMode, Session, SpecEngine,
+    StochasticVerifier,
+};
 use specinfer::tokentree::{ExpansionConfig, LinearizedTree, TokenTree};
 
 /// Wide enough that every dense layer spans several panels and the
@@ -160,4 +163,76 @@ fn greedy_tree_speculation_is_thread_count_invariant_through_the_pool() {
     );
     assert_eq!(serial.tokens, pooled.tokens, "output depends on threads");
     assert_eq!(serial.steps, pooled.steps, "StepStats depend on threads");
+}
+
+#[test]
+fn pooled_ffn_keeps_speculation_and_batching_bitwise_at_3_5_and_9_rows() {
+    // Tree verifies of 3, 5 and 9 rows sit on both sides of the packed
+    // GEMM's four-row block, and at `d_ff = 8192` the SwiGLU region is
+    // shared with the pool at two threads: greedy speculation must still
+    // emit the incremental sequence, and a batch of two (6, 10 and 18
+    // stacked rows) exactly what the two sessions emit alone. The LLM
+    // drafts for itself, so rows are accepted and the cache compacted.
+    use specinfer::tensor::set_max_threads;
+    let llm = Transformer::from_seed(
+        ModelConfig {
+            d_ff: 8192,
+            ..config()
+        },
+        51,
+    );
+    let ssms = [&llm];
+    let engine_config = |mode| EngineConfig {
+        decode: DecodeMode::Greedy,
+        verifier: StochasticVerifier::MultiStep,
+        mode,
+        max_new_tokens: 16,
+        eos_token: None,
+    };
+    let prompts = [[2u32, 7, 1, 8], [3, 1, 4, 1]];
+    for threads in [1usize, 2] {
+        set_max_threads(threads);
+        let incremental = prompts.map(|prompt| {
+            SpecEngine::new(&llm, vec![], engine_config(InferenceMode::Incremental))
+                .generate(&prompt, 0)
+        });
+        for (widths, rows) in [(vec![2], 3), (vec![2, 1], 5), (vec![2, 3], 9)] {
+            let spec = engine_config(InferenceMode::TreeSpeculative {
+                expansion: ExpansionConfig::new(widths),
+            });
+            let serial = [0, 1].map(|i| {
+                let (prompt, incremental) = (prompts[i], &incremental[i]);
+                let speculative =
+                    SpecEngine::new(&llm, ssms.to_vec(), spec.clone()).generate(&prompt, 0);
+                assert!(speculative
+                    .steps
+                    .iter()
+                    .all(|s| s.tree_size + 1 == rows && s.accepted > 0));
+                assert_eq!(
+                    incremental.generated(),
+                    &speculative.generated()[..incremental.generated().len()],
+                    "{rows} rows @ {threads}: speculation diverged from incremental"
+                );
+                speculative
+            });
+            let mut sessions = prompts.map(|prompt| Session::new(&llm, &ssms, &prompt, 0));
+            let verifier = BatchedVerifier::single_pass();
+            while sessions.iter().any(|s| !s.is_finished()) {
+                let mut items: Vec<BatchItem<'_>> = sessions
+                    .iter_mut()
+                    .map(|s| BatchItem::new(s, &spec))
+                    .collect();
+                let _ = verifier.step_batch(&llm, &ssms, &mut items);
+            }
+            for (session, alone) in sessions.into_iter().zip(serial) {
+                assert_eq!(session.steps(), alone.steps, "{rows} rows @ {threads}");
+                assert_eq!(
+                    session.into_result().tokens,
+                    alone.tokens,
+                    "{rows} rows @ {threads}: batched diverged from serial"
+                );
+            }
+        }
+    }
+    set_max_threads(0);
 }
