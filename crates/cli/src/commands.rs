@@ -341,7 +341,7 @@ pub fn serve(args: &Parsed) -> Result<(), String> {
     }
     if report.verify_rows.single_pass_rows > 0 {
         println!(
-            "verify rows: {} forwarded of {} single-pass ({} pruned)",
+            "verify rows: {} forwarded frontier-first of {} in whole trees ({} pruned)",
             report.verify_rows.forwarded_rows(),
             report.verify_rows.single_pass_rows,
             report.verify_rows.pruned_rows()

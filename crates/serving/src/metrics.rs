@@ -98,7 +98,7 @@ pub struct ServeReport {
     /// All-zero when the run's mode was not adaptive.
     pub controller: ControllerSnapshot,
     /// LLM verify-row accounting summed over all batched iterations —
-    /// the hierarchical verifier's savings relative to single-pass.
+    /// what frontier-first staging forwarded against whole trees.
     /// All-zero when the run never stepped a batch.
     pub verify_rows: BatchRowStats,
 }

@@ -17,11 +17,12 @@
 
 use std::collections::VecDeque;
 
-use specinfer_model::{sampler, DecodeMode, KvCache, Transformer, Visibility};
+use specinfer_model::{sampler, DecodeMode, KvCache, Transformer};
 use specinfer_tensor::rng::SeededRng;
 use specinfer_tensor::Tensor;
 use specinfer_tokentree::{ExpansionConfig, LinearizedTree, TokenId, TokenTree};
 
+use crate::batch::{BatchItem, BatchedVerifier};
 use crate::controller::{
     draft_flop_weight, AdaptiveConfig, AdaptiveDecision, ControllerSnapshot, DraftShape,
     SpecController,
@@ -31,9 +32,7 @@ use crate::speculator::{
     expand_into, speculate_garbage, speculate_pool_parallel, ExpansionMode, Speculation,
     SsmDistTable,
 };
-use crate::verifier::{
-    verify_greedy, verify_naive, verify_stochastic, StochasticVerifier, VerifyOutcome,
-};
+use crate::verifier::{StochasticVerifier, VerifyOutcome};
 
 /// Which inference algorithm drives a generation. The sequence and tree
 /// modes draft with every SSM of the pool and merge the trees
@@ -408,68 +407,32 @@ impl std::error::Error for EngineError {}
 
 /// One proposed decoding iteration, produced by [`Session::propose`].
 ///
-/// Splitting the old monolithic step at the LLM-forward boundary is what
-/// lets [`crate::BatchedVerifier`] fuse the verification forwards of
-/// many sessions into one stacked pass: speculation (phase 1) and
-/// sampling/commit (phase 3) stay per-session, while phase 2 — the only
-/// part that touches the LLM — batches.
+/// Splitting the step at the LLM-forward boundary is what lets
+/// [`crate::BatchedVerifier`] fuse the verification forwards of many
+/// sessions into stacked passes: speculation and sampling/commit stay
+/// per-session, while the part that touches the LLM batches.
 #[derive(Debug)]
-pub(crate) struct Proposal {
-    kind: ProposalKind,
-    forced_incremental: bool,
-    /// The controller decision behind a drafted tree (adaptive plans
-    /// only); fed back to the controller at commit.
-    decision: Option<AdaptiveDecision>,
-}
-
-#[derive(Debug)]
-enum ProposalKind {
+pub(crate) enum Proposal {
     /// One ordinary causal row: the sequence's last token.
-    Incremental,
+    Incremental {
+        /// Whether a fault (stall/OOM) forced it. The batched verifier
+        /// forwards such rows serially so a faulted request never
+        /// poisons its batch-mates.
+        forced: bool,
+    },
     /// A speculated token tree awaiting tree-parallel verification.
-    /// Boxed so the dataless `Incremental` variant doesn't inflate every
+    /// Boxed so the small `Incremental` variant doesn't inflate every
     /// `Proposal` to the tree payload's size.
     Tree(Box<TreeProposal>),
 }
 
 #[derive(Debug)]
-struct TreeProposal {
-    spec: Speculation,
-    lin: LinearizedTree,
-}
-
-impl ProposalKind {
-    fn tree(spec: Speculation) -> Self {
-        let lin = LinearizedTree::new(&spec.tree);
-        ProposalKind::Tree(Box::new(TreeProposal { spec, lin }))
-    }
-}
-
-impl Proposal {
-    /// The linearized tree to verify, or `None` for an incremental row.
-    pub(crate) fn tree(&self) -> Option<&LinearizedTree> {
-        match &self.kind {
-            ProposalKind::Tree(t) => Some(&t.lin),
-            ProposalKind::Incremental => None,
-        }
-    }
-
-    /// The speculation and its linearization, or `None` for an
-    /// incremental row. The hierarchical batched verifier drives the
-    /// verification walk itself and needs the draft distributions.
-    pub(crate) fn speculation(&self) -> Option<(&Speculation, &LinearizedTree)> {
-        match &self.kind {
-            ProposalKind::Tree(t) => Some((&t.spec, &t.lin)),
-            ProposalKind::Incremental => None,
-        }
-    }
-
-    /// Whether a fault (stall/OOM) forced this proposal incremental.
-    /// The batched verifier routes such proposals through the serial
-    /// path so a faulted request never poisons its batch-mates.
-    pub(crate) fn forced_incremental(&self) -> bool {
-        self.forced_incremental
-    }
+pub(crate) struct TreeProposal {
+    pub(crate) spec: Speculation,
+    pub(crate) lin: LinearizedTree,
+    /// The controller decision behind the draft (adaptive plans only);
+    /// fed back to the controller at commit.
+    decision: Option<AdaptiveDecision>,
 }
 
 /// Per-request generation state, advanced one decoding iteration at a
@@ -630,9 +593,8 @@ impl Session {
         &mut self.llm_cache
     }
 
-    /// The session's RNG stream, for the hierarchical batched verifier's
-    /// out-of-session stochastic walks. Consumed node-by-node exactly as
-    /// the serial verifier would.
+    /// The session's RNG stream, for the batched verifier's stochastic
+    /// walks: consumed node by node, whatever pass delivers a node's row.
     pub(crate) fn rng_mut(&mut self) -> &mut SeededRng {
         &mut self.rng
     }
@@ -731,6 +693,9 @@ impl Session {
     /// via the residual, keeping the output distribution exact). The
     /// degradation ladder ([`DegradationPolicy`]) watches acceptance and
     /// falls back to incremental decoding when speculation collapses.
+    ///
+    /// A serial step is a batch of one through the whole-tree stage of
+    /// the one verifier ([`BatchedVerifier::single_pass`]).
     pub fn step_faulted(
         &mut self,
         llm: &Transformer,
@@ -738,9 +703,13 @@ impl Session {
         config: &EngineConfig,
         fault: StepFault,
     ) -> Option<StepStats> {
-        let proposal = self.propose(llm, ssms, config, fault)?;
-        let logits = self.forward_proposal(llm, &proposal);
-        Some(self.commit(ssms, config, proposal, &logits))
+        let mut batch = [BatchItem {
+            session: self,
+            config,
+            fault,
+        }];
+        let mut stats = BatchedVerifier::single_pass().step_batch(llm, ssms, &mut batch);
+        stats.pop().flatten()
     }
 
     /// Phase 1 of an iteration: decide what the LLM must verify.
@@ -750,9 +719,9 @@ impl Session {
     /// — when the plan drafts — runs the whole SSM expansion, consuming
     /// the session's RNG stream exactly as [`Session::step_faulted`]
     /// always has. Returns `None` when the session is finished (or just
-    /// exhausted its context). The returned [`Proposal`] must be carried
-    /// through [`Session::forward_proposal`] and [`Session::commit`]
-    /// before the session can step again.
+    /// exhausted its context). The returned [`Proposal`] must be
+    /// forwarded and committed ([`Session::commit_incremental`] /
+    /// [`Session::commit_verified`]) before the session can step again.
     pub(crate) fn propose(
         &mut self,
         llm: &Transformer,
@@ -793,48 +762,51 @@ impl Session {
         let forced_incremental = speculative_mode && (fault.ssm_stall || fault.kv_oom);
 
         let mut decision = None;
-        let kind = if forced_incremental {
+        let spec = if forced_incremental {
             self.degradation.forced_incremental += 1;
-            ProposalKind::Incremental
+            None
         } else if self.fallback_until.is_some() {
             self.degradation.fallback_steps += 1;
-            ProposalKind::Incremental
+            None
         } else {
             match &mut plan {
                 DraftPlan::Fixed(shape, drafters) => {
                     self.draft(llm, ssms, shape, *drafters, config, fault.ssm_garbage)
                 }
                 DraftPlan::Adaptive(controller) => {
-                    let d = controller.decide();
-                    let routed = Drafters::One(d.ssm);
-                    let kind = self.draft(llm, ssms, &d.shape, routed, config, fault.ssm_garbage);
                     // Only a draft that ran teaches the controller: the
                     // incremental rung offers nothing, and a shape that
                     // no longer fits near the context limit must not
                     // count against it.
-                    if matches!(kind, ProposalKind::Tree(_)) {
-                        decision = Some(d);
-                    }
-                    kind
+                    let d = controller.decide();
+                    let routed = Drafters::One(d.ssm);
+                    let spec = self.draft(llm, ssms, &d.shape, routed, config, fault.ssm_garbage);
+                    decision = spec.is_some().then_some(d);
+                    spec
                 }
             }
         };
         self.plan = Some(plan);
-        Some(Proposal {
-            kind,
-            forced_incremental,
-            decision,
+        Some(match spec {
+            Some(spec) => Proposal::Tree(Box::new(TreeProposal {
+                lin: LinearizedTree::new(&spec.tree),
+                spec,
+                decision,
+            })),
+            None => Proposal::Incremental {
+                forced: forced_incremental,
+            },
         })
     }
 
     /// The one drafter: speculates `shape` with `drafters`, or answers
-    /// incremental when the shape is the incremental one or — near the
-    /// context limit — no longer fits the caches. A garbage-logits fault
-    /// replaces the draft with uniform draws in the shape's static
-    /// expansion, without consulting the SSMs or their caches. One SSM
-    /// expands inline on the session's RNG stream; a pool expands
-    /// data-parallel — one private tree and forked RNG stream per SSM —
-    /// and the trees merge deterministically in pool order (§3).
+    /// `None` — an incremental row — when the shape is the incremental one
+    /// or, near the context limit, no longer fits the caches. A
+    /// garbage-logits fault replaces the draft with uniform draws in the
+    /// shape's static expansion, without consulting the SSMs or their
+    /// caches. One SSM expands inline on the session's RNG stream; a pool
+    /// expands data-parallel — one private tree and forked RNG stream per
+    /// SSM — and the trees merge deterministically in pool order (§3).
     fn draft(
         &mut self,
         llm: &Transformer,
@@ -843,12 +815,10 @@ impl Session {
         drafters: Drafters,
         config: &EngineConfig,
         garbage: Option<u64>,
-    ) -> ProposalKind {
-        let Some(expansion) = shape.static_expansion() else {
-            return ProposalKind::Incremental;
-        };
+    ) -> Option<Speculation> {
+        let expansion = shape.static_expansion()?;
         if !self.speculation_fits(drafters.rows(shape)) {
-            return ProposalKind::Incremental;
+            return None;
         }
         assert_eq!(
             ssms.len(),
@@ -857,11 +827,11 @@ impl Session {
         );
         let root = self.last_token();
         if let Some(seed) = garbage {
-            let spec = speculate_garbage(root, &expansion, llm.config().vocab_size, seed);
-            return ProposalKind::tree(spec);
+            let vocab = llm.config().vocab_size;
+            return Some(speculate_garbage(root, &expansion, vocab, seed));
         }
         let mode = ExpansionMode::for_decode_mode(&config.decode);
-        let spec = match drafters {
+        Some(match drafters {
             Drafters::Pool(n) => speculate_pool_parallel(
                 ssms,
                 &mut self.ssm_caches,
@@ -885,71 +855,7 @@ impl Session {
                     Speculation { tree, dists }
                 }
             }
-        };
-        ProposalKind::tree(spec)
-    }
-
-    /// Phase 2: the single LLM forward pass verifying `proposal` —
-    /// either one incremental row or a whole linearized tree. This is the
-    /// only phase [`crate::BatchedVerifier`] replaces: it fuses the
-    /// forwards of many sessions into one stacked pass.
-    pub(crate) fn forward_proposal(&mut self, llm: &Transformer, proposal: &Proposal) -> Tensor {
-        match &proposal.kind {
-            ProposalKind::Incremental => {
-                let last = self.last_token();
-                let pos = self.llm_cache.len();
-                llm.forward_rows(&[last], &[pos], &mut self.llm_cache, Visibility::Causal)
-            }
-            ProposalKind::Tree(t) => llm.decode_tree(&t.lin, &mut self.llm_cache),
-        }
-    }
-
-    /// Phase 3: consume the LLM logits for `proposal` — sample or
-    /// verify, compact the KV cache to the accepted path, replay the SSM
-    /// caches, feed the degradation ladder and record the step.
-    pub(crate) fn commit(
-        &mut self,
-        ssms: &[&Transformer],
-        config: &EngineConfig,
-        proposal: Proposal,
-        logits: &Tensor,
-    ) -> StepStats {
-        let Proposal { kind, decision, .. } = proposal;
-        let stats = match kind {
-            ProposalKind::Incremental => self.commit_incremental(config, logits),
-            ProposalKind::Tree(t) => {
-                let TreeProposal { spec, lin } = *t;
-                self.commit_tree(ssms, config, spec, lin, logits)
-            }
-        };
-        self.finish_step(decision, stats)
-    }
-
-    /// Commits a tree proposal whose verification already ran *outside*
-    /// the session — the hierarchical batched verifier runs the walk
-    /// itself across two forward passes. `outcome` is the finished walk's
-    /// result, `prefix` the LLM-cache length from before any verify rows
-    /// were appended, and `keep` the strictly-increasing positions
-    /// (relative to `prefix`) of the root + accepted rows within the
-    /// cache's current appended tail, whatever two-pass layout it has.
-    pub(crate) fn commit_verified(
-        &mut self,
-        ssms: &[&Transformer],
-        config: &EngineConfig,
-        proposal: Proposal,
-        outcome: VerifyOutcome,
-        prefix: usize,
-        keep: Vec<usize>,
-    ) -> StepStats {
-        let Proposal { kind, decision, .. } = proposal;
-        let spec = match kind {
-            ProposalKind::Tree(t) => t.spec,
-            ProposalKind::Incremental => {
-                unreachable!("commit_verified requires a tree proposal")
-            }
-        };
-        let stats = self.apply_tree_outcome(ssms, config, &spec, outcome, prefix, keep);
-        self.finish_step(decision, stats)
+        })
     }
 
     /// Shared tail of every commit path: feed the adaptive controller and
@@ -991,7 +897,13 @@ impl Session {
             .all(|c| c.len() + need <= c.max_len())
     }
 
-    fn commit_incremental(&mut self, config: &EngineConfig, logits: &Tensor) -> StepStats {
+    /// Commits one incremental row: samples the next token from its
+    /// logits. The SSM caches are not advanced (ROADMAP item 2e).
+    pub(crate) fn commit_incremental(
+        &mut self,
+        config: &EngineConfig,
+        logits: &Tensor,
+    ) -> StepStats {
         let next = match &config.decode {
             DecodeMode::Greedy => sampler::greedy_token(logits.data()),
             mode => {
@@ -1001,60 +913,28 @@ impl Session {
         };
         self.tokens.push(next);
         self.check_termination(config, &[next]);
-        StepStats {
+        let stats = StepStats {
             tree_size: 0,
             accepted: 0,
             emitted: 1,
-        }
-    }
-
-    /// Verifies a speculation whose tree forward already ran (the rows
-    /// sit uncompacted at the tail of the LLM cache), commits the
-    /// accepted path to every cache and the token sequence, and returns
-    /// the iteration's stats.
-    fn commit_tree(
-        &mut self,
-        ssms: &[&Transformer],
-        config: &EngineConfig,
-        spec: Speculation,
-        lin: LinearizedTree,
-        llm_logits: &Tensor,
-    ) -> StepStats {
-        // The forward appended one cache row per tree node; everything
-        // before those rows is the verified prefix to compact onto.
-        let prefix = self.llm_cache.len() - lin.len();
-        let outcome = match &config.decode {
-            DecodeMode::Greedy => verify_greedy(&spec.tree, &lin, llm_logits),
-            mode => match config.verifier {
-                StochasticVerifier::MultiStep => verify_stochastic(
-                    &spec.tree,
-                    &lin,
-                    llm_logits,
-                    &spec.dists,
-                    mode,
-                    &mut self.rng,
-                ),
-                StochasticVerifier::Naive => {
-                    verify_naive(&spec.tree, &lin, llm_logits, mode, &mut self.rng)
-                }
-            },
         };
-        // Keep the accepted path (root + verified nodes): in single-pass
-        // layout the appended tail is the whole linearization.
-        let mut keep: Vec<usize> = vec![0];
-        keep.extend(outcome.nodes.iter().map(|&u| lin.index_of(u)));
-        self.apply_tree_outcome(ssms, config, &spec, outcome, prefix, keep)
+        self.finish_step(None, stats)
     }
 
-    /// Applies a finished tree verification: compacts the LLM cache onto
-    /// `keep` (positions relative to `prefix` in the cache's current
-    /// appended-tail layout), replays the accepted path into every SSM
-    /// cache, extends the token sequence and checks termination.
-    fn apply_tree_outcome(
+    /// Commits a tree proposal the batched verifier has verified:
+    /// `outcome` is the finished walk's result, `prefix` the LLM-cache
+    /// length from before any verify rows were appended, and `keep` the
+    /// strictly-increasing positions (relative to `prefix`) of the root
+    /// and accepted rows within the cache's current appended tail.
+    /// Compacts the LLM cache onto `keep`, replays the accepted path into
+    /// every SSM cache, extends the token sequence, checks termination,
+    /// feeds the controller and the degradation ladder and records the
+    /// step.
+    pub(crate) fn commit_verified(
         &mut self,
         ssms: &[&Transformer],
         config: &EngineConfig,
-        spec: &Speculation,
+        proposal: TreeProposal,
         outcome: VerifyOutcome,
         prefix: usize,
         keep: Vec<usize>,
@@ -1077,11 +957,12 @@ impl Session {
 
         self.tokens.extend_from_slice(&outcome.tokens);
         self.check_termination(config, &outcome.tokens);
-        StepStats {
-            tree_size: spec.tree.speculated_len(),
+        let stats = StepStats {
+            tree_size: proposal.spec.tree.speculated_len(),
             accepted,
             emitted: outcome.tokens.len(),
-        }
+        };
+        self.finish_step(proposal.decision, stats)
     }
 
     fn check_termination(&mut self, config: &EngineConfig, new_tokens: &[TokenId]) {

@@ -40,10 +40,10 @@ pub enum StochasticVerifier {
 
 /// Logits source for a verification walk, keyed by linearized position.
 ///
-/// The single-pass verifier has every row up front (one tensor row per
-/// tree node); the hierarchical verifier only has rows for the regions it
-/// has forwarded so far and answers `None` for the rest, pausing the walk
-/// at exactly that node until the next block-diagonal pass fills it in.
+/// A whole-tree pass has every row up front (one tensor row per tree
+/// node); the staged verifier only has rows for the stage it has just
+/// forwarded and answers `None` for the rest, pausing the walk at
+/// exactly that node until the next block-diagonal pass fills it in.
 pub trait LogitRows {
     /// The logits row for linearized tree index `idx`, if computed.
     fn row(&self, idx: usize) -> Option<&[f32]>;
@@ -71,8 +71,8 @@ impl LogitRows for TensorRows<'_> {
 /// row it needs next is unavailable, with no mid-node state to carry:
 /// resuming with the missing row produces the same token/node sequence
 /// and consumes the RNG stream identically to an uninterrupted run —
-/// which is what makes hierarchical verification bitwise-equal to
-/// single-pass under both greedy and MSS.
+/// which is what makes frontier-first staging bitwise-equal to
+/// whole-tree verification under both greedy and MSS.
 #[derive(Debug, Clone)]
 pub struct VerifyWalk {
     tokens: Vec<TokenId>,

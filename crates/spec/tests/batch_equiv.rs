@@ -1,13 +1,14 @@
 //! Bitwise-equivalence battery for cross-request batched verification:
 //! for every tested seed and batch size, [`BatchedVerifier::step_batch`]
-//! must emit exactly the per-token outputs of serial per-session
-//! stepping — greedy and stochastic (MSS) alike — and faulted items must
-//! drop out of the batch without perturbing their batch-mates.
+//! — frontier-first and whole-tree alike — must emit exactly the
+//! per-token outputs of serial per-session stepping, greedy and
+//! stochastic (MSS) alike, and faulted items must drop out of the batch
+//! without perturbing their batch-mates.
 
 use specinfer_model::{DecodeMode, ModelConfig, Transformer};
 use specinfer_spec::{
-    BatchItem, BatchedVerifier, EngineConfig, InferenceMode, Session, StepFault, StepStats,
-    StochasticVerifier,
+    BatchItem, BatchRowStats, BatchedVerifier, EngineConfig, InferenceMode, Session, StepFault,
+    StepStats, StochasticVerifier,
 };
 use specinfer_tokentree::{ExpansionConfig, TokenId};
 
@@ -46,6 +47,11 @@ fn prompt(slot: usize) -> Vec<TokenId> {
 /// Per batch slot: the session's token sequence and its step stats.
 type Outputs = Vec<(Vec<TokenId>, Vec<StepStats>)>;
 
+fn output(s: Session) -> (Vec<TokenId>, Vec<StepStats>) {
+    let steps = s.steps().to_vec();
+    (s.into_result().tokens, steps)
+}
+
 /// Runs `batch` sessions serially (one `step_faulted` each per
 /// iteration) and returns their token sequences and step stats.
 fn run_serial(
@@ -67,27 +73,22 @@ fn run_serial(
         }
         iter += 1;
     }
-    sessions
-        .into_iter()
-        .map(|s| {
-            let steps = s.steps().to_vec();
-            (s.into_result().tokens, steps)
-        })
-        .collect()
+    sessions.into_iter().map(output).collect()
 }
 
-/// Runs `batch` sessions through the batched verifier and returns their
-/// token sequences and step stats.
+/// Runs `batch` sessions through `verifier` and returns their token
+/// sequences and step stats plus the run-total verify-row accounting.
 fn run_batched(
     llm: &Transformer,
     ssm: &Transformer,
+    verifier: &BatchedVerifier,
     cfg: &EngineConfig,
     seed: u64,
     batch: usize,
     faults: impl Fn(usize, usize) -> StepFault,
-) -> Outputs {
+) -> (Outputs, BatchRowStats) {
     let ssms = [ssm];
-    let verifier = BatchedVerifier::new();
+    let mut rows = BatchRowStats::default();
     let mut sessions: Vec<Session> = (0..batch)
         .map(|b| Session::new(llm, &ssms, &prompt(b), seed.wrapping_add(b as u64)))
         .collect();
@@ -102,44 +103,54 @@ fn run_batched(
                 fault: faults(b, iter),
             })
             .collect();
-        let _ = verifier.step_batch(llm, &ssms, &mut items);
+        let (_, r) = verifier.step_batch_counted(llm, &ssms, &mut items);
+        rows.absorb(&r);
         iter += 1;
     }
-    sessions
-        .into_iter()
-        .map(|s| {
-            let steps = s.steps().to_vec();
-            (s.into_result().tokens, steps)
-        })
-        .collect()
+    (sessions.into_iter().map(output).collect(), rows)
 }
 
 fn no_faults(_: usize, _: usize) -> StepFault {
     StepFault::default()
 }
 
+/// The grid: both first stages × a shallow and the paper's expansion ×
+/// greedy and MSS × seeds × batch sizes, each against serial stepping —
+/// tokens **and** step stats — with the row accounting of each stage.
 #[test]
-fn batched_equals_serial_greedy_across_seeds_and_batch_sizes() {
+fn both_first_stages_equal_serial_across_expansions_modes_seeds_and_batches() {
     let (llm, ssm) = models();
-    let cfg = config(DecodeMode::Greedy);
-    for seed in [0u64, 7, 42] {
-        for batch in [1usize, 2, 4, 8] {
-            let serial = run_serial(&llm, &ssm, &cfg, seed, batch, no_faults);
-            let batched = run_batched(&llm, &ssm, &cfg, seed, batch, no_faults);
-            assert_eq!(serial, batched, "seed {seed}, batch {batch}");
-        }
-    }
-}
-
-#[test]
-fn batched_equals_serial_stochastic_mss_across_seeds_and_batch_sizes() {
-    let (llm, ssm) = models();
-    let cfg = config(DecodeMode::stochastic());
-    for seed in [3u64, 19] {
-        for batch in [1usize, 2, 4, 8] {
-            let serial = run_serial(&llm, &ssm, &cfg, seed, batch, no_faults);
-            let batched = run_batched(&llm, &ssm, &cfg, seed, batch, no_faults);
-            assert_eq!(serial, batched, "seed {seed}, batch {batch}");
+    for decode in [DecodeMode::Greedy, DecodeMode::stochastic()] {
+        for expansion in [
+            ExpansionConfig::new(vec![2, 1, 1]),
+            ExpansionConfig::paper_default(),
+        ] {
+            let mut cfg = config(decode.clone());
+            cfg.mode = InferenceMode::TreeSpeculative {
+                expansion: expansion.clone(),
+            };
+            for seed in [0u64, 7, 42] {
+                for batch in [1usize, 2, 4, 8] {
+                    let what = format!("seed {seed}, batch {batch}, {decode:?}, {expansion:?}");
+                    let serial = run_serial(&llm, &ssm, &cfg, seed, batch, no_faults);
+                    let run = |v| run_batched(&llm, &ssm, &v, &cfg, seed, batch, no_faults);
+                    let (frontier, frontier_rows) = run(BatchedVerifier::new());
+                    let (whole, whole_rows) = run(BatchedVerifier::single_pass());
+                    assert_eq!(serial, frontier, "new(): {what}");
+                    assert_eq!(serial, whole, "single_pass(): {what}");
+                    // Both agree on what the whole trees cost, the
+                    // whole-tree stage forwards exactly that…
+                    assert_eq!(frontier_rows.single_pass_rows, whole_rows.single_pass_rows);
+                    assert_eq!(whole_rows.forwarded_rows(), whole_rows.single_pass_rows);
+                    assert_eq!(whole_rows.pass_b_rows, 0, "{what}");
+                    // …and frontier-first never more: the frontier and
+                    // the one surviving subtree are disjoint.
+                    assert!(
+                        frontier_rows.forwarded_rows() <= frontier_rows.single_pass_rows,
+                        "{what}: {frontier_rows:?}"
+                    );
+                }
+            }
         }
     }
 }
@@ -164,7 +175,7 @@ fn faulted_items_drop_out_without_perturbing_batch_mates() {
         _ => StepFault::default(),
     };
     let serial = run_serial(&llm, &ssm, &cfg, 5, 4, faults);
-    let batched = run_batched(&llm, &ssm, &cfg, 5, 4, faults);
+    let (batched, _) = run_batched(&llm, &ssm, &BatchedVerifier::new(), &cfg, 5, 4, faults);
     assert_eq!(serial, batched);
     // And the fault-free batch-mates match a run with no faults at all.
     let clean = run_serial(&llm, &ssm, &cfg, 5, 4, no_faults);
@@ -183,7 +194,7 @@ fn garbage_faults_flow_through_the_batch_losslessly() {
         ..StepFault::default()
     };
     let clean = run_serial(&llm, &ssm, &cfg, 9, 3, no_faults);
-    let batched = run_batched(&llm, &ssm, &cfg, 9, 3, faults);
+    let (batched, _) = run_batched(&llm, &ssm, &BatchedVerifier::new(), &cfg, 9, 3, faults);
     for b in 0..3 {
         assert_eq!(
             clean[b].0, batched[b].0,
@@ -204,16 +215,8 @@ fn already_finished_sessions_yield_none_in_the_batch() {
     let long_cfg = config(DecodeMode::Greedy);
     for _ in 0..6 {
         let mut items = [
-            BatchItem {
-                session: &mut short,
-                config: &cfg,
-                fault: StepFault::default(),
-            },
-            BatchItem {
-                session: &mut long,
-                config: &long_cfg,
-                fault: StepFault::default(),
-            },
+            BatchItem::new(&mut short, &cfg),
+            BatchItem::new(&mut long, &long_cfg),
         ];
         let stats = verifier.step_batch(&llm, &ssms, &mut items);
         assert_eq!(stats.len(), 2);
@@ -226,110 +229,13 @@ fn already_finished_sessions_yield_none_in_the_batch() {
     // live one keeps stepping.
     let before = long.tokens().len();
     let mut items = [
-        BatchItem {
-            session: &mut short,
-            config: &cfg,
-            fault: StepFault::default(),
-        },
-        BatchItem {
-            session: &mut long,
-            config: &long_cfg,
-            fault: StepFault::default(),
-        },
+        BatchItem::new(&mut short, &cfg),
+        BatchItem::new(&mut long, &long_cfg),
     ];
     let stats = verifier.step_batch(&llm, &ssms, &mut items);
     assert!(stats[0].is_none());
     assert!(stats[1].is_some());
     assert!(long.tokens().len() > before);
-}
-
-// ---------------------------------------------------------------------
-// Hierarchical vs single-pass battery: the two-phase verifier must emit
-// bitwise-identical outputs to the legacy single-pass schedule while
-// forwarding no more (and, on deep trees, strictly fewer) verify rows.
-// ---------------------------------------------------------------------
-
-use specinfer_spec::BatchRowStats;
-
-/// Runs `batch` sessions through the given verifier and returns outputs
-/// plus run-total verify-row accounting.
-fn run_with_verifier(
-    llm: &Transformer,
-    ssm: &Transformer,
-    verifier: &BatchedVerifier,
-    cfg: &EngineConfig,
-    seed: u64,
-    batch: usize,
-) -> (Outputs, BatchRowStats) {
-    let ssms = [ssm];
-    let mut rows = BatchRowStats::default();
-    let mut sessions: Vec<Session> = (0..batch)
-        .map(|b| Session::new(llm, &ssms, &prompt(b), seed.wrapping_add(b as u64)))
-        .collect();
-    while sessions.iter().any(|s| !s.is_finished()) {
-        let mut items: Vec<BatchItem<'_>> = sessions
-            .iter_mut()
-            .map(|s| BatchItem {
-                session: s,
-                config: cfg,
-                fault: StepFault::default(),
-            })
-            .collect();
-        let (_, r) = verifier.step_batch_counted(llm, &ssms, &mut items);
-        rows.absorb(&r);
-    }
-    let out = sessions
-        .into_iter()
-        .map(|s| {
-            let steps = s.steps().to_vec();
-            (s.into_result().tokens, steps)
-        })
-        .collect();
-    (out, rows)
-}
-
-#[test]
-fn hierarchical_equals_single_pass_across_seeds_batches_and_modes() {
-    let (llm, ssm) = models();
-    for decode in [DecodeMode::Greedy, DecodeMode::stochastic()] {
-        for expansion in [
-            ExpansionConfig::new(vec![2, 1, 1]),
-            ExpansionConfig::paper_default(),
-        ] {
-            let mut cfg = config(decode.clone());
-            cfg.mode = InferenceMode::TreeSpeculative {
-                expansion: expansion.clone(),
-            };
-            for seed in [0u64, 7, 42] {
-                for batch in [1usize, 2, 4, 8] {
-                    let (two_pass, hier_rows) =
-                        run_with_verifier(&llm, &ssm, &BatchedVerifier::new(), &cfg, seed, batch);
-                    let (one_pass, single_rows) = run_with_verifier(
-                        &llm,
-                        &ssm,
-                        &BatchedVerifier::single_pass(),
-                        &cfg,
-                        seed,
-                        batch,
-                    );
-                    assert_eq!(
-                        two_pass, one_pass,
-                        "seed {seed}, batch {batch}, {decode:?}, {expansion:?}"
-                    );
-                    // Both schedules agree on what single-pass would cost…
-                    assert_eq!(hier_rows.single_pass_rows, single_rows.single_pass_rows);
-                    assert_eq!(single_rows.forwarded_rows(), single_rows.single_pass_rows);
-                    // …and the hierarchical pass never forwards more:
-                    // pass A (frontier) and pass B (one surviving
-                    // subtree) are disjoint subsets of the tree.
-                    assert!(
-                        hier_rows.forwarded_rows() <= hier_rows.single_pass_rows,
-                        "seed {seed}, batch {batch}: {hier_rows:?}"
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -342,7 +248,7 @@ fn hierarchical_prunes_rows_at_paper_default() {
     cfg.mode = InferenceMode::TreeSpeculative {
         expansion: ExpansionConfig::paper_default(),
     };
-    let (_, rows) = run_with_verifier(&llm, &ssm, &BatchedVerifier::new(), &cfg, 42, 4);
+    let (_, rows) = run_batched(&llm, &ssm, &BatchedVerifier::new(), &cfg, 42, 4, no_faults);
     assert!(
         rows.pruned_rows() > 0,
         "deep trees with early rejection must prune: {rows:?}"
@@ -367,23 +273,65 @@ struct RaggedSpec {
     arrival: usize,
 }
 
-impl RaggedSpec {
-    fn from_shape(idx: usize, prompt_len: usize, max_new: usize, arrival: usize) -> Self {
-        // Heterogeneous in-vocabulary prompts (smoke vocab is 32).
-        let prompt = (0..prompt_len.max(1))
-            .map(|p| (1 + idx * 5 + p * 3) as TokenId % 31 + 1)
-            .collect();
-        RaggedSpec {
-            prompt,
-            max_new: max_new.max(1),
-            arrival,
+/// What varies across a ragged run besides the requests: the decode
+/// mode, the tree every request drafts, and a fault mask. The mask is
+/// read at `(request, that session's own step count)`, so a request
+/// meets the same faults alone and in any interleaving.
+struct RaggedRun<'a> {
+    decode: DecodeMode,
+    expansion: ExpansionConfig,
+    faults: &'a [u8],
+}
+
+impl RaggedRun<'_> {
+    fn plain(decode: DecodeMode) -> Self {
+        RaggedRun {
+            decode,
+            expansion: ExpansionConfig::new(vec![2, 1, 1]),
+            faults: &[],
         }
     }
 
-    fn config(&self, decode: DecodeMode) -> EngineConfig {
-        let mut cfg = config(decode);
-        cfg.max_new_tokens = self.max_new;
-        cfg
+    fn config(&self, spec: &RaggedSpec) -> EngineConfig {
+        EngineConfig {
+            mode: InferenceMode::TreeSpeculative {
+                expansion: self.expansion.clone(),
+            },
+            max_new_tokens: spec.max_new,
+            ..config(self.decode.clone())
+        }
+    }
+
+    /// Mask codes 0–4 are fault-free, 5 stalls, 6 is a KV OOM, 7 garbage.
+    fn fault(&self, idx: usize, session: &Session) -> StepFault {
+        let step = session.steps().len();
+        let code = match self.faults.len() {
+            0 => 0,
+            n => self.faults[(idx * 7 + step) % n],
+        };
+        StepFault {
+            ssm_stall: code == 5,
+            kv_oom: code == 6,
+            ssm_garbage: (code == 7).then_some((idx * 131 + step) as u64),
+        }
+    }
+}
+
+impl RaggedSpec {
+    /// One spec per `(prompt length, budget, arrival)` triple.
+    fn from_shapes(shapes: &[(usize, usize, usize)]) -> Vec<Self> {
+        let spec = |(idx, &(prompt_len, max_new, arrival)): (usize, &(usize, usize, usize))| {
+            // Heterogeneous in-vocabulary prompts (smoke vocab is 32).
+            let prompt = (0..prompt_len.max(1))
+                .map(|p| (1 + idx * 5 + p * 3) as TokenId % 31 + 1)
+                .collect();
+            RaggedSpec {
+                prompt,
+                max_new: max_new.max(1),
+                arrival,
+            }
+        };
+        shapes.iter().enumerate().map(spec).collect()
     }
 }
 
@@ -391,7 +339,7 @@ impl RaggedSpec {
 fn run_specs_serial(
     llm: &Transformer,
     ssm: &Transformer,
-    decode: DecodeMode,
+    run: &RaggedRun<'_>,
     seed: u64,
     specs: &[RaggedSpec],
 ) -> Outputs {
@@ -400,13 +348,13 @@ fn run_specs_serial(
         .iter()
         .enumerate()
         .map(|(idx, spec)| {
-            let cfg = spec.config(decode.clone());
+            let cfg = run.config(spec);
             let mut s = Session::new(llm, &ssms, &spec.prompt, seed.wrapping_add(idx as u64));
             while !s.is_finished() {
-                let _ = s.step_faulted(llm, &ssms, &cfg, StepFault::default());
+                let fault = run.fault(idx, &s);
+                let _ = s.step_faulted(llm, &ssms, &cfg, fault);
             }
-            let steps = s.steps().to_vec();
-            (s.into_result().tokens, steps)
+            output(s)
         })
         .collect()
 }
@@ -419,14 +367,14 @@ fn run_specs_serial(
 fn run_specs_ragged(
     llm: &Transformer,
     ssm: &Transformer,
-    decode: DecodeMode,
+    run: &RaggedRun<'_>,
     seed: u64,
     cap: usize,
     specs: &[RaggedSpec],
 ) -> Outputs {
     let ssms = [ssm];
     let verifier = BatchedVerifier::new();
-    let configs: Vec<EngineConfig> = specs.iter().map(|s| s.config(decode.clone())).collect();
+    let configs: Vec<EngineConfig> = specs.iter().map(|s| run.config(s)).collect();
     // FIFO queue of request indices, ordered by (arrival, index).
     let mut queue: Vec<usize> = (0..specs.len()).collect();
     queue.sort_by_key(|&i| (specs[i].arrival, i));
@@ -459,9 +407,9 @@ fn run_specs_ragged(
             let mut items: Vec<BatchItem<'_>> = live
                 .iter_mut()
                 .map(|(idx, s)| BatchItem {
+                    fault: run.fault(*idx, s),
                     session: s,
                     config: &configs[*idx],
-                    fault: StepFault::default(),
                 })
                 .collect();
             let _ = verifier.step_batch(llm, &ssms, &mut items);
@@ -471,8 +419,7 @@ fn run_specs_ragged(
             while i < live.len() {
                 if live[i].1.is_finished() {
                     let (idx, s) = live.remove(i);
-                    let steps = s.steps().to_vec();
-                    results[idx] = Some((s.into_result().tokens, steps));
+                    results[idx] = Some(output(s));
                 } else {
                     i += 1;
                 }
@@ -489,9 +436,8 @@ fn run_specs_ragged(
 /// A mixed workload: heterogeneous prompt lengths (2–6), budgets (1–14)
 /// and staggered arrivals, patterned off `idx` so every slot differs.
 fn staggered_specs(n: usize) -> Vec<RaggedSpec> {
-    (0..n)
-        .map(|i| RaggedSpec::from_shape(i, 2 + i % 5, 1 + (i * 7) % 14, (i / 3) * 2))
-        .collect()
+    let shape = |i| (2 + i % 5, 1 + (i * 7) % 14, (i / 3) * 2);
+    RaggedSpec::from_shapes(&(0..n).map(shape).collect::<Vec<_>>())
 }
 
 #[test]
@@ -499,9 +445,10 @@ fn ragged_interleavings_match_serial_greedy_at_batch_2_8_32() {
     let (llm, ssm) = models();
     for seed in [0u64, 42] {
         let specs = staggered_specs(40);
-        let serial = run_specs_serial(&llm, &ssm, DecodeMode::Greedy, seed, &specs);
+        let run = RaggedRun::plain(DecodeMode::Greedy);
+        let serial = run_specs_serial(&llm, &ssm, &run, seed, &specs);
         for cap in [2usize, 8, 32] {
-            let ragged = run_specs_ragged(&llm, &ssm, DecodeMode::Greedy, seed, cap, &specs);
+            let ragged = run_specs_ragged(&llm, &ssm, &run, seed, cap, &specs);
             assert_eq!(serial, ragged, "seed {seed}, cap {cap}");
         }
     }
@@ -511,9 +458,10 @@ fn ragged_interleavings_match_serial_greedy_at_batch_2_8_32() {
 fn ragged_interleavings_match_serial_mss_at_batch_2_8_32() {
     let (llm, ssm) = models();
     let specs = staggered_specs(33);
-    let serial = run_specs_serial(&llm, &ssm, DecodeMode::stochastic(), 19, &specs);
+    let run = RaggedRun::plain(DecodeMode::stochastic());
+    let serial = run_specs_serial(&llm, &ssm, &run, 19, &specs);
     for cap in [2usize, 8, 32] {
-        let ragged = run_specs_ragged(&llm, &ssm, DecodeMode::stochastic(), 19, cap, &specs);
+        let ragged = run_specs_ragged(&llm, &ssm, &run, 19, cap, &specs);
         assert_eq!(serial, ragged, "cap {cap}");
     }
 }
@@ -521,23 +469,27 @@ fn ragged_interleavings_match_serial_mss_at_batch_2_8_32() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random arrival/retire interleavings with heterogeneous lengths:
-    /// greedy ragged decoding is bitwise-identical to serial, at every
-    /// batch cap.
+    /// Random arrival/retire interleavings with heterogeneous lengths, a
+    /// random expansion (depth 1–4, widths 1–3) and a random
+    /// stall/OOM/garbage fault mask: greedy ragged decoding is
+    /// bitwise-identical to serial, at every batch cap.
     #[test]
     fn ragged_random_interleavings_match_serial_greedy(
         shapes in prop::collection::vec((2usize..7, 1usize..13, 0usize..9), 1..12),
+        widths in prop::collection::vec(1usize..4, 1..5),
+        faults in prop::collection::vec(0u8..8, 1..24),
         seed in 0u64..1_000,
     ) {
         let (llm, ssm) = models();
-        let specs: Vec<RaggedSpec> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, &(plen, max_new, arrival))| RaggedSpec::from_shape(i, plen, max_new, arrival))
-            .collect();
-        let serial = run_specs_serial(&llm, &ssm, DecodeMode::Greedy, seed, &specs);
+        let specs = RaggedSpec::from_shapes(&shapes);
+        let run = RaggedRun {
+            decode: DecodeMode::Greedy,
+            expansion: ExpansionConfig::new(widths),
+            faults: &faults,
+        };
+        let serial = run_specs_serial(&llm, &ssm, &run, seed, &specs);
         for cap in [2usize, 8, 32] {
-            let ragged = run_specs_ragged(&llm, &ssm, DecodeMode::Greedy, seed, cap, &specs);
+            let ragged = run_specs_ragged(&llm, &ssm, &run, seed, cap, &specs);
             prop_assert_eq!(&serial, &ragged, "cap {}", cap);
         }
     }
@@ -548,17 +500,20 @@ proptest! {
     #[test]
     fn ragged_random_interleavings_match_serial_mss(
         shapes in prop::collection::vec((2usize..7, 1usize..11, 0usize..7), 1..9),
+        widths in prop::collection::vec(1usize..4, 1..5),
+        faults in prop::collection::vec(0u8..8, 1..24),
         seed in 0u64..1_000,
     ) {
         let (llm, ssm) = models();
-        let specs: Vec<RaggedSpec> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, &(plen, max_new, arrival))| RaggedSpec::from_shape(i, plen, max_new, arrival))
-            .collect();
-        let serial = run_specs_serial(&llm, &ssm, DecodeMode::stochastic(), seed, &specs);
+        let specs = RaggedSpec::from_shapes(&shapes);
+        let run = RaggedRun {
+            decode: DecodeMode::stochastic(),
+            expansion: ExpansionConfig::new(widths),
+            faults: &faults,
+        };
+        let serial = run_specs_serial(&llm, &ssm, &run, seed, &specs);
         for cap in [2usize, 8] {
-            let ragged = run_specs_ragged(&llm, &ssm, DecodeMode::stochastic(), seed, cap, &specs);
+            let ragged = run_specs_ragged(&llm, &ssm, &run, seed, cap, &specs);
             prop_assert_eq!(&serial, &ragged, "cap {}", cap);
         }
     }
@@ -579,5 +534,48 @@ fn forced_simd_env_maps_to_latched_backend() {
         Ok("avx2") => assert!(matches!(be, SimdBackend::Avx2Fma | SimdBackend::Scalar)),
         Ok("neon") => assert!(matches!(be, SimdBackend::Neon | SimdBackend::Scalar)),
         _ => assert!(simd::available_backends().contains(&be)),
+    }
+}
+/// What "nothing that runs changed" means, in numbers: the verify rows
+/// `BatchedVerifier::new()` forwards per pass over a whole run, and the
+/// KV rows each session ends with, recorded at the commit before the
+/// two verifier layouts became one staged loop.
+#[test]
+fn default_verifier_row_counts_and_cache_lengths_are_pinned() {
+    let (llm, ssm) = models();
+    let ssms = [&ssm];
+    let pinned = [
+        (
+            DecodeMode::Greedy,
+            (945usize, 90usize, 19usize),
+            [14usize, 14, 14, 15],
+        ),
+        (DecodeMode::stochastic(), (483, 46, 152), [14, 17, 17, 14]),
+    ];
+    for (decode, (single_pass_rows, pass_a_rows, pass_b_rows), kv_rows) in pinned {
+        let mut cfg = config(decode.clone());
+        cfg.mode = InferenceMode::TreeSpeculative {
+            expansion: ExpansionConfig::paper_default(),
+        };
+        let mut sessions: Vec<Session> = (0..4)
+            .map(|b| Session::new(&llm, &ssms, &prompt(b), 42 + b as u64))
+            .collect();
+        let mut rows = BatchRowStats::default();
+        while sessions.iter().any(|s| !s.is_finished()) {
+            let mut items: Vec<BatchItem<'_>> = sessions
+                .iter_mut()
+                .map(|s| BatchItem::new(s, &cfg))
+                .collect();
+            let (_, r) = BatchedVerifier::new().step_batch_counted(&llm, &ssms, &mut items);
+            rows.absorb(&r);
+        }
+        let expected = BatchRowStats {
+            single_pass_rows,
+            pass_a_rows,
+            pass_b_rows,
+        };
+        assert_eq!(rows, expected, "{decode:?}");
+        let got: Vec<usize> = sessions.iter().map(Session::kv_rows).collect();
+        assert_eq!(got, kv_rows, "{decode:?}");
     }
 }

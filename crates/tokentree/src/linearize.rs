@@ -23,16 +23,23 @@ pub struct TopologyMask {
 }
 
 impl TopologyMask {
-    /// Builds a mask over `n` positions from an arbitrary visibility
-    /// predicate. Used by the hierarchical verifier to restrict an
-    /// existing tree mask to a sub-range of linear positions (the depth-1
+    /// This mask restricted to the linear positions `rows`: entry
+    /// `(i, j)` of the result is `allowed(rows[i], rows[j])`. The staged
+    /// verifier forwards a subset of a tree's rows (the depth-1
     /// frontier, or one surviving subtree) without re-linearizing.
-    pub fn from_fn(n: usize, mut allowed: impl FnMut(usize, usize) -> bool) -> Self {
-        let mut bits = vec![false; n * n];
-        for (idx, bit) in bits.iter_mut().enumerate() {
-            *bit = allowed(idx / n.max(1), idx % n.max(1));
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of range.
+    pub fn restrict(&self, rows: &[usize]) -> Self {
+        let bits = rows
+            .iter()
+            .flat_map(|&i| rows.iter().map(move |&j| self.allowed(i, j)))
+            .collect();
+        TopologyMask {
+            n: rows.len(),
+            bits,
         }
-        TopologyMask { n, bits }
     }
 
     /// Number of linearized positions covered by the mask.
@@ -202,7 +209,7 @@ impl LinearizedTree {
     /// One-past-the-end linear index of the subtree rooted at linear
     /// position `s0`. DFS order places a node's whole subtree in the
     /// contiguous range `s0..subtree_end(s0)`, which is what lets the
-    /// hierarchical verifier forward one surviving branch as a block.
+    /// staged verifier forward one surviving branch as a block.
     pub fn subtree_end(&self, s0: usize) -> usize {
         let base = match self.depths.get(s0) {
             Some(&d) => d,
@@ -314,19 +321,21 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_restriction_agrees_with_full_mask() {
+    fn restriction_agrees_with_full_mask() {
         let tree = figure_4_tree();
         let lin = LinearizedTree::new(&tree);
         let full = lin.mask();
-        // Restrict to the depth-1 frontier {root, first depth-1 node}.
-        let keep = [0usize, 1usize];
-        let sub = TopologyMask::from_fn(keep.len(), |i, j| full.allowed(keep[i], keep[j]));
-        for i in 0..keep.len() {
-            for j in 0..keep.len() {
-                assert_eq!(sub.allowed(i, j), full.allowed(keep[i], keep[j]));
+        // The depth-1 frontier, then a subtree that skips a sibling.
+        for keep in [vec![0usize, 1], vec![2, 4, 5]] {
+            let sub = full.restrict(&keep);
+            assert_eq!(sub.len(), keep.len());
+            for i in 0..keep.len() {
+                for j in 0..keep.len() {
+                    assert_eq!(sub.allowed(i, j), full.allowed(keep[i], keep[j]));
+                }
             }
         }
-        assert!(TopologyMask::from_fn(0, |_, _| true).is_empty());
+        assert!(full.restrict(&[]).is_empty());
     }
 
     #[test]

@@ -2,11 +2,17 @@
 //! greedy tree-based speculative decoding must produce *exactly* the
 //! sequence incremental decoding produces, for any SSM, while using no
 //! more LLM steps.
+//!
+//! Serial and batched stepping share one verification loop, so the two
+//! oracles here share none of it: the incremental engine (no tree, no
+//! walk) and digests recorded before the loop existed. Each is held
+//! against a serial run *and* against the same session stepped inside a
+//! batch of three through the frontier-first `BatchedVerifier::new()`.
 
 use specinfer::model::{DecodeMode, ModelConfig, Transformer};
 use specinfer::spec::{
-    AdaptiveConfig, DynamicExpansionConfig, EngineConfig, GenerationResult, InferenceMode, Session,
-    SpecEngine, StochasticVerifier,
+    AdaptiveConfig, BatchItem, BatchedVerifier, DynamicExpansionConfig, EngineConfig,
+    GenerationResult, InferenceMode, Session, SpecEngine, StochasticVerifier,
 };
 use specinfer::tokentree::ExpansionConfig;
 use specinfer::workloads::EOS_TOKEN;
@@ -36,6 +42,45 @@ fn small_ssm(seed: u64, base: &ModelConfig) -> Transformer {
     )
 }
 
+/// [`SpecEngine::generate`], except that the session steps through
+/// `BatchedVerifier::new()` between two unrelated batch-mates — other
+/// prompts, seeds, modes and budgets, so they retire at other times.
+fn generate_in_a_batch(
+    llm: &Transformer,
+    ssms: &[&Transformer],
+    config: &EngineConfig,
+    prompt: &[u32],
+    seed: u64,
+) -> GenerationResult {
+    let mate = |mode, max_new_tokens| EngineConfig {
+        mode,
+        max_new_tokens,
+        ..config.clone()
+    };
+    let expansion = ExpansionConfig::new(vec![2, 1]);
+    let configs = [
+        mate(InferenceMode::TreeSpeculative { expansion }, 9),
+        config.clone(),
+        mate(InferenceMode::Incremental, 40),
+    ];
+    let mut sessions = [
+        Session::new(llm, ssms, &[9, 8, 7], seed ^ 0x55),
+        Session::new(llm, ssms, prompt, seed),
+        Session::new(llm, ssms, &[5, 6], seed + 1),
+    ];
+    let verifier = BatchedVerifier::new();
+    while !sessions[1].is_finished() {
+        let mut items: Vec<BatchItem<'_>> = sessions
+            .iter_mut()
+            .zip(&configs)
+            .map(|(s, c)| BatchItem::new(s, c))
+            .collect();
+        let _ = verifier.step_batch(llm, ssms, &mut items);
+    }
+    let [_, session, _] = sessions;
+    session.into_result()
+}
+
 #[test]
 fn greedy_tree_speculation_is_lossless_across_seeds_and_ssms() {
     for llm_seed in [10u64, 11, 12] {
@@ -49,24 +94,24 @@ fn greedy_tree_speculation_is_lossless_across_seeds_and_ssms() {
                 ExpansionConfig::new(vec![2, 2, 1]),
                 ExpansionConfig::paper_default(),
             ] {
-                let spec = SpecEngine::new(
-                    &llm,
-                    vec![&ssm],
-                    engine_config(InferenceMode::TreeSpeculative {
-                        expansion: expansion.clone(),
-                    }),
-                )
-                .generate(&[1, 2, 3, 4], 0);
-                let n = incremental.generated().len().min(spec.generated().len());
-                assert_eq!(
-                    &incremental.generated()[..n],
-                    &spec.generated()[..n],
-                    "llm {llm_seed}, ssm {ssm_seed}, expansion {expansion}: output diverged"
-                );
-                assert!(
-                    spec.llm_steps() <= incremental.llm_steps(),
-                    "speculation must never add LLM steps"
-                );
+                let config = engine_config(InferenceMode::TreeSpeculative {
+                    expansion: expansion.clone(),
+                });
+                let serial =
+                    SpecEngine::new(&llm, vec![&ssm], config.clone()).generate(&[1, 2, 3, 4], 0);
+                let batched = generate_in_a_batch(&llm, &[&ssm], &config, &[1, 2, 3, 4], 0);
+                for (how, spec) in [("serial", serial), ("in a batch", batched)] {
+                    let n = incremental.generated().len().min(spec.generated().len());
+                    assert_eq!(
+                        &incremental.generated()[..n],
+                        &spec.generated()[..n],
+                        "llm {llm_seed}, ssm {ssm_seed}, expansion {expansion}, {how}: output diverged"
+                    );
+                    assert!(
+                        spec.llm_steps() <= incremental.llm_steps(),
+                        "speculation must never add LLM steps ({how})"
+                    );
+                }
             }
         }
     }
@@ -183,13 +228,24 @@ fn stochastic_outputs_match_the_digests_pinned_before_the_draft_collapse() {
             max_new_tokens: 48,
             ..engine_config(mode)
         };
-        let engine = SpecEngine::new(&llm, pool[..n_ssms].to_vec(), config);
-        let mut got = (0u64, 0u64);
-        for seed in [7u64, 8, 9] {
-            let (tokens, steps) = digests(&engine.generate(&[4, 9, 2, 6], seed));
-            got = (got.0.rotate_left(7) ^ tokens, got.1.rotate_left(7) ^ steps);
+        let ssms = &pool[..n_ssms];
+        let engine = SpecEngine::new(&llm, ssms.to_vec(), config.clone());
+        for in_a_batch in [false, true] {
+            let mut got = (0u64, 0u64);
+            for seed in [7u64, 8, 9] {
+                let run = if in_a_batch {
+                    generate_in_a_batch(&llm, ssms, &config, &[4, 9, 2, 6], seed)
+                } else {
+                    engine.generate(&[4, 9, 2, 6], seed)
+                };
+                let (tokens, steps) = digests(&run);
+                got = (got.0.rotate_left(7) ^ tokens, got.1.rotate_left(7) ^ steps);
+            }
+            assert_eq!(
+                got, pinned,
+                "{what}, in a batch: {in_a_batch}: (tokens, steps) digests moved"
+            );
         }
-        assert_eq!(got, pinned, "{what}: (tokens, steps) digests moved");
     }
 }
 
