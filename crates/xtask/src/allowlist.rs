@@ -19,7 +19,7 @@
 //! deleted, not accumulated). A stale report prints the current hash of
 //! any near-miss so a deliberate re-audit is a one-line edit.
 
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
@@ -59,7 +59,6 @@ pub fn parse_allowlist(path: &str, text: &str) -> (Vec<AllowEntry>, Vec<Finding>
         if parts.len() != 5 || parts.iter().take(4).any(|p| p.is_empty()) {
             errors.push(Finding {
                 rule: "allowlist",
-                severity: Severity::Error,
                 path: path.to_string(),
                 line: i + 1,
                 message: "malformed entry; expected `rule | path-suffix | line-substring | \
@@ -73,7 +72,6 @@ pub fn parse_allowlist(path: &str, text: &str) -> (Vec<AllowEntry>, Vec<Finding>
         if parts[4].is_empty() {
             errors.push(Finding {
                 rule: "allowlist",
-                severity: Severity::Error,
                 path: path.to_string(),
                 line: i + 1,
                 message: "entry has no justification; audited exceptions must say why".into(),
@@ -137,7 +135,6 @@ pub fn apply_allowlist(
             };
             out.push(Finding {
                 rule: "allowlist",
-                severity: Severity::Error,
                 path: allowlist_path.to_string(),
                 line: e.src_line,
                 message: format!(
@@ -162,7 +159,6 @@ mod tests {
     fn finding(rule: &'static str, path: &str, snippet: &str) -> Finding {
         Finding {
             rule,
-            severity: Severity::Error,
             path: path.to_string(),
             line: 1,
             message: String::new(),

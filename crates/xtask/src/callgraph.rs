@@ -66,9 +66,9 @@ pub struct Edge {
     pub in_loop: bool,
     /// `false` for unknown-receiver method-name over-approximation,
     /// `true` for path-/`self.`-resolved calls. Reachability rules use
-    /// every edge (more edges is the safe direction); the lock-order
-    /// rule propagates held-lock sets only across certain edges, since a
-    /// name-matched edge can manufacture a cycle that no real execution
+    /// every edge (more edges is the safe direction); the dataflow
+    /// rules in [`crate::taint`] follow only certain edges, since a
+    /// name-matched edge can manufacture a flow that no real execution
     /// can take.
     pub certain: bool,
 }

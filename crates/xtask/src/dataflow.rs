@@ -1,11 +1,10 @@
 //! A small worklist abstract-interpretation engine over [`crate::cfg`]
 //! graphs.
 //!
-//! The engine is direction-agnostic: [`solve_forward`] propagates
-//! block-entry states along successor edges, [`solve_backward`] along
-//! predecessor edges. States are any `Clone + PartialEq` lattice value;
-//! the caller supplies the join (least upper bound) and the per-block
-//! transfer function. Termination is the caller's obligation in
+//! [`solve_forward`] propagates block-entry states along successor
+//! edges. States are any `Clone + PartialEq` lattice value; the caller
+//! supplies the join (least upper bound) and the per-block transfer
+//! function. Termination is the caller's obligation in
 //! principle (finite-height lattices), but every client in this crate
 //! uses finite sets of identifiers, where the fixpoint is reached in at
 //! most `|blocks| · |vars|` iterations. A hard iteration cap turns a
@@ -57,47 +56,10 @@ where
     }
 }
 
-/// Backward fixpoint. Returns the state at each block's *exit*.
-///
-/// `init` seeds the exit block. `transfer(block, out_state)` computes
-/// the block's entry state, which then joins into each predecessor's
-/// exit state.
-pub fn solve_backward<S, FJ, FT>(cfg: &Cfg, bottom: S, init: S, join: FJ, transfer: FT) -> Vec<S>
-where
-    S: Clone + PartialEq,
-    FJ: Fn(&S, &S) -> S,
-    FT: Fn(usize, &S) -> S,
-{
-    let n = cfg.blocks.len();
-    let preds = cfg.preds();
-    let mut out_states = vec![bottom; n];
-    out_states[cfg.exit] = init;
-    let mut order = cfg.rpo();
-    order.reverse(); // post-order converges fastest backwards
-    let mut passes = 0usize;
-    loop {
-        let mut changed = false;
-        for &b in &order {
-            let entry = transfer(b, &out_states[b]);
-            for &p in &preds[b] {
-                let merged = join(&out_states[p], &entry);
-                if merged != out_states[p] {
-                    out_states[p] = merged;
-                    changed = true;
-                }
-            }
-        }
-        passes += 1;
-        if !changed || passes >= MAX_PASSES {
-            return out_states;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build, StmtKind};
+    use crate::cfg::build;
     use crate::parse::parse_file;
     use crate::scan::scan_source;
     use std::collections::BTreeSet;
@@ -181,35 +143,5 @@ mod tests {
             }
         }
         assert!(!out.contains("a"), "{out:?}");
-    }
-
-    #[test]
-    fn backward_liveness_flows_uses_up_through_the_loop() {
-        // `acc` is used after the loop, so it is live at the loop header
-        // and at entry.
-        let cfg = cfg_of("let mut acc = 0;\nwhile n > 0 { acc = acc + bump(); }\nsink(acc);");
-        let states = solve_backward(&cfg, Vars::new(), Vars::new(), union, |b, out| {
-            let mut live = out.clone();
-            for stmt in cfg.blocks[b].stmts.iter().rev() {
-                if !stmt.weak_def {
-                    for d in &stmt.defs {
-                        live.remove(d);
-                    }
-                }
-                for u in &stmt.uses {
-                    live.insert(u.clone());
-                }
-            }
-            live
-        });
-        let header = (0..cfg.blocks.len())
-            .find(|b| {
-                cfg.blocks[*b]
-                    .stmts
-                    .iter()
-                    .any(|s| s.kind == StmtKind::LoopHeader)
-            })
-            .expect("header");
-        assert!(states[header].contains("acc"), "{states:#?}");
     }
 }

@@ -6,28 +6,24 @@
 //! toolchain, because it is the thing that polices the shim boundary.
 
 pub mod allowlist;
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
-pub mod escape;
-pub mod lockset;
 pub mod parse;
-pub mod race;
 pub mod rules;
 pub mod scan;
 pub mod semantic;
 pub mod taint;
 
-use rules::{Finding, Severity};
+use rules::Finding;
 use std::path::{Path, PathBuf};
 
 /// Relative path of the allowlist file inside the workspace.
 pub const ALLOWLIST_PATH: &str = "crates/xtask/lint-allow.txt";
 
-/// Parse-once fact cache shared by every semantic rule: the parsed
-/// files, the call graph over them, and a CFG + parameter list per graph
-/// node (aligned with `graph.fns` by index). Building this once and
+/// Parse-once facts shared by every semantic rule: the parsed files,
+/// the call graph over them, and a CFG + parameter list per graph node
+/// (aligned with `graph.fns` by index). Building this once per run and
 /// handing it to each rule keeps the whole workspace lint a single parse
 /// pass — the wall-time budget in `tests/lint_rules.rs` pins that.
 pub struct WorkspaceFacts {
@@ -95,10 +91,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     rs_files.sort();
     manifests.sort();
 
-    let cache_dir = root.join("target").join("xtask-cache");
-    let mut live = std::collections::BTreeMap::new();
     let mut parsed: Vec<parse::ParsedFile> = Vec::new();
-    let mut shim_parsed: Vec<parse::ParsedFile> = Vec::new();
     for rel in &rs_files {
         match std::fs::read_to_string(root.join(rel)) {
             Ok(src) => {
@@ -109,34 +102,18 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
                 rules::rule_thread_confinement(&file, false, &mut findings);
                 // The semantic pass wants the whole workspace at once —
                 // parse now, analyze after the walk. Shims stand in for
-                // external crates and stay outside the graph, but the
-                // race rule still reads them: the loom witness harnesses
-                // live there. Parses are memoized by content hash.
-                let is_crate = rel.starts_with("crates/");
-                let is_shim = rel.starts_with("shims/");
-                if is_crate || is_shim {
-                    live.insert(cache::cache_path(&cache_dir, rel, &src), ());
-                    let p = cache::load(&cache_dir, &file, &src).unwrap_or_else(|| {
-                        let p = parse::parse_file(&file);
-                        cache::store(&cache_dir, &src, &p);
-                        p
-                    });
-                    if is_crate {
-                        parsed.push(p);
-                    } else {
-                        shim_parsed.push(p);
-                    }
+                // external crates and stay outside the graph.
+                if rel.starts_with("crates/") {
+                    parsed.push(parse::parse_file(&file));
                 }
             }
             Err(e) => findings.push(io_finding(rel, &e)),
         }
     }
-    cache::prune(&cache_dir, &live);
     let facts = WorkspaceFacts::build(parsed);
     semantic::stale_root_findings(&facts.graph, &mut findings);
     semantic::semantic_findings_with_graph(&facts.files, &facts.graph, false, &mut findings);
     taint::taint_findings(&facts, false, &mut findings);
-    race::race_findings(&facts, &shim_parsed, false, &mut findings);
     for rel in &manifests {
         match std::fs::read_to_string(root.join(rel)) {
             Ok(text) => rules::rule_shim_hygiene(rel, &text, &mut findings),
@@ -185,14 +162,12 @@ pub fn lint_files_strict(paths: &[PathBuf]) -> Vec<Finding> {
     let facts = WorkspaceFacts::build(parsed);
     semantic::semantic_findings_with_graph(&facts.files, &facts.graph, true, &mut findings);
     taint::taint_findings(&facts, true, &mut findings);
-    race::race_findings(&facts, &[], true, &mut findings);
     findings
 }
 
 fn io_finding(rel: &str, e: &std::io::Error) -> Finding {
     Finding {
         rule: "io",
-        severity: Severity::Error,
         path: rel.to_string(),
         line: 0,
         message: format!("could not read file: {e}"),

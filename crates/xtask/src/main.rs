@@ -6,24 +6,21 @@
 //! cargo run -p specinfer-xtask -- lint --strict F...   # all rules, given files
 //! cargo run -p specinfer-xtask -- lint --json          # machine-readable report
 //! cargo run -p specinfer-xtask -- lint --github        # CI workflow annotations
-//! cargo run -p specinfer-xtask -- lint --rule NAME     # only this rule's findings
 //! ```
 //!
-//! `--json` emits one object with a `findings` array (rule, severity,
-//! path, line, message, call_path) — the CI lint job uploads it as a
-//! report artifact. `--github` prints GitHub Actions `::error` /
-//! `::warning` annotation lines so findings land on the PR diff. Both
-//! compose with `--root`, `--strict`, and `--rule` (repeatable; keeps
-//! only the named rules' findings).
+//! `--json` emits one object with a `findings` array (rule, path, line,
+//! message, call_path) — the CI lint job uploads it as a report
+//! artifact. `--github` prints GitHub Actions `::error` annotation lines
+//! so findings land on the PR diff. Both compose with `--root` and
+//! `--strict`.
 //!
-//! Exit code 0 means no error-severity findings (warnings alone don't
-//! fail the build); 1 means at least one error finding; 2 means usage
-//! error.
+//! Exit code 0 means no findings; 1 means at least one finding; 2 means
+//! usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use specinfer_xtask::rules::{Finding, Severity};
+use specinfer_xtask::rules::Finding;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -36,18 +33,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("gen-witnesses") => {
-            // Regenerates shims/loom/tests/race_witness.rs:
-            //   cargo run -p specinfer-xtask -- gen-witnesses \
-            //     > shims/loom/tests/race_witness.rs
-            // `race::tests::checked_in_witnesses_match_generator` pins
-            // the checked-in file byte-for-byte to this output.
-            print!("{}", specinfer_xtask::race::checked_in_witnesses());
-            ExitCode::SUCCESS
-        }
         _ => {
             eprintln!(
-                "usage: specinfer-xtask lint [--json|--github] [--rule NAME]... [--root DIR]\n       specinfer-xtask lint [--json|--github] [--rule NAME]... --strict FILE...\n       specinfer-xtask gen-witnesses  # emit the loom witness test file"
+                "usage: specinfer-xtask lint [--json|--github] [--root DIR]\n       specinfer-xtask lint [--json|--github] --strict FILE..."
             );
             ExitCode::from(2)
         }
@@ -56,26 +44,17 @@ fn main() -> ExitCode {
 
 fn run_lint(args: &[String]) -> ExitCode {
     let mut format = Format::Text;
-    let mut rule_filter: Vec<String> = Vec::new();
     let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
             "--json" => format = Format::Json,
             "--github" => format = Format::Github,
-            "--rule" => match it.next() {
-                Some(name) => rule_filter.push(name.clone()),
-                None => {
-                    eprintln!("--rule requires a rule name");
-                    return ExitCode::from(2);
-                }
-            },
             _ => rest.push(a.clone()),
         }
     }
     let args = rest;
 
-    let mut findings = if args.first().map(String::as_str) == Some("--strict") {
+    let findings = if args.first().map(String::as_str) == Some("--strict") {
         let files: Vec<PathBuf> = args[1..].iter().map(PathBuf::from).collect();
         if files.is_empty() {
             eprintln!("lint --strict requires at least one file");
@@ -93,9 +72,6 @@ fn run_lint(args: &[String]) -> ExitCode {
         };
         specinfer_xtask::lint_workspace(&root)
     };
-    if !rule_filter.is_empty() {
-        findings.retain(|f| rule_filter.iter().any(|r| r == f.rule));
-    }
 
     match format {
         Format::Text => {
@@ -111,16 +87,10 @@ fn run_lint(args: &[String]) -> ExitCode {
         Format::Json => println!("{}", render_json(&findings)),
         Format::Github => {
             // One annotation per finding; Actions attaches it to the
-            // file/line in the PR diff view. Warnings annotate without
-            // failing the job (the exit code below agrees).
+            // file/line in the PR diff view.
             for f in &findings {
-                let kind = match f.severity {
-                    Severity::Error => "error",
-                    Severity::Warn => "warning",
-                };
                 println!(
-                    "::{} file={},line={},title=specinfer-lint {}::{}",
-                    kind,
+                    "::error file={},line={},title=specinfer-lint {}::{}",
                     f.path,
                     f.line.max(1),
                     f.rule,
@@ -129,10 +99,10 @@ fn run_lint(args: &[String]) -> ExitCode {
             }
         }
     }
-    if findings.iter().any(|f| f.severity == Severity::Error) {
-        ExitCode::FAILURE
-    } else {
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -146,10 +116,6 @@ fn render_json(findings: &[Finding]) -> String {
         }
         out.push_str("\n    {");
         out.push_str(&format!("\"rule\": {}, ", json_str(f.rule)));
-        out.push_str(&format!(
-            "\"severity\": {}, ",
-            json_str(f.severity.as_str())
-        ));
         out.push_str(&format!("\"path\": {}, ", json_str(&f.path)));
         out.push_str(&format!("\"line\": {}, ", f.line));
         out.push_str(&format!("\"message\": {}, ", json_str(&f.message)));

@@ -174,52 +174,6 @@ pub enum Fact {
     /// (`.rev()` / `.step_by(…)` in its header) while its body
     /// accumulates with a compound assignment.
     NonAscendingAccum { line: usize },
-    /// A closure expression `|args| body` / `move |args| body`. Records
-    /// what the body *captures* from the enclosing scope (identifiers
-    /// used in the body that are neither closure parameters nor local
-    /// bindings of the body), the capture mode, and the innermost call
-    /// the closure is an argument of — enough for [`crate::escape`] to
-    /// tell thread-local values from shared ones at spawn sites, and
-    /// for [`crate::race`] to build a per-closure CFG from the body
-    /// tokens ([`crate::cfg`] absorbs closures into single statements).
-    Closure {
-        line: usize,
-        /// Last source line of the closure body.
-        end_line: usize,
-        in_loop: bool,
-        /// True for `move |…|` closures: captures are taken by value.
-        /// Non-move closures capture by reference (Rust's per-capture
-        /// inference is approximated at closure granularity).
-        by_move: bool,
-        /// Closure parameter bindings, in declaration order.
-        params: Vec<String>,
-        /// Captured identifiers, sorted and deduplicated.
-        captures: Vec<String>,
-        /// Callee name of the innermost call this closure is an
-        /// argument of (`spawn` for `scope.spawn(move || …)`), if any.
-        enclosing_call: Option<String>,
-        /// Receiver chain / path prefix of that call (`scope` for
-        /// `scope.spawn`, `thread` for `thread::scope`); empty when
-        /// the call is unqualified or there is no enclosing call.
-        enclosing_recv: String,
-        /// The body token stream, exclusive of the outer braces for
-        /// block bodies.
-        body: Vec<Tok>,
-    },
-}
-
-impl Fact {
-    /// The source line of the fact.
-    pub fn line(&self) -> usize {
-        match self {
-            Fact::Call { line, .. }
-            | Fact::Method { line, .. }
-            | Fact::Macro { line, .. }
-            | Fact::Index { line, .. }
-            | Fact::NonAscendingAccum { line }
-            | Fact::Closure { line, .. } => *line,
-        }
-    }
 }
 
 /// A parsed function (free fn, inherent/trait method, or default trait
@@ -255,27 +209,12 @@ pub struct ParseError {
     pub message: String,
 }
 
-/// A module-level `static` item: the escape analysis seeds its shared
-/// roots from these.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticDef {
-    pub name: String,
-    /// 1-based line of the `static` keyword.
-    pub line: usize,
-    /// Whitespace-joined type text between `:` and `=`/`;`.
-    pub ty: String,
-    pub in_test: bool,
-}
-
 /// A fully parsed source file.
 #[derive(Debug, Clone)]
 pub struct ParsedFile {
     pub path: String,
     pub uses: Vec<UseDecl>,
     pub fns: Vec<FnDef>,
-    /// Module-level `static` items (function-body statics are not
-    /// recorded; the workspace keeps those behind `OnceLock`).
-    pub statics: Vec<StaticDef>,
     pub errors: Vec<ParseError>,
     /// Raw source lines, for finding snippets.
     pub raw_lines: Vec<String>,
@@ -364,194 +303,6 @@ fn param_names(toks: &[Tok]) -> Vec<String> {
     out
 }
 
-/// Keywords and literal-like identifiers that never name a binding.
-fn is_non_binding_ident(s: &str) -> bool {
-    is_expr_keyword(s)
-        || matches!(
-            s,
-            "true"
-                | "false"
-                | "self"
-                | "Self"
-                | "crate"
-                | "super"
-                | "const"
-                | "static"
-                | "pub"
-                | "use"
-                | "struct"
-                | "enum"
-                | "trait"
-                | "mod"
-                | "type"
-                | "async"
-                | "_"
-        )
-}
-
-/// Whether a token can end an expression (slice-local mirror of
-/// `Parser::tok_ends_expr`, used when scanning closure bodies for
-/// nested closure parameters).
-fn ends_expr(t: &Tok) -> bool {
-    match t.kind {
-        TokKind::Ident => !is_expr_keyword(&t.text) && t.text != "as",
-        TokKind::Number | TokKind::Str => true,
-        TokKind::Tick => false,
-        TokKind::Punct => matches!(t.text.as_str(), ")" | "]" | "?"),
-    }
-}
-
-/// Identifiers a closure body reads from its enclosing scope: used
-/// idents minus the closure's own parameters and the bindings the body
-/// introduces (`let` patterns, `for` bindings, match-arm patterns,
-/// nested-closure parameters). Heuristic mirror of [`crate::cfg`]'s
-/// use detection: uppercase idents (types, consts, statics), path
-/// segments, callee/macro/field names and struct-literal field labels
-/// are excluded. Over-collecting *locals* only under-reports captures,
-/// which downstream analyses treat as thread-local — the conservative
-/// direction for false-positive avoidance.
-fn collect_captures(toks: &[Tok], params: &[String]) -> Vec<String> {
-    use std::collections::BTreeSet;
-    let mut locals: BTreeSet<String> = params.iter().cloned().collect();
-
-    // Pass 1: bindings introduced inside the body.
-    let mut seg_start = 0usize; // start of the current `{`/`,`/`;` segment
-    let mut i = 0usize;
-    while i < toks.len() {
-        match toks[i].text.as_str() {
-            "let" => {
-                // Pattern idents up to `=`/`;` (type ascriptions masked).
-                let mut j = i + 1;
-                let mut depth = 0usize;
-                let mut in_type = false;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "=" | ";" if depth == 0 => break,
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => {
-                            if depth == 0 {
-                                break;
-                            }
-                            depth -= 1;
-                        }
-                        ":" => in_type = true,
-                        "," => in_type = false,
-                        s => {
-                            if toks[j].kind == TokKind::Ident
-                                && !in_type
-                                && !is_non_binding_ident(s)
-                                && !s.starts_with(char::is_uppercase)
-                            {
-                                locals.insert(s.to_string());
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            "for" => {
-                // `for pat in …` binds the pattern leaves.
-                let mut j = i + 1;
-                while j < toks.len() && toks[j].text != "in" && toks[j].text != "{" {
-                    let s = toks[j].text.as_str();
-                    if toks[j].kind == TokKind::Ident
-                        && !is_non_binding_ident(s)
-                        && !s.starts_with(char::is_uppercase)
-                    {
-                        locals.insert(s.to_string());
-                    }
-                    j += 1;
-                }
-                i = j.max(i + 1);
-            }
-            "|" if i == 0 || !ends_expr(&toks[i - 1]) => {
-                // Nested closure: its parameters bind locally.
-                let mut j = i + 1;
-                let mut depth = 0usize;
-                let mut in_type = false;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "|" if depth == 0 => break,
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => {
-                            if depth == 0 {
-                                break;
-                            }
-                            depth -= 1;
-                        }
-                        "{" | "}" | ";" | "=>" => break,
-                        ":" if depth == 0 => in_type = true,
-                        "," if depth == 0 => in_type = false,
-                        s => {
-                            if toks[j].kind == TokKind::Ident
-                                && !in_type
-                                && !is_non_binding_ident(s)
-                                && !s.starts_with(char::is_uppercase)
-                            {
-                                locals.insert(s.to_string());
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-                i = j.max(i + 1);
-            }
-            "=>" => {
-                // Match arm: idents between the segment start and the
-                // arrow are pattern bindings (guard uses get swept in —
-                // that only under-reports captures).
-                for t in &toks[seg_start..i] {
-                    let s = t.text.as_str();
-                    if t.kind == TokKind::Ident
-                        && !is_non_binding_ident(s)
-                        && !s.starts_with(char::is_uppercase)
-                    {
-                        locals.insert(s.to_string());
-                    }
-                }
-                i += 1;
-            }
-            "{" | "}" | "," | ";" => {
-                seg_start = i + 1;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-
-    // Pass 2: uses not bound locally are captures.
-    let mut caps = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let s = t.text.as_str();
-        if is_non_binding_ident(s) || s.starts_with(char::is_uppercase) || s.starts_with('_') {
-            continue;
-        }
-        if locals.contains(s) {
-            continue;
-        }
-        let next = toks.get(i + 1).map_or("", |n| n.text.as_str());
-        // Calls, macros, path prefixes, struct-literal field labels and
-        // type ascriptions are not value reads of a capture.
-        if next == "(" || next == "!" || next == "::" || next == ":" {
-            continue;
-        }
-        let prev = if i == 0 {
-            ""
-        } else {
-            toks[i - 1].text.as_str()
-        };
-        if prev == "." || prev == "::" || prev == "fn" || prev == "'" || prev == "as" {
-            continue;
-        }
-        caps.insert(s.to_string());
-    }
-    caps.into_iter().collect()
-}
-
 /// Parses a scanned file. Never panics; malformed regions surface as
 /// [`ParseError`]s and are skipped.
 pub fn parse_file(file: &ScannedFile) -> ParsedFile {
@@ -564,7 +315,6 @@ pub fn parse_file(file: &ScannedFile) -> ParsedFile {
             path: file.path.clone(),
             uses: Vec::new(),
             fns: Vec::new(),
-            statics: Vec::new(),
             errors: Vec::new(),
             raw_lines: file.lines.iter().map(|l| l.raw.clone()).collect(),
         },
@@ -785,8 +535,7 @@ impl Parser {
                         self.pos += 1;
                     }
                 }
-                "static" => self.static_item(),
-                "type" => self.skip_to_semi(),
+                "static" | "type" => self.skip_to_semi(),
                 "struct" | "enum" | "union" => {
                     self.pos += 1;
                     self.pos += 1; // name
@@ -867,43 +616,6 @@ impl Parser {
                 self.pos += 1; // guarantee progress
             }
         }
-    }
-
-    /// Records a module-level `static NAME: Type = …;` item. The type
-    /// text lets the escape analysis exempt synchronized wrappers
-    /// (`Atomic*`, `OnceLock`, `Mutex`, …) from raw-access pairing.
-    fn static_item(&mut self) {
-        let line = self.cur_line();
-        let in_test = self.peek().is_some_and(|t| t.in_test);
-        self.pos += 1; // `static`
-        self.eat("mut");
-        let name = match self.peek() {
-            Some(t) if t.kind == TokKind::Ident => t.text.clone(),
-            _ => {
-                self.skip_to_semi();
-                return;
-            }
-        };
-        self.pos += 1;
-        let mut ty = Vec::new();
-        if self.eat(":") {
-            loop {
-                match self.peek_text() {
-                    "=" | ";" | "" | "}" => break,
-                    s => {
-                        ty.push(s.to_string());
-                        self.pos += 1;
-                    }
-                }
-            }
-        }
-        self.out.statics.push(StaticDef {
-            name,
-            line,
-            ty: ty.join(" "),
-            in_test,
-        });
-        self.skip_to_semi();
     }
 
     /// Parses a `use` declaration into leaf aliases.
@@ -1228,14 +940,16 @@ impl Parser {
         }
     }
 
-    /// Parses a closure at the cursor (`|` or `||`). Returns `false`
-    /// when the token is a binary/pattern `|` (the previous token ends
-    /// an expression and no `move` precedes) or the parameter list
-    /// never closes — the caller then treats the token as plain
-    /// punctuation, matching the pre-closure-aware behaviour.
+    /// Parses a closure at the cursor (`|` or `||`): its parameter list
+    /// is skipped and its body scanned for facts — one loop level deeper
+    /// when the closure is a per-task body (see [`runs_per_task`]).
+    /// Returns `false` when the token is a binary/pattern `|` (the
+    /// previous token ends an expression and no `move` precedes) or the
+    /// parameter list never closes — the caller then treats the token as
+    /// plain punctuation.
     fn closure_expr(&mut self, facts: &mut Vec<Fact>, loop_depth: usize) -> bool {
         let open = match self.peek() {
-            Some(t) if t.text == "|" || t.text == "||" => t.clone(),
+            Some(t) if t.text == "|" || t.text == "||" => t.text.clone(),
             _ => return false,
         };
         let by_move = self.pos > 0 && self.toks[self.pos - 1].text == "move";
@@ -1243,44 +957,25 @@ impl Parser {
             return false; // binary `|`/`||` between expressions
         }
         let save = self.pos;
-        let mut params = Vec::new();
         self.pos += 1; // opening `|` (or the whole `||`)
-        if open.text == "|" {
-            // Parameter list up to the closing `|`. `in_type` masks the
-            // idents of a `pat: Type` annotation; destructured patterns
-            // contribute every lowercase leaf.
+        if open == "|" {
+            // Parameter list up to the closing `|`.
             let mut depth = 0usize;
-            let mut in_type = false;
             loop {
-                let Some(t) = self.peek().cloned() else {
-                    self.pos = save;
-                    return false;
-                };
-                match t.text.as_str() {
+                match self.peek_text() {
                     "|" if depth == 0 => {
                         self.pos += 1;
                         break;
                     }
                     "(" | "[" => depth += 1,
                     ")" | "]" if depth > 0 => depth -= 1,
-                    // Terminators a parameter list cannot contain: this
-                    // was a pattern `|` after all — rewind.
-                    ")" | "]" | "}" | "{" | ";" | "=>" | "||" | "=" => {
+                    // Terminators a parameter list cannot contain (or
+                    // EOF): this was a pattern `|` after all — rewind.
+                    "" | ")" | "]" | "}" | "{" | ";" | "=>" | "||" | "=" => {
                         self.pos = save;
                         return false;
                     }
-                    ":" if depth == 0 => in_type = true,
-                    "," if depth == 0 => in_type = false,
-                    _ => {
-                        if t.kind == TokKind::Ident
-                            && !in_type
-                            && !is_expr_keyword(&t.text)
-                            && !t.text.starts_with(char::is_uppercase)
-                            && t.text != "_"
-                        {
-                            params.push(t.text.clone());
-                        }
-                    }
+                    _ => {}
                 }
                 self.pos += 1;
             }
@@ -1300,45 +995,17 @@ impl Parser {
         }
         // A closure handed to a task runner executes once per task: to
         // every in-loop rule its *body* is a loop body, whether or not
-        // the call sits in a lexical loop. (The closure itself is
-        // created where it is written: its own `in_loop` stays lexical.)
+        // the call sits in a lexical loop.
         let per_task = self
             .call_ctx
             .last()
             .is_some_and(|(callee, prefix)| runs_per_task(callee, prefix));
         let body_depth = loop_depth + usize::from(per_task);
-        let body_start;
-        let body_end;
-        if self.peek_text() == "{" {
-            self.pos += 1;
-            body_start = self.pos;
+        if self.eat("{") {
             self.body(facts, body_depth);
-            body_end = self.pos;
             self.eat("}");
         } else {
-            body_start = self.pos;
             self.closure_body_expr(facts, body_depth);
-            body_end = self.pos;
-        }
-        let body: Vec<Tok> = self.toks[body_start..body_end].to_vec();
-        let end_line = body.last().map_or(open.line, |t| t.line);
-        if !open.in_test {
-            let captures = collect_captures(&body, &params);
-            let (enclosing_call, enclosing_recv) = match self.call_ctx.last() {
-                Some((callee, recv)) => (Some(callee.clone()), recv.clone()),
-                None => (None, String::new()),
-            };
-            facts.push(Fact::Closure {
-                line: open.line,
-                end_line,
-                in_loop: loop_depth > 0,
-                by_move,
-                params,
-                captures,
-                enclosing_call,
-                enclosing_recv,
-                body,
-            });
         }
         true
     }
@@ -1640,151 +1307,30 @@ mod tests {
         assert_eq!(joined, stripped);
     }
 
-    fn closures(p: &ParsedFile) -> Vec<&Fact> {
-        p.fns
-            .iter()
-            .flat_map(|f| &f.facts)
-            .filter(|f| matches!(f, Fact::Closure { .. }))
-            .collect()
-    }
-
     #[test]
-    fn move_closure_in_spawn_records_captures_and_mode() {
+    fn pool_region_closure_bodies_are_loop_bodies() {
+        // A closure run once per task (`pool::run`, `pool::run_chunks`)
+        // has a loop body; an iterator adapter's closure does not, and a
+        // pattern `|` is no closure at all.
         let p = parse(
-            "fn run(scope: &S, shared: &Stats) {\n    let local = 1;\n    scope.spawn(move || { shared.hits += local; });\n}\n",
+            "fn f(xs: &[u32], out: &mut [f32]) {\n    pool::run(4, |t| grow(t));\n    pool::run_chunks(out, 1, 4, |first, run| { grow(first); });\n    xs.iter().map(|x| grow(*x));\n    match xs.len() { 0 | 1 => grow(0), _ => grow(1) }\n}\n",
         );
         assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 1, "{cl:?}");
-        let Fact::Closure {
-            by_move,
-            captures,
-            enclosing_call,
-            enclosing_recv,
-            params,
-            ..
-        } = cl[0]
-        else {
-            unreachable!()
-        };
-        assert!(*by_move);
-        assert!(params.is_empty());
-        assert_eq!(captures, &["local".to_string(), "shared".to_string()]);
-        assert_eq!(enclosing_call.as_deref(), Some("spawn"));
-        assert_eq!(enclosing_recv, "scope");
-    }
-
-    #[test]
-    fn by_ref_closure_and_local_bindings_are_separated() {
-        let p =
-            parse("fn f(v: &[u32], off: u32) -> u32 {\n    v.iter().map(|x| x + off).sum()\n}\n");
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 1, "{cl:?}");
-        let Fact::Closure {
-            by_move,
-            params,
-            captures,
-            enclosing_call,
-            ..
-        } = cl[0]
-        else {
-            unreachable!()
-        };
-        assert!(!*by_move, "no `move` keyword: by-ref capture mode");
-        assert_eq!(params, &["x".to_string()]);
-        assert_eq!(captures, &["off".to_string()]);
-        assert_eq!(enclosing_call.as_deref(), Some("map"));
-    }
-
-    #[test]
-    fn nested_closures_bind_their_own_params() {
-        let p = parse(
-            "fn f(rows: Vec<Vec<u32>>, k: u32) -> u32 {\n    rows.iter().map(|r| r.iter().filter(|c| **c > k).count() as u32).sum()\n}\n",
-        );
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 2, "{cl:?}");
-        let outer = cl
+        let grows: Vec<(usize, bool)> = p.fns[0]
+            .facts
             .iter()
-            .find_map(|f| match f {
-                Fact::Closure {
-                    params, captures, ..
-                } if params == &["r".to_string()] => Some(captures),
+            .filter_map(|f| match f {
+                Fact::Call {
+                    path,
+                    line,
+                    in_loop,
+                } if path[0] == "grow" => Some((*line, *in_loop)),
                 _ => None,
             })
-            .expect("outer closure");
-        // `c` is the nested closure's param, not an outer capture.
-        assert_eq!(outer, &["k".to_string()]);
-    }
-
-    #[test]
-    fn thread_spawn_path_call_sets_enclosing_context() {
-        let p = parse(
-            "fn go(rx: Receiver<u32>) {\n    let h = thread::spawn(move || loop { let m = rx.recv(); use_it(m); });\n    h.join();\n}\n",
-        );
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 1, "{cl:?}");
-        let Fact::Closure {
-            by_move,
-            captures,
-            enclosing_call,
-            enclosing_recv,
-            body,
-            ..
-        } = cl[0]
-        else {
-            unreachable!()
-        };
-        assert!(*by_move);
-        assert_eq!(captures, &["rx".to_string()]);
-        assert_eq!(enclosing_call.as_deref(), Some("spawn"));
-        assert_eq!(enclosing_recv, "thread");
-        assert!(body.iter().any(|t| t.text == "recv"));
-    }
-
-    #[test]
-    fn pattern_and_binary_pipes_are_not_closures() {
-        let p = parse(
-            "fn f(x: u32, mask: u32) -> u32 {\n    match x { 0 | 1 => x | mask, Some(a) | None => 0, _ => x }\n}\n",
-        );
-        // No closure facts: every `|` is a pattern or binary operator.
-        assert!(closures(&p).is_empty(), "{:?}", closures(&p));
-    }
-
-    #[test]
-    fn match_arm_bindings_are_not_captures() {
-        let p = parse(
-            "fn f(r: Result<u32, E>, base: u32) -> u32 {\n    take(|| match r { Ok(v) => v + base, Err(e) => drop_it(e) })\n}\n",
-        );
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 1, "{cl:?}");
-        let Fact::Closure { captures, .. } = cl[0] else {
-            unreachable!()
-        };
-        // `v`/`e` bind in arm patterns; `r` and `base` come from outside.
-        assert_eq!(captures, &["base".to_string(), "r".to_string()]);
-    }
-
-    #[test]
-    fn static_items_record_name_and_type() {
-        let p = parse(
-            "static MAX: AtomicUsize = AtomicUsize::new(0);\nstatic mut RAW: u64 = 0;\nstatic TABLE: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());\n",
-        );
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let names: Vec<(&str, &str)> = p
-            .statics
-            .iter()
-            .map(|s| (s.name.as_str(), s.ty.as_str()))
             .collect();
         assert_eq!(
-            names,
-            [
-                ("MAX", "AtomicUsize"),
-                ("RAW", "u64"),
-                ("TABLE", "Mutex < Vec < ( usize , usize ) > >"),
-            ]
+            grows,
+            [(2, true), (3, true), (4, false), (5, false), (5, false)]
         );
     }
 

@@ -8,34 +8,12 @@
 
 use crate::scan::{find_word, ScannedFile};
 
-/// How severe a finding is: `Error` findings fail the build (exit 1),
-/// `Warn` findings are reported but exit 0. Only advisory rules emit
-/// warnings — today that is `unbounded_wait` on `lock` sinks, whose
-/// deadlock-freedom the `lock_order` rule already proves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Error,
-    Warn,
-}
-
-impl Severity {
-    /// The wire name used by the `--json` and `--github` reporters.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
-/// One rule violation.
+/// One rule violation. Every finding fails the build (exit 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Stable rule id (`safety_comment`, `no_unwrap`, `determinism`,
     /// `thread_confinement`, `shim_hygiene`, `allowlist`).
     pub rule: &'static str,
-    /// Build-failing (`Error`) or advisory (`Warn`).
-    pub severity: Severity,
     /// Workspace-relative path.
     pub path: String,
     /// 1-based line number.
@@ -48,39 +26,14 @@ pub struct Finding {
     pub call_path: Vec<String>,
 }
 
-impl Finding {
-    /// A finding with no call-path evidence (every lexical rule).
-    pub fn lexical(
-        rule: &'static str,
-        path: String,
-        line: usize,
-        message: String,
-        snippet: String,
-    ) -> Self {
-        Finding {
-            rule,
-            severity: Severity::Error,
-            path,
-            line,
-            message,
-            snippet,
-            call_path: Vec::new(),
-        }
-    }
-}
-
 impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}:{}: [{}{}] {}\n    {}",
+            "{}:{}: [{}] {}\n    {}",
             self.path,
             self.line,
             self.rule,
-            match self.severity {
-                Severity::Error => "",
-                Severity::Warn => ":warn",
-            },
             self.message,
             self.snippet.trim()
         )?;
@@ -137,7 +90,6 @@ pub fn rule_safety(file: &ScannedFile, out: &mut Vec<Finding>) {
         if !documented {
             out.push(Finding {
                 rule: "safety_comment",
-                severity: Severity::Error,
                 path: file.path.clone(),
                 line: i + 1,
                 message: "`unsafe` without a `// SAFETY:` comment stating the aliasing/bounds \
@@ -175,7 +127,6 @@ pub fn rule_no_unwrap(file: &ScannedFile, strict: bool, out: &mut Vec<Finding>) 
             if hit {
                 out.push(Finding {
                     rule: "no_unwrap",
-                    severity: Severity::Error,
                     path: file.path.clone(),
                     line: i + 1,
                     message: format!(
@@ -214,7 +165,6 @@ pub fn rule_determinism(file: &ScannedFile, strict: bool, out: &mut Vec<Finding>
             if line.code.contains(pat) {
                 out.push(Finding {
                     rule: "determinism",
-                    severity: Severity::Error,
                     path: file.path.clone(),
                     line: i + 1,
                     message: format!(
@@ -249,7 +199,6 @@ pub fn rule_thread_confinement(file: &ScannedFile, strict: bool, out: &mut Vec<F
             if line.code.contains(pat) {
                 out.push(Finding {
                     rule: "thread_confinement",
-                    severity: Severity::Error,
                     path: file.path.clone(),
                     line: i + 1,
                     message: format!(
@@ -292,7 +241,6 @@ pub fn rule_shim_hygiene(path: &str, manifest: &str, out: &mut Vec<Finding>) {
         let mut flag = |message: String| {
             out.push(Finding {
                 rule: "shim_hygiene",
-                severity: Severity::Error,
                 path: path.to_string(),
                 line: i + 1,
                 message,

@@ -1,4 +1,4 @@
-//! The four semantic (graph/dataflow) rules, built on [`crate::parse`]
+//! The three semantic (graph/dataflow) rules, built on [`crate::parse`]
 //! and [`crate::callgraph`].
 //!
 //! Where the lexical rules in [`crate::rules`] police what a *line*
@@ -8,10 +8,6 @@
 //!   reach a function containing `panic!`/`unwrap`/`expect`/slice
 //!   indexing. A panic mid-iteration tears down the daemon and every
 //!   batch-mate with it; findings carry the full call path as evidence.
-//! - `lock_order` — held-lock sets propagate over the call graph and the
-//!   resulting lock-ordering graph must be acyclic (static ABBA
-//!   detection; loom-lite explores dynamically what this proves
-//!   conservatively).
 //! - `hot_loop_alloc` — no allocation inside loops reachable from the
 //!   decode/batched-forward/blocked-kernel roots (the allocation-free
 //!   decode invariant from PR 1).
@@ -28,9 +24,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::callgraph::{self, CallGraph, FnNode};
+use crate::callgraph::{CallGraph, FnNode};
 use crate::parse::{Fact, ParsedFile};
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 
 /// Serving entry points for `panic_reachability` (path suffix, fn name):
 /// the iteration driver's `tick` (what both trace replay and the live
@@ -120,19 +116,10 @@ const ALLOC_CALLS: &[(&str, &str)] = &[
 /// Macros that allocate.
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-/// Runs the four semantic rules plus parser diagnostics over parsed
-/// files. `strict` disables all path-based scoping (fixture mode).
-///
-/// Convenience wrapper that builds its own call graph; the lint driver
-/// builds the graph once (shared with the dataflow rules in
-/// [`crate::taint`]) and calls [`semantic_findings_with_graph`] instead.
-pub fn semantic_findings(files: &[ParsedFile], strict: bool, out: &mut Vec<Finding>) {
-    let graph = callgraph::build(files);
-    semantic_findings_with_graph(files, &graph, strict, out);
-}
-
-/// The semantic rules over a caller-supplied call graph (built once per
-/// lint run and shared across all graph-consuming rules).
+/// Runs the three semantic rules plus parser diagnostics over parsed
+/// files and their call graph (built once per lint run and shared with
+/// the dataflow rules in [`crate::taint`]). `strict` disables all
+/// path-based scoping (fixture mode).
 pub fn semantic_findings_with_graph(
     files: &[ParsedFile],
     graph: &CallGraph,
@@ -145,7 +132,6 @@ pub fn semantic_findings_with_graph(
         for e in &f.errors {
             out.push(Finding {
                 rule: "parse",
-                severity: Severity::Error,
                 path: f.path.clone(),
                 line: e.line,
                 message: format!("semantic-lint parser lost sync: {}", e.message),
@@ -157,7 +143,6 @@ pub fn semantic_findings_with_graph(
 
     let by_path: HashMap<&str, &ParsedFile> = files.iter().map(|f| (f.path.as_str(), f)).collect();
     rule_panic_reachability(graph, strict, out);
-    rule_lock_order(graph, &by_path, out);
     rule_hot_loop_alloc(graph, &by_path, strict, out);
     rule_float_reduction_order(files, strict, out);
 }
@@ -200,7 +185,6 @@ pub fn stale_root_findings(graph: &CallGraph, out: &mut Vec<Finding>) {
             if graph.find(suffix, name).is_none() {
                 out.push(Finding {
                     rule,
-                    severity: Severity::Error,
                     path: suffix.to_string(),
                     line: 0,
                     message: format!(
@@ -279,7 +263,6 @@ fn rule_panic_reachability(graph: &CallGraph, strict: bool, out: &mut Vec<Findin
         let entry_label = call_path.first().cloned().unwrap_or_default();
         out.push(Finding {
             rule: "panic_reachability",
-            severity: Severity::Error,
             path: node.path.clone(),
             line: node.line,
             message: format!(
@@ -293,230 +276,6 @@ fn rule_panic_reachability(graph: &CallGraph, strict: bool, out: &mut Vec<Findin
             snippet: node.sig.clone(),
             call_path,
         });
-    }
-}
-
-/// A lock acquisition from a `Fact::Method`, if the fact is one.
-/// `Mutex::lock`, `RwLock::read`/`write` all take **zero arguments** —
-/// which is also what separates them from `io::Read::read(buf)` and
-/// `io::Write::write(buf)`.
-fn lock_acquisition(node: &FnNode, fact: &Fact) -> Option<(String, usize)> {
-    let Fact::Method {
-        name,
-        recv,
-        zero_args,
-        line,
-        ..
-    } = fact
-    else {
-        return None;
-    };
-    if !zero_args || !matches!(name.as_str(), "lock" | "read" | "write") || recv.is_empty() {
-        return None;
-    }
-    let lock_name = if recv[0] == "self" {
-        if recv.len() == 1 {
-            return None; // `self.lock()` — not a field-held lock
-        }
-        match &node.owner {
-            Some(o) => format!("{}.{}", o, recv[1..].join(".")),
-            None => recv[1..].join("."),
-        }
-    } else {
-        recv.join(".")
-    };
-    Some((lock_name, *line))
-}
-
-/// Rule 7 — `lock_order`: static ABBA detection.
-fn rule_lock_order(
-    graph: &CallGraph,
-    by_path: &HashMap<&str, &ParsedFile>,
-    out: &mut Vec<Finding>,
-) {
-    // 1. Direct acquisitions per function, in source order.
-    let n = graph.fns.len();
-    let mut direct: Vec<Vec<(String, usize)>> = vec![Vec::new(); n];
-    for (i, node) in graph.fns.iter().enumerate() {
-        for fact in &node.facts {
-            if let Some(acq) = lock_acquisition(node, fact) {
-                direct[i].push(acq);
-            }
-        }
-    }
-
-    // 2. Transitive "locks this call may acquire" sets, to fixpoint
-    //    (cycles in the call graph converge because sets only grow).
-    //    Only *certain* edges participate: propagating locks through a
-    //    method-name over-approximation manufactures ABBA cycles out of
-    //    call edges no execution can take (e.g. `sched.submit(…)`
-    //    name-matching a `Server` method that locks).
-    let mut locks_in: Vec<BTreeSet<String>> = direct
-        .iter()
-        .map(|v| v.iter().map(|(l, _)| l.clone()).collect())
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            for e in graph.edges[i].iter().filter(|e| e.certain) {
-                let add: Vec<String> = locks_in[e.callee]
-                    .iter()
-                    .filter(|l| !locks_in[i].contains(*l))
-                    .cloned()
-                    .collect();
-                if !add.is_empty() {
-                    changed = true;
-                    locks_in[i].extend(add);
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // 3. Lock-order edges L→M with evidence: "while holding L, fn f at
-    //    line … acquires (or calls into something that acquires) M".
-    //    Conservative: a guard is assumed held until the function ends.
-    let mut ledges: BTreeMap<(String, String), (usize, usize)> = BTreeMap::new();
-    for (i, node) in graph.fns.iter().enumerate() {
-        let mut held: Vec<String> = Vec::new();
-        for fact in &node.facts {
-            if let Some((m, line)) = lock_acquisition(node, fact) {
-                for l in &held {
-                    if *l != m {
-                        ledges.entry((l.clone(), m.clone())).or_insert((i, line));
-                    }
-                }
-                if !held.contains(&m) {
-                    held.push(m);
-                }
-                continue;
-            }
-            if held.is_empty() {
-                continue;
-            }
-            let line = fact.line();
-            for e in graph.edges[i]
-                .iter()
-                .filter(|e| e.certain && e.line == line)
-            {
-                for m in &locks_in[e.callee] {
-                    for l in &held {
-                        if l != m {
-                            ledges.entry((l.clone(), m.clone())).or_insert((i, line));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // 4. Cycle detection over the lock-order graph.
-    let mut nodes: Vec<String> = ledges.keys().map(|(a, _)| a.clone()).collect();
-    nodes.extend(ledges.keys().map(|(_, b)| b.clone()));
-    nodes.sort();
-    nodes.dedup();
-    let succ: BTreeMap<String, Vec<String>> = {
-        let mut m: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for (a, b) in ledges.keys() {
-            m.entry(a.clone()).or_default().push(b.clone());
-        }
-        m
-    };
-    let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
-    for start in &nodes {
-        // DFS with an explicit stack path, small graphs only.
-        let mut path: Vec<String> = vec![start.clone()];
-        dfs_cycles(
-            &succ,
-            &mut path,
-            &mut reported,
-            &ledges,
-            graph,
-            by_path,
-            out,
-        );
-    }
-}
-
-fn dfs_cycles(
-    succ: &BTreeMap<String, Vec<String>>,
-    path: &mut Vec<String>,
-    reported: &mut BTreeSet<Vec<String>>,
-    ledges: &BTreeMap<(String, String), (usize, usize)>,
-    graph: &CallGraph,
-    by_path: &HashMap<&str, &ParsedFile>,
-    out: &mut Vec<Finding>,
-) {
-    let cur = path.last().cloned().unwrap_or_default();
-    let Some(nexts) = succ.get(&cur) else { return };
-    for next in nexts {
-        if let Some(at) = path.iter().position(|p| p == next) {
-            // Cycle: path[at..] + next. Canonicalize by rotating the
-            // smallest lock name to the front so each cycle reports once.
-            let cyc: Vec<String> = path[at..].iter().map(|s| (*s).clone()).collect();
-            let min_at = cyc
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.as_str())
-                .map(|(k, _)| k)
-                .unwrap_or(0);
-            let mut canon = cyc[min_at..].to_vec();
-            canon.extend_from_slice(&cyc[..min_at]);
-            if !reported.insert(canon.clone()) {
-                continue;
-            }
-            let mut evidence = Vec::new();
-            let mut first_site: Option<(usize, usize)> = None;
-            for w in 0..canon.len() {
-                let a = &canon[w];
-                let b = &canon[(w + 1) % canon.len()];
-                if let Some(&(f, line)) = ledges.get(&(a.clone(), b.clone())) {
-                    let node = &graph.fns[f];
-                    evidence.push(format!(
-                        "`{}` -> `{}` (in `{}` at {}:{})",
-                        a,
-                        b,
-                        node.label(),
-                        node.path,
-                        line
-                    ));
-                    if first_site.is_none() {
-                        first_site = Some((f, line));
-                    }
-                }
-            }
-            let (f, line) = first_site.unwrap_or((0, 0));
-            let node = &graph.fns[f];
-            let snippet = by_path
-                .get(node.path.as_str())
-                .map(|p| p.raw_line(line))
-                .unwrap_or_default();
-            let mut call_path = canon.clone();
-            call_path.push(canon[0].clone());
-            out.push(Finding {
-                rule: "lock_order",
-                // Advisory: the static cycle is over may-alias lock
-                // names, so it deserves an eye rather than a red build —
-                // and the `--github` reporter maps it to `::warning`
-                // instead of `::error` accordingly.
-                severity: Severity::Warn,
-                path: node.path.clone(),
-                line,
-                message: format!(
-                    "lock-order cycle ({}); acquire locks in one global order or \
-                     drop the first guard before taking the second",
-                    evidence.join("; ")
-                ),
-                snippet,
-                call_path,
-            });
-            continue;
-        }
-        path.push(next.clone());
-        dfs_cycles(succ, path, reported, ledges, graph, by_path, out);
-        path.pop();
     }
 }
 
@@ -557,7 +316,7 @@ fn alloc_kind(fact: &Fact) -> Option<(String, usize, bool)> {
     }
 }
 
-/// Rule 8 — `hot_loop_alloc`: the allocation-free decode invariant.
+/// Rule 7 — `hot_loop_alloc`: the allocation-free decode invariant.
 fn rule_hot_loop_alloc(
     graph: &CallGraph,
     by_path: &HashMap<&str, &ParsedFile>,
@@ -610,7 +369,6 @@ fn rule_hot_loop_alloc(
             let call_path = graph.path_to(&parents, i);
             out.push(Finding {
                 rule: "hot_loop_alloc",
-                severity: Severity::Error,
                 path: node.path.clone(),
                 line,
                 message: format!(
@@ -631,7 +389,7 @@ fn rule_hot_loop_alloc(
     }
 }
 
-/// Rule 9 — `float_reduction_order`: bitwise-inert blocking needs one
+/// Rule 8 — `float_reduction_order`: bitwise-inert blocking needs one
 /// ascending-`k` addition chain per output. Iterator `sum`/`fold` hide
 /// their association order behind the iterator, reversed/stepped
 /// accumulation loops change it outright, and horizontal-add intrinsics
@@ -676,7 +434,6 @@ fn rule_float_reduction_order(files: &[ParsedFile], strict: bool, out: &mut Vec<
                 };
                 out.push(Finding {
                     rule: "float_reduction_order",
-                    severity: Severity::Error,
                     path: f.path.clone(),
                     line,
                     message: format!(
@@ -702,8 +459,9 @@ mod tests {
             .iter()
             .map(|(p, s)| crate::parse::parse_file(&scan_source(p, s, true)))
             .collect();
+        let graph = crate::callgraph::build(&parsed);
         let mut out = Vec::new();
-        semantic_findings(&parsed, strict, &mut out);
+        semantic_findings_with_graph(&parsed, &graph, strict, &mut out);
         out
     }
 
@@ -756,61 +514,6 @@ mod tests {
         assert_eq!(f.len(), 1, "{out:#?}");
         assert!(f[0].message.contains("unwrap"));
         assert!(!f[0].message.contains("slice index"));
-    }
-
-    #[test]
-    fn lock_order_flags_abba_with_evidence() {
-        let out = run(
-            &[(
-                "crates/serving/src/server.rs",
-                "struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    fn ab(&self) { let _x = self.a.lock(); let _y = self.b.lock(); }\n    fn ba(&self) { let _y = self.b.lock(); let _x = self.a.lock(); }\n}\n",
-            )],
-            false,
-        );
-        let f: Vec<_> = out.iter().filter(|f| f.rule == "lock_order").collect();
-        assert_eq!(f.len(), 1, "one canonical cycle: {out:#?}");
-        assert!(f[0].message.contains("S.a"), "{}", f[0].message);
-        assert!(f[0].message.contains("S.b"), "{}", f[0].message);
-        assert_eq!(f[0].call_path, vec!["S.a", "S.b", "S.a"]);
-    }
-
-    #[test]
-    fn lock_order_propagates_through_calls() {
-        let out = run(
-            &[(
-                "crates/serving/src/server.rs",
-                "struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    fn ab(&self) { let _x = self.a.lock(); self.take_b(); }\n    fn take_b(&self) { let _y = self.b.lock(); }\n    fn ba(&self) { let _y = self.b.lock(); let _x = self.a.lock(); }\n}\n",
-            )],
-            false,
-        );
-        assert!(
-            out.iter().any(|f| f.rule == "lock_order"),
-            "cycle through a callee must be found: {out:#?}"
-        );
-    }
-
-    #[test]
-    fn consistent_lock_order_is_clean() {
-        let out = run(
-            &[(
-                "crates/serving/src/server.rs",
-                "struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    fn ab(&self) { let _x = self.a.lock(); let _y = self.b.lock(); }\n    fn ab2(&self) { let _x = self.a.lock(); let _y = self.b.lock(); }\n}\n",
-            )],
-            false,
-        );
-        assert!(out.is_empty(), "{out:#?}");
-    }
-
-    #[test]
-    fn io_read_write_with_args_are_not_locks() {
-        let out = run(
-            &[(
-                "crates/serving/src/server.rs",
-                "struct S { sock: TcpStream, log: File }\nimpl S {\n    fn io(&mut self, buf: &mut [u8]) { self.sock.read(buf); self.log.write(buf); }\n}\n",
-            )],
-            false,
-        );
-        assert!(out.is_empty(), "{out:#?}");
     }
 
     #[test]

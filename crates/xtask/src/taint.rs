@@ -13,10 +13,7 @@
 //! - `unbounded_wait` — every blocking sink (`recv`/`lock`/`join`/
 //!   `wait`) reachable from a serving entry over `certain` edges must be
 //!   dominated by a deadline/timeout guard or proven to target a bounded
-//!   channel. `lock` sinks report as warnings: the `lock_order` rule
-//!   already proves the lock graph acyclic, so a lock wait is bounded by
-//!   its critical sections, but it still deserves an eye on the serving
-//!   path. Joins on structured-scope handles (`scope.spawn`) are
+//!   channel. Joins on structured-scope handles (`scope.spawn`) are
 //!   sanctioned — the scope discipline bounds them by the spawned
 //!   computation itself.
 //! - `index_arith_overflow` — multiply-add index arithmetic
@@ -33,7 +30,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::cfg::{self, CallSite, Cfg, Stmt, StmtKind};
 use crate::dataflow;
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use crate::semantic::{resolve_roots, INDEX_SANCTIONED};
 use crate::WorkspaceFacts;
 
@@ -90,7 +87,7 @@ struct SinkSummary {
     chain: Vec<String>,
 }
 
-/// Runs all three dataflow rules over the shared fact cache.
+/// Runs all three dataflow rules over the shared workspace facts.
 pub fn taint_findings(facts: &WorkspaceFacts, strict: bool, out: &mut Vec<Finding>) {
     rule_untrusted_size_flow(facts, strict, out);
     rule_unbounded_wait(facts, strict, out);
@@ -159,7 +156,6 @@ fn rule_untrusted_size_flow(facts: &WorkspaceFacts, strict: bool, out: &mut Vec<
             }
             out.push(Finding {
                 rule: "untrusted_size_flow",
-                severity: Severity::Error,
                 path: node.path.clone(),
                 line: h.line,
                 message: format!(
@@ -542,29 +538,17 @@ fn rule_unbounded_wait(facts: &WorkspaceFacts, strict: bool, out: &mut Vec<Findi
                     if timeout_dominated(cfg, &idom, b) {
                         continue;
                     }
-                    let severity = if call.name() == "lock" {
-                        Severity::Warn
-                    } else {
-                        Severity::Error
-                    };
                     let mut call_path = entry_path(graph, &parent, i);
                     call_path.push(format!("{}.{}()", call.recv.join("."), call.name()));
                     out.push(Finding {
                         rule: "unbounded_wait",
-                        severity,
                         path: node.path.clone(),
                         line: call.line,
                         message: format!(
                             "blocking `{}()` reachable from serving entry `{}` has no \
-                             dominating deadline/timeout and no bounded-channel proof{}",
+                             dominating deadline/timeout and no bounded-channel proof",
                             call.name(),
                             graph.fns[entry_of(&parent, i)].label(),
-                            if call.name() == "lock" {
-                                " (warn: lock_order proves the lock graph acyclic, so this \
-                                 cannot deadlock — audit the critical section length)"
-                            } else {
-                                ""
-                            }
                         ),
                         snippet: facts.raw_line(&node.path, call.line),
                         call_path,
@@ -725,7 +709,6 @@ fn rule_index_arith_overflow(facts: &WorkspaceFacts, strict: bool, out: &mut Vec
                     }
                     out.push(Finding {
                         rule: "index_arith_overflow",
-                        severity: Severity::Error,
                         path: node.path.clone(),
                         line: idx.line,
                         message: format!(
@@ -893,7 +876,6 @@ mod tests {
         );
         let waits: Vec<_> = out.iter().filter(|f| f.rule == "unbounded_wait").collect();
         assert_eq!(waits.len(), 1, "{out:#?}");
-        assert_eq!(waits[0].severity, Severity::Error);
     }
 
     #[test]
@@ -918,20 +900,6 @@ mod tests {
             true,
         );
         assert!(out.iter().all(|f| f.rule != "unbounded_wait"), "{out:#?}");
-    }
-
-    #[test]
-    fn lock_sink_is_a_warning() {
-        let out = run(
-            &[(
-                "crates/serving/src/daemon.rs",
-                "pub fn submit_with_deadline(&self) -> u32 {\n    let g = self.m.lock();\n    *g\n}\n",
-            )],
-            true,
-        );
-        let waits: Vec<_> = out.iter().filter(|f| f.rule == "unbounded_wait").collect();
-        assert_eq!(waits.len(), 1, "{out:#?}");
-        assert_eq!(waits[0].severity, Severity::Warn);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-// Warn-severity fixture: a serving entry takes a lock with no deadline.
-// `unbounded_wait` reports this at `warn` severity — the lock graph is
-// proven acyclic by `lock_order`, so the wait is bounded by critical
-// sections — and warn-only runs must exit 0.
+// Known-bad fixture: a serving entry takes a lock with no deadline.
+// Must trigger `unbounded_wait` (exactly one finding, the `lock()`) and
+// nothing else. Lock sinks were warn-only while `lock_order` existed;
+// the file keeps its old name so its findings compare across PR 25.
 
 pub fn submit_with_deadline(&self) -> u64 {
     let guard = self.state.lock();

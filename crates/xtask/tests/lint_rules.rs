@@ -137,83 +137,6 @@ fn panic_reach_fixture_reports_the_full_call_path() {
 }
 
 #[test]
-fn lock_cycle_fixture_triggers_only_lock_order() {
-    // `ab` takes a→b, `ba` takes b→a: one canonical ABBA cycle. The
-    // cycle is over may-alias lock names, so it reports at warn
-    // severity — an eye on the PR, not a red build.
-    assert_only_rule("lock_cycle_bad.rs", "lock_order", 1);
-    let findings = lint_files_strict(&[fixture("lock_cycle_bad.rs")]);
-    assert_eq!(
-        findings[0].severity,
-        specinfer_xtask::rules::Severity::Warn,
-        "{}",
-        findings[0]
-    );
-}
-
-#[test]
-fn race_unlocked_write_fixture_triggers_only_shared_state_race() {
-    // Two pool tasks touch `stats` with empty locksets: one write/read
-    // pair, no happens-before edge.
-    assert_only_rule("race_unlocked_write_bad.rs", "shared_state_race", 1);
-    let findings = lint_files_strict(&[fixture("race_unlocked_write_bad.rs")]);
-    assert!(
-        findings[0].message.contains("locks: {}"),
-        "finding spells out the empty locksets: {}",
-        findings[0].message
-    );
-}
-
-#[test]
-fn race_guard_dropped_early_fixture_triggers_only_shared_state_race() {
-    // Both tasks take `m`, but one drops the guard before its write —
-    // the locksets at the two writes share nothing.
-    assert_only_rule("race_guard_dropped_early_bad.rs", "shared_state_race", 1);
-    let findings = lint_files_strict(&[fixture("race_guard_dropped_early_bad.rs")]);
-    assert!(
-        findings[0].message.contains("locks: {m}"),
-        "finding names the lock the other side still holds: {}",
-        findings[0].message
-    );
-}
-
-#[test]
-fn race_channel_fixture_is_clean() {
-    // The send→recv handoff is a happens-before edge: the owner's
-    // mutation of `job` is ordered before the task's consumption, so
-    // `shared_state_race` must stay silent.
-    let findings = lint_files_strict(&[fixture("race_channel_ok.rs")]);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn race_fixture_witnesses_are_checked_in_and_cited() {
-    // Each bad race fixture cites a loom harness proving its
-    // interleaving is executable; the harness must exist in the
-    // checked-in witness file (whose content `race::tests::
-    // checked_in_witnesses_match_generator` pins to the generator).
-    let witness_path = workspace_root().join("shims/loom/tests/race_witness.rs");
-    let witnesses = std::fs::read_to_string(witness_path).expect("witness file checked in");
-    for (fixture_name, witness_fn) in [
-        ("race_unlocked_write_bad.rs", "race_unlocked_write_witness"),
-        (
-            "race_guard_dropped_early_bad.rs",
-            "race_guard_dropped_early_witness",
-        ),
-    ] {
-        let src = std::fs::read_to_string(fixture(fixture_name)).expect("fixture readable");
-        assert!(
-            src.contains(witness_fn),
-            "{fixture_name} must cite its loom witness {witness_fn}"
-        );
-        assert!(
-            witnesses.contains(&format!("fn {witness_fn}()")),
-            "witness file must define {witness_fn}"
-        );
-    }
-}
-
-#[test]
 fn hot_loop_alloc_fixture_triggers_only_hot_loop_alloc() {
     // `vec!` inside `decode_one`'s loop + `Vec::new` in the helper the
     // loop calls + `Vec::new` in a pool-region closure (per task, no
@@ -255,6 +178,14 @@ fn unbounded_wait_fixture_triggers_only_unbounded_wait() {
     // A serving entry blocking on `ch.recv()` where `ch` is a parameter:
     // no deadline dominates it and no local `bounded(…)` proof exists.
     assert_only_rule("unbounded_wait_bad.rs", "unbounded_wait", 1);
+    // A lock taken under a serving entry with no deadline is a finding
+    // like any other blocking sink.
+    assert_only_rule("warn_only_lock.rs", "unbounded_wait", 1);
+    let findings = lint_files_strict(&[fixture("warn_only_lock.rs")]);
+    assert_eq!(
+        findings[0].call_path,
+        ["submit_with_deadline", "self.state.lock()"]
+    );
 }
 
 #[test]
@@ -264,66 +195,9 @@ fn index_arith_fixture_triggers_only_index_arith_overflow() {
 }
 
 #[test]
-fn warn_only_fixture_reports_warn_severity() {
-    use specinfer_xtask::rules::Severity;
-    let findings = lint_files_strict(&[fixture("warn_only_lock.rs")]);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, "unbounded_wait");
-    assert_eq!(findings[0].severity, Severity::Warn);
-    assert!(
-        findings[0].to_string().contains("[unbounded_wait:warn]"),
-        "text mode spells out warn severity: {}",
-        findings[0]
-    );
-}
-
-#[test]
 fn clean_fixture_passes_every_rule_in_strict_mode() {
     let findings = lint_files_strict(&[fixture("clean.rs")]);
     assert!(findings.is_empty(), "clean fixture flagged: {findings:#?}");
-}
-
-#[test]
-fn serving_and_spec_lock_graph_is_cycle_free() {
-    // Acceptance criterion for the concurrency layer: the lock-ordering
-    // graph over the serving and spec crates must be acyclic *before*
-    // the allowlist is applied — an audited exception must never be the
-    // only thing standing between the daemon and an ABBA deadlock.
-    use specinfer_xtask::{parse, scan, semantic};
-    let root = workspace_root();
-    let mut parsed = Vec::new();
-    for krate in ["serving", "spec"] {
-        let dir = root.join("crates").join(krate).join("src");
-        let mut stack = vec![dir];
-        while let Some(d) = stack.pop() {
-            for entry in std::fs::read_dir(&d).expect("readable crate dir").flatten() {
-                let p = entry.path();
-                if p.is_dir() {
-                    stack.push(p);
-                } else if p.extension().is_some_and(|e| e == "rs") {
-                    let rel = p
-                        .strip_prefix(&root)
-                        .expect("under root")
-                        .to_string_lossy()
-                        .replace('\\', "/");
-                    let src = std::fs::read_to_string(&p).expect("readable source");
-                    parsed.push(parse::parse_file(&scan::scan_source(&rel, &src, false)));
-                }
-            }
-        }
-    }
-    assert!(
-        parsed.len() > 5,
-        "walk looks broken: {} files",
-        parsed.len()
-    );
-    let mut findings = Vec::new();
-    semantic::semantic_findings(&parsed, false, &mut findings);
-    let cycles: Vec<_> = findings.iter().filter(|f| f.rule == "lock_order").collect();
-    assert!(
-        cycles.is_empty(),
-        "lock-order cycle in serving/spec: {cycles:#?}"
-    );
 }
 
 #[test]
@@ -359,8 +233,7 @@ fn binary_exit_codes_match_findings() {
         "untrusted_size_bad.rs",
         "unbounded_wait_bad.rs",
         "index_arith_bad.rs",
-        "race_unlocked_write_bad.rs",
-        "race_guard_dropped_early_bad.rs",
+        "warn_only_lock.rs",
     ] {
         let status = Command::new(bin)
             .args(["lint", "--strict"])
@@ -370,15 +243,12 @@ fn binary_exit_codes_match_findings() {
         assert_eq!(status.code(), Some(1), "{bad}: expected exit 1");
     }
 
-    // Warn-only findings (lock_order) and clean fixtures exit 0.
-    for ok in ["lock_cycle_bad.rs", "race_channel_ok.rs", "clean.rs"] {
-        let status = Command::new(bin)
-            .args(["lint", "--strict"])
-            .arg(fixture(ok))
-            .status()
-            .expect("lint binary runs");
-        assert_eq!(status.code(), Some(0), "{ok}: expected exit 0");
-    }
+    let clean = Command::new(bin)
+        .args(["lint", "--strict"])
+        .arg(fixture("clean.rs"))
+        .status()
+        .expect("lint binary runs");
+    assert_eq!(clean.code(), Some(0), "clean.rs: expected exit 0");
 
     let workspace = Command::new(bin)
         .args(["lint", "--root"])
@@ -451,6 +321,10 @@ fn renamed_entry_point_is_reported_as_a_stale_root() {
         );
     }
     assert!(report.contains("specinfer-lint: 2 finding(s)"), "{report}");
+    assert!(
+        !copy.join("target").exists(),
+        "a lint run must write nothing under the linted tree's target/"
+    );
 }
 
 /// `--json` reports carry the rule/path/line/call-path fields the CI
@@ -485,173 +359,27 @@ fn json_mode_reports_findings_and_exit_codes() {
     assert!(report.contains("\"count\": 0"), "{report}");
 }
 
-/// `--github` emits one workflow annotation per finding, at the kind
-/// matching the finding's severity: error findings annotate `::error`
-/// (and fail the job), warn findings annotate `::warning` (and don't).
+/// `--github` emits one `::error` workflow annotation per finding.
 #[test]
 fn github_mode_emits_workflow_annotations() {
-    let bin = env!("CARGO_BIN_EXE_specinfer-xtask");
-
-    let out = Command::new(bin)
+    let out = Command::new(env!("CARGO_BIN_EXE_specinfer-xtask"))
         .args(["lint", "--github", "--strict"])
-        .arg(fixture("race_unlocked_write_bad.rs"))
-        .output()
-        .expect("lint binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8(out.stdout).expect("utf-8 output");
-    assert!(
-        text.lines().any(|l| l.starts_with("::error file=")
-            && l.contains("title=specinfer-lint shared_state_race")),
-        "{text}"
-    );
-
-    // lock_order is advisory: it must annotate as a warning, never as
-    // an error that flunks an otherwise-green run.
-    let out = Command::new(bin)
-        .args(["lint", "--github", "--strict"])
-        .arg(fixture("lock_cycle_bad.rs"))
-        .output()
-        .expect("lint binary runs");
-    assert_eq!(out.status.code(), Some(0), "warn-only run exits 0");
-    let text = String::from_utf8(out.stdout).expect("utf-8 output");
-    assert!(
-        text.lines()
-            .any(|l| l.starts_with("::warning file=")
-                && l.contains("title=specinfer-lint lock_order")),
-        "{text}"
-    );
-    assert!(
-        !text.contains("::error"),
-        "lock_order must not annotate as an error: {text}"
-    );
-}
-
-/// Warn-severity findings annotate (`::warning`), report (`"severity":
-/// "warn"`), and exit 0 — only error findings fail the build.
-#[test]
-fn warn_only_findings_exit_zero_in_every_format() {
-    let bin = env!("CARGO_BIN_EXE_specinfer-xtask");
-
-    let text = Command::new(bin)
-        .args(["lint", "--strict"])
-        .arg(fixture("warn_only_lock.rs"))
-        .output()
-        .expect("lint binary runs");
-    assert_eq!(text.status.code(), Some(0), "warn-only text run exits 0");
-    let out = String::from_utf8(text.stdout).expect("utf-8 output");
-    assert!(out.contains("[unbounded_wait:warn]"), "{out}");
-
-    let json = Command::new(bin)
-        .args(["lint", "--json", "--strict"])
-        .arg(fixture("warn_only_lock.rs"))
-        .output()
-        .expect("lint binary runs");
-    assert_eq!(json.status.code(), Some(0), "warn-only json run exits 0");
-    let out = String::from_utf8(json.stdout).expect("utf-8 output");
-    assert!(out.contains("\"severity\": \"warn\""), "{out}");
-
-    let gh = Command::new(bin)
-        .args(["lint", "--github", "--strict"])
-        .arg(fixture("warn_only_lock.rs"))
-        .output()
-        .expect("lint binary runs");
-    assert_eq!(gh.status.code(), Some(0), "warn-only github run exits 0");
-    let out = String::from_utf8(gh.stdout).expect("utf-8 output");
-    assert!(
-        out.lines().any(|l| l.starts_with("::warning file=")
-            && l.contains("title=specinfer-lint unbounded_wait")),
-        "{out}"
-    );
-}
-
-/// Error findings carry `"severity": "error"` in the JSON report.
-#[test]
-fn json_mode_reports_error_severity() {
-    let bin = env!("CARGO_BIN_EXE_specinfer-xtask");
-    let out = Command::new(bin)
-        .args(["lint", "--json", "--strict"])
         .arg(fixture("unbounded_wait_bad.rs"))
         .output()
         .expect("lint binary runs");
     assert_eq!(out.status.code(), Some(1));
-    let report = String::from_utf8(out.stdout).expect("utf-8 report");
-    assert!(report.contains("\"severity\": \"error\""), "{report}");
-    assert!(report.contains("\"rule\": \"unbounded_wait\""), "{report}");
-}
-
-/// `--rule` keeps only the named rules' findings — and with them gone,
-/// the exit code reflects what is left.
-#[test]
-fn rule_filter_selects_a_single_rule() {
-    let bin = env!("CARGO_BIN_EXE_specinfer-xtask");
-
-    // batched_verify_bad.rs trips three rules; filtering to one keeps
-    // exactly its finding.
-    let out = Command::new(bin)
-        .args(["lint", "--json", "--rule", "thread_confinement", "--strict"])
-        .arg(fixture("batched_verify_bad.rs"))
-        .output()
-        .expect("lint binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let report = String::from_utf8(out.stdout).expect("utf-8 report");
-    assert!(report.contains("\"count\": 1"), "{report}");
+    let text = String::from_utf8(out.stdout).expect("utf-8 output");
     assert!(
-        report.contains("\"rule\": \"thread_confinement\""),
-        "{report}"
-    );
-    assert!(!report.contains("no_unwrap"), "{report}");
-
-    // Filtering to a rule the fixture does not trip leaves nothing and
-    // exits 0.
-    let none = Command::new(bin)
-        .args(["lint", "--rule", "determinism", "--strict"])
-        .arg(fixture("batched_verify_bad.rs"))
-        .output()
-        .expect("lint binary runs");
-    assert_eq!(none.status.code(), Some(0), "filtered-out findings exit 0");
-
-    // A missing rule name is a usage error.
-    let usage = Command::new(bin)
-        .args(["lint", "--rule"])
-        .status()
-        .expect("lint binary runs");
-    assert_eq!(usage.code(), Some(2));
-}
-
-/// The on-disk fact cache (`target/xtask-cache/`, keyed by FNV-1a
-/// content hash) memoizes the parse pass across invocations: a cold run
-/// populates it and a warm second run must produce byte-identical
-/// output. (Wall times are not compared: they flip under load; the
-/// budget test below catches a cache that stopped paying.)
-#[test]
-fn warm_fact_cache_is_byte_identical() {
-    let bin = env!("CARGO_BIN_EXE_specinfer-xtask");
-    let root = workspace_root();
-    let cache_dir = root.join("target").join("xtask-cache");
-    let run = || {
-        let out = Command::new(bin)
-            .args(["lint", "--root"])
-            .arg(&root)
-            .output()
-            .expect("lint binary runs");
-        assert_eq!(out.status.code(), Some(0));
-        out.stdout
-    };
-
-    std::fs::remove_dir_all(&cache_dir).ok();
-    let cold_out = run();
-    assert!(cache_dir.is_dir(), "cold run populates the cache");
-    let warm_out = run();
-    assert_eq!(
-        String::from_utf8_lossy(&cold_out),
-        String::from_utf8_lossy(&warm_out),
-        "warm output must be byte-identical to cold"
+        text.lines()
+            .any(|l| l.starts_with("::error file=")
+                && l.contains("title=specinfer-lint unbounded_wait")),
+        "{text}"
     );
 }
 
-/// The parse-once fact cache keeps the whole-workspace lint fast: one
-/// parse pass shared by the lexical, call-graph, and dataflow rules.
-/// Generous 10s budget (debug build, cold file cache) — the point is to
+/// One parse pass shared by the lexical, call-graph, and dataflow rules
+/// keeps the whole-workspace lint fast with no on-disk cache. Generous
+/// 10s budget (debug build, cold file cache) — the point is to
 /// catch an accidental return to per-rule re-parsing, which multiplies
 /// wall time by the rule count.
 #[test]
@@ -667,6 +395,6 @@ fn workspace_lint_finishes_within_budget() {
     assert_eq!(status.code(), Some(0));
     assert!(
         elapsed < std::time::Duration::from_secs(10),
-        "workspace lint took {elapsed:?}; the parse-once fact cache regressed"
+        "workspace lint took {elapsed:?}; the single parse pass regressed"
     );
 }

@@ -107,131 +107,6 @@ fn lexer_round_trips_every_workspace_file() {
     }
 }
 
-/// The closure battery: the race detector leans on `Fact::Closure`
-/// (capture lists, by-move flags, spawn attribution), so the shapes it
-/// depends on are pinned here against parser drift.
-mod closures {
-    use specinfer_xtask::parse::{parse_file, Fact, ParsedFile};
-    use specinfer_xtask::scan::scan_source;
-
-    fn parse(src: &str) -> ParsedFile {
-        let p = parse_file(&scan_source("crates/x/src/a.rs", src, true));
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        p
-    }
-
-    fn closures(p: &ParsedFile) -> Vec<&Fact> {
-        p.fns
-            .iter()
-            .flat_map(|f| &f.facts)
-            .filter(|f| matches!(f, Fact::Closure { .. }))
-            .collect()
-    }
-
-    #[test]
-    fn move_capture_in_a_spawn_arg_is_attributed() {
-        let p = parse(
-            "fn f(pool: &Pool, stats: &mut Stats) {\n    pool.spawn(move || {\n        stats.total += 1;\n    });\n}\n",
-        );
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 1, "{cl:#?}");
-        let Fact::Closure {
-            by_move,
-            captures,
-            enclosing_call,
-            enclosing_recv,
-            ..
-        } = cl[0]
-        else {
-            unreachable!()
-        };
-        assert!(by_move);
-        assert_eq!(captures, &["stats"]);
-        assert_eq!(enclosing_call.as_deref(), Some("spawn"));
-        assert_eq!(enclosing_recv, "pool");
-    }
-
-    #[test]
-    fn ref_capture_keeps_by_move_false_and_params_out_of_captures() {
-        let p = parse(
-            "fn f(xs: &[u32], bias: u32) -> Vec<u32> {\n    xs.iter().map(|x| x + bias).collect()\n}\n",
-        );
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 1, "{cl:#?}");
-        let Fact::Closure {
-            by_move,
-            params,
-            captures,
-            enclosing_call,
-            ..
-        } = cl[0]
-        else {
-            unreachable!()
-        };
-        assert!(!by_move);
-        assert_eq!(params, &["x"]);
-        assert_eq!(captures, &["bias"], "the param must not count as a capture");
-        assert_eq!(enclosing_call.as_deref(), Some("map"));
-    }
-
-    #[test]
-    fn nested_closures_keep_separate_capture_sets() {
-        let p = parse(
-            "fn f(rows: &[Vec<u32>], k: u32) -> Vec<u32> {\n    rows.iter()\n        .map(|row| row.iter().filter(|v| **v > k).count() as u32)\n        .collect()\n}\n",
-        );
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 2, "{cl:#?}");
-        // Outer `|row|` captures `k` (used by the inner closure it
-        // absorbs); inner `|v|` captures `k` only, not its own param
-        // nor the outer's.
-        for c in &cl {
-            let Fact::Closure { captures, .. } = c else {
-                unreachable!()
-            };
-            assert_eq!(captures, &["k"], "{c:#?}");
-        }
-    }
-
-    #[test]
-    fn multi_line_spawn_closure_records_its_line_span() {
-        let p = parse(
-            "fn f(pool: &Pool, acc: &mut Vec<u32>) {\n    pool.spawn(move || {\n        acc.push(1);\n        acc.push(2);\n    });\n}\n",
-        );
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 1, "{cl:#?}");
-        let Fact::Closure {
-            line,
-            end_line,
-            body,
-            ..
-        } = cl[0]
-        else {
-            unreachable!()
-        };
-        assert_eq!(*line, 2);
-        // `end_line` is the line of the last *body* token (the second
-        // `push`), not of the closing delimiter.
-        assert_eq!(*end_line, 4);
-        assert!(
-            body.iter().any(|t| t.text == "push"),
-            "body tokens retained: {body:#?}"
-        );
-    }
-
-    #[test]
-    fn closure_spawned_inside_a_loop_is_marked_in_loop() {
-        let p = parse(
-            "fn f(pool: &Pool, stats: &mut Stats) {\n    for _i in 0..4 {\n        pool.spawn(|| {\n            stats.total += 1;\n        });\n    }\n}\n",
-        );
-        let cl = closures(&p);
-        assert_eq!(cl.len(), 1, "{cl:#?}");
-        let Fact::Closure { in_loop, .. } = cl[0] else {
-            unreachable!()
-        };
-        assert!(in_loop);
-    }
-}
-
 /// Vocabulary for token soup: keywords, idents, literals, operators and
 /// (frequently unbalanced) delimiters that exercise every lexer arm.
 const VOCAB: &[&str] = &[
