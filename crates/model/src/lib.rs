@@ -36,7 +36,6 @@
 //! assert_eq!(logits.dims(), &[2, model.config().vocab_size]);
 //! ```
 
-pub mod beam;
 pub mod checkpoint;
 pub mod compress;
 mod config;

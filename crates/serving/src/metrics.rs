@@ -155,15 +155,6 @@ impl ServeReport {
         self.completed().map(Response::tokens_per_step).sum::<f64>() / n as f64
     }
 
-    /// Mean end-to-end latency over completed requests.
-    pub fn mean_latency_s(&self) -> f64 {
-        let n = self.completed_len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.completed().map(Response::latency_s).sum::<f64>() / n as f64
-    }
-
     /// Per-request decoding iteration counts `(id, iterations)`, in
     /// response order — the ragged path's audit trail: two requests with
     /// equal budgets may take different iteration counts depending on

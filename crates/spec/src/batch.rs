@@ -45,25 +45,30 @@
 //! exact `0.0` to the attention reduction, so dropping it from the
 //! layout leaves every output bit unchanged.
 //!
+//! Every participant is a tree: an incremental step (incremental mode,
+//! the adaptive ladder's rung 0, a fallback) is the root alone — one row
+//! in the first pass, whose walk accepts nothing and emits the bonus
+//! from the root's own logits — and every lane commits through
+//! [`crate::Session`]'s one commit path.
+//!
 //! The batch is **ragged**: `step_batch` takes whatever set is live, so
 //! requests join and retire mid-flight and the block-diagonal mask is
-//! re-packed from scratch every call (ARCHITECTURE.md §12). Incremental
-//! rows (incremental mode, the adaptive ladder's rung 0, a fallback)
-//! ride the first pass as one causal row each. Faulted requests (SSM
-//! stall, simulated KV OOM) stay out of the fused passes and forward
-//! their one row serially after them — a fault degrades one request
-//! without poisoning its batch-mates. Every row of a stacked forward is
-//! computed with the reduction order of a solo forward (see
-//! `specinfer-model`), so a session's output does not depend on who
-//! shares its batch.
+//! re-packed from scratch every call (ARCHITECTURE.md §12). Faulted
+//! requests (SSM stall, simulated KV OOM) hold their root-only tree back
+//! from the fused passes and run the same loop after them as a batch of
+//! one — a fault degrades one request without poisoning its
+//! batch-mates. Every row of a stacked forward is computed with the
+//! reduction order of a solo forward (see `specinfer-model`), so a
+//! session's output does not depend on who shares its batch.
 
 use std::borrow::Cow;
+use std::slice;
 
 use specinfer_model::{BatchRequest, DecodeMode, Transformer, Visibility};
 use specinfer_tensor::{pool, Tensor};
 use specinfer_tokentree::{LinearizedTree, TokenId, TopologyMask};
 
-use crate::engine::{EngineConfig, Proposal, Session, StepFault, StepStats, TreeProposal};
+use crate::engine::{EngineConfig, Proposal, Session, StepFault, StepStats};
 use crate::verifier::{
     advance_greedy, advance_naive, advance_stochastic, LogitRows, StochasticVerifier, VerifyWalk,
 };
@@ -95,10 +100,10 @@ impl<'a> BatchItem<'a> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchRowStats {
     /// Rows a whole-tree first stage forwards for the same participants
-    /// (every tree node, plus one per incremental row).
+    /// (every tree node; a root-only tree is one).
     pub single_pass_rows: usize,
-    /// Rows forwarded in the first pass (the first stage of every tree
-    /// plus the incremental rows).
+    /// Rows forwarded in the first pass (the first stage of every
+    /// tree).
     pub pass_a_rows: usize,
     /// Rows forwarded in later passes (surviving subtrees only).
     pub pass_b_rows: usize,
@@ -185,7 +190,8 @@ impl BatchedVerifier {
     ///
     /// Returns one `Option<StepStats>` per item, in order — `None` for
     /// sessions that were already finished. Stall/OOM-faulted items fall
-    /// out of the batch and are served serially on the incremental path.
+    /// out of the fused passes and forward their root serially after
+    /// them. Neither kind counts in [`BatchRowStats`].
     pub fn step_batch(
         &self,
         llm: &Transformer,
@@ -204,95 +210,88 @@ impl BatchedVerifier {
         items: &mut [BatchItem<'_>],
     ) -> (Vec<Option<StepStats>>, BatchRowStats) {
         let proposals = propose_all(llm, ssms, items);
-        let mut row_stats = BatchRowStats::default();
         // One lane per item; `None` for a session that was already finished.
-        let mut lanes: Vec<Option<Lane>> = Vec::with_capacity(items.len());
-        for (proposal, item) in proposals.into_iter().zip(items.iter()) {
-            let lane = proposal.map(|p| Lane::new(p, item.session, self.first));
-            row_stats.single_pass_rows += match &lane {
-                Some(Lane::Row(_)) => 1,
-                Some(Lane::Tree(t)) => t.draft.lin.len(),
-                Some(Lane::Serial) | None => 0,
-            };
-            lanes.push(lane);
-        }
+        let mut lanes: Vec<Option<Lane>> = proposals
+            .into_iter()
+            .zip(items.iter())
+            .map(|(p, item)| p.map(|p| Lane::new(p, item.session.llm_cache_len(), self.first)))
+            .collect();
+        let mut row_stats = run_passes(llm, &mut lanes, items);
+        let fused = lanes.iter().flatten().filter(|lane| !lane.draft.forced);
+        row_stats.single_pass_rows = fused.map(|lane| lane.draft.lin.len()).sum();
 
-        for pass in 0.. {
-            // Stage: the rows each lane wants forwarded, in item order.
-            let staged: Vec<Option<StagedRows<'_>>> = lanes
-                .iter()
-                .zip(items.iter())
-                .map(|(lane, item)| lane.as_ref()?.stage(item.session))
-                .collect();
-            let mut reqs: Vec<BatchRequest<'_>> = Vec::with_capacity(items.len());
-            for (rows, item) in staged.iter().zip(items.iter_mut()) {
-                let Some(rows) = rows else { continue };
-                reqs.push(BatchRequest {
-                    tokens: &rows.tokens,
-                    positions: &rows.positions,
-                    cache: item.session.llm_cache_mut(),
-                    visible: match &rows.mask {
-                        Some(mask) => Visibility::Tree(mask),
-                        None => Visibility::Causal,
-                    },
-                });
-            }
-            if reqs.is_empty() {
-                break;
-            }
-            let forwarded: usize = reqs.iter().map(|q| q.tokens.len()).sum();
-            if pass == 0 {
-                row_stats.pass_a_rows += forwarded;
-            } else {
-                row_stats.pass_b_rows += forwarded;
-            }
-
-            // Fused forward, then advance: a lane consumes its logits and
-            // either finishes or restages.
-            let mut logits = llm.forward_rows_batch(&mut reqs).into_iter();
-            let mut take = || match logits.next() {
-                Some(l) => l,
-                None => unreachable!("one logits tensor per staged lane"),
-            };
-            for (lane, item) in lanes.iter_mut().zip(items.iter_mut()) {
-                match lane {
-                    Some(Lane::Row(slot @ None)) => *slot = Some(take()),
-                    Some(Lane::Tree(t)) if !t.next.is_empty() => {
-                        t.advance(item.session, item.config, &take())
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        // Commit per-session, in item order. Faulted items run their
-        // serial incremental forward here, after the fused passes.
+        // Per item, in order: a fault-forced lane stages its root now and
+        // runs the loop as a batch of one; then every lane commits.
         let mut stats: Vec<Option<StepStats>> = Vec::with_capacity(items.len());
-        for (lane, item) in lanes.into_iter().zip(items.iter_mut()) {
-            let session = &mut *item.session;
-            stats.push(lane.map(|lane| match lane {
-                Lane::Serial => {
-                    let (last, pos) = (session.last_token(), session.llm_cache_len());
-                    let cache = session.llm_cache_mut();
-                    let logits = llm.forward_rows(&[last], &[pos], cache, Visibility::Causal);
-                    session.commit_incremental(item.config, &logits)
-                }
-                Lane::Row(Some(logits)) => session.commit_incremental(item.config, &logits),
-                Lane::Row(None) => unreachable!("the first pass forwards every incremental row"),
-                Lane::Tree(t) => t.commit(session, ssms, item.config),
-            }));
+        for (mut lane, item) in lanes.into_iter().zip(items.iter_mut()) {
+            if let Some(forced) = lane.as_mut().filter(|lane| lane.draft.forced) {
+                forced.next = self.first.rows(&forced.draft.lin);
+                let _ = run_passes(llm, slice::from_mut(&mut lane), slice::from_mut(item));
+            }
+            stats.push(lane.map(|lane| lane.commit(item.session, item.config)));
         }
         (stats, row_stats)
     }
 }
 
+/// The staged loop over `lanes` (parallel to `items`): stack every
+/// lane's staged rows into one fused forward, advance every walk over
+/// the rows it received, repeat until no lane has rows staged. Returns
+/// the rows forwarded in the first pass and in the later ones.
+fn run_passes(
+    llm: &Transformer,
+    lanes: &mut [Option<Lane>],
+    items: &mut [BatchItem<'_>],
+) -> BatchRowStats {
+    let mut row_stats = BatchRowStats::default();
+    for pass in 0.. {
+        // Stage: the rows each lane wants forwarded, in item order.
+        let staged: Vec<Option<StagedRows<'_>>> =
+            lanes.iter().map(|lane| lane.as_ref()?.stage()).collect();
+        let mut reqs: Vec<BatchRequest<'_>> = Vec::with_capacity(items.len());
+        for (rows, item) in staged.iter().zip(items.iter_mut()) {
+            let Some(rows) = rows else { continue };
+            reqs.push(BatchRequest {
+                tokens: &rows.tokens,
+                positions: &rows.positions,
+                cache: item.session.llm_cache_mut(),
+                visible: Visibility::Tree(&rows.mask),
+            });
+        }
+        if reqs.is_empty() {
+            break;
+        }
+        let forwarded: usize = reqs.iter().map(|q| q.tokens.len()).sum();
+        if pass == 0 {
+            row_stats.pass_a_rows += forwarded;
+        } else {
+            row_stats.pass_b_rows += forwarded;
+        }
+
+        // Fused forward, then advance: a lane consumes its logits and
+        // either finishes or restages.
+        let mut logits = llm.forward_rows_batch(&mut reqs).into_iter();
+        for (lane, item) in lanes.iter_mut().zip(items.iter_mut()) {
+            let Some(lane) = lane.as_mut().filter(|lane| !lane.next.is_empty()) else {
+                continue;
+            };
+            let Some(rows) = logits.next() else {
+                unreachable!("one logits tensor per staged lane")
+            };
+            lane.advance(item.session, item.config, &rows);
+        }
+    }
+    row_stats
+}
+
 /// Phase 1: fused speculation. Sessions whose next proposal drafts
 /// nothing (incremental mode, the adaptive ladder's rung 0, degraded,
-/// faulted, finished) are answered on the spot; the real drafts — SSM
-/// forwards, milliseconds each — become one pool region when there are
-/// at least two. Each session owns its caches and RNG stream and the
-/// kernels are bitwise-identical at any thread count, so this emits
-/// exactly the proposals serial per-item sequencing would.
+/// faulted, finished) are answered on the spot, with a root-only tree
+/// or `None`; the real drafts — SSM catch-up and expansion, milliseconds
+/// each — become one pool region when there are at least two. Each
+/// session owns its caches and RNG stream and the kernels are
+/// bitwise-identical at any thread count, so this emits exactly the
+/// proposals serial per-item sequencing would.
 fn propose_all(
     llm: &Transformer,
     ssms: &[&Transformer],
@@ -317,57 +316,18 @@ fn propose_all(
     proposals
 }
 
-/// What one live item does in this iteration.
-enum Lane {
-    /// Forced incremental by a stall/OOM fault: stays out of the fused
-    /// passes and forwards its one row serially after them.
-    Serial,
-    /// One causal row in the first pass; holds its logits afterwards.
-    Row(Option<Tensor>),
-    /// A token tree under verification.
-    Tree(TreeLane),
-}
-
-impl Lane {
-    fn new(proposal: Proposal, session: &Session, first: FirstStage) -> Self {
-        match proposal {
-            Proposal::Incremental { forced: true } => Lane::Serial,
-            Proposal::Incremental { forced: false } => Lane::Row(None),
-            Proposal::Tree(draft) => Lane::Tree(TreeLane {
-                base: session.llm_cache_len(),
-                walk: VerifyWalk::new(),
-                tail: Vec::new(),
-                next: first.rows(&draft.lin),
-                draft,
-            }),
-        }
-    }
-
-    /// The rows this lane adds to the next fused forward, if any.
-    fn stage(&self, session: &Session) -> Option<StagedRows<'_>> {
-        match self {
-            Lane::Row(None) => Some(StagedRows {
-                tokens: Cow::Owned(vec![session.last_token()]),
-                positions: vec![session.llm_cache_len()],
-                mask: None,
-            }),
-            Lane::Tree(t) if !t.next.is_empty() => Some(t.stage()),
-            _ => None,
-        }
-    }
-}
-
-/// One lane's rows of a fused forward.
+/// One row set of a fused forward.
 struct StagedRows<'a> {
     tokens: Cow<'a, [TokenId]>,
     positions: Vec<usize>,
-    /// Tree visibility among these rows; `None` means causal.
-    mask: Option<Cow<'a, TopologyMask>>,
+    /// Tree visibility among these rows.
+    mask: Cow<'a, TopologyMask>,
 }
 
-/// One tree's verification, threaded through the passes.
-struct TreeLane {
-    draft: Box<TreeProposal>,
+/// One live item's token tree under verification, threaded through the
+/// passes.
+struct Lane {
+    draft: Proposal,
     /// Cache length before any verify row was appended.
     base: usize,
     walk: VerifyWalk,
@@ -391,10 +351,32 @@ impl LogitRows for PassRows<'_> {
     }
 }
 
-impl TreeLane {
-    /// Tokens, positions and mask of the staged rows. A stage covering
-    /// the whole tree borrows the proposal's own tokens and mask.
-    fn stage(&self) -> StagedRows<'_> {
+impl Lane {
+    /// A lane over `draft` on top of `base` committed rows, staging
+    /// `first`'s rows — none yet for a fault-forced step, which sits the
+    /// fused passes out.
+    fn new(draft: Proposal, base: usize, first: FirstStage) -> Self {
+        let next = if draft.forced {
+            Vec::new()
+        } else {
+            first.rows(&draft.lin)
+        };
+        Lane {
+            draft,
+            base,
+            walk: VerifyWalk::new(),
+            tail: Vec::new(),
+            next,
+        }
+    }
+
+    /// Tokens, positions and mask of the staged rows, if any. A stage
+    /// covering the whole tree borrows the proposal's own tokens and
+    /// mask.
+    fn stage(&self) -> Option<StagedRows<'_>> {
+        if self.next.is_empty() {
+            return None;
+        }
         let lin = &self.draft.lin;
         let staged = |i: &usize| self.next.binary_search(i).is_ok();
         let rows = lin.tokens().iter().zip(lin.depths()).enumerate();
@@ -411,11 +393,11 @@ impl TreeLane {
                 Cow::Owned(lin.mask().restrict(&self.next)),
             )
         };
-        StagedRows {
+        Some(StagedRows {
             tokens,
             positions,
-            mask: Some(mask),
-        }
+            mask,
+        })
     }
 
     /// Consumes the logits of the staged rows (now in the cache tail):
@@ -426,7 +408,7 @@ impl TreeLane {
     /// retains anyway, and every row of it visible to every row staged
     /// next — and the node's subtree (a contiguous DFS range) is staged.
     fn advance(&mut self, session: &mut Session, config: &EngineConfig, logits: &Tensor) {
-        let TreeProposal { spec, lin, .. } = &*self.draft;
+        let Proposal { spec, lin, .. } = &self.draft;
         let rows = PassRows {
             logits,
             indices: &self.next,
@@ -465,7 +447,7 @@ impl TreeLane {
 
     /// Commits the finished walk, keeping the root + accepted path of
     /// the cache tail — the last accepted node's lineage.
-    fn commit(self, session: &mut Session, ssms: &[&Transformer], cfg: &EngineConfig) -> StepStats {
+    fn commit(self, session: &mut Session, cfg: &EngineConfig) -> StepStats {
         let leaf = self.walk.accepted().last();
         let keep = self.lineage(leaf.map_or(0, |&u| self.draft.lin.index_of(u)));
         let outcome = self.walk.into_outcome();
@@ -474,6 +456,6 @@ impl TreeLane {
             1 + outcome.nodes.len(),
             "accepted rows are cached"
         );
-        session.commit_verified(ssms, cfg, *self.draft, outcome, self.base, keep)
+        session.commit_verified(cfg, self.draft, outcome, self.base, keep)
     }
 }

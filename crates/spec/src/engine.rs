@@ -14,12 +14,17 @@
 //! one drafter (`Session::draft`) consumes the pair. Every row count
 //! (slab sizing, admission charging, "does it still fit") is read off
 //! that plan, so it counts a merged pool's one-expansion-per-SSM.
+//!
+//! Every step is a token tree: an incremental one is the root alone,
+//! Algorithm 2's degenerate tree, verified and committed like any
+//! other (`Session::commit_verified`, the one commit path). The SSM
+//! caches have one writer too: the drafter catches up the SSMs it is
+//! about to draft with, so a cache no draft reads is never written.
 
 use std::collections::VecDeque;
 
-use specinfer_model::{sampler, DecodeMode, KvCache, Transformer};
+use specinfer_model::{DecodeMode, KvCache, Transformer};
 use specinfer_tensor::rng::SeededRng;
-use specinfer_tensor::Tensor;
 use specinfer_tokentree::{ExpansionConfig, LinearizedTree, TokenId, TokenTree};
 
 use crate::batch::{BatchItem, BatchedVerifier};
@@ -155,14 +160,18 @@ enum Drafters {
 }
 
 impl Drafters {
+    /// Pool indices of the drafting SSMs.
+    fn ids(self) -> std::ops::Range<usize> {
+        match self {
+            Drafters::One(id) => id..id + 1,
+            Drafters::Pool(n) => 0..n,
+        }
+    }
+
     /// Rows an iteration drafting `shape` appends: the root plus one
     /// worst-case expansion per drafter (merging only deduplicates).
     fn rows(self, shape: &DraftShape) -> usize {
-        let expansions = match self {
-            Drafters::One(_) => 1,
-            Drafters::Pool(n) => n,
-        };
-        expansions * shape.node_count() + 1
+        self.ids().len() * shape.node_count() + 1
     }
 }
 
@@ -405,44 +414,36 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// One proposed decoding iteration, produced by [`Session::propose`].
+/// One proposed decoding iteration, produced by [`Session::propose`]: a
+/// token tree awaiting tree-parallel verification. An incremental step
+/// is the root alone.
 ///
 /// Splitting the step at the LLM-forward boundary is what lets
 /// [`crate::BatchedVerifier`] fuse the verification forwards of many
 /// sessions into stacked passes: speculation and sampling/commit stay
 /// per-session, while the part that touches the LLM batches.
 #[derive(Debug)]
-pub(crate) enum Proposal {
-    /// One ordinary causal row: the sequence's last token.
-    Incremental {
-        /// Whether a fault (stall/OOM) forced it. The batched verifier
-        /// forwards such rows serially so a faulted request never
-        /// poisons its batch-mates.
-        forced: bool,
-    },
-    /// A speculated token tree awaiting tree-parallel verification.
-    /// Boxed so the small `Incremental` variant doesn't inflate every
-    /// `Proposal` to the tree payload's size.
-    Tree(Box<TreeProposal>),
-}
-
-#[derive(Debug)]
-pub(crate) struct TreeProposal {
+pub(crate) struct Proposal {
     pub(crate) spec: Speculation,
     pub(crate) lin: LinearizedTree,
     /// The controller decision behind the draft (adaptive plans only);
     /// fed back to the controller at commit.
     decision: Option<AdaptiveDecision>,
+    /// Whether a fault (stall/OOM) forced this root-only step. The
+    /// batched verifier forwards such a tree serially, after the fused
+    /// passes, so a faulted request never poisons its batch-mates.
+    pub(crate) forced: bool,
 }
 
 /// Per-request generation state, advanced one decoding iteration at a
 /// time.
 ///
-/// The KV-cache invariant maintained between iterations: every cache
-/// (LLM and SSMs) holds rows for all tokens of the sequence *except the
-/// last one* — the last token is the root the next speculated tree grows
-/// from (Figure 4 feeds the verified token together with the speculated
-/// ones).
+/// The KV-cache invariant maintained between iterations: the LLM cache
+/// holds rows for all tokens of the sequence *except the last one* — the
+/// last token is the root the next token tree grows from (Figure 4 feeds
+/// the verified token together with the speculated ones). Each SSM cache
+/// holds a prefix of those rows; an SSM catches up to all of them right
+/// before it drafts.
 #[derive(Debug)]
 pub struct Session {
     tokens: Vec<TokenId>,
@@ -464,7 +465,8 @@ pub struct Session {
 
 impl Session {
     /// Starts a session: prefills the prompt (all but its last token)
-    /// into the LLM cache and every SSM cache.
+    /// into the LLM cache. The SSM caches start empty and take the
+    /// prompt with their first draft.
     ///
     /// This is the panicking convenience constructor for trusted callers
     /// (tests, benches, the CLI). Serving paths use [`Session::try_new`]
@@ -507,6 +509,10 @@ impl Session {
     /// speculation-fits check can trigger before generation finishes.
     /// Smaller budgets are accepted but degrade to incremental decoding
     /// (and eventually early termination) near the capacity limit.
+    ///
+    /// Only the LLM prefills here. Each SSM cache is created empty at its
+    /// model's full `max_seq_len` and is written by that SSM's drafts
+    /// alone.
     pub fn try_new_budgeted(
         llm: &Transformer,
         ssms: &[&Transformer],
@@ -534,21 +540,11 @@ impl Session {
         if !head.is_empty() {
             let _ = llm.prefill(head, &mut llm_cache);
         }
-        let ssm_caches = ssms
-            .iter()
-            .map(|ssm| {
-                let mut c = ssm.new_cache();
-                if !head.is_empty() {
-                    let _ = ssm.prefill(head, &mut c);
-                }
-                c
-            })
-            .collect();
         Ok(Session {
             tokens: prompt.to_vec(),
             prompt_len: prompt.len(),
             llm_cache,
-            ssm_caches,
+            ssm_caches: ssms.iter().map(|ssm| ssm.new_cache()).collect(),
             rng: SeededRng::new(seed),
             steps: Vec::new(),
             finished: false,
@@ -718,10 +714,12 @@ impl Session {
     /// session's pool on the first call (later calls keep that plan), and
     /// — when the plan drafts — runs the whole SSM expansion, consuming
     /// the session's RNG stream exactly as [`Session::step_faulted`]
-    /// always has. Returns `None` when the session is finished (or just
-    /// exhausted its context). The returned [`Proposal`] must be
-    /// forwarded and committed ([`Session::commit_incremental`] /
-    /// [`Session::commit_verified`]) before the session can step again.
+    /// always has. A step that drafts nothing (the incremental shape, a
+    /// fallback, a fault-forced step, a shape that no longer fits)
+    /// proposes the root-only tree. Returns `None` when the session is
+    /// finished (or just exhausted its context). The returned
+    /// [`Proposal`] must be forwarded and committed
+    /// ([`Session::commit_verified`]) before the session can step again.
     pub(crate) fn propose(
         &mut self,
         llm: &Transformer,
@@ -787,26 +785,28 @@ impl Session {
             }
         };
         self.plan = Some(plan);
-        Some(match spec {
-            Some(spec) => Proposal::Tree(Box::new(TreeProposal {
-                lin: LinearizedTree::new(&spec.tree),
-                spec,
-                decision,
-            })),
-            None => Proposal::Incremental {
-                forced: forced_incremental,
-            },
+        let spec = spec.unwrap_or_else(|| Speculation {
+            tree: TokenTree::new(self.last_token()),
+            dists: SsmDistTable::new(),
+        });
+        Some(Proposal {
+            lin: LinearizedTree::new(&spec.tree),
+            spec,
+            decision,
+            forced: forced_incremental,
         })
     }
 
     /// The one drafter: speculates `shape` with `drafters`, or answers
-    /// `None` — an incremental row — when the shape is the incremental one
-    /// or, near the context limit, no longer fits the caches. A
+    /// `None` — the root-only tree — when the shape is the incremental
+    /// one or, near the context limit, no longer fits the caches. A
     /// garbage-logits fault replaces the draft with uniform draws in the
     /// shape's static expansion, without consulting the SSMs or their
-    /// caches. One SSM expands inline on the session's RNG stream; a pool
-    /// expands data-parallel — one private tree and forked RNG stream per
-    /// SSM — and the trees merge deterministically in pool order (§3).
+    /// caches. Otherwise the drafting SSMs first catch up to the
+    /// committed rows — the SSM caches' only writer. One SSM expands
+    /// inline on the session's RNG stream; a pool expands data-parallel
+    /// — one private tree and forked RNG stream per SSM — and the trees
+    /// merge deterministically in pool order (§3).
     fn draft(
         &mut self,
         llm: &Transformer,
@@ -829,6 +829,19 @@ impl Session {
         if let Some(seed) = garbage {
             let vocab = llm.config().vocab_size;
             return Some(speculate_garbage(root, &expansion, vocab, seed));
+        }
+        let (committed, ids) = (self.llm_cache.len(), drafters.ids());
+        let pool = ssms.iter().zip(&mut self.ssm_caches);
+        for (ssm, cache) in pool.skip(ids.start).take(ids.len()) {
+            let behind = self.tokens.get(cache.len()..committed);
+            if let Some(behind) = behind.filter(|rows| !rows.is_empty()) {
+                let _ = ssm.prefill(behind, cache);
+            }
+            debug_assert_eq!(
+                cache.len(),
+                committed,
+                "a drafting SSM holds the committed rows"
+            );
         }
         let mode = ExpansionMode::for_decode_mode(&config.decode);
         Some(match drafters {
@@ -858,15 +871,52 @@ impl Session {
         })
     }
 
-    /// Shared tail of every commit path: feed the adaptive controller and
-    /// the degradation ladder, record the step.
-    fn finish_step(&mut self, decision: Option<AdaptiveDecision>, stats: StepStats) -> StepStats {
+    /// Whether an iteration appending up to `need` rows (the root plus
+    /// every drafted node) on top of the committed rows fits in every
+    /// cache involved — a drafting SSM first catches up to those rows.
+    fn speculation_fits(&self, need: usize) -> bool {
+        let rows = self.llm_cache.len() + need;
+        rows <= self.llm_cache.max_len() && self.ssm_caches.iter().all(|c| rows <= c.max_len())
+    }
+
+    /// Commits a token tree the batched verifier has verified — the one
+    /// commit path, a root-only tree included: `outcome` is the finished
+    /// walk's result, `prefix` the LLM-cache length from before any
+    /// verify rows were appended, and `keep` the strictly-increasing
+    /// positions (relative to `prefix`) of the root and accepted rows
+    /// within the cache's current appended tail. Compacts the LLM cache
+    /// onto `keep`, extends the token sequence, checks termination, feeds
+    /// the controller and the degradation ladder and records the step.
+    pub(crate) fn commit_verified(
+        &mut self,
+        config: &EngineConfig,
+        proposal: Proposal,
+        outcome: VerifyOutcome,
+        prefix: usize,
+        keep: Vec<usize>,
+    ) -> StepStats {
+        self.llm_cache.retain_rows(prefix, &keep);
+        let committed = self.llm_cache.len();
+        debug_assert!(
+            self.ssm_caches.iter().all(|c| c.len() <= committed),
+            "each SSM cache holds a prefix of the committed rows"
+        );
+        self.tokens.extend_from_slice(&outcome.tokens);
+        self.check_termination(config, &outcome.tokens);
+        let stats = StepStats {
+            tree_size: proposal.spec.tree.speculated_len(),
+            accepted: outcome.accepted_speculated(),
+            emitted: outcome.tokens.len(),
+        };
+
         let idx = self.steps.len();
-        if let (Some(DraftPlan::Adaptive(controller)), Some(d)) = (&mut self.plan, &decision) {
+        if let (Some(DraftPlan::Adaptive(controller)), Some(d)) =
+            (&mut self.plan, &proposal.decision)
+        {
             controller.observe(d, stats.accepted);
         }
         // Feed the ladder with the acceptance of speculative iterations
-        // (forced-incremental and fallback steps draft no tree).
+        // (a root-only tree drafts nothing).
         if self.policy.is_enabled() && stats.tree_size > 0 {
             self.accept_window
                 .push_back(stats.accepted as f64 / stats.tree_size as f64);
@@ -884,85 +934,6 @@ impl Session {
         }
         self.steps.push(stats);
         stats
-    }
-
-    /// Whether an iteration appending up to `need` rows (the root plus
-    /// every drafted node) fits in every cache involved.
-    fn speculation_fits(&self, need: usize) -> bool {
-        if self.llm_cache.len() + need > self.llm_cache.max_len() {
-            return false;
-        }
-        self.ssm_caches
-            .iter()
-            .all(|c| c.len() + need <= c.max_len())
-    }
-
-    /// Commits one incremental row: samples the next token from its
-    /// logits. The SSM caches are not advanced (ROADMAP item 2e).
-    pub(crate) fn commit_incremental(
-        &mut self,
-        config: &EngineConfig,
-        logits: &Tensor,
-    ) -> StepStats {
-        let next = match &config.decode {
-            DecodeMode::Greedy => sampler::greedy_token(logits.data()),
-            mode => {
-                let p = sampler::probs_from_logits(logits.data(), mode);
-                sampler::sample_token(&p, &mut self.rng)
-            }
-        };
-        self.tokens.push(next);
-        self.check_termination(config, &[next]);
-        let stats = StepStats {
-            tree_size: 0,
-            accepted: 0,
-            emitted: 1,
-        };
-        self.finish_step(None, stats)
-    }
-
-    /// Commits a tree proposal the batched verifier has verified:
-    /// `outcome` is the finished walk's result, `prefix` the LLM-cache
-    /// length from before any verify rows were appended, and `keep` the
-    /// strictly-increasing positions (relative to `prefix`) of the root
-    /// and accepted rows within the cache's current appended tail.
-    /// Compacts the LLM cache onto `keep`, replays the accepted path into
-    /// every SSM cache, extends the token sequence, checks termination,
-    /// feeds the controller and the degradation ladder and records the
-    /// step.
-    pub(crate) fn commit_verified(
-        &mut self,
-        ssms: &[&Transformer],
-        config: &EngineConfig,
-        proposal: TreeProposal,
-        outcome: VerifyOutcome,
-        prefix: usize,
-        keep: Vec<usize>,
-    ) -> StepStats {
-        let root = self.last_token();
-        self.llm_cache.retain_rows(prefix, &keep);
-
-        // SSM caches saw only the verified prefix; append the root and the
-        // newly verified tokens (everything but the bonus) to restore the
-        // invariant.
-        let accepted = outcome.accepted_speculated();
-        let mut replay = Vec::with_capacity(1 + accepted);
-        replay.push(root);
-        // The verifier emits accepted tokens first, bonus last, so the
-        // first `accepted` entries always exist.
-        replay.extend_from_slice(outcome.tokens.get(..accepted).unwrap_or(&[]));
-        for (ssm, cache) in ssms.iter().zip(self.ssm_caches.iter_mut()) {
-            let _ = ssm.prefill(&replay, cache);
-        }
-
-        self.tokens.extend_from_slice(&outcome.tokens);
-        self.check_termination(config, &outcome.tokens);
-        let stats = StepStats {
-            tree_size: proposal.spec.tree.speculated_len(),
-            accepted,
-            emitted: outcome.tokens.len(),
-        };
-        self.finish_step(proposal.decision, stats)
     }
 
     fn check_termination(&mut self, config: &EngineConfig, new_tokens: &[TokenId]) {
@@ -1152,21 +1123,36 @@ mod tests {
     #[test]
     fn self_speculation_accepts_everything_greedy() {
         // When the SSM *is* the LLM, greedy speculation of a chain must be
-        // accepted in full every step: emitted = depth + 1.
+        // accepted in full every step: emitted = depth + 1. A stall on
+        // every third step forces a root-only step in between, whose
+        // token the SSM must draft from like any other committed token.
         let (llm, _) = models();
         let depth = 4;
-        let r = SpecEngine::new(
-            &llm,
-            vec![&llm],
-            config(
-                InferenceMode::SequenceSpeculative { depth },
-                DecodeMode::Greedy,
-            ),
-        )
-        .generate(&[2, 3], 0);
-        for s in &r.steps {
-            assert_eq!(s.accepted, depth, "self-speculation must fully verify");
-            assert_eq!(s.emitted, depth + 1);
+        let cfg = config(
+            InferenceMode::SequenceSpeculative { depth },
+            DecodeMode::Greedy,
+        );
+        for (prompt, stall_every_third) in [([2, 3], false), ([2, 9], true)] {
+            let mut s = Session::new(&llm, &[&llm], &prompt, 0);
+            let mut i = 0usize;
+            while !s.is_finished() {
+                let fault = StepFault {
+                    ssm_stall: stall_every_third && i % 3 == 2,
+                    ..StepFault::default()
+                };
+                let stats = s.step_faulted(&llm, &[&llm], &cfg, fault).unwrap();
+                let what = format!("step {i}, stall every third: {stall_every_third}");
+                if fault.ssm_stall {
+                    assert_eq!((stats.tree_size, stats.emitted), (0, 1), "{what}");
+                } else {
+                    assert_eq!(
+                        stats.accepted, depth,
+                        "self-speculation must fully verify: {what}"
+                    );
+                    assert_eq!(stats.emitted, depth + 1, "{what}");
+                }
+                i += 1;
+            }
         }
     }
 

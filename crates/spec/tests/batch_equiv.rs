@@ -7,8 +7,8 @@
 
 use specinfer_model::{DecodeMode, ModelConfig, Transformer};
 use specinfer_spec::{
-    BatchItem, BatchRowStats, BatchedVerifier, EngineConfig, InferenceMode, Session, StepFault,
-    StepStats, StochasticVerifier,
+    AdaptiveConfig, BatchItem, BatchRowStats, BatchedVerifier, DegradationPolicy, EngineConfig,
+    InferenceMode, Session, StepFault, StepStats, StochasticVerifier,
 };
 use specinfer_tokentree::{ExpansionConfig, TokenId};
 
@@ -25,6 +25,22 @@ fn models() -> (Transformer, Transformer) {
         101,
     );
     (llm, ssm)
+}
+
+/// Three distinct one-layer SSMs for the pooled runs.
+fn ssm_pool() -> Vec<Transformer> {
+    (101..104)
+        .map(|seed| {
+            let ssm = ModelConfig {
+                d_model: 8,
+                n_heads: 2,
+                n_layers: 1,
+                d_ff: 16,
+                ..ModelConfig::smoke()
+            };
+            Transformer::from_seed(ssm, seed)
+        })
+        .collect()
 }
 
 fn config(decode: DecodeMode) -> EngineConfig {
@@ -274,29 +290,42 @@ struct RaggedSpec {
 }
 
 /// What varies across a ragged run besides the requests: the decode
-/// mode, the tree every request drafts, and a fault mask. The mask is
-/// read at `(request, that session's own step count)`, so a request
-/// meets the same faults alone and in any interleaving.
+/// mode, the mode every request runs, the SSM pool, the degradation
+/// ladder and a fault mask. The mask is read at `(request, that
+/// session's own step count)`, so a request meets the same faults alone
+/// and in any interleaving.
 struct RaggedRun<'a> {
     decode: DecodeMode,
-    expansion: ExpansionConfig,
+    mode: InferenceMode,
+    ssms: &'a [&'a Transformer],
+    policy: DegradationPolicy,
     faults: &'a [u8],
 }
 
-impl RaggedRun<'_> {
-    fn plain(decode: DecodeMode) -> Self {
+impl<'a> RaggedRun<'a> {
+    /// Every request drafts `expansion` with `ssms`, ladder off.
+    fn tree(
+        decode: DecodeMode,
+        expansion: ExpansionConfig,
+        ssms: &'a [&'a Transformer],
+        faults: &'a [u8],
+    ) -> Self {
         RaggedRun {
             decode,
-            expansion: ExpansionConfig::new(vec![2, 1, 1]),
-            faults: &[],
+            mode: InferenceMode::TreeSpeculative { expansion },
+            ssms,
+            policy: DegradationPolicy::disabled(),
+            faults,
         }
+    }
+
+    fn plain(decode: DecodeMode, ssms: &'a [&'a Transformer]) -> Self {
+        RaggedRun::tree(decode, ExpansionConfig::new(vec![2, 1, 1]), ssms, &[])
     }
 
     fn config(&self, spec: &RaggedSpec) -> EngineConfig {
         EngineConfig {
-            mode: InferenceMode::TreeSpeculative {
-                expansion: self.expansion.clone(),
-            },
+            mode: self.mode.clone(),
             max_new_tokens: spec.max_new,
             ..config(self.decode.clone())
         }
@@ -338,21 +367,20 @@ impl RaggedSpec {
 /// Serial reference: each request decoded alone, full-capacity slab.
 fn run_specs_serial(
     llm: &Transformer,
-    ssm: &Transformer,
     run: &RaggedRun<'_>,
     seed: u64,
     specs: &[RaggedSpec],
 ) -> Outputs {
-    let ssms = [ssm];
     specs
         .iter()
         .enumerate()
         .map(|(idx, spec)| {
             let cfg = run.config(spec);
-            let mut s = Session::new(llm, &ssms, &spec.prompt, seed.wrapping_add(idx as u64));
+            let mut s = Session::new(llm, run.ssms, &spec.prompt, seed.wrapping_add(idx as u64));
+            s.set_degradation_policy(run.policy);
             while !s.is_finished() {
                 let fault = run.fault(idx, &s);
-                let _ = s.step_faulted(llm, &ssms, &cfg, fault);
+                let _ = s.step_faulted(llm, run.ssms, &cfg, fault);
             }
             output(s)
         })
@@ -366,13 +394,12 @@ fn run_specs_serial(
 /// right-sized-slab path the serving daemon uses.
 fn run_specs_ragged(
     llm: &Transformer,
-    ssm: &Transformer,
     run: &RaggedRun<'_>,
     seed: u64,
     cap: usize,
     specs: &[RaggedSpec],
 ) -> Outputs {
-    let ssms = [ssm];
+    let ssms = run.ssms;
     let verifier = BatchedVerifier::new();
     let configs: Vec<EngineConfig> = specs.iter().map(|s| run.config(s)).collect();
     // FIFO queue of request indices, ordered by (arrival, index).
@@ -390,16 +417,17 @@ fn run_specs_ragged(
             if specs[idx].arrival > iter {
                 break;
             }
-            let budget =
-                specs[idx].prompt.len() + specs[idx].max_new + configs[idx].speculation_rows();
-            let session = Session::try_new_budgeted(
+            let rows = configs[idx].pool_speculation_rows(ssms.len()).worst_case;
+            let budget = specs[idx].prompt.len() + specs[idx].max_new + rows;
+            let mut session = Session::try_new_budgeted(
                 llm,
-                &ssms,
+                ssms,
                 &specs[idx].prompt,
                 seed.wrapping_add(idx as u64),
                 budget,
             )
             .expect("ragged specs are valid prompts");
+            session.set_degradation_policy(run.policy);
             live.push((idx, session));
             next += 1;
         }
@@ -412,7 +440,7 @@ fn run_specs_ragged(
                     config: &configs[*idx],
                 })
                 .collect();
-            let _ = verifier.step_batch(llm, &ssms, &mut items);
+            let _ = verifier.step_batch(llm, ssms, &mut items);
             drop(items);
             // Retire mid-flight; freed slots are refilled next iteration.
             let mut i = 0;
@@ -445,10 +473,11 @@ fn ragged_interleavings_match_serial_greedy_at_batch_2_8_32() {
     let (llm, ssm) = models();
     for seed in [0u64, 42] {
         let specs = staggered_specs(40);
-        let run = RaggedRun::plain(DecodeMode::Greedy);
-        let serial = run_specs_serial(&llm, &ssm, &run, seed, &specs);
+        let ssms = [&ssm];
+        let run = RaggedRun::plain(DecodeMode::Greedy, &ssms);
+        let serial = run_specs_serial(&llm, &run, seed, &specs);
         for cap in [2usize, 8, 32] {
-            let ragged = run_specs_ragged(&llm, &ssm, &run, seed, cap, &specs);
+            let ragged = run_specs_ragged(&llm, &run, seed, cap, &specs);
             assert_eq!(serial, ragged, "seed {seed}, cap {cap}");
         }
     }
@@ -458,10 +487,11 @@ fn ragged_interleavings_match_serial_greedy_at_batch_2_8_32() {
 fn ragged_interleavings_match_serial_mss_at_batch_2_8_32() {
     let (llm, ssm) = models();
     let specs = staggered_specs(33);
-    let run = RaggedRun::plain(DecodeMode::stochastic());
-    let serial = run_specs_serial(&llm, &ssm, &run, 19, &specs);
+    let ssms = [&ssm];
+    let run = RaggedRun::plain(DecodeMode::stochastic(), &ssms);
+    let serial = run_specs_serial(&llm, &run, 19, &specs);
     for cap in [2usize, 8, 32] {
-        let ragged = run_specs_ragged(&llm, &ssm, &run, 19, cap, &specs);
+        let ragged = run_specs_ragged(&llm, &run, 19, cap, &specs);
         assert_eq!(serial, ragged, "cap {cap}");
     }
 }
@@ -470,9 +500,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random arrival/retire interleavings with heterogeneous lengths, a
-    /// random expansion (depth 1–4, widths 1–3) and a random
-    /// stall/OOM/garbage fault mask: greedy ragged decoding is
-    /// bitwise-identical to serial, at every batch cap.
+    /// random stall/OOM/garbage fault mask and two runs over them: a
+    /// random expansion (depth 1–4, widths 1–3) drafted by one SSM, and
+    /// `Adaptive` over a pool of three under the serving ladder, where
+    /// forced, fallback and rung-0 steps mix with routed drafts. Greedy
+    /// ragged decoding is bitwise-identical to serial, at every batch
+    /// cap.
     #[test]
     fn ragged_random_interleavings_match_serial_greedy(
         shapes in prop::collection::vec((2usize..7, 1usize..13, 0usize..9), 1..12),
@@ -481,16 +514,24 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let (llm, ssm) = models();
+        let pool = ssm_pool();
+        let pool: Vec<&Transformer> = pool.iter().collect();
         let specs = RaggedSpec::from_shapes(&shapes);
-        let run = RaggedRun {
+        let ssms = [&ssm];
+        let tree = RaggedRun::tree(DecodeMode::Greedy, ExpansionConfig::new(widths), &ssms, &faults);
+        let adaptive = RaggedRun {
             decode: DecodeMode::Greedy,
-            expansion: ExpansionConfig::new(widths),
+            mode: InferenceMode::Adaptive { config: AdaptiveConfig::default() },
+            ssms: &pool,
+            policy: DegradationPolicy::serving_default(),
             faults: &faults,
         };
-        let serial = run_specs_serial(&llm, &ssm, &run, seed, &specs);
-        for cap in [2usize, 8, 32] {
-            let ragged = run_specs_ragged(&llm, &ssm, &run, seed, cap, &specs);
-            prop_assert_eq!(&serial, &ragged, "cap {}", cap);
+        for run in [tree, adaptive] {
+            let serial = run_specs_serial(&llm, &run, seed, &specs);
+            for cap in [2usize, 8, 32] {
+                let ragged = run_specs_ragged(&llm, &run, seed, cap, &specs);
+                prop_assert_eq!(&serial, &ragged, "{:?}, cap {}", run.mode, cap);
+            }
         }
     }
 
@@ -506,14 +547,11 @@ proptest! {
     ) {
         let (llm, ssm) = models();
         let specs = RaggedSpec::from_shapes(&shapes);
-        let run = RaggedRun {
-            decode: DecodeMode::stochastic(),
-            expansion: ExpansionConfig::new(widths),
-            faults: &faults,
-        };
-        let serial = run_specs_serial(&llm, &ssm, &run, seed, &specs);
+        let ssms = [&ssm];
+        let run = RaggedRun::tree(DecodeMode::stochastic(), ExpansionConfig::new(widths), &ssms, &faults);
+        let serial = run_specs_serial(&llm, &run, seed, &specs);
         for cap in [2usize, 8] {
-            let ragged = run_specs_ragged(&llm, &ssm, &run, seed, cap, &specs);
+            let ragged = run_specs_ragged(&llm, &run, seed, cap, &specs);
             prop_assert_eq!(&serial, &ragged, "cap {}", cap);
         }
     }

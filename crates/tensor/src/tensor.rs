@@ -623,25 +623,6 @@ impl Tensor {
         best
     }
 
-    /// Stacks 1-D tensors of equal length into a 2-D tensor, one per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or the lengths differ.
-    pub fn stack_rows(rows: &[&[f32]]) -> Tensor {
-        assert!(!rows.is_empty(), "stack_rows requires at least one row");
-        let c = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * c);
-        for r in rows {
-            assert_eq!(r.len(), c, "all rows must have the same length");
-            data.extend_from_slice(r);
-        }
-        Tensor {
-            data,
-            dims: vec![rows.len(), c],
-        }
-    }
-
     /// Maximum absolute difference between two tensors of equal dims.
     ///
     /// # Panics
@@ -756,12 +737,5 @@ mod tests {
         let mut rng = SeededRng::new(7);
         let a = Tensor::randn(&[3, 5], 1.0, &mut rng);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn stack_rows_builds_matrix() {
-        let t = Tensor::stack_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(t.dims(), &[2, 2]);
-        assert_eq!(t.row(1), &[3.0, 4.0]);
     }
 }

@@ -174,17 +174,22 @@ fn digests(r: &GenerationResult) -> (u64, u64) {
     )
 }
 
-/// Stochastic runs have no greedy oracle, so their outputs are pinned:
-/// these digests were recorded at the commit *before* the draft paths
-/// were collapsed into one. A change in RNG consumption order, SSM ids
-/// or controller routing moves them.
+/// Stochastic runs have no greedy oracle, so their outputs are pinned;
+/// greedy runs have one for their tokens but not for their acceptance,
+/// so one greedy steps digest is pinned too. The static-mode digests
+/// were recorded at the commit *before* the draft paths were collapsed
+/// into one. A change in RNG consumption order, SSM ids, controller
+/// routing or what an SSM drafts from moves them.
 #[test]
-fn stochastic_outputs_match_the_digests_pinned_before_the_draft_collapse() {
+fn outputs_and_acceptance_match_their_pinned_digests() {
     let llm = Transformer::from_seed(ModelConfig::smoke(), 50);
     let pool: Vec<Transformer> = (51..54)
         .map(|s| small_ssm(s, &ModelConfig::smoke()))
         .collect();
     let pool: Vec<&Transformer> = pool.iter().collect();
+    let adaptive = InferenceMode::Adaptive {
+        config: AdaptiveConfig::default(),
+    };
     let cases = [
         (
             "tree, 1 SSM",
@@ -192,6 +197,7 @@ fn stochastic_outputs_match_the_digests_pinned_before_the_draft_collapse() {
                 expansion: ExpansionConfig::new(vec![2, 2, 1]),
             },
             1,
+            DecodeMode::stochastic(),
             StochasticVerifier::MultiStep,
             (11139160197809952993u64, 8156315265664843063u64),
         ),
@@ -199,6 +205,7 @@ fn stochastic_outputs_match_the_digests_pinned_before_the_draft_collapse() {
             "sequence, 3-SSM pool",
             InferenceMode::SequenceSpeculative { depth: 4 },
             3,
+            DecodeMode::stochastic(),
             StochasticVerifier::MultiStep,
             (5308554355202994318, 7205634807847420201),
         ),
@@ -208,22 +215,40 @@ fn stochastic_outputs_match_the_digests_pinned_before_the_draft_collapse() {
                 config: DynamicExpansionConfig::default(),
             },
             1,
+            DecodeMode::stochastic(),
             StochasticVerifier::Naive,
             (15254145142874825584, 9626179957940454517),
         ),
+        // Re-pinned on purpose when an SSM cache started to catch up to
+        // the committed rows before it drafts: the controller's drafts
+        // after a rung-0 step now see the token that step emitted, so the
+        // sampled drafts, their acceptance and the RNG draws that follow
+        // all move. Before: (17500980451221089225, 3173795862962845186).
         (
             "adaptive, 3-SSM pool",
-            InferenceMode::Adaptive {
-                config: AdaptiveConfig::default(),
-            },
+            adaptive.clone(),
             3,
+            DecodeMode::stochastic(),
             StochasticVerifier::MultiStep,
-            (17500980451221089225, 3173795862962845186),
+            (7329689612151722067, 664474051586184727),
+        ),
+        // The greedy acceptance pin. Its tokens digest is incremental
+        // decoding's; its steps digest is the acceptance number. It was
+        // the same before SSM caches caught up after rung-0 steps:
+        // these random SSMs have their drafts rejected with or without
+        // the emitted token in their context.
+        (
+            "greedy adaptive, 3-SSM pool",
+            adaptive,
+            3,
+            DecodeMode::Greedy,
+            StochasticVerifier::MultiStep,
+            (8393462203928360335, 2671468756153951020),
         ),
     ];
-    for (what, mode, n_ssms, verifier, pinned) in cases {
+    for (what, mode, n_ssms, decode, verifier, pinned) in cases {
         let config = EngineConfig {
-            decode: DecodeMode::stochastic(),
+            decode,
             verifier,
             max_new_tokens: 48,
             ..engine_config(mode)
