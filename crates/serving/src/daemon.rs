@@ -273,7 +273,6 @@ fn daemon_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultSpec};
     use crate::request::RequestOutcome;
     use crate::scheduler::QueuePolicy;
     use crate::server::TimingConfig;
@@ -322,28 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn live_submissions_complete() {
-        let d = daemon(4);
-        let tickets: Vec<Ticket> = (0..6)
-            .map(|i| {
-                d.submit(vec![1, 2, (i % 4) + 3], 8)
-                    .expect("daemon accepts")
-            })
-            .collect();
-        let mut got = Vec::new();
-        for t in tickets {
-            let r = t.wait().expect("ticket resolves");
-            assert!(r.generated.len() >= 8);
-            assert_eq!(r.outcome, RequestOutcome::Completed);
-            got.push(r.id);
-        }
-        let report = d.shutdown().expect("clean shutdown");
-        assert_eq!(report.responses.len(), 6);
-        assert!(report.iterations > 0);
-        assert_eq!(got.len(), 6);
-    }
-
-    #[test]
     fn submissions_from_multiple_threads() {
         let d = Arc::new(daemon(3));
         let mut joins = Vec::new();
@@ -387,32 +364,36 @@ mod tests {
         drop(d); // must not hang or panic
     }
 
+    /// A few thousand submissions, every other one cancelled at once,
+    /// through a bounded queue: every ticket resolves exactly once and
+    /// the report holds one response per submission.
     #[test]
-    fn client_cancellation_returns_partial_output() {
-        let d = daemon(2);
-        // A long request we cancel immediately, racing the decode loop:
-        // whichever wins, the ticket must resolve with a consistent
-        // response.
-        let t = d.submit(vec![1, 2], 10_000).expect("daemon accepts");
-        d.cancel(t.id);
-        let r = t.wait().expect("ticket resolves");
+    fn soak_resolves_every_ticket_once() {
+        const SUBMISSIONS: usize = 3_000;
+        let d = daemon_with(ServerConfig {
+            queue: QueuePolicy::bounded(2),
+            ..daemon_config(2)
+        });
+        let tickets: Vec<Ticket> = (0..SUBMISSIONS)
+            .map(|i| {
+                let t = d
+                    .submit(vec![1, (i % 8) as u32 + 2], 2)
+                    .expect("daemon accepts");
+                if i % 2 == 1 {
+                    d.cancel(t.id);
+                }
+                t
+            })
+            .collect();
+        let mut ids: Vec<RequestId> = tickets
+            .into_iter()
+            .map(|t| t.wait().expect("ticket resolves").id)
+            .collect();
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), SUBMISSIONS, "one response per ticket");
         let report = d.shutdown().expect("clean shutdown");
-        assert_eq!(report.responses.len(), 1);
-        match r.outcome {
-            RequestOutcome::Cancelled => {
-                assert!(r.generated.len() < 10_000, "cut mid-stream");
-                assert_eq!(report.faults.cancellations, 1);
-            }
-            RequestOutcome::Completed => {
-                // The decode loop can win the race outright: generation
-                // caps at the model's max_seq_len long before 10k
-                // tokens, and the late cancel becomes a no-op.
-                assert!(r.generated.len() < 10_000, "capacity-capped");
-                assert_eq!(report.faults.cancellations, 0);
-            }
-            RequestOutcome::DeadlineMissed => panic!("no deadline was set"),
-            RequestOutcome::Rejected => panic!("the prompt was valid"),
-        }
+        assert_eq!(report.responses.len(), SUBMISSIONS);
     }
 
     #[test]
@@ -425,46 +406,5 @@ mod tests {
             RequestOutcome::Completed
         );
         d.shutdown().expect("clean shutdown");
-    }
-
-    #[test]
-    fn deadline_budget_sheds_slow_requests() {
-        let d = daemon(2);
-        // The cost model charges whole milliseconds per iteration; a
-        // microsecond budget cannot cover even one.
-        let t = d
-            .submit_with_deadline(vec![7, 7], 10_000, 1e-9)
-            .expect("daemon accepts");
-        let r = t.wait().expect("ticket resolves");
-        assert_eq!(r.outcome, RequestOutcome::DeadlineMissed);
-        assert!(r.generated.len() < 10_000);
-        let report = d.shutdown().expect("clean shutdown");
-        assert_eq!(report.faults.deadline_misses, 1);
-    }
-
-    #[test]
-    fn daemon_absorbs_injected_faults_losslessly() {
-        let clean = daemon(2);
-        let t = clean.submit(vec![1, 2, 3], 12).expect("daemon accepts");
-        let clean_out = t.wait().expect("ticket resolves").generated;
-        clean.shutdown().expect("clean shutdown");
-
-        let mut config = daemon_config(2);
-        config.faults = Some(FaultPlan::new(
-            7,
-            FaultSpec {
-                ssm_garbage_rate: 0.6,
-                ssm_stall_rate: 0.2,
-                verifier_slowdown_rate: 0.4,
-                verifier_slowdown_factor: 3.0,
-                ..FaultSpec::none()
-            },
-        ));
-        let chaotic = daemon_with(config);
-        let t = chaotic.submit(vec![1, 2, 3], 12).expect("daemon accepts");
-        let chaos_out = t.wait().expect("ticket resolves").generated;
-        let report = chaotic.shutdown().expect("clean shutdown");
-        assert!(report.faults.injected > 0, "plan must fire");
-        assert_eq!(clean_out, chaos_out, "greedy output must be fault-proof");
     }
 }

@@ -393,6 +393,25 @@ mod tests {
     use specinfer_model::{DecodeMode, ModelConfig};
     use specinfer_spec::{DegradationPolicy, InferenceMode, StochasticVerifier};
 
+    fn config(queue: QueuePolicy, slab_rows: Option<usize>) -> ServerConfig {
+        ServerConfig {
+            engine: EngineConfig {
+                decode: DecodeMode::Greedy,
+                verifier: StochasticVerifier::MultiStep,
+                mode: InferenceMode::Incremental,
+                max_new_tokens: 4,
+                eos_token: None,
+            },
+            max_batch_size: 1,
+            timing: TimingConfig::llama_7b_single_gpu(),
+            seed: 3,
+            faults: None,
+            degradation: DegradationPolicy::serving_default(),
+            queue,
+            slab_rows,
+        }
+    }
+
     fn request(id: u64) -> Request {
         Request {
             id: RequestId(id),
@@ -410,22 +429,7 @@ mod tests {
     #[test]
     fn cancelling_a_queued_request_frees_its_slot_and_answers_its_ticket() {
         let llm = Transformer::from_seed(ModelConfig::smoke(), 1);
-        let config = ServerConfig {
-            engine: EngineConfig {
-                decode: DecodeMode::Greedy,
-                verifier: StochasticVerifier::MultiStep,
-                mode: InferenceMode::Incremental,
-                max_new_tokens: 4,
-                eos_token: None,
-            },
-            max_batch_size: 1,
-            timing: TimingConfig::llama_7b_single_gpu(),
-            seed: 3,
-            faults: None,
-            degradation: DegradationPolicy::serving_default(),
-            queue: QueuePolicy::bounded(1),
-            slab_rows: None,
-        };
+        let config = config(QueuePolicy::bounded(1), None);
         let mut driver = IterationDriver::new(&llm, &[], &config);
         let (tx, cancelled_rx) = bounded(1);
         driver.submit(request(0), Some(tx));
@@ -448,5 +452,85 @@ mod tests {
         assert_eq!(report.faults.cancellations, 1);
         assert_eq!(report.faults.retries, 0, "nothing was pushed into backoff");
         assert_eq!(report.faults.rejected, 0);
+    }
+
+    /// 20,000 cycles through every way a request leaves, on a bounded
+    /// queue of two and a slab budget: cancelled while queued (which must
+    /// free its slot at once), cancelled while live, expired in the
+    /// queue, expired mid-stream, and completed. After each drain the
+    /// driver holds no ticket, live slab or queue entry, nothing was ever
+    /// deferred or dropped, and every reply channel got exactly one
+    /// response.
+    #[test]
+    fn soak_returns_to_baseline_after_every_cycle() {
+        use RequestOutcome::{Cancelled, Completed, DeadlineMissed};
+        let llm = Transformer::from_seed(ModelConfig::smoke(), 1);
+        let config = config(QueuePolicy::bounded(2), Some(64));
+        let mut driver = IterationDriver::new(&llm, &[], &config);
+        let mut next = 0u64;
+        let mut submit = |driver: &mut IterationDriver<'_>, max_new_tokens, deadline: bool| {
+            let (tx, rx) = bounded(1);
+            let now = driver.clock();
+            let id = RequestId(next);
+            next += 1;
+            let request = Request {
+                max_new_tokens,
+                arrival_s: now,
+                // Shorter than any iteration.
+                deadline_s: deadline.then_some(now + 1e-9),
+                ..request(id.0)
+            };
+            driver.submit(request, Some(tx));
+            (id, rx)
+        };
+        const CYCLES: usize = 20_000;
+        for cycle in 0..CYCLES {
+            // A and B fill the queue; cancelling A frees a slot for C.
+            let (a, a_rx) = submit(&mut driver, 2, false);
+            let (b, b_rx) = submit(&mut driver, 2, false);
+            driver.cancel(a);
+            let (_, c_rx) = submit(&mut driver, 2, true);
+            // One slot: B goes live and is cut after its first step; C's
+            // deadline passes meanwhile and the next tick sheds it from
+            // the queue.
+            driver.tick();
+            driver.cancel(b);
+            driver.tick();
+            // D is admitted alone and expires mid-stream; E completes.
+            let (_, d_rx) = submit(&mut driver, 8, true);
+            let (_, e_rx) = submit(&mut driver, 1, false);
+            while !driver.is_idle() {
+                driver.tick();
+            }
+            assert!(driver.waiting.is_empty(), "cycle {cycle}: a ticket is held");
+            assert!(driver.live.is_empty(), "cycle {cycle}: a slab is held");
+            assert!(
+                !driver.scheduler.has_pending(),
+                "cycle {cycle}: a queue slot is held"
+            );
+            let queue = driver.scheduler.stats();
+            assert_eq!(
+                (queue.retries, queue.rejected),
+                (0, 0),
+                "cycle {cycle}: backpressure"
+            );
+            let exits = [a_rx, b_rx, c_rx, d_rx, e_rx].map(|rx| {
+                let response = rx.try_recv().expect("answered");
+                assert!(rx.try_recv().is_err(), "cycle {cycle}: answered twice");
+                (response.outcome, response.steps.len())
+            });
+            let want = [
+                (Cancelled, 0),
+                (Cancelled, 1),
+                (DeadlineMissed, 0),
+                (DeadlineMissed, 1),
+                (Completed, 1),
+            ];
+            assert_eq!(exits, want, "cycle {cycle}");
+        }
+        let report = driver.into_report();
+        assert_eq!(report.responses.len(), 5 * CYCLES);
+        assert_eq!(report.faults.cancellations, 2 * CYCLES);
+        assert_eq!(report.faults.deadline_misses, 2 * CYCLES);
     }
 }

@@ -154,49 +154,6 @@ impl ServeReport {
         }
         self.completed().map(Response::tokens_per_step).sum::<f64>() / n as f64
     }
-
-    /// Per-request decoding iteration counts `(id, iterations)`, in
-    /// response order — the ragged path's audit trail: two requests with
-    /// equal budgets may take different iteration counts depending on
-    /// acceptance, and a request's count must not depend on its
-    /// batch-mates (asserted by the chaos battery).
-    pub fn per_request_iterations(&self) -> Vec<(crate::request::RequestId, usize)> {
-        self.responses
-            .iter()
-            .map(|r| (r.id, r.steps.len()))
-            .collect()
-    }
-
-    /// Histogram of accepted speculated tokens per iteration, summed
-    /// over every response's steps: slot `k` counts the iterations that
-    /// accepted exactly `k` draft tokens. Surfaces how often speculation
-    /// actually paid, which is the signal the adaptive controller steers
-    /// on.
-    pub fn accepted_length_histogram(&self) -> Vec<usize> {
-        let mut hist: Vec<usize> = Vec::new();
-        for r in &self.responses {
-            let h = r.accepted_histogram();
-            if hist.len() < h.len() {
-                hist.resize(h.len(), 0);
-            }
-            for (acc, v) in hist.iter_mut().zip(&h) {
-                *acc += v;
-            }
-        }
-        hist
-    }
-
-    /// The `q`-quantile (0..=1) of end-to-end latency over completed
-    /// requests — e.g. `latency_quantile_s(0.99)` for the p99 SLO view.
-    pub fn latency_quantile_s(&self, q: f64) -> f64 {
-        let mut lats: Vec<f64> = self.completed().map(Response::latency_s).collect();
-        if lats.is_empty() {
-            return 0.0;
-        }
-        lats.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let idx = ((lats.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        lats[idx]
-    }
 }
 
 #[cfg(test)]
@@ -275,16 +232,6 @@ mod tests {
         assert_eq!(r.mean_per_token_latency_s(), 0.0);
         assert_eq!(r.throughput_tokens_per_s(), 0.0);
         assert_eq!(r.mean_tokens_per_step(), 0.0);
-        assert_eq!(r.latency_quantile_s(0.99), 0.0);
-        assert!(r.accepted_length_histogram().is_empty());
-    }
-
-    #[test]
-    fn accepted_length_histogram_sums_responses() {
-        let r = report();
-        // Each of the two responses has n/2 steps all accepting 1:
-        // request 0 contributes 2 iterations, request 1 contributes 4.
-        assert_eq!(r.accepted_length_histogram(), vec![0, 6]);
     }
 
     #[test]
@@ -300,19 +247,7 @@ mod tests {
         assert_eq!(r.completed_len(), 2);
         // Latency means are over completed requests only…
         assert!((r.mean_per_token_latency_s() - 0.25).abs() < 1e-12);
-        assert_eq!(r.latency_quantile_s(1.0), 2.0);
         // …but generated-token totals count the partial work.
         assert_eq!(r.total_generated(), 13);
-    }
-
-    #[test]
-    fn latency_quantiles_bracket_the_range() {
-        let r = report();
-        assert_eq!(r.latency_quantile_s(0.0), 1.0);
-        assert_eq!(r.latency_quantile_s(1.0), 2.0);
-        assert!(
-            (r.latency_quantile_s(0.5) - 1.0).abs() < 1e-12
-                || (r.latency_quantile_s(0.5) - 2.0).abs() < 1e-12
-        );
     }
 }

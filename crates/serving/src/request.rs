@@ -107,23 +107,6 @@ impl Response {
             self.generated.len() as f64 / self.steps.len() as f64
         }
     }
-
-    /// Histogram of accepted speculated tokens per iteration: slot `k`
-    /// counts the iterations that accepted exactly `k` draft tokens.
-    /// The shape of this distribution is what the adaptive controller
-    /// steers on.
-    pub fn accepted_histogram(&self) -> Vec<usize> {
-        let mut hist: Vec<usize> = Vec::new();
-        for s in &self.steps {
-            if hist.len() <= s.accepted {
-                hist.resize(s.accepted + 1, 0);
-            }
-            if let Some(slot) = hist.get_mut(s.accepted) {
-                *slot += 1;
-            }
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -184,16 +167,6 @@ mod tests {
             ..r
         };
         assert!(!open.deadline_missed(f64::MAX));
-    }
-
-    #[test]
-    fn accepted_histogram_counts_iterations_by_acceptance() {
-        let r = response();
-        // Steps accepted 2 and 1 → one iteration each in slots 1 and 2.
-        assert_eq!(r.accepted_histogram(), vec![0, 1, 1]);
-        let mut empty = response();
-        empty.steps.clear();
-        assert!(empty.accepted_histogram().is_empty());
     }
 
     #[test]

@@ -169,11 +169,6 @@ impl IterationScheduler {
         self.pending.insert(pos, request);
     }
 
-    /// Number of requests waiting for admission (deferred ones included).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len() + self.deferred.len()
-    }
-
     /// Whether any request is waiting.
     pub fn has_pending(&self) -> bool {
         !self.pending.is_empty() || !self.deferred.is_empty()
@@ -326,6 +321,11 @@ impl IterationScheduler {
 mod tests {
     use super::*;
 
+    /// Requests waiting for admission, deferred ones included.
+    fn waiting(s: &IterationScheduler) -> usize {
+        s.pending.len() + s.deferred.len()
+    }
+
     fn request(id: u64, arrival: f64) -> Request {
         Request {
             id: RequestId(id),
@@ -349,7 +349,7 @@ mod tests {
         // With one slot still busy, only one more fits.
         let second = s.admit(0.0, 1);
         assert_eq!(second.len(), 1);
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(waiting(&s), 1);
     }
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
         let mut s = IterationScheduler::new(2);
         s.submit(request(0, 0.0));
         assert!(s.admit(0.0, 2).is_empty());
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(waiting(&s), 1);
     }
 
     #[test]
@@ -422,7 +422,7 @@ mod tests {
         for i in 0..3 {
             s.submit(request(i, 0.0));
         }
-        assert_eq!(s.pending_len(), 3, "third submission is deferred");
+        assert_eq!(waiting(&s), 3, "third submission is deferred");
         // Admitting one frees queue space; the deferred request retries
         // once its backoff (1 s) elapses.
         let first = s.admit(0.0, 0);
@@ -470,7 +470,7 @@ mod tests {
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].id, RequestId(0));
         assert_eq!(s.stats().expired, 1);
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(waiting(&s), 1);
     }
 
     #[test]
@@ -483,7 +483,7 @@ mod tests {
         // The freed slot takes a new submission without backoff.
         s.submit(request(2, 0.0));
         assert_eq!(s.cancel(RequestId(1)).map(|r| r.id), Some(RequestId(1)));
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(waiting(&s), 1);
         assert_eq!(s.admit(0.0, 0).first().map(|r| r.id), Some(RequestId(2)));
         assert_eq!(s.stats(), QueueStats::default());
     }
@@ -494,7 +494,7 @@ mod tests {
         for i in 0..100 {
             s.submit(request(i, 0.0));
         }
-        assert_eq!(s.pending_len(), 100);
+        assert_eq!(waiting(&s), 100);
         assert_eq!(s.stats(), QueueStats::default());
     }
 
@@ -525,7 +525,7 @@ mod tests {
         assert_eq!(ids, vec![1, 2]);
         // The skipped head stays queued at the front and is admitted as
         // soon as the slab frees up.
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(waiting(&s), 1);
         let head = s.admit_budgeted(0.0, 1, 100, Request::kv_rows);
         assert_eq!(head[0].id, RequestId(0));
     }
@@ -564,7 +564,7 @@ mod tests {
         // Head admitted by the guard; the 10-row request no longer fits
         // the (saturated) budget and waits.
         assert_eq!(ids, vec![0]);
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(waiting(&s), 1);
     }
 
     /// The cost closure is evaluated per candidate, so adaptive
@@ -609,7 +609,7 @@ mod tests {
         for i in 0..3 {
             s.submit(sized_request(i, 0.0, 2, 8));
         }
-        assert_eq!(s.pending_len(), 3, "third submission is deferred");
+        assert_eq!(waiting(&s), 3, "third submission is deferred");
         let first = s.admit_budgeted(0.0, 0, usize::MAX, Request::kv_rows);
         assert_eq!(first.len(), 1);
         let retried = s.admit_budgeted(1.0, 0, usize::MAX, Request::kv_rows);

@@ -315,7 +315,6 @@ mod tests {
     use crate::request::RequestOutcome;
     use specinfer_model::{DecodeMode, ModelConfig};
     use specinfer_spec::StochasticVerifier;
-    use specinfer_tokentree::ExpansionConfig;
     use specinfer_workloads::{Dataset, Grammar};
 
     fn models() -> (Transformer, Transformer) {
@@ -351,32 +350,6 @@ mod tests {
             queue: QueuePolicy::unbounded(),
             slab_rows: None,
         }
-    }
-
-    #[test]
-    fn serves_all_submitted_requests() {
-        let (llm, ssm) = models();
-        let server = Server::new(
-            &llm,
-            vec![&ssm],
-            server_config(
-                InferenceMode::TreeSpeculative {
-                    expansion: ExpansionConfig::new(vec![2, 1]),
-                },
-                4,
-            ),
-        );
-        for i in 0..6 {
-            server.submit(vec![1, 2, (i % 4) + 3], 8, 0.0);
-        }
-        let report = server.run();
-        assert_eq!(report.responses.len(), 6);
-        for r in &report.responses {
-            assert!(r.generated.len() >= 8);
-            assert!(r.finish_s > 0.0);
-            assert_eq!(r.outcome, RequestOutcome::Completed);
-        }
-        assert!(report.makespan_s > 0.0);
     }
 
     #[test]
@@ -452,49 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn iteration_log_is_consistent() {
-        let (llm, ssm) = models();
-        let server = Server::new(
-            &llm,
-            vec![&ssm],
-            server_config(
-                InferenceMode::TreeSpeculative {
-                    expansion: ExpansionConfig::new(vec![2, 1]),
-                },
-                2,
-            ),
-        );
-        for _ in 0..3 {
-            server.submit(vec![1, 2, 3], 6, 0.0);
-        }
-        let report = server.run();
-        assert_eq!(report.iteration_log.len(), report.iterations);
-        let mut t = 0.0;
-        let mut emitted = 0;
-        for rec in &report.iteration_log {
-            assert!(rec.start_s >= t - 1e-12, "records must be ordered");
-            assert!(rec.duration_s > 0.0);
-            assert!(rec.batch >= 1 && rec.batch <= 2);
-            t = rec.start_s + rec.duration_s;
-            emitted += rec.emitted;
-        }
-        assert!((t - report.makespan_s).abs() < 1e-9);
-        assert_eq!(emitted, report.total_generated());
-    }
-
-    #[test]
-    fn ids_are_unique_and_ordered() {
-        let (llm, _) = models();
-        let server = Server::new(&llm, vec![], server_config(InferenceMode::Incremental, 4));
-        let a = server.submit(vec![1], 2, 0.0);
-        let b = server.submit(vec![1], 2, 0.0);
-        assert_ne!(a, b);
-        let report = server.run();
-        assert_eq!(report.responses[0].id, a);
-        assert_eq!(report.responses[1].id, b);
-    }
-
-    #[test]
     fn deadline_is_enforced_in_queue_and_midstream() {
         let (llm, _) = models();
         // Batch 1 so the second request queues behind the first.
@@ -511,75 +441,5 @@ mod tests {
         assert_eq!(queued.outcome, RequestOutcome::DeadlineMissed);
         assert!(queued.generated.is_empty(), "shed before decoding");
         assert_eq!(report.faults.deadline_misses, 1);
-    }
-
-    #[test]
-    fn fault_injection_is_lossless_under_greedy_decoding() {
-        let (llm, ssm) = models();
-        let config = server_config(
-            InferenceMode::TreeSpeculative {
-                expansion: ExpansionConfig::new(vec![2, 2]),
-            },
-            4,
-        );
-        let clean_server = Server::new(&llm, vec![&ssm], config.clone());
-        for i in 0..4 {
-            clean_server.submit(vec![1, 2, (i % 4) + 3], 10, 0.0);
-        }
-        let clean = clean_server.run();
-
-        let mut chaotic = config;
-        chaotic.faults = Some(FaultPlan::new(
-            42,
-            crate::fault::FaultSpec {
-                ssm_garbage_rate: 0.5,
-                ssm_stall_rate: 0.2,
-                kv_oom_rate: 0.1,
-                verifier_slowdown_rate: 0.3,
-                verifier_slowdown_factor: 5.0,
-                ..crate::fault::FaultSpec::none()
-            },
-        ));
-        let chaos_server = Server::new(&llm, vec![&ssm], chaotic);
-        for i in 0..4 {
-            chaos_server.submit(vec![1, 2, (i % 4) + 3], 10, 0.0);
-        }
-        let chaos = chaos_server.run();
-
-        assert!(chaos.faults.injected > 0, "the plan must actually fire");
-        for (c, f) in clean.responses.iter().zip(&chaos.responses) {
-            assert_eq!(c.id, f.id);
-            assert_eq!(
-                c.generated, f.generated,
-                "faults must never change greedy output"
-            );
-        }
-        // Slowdowns and stalls cost time, never tokens.
-        assert!(chaos.makespan_s >= clean.makespan_s);
-    }
-
-    #[test]
-    fn backpressure_counters_surface_in_the_report() {
-        let (llm, _) = models();
-        let mut config = server_config(InferenceMode::Incremental, 1);
-        config.queue = QueuePolicy {
-            capacity: 1,
-            max_retries: 2,
-            backoff_s: 0.01,
-        };
-        let server = Server::new(&llm, vec![], config);
-        for i in 0..4 {
-            server.submit(vec![1, (i % 4) + 2], 4, 0.0);
-        }
-        let report = server.run();
-        assert!(report.faults.retries > 0, "deferred submissions must retry");
-        // Every request leaves the system exactly once.
-        assert_eq!(report.responses.len(), 4);
-        let rejected = report
-            .responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Cancelled)
-            .count();
-        assert_eq!(rejected, report.faults.rejected);
     }
 }

@@ -179,10 +179,16 @@ pub struct ControllerSnapshot {
 }
 
 impl ControllerSnapshot {
-    /// Merges another snapshot's counters into this one (histograms are
-    /// element-wise sums; EWMAs keep the larger sample's final value by
-    /// simply keeping `self`'s).
+    /// Merges another snapshot's counters into this one: histograms are
+    /// element-wise sums, and the final rung and EWMAs are those of the
+    /// side with more decisions (`self` on a tie).
     pub fn absorb(&mut self, other: &ControllerSnapshot) {
+        let decisions = |s: &ControllerSnapshot| s.rung_decisions.iter().sum::<usize>();
+        if decisions(other) > decisions(self) {
+            self.final_rung = other.final_rung;
+            self.accept_ewma = other.accept_ewma;
+            self.survival_ewma = other.survival_ewma;
+        }
         if self.rung_decisions.len() < other.rung_decisions.len() {
             self.rung_decisions.resize(other.rung_decisions.len(), 0);
         }
@@ -614,6 +620,26 @@ mod tests {
         assert_eq!(a.rung_decisions, vec![1, 3, 5]);
         assert_eq!(a.ssm_routes, vec![5, 2]);
         assert_eq!(a.probes, 3);
+
+        // The final rung and EWMAs come from the side with more
+        // decisions: a run's report starts from an empty snapshot.
+        let session = ControllerSnapshot {
+            rung_decisions: vec![0, 2, 1],
+            final_rung: 2,
+            accept_ewma: 1.5,
+            survival_ewma: 0.75,
+            ..ControllerSnapshot::default()
+        };
+        let mut report = ControllerSnapshot::default();
+        report.absorb(&session);
+        let last = |s: &ControllerSnapshot| (s.final_rung, s.accept_ewma, s.survival_ewma);
+        assert_eq!(last(&report), (2, 1.5, 0.75));
+        // A shorter session does not overwrite the longer history.
+        report.absorb(&ControllerSnapshot {
+            rung_decisions: vec![1],
+            ..ControllerSnapshot::default()
+        });
+        assert_eq!(last(&report), (2, 1.5, 0.75));
     }
 
     #[test]

@@ -643,13 +643,6 @@ impl Session {
         self.degradation
     }
 
-    /// Whether the session is currently decoding incrementally because
-    /// the degradation ladder fell back.
-    pub fn in_fallback(&self) -> bool {
-        self.fallback_until
-            .is_some_and(|until| self.steps.len() < until)
-    }
-
     /// The full token sequence so far (prompt included).
     pub fn tokens(&self) -> &[TokenId] {
         &self.tokens
@@ -1077,105 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_tree_spec_matches_incremental_exactly() {
-        let (llm, ssm) = models();
-        let inc = SpecEngine::new(
-            &llm,
-            vec![],
-            config(InferenceMode::Incremental, DecodeMode::Greedy),
-        )
-        .generate(&[5, 9, 2], 0);
-        let tree = SpecEngine::new(
-            &llm,
-            vec![&ssm],
-            config(
-                InferenceMode::TreeSpeculative {
-                    expansion: ExpansionConfig::new(vec![2, 2, 1, 1]),
-                },
-                DecodeMode::Greedy,
-            ),
-        )
-        .generate(&[5, 9, 2], 0);
-        // Lossless guarantee: identical output, fewer LLM steps.
-        let n = inc.generated().len().min(tree.generated().len());
-        assert_eq!(&inc.generated()[..n], &tree.generated()[..n]);
-        assert!(tree.llm_steps() <= inc.llm_steps());
-    }
-
-    #[test]
-    fn sequence_spec_is_tree_of_width_one() {
-        let (llm, ssm) = models();
-        let r = SpecEngine::new(
-            &llm,
-            vec![&ssm],
-            config(
-                InferenceMode::SequenceSpeculative { depth: 4 },
-                DecodeMode::Greedy,
-            ),
-        )
-        .generate(&[7, 7, 7], 1);
-        for s in &r.steps {
-            assert!(s.tree_size <= 4);
-            assert_eq!(s.emitted, s.accepted + 1);
-        }
-    }
-
-    #[test]
-    fn self_speculation_accepts_everything_greedy() {
-        // When the SSM *is* the LLM, greedy speculation of a chain must be
-        // accepted in full every step: emitted = depth + 1. A stall on
-        // every third step forces a root-only step in between, whose
-        // token the SSM must draft from like any other committed token.
-        let (llm, _) = models();
-        let depth = 4;
-        let cfg = config(
-            InferenceMode::SequenceSpeculative { depth },
-            DecodeMode::Greedy,
-        );
-        for (prompt, stall_every_third) in [([2, 3], false), ([2, 9], true)] {
-            let mut s = Session::new(&llm, &[&llm], &prompt, 0);
-            let mut i = 0usize;
-            while !s.is_finished() {
-                let fault = StepFault {
-                    ssm_stall: stall_every_third && i % 3 == 2,
-                    ..StepFault::default()
-                };
-                let stats = s.step_faulted(&llm, &[&llm], &cfg, fault).unwrap();
-                let what = format!("step {i}, stall every third: {stall_every_third}");
-                if fault.ssm_stall {
-                    assert_eq!((stats.tree_size, stats.emitted), (0, 1), "{what}");
-                } else {
-                    assert_eq!(
-                        stats.accepted, depth,
-                        "self-speculation must fully verify: {what}"
-                    );
-                    assert_eq!(stats.emitted, depth + 1, "{what}");
-                }
-                i += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn stochastic_modes_produce_budgeted_output() {
-        let (llm, ssm) = models();
-        for verifier in [StochasticVerifier::MultiStep, StochasticVerifier::Naive] {
-            let mut cfg = config(
-                InferenceMode::TreeSpeculative {
-                    expansion: ExpansionConfig::new(vec![2, 1, 1]),
-                },
-                DecodeMode::stochastic(),
-            );
-            cfg.verifier = verifier;
-            let r = SpecEngine::new(&llm, vec![&ssm], cfg).generate(&[4, 4], 3);
-            assert!(r.generated().len() >= 24);
-            for s in &r.steps {
-                assert_eq!(s.emitted, s.accepted + 1);
-            }
-        }
-    }
-
-    #[test]
     fn eos_terminates_and_truncates() {
         let (llm, ssm) = models();
         // Find the greedy continuation and use its second token as EOS so
@@ -1229,126 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn context_exhaustion_degrades_then_finishes() {
-        // A model with a tiny context window: the engine must fall back
-        // to incremental steps near the limit and stop cleanly at it,
-        // never panicking on cache overflow.
-        let cfg_model = ModelConfig {
-            max_seq_len: 18,
-            ..ModelConfig::smoke()
-        };
-        let llm = Transformer::from_seed(cfg_model.clone(), 300);
-        let ssm = Transformer::from_seed(
-            ModelConfig {
-                d_model: 8,
-                n_heads: 2,
-                n_layers: 1,
-                d_ff: 16,
-                ..cfg_model
-            },
-            301,
-        );
-        let mut cfg = config(
-            InferenceMode::TreeSpeculative {
-                expansion: ExpansionConfig::new(vec![2, 2, 1]),
-            },
-            DecodeMode::Greedy,
-        );
-        cfg.max_new_tokens = 100; // far beyond the context window
-        let r = SpecEngine::new(&llm, vec![&ssm], cfg).generate(&[1, 2, 3], 0);
-        // Sequence length (prompt + generated) never exceeds max_seq_len
-        // by more than the final bonus token that is never cached.
-        assert!(r.tokens.len() <= 18 + 1, "{} tokens", r.tokens.len());
-        assert!(!r.generated().is_empty());
-    }
-
-    #[test]
-    fn dynamic_tree_is_lossless_under_greedy() {
-        let (llm, ssm) = models();
-        let inc = SpecEngine::new(
-            &llm,
-            vec![],
-            config(InferenceMode::Incremental, DecodeMode::Greedy),
-        )
-        .generate(&[3, 8, 1], 0);
-        let dynamic = SpecEngine::new(
-            &llm,
-            vec![&ssm],
-            config(
-                InferenceMode::DynamicTree {
-                    config: crate::dynamic::DynamicExpansionConfig::default(),
-                },
-                DecodeMode::Greedy,
-            ),
-        )
-        .generate(&[3, 8, 1], 0);
-        let n = inc.generated().len().min(dynamic.generated().len());
-        assert_eq!(&inc.generated()[..n], &dynamic.generated()[..n]);
-        assert!(dynamic.llm_steps() <= inc.llm_steps());
-        assert!(dynamic.steps.iter().all(|s| s.tree_size <= 20));
-    }
-
-    #[test]
-    fn garbage_ssm_fault_is_lossless_under_greedy() {
-        // With garbage SSM logits injected on every step, greedy
-        // verification rejects the junk drafts and the output must be
-        // bit-identical to a fault-free run.
-        let (llm, ssm) = models();
-        let cfg = config(
-            InferenceMode::TreeSpeculative {
-                expansion: ExpansionConfig::new(vec![2, 2, 1]),
-            },
-            DecodeMode::Greedy,
-        );
-        let clean = SpecEngine::new(&llm, vec![&ssm], cfg.clone()).generate(&[5, 9, 2], 0);
-
-        let mut s = Session::new(&llm, &[&ssm], &[5, 9, 2], 0);
-        let mut step = 0u64;
-        while !s.is_finished() {
-            let fault = StepFault {
-                ssm_garbage: Some(0xfa017 ^ step),
-                ..StepFault::default()
-            };
-            let _ = s.step_faulted(&llm, &[&ssm], &cfg, fault);
-            step += 1;
-        }
-        assert!(s.degradation().faulted_steps > 0);
-        let faulted = s.into_result();
-        assert_eq!(clean.tokens, faulted.tokens);
-    }
-
-    #[test]
-    fn stall_and_oom_force_incremental_steps() {
-        let (llm, ssm) = models();
-        let cfg = config(
-            InferenceMode::TreeSpeculative {
-                expansion: ExpansionConfig::new(vec![2, 1]),
-            },
-            DecodeMode::Greedy,
-        );
-        let clean = SpecEngine::new(&llm, vec![&ssm], cfg.clone()).generate(&[7, 3], 0);
-
-        let mut s = Session::new(&llm, &[&ssm], &[7, 3], 0);
-        let mut i = 0usize;
-        while !s.is_finished() {
-            let fault = StepFault {
-                ssm_stall: i.is_multiple_of(2),
-                kv_oom: i % 2 == 1,
-                ..StepFault::default()
-            };
-            let stats = s.step_faulted(&llm, &[&ssm], &cfg, fault).unwrap();
-            assert_eq!(stats.tree_size, 0, "faulted step must not speculate");
-            assert_eq!(stats.emitted, 1);
-            i += 1;
-        }
-        let d = s.degradation();
-        assert_eq!(d.forced_incremental, i);
-        assert_eq!(d.faulted_steps, i);
-        // Forced-incremental greedy decoding is still lossless.
-        assert_eq!(s.into_result().tokens, clean.tokens);
-    }
-
-    #[test]
     fn acceptance_collapse_falls_back_and_reprobes() {
         let (llm, ssm) = models();
         let cfg = config(
@@ -1375,10 +1149,7 @@ mod tests {
                 ssm_garbage: Some(step),
                 ..StepFault::default()
             };
-            let stats = s.step_faulted(&llm, &[&ssm], &cfg, fault).unwrap();
-            if s.in_fallback() {
-                assert!(stats.emitted >= 1);
-            }
+            let _ = s.step_faulted(&llm, &[&ssm], &cfg, fault);
             step += 1;
         }
         let d = s.degradation();
@@ -1412,57 +1183,5 @@ mod tests {
         let d = s.degradation();
         assert_eq!(d.fallbacks_taken, 0);
         assert_eq!(d.fallback_steps, 0);
-    }
-
-    #[test]
-    fn garbage_fault_preserves_stochastic_budget() {
-        // Under stochastic decoding garbage drafts flow through the MSS
-        // residual path; generation still completes its budget and every
-        // step emits accepted + 1 tokens.
-        let (llm, ssm) = models();
-        let cfg = config(
-            InferenceMode::TreeSpeculative {
-                expansion: ExpansionConfig::new(vec![2, 1]),
-            },
-            DecodeMode::stochastic(),
-        );
-        let mut s = Session::new(&llm, &[&ssm], &[6, 6], 9);
-        let mut step = 0u64;
-        while !s.is_finished() {
-            let fault = StepFault {
-                ssm_garbage: Some(step),
-                ..StepFault::default()
-            };
-            let stats = s.step_faulted(&llm, &[&ssm], &cfg, fault).unwrap();
-            assert_eq!(stats.emitted, stats.accepted + 1);
-            step += 1;
-        }
-        assert!(s.generated().len() >= 24);
-    }
-
-    #[test]
-    fn multi_ssm_sessions_track_their_pool() {
-        let (llm, ssm) = models();
-        let ssm2 = Transformer::from_seed(
-            ModelConfig {
-                d_model: 8,
-                n_heads: 2,
-                n_layers: 1,
-                d_ff: 16,
-                ..ModelConfig::smoke()
-            },
-            202,
-        );
-        let cfg = config(
-            InferenceMode::TreeSpeculative {
-                expansion: ExpansionConfig::new(vec![1, 1, 1]),
-            },
-            DecodeMode::Greedy,
-        );
-        let r = SpecEngine::new(&llm, vec![&ssm, &ssm2], cfg).generate(&[9, 9], 5);
-        assert!(r.generated().len() >= 24);
-        // Merged speculation from two distinct SSMs yields trees of up to
-        // 6 nodes (two depth-3 chains).
-        assert!(r.steps.iter().all(|s| s.tree_size <= 6));
     }
 }

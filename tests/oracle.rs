@@ -1,0 +1,1378 @@
+//! The differential oracle: one enumerator of configurations, one
+//! reference, and each contract written once.
+//!
+//! SpecInfer's contract is that tree verification changes speed and
+//! never output. A configuration ([`Cell`]) fixes the models, the mode,
+//! the SSM pool, the decode rule, the degradation ladder, a fault source
+//! and a set of requests. Its reference is serial stepping: each request
+//! in a `Session` of its own with a full KV slab, one `step_faulted` at a
+//! time. Every other drive of the same cell — right-sized slabs, lockstep
+//! batches through both first stages, ragged arrive/retire schedules,
+//! trace replay and the live daemon — must reproduce that reference bit
+//! for bit, in tokens and in `StepStats`. Greedy cells are also held to
+//! the oracle proper: incremental decoding of the same prompts on the
+//! same SIMD backend. Stochastic cells are held to pinned digests and to
+//! Theorem 4.2 end to end.
+//!
+//! A cell that fails is reported by its `Debug` line, which names every
+//! knob, so the line is its own reproduction recipe.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+use specinfer::model::{sampler, DecodeMode, ModelConfig, Transformer};
+use specinfer::serving::{
+    BurstSpec, FaultPlan, FaultSpec, QueuePolicy, RequestId, RequestOutcome, Response, ServeReport,
+    Server, ServerConfig, ServerDaemon, Ticket, TimingConfig,
+};
+use specinfer::spec::{
+    AdaptiveConfig, BatchItem, BatchRowStats, BatchedVerifier, ControllerSnapshot,
+    DegradationPolicy, DegradationStats, DynamicExpansionConfig, EngineConfig, InferenceMode,
+    Session, SpecEngine, StepFault, StepStats, StochasticVerifier,
+};
+use specinfer::tensor::ops::total_variation;
+use specinfer::tokentree::{ExpansionConfig, TokenId};
+use specinfer::workloads::trace::{Trace, TraceRequest};
+use specinfer::workloads::{Dataset, PromptSpec};
+use RequestOutcome::{Cancelled, Completed, DeadlineMissed};
+
+// ---------------------------------------------------------------------
+// The configurations.
+// ---------------------------------------------------------------------
+
+/// Which models a cell runs on.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Family {
+    /// Smoke LLM 50 and one-layer SSMs 51–53 with a 128-row context: the
+    /// family the digests are pinned on.
+    Roomy,
+    /// The same seeds with a 14-row context, a few rows above the longest
+    /// prompt: drafts stop fitting mid-run and contexts run out.
+    Tight,
+    /// Smoke LLM 100 and SSM 101: the family of the pinned row counts.
+    Rows,
+    /// A d_ff-8192 LLM whose feed-forward packs are shared with the
+    /// worker pool at two threads, with a d_model-16 SSM.
+    Wide,
+}
+
+/// An LLM and its pool of SSMs.
+struct World {
+    llm: Arc<Transformer>,
+    ssms: Vec<Arc<Transformer>>,
+}
+
+impl Family {
+    fn world(self) -> World {
+        let smoke = |max_seq_len| ModelConfig {
+            max_seq_len,
+            ..ModelConfig::smoke()
+        };
+        let wide = ModelConfig {
+            vocab_size: 64,
+            d_model: 40,
+            d_ff: 8192,
+            ..smoke(128)
+        };
+        let (llm, llm_seed, ssm_seeds, (d_model, d_ff)) = match self {
+            Family::Roomy => (smoke(128), 50, 51..54, (8, 16)),
+            Family::Tight => (smoke(14), 50, 51..54, (8, 16)),
+            Family::Rows => (smoke(128), 100, 101..102, (8, 16)),
+            Family::Wide => (wide, 41, 141..142, (16, 32)),
+        };
+        let ssm = ModelConfig {
+            d_model,
+            n_layers: 1,
+            d_ff,
+            ..llm.clone()
+        };
+        let ssms = ssm_seeds.map(|seed| Arc::new(Transformer::from_seed(ssm.clone(), seed)));
+        World {
+            llm: Arc::new(Transformer::from_seed(llm, llm_seed)),
+            ssms: ssms.collect(),
+        }
+    }
+}
+
+/// The SSMs that draft.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Pool {
+    Empty,
+    One,
+    Three,
+    /// The LLM drafts for itself.
+    Llm,
+}
+
+impl World {
+    fn pool(&self, pool: Pool) -> Vec<Arc<Transformer>> {
+        match pool {
+            Pool::Empty => Vec::new(),
+            Pool::One => self.ssms[..1].to_vec(),
+            Pool::Three => self.ssms[..3].to_vec(),
+            Pool::Llm => vec![self.llm.clone()],
+        }
+    }
+}
+
+fn refs(pool: &[Arc<Transformer>]) -> Vec<&Transformer> {
+    pool.iter().map(|m| &**m).collect()
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Decode {
+    Greedy,
+    /// Multi-step speculative sampling.
+    Mss,
+    /// Stochastic decoding under the naive-sampling verifier.
+    Naive,
+}
+
+#[derive(Clone, Debug)]
+enum Faults {
+    None,
+    /// A `StepFault` per (request, that request's own step count), drawn
+    /// from this seed: one in eight stalls, one OOMs, one drafts garbage.
+    Mask(u64),
+    /// A serving fault plan. Engine drives read its step faults; trace
+    /// replay and the daemon also apply its cancellations, slowdowns and
+    /// burst.
+    Plan(FaultPlan),
+}
+
+/// One request: prompt, budget, and the iteration from which a ragged
+/// drive may admit it.
+#[derive(Clone, Debug)]
+struct Req {
+    prompt: Vec<TokenId>,
+    max_new: usize,
+    arrival: usize,
+}
+
+/// Which requests a cell decodes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Work {
+    /// Eight heterogeneous prompts (2–6 tokens), budgets (1–14) and
+    /// staggered arrivals.
+    Mixed,
+    /// `[4, 9, 2, 6]` three times, 48 tokens each.
+    Digest,
+    /// Four three-token prompts, 12 tokens each.
+    Rows,
+    /// Two four-token prompts, 16 tokens each.
+    Wide,
+}
+
+impl Work {
+    fn requests(self) -> Vec<Req> {
+        let req = |prompt: Vec<TokenId>, max_new, arrival| Req {
+            prompt,
+            max_new,
+            arrival,
+        };
+        match self {
+            Work::Mixed => {
+                let lens = [2, 5, 3, 6, 4, 2, 6, 3];
+                let budgets = [12, 3, 9, 1, 14, 6, 10, 4];
+                let arrivals = [0, 0, 0, 1, 1, 2, 4, 6];
+                let prompt =
+                    |i, len| (0..len).map(move |p| ((1 + i * 5 + p * 3) % 31 + 1) as TokenId);
+                let req = |i: usize| req(prompt(i, lens[i]).collect(), budgets[i], arrivals[i]);
+                (0..8).map(req).collect()
+            }
+            Work::Digest => vec![req(vec![4, 9, 2, 6], 48, 0); 3],
+            Work::Rows => (0..4)
+                .map(|b| req(vec![1 + b, 2, 3 + b % 5], 12, 0))
+                .collect(),
+            Work::Wide => vec![req(vec![2, 7, 1, 8], 16, 0), req(vec![3, 1, 4, 1], 16, 0)],
+        }
+    }
+}
+
+/// One configuration of the cross product.
+#[derive(Clone, Debug)]
+struct Cell {
+    family: Family,
+    work: Work,
+    mode: InferenceMode,
+    pool: Pool,
+    decode: Decode,
+    /// The serving degradation ladder, or none.
+    ladder: bool,
+    faults: Faults,
+    /// Request `i` decodes with seed `seed + i`, as the server seeds it.
+    seed: u64,
+}
+
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+impl Cell {
+    /// A fault-free cell without the ladder.
+    fn new(family: Family, work: Work, mode: InferenceMode, pool: Pool, decode: Decode) -> Cell {
+        Cell {
+            family,
+            work,
+            mode,
+            pool,
+            decode,
+            ladder: false,
+            faults: Faults::None,
+            seed: 0,
+        }
+    }
+
+    fn engine(&self, max_new_tokens: usize) -> EngineConfig {
+        let (decode, verifier) = match self.decode {
+            Decode::Greedy => (DecodeMode::Greedy, StochasticVerifier::MultiStep),
+            Decode::Mss => (DecodeMode::stochastic(), StochasticVerifier::MultiStep),
+            Decode::Naive => (DecodeMode::stochastic(), StochasticVerifier::Naive),
+        };
+        EngineConfig {
+            decode,
+            verifier,
+            mode: self.mode.clone(),
+            max_new_tokens,
+            eos_token: None,
+        }
+    }
+
+    fn policy(&self) -> DegradationPolicy {
+        match self.ladder {
+            true => DegradationPolicy::serving_default(),
+            false => DegradationPolicy::disabled(),
+        }
+    }
+
+    fn plan(&self) -> Option<&FaultPlan> {
+        match &self.faults {
+            Faults::Plan(plan) => Some(plan),
+            _ => None,
+        }
+    }
+
+    fn fault(&self, id: usize, step: usize) -> StepFault {
+        match &self.faults {
+            Faults::None => StepFault::default(),
+            Faults::Mask(seed) => {
+                let h = mix(mix(seed ^ id as u64) ^ step as u64);
+                StepFault {
+                    ssm_stall: h % 8 == 5,
+                    kv_oom: h % 8 == 6,
+                    ssm_garbage: (h % 8 == 7).then_some(h),
+                }
+            }
+            Faults::Plan(plan) => plan
+                .step_fault(RequestId(id as u64), step)
+                .unwrap_or_default(),
+        }
+    }
+
+    /// The cell's requests, a fault plan's burst included (its ids follow
+    /// the trace's, as in `Server::serve_trace`).
+    fn requests(&self) -> Vec<Req> {
+        let mut reqs = self.work.requests();
+        let burst = self.plan().map(|p| p.burst_requests(reqs.len() as u64));
+        reqs.extend(burst.into_iter().flatten().map(|r| Req {
+            prompt: r.prompt,
+            max_new: r.max_new_tokens,
+            arrival: 0,
+        }));
+        reqs
+    }
+
+    fn burst_len(&self) -> usize {
+        self.plan()
+            .and_then(FaultPlan::burst)
+            .map_or(0, |b| b.count)
+    }
+
+    /// The depth every step drafts whole when the LLM drafts a static
+    /// shape for itself under greedy decoding.
+    fn self_depth(&self) -> Option<usize> {
+        if self.pool != Pool::Llm || self.decode != Decode::Greedy {
+            return None;
+        }
+        match &self.mode {
+            InferenceMode::SequenceSpeculative { depth } => Some(*depth),
+            InferenceMode::TreeSpeculative { expansion } => Some(expansion.depth()),
+            _ => None,
+        }
+    }
+}
+
+fn tree(widths: &[usize]) -> InferenceMode {
+    let expansion = ExpansionConfig::new(widths.to_vec());
+    InferenceMode::TreeSpeculative { expansion }
+}
+
+fn paper() -> InferenceMode {
+    let expansion = ExpansionConfig::paper_default();
+    InferenceMode::TreeSpeculative { expansion }
+}
+
+fn dynamic() -> InferenceMode {
+    let config = DynamicExpansionConfig::default();
+    InferenceMode::DynamicTree { config }
+}
+
+fn adaptive(config: AdaptiveConfig) -> InferenceMode {
+    InferenceMode::Adaptive { config }
+}
+
+/// Every mode, the random parts drawn from `salt`: a small tree of depth
+/// 1–4 and widths 1–3, and controller constants anywhere in their range.
+fn modes(salt: u64) -> [InferenceMode; 7] {
+    let h = |k: u64| mix(salt ^ (k << 32));
+    let unit = |k| (h(k) >> 11) as f64 / (1u64 << 53) as f64;
+    let widths: Vec<usize> = (0..1 + h(0) % 4)
+        .map(|d| 1 + (h(1 + d) % 3) as usize)
+        .collect();
+    let random = AdaptiveConfig {
+        ewma_alpha: (0.05 + 0.9 * unit(10)) as f32,
+        up_threshold: (0.5 + 0.4 * unit(11)) as f32,
+        down_threshold: (0.02 + 0.43 * unit(12)) as f32,
+        hysteresis: 1 + (h(13) % 3) as usize,
+        probe_period: 2 + (h(14) % 14) as usize,
+        initial_rung: (h(15) % 8) as usize,
+    };
+    [
+        InferenceMode::Incremental,
+        InferenceMode::SequenceSpeculative { depth: 4 },
+        tree(&widths),
+        paper(),
+        dynamic(),
+        adaptive(AdaptiveConfig::default()),
+        adaptive(random),
+    ]
+}
+
+/// The cross product for one decode rule: both contexts × every pool ×
+/// {no faults, a fault mask, a fault plan} × ladder off/on × every mode.
+fn cross_product(decode: Decode) -> Vec<Cell> {
+    // Every engine fault class, slow verifier passes and cancellations.
+    let mixed = FaultSpec {
+        ssm_garbage_rate: 0.3,
+        ssm_stall_rate: 0.2,
+        kv_oom_rate: 0.1,
+        verifier_slowdown_rate: 0.3,
+        verifier_slowdown_factor: 3.0,
+        cancel_rate: 0.25,
+        max_cancel_tokens: 6,
+    };
+    let mut cells = Vec::new();
+    for family in [Family::Roomy, Family::Tight] {
+        for pool in [Pool::Empty, Pool::One, Pool::Three, Pool::Llm] {
+            for (faults, ladder) in [(0, false), (0, true), (1, false), (1, true), (2, true)] {
+                // The faults and random modes of this row of cells are
+                // drawn from its first cell's seed.
+                let row = 1000 + cells.len() as u64;
+                let faults = match faults {
+                    0 => Faults::None,
+                    1 => Faults::Mask(row),
+                    _ => Faults::Plan(FaultPlan::new(row, mixed.clone())),
+                };
+                for mode in modes(row) {
+                    let cell = Cell::new(family, Work::Mixed, mode, pool, decode);
+                    let seed = 1000 + cells.len() as u64;
+                    cells.push(Cell {
+                        ladder,
+                        faults: faults.clone(),
+                        seed,
+                        ..cell
+                    });
+                }
+            }
+        }
+    }
+    cells
+}
+
+// ---------------------------------------------------------------------
+// The drives.
+// ---------------------------------------------------------------------
+
+/// What a drive observed of one request: its tokens, prompt included,
+/// and its steps.
+type Out = (Vec<TokenId>, Vec<StepStats>);
+
+fn out(session: Session) -> Out {
+    let steps = session.steps().to_vec();
+    (session.into_result().tokens, steps)
+}
+
+/// One request of the reference run.
+struct Solo {
+    out: Out,
+    degradation: DegradationStats,
+    controller: Option<ControllerSnapshot>,
+    /// Whether the last step finished the session (rather than a later
+    /// attempt finding the context full).
+    finished: bool,
+}
+
+#[derive(Clone, Copy)]
+enum Slab {
+    /// The model's whole context.
+    Full,
+    /// `prompt + max_new +` the pool's worst-case speculation rows.
+    Sized,
+}
+
+/// The KV budget of right-sized serving slabs: one to six sessions'
+/// worth, depending on the shape.
+const SLAB_ROWS: usize = 96;
+const MAX_BATCH: usize = 3;
+
+/// A cell bound to its models and requests.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    world: &'a World,
+    cell: &'a Cell,
+    reqs: &'a [Req],
+}
+
+impl Run<'_> {
+    fn pool(&self) -> Vec<Arc<Transformer>> {
+        self.world.pool(self.cell.pool)
+    }
+
+    fn session(&self, ssms: &[&Transformer], id: usize, req: &Req, slab: Slab) -> Session {
+        let spec = self
+            .cell
+            .engine(req.max_new)
+            .pool_speculation_rows(ssms.len());
+        let rows = match slab {
+            Slab::Full => usize::MAX,
+            Slab::Sized => req.prompt.len() + req.max_new + spec.worst_case,
+        };
+        let seed = self.cell.seed + id as u64;
+        let mut s = Session::try_new_budgeted(&self.world.llm, ssms, &req.prompt, seed, rows)
+            .expect("oracle prompts are valid");
+        s.set_degradation_policy(self.cell.policy());
+        s
+    }
+
+    /// The reference: each request alone, one `step_faulted` at a time,
+    /// with the per-step and per-session contracts checked as it goes.
+    fn serial(&self, slab: Slab) -> Vec<Solo> {
+        let (pool, cell) = (self.pool(), self.cell);
+        let ssms = refs(&pool);
+        let solo = |(id, req): (usize, &Req)| {
+            let cfg = cell.engine(req.max_new);
+            let worst = cfg.pool_speculation_rows(ssms.len()).worst_case;
+            let mut s = self.session(&ssms, id, req, slab);
+            let (mut faulted, mut forced) = (0, 0);
+            loop {
+                let fault = cell.fault(id, s.steps().len());
+                let Some(step) = s.step_faulted(&self.world.llm, &ssms, &cfg, fault) else {
+                    break;
+                };
+                faulted += usize::from(!fault.is_noop());
+                forced += usize::from(fault.ssm_stall || fault.kv_oom);
+                check_step(cell, &s, step, fault, worst);
+            }
+            check_session(self, &s, req, (faulted, forced), ssms.len());
+            Solo {
+                degradation: s.degradation(),
+                controller: s.controller_snapshot(),
+                finished: s.is_finished(),
+                out: out(s),
+            }
+        };
+        self.reqs.iter().enumerate().map(solo).collect()
+    }
+
+    /// The requests in lockstep batches of `batch` through `verifier`;
+    /// each batch steps until all of its sessions have finished. With
+    /// `mate`, every batch leads with one more session under another
+    /// decode rule, mode and budget, which must not leak into its
+    /// batch-mates. Returns the outputs, the verify-row accounting and
+    /// every session's final KV rows.
+    fn lockstep(&self, verifier: &BatchedVerifier, batch: usize, mate: bool) -> Drive {
+        let (pool, cell, reqs) = (self.pool(), self.cell, self.reqs);
+        let ssms = refs(&pool);
+        let mut configs: Vec<EngineConfig> = reqs.iter().map(|r| cell.engine(r.max_new)).collect();
+        let decode = match cell.decode {
+            Decode::Greedy => Decode::Mss,
+            Decode::Mss | Decode::Naive => Decode::Greedy,
+        };
+        let mate = mate.then(|| Cell {
+            mode: tree(&[2, 1]),
+            decode,
+            ..cell.clone()
+        });
+        let mut drive = Drive::default();
+        for start in (0..reqs.len()).step_by(batch) {
+            let mut ids: Vec<usize> = (start..(start + batch).min(reqs.len())).collect();
+            let open = |&id: &usize| self.session(&ssms, id, &reqs[id], Slab::Full);
+            let mut sessions: Vec<Session> = ids.iter().map(open).collect();
+            if let Some(mate) = &mate {
+                let req = Req {
+                    prompt: vec![9, 8, 7],
+                    max_new: 5 + start,
+                    arrival: 0,
+                };
+                let run = Run {
+                    cell: mate,
+                    ..*self
+                };
+                sessions.insert(0, run.session(&ssms, 0, &req, Slab::Full));
+                ids.insert(0, configs.len());
+                configs.push(mate.engine(req.max_new));
+            }
+            while sessions.iter().any(|s| !s.is_finished()) {
+                let done: Vec<bool> = sessions.iter().map(Session::is_finished).collect();
+                let mut items: Vec<BatchItem<'_>> = sessions
+                    .iter_mut()
+                    .zip(&ids)
+                    .map(|(s, &id)| BatchItem {
+                        fault: cell.fault(id, s.steps().len()),
+                        session: s,
+                        config: &configs[id],
+                    })
+                    .collect();
+                let (stats, rows) = verifier.step_batch_counted(&self.world.llm, &ssms, &mut items);
+                drive.rows.absorb(&rows);
+                for (stat, done) in stats.iter().zip(done) {
+                    assert!(!done || stat.is_none(), "a finished session yields None");
+                }
+            }
+            for s in sessions.into_iter().skip(usize::from(mate.is_some())) {
+                drive.kv.push(s.kv_rows());
+                drive.outs.push(out(s));
+            }
+        }
+        drive
+    }
+
+    /// Arrive/retire: at most `cap` live sessions in right-sized slabs,
+    /// each request admitted (oldest first) once the iteration count
+    /// reaches its arrival, one `BatchedVerifier::new()` step per
+    /// iteration over whoever is live, retirement as each finishes.
+    fn ragged(&self, cap: usize) -> Vec<Out> {
+        let (pool, cell, reqs) = (self.pool(), self.cell, self.reqs);
+        let ssms = refs(&pool);
+        let configs: Vec<EngineConfig> = reqs.iter().map(|r| cell.engine(r.max_new)).collect();
+        let mut queue: Vec<usize> = (0..reqs.len()).collect();
+        queue.sort_by_key(|&id| (reqs[id].arrival, id));
+        let mut queue = queue.into_iter().peekable();
+        let mut live: Vec<(usize, Session)> = Vec::new();
+        let mut outs: Vec<Option<Out>> = vec![None; reqs.len()];
+        for iteration in 0.. {
+            while live.len() < cap {
+                let Some(id) = queue.next_if(|&id| reqs[id].arrival <= iteration) else {
+                    break;
+                };
+                live.push((id, self.session(&ssms, id, &reqs[id], Slab::Sized)));
+            }
+            if live.is_empty() && queue.peek().is_none() {
+                break;
+            }
+            let mut items: Vec<BatchItem<'_>> = live
+                .iter_mut()
+                .map(|(id, s)| BatchItem {
+                    fault: cell.fault(*id, s.steps().len()),
+                    session: s,
+                    config: &configs[*id],
+                })
+                .collect();
+            let _ = BatchedVerifier::new().step_batch(&self.world.llm, &ssms, &mut items);
+            drop(items);
+            let (done, rest): (Vec<_>, Vec<_>) = live.drain(..).partition(|(_, s)| s.is_finished());
+            live = rest;
+            for (id, s) in done {
+                assert!(s.kv_rows() <= s.kv_capacity(), "KV overflow");
+                outs[id] = Some(out(s));
+            }
+        }
+        outs.into_iter()
+            .map(|o| o.expect("every request retires"))
+            .collect()
+    }
+
+    fn server_config(&self, slab_rows: Option<usize>) -> ServerConfig {
+        let cell = self.cell;
+        ServerConfig {
+            engine: cell.engine(0),
+            max_batch_size: MAX_BATCH,
+            timing: TimingConfig::llama_7b_single_gpu(),
+            seed: cell.seed,
+            faults: cell.plan().cloned(),
+            degradation: cell.policy(),
+            // A burst overloads a bounded queue. Without one nothing waits
+            // on the simulated clock, which is what lets the daemon batch
+            // differently from the replay without changing a response.
+            queue: match cell.burst_len() {
+                0 => QueuePolicy::unbounded(),
+                _ => QueuePolicy {
+                    capacity: 4,
+                    max_retries: 3,
+                    backoff_s: 0.01,
+                },
+            },
+            slab_rows,
+        }
+    }
+
+    /// Trace replay of the requests; the server adds a plan's burst.
+    fn replay(&self, slab_rows: Option<usize>) -> ServeReport {
+        let trace = &self.reqs[..self.reqs.len() - self.cell.burst_len()];
+        let request = |r: &Req| TraceRequest {
+            arrival_s: 0.0,
+            prompt: PromptSpec {
+                tokens: r.prompt.clone(),
+                max_new_tokens: r.max_new,
+            },
+            dataset: Dataset::Alpaca,
+        };
+        let requests = trace.iter().map(request).collect();
+        let pool = self.pool();
+        let server = Server::new(&self.world.llm, refs(&pool), self.server_config(slab_rows));
+        server.serve_trace(&Trace { requests })
+    }
+
+    /// The live daemon, fed every request in order. `interrupted` cancels
+    /// request 0 as soon as all are submitted and gives request 2 a
+    /// deadline no iteration can meet.
+    fn daemon(&self, interrupted: bool) -> (Vec<Response>, ServeReport) {
+        let config = self.server_config(Some(SLAB_ROWS));
+        let daemon = ServerDaemon::spawn(self.world.llm.clone(), self.pool(), config)
+            .expect("daemon spawns");
+        let submit = |(id, r): (usize, &Req)| {
+            let ticket = match (interrupted, id) {
+                (true, 2) => daemon.submit_with_deadline(r.prompt.clone(), r.max_new, 1e-6),
+                _ => daemon.submit(r.prompt.clone(), r.max_new),
+            };
+            ticket.expect("daemon accepts")
+        };
+        let tickets: Vec<_> = self.reqs.iter().enumerate().map(submit).collect();
+        if interrupted {
+            daemon.cancel(tickets[0].id);
+        }
+        let wait = |t: Ticket| t.wait().expect("every ticket resolves");
+        let responses = tickets.into_iter().map(wait).collect();
+        (responses, daemon.shutdown().expect("clean shutdown"))
+    }
+}
+
+/// What a batched drive observed.
+#[derive(Default)]
+struct Drive {
+    outs: Vec<Out>,
+    rows: BatchRowStats,
+    kv: Vec<usize>,
+}
+
+// ---------------------------------------------------------------------
+// The contracts.
+// ---------------------------------------------------------------------
+
+/// Every step of every reference run.
+fn check_step(cell: &Cell, s: &Session, step: StepStats, fault: StepFault, worst: usize) {
+    assert_eq!(
+        step.emitted,
+        step.accepted + 1,
+        "emitted = accepted + bonus"
+    );
+    if fault.ssm_stall || fault.kv_oom {
+        assert_eq!(step.tree_size, 0, "a stalled or OOM step drafts nothing");
+    }
+    assert!(step.tree_size < worst, "{step:?} outgrows {worst} rows");
+    assert!(s.kv_rows() <= s.kv_capacity(), "KV overflow");
+    // The LLM drafting a static shape for itself drafts all of it
+    // whenever it fits, and has it accepted whole unless it was garbage.
+    if let Some(depth) = cell.self_depth() {
+        let fits = s.kv_rows() - step.emitted + worst <= s.kv_capacity();
+        if fits && fault.is_noop() {
+            assert_eq!(step.tree_size, worst - 1, "a fitting draft is drafted");
+        }
+        if step.tree_size > 0 && fault.ssm_garbage.is_none() {
+            assert_eq!(step.accepted, depth, "self-speculation accepts it all");
+        }
+    }
+}
+
+/// Every finished reference session. `faults` counts its faulted and its
+/// stalled or OOM steps.
+fn check_session(run: &Run, s: &Session, req: &Req, faults: (usize, usize), n_ssms: usize) {
+    let (cell, d) = (run.cell, s.degradation());
+    let speculative = cell.mode != InferenceMode::Incremental && n_ssms > 0;
+    let forced = if speculative { faults.1 } else { 0 };
+    assert_eq!((d.faulted_steps, d.forced_incremental), (faults.0, forced));
+    assert!(
+        cell.ladder || d.fallbacks_taken == 0,
+        "no ladder, no fallback"
+    );
+    let ctx = run.world.llm.config().max_seq_len;
+    let room = req.max_new.min(ctx - req.prompt.len());
+    assert!(
+        s.generated().len() >= room,
+        "stops at its budget or a full context"
+    );
+    // Telemetry exists exactly for adaptive sessions with SSMs, with one
+    // decision per step that was neither forced nor a fallback.
+    let adaptive = matches!(cell.mode, InferenceMode::Adaptive { .. }) && n_ssms > 0;
+    let snap = s.controller_snapshot();
+    assert_eq!(
+        snap.is_some(),
+        adaptive,
+        "an adaptive plan reports its controller"
+    );
+    if let Some(snap) = snap {
+        assert_eq!(snap.ssm_routes.len(), n_ssms, "one route slot per SSM");
+        let decided = s.steps().len() - d.forced_incremental - d.fallback_steps;
+        assert_eq!(snap.rung_decisions.iter().sum::<usize>(), decided);
+    }
+}
+
+/// The engine drives of a cell against its reference; returns the
+/// reference.
+fn check_engine(run: &Run) -> Vec<Solo> {
+    let solos = run.serial(Slab::Full);
+    let reference: Vec<Out> = solos.iter().map(|s| s.out.clone()).collect();
+    let sized: Vec<Out> = run.serial(Slab::Sized).into_iter().map(|s| s.out).collect();
+    assert_eq!(sized, reference, "a right-sized slab changes nothing");
+    // A batch or cap at or above the request count runs everyone at
+    // once, exactly as the one before it did.
+    let distinct = |sizes: &'static [usize]| {
+        let after = |i: usize| i == 0 || sizes[i - 1] < run.reqs.len();
+        sizes
+            .iter()
+            .enumerate()
+            .filter(move |&(i, _)| after(i))
+            .map(|(_, &s)| s)
+    };
+    for batch in distinct(&[1, 2, 4, 8]) {
+        let frontier = run.lockstep(&BatchedVerifier::new(), batch, true);
+        let whole = run.lockstep(&BatchedVerifier::single_pass(), batch, true);
+        assert_eq!(frontier.outs, reference, "new() at batch {batch}");
+        assert_eq!(whole.outs, reference, "single_pass() at batch {batch}");
+        // Both first stages price the same whole trees; the whole-tree
+        // stage forwards exactly that in one pass, frontier-first never
+        // more.
+        let (f, w) = (frontier.rows, whole.rows);
+        assert_eq!(f.single_pass_rows, w.single_pass_rows);
+        assert_eq!((w.forwarded_rows(), w.pass_b_rows), (w.single_pass_rows, 0));
+        assert!(f.forwarded_rows() <= f.single_pass_rows, "{f:?}");
+    }
+    for cap in distinct(&[2, 8, 32]) {
+        assert_eq!(run.ragged(cap), reference, "ragged at cap {cap}");
+    }
+    if run.cell.decode == Decode::Greedy {
+        let incremental = Cell {
+            mode: InferenceMode::Incremental,
+            pool: Pool::Empty,
+            ladder: false,
+            faults: Faults::None,
+            ..run.cell.clone()
+        };
+        let oracle = Run {
+            cell: &incremental,
+            ..*run
+        }
+        .serial(Slab::Full);
+        for (spec, inc) in reference.iter().zip(&oracle) {
+            let inc = &inc.out;
+            let n = spec.0.len().min(inc.0.len());
+            assert_eq!(spec.0[..n], inc.0[..n], "greedy output is incremental's");
+            assert!(
+                spec.1.len() <= inc.1.len(),
+                "speculation never adds LLM steps"
+            );
+        }
+    }
+    solos
+}
+
+/// A response is the reference cut after the response's own step count:
+/// the same steps and the tokens they emitted, and all of it if the
+/// request completed. Returns that count.
+fn check_cut(r: &Response, solo: &Solo, req: &Req) -> usize {
+    let (tokens, steps) = &solo.out;
+    let k = r.steps.len();
+    assert!(k <= steps.len(), "{}: more steps than the reference", r.id);
+    assert_eq!(r.steps[..], steps[..k], "{}: steps", r.id);
+    let emitted: usize = steps[..k].iter().map(|s| s.emitted).sum();
+    let generated = &tokens[req.prompt.len()..][..emitted];
+    assert_eq!(r.generated[..], *generated, "{}: tokens", r.id);
+    assert!(
+        r.outcome != Completed || k == steps.len(),
+        "{}: completed early",
+        r.id
+    );
+    k
+}
+
+/// How request `id` leaves a run that only its plan interrupts: cut
+/// after the first step whose tokens reach the plan's threshold, unless
+/// that step finished it, or else completed.
+fn expected_exit(cell: &Cell, id: usize, solo: &Solo) -> (RequestOutcome, usize) {
+    let steps = &solo.out.1;
+    if let Some(n) = cell
+        .plan()
+        .and_then(|p| p.cancel_after(RequestId(id as u64)))
+    {
+        let mut emitted = 0;
+        for (k, s) in steps.iter().enumerate() {
+            emitted += s.emitted;
+            if emitted >= n && !(k + 1 == steps.len() && solo.finished) {
+                return (Cancelled, k + 1);
+            }
+        }
+    }
+    (Completed, steps.len())
+}
+
+/// Every response of a serving run, in id order.
+fn check_responses(run: &Run, responses: &[Response], solos: &[Solo], interrupted: bool) {
+    assert_eq!(
+        responses.len(),
+        run.reqs.len(),
+        "every request leaves exactly once"
+    );
+    for (id, (r, solo)) in responses.iter().zip(solos).enumerate() {
+        assert_eq!(r.id, RequestId(id as u64), "ids follow submission order");
+        let k = check_cut(r, solo, &run.reqs[id]);
+        let exit = expected_exit(run.cell, id, solo);
+        match (interrupted, id) {
+            // Cut wherever the client's cancel landed.
+            (true, 0) => {}
+            // Finishing and the plan's cut are checked before the
+            // deadline, which passes during the first iteration.
+            (true, 2) if k == 1 && exit.1 == 1 => assert_eq!(r.outcome, exit.0),
+            (true, 2) => {
+                assert!(k <= 1, "the deadline passes in the first iteration");
+                assert_eq!(r.outcome, DeadlineMissed);
+            }
+            // A backpressure drop leaves before its first step.
+            _ if k == 0 && r.outcome == Cancelled => {}
+            _ => assert_eq!((r.outcome, k), exit, "{}: exit", r.id),
+        }
+    }
+}
+
+/// The counters of a serving run agree with its responses and, for a
+/// run in which everything completed, with the sessions' own telemetry.
+fn check_report(report: &ServeReport, solos: &[Solo]) {
+    let o = report.occupancy;
+    assert!((1..=MAX_BATCH).contains(&o.peak_batch), "{o:?}");
+    assert!(o.mean_batch_fill > 0.0 && o.mean_slab_fill > 0.0, "{o:?}");
+    assert!(report.verify_rows.forwarded_rows() > 0, "no rows");
+    // The log is the clock: ordered, non-empty iterations of positive
+    // length that emit every generated token and end by the makespan
+    // (the clock may jump ahead after them only to a deferred retry).
+    let log = &report.iteration_log;
+    assert_eq!(log.len(), report.iterations);
+    let mut end = 0.0;
+    for i in log {
+        assert!(i.start_s >= end - 1e-12 && i.duration_s > 0.0, "{i:?}");
+        assert!((1..=MAX_BATCH).contains(&i.batch), "{i:?}");
+        end = i.start_s + i.duration_s;
+    }
+    assert!(end > 0.0 && end <= report.makespan_s + 1e-9, "{end}");
+    let emitted: usize = log.iter().map(|i| i.emitted).sum();
+    assert_eq!(emitted, report.total_generated());
+    let after = |r: &Response| r.finish_s > r.arrival_s || r.steps.is_empty();
+    assert!(report.responses.iter().all(after));
+    let f = report.faults;
+    assert_eq!(
+        f.injected,
+        f.ssm_garbage + f.ssm_stalls + f.kv_ooms + f.slowdowns
+    );
+    let count = |o| report.responses.iter().filter(|r| r.outcome == o).count();
+    assert_eq!(f.cancellations + f.rejected, count(Cancelled));
+    assert_eq!(f.deadline_misses, count(DeadlineMissed));
+    if count(Completed) == solos.len() {
+        // A whole run reports exactly its sessions' own telemetry.
+        let ladder = |d: &DegradationStats| [d.fallbacks_taken, d.fallback_steps, d.reprobes];
+        let mut sessions = [0; 3];
+        let mut controller = ControllerSnapshot::default();
+        for s in solos {
+            let counts = ladder(&s.degradation);
+            sessions
+                .iter_mut()
+                .zip(counts)
+                .for_each(|(sum, n)| *sum += n);
+            if let Some(c) = &s.controller {
+                controller.absorb(c);
+            }
+        }
+        let server = [f.fallbacks_taken, f.fallback_steps, f.reprobes];
+        assert_eq!(server, sessions, "ladder counters");
+        let histograms =
+            |c: &ControllerSnapshot| (c.rung_decisions.clone(), c.ssm_routes.clone(), c.probes);
+        let want = histograms(&controller);
+        assert_eq!(histograms(&report.controller), want, "controller");
+    }
+}
+
+/// Everything a replay reports except the wall clock.
+fn fingerprint(r: &ServeReport) -> String {
+    let responses = r.responses.iter();
+    let responses: Vec<_> = responses
+        .map(|x| (x.id, x.outcome, &x.generated, &x.steps, x.finish_s))
+        .collect();
+    format!(
+        "{:?}",
+        (
+            r.faults,
+            r.iterations,
+            r.makespan_s,
+            r.verify_rows,
+            responses
+        )
+    )
+}
+
+/// The serving drives of a cell against its reference; returns the
+/// right-sized replay's report.
+fn check_serving(run: &Run, solos: &[Solo]) -> ServeReport {
+    let sized = run.replay(Some(SLAB_ROWS));
+    for report in [&run.replay(None), &sized] {
+        check_responses(run, &report.responses, solos, false);
+        check_report(report, solos);
+    }
+    let bursty = run.cell.burst_len() > 0;
+    if !bursty {
+        let (responses, live) = run.daemon(false);
+        check_responses(run, &responses, solos, false);
+        check_report(&live, solos);
+        assert_eq!(
+            live.verify_rows, sized.verify_rows,
+            "replay and daemon forward alike"
+        );
+    }
+    let Some(plan) = run.cell.plan() else {
+        return sized;
+    };
+    let again = run.replay(Some(SLAB_ROWS));
+    assert_eq!(
+        fingerprint(&again),
+        fingerprint(&sized),
+        "a plan replays exactly"
+    );
+    if !bursty {
+        let (responses, live) = run.daemon(true);
+        check_responses(run, &responses, solos, true);
+        check_report(&live, solos);
+        // Slow verifier passes cost simulated time, never tokens or
+        // batches.
+        let calm = FaultSpec {
+            verifier_slowdown_rate: 0.0,
+            ..plan.spec().clone()
+        };
+        let faults = Faults::Plan(FaultPlan::new(plan.seed(), calm));
+        let calm_cell = Cell {
+            faults,
+            ..run.cell.clone()
+        };
+        let calm = Run {
+            cell: &calm_cell,
+            ..*run
+        }
+        .replay(Some(SLAB_ROWS));
+        let shape = |r: &ServeReport| {
+            let log: Vec<_> = r
+                .iteration_log
+                .iter()
+                .map(|i| (i.batch, i.emitted))
+                .collect();
+            let out: Vec<_> = r
+                .responses
+                .iter()
+                .map(|x| (x.outcome, &x.generated))
+                .collect();
+            format!("{log:?} {out:?}")
+        };
+        assert_eq!(
+            shape(&calm),
+            shape(&sized),
+            "slowdowns change no token or batch"
+        );
+        assert!(sized.makespan_s >= calm.makespan_s, "slowdowns cost time");
+    }
+    sized
+}
+
+// ---------------------------------------------------------------------
+// Running cells.
+// ---------------------------------------------------------------------
+
+/// What a group of cells exercised. A contract that held because
+/// nothing reached it proves nothing, so each test asserts its group was
+/// live.
+#[derive(Default, Debug)]
+struct Tally {
+    /// Reference steps that drafted, accepted a draft, were stalled or
+    /// OOM, and drafted garbage.
+    steps: [usize; 4],
+    /// Reference sessions that fell back and served fallback steps.
+    fell_back: usize,
+    /// Serving runs' slowed iterations, SSM stalls, garbage drafts, plan
+    /// cancellations and completions.
+    serving: [usize; 5],
+    /// Backpressure retries and drops, which only a bursty plan causes.
+    backpressure: usize,
+}
+
+impl Tally {
+    fn add(&mut self, cell: &Cell, solos: &[Solo], report: Option<&ServeReport>) {
+        for (id, solo) in solos.iter().enumerate() {
+            for (k, s) in solo.out.1.iter().enumerate() {
+                let f = cell.fault(id, k);
+                let seen = [s.tree_size > 0, s.accepted > 0, f.ssm_stall || f.kv_oom];
+                let seen = seen.into_iter().chain([f.ssm_garbage.is_some()]);
+                self.steps
+                    .iter_mut()
+                    .zip(seen)
+                    .for_each(|(n, b)| *n += usize::from(b));
+            }
+            let d = solo.degradation;
+            self.fell_back += usize::from(d.fallbacks_taken > 0 && d.fallback_steps > 0);
+        }
+        if let Some(r) = report {
+            let f = r.faults;
+            let seen = [
+                f.slowdowns,
+                f.ssm_stalls,
+                f.ssm_garbage,
+                f.cancellations,
+                r.completed_len(),
+            ];
+            self.serving.iter_mut().zip(seen).for_each(|(n, m)| *n += m);
+            self.backpressure += f.retries + f.rejected;
+        }
+    }
+
+    fn assert_live(&self) {
+        let mut counts = self.steps.iter().chain(&self.serving);
+        assert!(
+            self.fell_back > 0 && counts.all(|&n| n > 0),
+            "idle contract: {self:?}"
+        );
+    }
+}
+
+/// Every contract that applies to `cell`.
+fn check_cell(world: &World, cell: &Cell, tally: &mut Tally) {
+    let reqs = cell.requests();
+    let run = Run {
+        world,
+        cell,
+        reqs: &reqs,
+    };
+    let solos = check_engine(&run);
+    // A fault mask has no serving spelling.
+    let report = match cell.faults {
+        Faults::Mask(_) => None,
+        _ => Some(check_serving(&run, &solos)),
+    };
+    tally.add(cell, &solos, report.as_ref());
+}
+
+/// Checks every cell, then fails with one line per failing cell.
+fn run_cells(cells: &[Cell]) -> Tally {
+    let mut worlds: Vec<(Family, World)> = Vec::new();
+    let (mut tally, mut failed) = (Tally::default(), Vec::new());
+    for cell in cells {
+        if !worlds.iter().any(|(f, _)| *f == cell.family) {
+            worlds.push((cell.family, cell.family.world()));
+        }
+        let world = &worlds
+            .iter()
+            .find(|(f, _)| *f == cell.family)
+            .expect("built")
+            .1;
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check_cell(world, cell, &mut tally))) {
+            let text = panic.downcast_ref::<String>().map(String::as_str);
+            let text = text.or_else(|| panic.downcast_ref::<&str>().copied());
+            failed.push(format!("{cell:?}: {}", text.unwrap_or("panic")));
+        }
+    }
+    let (n, all) = (failed.len(), cells.len());
+    assert!(
+        failed.is_empty(),
+        "{n} of {all} cells failed:\n{}",
+        failed.join("\n")
+    );
+    tally
+}
+
+// ---------------------------------------------------------------------
+// The tests.
+// ---------------------------------------------------------------------
+
+#[test]
+fn greedy_cells() {
+    run_cells(&cross_product(Decode::Greedy)).assert_live();
+}
+
+#[test]
+fn mss_cells() {
+    run_cells(&cross_product(Decode::Mss)).assert_live();
+}
+
+#[test]
+fn naive_cells() {
+    run_cells(&cross_product(Decode::Naive)).assert_live();
+}
+
+/// The chaos mix (SSM garbage, stalls, KV pressure, slow passes,
+/// cancellations) plus a burst on a bounded queue, over eight plan
+/// seeds: replay cuts exactly what each plan schedules, and backpressure
+/// engages.
+#[test]
+fn chaos_plans_cut_only_what_they_schedule() {
+    let vocab = ModelConfig::smoke().vocab_size as u32;
+    let burst = BurstSpec {
+        at_s: 0.0,
+        count: 5,
+        prompt_len: 4,
+        max_new_tokens: 10,
+        vocab,
+    };
+    let cell = Cell::new(
+        Family::Roomy,
+        Work::Mixed,
+        tree(&[2, 2]),
+        Pool::One,
+        Decode::Greedy,
+    );
+    let cells: Vec<Cell> = (0..8u64)
+        .map(|seed| {
+            let plan = FaultPlan::new(seed ^ 0xc0ffee, FaultSpec::chaos_default());
+            let faults = Faults::Plan(plan.with_burst(burst.clone()));
+            Cell {
+                ladder: true,
+                faults,
+                seed,
+                ..cell.clone()
+            }
+        })
+        .collect();
+    let tally = run_cells(&cells);
+    tally.assert_live();
+    assert!(tally.backpressure > 0, "a burst must defer or drop");
+}
+
+/// FNV-1a over a run's generated tokens and over its per-step stats.
+fn digests((tokens, steps): &Out, prompt_len: usize) -> (u64, u64) {
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let steps = steps
+        .iter()
+        .flat_map(|s| [s.tree_size, s.accepted, s.emitted]);
+    (
+        fnv(tokens[prompt_len..].iter().map(|&t| u64::from(t))),
+        fnv(steps.map(|n| n as u64)),
+    )
+}
+
+/// Stochastic runs have no greedy oracle, so their outputs are pinned;
+/// greedy runs have one for their tokens but not for their acceptance,
+/// so one greedy steps digest is pinned too. A change in RNG consumption
+/// order, SSM ids, controller routing or what an SSM drafts from moves
+/// them. The adaptive MSS pair was re-pinned on purpose when an SSM
+/// cache started to catch up to the committed rows before it drafts.
+#[test]
+fn outputs_and_acceptance_match_their_pinned_digests() {
+    let adaptive = adaptive(AdaptiveConfig::default());
+    let sequence = InferenceMode::SequenceSpeculative { depth: 4 };
+    let pinned = [
+        (
+            tree(&[2, 2, 1]),
+            Pool::One,
+            Decode::Mss,
+            (11139160197809952993, 8156315265664843063),
+        ),
+        (
+            sequence,
+            Pool::Three,
+            Decode::Mss,
+            (5308554355202994318, 7205634807847420201),
+        ),
+        (
+            dynamic(),
+            Pool::One,
+            Decode::Naive,
+            (15254145142874825584, 9626179957940454517),
+        ),
+        (
+            adaptive.clone(),
+            Pool::Three,
+            Decode::Mss,
+            (7329689612151722067, 664474051586184727),
+        ),
+        (
+            adaptive,
+            Pool::Three,
+            Decode::Greedy,
+            (8393462203928360335, 2671468756153951020),
+        ),
+    ];
+    let cell = |(mode, pool, decode, _): &(_, _, _, _)| Cell {
+        seed: 7,
+        ..Cell::new(
+            Family::Roomy,
+            Work::Digest,
+            InferenceMode::clone(mode),
+            *pool,
+            *decode,
+        )
+    };
+    let cells: Vec<Cell> = pinned.iter().map(cell).collect();
+    run_cells(&cells);
+    let world = Family::Roomy.world();
+    for (cell, (.., want)) in cells.iter().zip(&pinned) {
+        let reqs = cell.requests();
+        let run = Run {
+            world: &world,
+            cell,
+            reqs: &reqs,
+        };
+        let solos = run.serial(Slab::Full);
+        let fold = |got: (u64, u64), (tokens, steps): (u64, u64)| {
+            (got.0.rotate_left(7) ^ tokens, got.1.rotate_left(7) ^ steps)
+        };
+        let runs = solos
+            .iter()
+            .zip(&reqs)
+            .map(|(s, r)| digests(&s.out, r.prompt.len()));
+        assert_eq!(runs.fold((0, 0), fold), *want, "{cell:?}: digests moved");
+    }
+}
+
+/// What "nothing that runs changed" means, in numbers: the verify rows
+/// `BatchedVerifier::new()` forwards per pass over a batch of four, and
+/// the KV rows each session ends with, recorded at the commit before the
+/// two verifier layouts became one staged loop.
+#[test]
+fn default_verifier_row_counts_and_cache_lengths_are_pinned() {
+    let pinned = [
+        (Decode::Greedy, (945, 90, 19), [14, 14, 14, 15]),
+        (Decode::Mss, (483, 46, 152), [14, 17, 17, 14]),
+    ];
+    let cell = |decode| Cell {
+        seed: 42,
+        ..Cell::new(Family::Rows, Work::Rows, paper(), Pool::One, decode)
+    };
+    let cells: Vec<Cell> = pinned.iter().map(|p| cell(p.0)).collect();
+    run_cells(&cells);
+    let world = Family::Rows.world();
+    for (cell, (_, rows, kv)) in cells.iter().zip(pinned) {
+        let reqs = cell.requests();
+        let run = Run {
+            world: &world,
+            cell,
+            reqs: &reqs,
+        };
+        let got = run.lockstep(&BatchedVerifier::new(), 4, false);
+        let r = got.rows;
+        let got = ((r.single_pass_rows, r.pass_a_rows, r.pass_b_rows), got.kv);
+        assert_eq!(got, (rows, kv.to_vec()), "{:?}", cell.decode);
+    }
+}
+
+/// On the d_ff-8192 model every forward shares its feed-forward regions
+/// with the worker pool at two threads. Tree verifies of 3, 5, 9 and 21
+/// rows sit on both sides of the packed GEMM's four-row block, and the
+/// LLM drafting for itself gets rows accepted and the cache compacted:
+/// every cell holds at two threads, with the outputs of one.
+#[test]
+fn thread_count_changes_no_cell() {
+    use specinfer::tensor::set_max_threads;
+    let shapes = [(paper(), Pool::One), (tree(&[2]), Pool::Llm)];
+    let shapes = shapes
+        .into_iter()
+        .chain([tree(&[2, 1]), tree(&[2, 3])].map(|m| (m, Pool::Llm)));
+    let cell = |(mode, pool)| Cell::new(Family::Wide, Work::Wide, mode, pool, Decode::Greedy);
+    let cells: Vec<Cell> = shapes.map(cell).collect();
+    let world = Family::Wide.world();
+    let outputs = [2, 1].map(|threads| {
+        set_max_threads(threads);
+        if threads == 2 {
+            #[cfg(debug_assertions)]
+            let regions = specinfer::tensor::pool::shared_regions();
+            run_cells(&cells);
+            #[cfg(debug_assertions)]
+            assert!(
+                specinfer::tensor::pool::shared_regions() > regions,
+                "never shared"
+            );
+        }
+        let reqs = Work::Wide.requests();
+        let outs = cells.iter().map(|cell| {
+            Run {
+                world: &world,
+                cell,
+                reqs: &reqs,
+            }
+            .serial(Slab::Full)
+        });
+        outs.flatten().map(|s| s.out).collect::<Vec<_>>()
+    });
+    set_max_threads(0);
+    assert!(
+        outputs[0] == outputs[1],
+        "output depends on the thread count"
+    );
+}
+
+/// End-to-end Theorem 4.2: the first token generated by the full
+/// tree-speculative engine (real SSM speculation, real tree decoding,
+/// MSS) follows the LLM's exact next-token distribution.
+#[test]
+fn theorem_4_2_end_to_end_engine() {
+    let world = Family::Roomy.world();
+    let (llm, ssm) = (&*world.llm, &*world.ssms[0]);
+    let prompt = [4u32, 2, 7];
+
+    // Exact target distribution from the LLM itself.
+    let logits = llm.logits_for_sequence(&prompt);
+    let p = sampler::probs_from_logits(logits.row(prompt.len() - 1), &DecodeMode::stochastic());
+
+    let cell = Cell::new(
+        Family::Roomy,
+        Work::Mixed,
+        tree(&[3, 1]),
+        Pool::One,
+        Decode::Mss,
+    );
+    let engine = SpecEngine::new(llm, vec![ssm], cell.engine(1));
+    let trials = 4_000;
+    let mut emp = vec![0.0f32; llm.config().vocab_size];
+    for seed in 0..trials {
+        emp[engine.generate(&prompt, seed).generated()[0] as usize] += 1.0;
+    }
+    emp.iter_mut().for_each(|e| *e /= trials as f32);
+    let tv = total_variation(&emp, &p);
+    // Monte-Carlo noise for K=32, N=4000 is ≈ 0.07; a biased sampler (e.g.
+    // deterministic drafts with naive residuals) shows TV ≥ 0.2 here.
+    assert!(tv < 0.12, "TV(engine, LLM) = {tv}");
+}
+
+/// Every bitwise contract here holds for whichever SIMD backend the
+/// process latched at startup. CI runs the suite with
+/// `SPECINFER_SIMD=scalar` and again natively; this pins the
+/// env-to-backend mapping, so a forced run really exercises the forced
+/// backend instead of silently falling back.
+#[test]
+fn forced_simd_env_maps_to_latched_backend() {
+    use specinfer::tensor::{simd, SimdBackend};
+    let be = simd::backend();
+    match std::env::var("SPECINFER_SIMD").as_deref() {
+        Ok("scalar") => assert_eq!(be, SimdBackend::Scalar),
+        // Forcing an ISA the host lacks documents a scalar fallback.
+        Ok("avx2") => assert!(matches!(be, SimdBackend::Avx2Fma | SimdBackend::Scalar)),
+        Ok("neon") => assert!(matches!(be, SimdBackend::Neon | SimdBackend::Scalar)),
+        _ => assert!(simd::available_backends().contains(&be)),
+    }
+}
