@@ -222,10 +222,9 @@ fn daemon_loop(
         // has arrived and get back to decoding.
         loop {
             let msg = if driver.is_idle() && !draining {
-                // Idle wait with a deadline: the heartbeat bounds every
-                // blocking wait on the serving path (unbounded_wait lint)
-                // and keeps the loop responsive to shutdown even if a
-                // sender wedges without disconnecting.
+                // Idle wait with a deadline: the loop re-checks its state
+                // at least once per heartbeat, so it stays responsive to
+                // shutdown even if a sender wedges without disconnecting.
                 match rx.recv_timeout(IDLE_HEARTBEAT) {
                     Ok(m) => Some(m),
                     Err(RecvTimeoutError::Timeout) => continue,
@@ -320,6 +319,31 @@ mod tests {
         daemon_with(daemon_config(batch))
     }
 
+    /// Wall-clock bound on one daemon drive. The drives here take well
+    /// under a second; a drive still running after this long is hung.
+    const DRIVE_BOUND: Duration = Duration::from_secs(60);
+
+    /// Runs `drive` on a thread of its own and fails, naming `what`, if
+    /// it has not returned within [`DRIVE_BOUND`]; a hung drive's thread
+    /// is left behind. A panic in the drive is re-raised here.
+    fn within_bound<T: Send + 'static>(
+        what: &str,
+        drive: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (done_tx, done_rx) = bounded(1);
+        let handle = std::thread::spawn(move || {
+            let out = drive();
+            let _ = done_tx.send(());
+            out
+        });
+        if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(DRIVE_BOUND) {
+            panic!("{what}: still running after {DRIVE_BOUND:?}");
+        }
+        handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
     #[test]
     fn submissions_from_multiple_threads() {
         let d = Arc::new(daemon(3));
@@ -344,56 +368,69 @@ mod tests {
         assert_eq!(report.responses.len(), 4);
     }
 
-    #[test]
-    fn shutdown_drains_in_flight_work() {
-        let d = daemon(2);
-        let t1 = d.submit(vec![5, 5], 8).expect("daemon accepts");
-        let t2 = d.submit(vec![6, 6], 8).expect("daemon accepts");
-        let report = d.shutdown().expect("clean shutdown");
-        assert_eq!(report.responses.len(), 2);
-        // Tickets still resolve after shutdown (responses were sent
-        // before the daemon exited).
-        assert!(t1.wait().expect("ticket resolves").generated.len() >= 8);
-        assert!(t2.wait().expect("ticket resolves").generated.len() >= 8);
-    }
-
-    #[test]
-    fn drop_without_shutdown_is_clean() {
-        let d = daemon(2);
-        let _t = d.submit(vec![3, 3], 4).expect("daemon accepts");
-        drop(d); // must not hang or panic
-    }
-
     /// A few thousand submissions, every other one cancelled at once,
     /// through a bounded queue: every ticket resolves exactly once and
     /// the report holds one response per submission.
     #[test]
     fn soak_resolves_every_ticket_once() {
         const SUBMISSIONS: usize = 3_000;
-        let d = daemon_with(ServerConfig {
-            queue: QueuePolicy::bounded(2),
-            ..daemon_config(2)
+        let report = within_bound("soak", || {
+            let d = daemon_with(ServerConfig {
+                queue: QueuePolicy::bounded(2),
+                ..daemon_config(2)
+            });
+            let tickets: Vec<Ticket> = (0..SUBMISSIONS)
+                .map(|i| {
+                    let t = d
+                        .submit(vec![1, (i % 8) as u32 + 2], 2)
+                        .expect("daemon accepts");
+                    if i % 2 == 1 {
+                        d.cancel(t.id);
+                    }
+                    t
+                })
+                .collect();
+            let mut ids: Vec<RequestId> = tickets
+                .into_iter()
+                .map(|t| t.wait().expect("ticket resolves").id)
+                .collect();
+            ids.sort();
+            ids.dedup();
+            assert_eq!(ids.len(), SUBMISSIONS, "one response per ticket");
+            d.shutdown().expect("clean shutdown")
         });
-        let tickets: Vec<Ticket> = (0..SUBMISSIONS)
-            .map(|i| {
-                let t = d
-                    .submit(vec![1, (i % 8) as u32 + 2], 2)
-                    .expect("daemon accepts");
-                if i % 2 == 1 {
-                    d.cancel(t.id);
-                }
-                t
-            })
-            .collect();
-        let mut ids: Vec<RequestId> = tickets
-            .into_iter()
-            .map(|t| t.wait().expect("ticket resolves").id)
-            .collect();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), SUBMISSIONS, "one response per ticket");
-        let report = d.shutdown().expect("clean shutdown");
         assert_eq!(report.responses.len(), SUBMISSIONS);
+    }
+
+    /// `shutdown` and a plain `drop`, called as soon as four long requests
+    /// are submitted to a daemon with one batch slot (the call lands with
+    /// one live and the rest queued unless the submitting thread stalls
+    /// for the length of a request), both drain that work and return
+    /// within the bound. Every ticket still resolves afterwards (its response was
+    /// sent before the daemon exited), completed.
+    #[test]
+    fn shutdown_and_drop_with_queued_and_live_work_return_within_the_bound() {
+        for shutdown in [true, false] {
+            let what = if shutdown { "shutdown" } else { "drop" };
+            let tickets = within_bound(what, move || {
+                let d = daemon(1);
+                let tickets: Vec<Ticket> = (0..4)
+                    .map(|i| d.submit(vec![1, i + 2], 96).expect("daemon accepts"))
+                    .collect();
+                if shutdown {
+                    let report = d.shutdown().expect("clean shutdown");
+                    assert_eq!(report.responses.len(), tickets.len());
+                } else {
+                    drop(d);
+                }
+                tickets
+            });
+            for t in tickets {
+                let r = t.wait().expect("answered before the daemon exited");
+                assert_eq!(r.outcome, RequestOutcome::Completed, "{what}");
+                assert!(r.generated.len() >= 96, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -198,7 +198,11 @@ impl<'m> IterationDriver<'m> {
                     self.clock,
                     self.live.len(),
                     budget.saturating_sub(used),
-                    |r| (r.kv_rows() + spec_rows.next_iteration).min(max_ctx),
+                    |r| {
+                        r.kv_rows()
+                            .saturating_add(spec_rows.next_iteration)
+                            .min(max_ctx)
+                    },
                 )
             }
             None => self.scheduler.admit(self.clock, self.live.len()),
@@ -207,7 +211,10 @@ impl<'m> IterationDriver<'m> {
             let mut engine = self.config.engine.clone();
             engine.max_new_tokens = request.max_new_tokens;
             let kv_rows = match self.config.slab_rows {
-                Some(_) => (request.kv_rows() + self.spec_rows.worst_case).min(max_ctx),
+                Some(_) => request
+                    .kv_rows()
+                    .saturating_add(self.spec_rows.worst_case)
+                    .min(max_ctx),
                 None => usize::MAX,
             };
             // An invalid prompt rejects this one request; it must never

@@ -43,8 +43,10 @@ impl Request {
     /// the whole prompt plus every generated token. Speculation headroom
     /// is the driver's concern (it adds the engine's
     /// `pool_speculation_rows` on top before admitting against the slab).
+    /// Saturates: a budget of `usize::MAX` means "until the context is
+    /// full", and the driver clamps the sum to the context window.
     pub fn kv_rows(&self) -> usize {
-        self.prompt.len() + self.max_new_tokens
+        self.prompt.len().saturating_add(self.max_new_tokens)
     }
 }
 

@@ -64,13 +64,6 @@ pub struct Edge {
     pub line: usize,
     /// Whether the call site sits inside a loop in the caller.
     pub in_loop: bool,
-    /// `false` for unknown-receiver method-name over-approximation,
-    /// `true` for path-/`self.`-resolved calls. Reachability rules use
-    /// every edge (more edges is the safe direction); the dataflow
-    /// rules in [`crate::taint`] follow only certain edges, since a
-    /// name-matched edge can manufacture a flow that no real execution
-    /// can take.
-    pub certain: bool,
 }
 
 /// The workspace call graph.
@@ -264,7 +257,7 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
         let uses = use_maps.get(&node.path).cloned().unwrap_or_default();
         let mut seen: Vec<usize> = Vec::new();
         for fact in &node.facts {
-            let (targets, line, in_loop, certain) = match fact {
+            let (targets, line, in_loop) = match fact {
                 Fact::Call {
                     path,
                     line,
@@ -273,7 +266,6 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
                     resolve_path_call(&g, &by_name, &by_owner_name, &node, &uses, path),
                     *line,
                     *in_loop,
-                    true,
                 ),
                 Fact::Method {
                     name,
@@ -281,25 +273,15 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
                     line,
                     in_loop,
                     ..
-                } => {
-                    let (targets, certain) =
-                        resolve_method_call(&by_name, &by_owner_name, &g, &node, name, recv);
-                    (targets, *line, *in_loop, certain)
-                }
+                } => (
+                    resolve_method_call(&by_name, &by_owner_name, &g, &node, name, recv),
+                    *line,
+                    *in_loop,
+                ),
                 _ => continue,
             };
             for t in targets {
-                if t == caller {
-                    continue;
-                }
-                if seen.contains(&t) {
-                    // A certain resolution upgrades an earlier
-                    // over-approximated edge to the same callee.
-                    if certain {
-                        if let Some(e) = g.edges[caller].iter_mut().find(|e| e.callee == t) {
-                            e.certain = true;
-                        }
-                    }
+                if t == caller || seen.contains(&t) {
                     continue;
                 }
                 seen.push(t);
@@ -307,7 +289,6 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
                     callee: t,
                     line,
                     in_loop,
-                    certain,
                 });
             }
         }
@@ -441,8 +422,7 @@ fn resolve_path_call(
 }
 
 /// Resolves `recv.method(…)`. `self.method()` binds to the enclosing
-/// impl type (a *certain* edge); everything else over-approximates
-/// across all owners (uncertain edges).
+/// impl type; everything else over-approximates across all owners.
 fn resolve_method_call(
     by_name: &BTreeMap<&str, Vec<usize>>,
     by_owner_name: &BTreeMap<(&str, &str), Vec<usize>>,
@@ -450,19 +430,19 @@ fn resolve_method_call(
     node: &FnNode,
     name: &str,
     recv: &[String],
-) -> (Vec<usize>, bool) {
+) -> Vec<usize> {
     if recv == ["self"] {
         if let Some(o) = &node.owner {
             if let Some(v) = by_owner_name.get(&(o.as_str(), name)) {
-                return (filtered(g, node, v), true);
+                return filtered(g, node, v);
             }
         }
-        return (Vec::new(), true);
+        return Vec::new();
     }
     if STD_COLLIDING_METHODS.contains(&name) {
-        return (Vec::new(), false);
+        return Vec::new();
     }
-    let targets = by_name
+    by_name
         .get(name)
         .map(|v| {
             v.iter()
@@ -474,8 +454,7 @@ fn resolve_method_call(
                 })
                 .collect()
         })
-        .unwrap_or_default();
-    (targets, false)
+        .unwrap_or_default()
 }
 
 fn filtered(g: &CallGraph, node: &FnNode, v: &[usize]) -> Vec<usize> {

@@ -7,77 +7,16 @@
 
 pub mod allowlist;
 pub mod callgraph;
-pub mod cfg;
-pub mod dataflow;
 pub mod parse;
 pub mod rules;
 pub mod scan;
 pub mod semantic;
-pub mod taint;
 
 use rules::Finding;
 use std::path::{Path, PathBuf};
 
 /// Relative path of the allowlist file inside the workspace.
 pub const ALLOWLIST_PATH: &str = "crates/xtask/lint-allow.txt";
-
-/// Parse-once facts shared by every semantic rule: the parsed files,
-/// the call graph over them, and a CFG + parameter list per graph node
-/// (aligned with `graph.fns` by index). Building this once per run and
-/// handing it to each rule keeps the whole workspace lint a single parse
-/// pass — the wall-time budget in `tests/lint_rules.rs` pins that.
-pub struct WorkspaceFacts {
-    pub files: Vec<parse::ParsedFile>,
-    pub graph: callgraph::CallGraph,
-    /// `cfgs[i]` is the control-flow graph of `graph.fns[i]`.
-    pub cfgs: Vec<cfg::Cfg>,
-    /// `params[i]` are the parameter names (including `self`) of
-    /// `graph.fns[i]`.
-    pub params: Vec<Vec<String>>,
-}
-
-impl WorkspaceFacts {
-    pub fn build(files: Vec<parse::ParsedFile>) -> WorkspaceFacts {
-        let graph = callgraph::build(&files);
-        let mut cfgs = Vec::with_capacity(graph.fns.len());
-        let mut params = Vec::with_capacity(graph.fns.len());
-        for node in &graph.fns {
-            let def = files
-                .iter()
-                .filter(|f| f.path == node.path)
-                .flat_map(|f| &f.fns)
-                .find(|d| d.line == node.line && d.name == node.name);
-            match def {
-                Some(d) => {
-                    cfgs.push(cfg::build(&d.body, d.line));
-                    params.push(d.params.clone());
-                }
-                None => {
-                    // Graph nodes come from the same FnDefs, so this arm
-                    // is unreachable in practice; an empty CFG keeps the
-                    // alignment invariant regardless.
-                    cfgs.push(cfg::build(&[], node.line));
-                    params.push(Vec::new());
-                }
-            }
-        }
-        WorkspaceFacts {
-            files,
-            graph,
-            cfgs,
-            params,
-        }
-    }
-
-    /// The raw source text of `line` (1-based) in `path`, for snippets.
-    pub fn raw_line(&self, path: &str, line: usize) -> String {
-        self.files
-            .iter()
-            .find(|f| f.path == path)
-            .map(|f| f.raw_line(line))
-            .unwrap_or_default()
-    }
-}
 
 /// Lints the whole workspace rooted at `root`. Findings are sorted by
 /// path then line. I/O errors surface as `io` findings rather than
@@ -110,10 +49,9 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
             Err(e) => findings.push(io_finding(rel, &e)),
         }
     }
-    let facts = WorkspaceFacts::build(parsed);
-    semantic::stale_root_findings(&facts.graph, &mut findings);
-    semantic::semantic_findings_with_graph(&facts.files, &facts.graph, false, &mut findings);
-    taint::taint_findings(&facts, false, &mut findings);
+    let graph = callgraph::build(&parsed);
+    semantic::stale_root_findings(&graph, &mut findings);
+    semantic::semantic_findings_with_graph(&parsed, &graph, false, &mut findings);
     for rel in &manifests {
         match std::fs::read_to_string(root.join(rel)) {
             Ok(text) => rules::rule_shim_hygiene(rel, &text, &mut findings),
@@ -159,9 +97,8 @@ pub fn lint_files_strict(paths: &[PathBuf]) -> Vec<Finding> {
     }
     // Semantic rules run over the given files as a mini-workspace, with
     // all path scoping disabled and entry points matched by name.
-    let facts = WorkspaceFacts::build(parsed);
-    semantic::semantic_findings_with_graph(&facts.files, &facts.graph, true, &mut findings);
-    taint::taint_findings(&facts, true, &mut findings);
+    let graph = callgraph::build(&parsed);
+    semantic::semantic_findings_with_graph(&parsed, &graph, true, &mut findings);
     findings
 }
 

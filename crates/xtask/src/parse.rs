@@ -2,7 +2,7 @@
 //!
 //! [`crate::scan`] gives the rules comment/string/`cfg(test)`-aware
 //! *lines*; this module turns those lines into just enough structure for
-//! graph and dataflow analysis: a token stream, the item tree (modules,
+//! call-graph analysis: a token stream, the item tree (modules,
 //! impls, fns, `use` declarations), and per-function **facts** — calls,
 //! method calls, macro invocations, slice indexing, loops and their
 //! accumulation patterns. It is deliberately not a full Rust grammar
@@ -192,12 +192,6 @@ pub struct FnDef {
     /// Whether the fn sits in test-only code.
     pub in_test: bool,
     pub facts: Vec<Fact>,
-    /// Parameter binding names in declaration order (`self` included;
-    /// destructured patterns contribute their leaf bindings).
-    pub params: Vec<String>,
-    /// The body's token stream, exclusive of the outer braces. Empty for
-    /// bodiless trait declarations. [`crate::cfg`] builds CFGs from this.
-    pub body: Vec<Tok>,
 }
 
 /// A parse diagnostic. The workspace must parse diagnostic-free (pinned
@@ -261,46 +255,6 @@ fn is_expr_keyword(s: &str) -> bool {
             | "unsafe"
             | "await"
     )
-}
-
-/// Extracts parameter binding names from a parameter-list token slice
-/// (including the outer parens). `self` receivers yield `"self"`; a
-/// plain binding is an identifier directly followed by `:` at paren
-/// depth 1 outside generic angles and preceded (modulo `mut`/`ref`) by
-/// `(` or `,`. Destructured patterns are skipped — missing a binding
-/// only under-approximates downstream taint, never over-reports.
-fn param_names(toks: &[Tok]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut angle = 0usize;
-    for (i, t) in toks.iter().enumerate() {
-        match t.text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth = depth.saturating_sub(1),
-            "<" => angle += 1,
-            ">" => angle = angle.saturating_sub(1),
-            _ => {}
-        }
-        if depth != 1 || angle != 0 || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "self" && out.is_empty() {
-            out.push("self".to_string());
-            continue;
-        }
-        let next_is_colon = toks.get(i + 1).is_some_and(|n| n.text == ":");
-        if !next_is_colon || is_expr_keyword(&t.text) {
-            continue;
-        }
-        let mut j = i;
-        while j > 0 && matches!(toks[j - 1].text.as_str(), "mut" | "ref") {
-            j -= 1;
-        }
-        if j > 0 && matches!(toks[j - 1].text.as_str(), "(" | ",") {
-            out.push(t.text.clone());
-        }
-    }
-    out
 }
 
 /// Parses a scanned file. Never panics; malformed regions surface as
@@ -774,11 +728,8 @@ impl Parser {
         if self.peek_text() == "<" {
             self.skip_angles();
         }
-        let mut params = Vec::new();
         if self.peek_text() == "(" {
-            let param_start = self.pos;
             self.skip_balanced("(", ")");
-            params = param_names(&self.toks[param_start..self.pos]);
         } else {
             self.error(format!("fn `{name}`: expected parameter list"));
         }
@@ -802,14 +753,10 @@ impl Parser {
             sig: self.raw_line(fn_tok_line),
             in_test,
             facts: Vec::new(),
-            params,
-            body: Vec::new(),
         };
         if self.eat("{") {
-            let body_start = self.pos;
             let mut facts = Vec::new();
             self.body(&mut facts, 0);
-            def.body = self.toks[body_start..self.pos].to_vec();
             if !self.eat("}") {
                 self.error(format!("fn `{}`: unclosed body", def.name));
             }
@@ -1482,25 +1429,6 @@ mod tests {
             "thread_local! { static S: u32 = 0; }\nconst N: usize = 4;\nstatic M: std::sync::Mutex<()> = std::sync::Mutex::new(());\nfn after() {}\n",
         );
         assert!(p.fns.iter().any(|f| f.name == "after"), "{:?}", p.fns);
-    }
-
-    #[test]
-    fn param_names_and_body_tokens_are_captured() {
-        let p = parse(
-            "fn f(n: usize, mut names: Vec<String>, map: HashMap<String, usize>) -> usize {\n    n + 1\n}\nimpl Foo { fn m(&self, rows: usize) {} }\nfn g((a, b): (u32, u32)) {}\ntrait T { fn decl(&self, k: usize); }\n",
-        );
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let f = p.fns.iter().find(|f| f.name == "f").expect("f");
-        assert_eq!(f.params, vec!["n", "names", "map"]);
-        let texts: Vec<&str> = f.body.iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(texts, vec!["n", "+", "1"], "body excludes the braces");
-        let m = p.fns.iter().find(|f| f.name == "m").expect("m");
-        assert_eq!(m.params, vec!["self", "rows"]);
-        let g = p.fns.iter().find(|f| f.name == "g").expect("g");
-        assert!(g.params.is_empty(), "destructured patterns are skipped");
-        let decl = p.fns.iter().find(|f| f.name == "decl").expect("decl");
-        assert_eq!(decl.params, vec!["self", "k"]);
-        assert!(decl.body.is_empty(), "bodiless decls have no body tokens");
     }
 
     #[test]

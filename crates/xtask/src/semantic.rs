@@ -1,5 +1,5 @@
-//! The three semantic (graph/dataflow) rules, built on [`crate::parse`]
-//! and [`crate::callgraph`].
+//! The three semantic (call-graph) rules, built on [`crate::parse`] and
+//! [`crate::callgraph`].
 //!
 //! Where the lexical rules in [`crate::rules`] police what a *line*
 //! says, these police what the *program* can do:
@@ -117,9 +117,8 @@ const ALLOC_CALLS: &[(&str, &str)] = &[
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
 /// Runs the three semantic rules plus parser diagnostics over parsed
-/// files and their call graph (built once per lint run and shared with
-/// the dataflow rules in [`crate::taint`]). `strict` disables all
-/// path-based scoping (fixture mode).
+/// files and their call graph (built once per lint run). `strict`
+/// disables all path-based scoping (fixture mode).
 pub fn semantic_findings_with_graph(
     files: &[ParsedFile],
     graph: &CallGraph,
@@ -151,7 +150,7 @@ pub fn semantic_findings_with_graph(
 /// strict mode any function with a matching name counts. Roots that do
 /// not resolve are skipped here — unit tests lint one-file workspaces —
 /// and reported by [`stale_root_findings`] on whole-workspace runs.
-pub fn resolve_roots(graph: &CallGraph, roots: &[(&str, &str)], strict: bool) -> Vec<usize> {
+fn resolve_roots(graph: &CallGraph, roots: &[(&str, &str)], strict: bool) -> Vec<usize> {
     let mut out = Vec::new();
     if strict {
         for (_, name) in roots {
@@ -173,7 +172,6 @@ pub fn resolve_roots(graph: &CallGraph, roots: &[(&str, &str)], strict: bool) ->
 const ROOT_TABLES: &[(&str, &[(&str, &str)])] = &[
     ("panic_reachability", PANIC_ENTRY_POINTS),
     ("hot_loop_alloc", HOT_LOOP_ROOTS),
-    ("unbounded_wait", crate::taint::WAIT_ENTRY_POINTS),
 ];
 
 /// An error finding per configured root the workspace no longer defines.

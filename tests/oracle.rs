@@ -14,11 +14,17 @@
 //! same SIMD backend. Stochastic cells are held to pinned digests and to
 //! Theorem 4.2 end to end.
 //!
+//! The serving loop must also survive whatever sizes a client sends
+//! (`Work::Hostile`) and never hang: every trace replay and daemon drive
+//! runs under a wall-clock watchdog.
+//!
 //! A cell that fails is reported by its `Debug` line, which names every
 //! knob, so the line is its own reproduction recipe.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use specinfer::model::{sampler, DecodeMode, ModelConfig, Transformer};
 use specinfer::serving::{
@@ -34,7 +40,7 @@ use specinfer::tensor::ops::total_variation;
 use specinfer::tokentree::{ExpansionConfig, TokenId};
 use specinfer::workloads::trace::{Trace, TraceRequest};
 use specinfer::workloads::{Dataset, PromptSpec};
-use RequestOutcome::{Cancelled, Completed, DeadlineMissed};
+use RequestOutcome::{Cancelled, Completed, DeadlineMissed, Rejected};
 
 // ---------------------------------------------------------------------
 // The configurations.
@@ -63,21 +69,28 @@ struct World {
 }
 
 impl Family {
+    /// The context window of every model of the family.
+    fn ctx(self) -> usize {
+        match self {
+            Family::Tight => 14,
+            _ => 128,
+        }
+    }
+
     fn world(self) -> World {
-        let smoke = |max_seq_len| ModelConfig {
-            max_seq_len,
+        let smoke = ModelConfig {
+            max_seq_len: self.ctx(),
             ..ModelConfig::smoke()
         };
         let wide = ModelConfig {
             vocab_size: 64,
             d_model: 40,
             d_ff: 8192,
-            ..smoke(128)
+            ..smoke.clone()
         };
         let (llm, llm_seed, ssm_seeds, (d_model, d_ff)) = match self {
-            Family::Roomy => (smoke(128), 50, 51..54, (8, 16)),
-            Family::Tight => (smoke(14), 50, 51..54, (8, 16)),
-            Family::Rows => (smoke(128), 100, 101..102, (8, 16)),
+            Family::Roomy | Family::Tight => (smoke, 50, 51..54, (8, 16)),
+            Family::Rows => (smoke, 100, 101..102, (8, 16)),
             Family::Wide => (wide, 41, 141..142, (16, 32)),
         };
         let ssm = ModelConfig {
@@ -161,10 +174,19 @@ enum Work {
     Rows,
     /// Two four-token prompts, 16 tokens each.
     Wide,
+    /// `Mixed`'s requests followed by five no client should send: an
+    /// empty prompt, a prompt one token longer than the context, one
+    /// exactly as long, and two ordinary prompts asking for no tokens and
+    /// for `usize::MAX` tokens.
+    Hostile,
 }
 
+/// How many requests `Work::Mixed` holds.
+const MIXED: usize = 8;
+
 impl Work {
-    fn requests(self) -> Vec<Req> {
+    /// The requests, for models with a context of `ctx` rows.
+    fn requests(self, ctx: usize) -> Vec<Req> {
         let req = |prompt: Vec<TokenId>, max_new, arrival| Req {
             prompt,
             max_new,
@@ -178,13 +200,25 @@ impl Work {
                 let prompt =
                     |i, len| (0..len).map(move |p| ((1 + i * 5 + p * 3) % 31 + 1) as TokenId);
                 let req = |i: usize| req(prompt(i, lens[i]).collect(), budgets[i], arrivals[i]);
-                (0..8).map(req).collect()
+                (0..MIXED).map(req).collect()
             }
             Work::Digest => vec![req(vec![4, 9, 2, 6], 48, 0); 3],
             Work::Rows => (0..4)
                 .map(|b| req(vec![1 + b, 2, 3 + b % 5], 12, 0))
                 .collect(),
             Work::Wide => vec![req(vec![2, 7, 1, 8], 16, 0), req(vec![3, 1, 4, 1], 16, 0)],
+            Work::Hostile => {
+                let long = |len| (0..len).map(|p| (p % 31 + 1) as TokenId).collect();
+                let mut reqs = Work::Mixed.requests(ctx);
+                reqs.extend([
+                    req(Vec::new(), 4, 0),
+                    req(long(ctx + 1), 4, 0),
+                    req(long(ctx), 4, 0),
+                    req(vec![3, 1, 4], 0, 0),
+                    req(vec![2, 7, 1], usize::MAX, 0),
+                ]);
+                reqs
+            }
         }
     }
 }
@@ -275,7 +309,7 @@ impl Cell {
     /// The cell's requests, a fault plan's burst included (its ids follow
     /// the trace's, as in `Server::serve_trace`).
     fn requests(&self) -> Vec<Req> {
-        let mut reqs = self.work.requests();
+        let mut reqs = self.work.requests(self.family.ctx());
         let burst = self.plan().map(|p| p.burst_requests(reqs.len() as u64));
         reqs.extend(burst.into_iter().flatten().map(|r| Req {
             prompt: r.prompt,
@@ -630,34 +664,73 @@ impl Run<'_> {
             },
             dataset: Dataset::Alpaca,
         };
-        let requests = trace.iter().map(request).collect();
-        let pool = self.pool();
-        let server = Server::new(&self.world.llm, refs(&pool), self.server_config(slab_rows));
-        server.serve_trace(&Trace { requests })
+        let trace = Trace {
+            requests: trace.iter().map(request).collect(),
+        };
+        let (llm, pool) = (self.world.llm.clone(), self.pool());
+        let config = self.server_config(slab_rows);
+        watchdog(self.cell, move || {
+            Server::new(&llm, refs(&pool), config).serve_trace(&trace)
+        })
     }
 
     /// The live daemon, fed every request in order. `interrupted` cancels
     /// request 0 as soon as all are submitted and gives request 2 a
     /// deadline no iteration can meet.
-    fn daemon(&self, interrupted: bool) -> (Vec<Response>, ServeReport) {
-        let config = self.server_config(Some(SLAB_ROWS));
-        let daemon = ServerDaemon::spawn(self.world.llm.clone(), self.pool(), config)
-            .expect("daemon spawns");
-        let submit = |(id, r): (usize, &Req)| {
-            let ticket = match (interrupted, id) {
-                (true, 2) => daemon.submit_with_deadline(r.prompt.clone(), r.max_new, 1e-6),
-                _ => daemon.submit(r.prompt.clone(), r.max_new),
+    fn daemon(&self, interrupted: bool, slab_rows: Option<usize>) -> (Vec<Response>, ServeReport) {
+        let config = self.server_config(slab_rows);
+        let (llm, pool, reqs) = (self.world.llm.clone(), self.pool(), self.reqs.to_vec());
+        watchdog(self.cell, move || {
+            let daemon = ServerDaemon::spawn(llm, pool, config).expect("daemon spawns");
+            let submit = |(id, r): (usize, &Req)| {
+                let ticket = match (interrupted, id) {
+                    (true, 2) => daemon.submit_with_deadline(r.prompt.clone(), r.max_new, 1e-6),
+                    _ => daemon.submit(r.prompt.clone(), r.max_new),
+                };
+                ticket.expect("daemon accepts")
             };
-            ticket.expect("daemon accepts")
-        };
-        let tickets: Vec<_> = self.reqs.iter().enumerate().map(submit).collect();
-        if interrupted {
-            daemon.cancel(tickets[0].id);
-        }
-        let wait = |t: Ticket| t.wait().expect("every ticket resolves");
-        let responses = tickets.into_iter().map(wait).collect();
-        (responses, daemon.shutdown().expect("clean shutdown"))
+            let tickets: Vec<_> = reqs.iter().enumerate().map(submit).collect();
+            if interrupted {
+                daemon.cancel(tickets[0].id);
+            }
+            let wait = |t: Ticket| {
+                let id = t.id;
+                t.wait()
+                    .unwrap_or_else(|e| panic!("{id} at slab {slab_rows:?} got no response: {e}"))
+            };
+            let responses = tickets.into_iter().map(wait).collect();
+            (responses, daemon.shutdown().expect("clean shutdown"))
+        })
     }
+}
+
+/// Wall-clock bound on one serving drive, far above any drive's normal
+/// time: a drive still running after it is hung.
+const DRIVE_BOUND: Duration = Duration::from_secs(60);
+
+/// Set once a drive has hung. Every later drive then fails at once
+/// instead of waiting out a bound of its own.
+static HUNG: AtomicBool = AtomicBool::new(false);
+
+/// Runs a serving drive of `cell` on a thread of its own and fails,
+/// naming the cell, unless it returns within [`DRIVE_BOUND`]. A hung
+/// drive's thread is left behind; a panic in the drive is re-raised.
+fn watchdog<T: Send + 'static>(cell: &Cell, drive: impl FnOnce() -> T + Send + 'static) -> T {
+    assert!(
+        !HUNG.load(Ordering::Relaxed),
+        "not run: an earlier drive hung"
+    );
+    let (done, finished) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let out = drive();
+        let _ = done.send(());
+        out
+    });
+    if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(DRIVE_BOUND) {
+        HUNG.store(true, Ordering::Relaxed);
+        panic!("hung: a drive still runs after {DRIVE_BOUND:?}: {cell:?}");
+    }
+    handle.join().unwrap_or_else(|panic| resume_unwind(panic))
 }
 
 /// What a batched drive observed.
@@ -939,7 +1012,7 @@ fn check_serving(run: &Run, solos: &[Solo]) -> ServeReport {
     }
     let bursty = run.cell.burst_len() > 0;
     if !bursty {
-        let (responses, live) = run.daemon(false);
+        let (responses, live) = run.daemon(false, Some(SLAB_ROWS));
         check_responses(run, &responses, solos, false);
         check_report(&live, solos);
         assert_eq!(
@@ -957,7 +1030,7 @@ fn check_serving(run: &Run, solos: &[Solo]) -> ServeReport {
         "a plan replays exactly"
     );
     if !bursty {
-        let (responses, live) = run.daemon(true);
+        let (responses, live) = run.daemon(true, Some(SLAB_ROWS));
         check_responses(run, &responses, solos, true);
         check_report(&live, solos);
         // Slow verifier passes cost simulated time, never tokens or
@@ -997,6 +1070,71 @@ fn check_serving(run: &Run, solos: &[Solo]) -> ServeReport {
         assert!(sized.makespan_s >= calm.makespan_s, "slowdowns cost time");
     }
     sized
+}
+
+/// A served request stops at its budget or once every row of its
+/// context is used (the KV cache holds all tokens but the last).
+fn check_stop(r: &Req, generated: usize, ctx: usize) {
+    let len = r.prompt.len() + generated;
+    assert!(len <= ctx + 1, "{len} tokens overflow a context of {ctx}");
+    assert!(
+        generated >= r.max_new || len == ctx + 1,
+        "stopped at {generated} of {} tokens with room left",
+        r.max_new
+    );
+}
+
+/// `Work::Hostile` through every drive: the serial engine, and trace
+/// replay and the daemon at no slab budget, a right-sized one and one
+/// row. Every request is answered exactly once; the empty and over-long
+/// prompts are refused (rejected and counted as invalid by the server,
+/// an `EngineError` from the engine); every other request completes and
+/// stops at its budget or at a full context; and `Mixed`'s requests are
+/// decoded exactly as when they run alone.
+fn check_hostile(run: &Run) {
+    let (reqs, ctx) = (run.reqs, run.world.llm.config().max_seq_len);
+    let solos = Run {
+        reqs: &reqs[..MIXED],
+        ..*run
+    }
+    .serial(Slab::Full);
+    let invalid = |r: &Req| r.prompt.is_empty() || r.prompt.len() > ctx;
+    let pool = run.pool();
+    for (id, r) in reqs.iter().enumerate() {
+        let engine = SpecEngine::new(&run.world.llm, refs(&pool), run.cell.engine(r.max_new));
+        let result = engine.try_generate(&r.prompt, run.cell.seed + id as u64);
+        assert_eq!(result.is_err(), invalid(r), "request {id}: {result:?}");
+        if let Ok(g) = result {
+            check_stop(r, g.generated().len(), ctx);
+            if let Some(solo) = solos.get(id) {
+                assert_eq!((g.tokens, g.steps), solo.out, "request {id}: engine");
+            }
+        }
+    }
+    for slab in [None, Some(SLAB_ROWS), Some(1)] {
+        let (responses, live) = run.daemon(false, slab);
+        let replay = run.replay(slab);
+        for report in [&live, &replay] {
+            check_report(report, &solos);
+            assert_eq!(report.faults.invalid, 2, "slab {slab:?}: invalid");
+        }
+        for responses in [&responses, &live.responses, &replay.responses] {
+            assert_eq!(responses.len(), reqs.len(), "one response per request");
+            for (id, (x, r)) in responses.iter().zip(reqs).enumerate() {
+                assert_eq!(x.id, RequestId(id as u64), "ids follow submission order");
+                if invalid(r) {
+                    let answer = (x.outcome, x.generated.len(), x.steps.len());
+                    assert_eq!(answer, (Rejected, 0, 0), "{} at slab {slab:?}", x.id);
+                    continue;
+                }
+                assert_eq!(x.outcome, Completed, "{} at slab {slab:?}", x.id);
+                check_stop(r, x.generated.len(), ctx);
+                if let Some(solo) = solos.get(id) {
+                    check_cut(x, solo, r);
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1066,6 +1204,9 @@ fn check_cell(world: &World, cell: &Cell, tally: &mut Tally) {
         cell,
         reqs: &reqs,
     };
+    if cell.work == Work::Hostile {
+        return check_hostile(&run);
+    }
     let solos = check_engine(&run);
     // A fault mask has no serving spelling.
     let report = match cell.faults {
@@ -1158,6 +1299,26 @@ fn chaos_plans_cut_only_what_they_schedule() {
     let tally = run_cells(&cells);
     tally.assert_live();
     assert!(tally.backpressure > 0, "a burst must defer or drop");
+}
+
+/// Requests no client should send, batched with ordinary ones, through
+/// the engine, trace replay and the daemon on both contexts (see
+/// [`check_hostile`]).
+#[test]
+fn hostile_request_sizes_are_served_or_rejected() {
+    let modes = [
+        InferenceMode::Incremental,
+        adaptive(AdaptiveConfig::default()),
+    ];
+    let cells: Vec<Cell> = [Family::Roomy, Family::Tight]
+        .into_iter()
+        .flat_map(|family| {
+            let cell =
+                move |mode| Cell::new(family, Work::Hostile, mode, Pool::Three, Decode::Greedy);
+            modes.clone().map(cell)
+        })
+        .collect();
+    run_cells(&cells);
 }
 
 /// FNV-1a over a run's generated tokens and over its per-step stats.
@@ -1308,7 +1469,7 @@ fn thread_count_changes_no_cell() {
                 "never shared"
             );
         }
-        let reqs = Work::Wide.requests();
+        let reqs = Work::Wide.requests(Family::Wide.ctx());
         let outs = cells.iter().map(|cell| {
             Run {
                 world: &world,
