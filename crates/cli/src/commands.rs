@@ -218,11 +218,9 @@ pub fn generate(args: &Parsed) -> Result<(), String> {
         max_new_tokens: tokens,
         eos_token: Some(EOS_TOKEN),
     };
-    // An empty pool decodes every mode incrementally; asking for a fixed
+    // An empty pool decodes every mode incrementally; asking for a
     // speculative shape without a drafter is a mistake worth naming.
-    // Adaptive is exempt: serving incrementally is one of its rungs.
-    let with_an_ssm = config.pool_speculation_rows(1);
-    if ssms.is_empty() && with_an_ssm.worst_case > 1 && !with_an_ssm.adapts {
+    if ssms.is_empty() && config.speculation_rows() > 1 {
         return Err("speculative modes need at least one --ssm".into());
     }
     let engine = SpecEngine::new(&llm, ssms.iter().collect(), config);
@@ -331,12 +329,10 @@ pub fn serve(args: &Parsed) -> Result<(), String> {
         report.mean_per_token_latency_s() * 1e3,
         report.throughput_tokens_per_s()
     );
-    if report.controller.rung_decisions.iter().any(|&d| d > 0) {
+    if let [root_only, drafted] = report.controller.rung_decisions[..] {
         println!(
-            "controller: rung decisions {:?}, ssm routes {:?}, {} probes",
-            report.controller.rung_decisions,
-            report.controller.ssm_routes,
-            report.controller.probes
+            "controller: {drafted} drafts routed {:?} ({} probes), {root_only} root-only steps",
+            report.controller.ssm_routes, report.controller.probes
         );
     }
     if report.verify_rows.single_pass_rows > 0 {

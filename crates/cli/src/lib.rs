@@ -45,10 +45,12 @@ pub(crate) fn usage() -> String {
        train     --out FILE [--epochs N] [--seed S] [--arch tiny-llm|tiny-ssm|smoke]\n\
        distill   --teacher FILE --out FILE [--epochs N] [--seed S]\n\
        boost     --teacher FILE --out-dir DIR [--n K] [--epochs N]\n\
-       generate  --llm FILE [--ssm FILE]… [--mode incremental|sequence|tree|dynamic]\n\
+       generate  --llm FILE [--ssm FILE]… [--mode MODE]\n\
                  [--dataset alpaca|cp|webqa|cip|piqa] [--tokens N] [--stochastic]\n\
                  [--audit] [--seed S]\n\
-       serve     --llm FILE --ssm FILE [--requests N] [--batch B] [--tokens N]\n\
-       inspect   --ckpt FILE"
+       serve     --llm FILE --ssm FILE [--mode MODE] [--requests N] [--batch B] [--tokens N]\n\
+       inspect   --ckpt FILE\n\
+     modes: incremental | sequence (depth 8) | tree (paper default) | dynamic\n\
+       | adaptive (depth-4 sequences, each step routed to one --ssm)"
         .to_string()
 }

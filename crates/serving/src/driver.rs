@@ -17,8 +17,7 @@ use std::collections::HashMap;
 use crossbeam::channel::Sender;
 use specinfer_model::Transformer;
 use specinfer_spec::{
-    BatchItem, BatchRowStats, BatchedVerifier, ControllerSnapshot, EngineConfig, Session,
-    SpeculationRows, StepStats,
+    BatchItem, BatchRowStats, BatchedVerifier, ControllerSnapshot, EngineConfig, Session, StepStats,
 };
 use specinfer_tokentree::TokenId;
 
@@ -58,12 +57,9 @@ pub(crate) struct IterationDriver<'m> {
     faults: FaultCounters,
     controller: ControllerSnapshot,
     verify_rows: BatchRowStats,
-    /// Speculation rows of one iteration over this SSM pool. A slab is
-    /// sized for the worst case, so a session can draft any shape of its
-    /// plan without overflowing its right-sized KV slab; admission
-    /// *charges* a fresh request its first iteration only, because
-    /// charging the worst case would leave paid-for batch slots empty.
-    spec_rows: SpeculationRows,
+    /// Speculation rows of one iteration over this SSM pool: what a
+    /// right-sized slab reserves on top of `prompt + max_new`.
+    spec_rows: usize,
 }
 
 impl<'m> IterationDriver<'m> {
@@ -174,35 +170,19 @@ impl<'m> IterationDriver<'m> {
             self.faults.deadline_misses += 1;
             self.answer_unserved(request, RequestOutcome::DeadlineMissed);
         }
-        let max_ctx = self.llm.config().max_seq_len;
+        // A right-sized slab: what admission charges a request and what
+        // its session allocates up front.
+        let (spec_rows, max_ctx) = (self.spec_rows, self.llm.config().max_seq_len);
+        let slab = |r: &Request| r.kv_rows().saturating_add(spec_rows).min(max_ctx);
         let admitted = match self.config.slab_rows {
             Some(budget) => {
-                // Live requests whose shape adapts are charged their
-                // *current* one (committed rows + this iteration's
-                // speculation rows) rather than their whole worst-case
-                // slab: parked/low-rung requests free real admission
-                // headroom. A fixed shape appends the same rows every
-                // iteration, so its full slab stays charged.
-                let spec_rows = self.spec_rows;
-                let used: usize = self
-                    .live
-                    .iter()
-                    .map(|a| match spec_rows.adapts {
-                        true => (a.session.kv_rows()
-                            + a.session.current_speculation_rows(&a.engine))
-                        .min(a.session.kv_capacity()),
-                        false => a.session.kv_capacity(),
-                    })
-                    .sum();
+                // Every live session is charged the slab it holds.
+                let used: usize = self.live.iter().map(|a| a.session.kv_capacity()).sum();
                 self.scheduler.admit_budgeted(
                     self.clock,
                     self.live.len(),
                     budget.saturating_sub(used),
-                    |r| {
-                        r.kv_rows()
-                            .saturating_add(spec_rows.next_iteration)
-                            .min(max_ctx)
-                    },
+                    slab,
                 )
             }
             None => self.scheduler.admit(self.clock, self.live.len()),
@@ -211,10 +191,7 @@ impl<'m> IterationDriver<'m> {
             let mut engine = self.config.engine.clone();
             engine.max_new_tokens = request.max_new_tokens;
             let kv_rows = match self.config.slab_rows {
-                Some(_) => request
-                    .kv_rows()
-                    .saturating_add(self.spec_rows.worst_case)
-                    .min(max_ctx),
+                Some(_) => slab(&request),
                 None => usize::MAX,
             };
             // An invalid prompt rejects this one request; it must never
@@ -398,7 +375,7 @@ mod tests {
     use crate::server::TimingConfig;
     use crossbeam::channel::bounded;
     use specinfer_model::{DecodeMode, ModelConfig};
-    use specinfer_spec::{DegradationPolicy, InferenceMode, StochasticVerifier};
+    use specinfer_spec::{AdaptiveConfig, DegradationPolicy, InferenceMode, StochasticVerifier};
 
     fn config(queue: QueuePolicy, slab_rows: Option<usize>) -> ServerConfig {
         ServerConfig {
@@ -459,6 +436,50 @@ mod tests {
         assert_eq!(report.faults.cancellations, 1);
         assert_eq!(report.faults.retries, 0, "nothing was pushed into backoff");
         assert_eq!(report.faults.rejected, 0);
+    }
+
+    /// Under a slab budget the live sessions never hold more rows than
+    /// the budget, adaptive ones included, unless one session runs alone
+    /// (the scheduler's starvation guard). Admission used to charge a
+    /// fresh adaptive request its first iteration's rows while its
+    /// session allocated a slab for the largest shape it might draft.
+    #[test]
+    fn live_slabs_fit_the_slab_budget() {
+        let llm = Transformer::from_seed(ModelConfig::smoke(), 1);
+        let ssm = ModelConfig {
+            d_model: 8,
+            n_layers: 1,
+            d_ff: 16,
+            ..ModelConfig::smoke()
+        };
+        let pool: Vec<Transformer> = (2..5)
+            .map(|seed| Transformer::from_seed(ssm.clone(), seed))
+            .collect();
+        let ssms: Vec<&Transformer> = pool.iter().collect();
+        let budget = 64;
+        let mut config = config(QueuePolicy::unbounded(), Some(budget));
+        config.engine.mode = InferenceMode::Adaptive {
+            config: AdaptiveConfig::default(),
+        };
+        config.max_batch_size = 8;
+        let mut driver = IterationDriver::new(&llm, &ssms, &config);
+        for id in 0..12 {
+            let request = Request {
+                max_new_tokens: 8,
+                ..request(id)
+            };
+            driver.submit(request, None);
+        }
+        while !driver.is_idle() {
+            driver.tick();
+            let held: usize = driver.live.iter().map(|r| r.session.kv_capacity()).sum();
+            let live = driver.live.len();
+            assert!(
+                live == 1 || held <= budget,
+                "{live} sessions hold {held} rows"
+            );
+        }
+        assert_eq!(driver.into_report().completed_len(), 12);
     }
 
     /// 20,000 cycles through every way a request leaves, on a bounded

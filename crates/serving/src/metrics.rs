@@ -94,8 +94,8 @@ pub struct ServeReport {
     /// decision; this field exists so operators can see actual runtime.
     pub wall_s: f64,
     /// Aggregated adaptive-controller telemetry over all retired
-    /// sessions: rung-decision and SSM-routing histograms, probe counts.
-    /// All-zero when the run's mode was not adaptive.
+    /// sessions: `[root-only, drafted]` step counts, drafts routed per
+    /// SSM, probe counts. Empty when the run's mode was not adaptive.
     pub controller: ControllerSnapshot,
     /// LLM verify-row accounting summed over all batched iterations —
     /// what frontier-first staging forwarded against whole trees.

@@ -278,11 +278,10 @@ impl IterationScheduler {
     ///   session clamps the slab to the model's context window), and an
     ///   idle engine with a non-empty queue must never livelock.
     ///
-    /// `cost` is a closure, not a constant-per-request tariff, precisely
-    /// so callers can charge *per-request* speculation shapes: under the
-    /// adaptive controller, two queued requests with equal prompts can
-    /// cost different row counts (their sessions sit on different ladder
-    /// rungs), and the scan prices each candidate individually.
+    /// `cost` is a closure evaluated per candidate, so a caller can
+    /// price each request by its own prompt and budget (the serving
+    /// driver charges the right-sized slab the request's session will
+    /// allocate).
     pub fn admit_budgeted(
         &mut self,
         now: f64,
@@ -567,18 +566,17 @@ mod tests {
         assert_eq!(waiting(&s), 1);
     }
 
-    /// The cost closure is evaluated per candidate, so adaptive
-    /// controllers can charge each request its own current speculation
-    /// shape: with a variable tariff, the same queue admits a different
-    /// prefix than any flat per-request cost would.
+    /// The cost closure is evaluated per candidate: with a variable
+    /// tariff, the same queue admits a different prefix than any flat
+    /// per-request cost would.
     #[test]
     fn budgeted_admit_prices_each_request_through_the_closure() {
         let mut s = IterationScheduler::new(4);
         s.submit(sized_request(0, 0.0, 5, 15)); // 20 kv rows
         s.submit(sized_request(1, 0.0, 5, 15)); // 20 kv rows
         s.submit(sized_request(2, 0.0, 5, 15)); // 20 kv rows
-                                                // Variable tariff: request 1 is on a high ladder rung (+21 rows
-                                                // of speculation), the others are parked (+1 row).
+                                                // Variable tariff: request 1 costs 21 rows of speculation, the
+                                                // others 1.
         let spec = |r: &Request| if r.id.0 == 1 { 21 } else { 1 };
         let admitted = s.admit_budgeted(0.0, 1, 45, |r| r.kv_rows() + spec(r));
         let ids: Vec<u64> = admitted.iter().map(|r| r.id.0).collect();

@@ -22,8 +22,8 @@ use specinfer_model::Transformer;
 use specinfer_sim::{
     ClusterSpec, LlmProfile, OffloadSpec, ParallelismPlan, StepWorkload, SystemProfile,
 };
-use specinfer_spec::{DegradationPolicy, EngineConfig, InferenceMode};
-use specinfer_tokentree::{ExpansionConfig, TokenId};
+use specinfer_spec::{DegradationPolicy, EngineConfig, InferenceMode, ADAPTIVE_DEPTH};
+use specinfer_tokentree::TokenId;
 use specinfer_workloads::trace::Trace;
 
 use crate::driver::IterationDriver;
@@ -89,11 +89,13 @@ impl TimingConfig {
                 (config.max_nodes, 1 + mean_tree_size.round() as usize)
             }
             InferenceMode::Adaptive { .. } => {
-                // The controller's ladder is depth-bounded by the paper's
-                // default schedule; the measured mean tree size already
-                // reflects whatever shapes it actually chose.
-                let depth = ExpansionConfig::paper_default().depth();
-                let spec_depth = if mean_tree_size > 0.0 { depth } else { 0 };
+                // One constant sequence, drafted unless every request of
+                // the batch decoded root-only this iteration.
+                let spec_depth = if mean_tree_size > 0.0 {
+                    ADAPTIVE_DEPTH
+                } else {
+                    0
+                };
                 (spec_depth, 1 + mean_tree_size.round() as usize)
             }
         };

@@ -46,7 +46,7 @@
 //! layout leaves every output bit unchanged.
 //!
 //! Every participant is a tree: an incremental step (incremental mode,
-//! the adaptive ladder's rung 0, a fallback) is the root alone — one row
+//! a degradation fallback, a fault) is the root alone — one row
 //! in the first pass, whose walk accepts nothing and emits the bonus
 //! from the root's own logits — and every lane commits through
 //! [`crate::Session`]'s one commit path.
@@ -285,8 +285,8 @@ fn run_passes(
 }
 
 /// Phase 1: fused speculation. Sessions whose next proposal drafts
-/// nothing (incremental mode, the adaptive ladder's rung 0, degraded,
-/// faulted, finished) are answered on the spot, with a root-only tree
+/// nothing (incremental mode, degraded, faulted, finished) are answered
+/// on the spot, with a root-only tree
 /// or `None`; the real drafts — SSM catch-up and expansion, milliseconds
 /// each — become one pool region when there are at least two. Each
 /// session owns its caches and RNG stream and the kernels are

@@ -82,8 +82,7 @@ impl Ord for Candidate {
 /// `cache` must hold the verified prefix (everything but the root token)
 /// and is restored before returning, mirroring
 /// [`crate::speculate_expansion`]. `ssm_id` tags every node and
-/// distribution with the drafting SSM's pool index, so the adaptive
-/// controller can route dynamic drafts to any pool member.
+/// distribution with the drafting SSM's pool index.
 ///
 /// # Panics
 ///

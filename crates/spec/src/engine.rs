@@ -8,12 +8,15 @@
 //!
 //! [`InferenceMode`] is only the public spelling of what to draft. A
 //! session lowers it once (`DraftPlan::lower`, the file's only `match`
-//! over the modes) to a [`DraftShape`] plus the SSMs that draft it — a
-//! constant for the static modes, the [`SpecController`]'s choice under
-//! `Adaptive`, plain incremental for any mode whose pool is empty — and
-//! one drafter (`Session::draft`) consumes the pair. Every row count
-//! (slab sizing, admission charging, "does it still fit") is read off
-//! that plan, so it counts a merged pool's one-expansion-per-SSM.
+//! over the modes) to one constant [`DraftShape`] plus the SSMs that
+//! draft it — the whole pool merged, its first SSM, or under `Adaptive`
+//! the one the [`SpecController`] routes each step to; plain incremental
+//! for any mode whose pool is empty — and one drafter (`Session::draft`)
+//! consumes the pair. Every row count (slab sizing, admission charging,
+//! "does it still fit") is read off that plan, so it counts a merged
+//! pool's one-expansion-per-SSM. Whether a step drafts at all is the
+//! degradation ladder's call ([`DegradationPolicy`]), the one backoff of
+//! every plan.
 //!
 //! Every step is a token tree: an incremental one is the root alone,
 //! Algorithm 2's degenerate tree, verified and committed like any
@@ -22,6 +25,7 @@
 //! about to draft with, so a cache no draft reads is never written.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use specinfer_model::{DecodeMode, KvCache, Transformer};
 use specinfer_tensor::rng::SeededRng;
@@ -30,7 +34,7 @@ use specinfer_tokentree::{ExpansionConfig, LinearizedTree, TokenId, TokenTree};
 use crate::batch::{BatchItem, BatchedVerifier};
 use crate::controller::{
     draft_flop_weight, AdaptiveConfig, AdaptiveDecision, ControllerSnapshot, DraftShape,
-    SpecController,
+    SpecController, ADAPTIVE_DEPTH,
 };
 use crate::dynamic::{speculate_dynamic, DynamicExpansionConfig};
 use crate::speculator::{
@@ -66,16 +70,13 @@ pub enum InferenceMode {
         /// Budget and pruning knobs.
         config: crate::dynamic::DynamicExpansionConfig,
     },
-    /// Online per-request adaptive speculation (ROADMAP item 3): a
-    /// [`SpecController`] inside each session tracks acceptance EWMAs and
-    /// picks every iteration's draft shape from a ladder spanning
-    /// incremental ⇄ sequence ⇄ dynamic ⇄ `paper_default`, plus the SSM
-    /// to draft with (SPIN-style accepted-per-draft-FLOP routing). Greedy
-    /// decoding stays exactly lossless for every shape on the ladder; the
-    /// stochastic ladder uses sampled drafts only, preserving MSS
-    /// exactness (Theorem 4.2).
+    /// SPIN-style routed speculation: every step one SSM of the pool
+    /// drafts an [`ADAPTIVE_DEPTH`]-long sequence, and a
+    /// [`SpecController`] inside each session picks which by its
+    /// accepted-per-draft-FLOP EWMA, probing the pool round-robin. With
+    /// one SSM it is `SequenceSpeculative { depth: ADAPTIVE_DEPTH }`.
     Adaptive {
-        /// Controller tuning (EWMA factors, hysteresis, probe period).
+        /// Router tuning (EWMA factor, probe period).
         config: AdaptiveConfig,
     },
 }
@@ -109,45 +110,29 @@ impl EngineConfig {
         }
     }
 
-    /// Worst-case KV rows one decoding iteration appends before commit
-    /// compacts back to the accepted path when a single SSM drafts: the
-    /// speculated node count plus the tree root, or a single row when
-    /// incremental. A merged pool drafts more — size slabs with
+    /// KV rows one decoding iteration appends before commit compacts
+    /// back to the accepted path when a single SSM drafts: the speculated
+    /// node count plus the tree root, or a single row when incremental.
+    /// A merged pool drafts more — size slabs with
     /// [`EngineConfig::pool_speculation_rows`].
     pub fn speculation_rows(&self) -> usize {
-        self.pool_speculation_rows(1).worst_case
+        self.pool_speculation_rows(1)
     }
 
-    /// The row accounting of this configuration over a pool of `n_ssms`
-    /// SSMs, read off the same lowered plan a session of that pool
-    /// drafts by — so slab sizing, admission and the session's own
-    /// "does it still fit" check cannot disagree.
-    pub fn pool_speculation_rows(&self, n_ssms: usize) -> SpeculationRows {
+    /// KV rows every iteration of this configuration appends over a pool
+    /// of `n_ssms` SSMs — what a right-sized slab reserves on top of
+    /// `prompt + max_new` (see [`Session::try_new_budgeted`]). Read off
+    /// the same lowered plan a session of that pool drafts by, so slab
+    /// sizing, admission and the session's own "does it still fit" check
+    /// cannot disagree.
+    pub fn pool_speculation_rows(&self, n_ssms: usize) -> usize {
         // Row counts do not depend on the SSMs' draft-FLOP weights.
         DraftPlan::lower(self, vec![1.0; n_ssms]).rows()
     }
 }
 
-/// KV rows one decoding iteration appends before commit compacts back
-/// to the accepted path: the tree root plus every speculated node, or
-/// one row when incremental.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpeculationRows {
-    /// The most any iteration can append: what a right-sized slab
-    /// reserves on top of `prompt + max_new`
-    /// (see [`Session::try_new_budgeted`]).
-    pub worst_case: usize,
-    /// What the next iteration appends — of a fresh plan, a session's
-    /// first: the adaptive ladder's initial rung, else `worst_case`.
-    pub next_iteration: usize,
-    /// Whether `next_iteration` moves with acceptance (the adaptive
-    /// ladder; see [`Session::current_speculation_rows`]) or stays
-    /// `worst_case` (a fixed shape).
-    pub adapts: bool,
-}
-
 /// Which SSMs of the pool draft an iteration's shape.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 enum Drafters {
     /// One SSM (by pool index), expanding inline on the session's RNG
     /// stream.
@@ -156,34 +141,33 @@ enum Drafters {
     /// own forked stream and the trees merge in pool order
     /// (Definition 3.2).
     Pool(usize),
+    /// One SSM per step, inline like [`Drafters::One`], picked by the
+    /// controller ([`InferenceMode::Adaptive`]).
+    Routed(SpecController),
 }
 
 impl Drafters {
-    /// Pool indices of the drafting SSMs.
-    fn ids(self) -> std::ops::Range<usize> {
+    /// Pool indices of the SSMs drafting the next step, and the routing
+    /// decision behind them.
+    fn pick(&self) -> (Range<usize>, Option<AdaptiveDecision>) {
         match self {
-            Drafters::One(id) => id..id + 1,
-            Drafters::Pool(n) => 0..n,
+            Drafters::One(id) => (*id..*id + 1, None),
+            Drafters::Pool(n) => (0..*n, None),
+            Drafters::Routed(controller) => {
+                let d = controller.decide();
+                (d.ssm..d.ssm + 1, Some(d))
+            }
         }
-    }
-
-    /// Rows an iteration drafting `shape` appends: the root plus one
-    /// worst-case expansion per drafter (merging only deduplicates).
-    fn rows(self, shape: &DraftShape) -> usize {
-        self.ids().len() * shape.node_count() + 1
     }
 }
 
-/// What an [`InferenceMode`] means to one session: the shape each
+/// What an [`InferenceMode`] means to one session: the shape every
 /// iteration drafts and the SSMs that draft it. Lowered once, on the
 /// session's first proposal; every row question and the drafter read it.
 #[derive(Debug)]
-enum DraftPlan {
-    /// The static modes: the same shape and drafters every iteration.
-    Fixed(DraftShape, Drafters),
-    /// [`InferenceMode::Adaptive`]: the controller picks each
-    /// iteration's rung of its ladder and routes it to one SSM.
-    Adaptive(SpecController),
+struct DraftPlan {
+    shape: DraftShape,
+    drafters: Drafters,
 }
 
 impl DraftPlan {
@@ -192,9 +176,10 @@ impl DraftPlan {
     fn lower(config: &EngineConfig, ssm_flops: Vec<f32>) -> Self {
         // A static mode drafts with the whole pool merged; a pool of one
         // is that SSM inline on the session's own RNG stream.
+        let plan = |shape, drafters| DraftPlan { shape, drafters };
         let pool = match ssm_flops.len() {
             // No drafters: every mode decodes incrementally.
-            0 => return DraftPlan::Fixed(DraftShape::Incremental, Drafters::One(0)),
+            0 => return plan(DraftShape::Incremental, Drafters::One(0)),
             1 => Drafters::One(0),
             n => Drafters::Pool(n),
         };
@@ -209,36 +194,33 @@ impl DraftPlan {
                     | DynamicExpansionConfig {
                         max_children: 0, ..
                     },
-            } => DraftPlan::Fixed(DraftShape::Incremental, pool),
+            } => plan(DraftShape::Incremental, pool),
             InferenceMode::SequenceSpeculative { depth } => {
-                DraftPlan::Fixed(DraftShape::Tree(ExpansionConfig::sequence(*depth)), pool)
+                plan(DraftShape::Tree(ExpansionConfig::sequence(*depth)), pool)
             }
             InferenceMode::TreeSpeculative { expansion } => {
-                DraftPlan::Fixed(DraftShape::Tree(expansion.clone()), pool)
+                plan(DraftShape::Tree(expansion.clone()), pool)
             }
             // Best-first expansion is a single-SSM algorithm: the pool's
             // first drafts it.
             InferenceMode::DynamicTree { config } => {
-                DraftPlan::Fixed(DraftShape::Dynamic(config.clone()), Drafters::One(0))
+                plan(DraftShape::Dynamic(config.clone()), Drafters::One(0))
             }
-            InferenceMode::Adaptive { config: adaptive } => DraftPlan::Adaptive(
-                SpecController::new(adaptive.clone(), config.decode.is_greedy(), ssm_flops),
+            InferenceMode::Adaptive { config } => plan(
+                DraftShape::Tree(ExpansionConfig::sequence(ADAPTIVE_DEPTH)),
+                Drafters::Routed(SpecController::new(config.clone(), ssm_flops)),
             ),
         }
     }
 
-    fn rows(&self) -> SpeculationRows {
-        let (worst_case, next_iteration, adapts) = match self {
-            DraftPlan::Fixed(shape, drafters) => {
-                (drafters.rows(shape), drafters.rows(shape), false)
-            }
-            DraftPlan::Adaptive(c) => (c.worst_case_rows(), c.current_rows(), true),
+    /// Rows an iteration appends: the root plus one worst-case expansion
+    /// per drafter (merging only deduplicates).
+    fn rows(&self) -> usize {
+        let drafters = match self.drafters {
+            Drafters::Pool(n) => n,
+            Drafters::One(_) | Drafters::Routed(_) => 1,
         };
-        SpeculationRows {
-            worst_case,
-            next_iteration,
-            adapts,
-        }
+        drafters * self.shape.node_count() + 1
     }
 }
 
@@ -435,8 +417,8 @@ impl std::error::Error for EngineError {}
 pub(crate) struct Proposal {
     pub(crate) spec: Speculation,
     pub(crate) lin: LinearizedTree,
-    /// The controller decision behind the draft (adaptive plans only);
-    /// fed back to the controller at commit.
+    /// The routing decision behind the draft (adaptive plans only, and
+    /// only when a draft ran); fed back to the controller at commit.
     decision: Option<AdaptiveDecision>,
     /// Whether a fault (stall/OOM) forced this root-only step. The
     /// batched verifier forwards such a tree serially, after the fused
@@ -508,13 +490,13 @@ impl Session {
     ///
     /// Ragged serving right-sizes each session's slab so hundreds of
     /// short requests fit in memory at once. A budget of at least
-    /// `prompt.len() + max_new_tokens +` the `worst_case` of
+    /// `prompt.len() + max_new_tokens +`
     /// [`EngineConfig::pool_speculation_rows`] for this pool is provably
     /// sufficient for bitwise-identical behavior to the full-capacity
     /// session: the last decoding iteration starts with at most
     /// `prompt + max_new − 2` committed rows and no iteration — a merged
-    /// pool's `n_ssms` expansions included — appends more than
-    /// `worst_case`, so neither the context-exhaustion guard nor the
+    /// pool's `n_ssms` expansions included — appends more than that
+    /// row count, so neither the context-exhaustion guard nor the
     /// speculation-fits check can trigger before generation finishes.
     /// Smaller budgets are accepted but degrade to incremental decoding
     /// (and eventually early termination) near the capacity limit.
@@ -580,8 +562,8 @@ impl Session {
         self.llm_cache.len()
     }
 
-    /// Committed KV rows of verified context (public mirror of
-    /// [`Session::llm_cache_len`], for occupancy accounting).
+    /// Committed KV rows of verified context (public mirror of the
+    /// crate-internal `llm_cache_len`, for occupancy accounting).
     pub fn kv_rows(&self) -> usize {
         self.llm_cache.len()
     }
@@ -604,18 +586,14 @@ impl Session {
         &mut self.rng
     }
 
-    /// Speculation rows the session's *next* iteration will actually
-    /// append: the controller's current rung under an adaptive plan, the
-    /// fixed shape's (pool-aware) count otherwise. This is the
-    /// per-request occupancy cost `admit_budgeted` charges — the
-    /// width-vs-batch-depth tradeoff: a request parked at incremental
-    /// frees ~20 rows of budget for admitting more batch-mates.
+    /// Speculation rows each of the session's iterations appends: its
+    /// plan's (pool-aware) constant, the same before the first step as
+    /// after it.
     pub fn current_speculation_rows(&self, config: &EngineConfig) -> usize {
         match &self.plan {
             Some(plan) => plan.rows(),
             None => config.pool_speculation_rows(self.ssm_caches.len()),
         }
-        .next_iteration
     }
 
     /// Whether the next [`Session::propose`] runs SSM forwards — a real
@@ -637,7 +615,10 @@ impl Session {
     /// non-empty pool).
     pub fn controller_snapshot(&self) -> Option<ControllerSnapshot> {
         match &self.plan {
-            Some(DraftPlan::Adaptive(controller)) => Some(controller.snapshot()),
+            Some(DraftPlan {
+                drafters: Drafters::Routed(controller),
+                ..
+            }) => Some(controller.snapshot()),
             _ => None,
         }
     }
@@ -751,14 +732,14 @@ impl Session {
                 self.accept_window.clear();
             }
         }
-        let mut plan = match self.plan.take() {
+        let plan = match self.plan.take() {
             Some(plan) => plan,
             None => DraftPlan::lower(
                 config,
                 ssms.iter().map(|s| draft_flop_weight(s.config())).collect(),
             ),
         };
-        let speculative_mode = !matches!(plan, DraftPlan::Fixed(DraftShape::Incremental, _));
+        let speculative_mode = plan.shape != DraftShape::Incremental;
         let forced_incremental = speculative_mode && (fault.ssm_stall || fault.kv_oom);
 
         let mut decision = None;
@@ -769,22 +750,13 @@ impl Session {
             self.degradation.fallback_steps += 1;
             None
         } else {
-            match &mut plan {
-                DraftPlan::Fixed(shape, drafters) => {
-                    self.draft(llm, ssms, shape, *drafters, config, fault.ssm_garbage)
-                }
-                DraftPlan::Adaptive(controller) => {
-                    // Only a draft that ran teaches the controller: the
-                    // incremental rung offers nothing, and a shape that
-                    // no longer fits near the context limit must not
-                    // count against it.
-                    let d = controller.decide();
-                    let routed = Drafters::One(d.ssm);
-                    let spec = self.draft(llm, ssms, &d.shape, routed, config, fault.ssm_garbage);
-                    decision = spec.is_some().then_some(d);
-                    spec
-                }
-            }
+            // Only a draft that ran teaches the controller: a shape that
+            // no longer fits near the context limit must not count
+            // against the SSM it was routed to.
+            let (ids, routed) = plan.drafters.pick();
+            let spec = self.draft(llm, ssms, &plan, ids, config, fault.ssm_garbage);
+            decision = routed.filter(|_| spec.is_some());
+            spec
         };
         self.plan = Some(plan);
         let spec = spec.unwrap_or_else(|| Speculation {
@@ -799,12 +771,12 @@ impl Session {
         })
     }
 
-    /// The one drafter: speculates `shape` with `drafters`, or answers
-    /// `None` — the root-only tree — when the shape is the incremental
-    /// one or, near the context limit, no longer fits the caches. A
-    /// garbage-logits fault replaces the draft with uniform draws in the
-    /// shape's static expansion, without consulting the SSMs or their
-    /// caches. Otherwise the drafting SSMs first catch up to the
+    /// The one drafter: speculates `plan`'s shape with the SSMs `ids`
+    /// (the plan's pick for this step), or answers `None` — the root-only
+    /// tree — when the shape is the incremental one or, near the context
+    /// limit, no longer fits the caches. A garbage-logits fault replaces
+    /// the draft with uniform draws in the shape's static expansion,
+    /// without consulting the SSMs or their caches. Otherwise the drafting SSMs first catch up to the
     /// committed rows — the SSM caches' only writer. One SSM expands
     /// inline on the session's RNG stream; a pool expands data-parallel
     /// — one private tree and forked RNG stream per SSM — and the trees
@@ -813,13 +785,14 @@ impl Session {
         &mut self,
         llm: &Transformer,
         ssms: &[&Transformer],
-        shape: &DraftShape,
-        drafters: Drafters,
+        plan: &DraftPlan,
+        ids: Range<usize>,
         config: &EngineConfig,
         garbage: Option<u64>,
     ) -> Option<Speculation> {
+        let shape = &plan.shape;
         let expansion = shape.static_expansion()?;
-        if !self.speculation_fits(drafters.rows(shape)) {
+        if !self.speculation_fits(plan.rows()) {
             return None;
         }
         assert_eq!(
@@ -832,7 +805,7 @@ impl Session {
             let vocab = llm.config().vocab_size;
             return Some(speculate_garbage(root, &expansion, vocab, seed));
         }
-        let (committed, ids) = (self.llm_cache.len(), drafters.ids());
+        let committed = self.llm_cache.len();
         let pool = ssms.iter().zip(&mut self.ssm_caches);
         for (ssm, cache) in pool.skip(ids.start).take(ids.len()) {
             let behind = self.tokens.get(cache.len()..committed);
@@ -846,26 +819,25 @@ impl Session {
             );
         }
         let mode = ExpansionMode::for_decode_mode(&config.decode);
-        Some(match drafters {
-            Drafters::Pool(_) => speculate_pool_parallel(
+        if ids.len() > 1 {
+            return Some(speculate_pool_parallel(
                 ssms,
                 &mut self.ssm_caches,
                 root,
                 &expansion,
                 mode,
                 &mut self.rng,
-            ),
-            Drafters::One(id) => {
-                let (ssm, cache) = match (ssms.get(id), self.ssm_caches.get_mut(id)) {
-                    (Some(&ssm), Some(cache)) => (ssm, cache),
-                    _ => unreachable!("drafts are routed within the SSM pool"),
-                };
-                if let DraftShape::Dynamic(budget) = shape {
-                    speculate_dynamic(ssm, cache, root, budget, id)
-                } else {
-                    expand(ssm, id, cache, root, &expansion, mode, &mut self.rng)
-                }
-            }
+            ));
+        }
+        let id = ids.start;
+        let (ssm, cache) = match (ssms.get(id), self.ssm_caches.get_mut(id)) {
+            (Some(&ssm), Some(cache)) => (ssm, cache),
+            _ => unreachable!("drafts are routed within the SSM pool"),
+        };
+        Some(if let DraftShape::Dynamic(budget) = shape {
+            speculate_dynamic(ssm, cache, root, budget, id)
+        } else {
+            expand(ssm, id, cache, root, &expansion, mode, &mut self.rng)
         })
     }
 
@@ -908,10 +880,12 @@ impl Session {
         };
 
         let idx = self.steps.len();
-        if let (Some(DraftPlan::Adaptive(controller)), Some(d)) =
-            (&mut self.plan, &proposal.decision)
+        if let Some(DraftPlan {
+            drafters: Drafters::Routed(controller),
+            ..
+        }) = &mut self.plan
         {
-            controller.observe(d, stats.accepted);
+            controller.observe(proposal.decision.as_ref(), stats.accepted);
         }
         // Feed the ladder with the acceptance of speculative iterations
         // (a root-only tree drafts nothing).

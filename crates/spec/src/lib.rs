@@ -61,12 +61,12 @@ pub use batch::{BatchItem, BatchRowStats, BatchedVerifier};
 pub use boost::{boost_tune_pool, BoostConfig, BoostResult};
 pub use controller::{
     draft_flop_weight, AdaptiveConfig, AdaptiveDecision, ControllerSnapshot, DraftShape,
-    SpecController,
+    SpecController, ADAPTIVE_DEPTH,
 };
 pub use dynamic::{speculate_dynamic, DynamicExpansionConfig};
 pub use engine::{
     DegradationPolicy, DegradationStats, EngineConfig, EngineError, GenerationResult,
-    InferenceMode, Session, SpecEngine, SpeculationRows, StepFault, StepStats,
+    InferenceMode, Session, SpecEngine, StepFault, StepStats,
 };
 pub use speculator::{
     speculate_expansion, speculate_garbage, speculate_pool_parallel, ExpansionMode, Speculation,

@@ -350,11 +350,12 @@ fn theorem_4_2_chi_square_battery() {
     }
 }
 
-/// Theorem 4.2 under the adaptive controller's regime: the draft width
-/// switches *mid-stream* as a function of acceptance history — exactly
-/// the data-dependent shape selection [`SpecController`] performs, here
-/// modelled as a hysteresis ladder over widths 1..=4 that climbs on
-/// acceptance and descends on rejection. Because the width chosen for
+/// Theorem 4.2 under a data-dependent draft shape: the draft width
+/// switches *mid-stream* as a function of acceptance history — what any
+/// acceptance-driven policy does (the [`DegradationPolicy`] switching
+/// between a draft and a root-only step is the simplest), here modelled
+/// as a ladder over widths 1..=4 that climbs on acceptance and descends
+/// on rejection. Because the width chosen for
 /// step `t` is measurable with respect to the history before step `t`,
 /// every step's output marginal must still be exactly the target `p`;
 /// we χ²-test the *last* step of each chain, whose width is maximally
@@ -362,7 +363,7 @@ fn theorem_4_2_chi_square_battery() {
 /// residual distribution would overshoot the critical value by orders
 /// of magnitude.
 ///
-/// [`SpecController`]: specinfer_spec::SpecController
+/// [`DegradationPolicy`]: specinfer_spec::DegradationPolicy
 #[test]
 fn theorem_4_2_chi_square_with_midstream_shape_switching() {
     #[allow(clippy::type_complexity)]

@@ -48,7 +48,7 @@ pub fn max_threads() -> usize {
 /// `B` loads across four `A` rows; with fewer rows there is nothing to
 /// amortise and the tile's staging overhead made `nt m=1` *slower* than
 /// the naive reference, so decode-shaped calls dispatch straight to
-/// [`nt_one_row`] (whose bounds checks are hoisted so the four column
+/// `nt_one_row` (whose bounds checks are hoisted so the four column
 /// lanes actually pipeline).
 pub const NT_BLOCK_MIN_M: usize = 4;
 
@@ -454,7 +454,7 @@ pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 /// their own (already partitioned) work items — e.g. the model's
 /// per-head attention blocks. Never opens a pool region; runs on the
 /// process-selected backend, with the same per-element reduction order
-/// as [`matmul_nn`], so composing it under a caller's partition is
+/// as `matmul_nn`, so composing it under a caller's partition is
 /// bitwise-inert.
 pub fn matmul_nn_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k, "A must be m×k");
@@ -471,7 +471,7 @@ pub fn matmul_nn_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
 /// their own (already partitioned) work items — e.g. scoring a query
 /// block against a contiguous per-head KV slab. Never opens a region;
 /// runs on the process-selected backend with the same per-element
-/// reduction order as [`matmul_nt`].
+/// reduction order as `matmul_nt`.
 pub fn matmul_nt_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k, "A must be m×k");
     debug_assert_eq!(b.len(), k * n, "B must be n×k row-major");

@@ -187,7 +187,7 @@ impl PackedPanels {
     /// its run of panels of both packs and then gates those columns of
     /// every row; `lin` (`[m, n]` like `gate`) receives `A × up`. Per
     /// element exactly `matvec_into` twice, the backend's one `silu`
-    /// ([`swiglu_epilogue`]), multiply.
+    /// (`swiglu_epilogue`), multiply.
     ///
     /// # Panics
     ///

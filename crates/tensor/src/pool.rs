@@ -21,7 +21,7 @@
 //! bracket: a forward of an LLM-sized model issues regions tens of
 //! microseconds apart, a park/unpark round trip between them would cost
 //! more than they save, so while a bracket is open an idle worker polls
-//! for the next job — at most [`SPIN_POLLS`] times, then it parks after
+//! for the next job — at most `SPIN_POLLS` times, then it parks after
 //! all. The joining caller waits under the same bound. Nothing spins
 //! unbounded, and outside a bracket nothing spins at all.
 //!

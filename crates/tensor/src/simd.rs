@@ -31,7 +31,7 @@
 //!   the same element computed in a vector lane.
 //! * The SwiGLU epilogue of inference is element-wise. On AVX2 it
 //!   evaluates SiLU through an in-crate polynomial `exp` whose scalar
-//!   twin ([`avx2::silu`]) performs a lane's IEEE operations one for one,
+//!   twin (`avx2::silu`) performs a lane's IEEE operations one for one,
 //!   so an element's bits depend neither on its lane nor on whether it
 //!   fell in a vector or a tail. Inference has no other SwiGLU, so this
 //!   moves the AVX2 *model function* — by at most 2 ulp of SiLU against

@@ -1,6 +1,6 @@
 //! Model-aware synchronization primitives.
 //!
-//! Each primitive routes through the scheduler in [`crate::rt`]: every
+//! Each primitive routes through the scheduler in `crate::rt`: every
 //! acquire, atomic access, send and recv is a decision point where any
 //! other runnable task may be scheduled instead. Because the scheduler
 //! runs exactly one task between decision points, the *storage* behind
