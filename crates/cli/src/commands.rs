@@ -335,12 +335,13 @@ pub fn serve(args: &Parsed) -> Result<(), String> {
             report.controller.ssm_routes, report.controller.probes
         );
     }
-    if report.verify_rows.single_pass_rows > 0 {
+    let rows = &report.verify_rows;
+    if rows.llm_forwards > 0 {
         println!(
-            "verify rows: {} forwarded frontier-first of {} in whole trees ({} pruned)",
-            report.verify_rows.forwarded_rows(),
-            report.verify_rows.single_pass_rows,
-            report.verify_rows.pruned_rows()
+            "verify: {} rows in {} LLM forwards, {:.3} forwards per generated token",
+            rows.forwarded_rows(),
+            rows.llm_forwards,
+            rows.llm_forwards as f64 / report.total_generated().max(1) as f64
         );
     }
     Ok(())

@@ -97,9 +97,11 @@ pub struct ServeReport {
     /// sessions: `[root-only, drafted]` step counts, drafts routed per
     /// SSM, probe counts. Empty when the run's mode was not adaptive.
     pub controller: ControllerSnapshot,
-    /// LLM verify-row accounting summed over all batched iterations —
-    /// what frontier-first staging forwarded against whole trees.
-    /// All-zero when the run never stepped a batch.
+    /// LLM verify rows and forwards (weight reads) summed over all
+    /// batched iterations. All-zero when the run never stepped a batch.
+    /// Its `pruned_rows()` (always 0) and the field name
+    /// `single_pass_rows` stay only for `specbench/`'s metrics and go
+    /// when the benchmark next changes.
     pub verify_rows: BatchRowStats,
 }
 

@@ -1,77 +1,42 @@
 //! Cross-request batched tree verification (§5's iteration-level
 //! scheduling): all sessions of a continuous-batching iteration are
-//! verified by the LLM in stacked tree-parallel forwards, through **one
-//! staged loop** — the repository's only verifier.
+//! verified by the LLM in **one** stacked tree-parallel forward — the
+//! repository's only verifier.
 //!
 //! An iteration has three phases. Speculation
 //! ([`crate::Session::propose`]) is *logically* per-session — the SSM
 //! pool, RNG streams and degradation ladder are untouched — but runs as
 //! one data-parallel pass across the batch, which is bitwise-safe
 //! because each session owns its caches and RNG stream and every kernel
-//! is bitwise-identical at any thread count. The LLM forwards then
-//! fuse: the staged rows of every participant stack into one `[Σnᵢ, d]`
-//! batch with a block-diagonal visibility mask and per-request KV-cache
-//! handles, so the model crate's blocked kernels see one tall matrix
-//! instead of N tiny ones. Finally commit runs per-session, in item
-//! order.
-//!
-//! # The staged walk
-//!
-//! A tree participant carries its verification walk, the linearized
-//! indices now in its cache tail and the indices staged for the next
-//! forward. One pass is: **stage** (stack everybody's staged rows, each
-//! tree under its topology mask restricted to those rows) → **fused
-//! forward** → **advance** every walk over the rows it just received →
-//! a walk that pauses at a node whose row is missing **compacts** its
-//! cache tail to that node's ancestors and **restages** the node's DFS
-//! subtree. The loop ends when nobody has rows staged; every tree then
-//! **commits** the root + accepted path of its tail. Most of a wide
-//! tree dies at depth 1, so what is staged *first* is the one thing the
-//! two entry points choose (after "Hierarchical Verification of
-//! Speculative Beams"; the bitwise argument is ARCHITECTURE.md §14.2):
-//!
-//! * [`BatchedVerifier::new`] — what the serving driver runs — stages
-//!   each tree's **depth ≤ 1 frontier**. A walk that dies there never
-//!   forwards its deep subtrees (they are *pruned*); a survivor pauses
-//!   at one depth-2 node, whose subtree is the second and last pass.
-//! * [`BatchedVerifier::single_pass`] — the tests' reference, and what
-//!   serial [`crate::Session::step`] runs as a batch of one — stages the
-//!   **whole tree**; no walk can pause and the loop runs once.
-//!
-//! The two are bitwise equal under greedy and MSS alike: walks resume at
-//! node boundaries with no mid-node RNG state ([`crate::VerifyWalk`]),
-//! and a forwarded row sees exactly its ancestors, in the same relative
-//! order, as in the whole-tree layout — a masked column contributes an
-//! exact `0.0` to the attention reduction, so dropping it from the
-//! layout leaves every output bit unchanged.
+//! is bitwise-identical at any thread count. The LLM forward then
+//! fuses: every participant's whole linearized tree stacks into one
+//! `[Σnᵢ, d]` batch with a block-diagonal visibility mask (each block the
+//! tree's own topology mask) and per-request KV-cache handles, so the
+//! model crate's blocked kernels see one tall matrix instead of N tiny
+//! ones and the LLM weights are read once per iteration (§4.2). Finally
+//! each session runs one verify walk over its tree's dense logits and
+//! commits the root plus the accepted path, in item order.
 //!
 //! Every participant is a tree: an incremental step (incremental mode,
-//! a degradation fallback, a fault) is the root alone — one row
-//! in the first pass, whose walk accepts nothing and emits the bonus
-//! from the root's own logits — and every lane commits through
-//! [`crate::Session`]'s one commit path.
+//! a degradation fallback, a fault) is the root alone — one row, whose
+//! walk accepts nothing and emits the bonus from the root's own logits —
+//! and every lane commits through [`crate::Session`]'s one commit path.
 //!
 //! The batch is **ragged**: `step_batch` takes whatever set is live, so
 //! requests join and retire mid-flight and the block-diagonal mask is
 //! re-packed from scratch every call (ARCHITECTURE.md §12). Faulted
 //! requests (SSM stall, simulated KV OOM) hold their root-only tree back
-//! from the fused passes and run the same loop after them as a batch of
-//! one — a fault degrades one request without poisoning its
-//! batch-mates. Every row of a stacked forward is computed with the
-//! reduction order of a solo forward (see `specinfer-model`), so a
-//! session's output does not depend on who shares its batch.
-
-use std::borrow::Cow;
-use std::slice;
+//! from the fused forward and forward it alone afterwards — a fault
+//! degrades one request without poisoning its batch-mates. Every row of
+//! a stacked forward is computed with the reduction order of a solo
+//! forward (see `specinfer-model`), so a session's output does not
+//! depend on who shares its batch.
 
 use specinfer_model::{BatchRequest, DecodeMode, Transformer, Visibility};
 use specinfer_tensor::{pool, Tensor};
-use specinfer_tokentree::{LinearizedTree, TokenId, TopologyMask};
 
 use crate::engine::{EngineConfig, Proposal, Session, StepFault, StepStats};
-use crate::verifier::{
-    advance_greedy, advance_naive, advance_stochastic, LogitRows, StochasticVerifier, VerifyWalk,
-};
+use crate::verifier::{verify_greedy, verify_naive, verify_stochastic, StochasticVerifier};
 
 /// One session's slot in a batched iteration.
 #[derive(Debug)]
@@ -95,103 +60,57 @@ impl<'a> BatchItem<'a> {
     }
 }
 
-/// Verify-row accounting of one batched iteration — frontier-first
-/// staging's reason to exist, made measurable.
+/// Verify-row and weight-read accounting of batched iterations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchRowStats {
-    /// Rows a whole-tree first stage forwards for the same participants
-    /// (every tree node; a root-only tree is one).
+    /// Rows of the fused forward: every node of every fault-free tree (a
+    /// root-only tree is one); fault-forced lanes do not count. Read it
+    /// as [`BatchRowStats::forwarded_rows`]: the field keeps its old
+    /// name only because `specbench/` reads it, until the benchmark next
+    /// changes.
     pub single_pass_rows: usize,
-    /// Rows forwarded in the first pass (the first stage of every
-    /// tree).
-    pub pass_a_rows: usize,
-    /// Rows forwarded in later passes (surviving subtrees only).
-    pub pass_b_rows: usize,
+    /// LLM forwards (`forward_rows_batch` calls), each one read of the
+    /// LLM weights: the fused forward of an iteration that has a
+    /// fault-free lane, plus one per fault-forced lane.
+    pub llm_forwards: usize,
 }
 
 impl BatchRowStats {
-    /// Total rows the staged loop forwarded.
+    /// Rows the fused forwards carried; every tree is forwarded whole.
     pub fn forwarded_rows(&self) -> usize {
-        self.pass_a_rows + self.pass_b_rows
+        self.single_pass_rows
     }
 
-    /// Rows pruned relative to whole-tree verification. Never negative:
-    /// the stages of one tree are disjoint subsets of its linearization.
+    /// Tree rows never forwarded: always 0, as every tree is forwarded
+    /// whole. Only `specbench/`'s `spec.verify_rows_pruned_share` calls
+    /// it; it goes with that metric when the benchmark next changes.
     pub fn pruned_rows(&self) -> usize {
-        self.single_pass_rows.saturating_sub(self.forwarded_rows())
+        0
     }
 
     /// Accumulates another iteration's counts.
     pub fn absorb(&mut self, other: &BatchRowStats) {
         self.single_pass_rows += other.single_pass_rows;
-        self.pass_a_rows += other.pass_a_rows;
-        self.pass_b_rows += other.pass_b_rows;
+        self.llm_forwards += other.llm_forwards;
     }
 }
 
-/// What a tree participant stages before the first fused forward — the
-/// only difference between the two entry points.
-#[derive(Debug, Clone, Copy)]
-enum FirstStage {
-    /// Every node: one pass, nothing pruned.
-    WholeTree,
-    /// Root + depth-1 children: deep subtrees are forwarded only under a
-    /// survivor.
-    Frontier,
-}
-
-impl FirstStage {
-    /// The linearized indices staged first, ascending.
-    fn rows(self, lin: &LinearizedTree) -> Vec<usize> {
-        let max_depth = match self {
-            FirstStage::WholeTree => usize::MAX,
-            FirstStage::Frontier => 1,
-        };
-        let depths = lin.depths().iter().enumerate();
-        depths
-            .filter(|&(_, &d)| d <= max_depth)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Drives N sessions through the staged verification loop.
-#[derive(Debug)]
-pub struct BatchedVerifier {
-    first: FirstStage,
-}
-
-impl Default for BatchedVerifier {
-    fn default() -> Self {
-        BatchedVerifier::new()
-    }
-}
+/// Drives N sessions through one fused verify forward per iteration.
+#[derive(Debug, Default)]
+pub struct BatchedVerifier;
 
 impl BatchedVerifier {
-    /// The serving verifier: frontier first, surviving subtrees second.
+    /// The verifier: each iteration forwards every tree whole, once.
     pub fn new() -> Self {
-        BatchedVerifier {
-            first: FirstStage::Frontier,
-        }
-    }
-
-    /// Every tree node forwarded in one pass: the reference the
-    /// equivalence tests and row-count comparisons hold
-    /// [`BatchedVerifier::new`] against, and the schedule of serial
-    /// [`Session::step`].
-    pub fn single_pass() -> Self {
-        BatchedVerifier {
-            first: FirstStage::WholeTree,
-        }
+        BatchedVerifier
     }
 
     /// Advances every item by one decoding iteration, fusing all
-    /// non-faulted LLM forwards into stacked passes.
+    /// non-faulted LLM forwards into one stacked forward.
     ///
     /// Returns one `Option<StepStats>` per item, in order — `None` for
     /// sessions that were already finished. Stall/OOM-faulted items fall
-    /// out of the fused passes and forward their root serially after
-    /// them. Neither kind counts in [`BatchRowStats`].
+    /// out of the fused forward and forward their root alone after it.
     pub fn step_batch(
         &self,
         llm: &Transformer,
@@ -202,7 +121,7 @@ impl BatchedVerifier {
     }
 
     /// [`BatchedVerifier::step_batch`] plus the iteration's verify-row
-    /// accounting.
+    /// and weight-read accounting.
     pub fn step_batch_counted(
         &self,
         llm: &Transformer,
@@ -211,77 +130,53 @@ impl BatchedVerifier {
     ) -> (Vec<Option<StepStats>>, BatchRowStats) {
         let proposals = propose_all(llm, ssms, items);
         // One lane per item; `None` for a session that was already finished.
-        let mut lanes: Vec<Option<Lane>> = proposals
+        let lanes: Vec<Option<Lane>> = proposals
             .into_iter()
             .zip(items.iter())
-            .map(|(p, item)| p.map(|p| Lane::new(p, item.session.llm_cache_len(), self.first)))
+            .map(|(p, item)| p.map(|p| Lane::new(p, item.session.llm_cache_len())))
             .collect();
-        let mut row_stats = run_passes(llm, &mut lanes, items);
-        let fused = lanes.iter().flatten().filter(|lane| !lane.draft.forced);
-        row_stats.single_pass_rows = fused.map(|lane| lane.draft.lin.len()).sum();
+        let mut rows = BatchRowStats::default();
 
-        // Per item, in order: a fault-forced lane stages its root now and
-        // runs the loop as a batch of one; then every lane commits.
-        let mut stats: Vec<Option<StepStats>> = Vec::with_capacity(items.len());
-        for (mut lane, item) in lanes.into_iter().zip(items.iter_mut()) {
-            if let Some(forced) = lane.as_mut().filter(|lane| lane.draft.forced) {
-                forced.next = self.first.rows(&forced.draft.lin);
-                let _ = run_passes(llm, slice::from_mut(&mut lane), slice::from_mut(item));
-            }
-            stats.push(lane.map(|lane| lane.commit(item.session, item.config)));
-        }
-        (stats, row_stats)
-    }
-}
-
-/// The staged loop over `lanes` (parallel to `items`): stack every
-/// lane's staged rows into one fused forward, advance every walk over
-/// the rows it received, repeat until no lane has rows staged. Returns
-/// the rows forwarded in the first pass and in the later ones.
-fn run_passes(
-    llm: &Transformer,
-    lanes: &mut [Option<Lane>],
-    items: &mut [BatchItem<'_>],
-) -> BatchRowStats {
-    let mut row_stats = BatchRowStats::default();
-    for pass in 0.. {
-        // Stage: the rows each lane wants forwarded, in item order.
-        let staged: Vec<Option<StagedRows<'_>>> =
-            lanes.iter().map(|lane| lane.as_ref()?.stage()).collect();
-        let mut reqs: Vec<BatchRequest<'_>> = Vec::with_capacity(items.len());
-        for (rows, item) in staged.iter().zip(items.iter_mut()) {
-            let Some(rows) = rows else { continue };
-            reqs.push(BatchRequest {
-                tokens: &rows.tokens,
-                positions: &rows.positions,
-                cache: item.session.llm_cache_mut(),
-                visible: Visibility::Tree(&rows.mask),
-            });
-        }
-        if reqs.is_empty() {
-            break;
-        }
-        let forwarded: usize = reqs.iter().map(|q| q.tokens.len()).sum();
-        if pass == 0 {
-            row_stats.pass_a_rows += forwarded;
+        // The fused forward: every fault-free tree, whole, in item order.
+        let mut reqs: Vec<BatchRequest<'_>> = lanes
+            .iter()
+            .zip(items.iter_mut())
+            .filter_map(|(lane, item)| {
+                let lane = lane.as_ref().filter(|lane| !lane.draft.forced)?;
+                Some(lane.request(item.session))
+            })
+            .collect();
+        rows.single_pass_rows = reqs.iter().map(|q| q.tokens.len()).sum();
+        let mut fused = if reqs.is_empty() {
+            Vec::new()
         } else {
-            row_stats.pass_b_rows += forwarded;
+            rows.llm_forwards += 1;
+            llm.forward_rows_batch(&mut reqs)
         }
+        .into_iter();
 
-        // Fused forward, then advance: a lane consumes its logits and
-        // either finishes or restages.
-        let mut logits = llm.forward_rows_batch(&mut reqs).into_iter();
-        for (lane, item) in lanes.iter_mut().zip(items.iter_mut()) {
-            let Some(lane) = lane.as_mut().filter(|lane| !lane.next.is_empty()) else {
-                continue;
-            };
-            let Some(rows) = logits.next() else {
-                unreachable!("one logits tensor per staged lane")
-            };
-            lane.advance(item.session, item.config, &rows);
-        }
+        // Per item, in order: a fault-forced lane forwards its root alone;
+        // then every lane walks its logits and commits.
+        let stats = lanes
+            .into_iter()
+            .zip(items.iter_mut())
+            .map(|(lane, item)| {
+                let lane = lane?;
+                let tree_logits = if lane.draft.forced {
+                    rows.llm_forwards += 1;
+                    llm.forward_rows_batch(&mut [lane.request(item.session)])
+                        .pop()
+                } else {
+                    fused.next()
+                };
+                let Some(tree_logits) = tree_logits else {
+                    unreachable!("one logits tensor per forwarded lane")
+                };
+                Some(lane.commit(&tree_logits, item.session, item.config))
+            })
+            .collect();
+        (stats, rows)
     }
-    row_stats
 }
 
 /// Phase 1: fused speculation. Sessions whose next proposal drafts
@@ -316,146 +211,55 @@ fn propose_all(
     proposals
 }
 
-/// One row set of a fused forward.
-struct StagedRows<'a> {
-    tokens: Cow<'a, [TokenId]>,
-    positions: Vec<usize>,
-    /// Tree visibility among these rows.
-    mask: Cow<'a, TopologyMask>,
-}
-
-/// One live item's token tree under verification, threaded through the
-/// passes.
+/// One live item's token tree under verification.
 struct Lane {
     draft: Proposal,
-    /// Cache length before any verify row was appended.
+    /// Cache length before the tree's rows were appended.
     base: usize,
-    walk: VerifyWalk,
-    /// Linearized indices of the rows now in the cache tail, ascending.
-    tail: Vec<usize>,
-    /// Linearized indices staged for the next forward, ascending.
-    next: Vec<usize>,
-}
-
-/// [`LogitRows`] over one pass's logits: row `k` of the tensor belongs
-/// to linearized index `indices[k]` (ascending).
-struct PassRows<'a> {
-    logits: &'a Tensor,
-    indices: &'a [usize],
-}
-
-impl LogitRows for PassRows<'_> {
-    fn row(&self, idx: usize) -> Option<&[f32]> {
-        let k = self.indices.binary_search(&idx).ok()?;
-        Some(self.logits.row(k))
-    }
+    /// Absolute sequence position of each linearized row.
+    positions: Vec<usize>,
 }
 
 impl Lane {
-    /// A lane over `draft` on top of `base` committed rows, staging
-    /// `first`'s rows — none yet for a fault-forced step, which sits the
-    /// fused passes out.
-    fn new(draft: Proposal, base: usize, first: FirstStage) -> Self {
-        let next = if draft.forced {
-            Vec::new()
-        } else {
-            first.rows(&draft.lin)
-        };
+    fn new(draft: Proposal, base: usize) -> Self {
+        let positions = draft.lin.depths().iter().map(|d| base + d).collect();
         Lane {
             draft,
             base,
-            walk: VerifyWalk::new(),
-            tail: Vec::new(),
-            next,
-        }
-    }
-
-    /// Tokens, positions and mask of the staged rows, if any. A stage
-    /// covering the whole tree borrows the proposal's own tokens and
-    /// mask.
-    fn stage(&self) -> Option<StagedRows<'_>> {
-        if self.next.is_empty() {
-            return None;
-        }
-        let lin = &self.draft.lin;
-        let staged = |i: &usize| self.next.binary_search(i).is_ok();
-        let rows = lin.tokens().iter().zip(lin.depths()).enumerate();
-        let (tokens, positions): (Vec<TokenId>, Vec<usize>) = rows
-            .filter(|(i, _)| staged(i))
-            .map(|(_, (&token, &depth))| (token, self.base + depth))
-            .unzip();
-        assert_eq!(tokens.len(), self.next.len(), "staged rows lie in the tree");
-        let (tokens, mask) = if tokens.len() == lin.len() {
-            (Cow::Borrowed(lin.tokens()), Cow::Borrowed(lin.mask()))
-        } else {
-            (
-                Cow::Owned(tokens),
-                Cow::Owned(lin.mask().restrict(&self.next)),
-            )
-        };
-        Some(StagedRows {
-            tokens,
             positions,
-            mask,
-        })
+        }
     }
 
-    /// Consumes the logits of the staged rows (now in the cache tail):
-    /// advances the walk as far as they allow, drawing any stochastic
-    /// decision from the session's own RNG stream. A walk pauses at an
-    /// accepted node whose own row has not been forwarded; the tail is
-    /// then compacted to that node's ancestors — a prefix of what commit
-    /// retains anyway, and every row of it visible to every row staged
-    /// next — and the node's subtree (a contiguous DFS range) is staged.
-    fn advance(&mut self, session: &mut Session, config: &EngineConfig, logits: &Tensor) {
+    /// The whole tree as one forward request, borrowing the proposal's
+    /// own tokens and topology mask.
+    fn request<'a>(&'a self, session: &'a mut Session) -> BatchRequest<'a> {
+        let lin = &self.draft.lin;
+        BatchRequest {
+            tokens: lin.tokens(),
+            positions: &self.positions,
+            cache: session.llm_cache_mut(),
+            visible: Visibility::Tree(lin.mask()),
+        }
+    }
+
+    /// Walks the tree over its dense logits, drawing any stochastic
+    /// decision from the session's own RNG stream, and commits the root
+    /// plus the accepted rows.
+    fn commit(self, logits: &Tensor, session: &mut Session, config: &EngineConfig) -> StepStats {
         let Proposal { spec, lin, .. } = &self.draft;
-        let rows = PassRows {
-            logits,
-            indices: &self.next,
-        };
-        let (walk, tree) = (&mut self.walk, &spec.tree);
-        match (&config.decode, config.verifier) {
-            (DecodeMode::Greedy, _) => advance_greedy(walk, tree, lin, &rows),
+        let tree = &spec.tree;
+        let outcome = match (&config.decode, config.verifier) {
+            (DecodeMode::Greedy, _) => verify_greedy(tree, lin, logits),
             (mode, StochasticVerifier::MultiStep) => {
-                let rng = session.rng_mut();
-                advance_stochastic(walk, tree, lin, &rows, &spec.dists, mode, rng)
+                verify_stochastic(tree, lin, logits, &spec.dists, mode, session.rng_mut())
             }
             (mode, StochasticVerifier::Naive) => {
-                advance_naive(walk, tree, lin, &rows, mode, session.rng_mut())
+                verify_naive(tree, lin, logits, mode, session.rng_mut())
             }
-        }
-        self.tail.append(&mut self.next);
-        if self.walk.is_done() {
-            return;
-        }
-        let paused = lin.index_of(self.walk.current());
-        let keep = self.lineage(paused);
-        session.llm_cache_mut().retain_rows(self.base, &keep);
-        self.tail.retain(|&row| lin.mask().allowed(paused, row));
-        self.next = (paused..lin.subtree_end(paused)).collect();
-    }
-
-    /// Positions in the cache tail, relative to `base`, of the rows on
-    /// the root path of linearized index `node` (itself included).
-    fn lineage(&self, node: usize) -> Vec<usize> {
-        let mask = self.draft.lin.mask();
-        let tail = (0..).zip(&self.tail);
-        tail.filter(|&(_, &row)| mask.allowed(node, row))
-            .map(|(k, _)| k)
-            .collect()
-    }
-
-    /// Commits the finished walk, keeping the root + accepted path of
-    /// the cache tail — the last accepted node's lineage.
-    fn commit(self, session: &mut Session, cfg: &EngineConfig) -> StepStats {
-        let leaf = self.walk.accepted().last();
-        let keep = self.lineage(leaf.map_or(0, |&u| self.draft.lin.index_of(u)));
-        let outcome = self.walk.into_outcome();
-        assert_eq!(
-            keep.len(),
-            1 + outcome.nodes.len(),
-            "accepted rows are cached"
-        );
-        session.commit_verified(cfg, self.draft, outcome, self.base, keep)
+        };
+        // A root path ascends in DFS order, as `retain_rows` requires.
+        let accepted = outcome.nodes.iter().map(|&u| lin.index_of(u));
+        let keep = std::iter::once(0).chain(accepted).collect();
+        session.commit_verified(config, self.draft, outcome, self.base, keep)
     }
 }

@@ -411,7 +411,7 @@ impl std::error::Error for EngineError {}
 ///
 /// Splitting the step at the LLM-forward boundary is what lets
 /// [`crate::BatchedVerifier`] fuse the verification forwards of many
-/// sessions into stacked passes: speculation and sampling/commit stay
+/// sessions into one stacked forward: speculation and sampling/commit stay
 /// per-session, while the part that touches the LLM batches.
 #[derive(Debug)]
 pub(crate) struct Proposal {
@@ -421,8 +421,8 @@ pub(crate) struct Proposal {
     /// only when a draft ran); fed back to the controller at commit.
     decision: Option<AdaptiveDecision>,
     /// Whether a fault (stall/OOM) forced this root-only step. The
-    /// batched verifier forwards such a tree serially, after the fused
-    /// passes, so a faulted request never poisons its batch-mates.
+    /// batched verifier forwards such a tree alone, after the fused
+    /// forward, so a faulted request never poisons its batch-mates.
     pub(crate) forced: bool,
 }
 
@@ -581,7 +581,7 @@ impl Session {
     }
 
     /// The session's RNG stream, for the batched verifier's stochastic
-    /// walks: consumed node by node, whatever pass delivers a node's row.
+    /// walks.
     pub(crate) fn rng_mut(&mut self) -> &mut SeededRng {
         &mut self.rng
     }
@@ -673,8 +673,8 @@ impl Session {
     /// degradation ladder ([`DegradationPolicy`]) watches acceptance and
     /// falls back to incremental decoding when speculation collapses.
     ///
-    /// A serial step is a batch of one through the whole-tree stage of
-    /// the one verifier ([`BatchedVerifier::single_pass`]).
+    /// A serial step is a batch of one through the one verifier
+    /// ([`BatchedVerifier`]).
     pub fn step_faulted(
         &mut self,
         llm: &Transformer,
@@ -687,7 +687,7 @@ impl Session {
             config,
             fault,
         }];
-        let mut stats = BatchedVerifier::single_pass().step_batch(llm, ssms, &mut batch);
+        let mut stats = BatchedVerifier::new().step_batch(llm, ssms, &mut batch);
         stats.pop().flatten()
     }
 

@@ -73,6 +73,5 @@ pub use speculator::{
     SsmDistTable, DRAFT_FLATTEN_TEMPERATURE,
 };
 pub use verifier::{
-    advance_greedy, advance_naive, advance_stochastic, verify_greedy, verify_naive,
-    verify_stochastic, LogitRows, StochasticVerifier, TensorRows, VerifyOutcome, VerifyWalk,
+    verify_greedy, verify_naive, verify_stochastic, StochasticVerifier, VerifyOutcome,
 };

@@ -1,5 +1,10 @@
 //! The token tree verifier (§4.3): greedy verification, multi-step
 //! speculative sampling (MSS), and the naive-sampling baseline.
+//!
+//! All three are one walk down the tree over the dense logits of a
+//! whole-tree forward (one row per linearized node): at each node a rule
+//! reads that node's row and either descends to an accepted child or
+//! emits the bonus token and stops.
 
 use specinfer_model::{sampler, DecodeMode};
 use specinfer_tensor::rng::SeededRng;
@@ -38,216 +43,6 @@ pub enum StochasticVerifier {
     Naive,
 }
 
-/// Logits source for a verification walk, keyed by linearized position.
-///
-/// A whole-tree pass has every row up front (one tensor row per tree
-/// node); the staged verifier only has rows for the stage it has just
-/// forwarded and answers `None` for the rest, pausing the walk at
-/// exactly that node until the next block-diagonal pass fills it in.
-pub trait LogitRows {
-    /// The logits row for linearized tree index `idx`, if computed.
-    fn row(&self, idx: usize) -> Option<&[f32]>;
-}
-
-/// [`LogitRows`] over a dense tensor with one row per linearized position
-/// — the single-pass layout.
-pub struct TensorRows<'a>(pub &'a Tensor);
-
-impl LogitRows for TensorRows<'_> {
-    fn row(&self, idx: usize) -> Option<&[f32]> {
-        if idx < self.0.rows() {
-            Some(self.0.row(idx))
-        } else {
-            None
-        }
-    }
-}
-
-/// An in-progress verification walk, resumable at node boundaries.
-///
-/// All three verifiers are per-node loops that read only the current
-/// node's logits row and (for the stochastic ones) draw RNG strictly
-/// after that row is in hand. A walk therefore pauses cleanly when the
-/// row it needs next is unavailable, with no mid-node state to carry:
-/// resuming with the missing row produces the same token/node sequence
-/// and consumes the RNG stream identically to an uninterrupted run —
-/// which is what makes frontier-first staging bitwise-equal to
-/// whole-tree verification under both greedy and MSS.
-#[derive(Debug, Clone)]
-pub struct VerifyWalk {
-    tokens: Vec<TokenId>,
-    nodes: Vec<NodeId>,
-    u: NodeId,
-    done: bool,
-}
-
-impl Default for VerifyWalk {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VerifyWalk {
-    /// A fresh walk positioned at the tree root.
-    pub fn new() -> Self {
-        VerifyWalk {
-            tokens: Vec::new(),
-            nodes: Vec::new(),
-            u: TokenTree::ROOT,
-            done: false,
-        }
-    }
-
-    /// The node whose logits row the walk needs next. Meaningful only
-    /// while the walk is paused (`!is_done()`).
-    pub fn current(&self) -> NodeId {
-        self.u
-    }
-
-    /// Accepted tree nodes so far, root-excluded, in path order.
-    pub fn accepted(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// Whether the walk has emitted its bonus token and finished.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Consumes a finished walk into its [`VerifyOutcome`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the walk is still paused awaiting logits rows.
-    pub fn into_outcome(self) -> VerifyOutcome {
-        assert!(self.done, "verification walk still awaiting logits rows");
-        VerifyOutcome {
-            tokens: self.tokens,
-            nodes: self.nodes,
-        }
-    }
-}
-
-/// Advances a greedy walk until it finishes or pauses at a node whose
-/// logits row `rows` cannot provide yet.
-pub fn advance_greedy(
-    walk: &mut VerifyWalk,
-    tree: &TokenTree,
-    lin: &LinearizedTree,
-    rows: &dyn LogitRows,
-) {
-    while !walk.done {
-        let row = match rows.row(lin.index_of(walk.u)) {
-            Some(r) => r,
-            None => return,
-        };
-        let o = sampler::greedy_token(row);
-        match tree.child_with_token(walk.u, o) {
-            Some(v) => {
-                walk.tokens.push(o);
-                walk.nodes.push(v);
-                walk.u = v;
-            }
-            None => {
-                walk.tokens.push(o);
-                walk.done = true;
-            }
-        }
-    }
-}
-
-/// Advances a multi-step speculative sampling walk until it finishes or
-/// pauses. RNG is consumed only for nodes whose row is available, so a
-/// paused-and-resumed walk draws the exact same stream as an
-/// uninterrupted one.
-///
-/// # Panics
-///
-/// Panics if a tried child has no recorded SSM distribution (the
-/// speculator always records one).
-pub fn advance_stochastic(
-    walk: &mut VerifyWalk,
-    tree: &TokenTree,
-    lin: &LinearizedTree,
-    rows: &dyn LogitRows,
-    dists: &SsmDistTable,
-    mode: &DecodeMode,
-    rng: &mut SeededRng,
-) {
-    while !walk.done {
-        let row = match rows.row(lin.index_of(walk.u)) {
-            Some(r) => r,
-            None => return,
-        };
-        let mut p = sampler::probs_from_logits(row, mode);
-        let mut candidates: Vec<NodeId> = tree.children(walk.u).to_vec();
-        let mut descended = false;
-        while !candidates.is_empty() {
-            let pick = rng.below(candidates.len());
-            let v = match candidates.get(pick) {
-                Some(&v) => v,
-                None => unreachable!("rng.below({}) returned {pick}", candidates.len()),
-            };
-            let x = tree.token(v) as usize;
-            let q = match dists.get(walk.u, tree.ssm_id(v)) {
-                Some(q) => q,
-                // The speculator records a distribution for every node it
-                // expands; a miss means the table and tree diverged.
-                None => unreachable!("no SSM distribution recorded for an expanded node"),
-            };
-            // Tokens outside either distribution's support carry zero
-            // probability: the candidate is simply rejected.
-            let px = p.get(x).copied().unwrap_or(0.0);
-            let qx = q.get(x).copied().unwrap_or(0.0);
-            let ratio = if qx > 0.0 { px / qx } else { 0.0 };
-            if f64::from(rng.uniform()) <= f64::from(ratio) {
-                walk.tokens.push(x as TokenId);
-                walk.nodes.push(v);
-                walk.u = v;
-                descended = true;
-                break;
-            }
-            residual_update(&mut p, q);
-            candidates.swap_remove(pick);
-        }
-        if descended {
-            continue;
-        }
-        // All candidates rejected (or u is a leaf): sample the bonus token
-        // from the current (possibly residual) distribution.
-        let bonus = sampler::sample_token(&p, rng);
-        walk.tokens.push(bonus);
-        walk.done = true;
-    }
-}
-
-/// Advances a naive-sampling walk until it finishes or pauses.
-pub fn advance_naive(
-    walk: &mut VerifyWalk,
-    tree: &TokenTree,
-    lin: &LinearizedTree,
-    rows: &dyn LogitRows,
-    mode: &DecodeMode,
-    rng: &mut SeededRng,
-) {
-    while !walk.done {
-        let row = match rows.row(lin.index_of(walk.u)) {
-            Some(r) => r,
-            None => return,
-        };
-        let p = sampler::probs_from_logits(row, mode);
-        let x = sampler::sample_token(&p, rng);
-        walk.tokens.push(x);
-        match tree.child_with_token(walk.u, x) {
-            Some(v) => {
-                walk.nodes.push(v);
-                walk.u = v;
-            }
-            None => walk.done = true,
-        }
-    }
-}
-
 /// Greedy verification (`VerifyGreedy` in Algorithm 2): walk down the
 /// tree as long as a child matches the LLM's argmax token; the first
 /// mismatching argmax becomes the bonus token.
@@ -259,13 +54,44 @@ pub fn advance_naive(
 ///
 /// Panics if `llm_logits` has fewer rows than the linearized tree.
 pub fn verify_greedy(tree: &TokenTree, lin: &LinearizedTree, llm_logits: &Tensor) -> VerifyOutcome {
+    walk(lin, llm_logits, |u, row| {
+        let o = sampler::greedy_token(row);
+        (o, tree.child_with_token(u, o))
+    })
+}
+
+/// The one verification walk: from the root, `rule` reads the current
+/// node's logits row and answers the token it emits plus the child it
+/// descends to, or `None` when that token is the bonus.
+///
+/// # Panics
+///
+/// Panics if `llm_logits` has fewer rows than the linearized tree.
+fn walk(
+    lin: &LinearizedTree,
+    llm_logits: &Tensor,
+    mut rule: impl FnMut(NodeId, &[f32]) -> (TokenId, Option<NodeId>),
+) -> VerifyOutcome {
     assert!(
         llm_logits.rows() >= lin.len(),
         "one logit row per tree node required"
     );
-    let mut walk = VerifyWalk::new();
-    advance_greedy(&mut walk, tree, lin, &TensorRows(llm_logits));
-    walk.into_outcome()
+    let mut out = VerifyOutcome {
+        tokens: Vec::new(),
+        nodes: Vec::new(),
+    };
+    let mut u = TokenTree::ROOT;
+    loop {
+        let (token, next) = rule(u, llm_logits.row(lin.index_of(u)));
+        out.tokens.push(token);
+        match next {
+            Some(v) => {
+                out.nodes.push(v);
+                u = v;
+            }
+            None => return out,
+        }
+    }
 }
 
 /// Stochastic verification via **multi-step speculative sampling**
@@ -291,21 +117,37 @@ pub fn verify_stochastic(
     mode: &DecodeMode,
     rng: &mut SeededRng,
 ) -> VerifyOutcome {
-    assert!(
-        llm_logits.rows() >= lin.len(),
-        "one logit row per tree node required"
-    );
-    let mut walk = VerifyWalk::new();
-    advance_stochastic(
-        &mut walk,
-        tree,
-        lin,
-        &TensorRows(llm_logits),
-        dists,
-        mode,
-        rng,
-    );
-    walk.into_outcome()
+    walk(lin, llm_logits, |u, row| {
+        let mut p = sampler::probs_from_logits(row, mode);
+        let mut candidates: Vec<NodeId> = tree.children(u).to_vec();
+        while !candidates.is_empty() {
+            let pick = rng.below(candidates.len());
+            let v = match candidates.get(pick) {
+                Some(&v) => v,
+                None => unreachable!("rng.below({}) returned {pick}", candidates.len()),
+            };
+            let x = tree.token(v) as usize;
+            let q = match dists.get(u, tree.ssm_id(v)) {
+                Some(q) => q,
+                // The speculator records a distribution for every node it
+                // expands; a miss means the table and tree diverged.
+                None => unreachable!("no SSM distribution recorded for an expanded node"),
+            };
+            // Tokens outside either distribution's support carry zero
+            // probability: the candidate is simply rejected.
+            let px = p.get(x).copied().unwrap_or(0.0);
+            let qx = q.get(x).copied().unwrap_or(0.0);
+            let ratio = if qx > 0.0 { px / qx } else { 0.0 };
+            if f64::from(rng.uniform()) <= f64::from(ratio) {
+                return (x as TokenId, Some(v));
+            }
+            residual_update(&mut p, q);
+            candidates.swap_remove(pick);
+        }
+        // All candidates rejected (or u is a leaf): sample the bonus token
+        // from the current (possibly residual) distribution.
+        (sampler::sample_token(&p, rng), None)
+    })
 }
 
 /// `P ← norm(max(0, P − Q))`, Algorithm 2 line 37.
@@ -342,13 +184,11 @@ pub fn verify_naive(
     mode: &DecodeMode,
     rng: &mut SeededRng,
 ) -> VerifyOutcome {
-    assert!(
-        llm_logits.rows() >= lin.len(),
-        "one logit row per tree node required"
-    );
-    let mut walk = VerifyWalk::new();
-    advance_naive(&mut walk, tree, lin, &TensorRows(llm_logits), mode, rng);
-    walk.into_outcome()
+    walk(lin, llm_logits, |u, row| {
+        let p = sampler::probs_from_logits(row, mode);
+        let x = sampler::sample_token(&p, rng);
+        (x, tree.child_with_token(u, x))
+    })
 }
 
 #[cfg(test)]
@@ -513,92 +353,6 @@ mod tests {
         assert!(p.iter().all(|v| v.is_finite()));
         let sum: f32 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);
-    }
-
-    /// Rows limited to linear indices below `avail` — simulates the
-    /// hierarchical verifier's partially-forwarded state.
-    struct PartialRows<'a> {
-        tensor: &'a Tensor,
-        avail: usize,
-    }
-
-    impl LogitRows for PartialRows<'_> {
-        fn row(&self, idx: usize) -> Option<&[f32]> {
-            if idx < self.avail {
-                Some(self.tensor.row(idx))
-            } else {
-                None
-            }
-        }
-    }
-
-    #[test]
-    fn paused_walks_resume_bitwise_identically() {
-        let f = fixture(&[
-            [LO, 5.0, LO, LO], // root → 1
-            [LO, LO, 5.0, LO], // a → 2
-            [LO, LO, LO, 5.0], // b → 3 (bonus)
-            [5.0, LO, LO, LO], // c (unused)
-        ]);
-        let full = verify_greedy(&f.tree, &f.lin, &f.logits);
-        for avail in 0..=f.lin.len() {
-            let mut walk = VerifyWalk::new();
-            advance_greedy(
-                &mut walk,
-                &f.tree,
-                &f.lin,
-                &PartialRows {
-                    tensor: &f.logits,
-                    avail,
-                },
-            );
-            advance_greedy(&mut walk, &f.tree, &f.lin, &TensorRows(&f.logits));
-            assert!(walk.is_done());
-            assert_eq!(walk.into_outcome(), full, "greedy resume at avail={avail}");
-        }
-        // Stochastic walks must also consume the RNG stream identically
-        // across a pause: same seed, same outcome, same post-state.
-        for seed in 0..50u64 {
-            let mut rng_full = SeededRng::new(seed);
-            let full = verify_stochastic(
-                &f.tree,
-                &f.lin,
-                &f.logits,
-                &f.dists,
-                &DecodeMode::stochastic(),
-                &mut rng_full,
-            );
-            let probe = rng_full.below(1 << 30);
-            for avail in 0..=f.lin.len() {
-                let mut rng = SeededRng::new(seed);
-                let mut walk = VerifyWalk::new();
-                let mode = DecodeMode::stochastic();
-                advance_stochastic(
-                    &mut walk,
-                    &f.tree,
-                    &f.lin,
-                    &PartialRows {
-                        tensor: &f.logits,
-                        avail,
-                    },
-                    &f.dists,
-                    &mode,
-                    &mut rng,
-                );
-                advance_stochastic(
-                    &mut walk,
-                    &f.tree,
-                    &f.lin,
-                    &TensorRows(&f.logits),
-                    &f.dists,
-                    &mode,
-                    &mut rng,
-                );
-                assert!(walk.is_done());
-                assert_eq!(walk.into_outcome(), full, "mss seed={seed} avail={avail}");
-                assert_eq!(rng.below(1 << 30), probe, "rng stream must match");
-            }
-        }
     }
 
     #[test]

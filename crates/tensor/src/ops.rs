@@ -97,15 +97,10 @@ pub fn rmsnorm_rows_into(t: &Tensor, gain: &Tensor, eps: f32, out: &mut Tensor) 
 /// SiLU (a.k.a. swish) activation, element-wise: `x * sigmoid(x)`.
 pub fn silu(t: &Tensor) -> Tensor {
     let mut out = t.clone();
-    silu_inplace(&mut out);
-    out
-}
-
-/// In-place [`silu`].
-pub fn silu_inplace(t: &mut Tensor) {
-    for x in t.data_mut() {
+    for x in out.data_mut() {
         *x = silu_scalar(*x);
     }
+    out
 }
 
 pub(crate) fn silu_scalar(x: f32) -> f32 {

@@ -380,23 +380,12 @@ impl Tensor {
     ///
     /// Panics if the shared dimension disagrees or either tensor is not 2-D.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&[0, 0]);
-        self.matmul_tn_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_tn`] writing into a caller-owned tensor, reusing
-    /// its allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shared dimension disagrees or either input is not 2-D.
-    pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
         let (k, m) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_tn shared dimension must agree ({k} vs {k2})");
-        out.reset(&[m, n]);
+        let mut out = Tensor::zeros(&[m, n]);
         crate::kernels::matmul_tn(&self.data, &other.data, &mut out.data, m, k, n);
+        out
     }
 
     /// Naive serial `self × other`: the bitwise reference for
@@ -550,18 +539,6 @@ impl Tensor {
         Tensor {
             data,
             dims: self.dims.clone(),
-        }
-    }
-
-    /// In-place element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dims differ.
-    pub fn mul_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.dims, other.dims, "mul_assign requires identical dims");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
         }
     }
 

@@ -52,28 +52,6 @@ impl TopologyMask {
         i
     }
 
-    /// This mask restricted to the ascending positions `rows`: entry
-    /// `(i, j)` of the result is `allowed(rows[i], rows[j])`. The staged
-    /// verifier forwards a subset of a tree's rows (the depth-1
-    /// frontier, or one surviving subtree) without re-linearizing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a position is out of range.
-    pub fn restrict(&self, rows: &[usize]) -> Self {
-        debug_assert!(
-            rows.windows(2).all(|w| matches!(w, [a, b] if a < b)),
-            "rows ascend"
-        );
-        let mut out = TopologyMask::default();
-        for (k, &i) in rows.iter().enumerate() {
-            let row = rows.iter().take(k + 1).map(|&j| self.allowed(i, j));
-            out.bits.extend(row);
-        }
-        out.n = rows.len();
-        out
-    }
-
     /// Number of linearized positions covered by the mask.
     pub fn len(&self) -> usize {
         self.n
@@ -207,23 +185,6 @@ impl LinearizedTree {
     pub fn mask(&self) -> &TopologyMask {
         &self.mask
     }
-
-    /// One-past-the-end linear index of the subtree rooted at linear
-    /// position `s0`. DFS order places a node's whole subtree in the
-    /// contiguous range `s0..subtree_end(s0)`, which is what lets the
-    /// staged verifier forward one surviving branch as a block.
-    pub fn subtree_end(&self, s0: usize) -> usize {
-        let base = match self.depths.get(s0) {
-            Some(&d) => d,
-            None => unreachable!("subtree root {s0} outside linearization of {}", self.len()),
-        };
-        for (i, &d) in self.depths.iter().enumerate().skip(s0 + 1) {
-            if d <= base {
-                return i;
-            }
-        }
-        self.len()
-    }
 }
 
 #[cfg(test)]
@@ -307,48 +268,6 @@ mod tests {
         for (i, &u) in lin.nodes().iter().enumerate() {
             assert_eq!(lin.index_of(u), i);
             assert_eq!(lin.try_index_of(u), Some(i));
-        }
-    }
-
-    #[test]
-    fn restriction_agrees_with_full_mask() {
-        let tree = figure_4_tree();
-        let lin = LinearizedTree::new(&tree);
-        let full = lin.mask();
-        // The depth-1 frontier, then a subtree that skips a sibling.
-        for keep in [vec![0usize, 1], vec![2, 4, 5]] {
-            let sub = full.restrict(&keep);
-            assert_eq!(sub.len(), keep.len());
-            for i in 0..keep.len() {
-                for j in 0..keep.len() {
-                    assert_eq!(sub.allowed(i, j), full.allowed(keep[i], keep[j]));
-                }
-            }
-        }
-        assert!(full.restrict(&[]).is_empty());
-    }
-
-    #[test]
-    fn subtree_end_covers_contiguous_dfs_ranges() {
-        let tree = figure_4_tree();
-        let lin = LinearizedTree::new(&tree);
-        // tokens: [2, 3, 4, 5, 6, 7, 8, 9], depths [0,1,2,3,3,4,2,3].
-        assert_eq!(lin.subtree_end(0), lin.len(), "root spans everything");
-        assert_eq!(
-            lin.subtree_end(1),
-            lin.len(),
-            "t3 spans everything after root"
-        );
-        assert_eq!(lin.subtree_end(2), 6, "t4's subtree is {{4,5,6,7}}");
-        assert_eq!(lin.subtree_end(3), 4, "t5 is a leaf");
-        assert_eq!(lin.subtree_end(6), 8, "t8's subtree is {{8,9}}");
-        // Every subtree range holds exactly the descendants-or-self.
-        for (s0, &u) in lin.nodes().iter().enumerate() {
-            let end = lin.subtree_end(s0);
-            for (j, &v) in lin.nodes().iter().enumerate() {
-                let inside = j >= s0 && j < end;
-                assert_eq!(inside, tree.is_ancestor(u, v), "range({s0}) vs ancestry");
-            }
         }
     }
 

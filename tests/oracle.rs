@@ -517,13 +517,14 @@ impl Run<'_> {
         self.reqs.iter().enumerate().map(solo).collect()
     }
 
-    /// The requests in lockstep batches of `batch` through `verifier`;
-    /// each batch steps until all of its sessions have finished. With
-    /// `mate`, every batch leads with one more session under another
-    /// decode rule, mode and budget, which must not leak into its
-    /// batch-mates. Returns the outputs, the verify-row accounting and
-    /// every session's final KV rows.
-    fn lockstep(&self, verifier: &BatchedVerifier, batch: usize, mate: bool) -> Drive {
+    /// The requests in lockstep batches of `batch` through
+    /// `BatchedVerifier::new()`; each batch steps until all of its
+    /// sessions have finished. With `mate`, every batch leads with one
+    /// more session under another decode rule, mode and budget, which
+    /// must not leak into its batch-mates. Returns the outputs, the
+    /// verify-row accounting, the LLM forwards it expects and every
+    /// session's final KV rows.
+    fn lockstep(&self, batch: usize, mate: bool) -> Drive {
         let (pool, cell, reqs) = (self.pool(), self.cell, self.reqs);
         let ssms = refs(&pool);
         let mut configs: Vec<EngineConfig> = reqs.iter().map(|r| cell.engine(r.max_new)).collect();
@@ -536,6 +537,7 @@ impl Run<'_> {
             decode,
             ..cell.clone()
         });
+        let verifier = BatchedVerifier::new();
         let mut drive = Drive::default();
         for start in (0..reqs.len()).step_by(batch) {
             let mut ids: Vec<usize> = (start..(start + batch).min(reqs.len())).collect();
@@ -557,6 +559,10 @@ impl Run<'_> {
             }
             while sessions.iter().any(|s| !s.is_finished()) {
                 let done: Vec<bool> = sessions.iter().map(Session::is_finished).collect();
+                let forced_steps = |ss: &[Session]| -> usize {
+                    ss.iter().map(|s| s.degradation().forced_incremental).sum()
+                };
+                let forced_before = forced_steps(&sessions);
                 let mut items: Vec<BatchItem<'_>> = sessions
                     .iter_mut()
                     .zip(&ids)
@@ -567,10 +573,18 @@ impl Run<'_> {
                     })
                     .collect();
                 let (stats, rows) = verifier.step_batch_counted(&self.world.llm, &ssms, &mut items);
+                drop(items);
                 drive.rows.absorb(&rows);
                 for (stat, done) in stats.iter().zip(done) {
                     assert!(!done || stat.is_none(), "a finished session yields None");
                 }
+                // One fused forward when a fault-free lane stepped, plus
+                // one per fault-forced lane (a root-only tree).
+                let forced = forced_steps(&sessions) - forced_before;
+                let lanes = stats.iter().flatten().count();
+                drive.forwards += usize::from(lanes > forced) + forced;
+                let rows: usize = stats.iter().flatten().map(|s| s.tree_size + 1).sum();
+                drive.tree_rows += rows - forced;
             }
             for s in sessions.into_iter().skip(usize::from(mate.is_some())) {
                 drive.kv.push(s.kv_rows());
@@ -734,6 +748,12 @@ fn watchdog<T: Send + 'static>(cell: &Cell, drive: impl FnOnce() -> T + Send + '
 struct Drive {
     outs: Vec<Out>,
     rows: BatchRowStats,
+    /// Iterations with a fault-free lane plus fault-forced lane-steps:
+    /// the LLM forwards one whole-tree forward per iteration makes.
+    forwards: usize,
+    /// Root plus drafted nodes of every fault-free lane-step: the rows
+    /// of whole-tree forwards.
+    tree_rows: usize,
     kv: Vec<usize>,
 }
 
@@ -819,17 +839,13 @@ fn check_engine(run: &Run) -> Vec<Solo> {
             .map(|(_, &s)| s)
     };
     for batch in distinct(&[1, 2, 4, 8]) {
-        let frontier = run.lockstep(&BatchedVerifier::new(), batch, true);
-        let whole = run.lockstep(&BatchedVerifier::single_pass(), batch, true);
-        assert_eq!(frontier.outs, reference, "new() at batch {batch}");
-        assert_eq!(whole.outs, reference, "single_pass() at batch {batch}");
-        // Both first stages price the same whole trees; the whole-tree
-        // stage forwards exactly that in one pass, frontier-first never
-        // more.
-        let (f, w) = (frontier.rows, whole.rows);
-        assert_eq!(f.single_pass_rows, w.single_pass_rows);
-        assert_eq!((w.forwarded_rows(), w.pass_b_rows), (w.single_pass_rows, 0));
-        assert!(f.forwarded_rows() <= f.single_pass_rows, "{f:?}");
+        let drive = run.lockstep(batch, true);
+        assert_eq!(drive.outs, reference, "batch {batch}");
+        // Every tree is forwarded whole, and the weights are read once
+        // per iteration plus once per fault-forced lane.
+        let rows = drive.rows;
+        assert_eq!(rows.forwarded_rows(), drive.tree_rows, "batch {batch}");
+        assert_eq!(rows.llm_forwards, drive.forwards, "batch {batch}: {rows:?}");
     }
     for cap in distinct(&[2, 8, 32]) {
         assert_eq!(run.ragged(cap), reference, "ragged at cap {cap}");
@@ -1038,9 +1054,12 @@ fn check_serving(run: &Run, solos: &[Solo]) -> ServeReport {
         let (responses, live) = run.daemon(false, Some(SLAB_ROWS));
         check_responses(run, &responses, solos, false);
         check_report(&live, solos);
+        // The daemon may batch differently, so only the rows (not the
+        // forwards) match.
         assert_eq!(
-            live.verify_rows, sized.verify_rows,
-            "replay and daemon forward alike"
+            live.verify_rows.forwarded_rows(),
+            sized.verify_rows.forwarded_rows(),
+            "replay and daemon forward the same rows"
         );
     }
     let Some(plan) = run.cell.plan() else {
@@ -1443,15 +1462,16 @@ fn outputs_and_acceptance_match_their_pinned_digests() {
     }
 }
 
-/// What "nothing that runs changed" means, in numbers: the verify rows
-/// `BatchedVerifier::new()` forwards per pass over a batch of four, and
-/// the KV rows each session ends with, recorded at the commit before the
-/// two verifier layouts became one staged loop.
+/// What "nothing that runs changed" means, in numbers: the whole-tree
+/// rows and the LLM forwards `BatchedVerifier::new()` makes over a batch
+/// of four, and the KV rows each session ends with. The rows and KV
+/// lengths were recorded before the two verifier layouts became one
+/// staged loop; the forwards are one per iteration.
 #[test]
 fn default_verifier_row_counts_and_cache_lengths_are_pinned() {
     let pinned = [
-        (Decode::Greedy, (945, 90, 19), [14, 14, 14, 15]),
-        (Decode::Mss, (483, 46, 152), [14, 17, 17, 14]),
+        (Decode::Greedy, (945, 12), [14, 14, 14, 15]),
+        (Decode::Mss, (483, 9), [14, 17, 17, 14]),
     ];
     let cell = |decode| Cell {
         seed: 42,
@@ -1467,9 +1487,9 @@ fn default_verifier_row_counts_and_cache_lengths_are_pinned() {
             cell,
             reqs: &reqs,
         };
-        let got = run.lockstep(&BatchedVerifier::new(), 4, false);
+        let got = run.lockstep(4, false);
         let r = got.rows;
-        let got = ((r.single_pass_rows, r.pass_a_rows, r.pass_b_rows), got.kv);
+        let got = ((r.forwarded_rows(), r.llm_forwards), got.kv);
         assert_eq!(got, (rows, kv.to_vec()), "{:?}", cell.decode);
     }
 }

@@ -265,7 +265,7 @@ fn pooled_ffn_keeps_speculation_and_batching_bitwise_at_3_5_and_9_rows() {
                 speculative
             });
             let mut sessions = prompts.map(|prompt| Session::new(&llm, &ssms, &prompt, 0));
-            let verifier = BatchedVerifier::single_pass();
+            let verifier = BatchedVerifier::new();
             while sessions.iter().any(|s| !s.is_finished()) {
                 let mut items: Vec<BatchItem<'_>> = sessions
                     .iter_mut()
