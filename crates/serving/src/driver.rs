@@ -203,8 +203,7 @@ impl<'m> IterationDriver<'m> {
                 self.config.seed.wrapping_add(request.id.0),
                 kv_rows,
             ) {
-                Ok(mut session) => {
-                    session.set_degradation_policy(self.config.degradation);
+                Ok(session) => {
                     let plan = self.config.faults.as_ref();
                     self.live.push(Live {
                         reply: self.waiting.remove(&request.id.0),
@@ -298,10 +297,6 @@ impl<'m> IterationDriver<'m> {
     /// it generated.
     fn retire(&mut self, index: usize, outcome: RequestOutcome) {
         let done = self.live.swap_remove(index);
-        let d = done.session.degradation();
-        self.faults.fallbacks_taken += d.fallbacks_taken;
-        self.faults.fallback_steps += d.fallback_steps;
-        self.faults.reprobes += d.reprobes;
         if let Some(snap) = done.session.controller_snapshot() {
             self.controller.absorb(&snap);
         }

@@ -18,13 +18,6 @@ pub struct FaultCounters {
     pub kv_ooms: usize,
     /// Iterations whose verifier pass was slowed down.
     pub slowdowns: usize,
-    /// Times a session's degradation ladder fell back to incremental
-    /// decoding.
-    pub fallbacks_taken: usize,
-    /// Iterations served incrementally while in fallback.
-    pub fallback_steps: usize,
-    /// Times a session re-probed speculation after a cooldown.
-    pub reprobes: usize,
     /// Queue-backpressure retry attempts.
     pub retries: usize,
     /// Submissions dropped after exhausting their retries.

@@ -12,8 +12,9 @@
 //!
 //! When a [`FaultPlan`] is configured the loop additionally injects
 //! deterministic faults — SSM garbage/stalls, KV-arena pressure, slow
-//! verifier passes, mid-stream cancellations, request bursts — and the
-//! sessions' degradation ladders absorb them. All engine-level faults are
+//! verifier passes, mid-stream cancellations, request bursts — and each
+//! faulted session absorbs its own: a stall or KV pressure forces that
+//! step root-only, a garbage draft is rejected. All engine-level faults are
 //! lossless under greedy decoding, so a chaos run's surviving outputs
 //! match a fault-free run of the same seed token for token.
 
@@ -141,8 +142,10 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Deterministic fault schedule; `None` runs fault-free.
     pub faults: Option<FaultPlan>,
-    /// Per-session degradation ladder (fall back speculative →
-    /// incremental under sustained rejection, re-probe after a cooldown).
+    /// Holds nothing, and the driver reads nothing from it: faults force
+    /// root-only steps per step, and the adaptive router is the one
+    /// acceptance-driven choice of whether to draft. Kept because the
+    /// frozen benchmark crate (`specbench/`) sets it.
     pub degradation: DegradationPolicy,
     /// Admission-queue capacity and retry/backoff behaviour.
     pub queue: QueuePolicy,

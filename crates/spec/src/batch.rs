@@ -5,7 +5,7 @@
 //!
 //! An iteration has three phases. Speculation
 //! ([`crate::Session::propose`]) is *logically* per-session — the SSM
-//! pool, RNG streams and degradation ladder are untouched — but runs as
+//! pool, RNG streams and router are untouched — but runs as
 //! one data-parallel pass across the batch, which is bitwise-safe
 //! because each session owns its caches and RNG stream and every kernel
 //! is bitwise-identical at any thread count. The LLM forward then
@@ -18,7 +18,7 @@
 //! commits the root plus the accepted path, in item order.
 //!
 //! Every participant is a tree: an incremental step (incremental mode,
-//! a degradation fallback, a fault) is the root alone — one row, whose
+//! a router's decline, a fault) is the root alone — one row, whose
 //! walk accepts nothing and emits the bonus from the root's own logits —
 //! and every lane commits through [`crate::Session`]'s one commit path.
 //!

@@ -14,9 +14,10 @@
 //! for any mode whose pool is empty — and one drafter (`Session::draft`)
 //! consumes the pair. Every row count (slab sizing, admission charging,
 //! "does it still fit") is read off that plan, so it counts a merged
-//! pool's one-expansion-per-SSM. Whether a step drafts at all is the
-//! degradation ladder's call ([`DegradationPolicy`]), the one backoff of
-//! every plan.
+//! pool's one-expansion-per-SSM. A static plan drafts every step; a
+//! routed one drafts unless its router declines (the one
+//! acceptance-driven decision, [`SpecController`]). A fault forces a
+//! root-only step in either.
 //!
 //! Every step is a token tree: an incremental one is the root alone,
 //! Algorithm 2's degenerate tree, verified and committed like any
@@ -24,7 +25,6 @@
 //! caches have one writer too: the drafter catches up the SSMs it is
 //! about to draft with, so a cache no draft reads is never written.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 
 use specinfer_model::{DecodeMode, KvCache, Transformer};
@@ -73,10 +73,13 @@ pub enum InferenceMode {
     /// SPIN-style routed speculation: every step one SSM of the pool
     /// drafts an [`ADAPTIVE_DEPTH`]-long sequence, and a
     /// [`SpecController`] inside each session picks which by its
-    /// accepted-per-draft-FLOP EWMA, probing the pool round-robin. With
-    /// one SSM it is `SequenceSpeculative { depth: ADAPTIVE_DEPTH }`.
+    /// accepted-per-draft-FLOP EWMA, probing the pool round-robin — or
+    /// declines to draft while every SSM scores below
+    /// [`NO_DRAFT_PRICE`](crate::NO_DRAFT_PRICE). With one SSM it is
+    /// `SequenceSpeculative { depth: ADAPTIVE_DEPTH }` except on declined
+    /// steps.
     Adaptive {
-        /// Router tuning (EWMA factor, probe period).
+        /// Holds nothing: the router has no settable knob.
         config: AdaptiveConfig,
     },
 }
@@ -142,21 +145,22 @@ enum Drafters {
     /// (Definition 3.2).
     Pool(usize),
     /// One SSM per step, inline like [`Drafters::One`], picked by the
-    /// controller ([`InferenceMode::Adaptive`]).
+    /// controller ([`InferenceMode::Adaptive`]), or none when it
+    /// declines.
     Routed(SpecController),
 }
 
 impl Drafters {
-    /// Pool indices of the SSMs drafting the next step, and the routing
-    /// decision behind them.
-    fn pick(&self) -> (Range<usize>, Option<AdaptiveDecision>) {
+    /// Pool indices of the SSMs drafting the next step (`None` when the
+    /// router declines), and the routing decision behind them.
+    fn pick(&self) -> (Option<Range<usize>>, Option<AdaptiveDecision>) {
         match self {
-            Drafters::One(id) => (*id..*id + 1, None),
-            Drafters::Pool(n) => (0..*n, None),
-            Drafters::Routed(controller) => {
-                let d = controller.decide();
-                (d.ssm..d.ssm + 1, Some(d))
-            }
+            Drafters::One(id) => (Some(*id..*id + 1), None),
+            Drafters::Pool(n) => (Some(0..*n), None),
+            Drafters::Routed(controller) => match controller.decide() {
+                d @ AdaptiveDecision::Draft { ssm, .. } => (Some(ssm..ssm + 1), Some(d)),
+                AdaptiveDecision::Decline => (None, Some(AdaptiveDecision::Decline)),
+            },
         }
     }
 }
@@ -206,9 +210,9 @@ impl DraftPlan {
             InferenceMode::DynamicTree { config } => {
                 plan(DraftShape::Dynamic(config.clone()), Drafters::One(0))
             }
-            InferenceMode::Adaptive { config } => plan(
+            InferenceMode::Adaptive { .. } => plan(
                 DraftShape::Tree(ExpansionConfig::sequence(ADAPTIVE_DEPTH)),
-                Drafters::Routed(SpecController::new(config.clone(), ssm_flops)),
+                Drafters::Routed(SpecController::new(ssm_flops)),
             ),
         }
     }
@@ -235,7 +239,7 @@ const fn specinfer_workload_eos() -> TokenId {
 /// Produced by the serving layer's deterministic fault plan and consumed
 /// by [`Session::step_faulted`]. All faults are *lossless under greedy
 /// decoding*: a stalled or garbage SSM degrades throughput (the engine
-/// falls back to incremental decoding or rejects the drafts) but never
+/// decodes the step incrementally or rejects the drafts) but never
 /// changes the emitted tokens, so a chaos run's surviving outputs are
 /// comparable bit-for-bit against a fault-free run of the same seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -259,70 +263,29 @@ impl StepFault {
     }
 }
 
-/// When and how a session abandons speculation (the degradation ladder).
-///
-/// A session watches the acceptance fraction (accepted / tree size) over
-/// a sliding window of speculative iterations. When the mean falls below
-/// `accept_floor` — an SSM emitting garbage, or simply a hopeless prompt
-/// — speculating costs more than it saves, so the session *falls back* to
-/// incremental decoding for `cooldown` iterations, then re-probes
-/// speculation. Fallback and recovery are pure functions of the step
-/// statistics, so seeded runs stay deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationPolicy {
-    /// Mean acceptance fraction below which speculation is abandoned.
-    pub accept_floor: f64,
-    /// Number of speculative iterations averaged; `0` disables the
-    /// ladder entirely.
-    pub window: usize,
-    /// Incremental iterations served before re-probing speculation.
-    pub cooldown: usize,
-}
+/// The serving layer's degradation setting. It holds nothing: a fault
+/// forces a root-only step per step ([`StepFault`]), and whether a
+/// fault-free step drafts is the router's call ([`SpecController`]).
+/// It stays because the frozen benchmark crate (`specbench/`) names
+/// `DegradationPolicy::serving_default()` and
+/// [`Session::set_degradation_policy`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DegradationPolicy;
 
 impl DegradationPolicy {
-    /// The ladder the serving layer enables by default.
+    /// The one policy.
     pub fn serving_default() -> Self {
-        DegradationPolicy {
-            accept_floor: 0.1,
-            window: 4,
-            cooldown: 6,
-        }
-    }
-
-    /// Never falls back (the engine's historical behaviour).
-    pub fn disabled() -> Self {
-        DegradationPolicy {
-            accept_floor: 0.0,
-            window: 0,
-            cooldown: 0,
-        }
-    }
-
-    /// Whether the ladder is active.
-    pub fn is_enabled(&self) -> bool {
-        self.window > 0
+        DegradationPolicy
     }
 }
 
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        DegradationPolicy::serving_default()
-    }
-}
-
-/// Counters of faults absorbed and fallbacks taken by one session.
+/// Counters of the faults one session absorbed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationStats {
     /// Iterations that had any fault injected.
     pub faulted_steps: usize,
     /// Iterations forced incremental by a stall or simulated OOM.
     pub forced_incremental: usize,
-    /// Times the acceptance ladder switched to incremental decoding.
-    pub fallbacks_taken: usize,
-    /// Iterations served incrementally while in fallback.
-    pub fallback_steps: usize,
-    /// Times the session re-probed speculation after a cooldown.
-    pub reprobes: usize,
 }
 
 /// Per-iteration statistics of one session.
@@ -417,8 +380,9 @@ impl std::error::Error for EngineError {}
 pub(crate) struct Proposal {
     pub(crate) spec: Speculation,
     pub(crate) lin: LinearizedTree,
-    /// The routing decision behind the draft (adaptive plans only, and
-    /// only when a draft ran); fed back to the controller at commit.
+    /// The routing decision behind the step (adaptive plans only, and
+    /// only when a draft ran or the router declined); fed back to the
+    /// controller at commit.
     decision: Option<AdaptiveDecision>,
     /// Whether a fault (stall/OOM) forced this root-only step. The
     /// batched verifier forwards such a tree alone, after the fused
@@ -444,10 +408,7 @@ pub struct Session {
     rng: SeededRng,
     steps: Vec<StepStats>,
     finished: bool,
-    policy: DegradationPolicy,
     degradation: DegradationStats,
-    accept_window: VecDeque<f64>,
-    fallback_until: Option<usize>,
     /// The lowered [`InferenceMode`], installed by the first proposal
     /// (the configuration and the SSM pool's FLOP weights only arrive
     /// with the first step).
@@ -539,10 +500,7 @@ impl Session {
             rng: SeededRng::new(seed),
             steps: Vec::new(),
             finished: false,
-            policy: DegradationPolicy::disabled(),
             degradation: DegradationStats::default(),
-            accept_window: VecDeque::new(),
-            fallback_until: None,
             plan: None,
         })
     }
@@ -597,16 +555,17 @@ impl Session {
     }
 
     /// Whether the next [`Session::propose`] runs SSM forwards — a real
-    /// draft — rather than answering at once. Advice for scheduling
-    /// only: it may say `true` for a proposal that ends up incremental
-    /// (a shape that no longer fits), and a wrong answer costs
-    /// parallelism, never a different proposal.
+    /// draft — rather than answering at once (a router's decline
+    /// included). Advice for scheduling only: it may say `true` for a
+    /// proposal that ends up incremental (a shape that no longer fits),
+    /// and a wrong answer costs parallelism, never a different proposal.
     pub(crate) fn drafts_next(&self, config: &EngineConfig, fault: StepFault) -> bool {
         !self.finished
             && fault.is_noop()
             && self
-                .fallback_until
-                .is_none_or(|until| self.steps.len() >= until)
+                .plan
+                .as_ref()
+                .is_none_or(|plan| plan.drafters.pick().0.is_some())
             && self.current_speculation_rows(config) > 1
     }
 
@@ -623,12 +582,11 @@ impl Session {
         }
     }
 
-    /// Enables (or replaces) the acceptance-collapse degradation ladder.
-    pub fn set_degradation_policy(&mut self, policy: DegradationPolicy) {
-        self.policy = policy;
-    }
+    /// Does nothing: [`DegradationPolicy`] holds no setting. Kept for the
+    /// frozen benchmark crate, which calls it.
+    pub fn set_degradation_policy(&mut self, _policy: DegradationPolicy) {}
 
-    /// Counters of faults absorbed and fallbacks taken so far.
+    /// Counters of the faults absorbed so far.
     pub fn degradation(&self) -> DegradationStats {
         self.degradation
     }
@@ -669,9 +627,9 @@ impl Session {
     /// iteration. A stall or simulated OOM forces incremental decoding;
     /// garbage logits replace the SSM drafts with uniform draws (which
     /// greedy verification rejects and stochastic verification absorbs
-    /// via the residual, keeping the output distribution exact). The
-    /// degradation ladder ([`DegradationPolicy`]) watches acceptance and
-    /// falls back to incremental decoding when speculation collapses.
+    /// via the residual, keeping the output distribution exact). Under
+    /// [`InferenceMode::Adaptive`] the drafts' acceptance teaches the
+    /// router, which declines to draft once no SSM is worth its rows.
     ///
     /// A serial step is a batch of one through the one verifier
     /// ([`BatchedVerifier`]).
@@ -693,12 +651,12 @@ impl Session {
 
     /// Phase 1 of an iteration: decide what the LLM must verify.
     ///
-    /// Runs the fault/fallback bookkeeping, lowers `config.mode` for this
+    /// Runs the fault bookkeeping, lowers `config.mode` for this
     /// session's pool on the first call (later calls keep that plan), and
     /// — when the plan drafts — runs the whole SSM expansion, consuming
     /// the session's RNG stream exactly as [`Session::step_faulted`]
     /// always has. A step that drafts nothing (the incremental shape, a
-    /// fallback, a fault-forced step, a shape that no longer fits)
+    /// router's decline, a fault-forced step, a shape that no longer fits)
     /// proposes the root-only tree. Returns `None` when the session is
     /// finished (or just exhausted its context). The returned
     /// [`Proposal`] must be forwarded and committed
@@ -723,15 +681,6 @@ impl Session {
         if !fault.is_noop() {
             self.degradation.faulted_steps += 1;
         }
-        let idx = self.steps.len();
-        // Cooldown over → re-probe speculation with a fresh window.
-        if let Some(until) = self.fallback_until {
-            if idx >= until {
-                self.fallback_until = None;
-                self.degradation.reprobes += 1;
-                self.accept_window.clear();
-            }
-        }
         let plan = match self.plan.take() {
             Some(plan) => plan,
             None => DraftPlan::lower(
@@ -746,16 +695,14 @@ impl Session {
         let spec = if forced_incremental {
             self.degradation.forced_incremental += 1;
             None
-        } else if self.fallback_until.is_some() {
-            self.degradation.fallback_steps += 1;
-            None
         } else {
-            // Only a draft that ran teaches the controller: a shape that
-            // no longer fits near the context limit must not count
-            // against the SSM it was routed to.
+            // Only a draft that ran, or a decline, reaches the controller:
+            // a shape that no longer fits near the context limit must not
+            // count against the SSM it was routed to.
             let (ids, routed) = plan.drafters.pick();
-            let spec = self.draft(llm, ssms, &plan, ids, config, fault.ssm_garbage);
-            decision = routed.filter(|_| spec.is_some());
+            let spec =
+                ids.and_then(|ids| self.draft(llm, ssms, &plan, ids, config, fault.ssm_garbage));
+            decision = routed.filter(|d| spec.is_some() || *d == AdaptiveDecision::Decline);
             spec
         };
         self.plan = Some(plan);
@@ -856,7 +803,7 @@ impl Session {
     /// positions (relative to `prefix`) of the root and accepted rows
     /// within the cache's current appended tail. Compacts the LLM cache
     /// onto `keep`, extends the token sequence, checks termination, feeds
-    /// the controller and the degradation ladder and records the step.
+    /// the controller and records the step.
     pub(crate) fn commit_verified(
         &mut self,
         config: &EngineConfig,
@@ -879,30 +826,12 @@ impl Session {
             emitted: outcome.tokens.len(),
         };
 
-        let idx = self.steps.len();
         if let Some(DraftPlan {
             drafters: Drafters::Routed(controller),
             ..
         }) = &mut self.plan
         {
-            controller.observe(proposal.decision.as_ref(), stats.accepted);
-        }
-        // Feed the ladder with the acceptance of speculative iterations
-        // (a root-only tree drafts nothing).
-        if self.policy.is_enabled() && stats.tree_size > 0 {
-            self.accept_window
-                .push_back(stats.accepted as f64 / stats.tree_size as f64);
-            while self.accept_window.len() > self.policy.window {
-                self.accept_window.pop_front();
-            }
-            if self.accept_window.len() == self.policy.window {
-                let mean: f64 = self.accept_window.iter().sum::<f64>() / self.policy.window as f64;
-                if mean < self.policy.accept_floor {
-                    self.degradation.fallbacks_taken += 1;
-                    self.fallback_until = Some(idx + 1 + self.policy.cooldown);
-                    self.accept_window.clear();
-                }
-            }
+            controller.observe(proposal.decision, stats.accepted);
         }
         self.steps.push(stats);
         stats
@@ -1102,65 +1031,48 @@ mod tests {
     }
 
     #[test]
-    fn acceptance_collapse_falls_back_and_reprobes() {
+    fn garbage_drafts_make_the_router_decline_and_static_trees_keep_drafting() {
         let (llm, ssm) = models();
-        let cfg = config(
-            InferenceMode::TreeSpeculative {
-                expansion: ExpansionConfig::new(vec![2, 2]),
+        let mut cfg = config(
+            InferenceMode::Adaptive {
+                config: AdaptiveConfig::default(),
             },
             DecodeMode::Greedy,
         );
-        let mut cfg = cfg;
         cfg.max_new_tokens = 40;
         let clean = SpecEngine::new(&llm, vec![&ssm], cfg.clone()).generate(&[4, 8], 0);
-
-        let mut s = Session::new(&llm, &[&ssm], &[4, 8], 0);
-        s.set_degradation_policy(DegradationPolicy {
-            accept_floor: 0.5,
-            window: 2,
-            cooldown: 3,
-        });
-        let mut step = 0u64;
-        while !s.is_finished() {
-            // Garbage on every probe ⇒ acceptance collapses ⇒ the ladder
-            // must fall back, cool down, re-probe, and collapse again.
-            let fault = StepFault {
-                ssm_garbage: Some(step),
-                ..StepFault::default()
+        // Every step's draft is garbage.
+        let garbage = |mode| {
+            let cfg = EngineConfig {
+                mode,
+                ..cfg.clone()
             };
-            let _ = s.step_faulted(&llm, &[&ssm], &cfg, fault);
-            step += 1;
-        }
-        let d = s.degradation();
-        assert!(d.fallbacks_taken >= 1, "{d:?}");
-        // Every fallback serves its cooldown incrementally (the last one
-        // may be cut short by the generation budget).
-        assert!(d.fallback_steps >= (d.fallbacks_taken - 1) * 3, "{d:?}");
-        assert!(d.reprobes >= 1, "{d:?}");
-        assert_eq!(s.into_result().tokens, clean.tokens, "fallback is lossless");
-    }
-
-    #[test]
-    fn disabled_ladder_never_falls_back() {
-        let (llm, ssm) = models();
-        let cfg = config(
-            InferenceMode::TreeSpeculative {
-                expansion: ExpansionConfig::new(vec![2, 1]),
-            },
-            DecodeMode::Greedy,
+            let mut s = Session::new(&llm, &[&ssm], &[4, 8], 0);
+            let mut step = 0u64;
+            while !s.is_finished() {
+                let fault = StepFault {
+                    ssm_garbage: Some(step),
+                    ..StepFault::default()
+                };
+                let _ = s.step_faulted(&llm, &[&ssm], &cfg, fault);
+                step += 1;
+            }
+            s
+        };
+        let routed = garbage(cfg.mode.clone());
+        let snap = routed.controller_snapshot().expect("a routed session");
+        assert!(2 * snap.declined > routed.steps().len(), "{snap:?}");
+        assert!(snap.probes > 0, "a declining session still probes");
+        assert_eq!(
+            routed.into_result().tokens,
+            clean.tokens,
+            "declining is lossless"
         );
-        let mut s = Session::new(&llm, &[&ssm], &[1, 2], 0);
-        let mut step = 0u64;
-        while !s.is_finished() {
-            let fault = StepFault {
-                ssm_garbage: Some(step),
-                ..StepFault::default()
-            };
-            let _ = s.step_faulted(&llm, &[&ssm], &cfg, fault);
-            step += 1;
-        }
-        let d = s.degradation();
-        assert_eq!(d.fallbacks_taken, 0);
-        assert_eq!(d.fallback_steps, 0);
+        // The context holds every draft, so a static tree drafts them all.
+        let tree = garbage(InferenceMode::TreeSpeculative {
+            expansion: ExpansionConfig::new(vec![2, 2]),
+        });
+        assert!(tree.steps().iter().all(|st| st.tree_size > 0));
+        assert_eq!(tree.into_result().tokens, clean.tokens);
     }
 }

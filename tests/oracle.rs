@@ -3,13 +3,13 @@
 //!
 //! SpecInfer's contract is that tree verification changes speed and
 //! never output. A configuration ([`Cell`]) fixes the models, the mode,
-//! the SSM pool, the decode rule, the degradation ladder, a fault source
-//! and a set of requests. Its reference is serial stepping: each request
-//! in a `Session` of its own with a full KV slab, one `step_faulted` at a
-//! time. Every other drive of the same cell — right-sized slabs, lockstep
-//! batches through both first stages, ragged arrive/retire schedules,
-//! trace replay and the live daemon — must reproduce that reference bit
-//! for bit, in tokens and in `StepStats`. Greedy cells are also held to
+//! the SSM pool, the decode rule, a fault source and a set of requests.
+//! Its reference is serial stepping: each request in a `Session` of its
+//! own with a full KV slab, one `step_faulted` at a time. Every other
+//! drive of the same cell — right-sized slabs, lockstep batches through
+//! both first stages, ragged arrive/retire schedules, trace replay and
+//! the live daemon — must reproduce that reference bit for bit, in
+//! tokens and in `StepStats`. Greedy cells are also held to
 //! the oracle proper: incremental decoding of the same prompts on the
 //! same SIMD backend. Stochastic cells are held to pinned digests and to
 //! Theorem 4.2 end to end.
@@ -33,8 +33,8 @@ use specinfer::serving::{
 };
 use specinfer::spec::{
     AdaptiveConfig, BatchItem, BatchRowStats, BatchedVerifier, ControllerSnapshot,
-    DegradationPolicy, DegradationStats, DynamicExpansionConfig, EngineConfig, InferenceMode,
-    Session, SpecEngine, StepFault, StepStats, StochasticVerifier,
+    DegradationPolicy, DynamicExpansionConfig, EngineConfig, InferenceMode, Session, SpecEngine,
+    StepFault, StepStats, StochasticVerifier,
 };
 use specinfer::tensor::ops::total_variation;
 use specinfer::tokentree::{ExpansionConfig, TokenId};
@@ -231,8 +231,6 @@ struct Cell {
     mode: InferenceMode,
     pool: Pool,
     decode: Decode,
-    /// The serving degradation ladder, or none.
-    ladder: bool,
     faults: Faults,
     /// Request `i` decodes with seed `seed + i`, as the server seeds it.
     seed: u64,
@@ -246,7 +244,7 @@ fn mix(mut x: u64) -> u64 {
 }
 
 impl Cell {
-    /// A fault-free cell without the ladder.
+    /// A fault-free cell.
     fn new(family: Family, work: Work, mode: InferenceMode, pool: Pool, decode: Decode) -> Cell {
         Cell {
             family,
@@ -254,7 +252,6 @@ impl Cell {
             mode,
             pool,
             decode,
-            ladder: false,
             faults: Faults::None,
             seed: 0,
         }
@@ -272,13 +269,6 @@ impl Cell {
             mode: self.mode.clone(),
             max_new_tokens,
             eos_token: None,
-        }
-    }
-
-    fn policy(&self) -> DegradationPolicy {
-        match self.ladder {
-            true => DegradationPolicy::serving_default(),
-            false => DegradationPolicy::disabled(),
         }
     }
 
@@ -359,17 +349,13 @@ fn adaptive(config: AdaptiveConfig) -> InferenceMode {
 }
 
 /// Every mode, the random parts drawn from `salt`: a small tree of depth
-/// 1–4 and widths 1–3, and router constants anywhere in their range.
+/// 1–4 and widths 1–3, and a sequence of depth 1–6.
 fn modes(salt: u64) -> [InferenceMode; 7] {
     let h = |k: u64| mix(salt ^ (k << 32));
-    let unit = |k| (h(k) >> 11) as f64 / (1u64 << 53) as f64;
     let widths: Vec<usize> = (0..1 + h(0) % 4)
         .map(|d| 1 + (h(1 + d) % 3) as usize)
         .collect();
-    let random = AdaptiveConfig {
-        ewma_alpha: (0.05 + 0.9 * unit(10)) as f32,
-        probe_period: 2 + (h(14) % 14) as usize,
-    };
+    let depth = 1 + (h(14) % 6) as usize;
     [
         InferenceMode::Incremental,
         InferenceMode::SequenceSpeculative { depth: 4 },
@@ -377,12 +363,13 @@ fn modes(salt: u64) -> [InferenceMode; 7] {
         paper(),
         dynamic(),
         adaptive(AdaptiveConfig::default()),
-        adaptive(random),
+        InferenceMode::SequenceSpeculative { depth },
     ]
 }
 
 /// The cross product for one decode rule: both contexts × every pool ×
-/// {no faults, a fault mask, a fault plan} × ladder off/on × every mode.
+/// {no faults twice, a fault mask twice, a fault plan} × every mode. The
+/// repeated rows differ only in their seeds.
 fn cross_product(decode: Decode) -> Vec<Cell> {
     // Every engine fault class, slow verifier passes and cancellations.
     let mixed = FaultSpec {
@@ -397,7 +384,7 @@ fn cross_product(decode: Decode) -> Vec<Cell> {
     let mut cells = Vec::new();
     for family in [Family::Roomy, Family::Tight] {
         for pool in [Pool::Empty, Pool::One, Pool::Three, Pool::Llm] {
-            for (faults, ladder) in [(0, false), (0, true), (1, false), (1, true), (2, true)] {
+            for faults in [0, 0, 1, 1, 2] {
                 // The faults and random modes of this row of cells are
                 // drawn from its first cell's seed.
                 let row = 1000 + cells.len() as u64;
@@ -410,7 +397,6 @@ fn cross_product(decode: Decode) -> Vec<Cell> {
                     let cell = Cell::new(family, Work::Mixed, mode, pool, decode);
                     let seed = 1000 + cells.len() as u64;
                     cells.push(Cell {
-                        ladder,
                         faults: faults.clone(),
                         seed,
                         ..cell
@@ -438,7 +424,6 @@ fn out(session: Session) -> Out {
 /// One request of the reference run.
 struct Solo {
     out: Out,
-    degradation: DegradationStats,
     controller: Option<ControllerSnapshot>,
     /// Whether the last step finished the session (rather than a later
     /// attempt finding the context full).
@@ -481,10 +466,8 @@ impl Run<'_> {
             Slab::Sized => req.prompt.len() + req.max_new + spec,
         };
         let seed = self.cell.seed + id as u64;
-        let mut s = Session::try_new_budgeted(&self.world.llm, ssms, &req.prompt, seed, rows)
-            .expect("oracle prompts are valid");
-        s.set_degradation_policy(self.cell.policy());
-        s
+        Session::try_new_budgeted(&self.world.llm, ssms, &req.prompt, seed, rows)
+            .expect("oracle prompts are valid")
     }
 
     /// The reference: each request alone, one `step_faulted` at a time,
@@ -508,7 +491,6 @@ impl Run<'_> {
             }
             check_session(self, &s, req, (faulted, forced), ssms.len());
             Solo {
-                degradation: s.degradation(),
                 controller: s.controller_snapshot(),
                 finished: s.is_finished(),
                 out: out(s),
@@ -647,7 +629,7 @@ impl Run<'_> {
             timing: TimingConfig::llama_7b_single_gpu(),
             seed: cell.seed,
             faults: cell.plan().cloned(),
-            degradation: cell.policy(),
+            degradation: DegradationPolicy::serving_default(),
             // A burst overloads a bounded queue. Without one nothing waits
             // on the simulated clock, which is what lets the daemon batch
             // differently from the replay without changing a response.
@@ -773,10 +755,19 @@ fn check_step(cell: &Cell, s: &Session, step: StepStats, fault: StepFault, worst
     }
     assert!(step.tree_size < worst, "{step:?} outgrows {worst} rows");
     assert!(s.kv_rows() <= s.kv_capacity(), "KV overflow");
+    // A static shape drafts every step it fits that no fault forced
+    // root-only: only the adaptive router declines.
+    let fits = s.kv_rows() - step.emitted + worst <= s.kv_capacity();
+    let shape = matches!(
+        cell.mode,
+        InferenceMode::SequenceSpeculative { depth: 1.. } | InferenceMode::TreeSpeculative { .. }
+    );
+    if shape && cell.pool != Pool::Empty && fits && !(fault.ssm_stall || fault.kv_oom) {
+        assert!(step.tree_size > 0, "a static shape drafts whenever it fits");
+    }
     // The LLM drafting a static shape for itself drafts all of it
     // whenever it fits, and has it accepted whole unless it was garbage.
     if let Some(depth) = cell.self_depth() {
-        let fits = s.kv_rows() - step.emitted + worst <= s.kv_capacity();
         if fits && fault.is_noop() {
             assert_eq!(step.tree_size, worst - 1, "a fitting draft is drafted");
         }
@@ -793,10 +784,6 @@ fn check_session(run: &Run, s: &Session, req: &Req, faults: (usize, usize), n_ss
     let speculative = cell.mode != InferenceMode::Incremental && n_ssms > 0;
     let forced = if speculative { faults.1 } else { 0 };
     assert_eq!((d.faulted_steps, d.forced_incremental), (faults.0, forced));
-    assert!(
-        cell.ladder || d.fallbacks_taken == 0,
-        "no ladder, no fallback"
-    );
     let ctx = run.world.llm.config().max_seq_len;
     let room = req.max_new.min(ctx - req.prompt.len());
     assert!(
@@ -804,7 +791,8 @@ fn check_session(run: &Run, s: &Session, req: &Req, faults: (usize, usize), n_ss
         "stops at its budget or a full context"
     );
     // Telemetry exists exactly for adaptive sessions with SSMs: every
-    // step is root-only or drafted, and every draft routed to one SSM.
+    // step is root-only or drafted, every draft routed to one SSM, and
+    // only a root-only step can be a decline.
     let adaptive = matches!(cell.mode, InferenceMode::Adaptive { .. }) && n_ssms > 0;
     let snap = s.controller_snapshot();
     assert_eq!(
@@ -818,6 +806,7 @@ fn check_session(run: &Run, s: &Session, req: &Req, faults: (usize, usize), n_ss
         let root_only = s.steps().len() - drafted;
         assert_eq!(snap.rung_decisions, [root_only, drafted]);
         assert_eq!(snap.ssm_routes.iter().sum::<usize>(), drafted);
+        assert!(snap.declined <= root_only, "{snap:?}");
     }
 }
 
@@ -850,8 +839,11 @@ fn check_engine(run: &Run) -> Vec<Solo> {
     for cap in distinct(&[2, 8, 32]) {
         assert_eq!(run.ragged(cap), reference, "ragged at cap {cap}");
     }
-    // One drafter leaves the router nothing to pick: an adaptive session
-    // is then a depth-4 sequence, in tokens and in every step.
+    // One drafter leaves the router nothing to pick but whether to draft:
+    // an adaptive session is then a depth-4 sequence up to its first
+    // decline (a root-only step no fault forced where the sequence
+    // drafted), and under greedy decoding emits the same tokens (up to
+    // where either stops: a last step may overshoot the budget).
     let one = matches!(run.cell.pool, Pool::One | Pool::Llm);
     if one && matches!(run.cell.mode, InferenceMode::Adaptive { .. }) {
         let sequence = Cell {
@@ -862,12 +854,23 @@ fn check_engine(run: &Run) -> Vec<Solo> {
             cell: &sequence,
             ..*run
         };
-        let outs: Vec<Out> = sequence
-            .serial(Slab::Full)
-            .into_iter()
-            .map(|s| s.out)
-            .collect();
-        assert_eq!(outs, reference, "one-SSM adaptive is sequence(4)");
+        let outs = sequence.serial(Slab::Full).into_iter().map(|s| s.out);
+        for (id, (seq, adaptive)) in outs.zip(&reference).enumerate() {
+            let declined = |k: usize| {
+                let f = run.cell.fault(id, k);
+                let forced = f.ssm_stall || f.kv_oom;
+                adaptive.1[k].tree_size == 0 && seq.1[k].tree_size > 0 && !forced
+            };
+            let n = adaptive.1.len().min(seq.1.len());
+            let agree = (0..n).find(|&k| declined(k)).unwrap_or(n);
+            let steps = &adaptive.1[..agree];
+            assert_eq!(steps, &seq.1[..agree], "{id}: sequence(4) until a decline");
+            assert!(agree < n || adaptive.1.len() == seq.1.len(), "{id}: steps");
+            if run.cell.decode == Decode::Greedy {
+                let n = adaptive.0.len().min(seq.0.len());
+                assert_eq!(adaptive.0[..n], seq.0[..n], "{id}: greedy tokens");
+            }
+        }
     }
     if run.cell.decode == Decode::Greedy {
         check_incremental(run, &solos);
@@ -881,7 +884,6 @@ fn check_incremental(run: &Run, solos: &[Solo]) {
     let incremental = Cell {
         mode: InferenceMode::Incremental,
         pool: Pool::Empty,
-        ladder: false,
         faults: Faults::None,
         ..run.cell.clone()
     };
@@ -1001,23 +1003,14 @@ fn check_report(report: &ServeReport, solos: &[Solo]) {
     assert_eq!(f.deadline_misses, count(DeadlineMissed));
     if count(Completed) == solos.len() {
         // A whole run reports exactly its sessions' own telemetry.
-        let ladder = |d: &DegradationStats| [d.fallbacks_taken, d.fallback_steps, d.reprobes];
-        let mut sessions = [0; 3];
         let mut controller = ControllerSnapshot::default();
-        for s in solos {
-            let counts = ladder(&s.degradation);
-            sessions
-                .iter_mut()
-                .zip(counts)
-                .for_each(|(sum, n)| *sum += n);
-            if let Some(c) = &s.controller {
-                controller.absorb(c);
-            }
+        for c in solos.iter().filter_map(|s| s.controller.as_ref()) {
+            controller.absorb(c);
         }
-        let server = [f.fallbacks_taken, f.fallback_steps, f.reprobes];
-        assert_eq!(server, sessions, "ladder counters");
-        let histograms =
-            |c: &ControllerSnapshot| (c.rung_decisions.clone(), c.ssm_routes.clone(), c.probes);
+        let histograms = |c: &ControllerSnapshot| {
+            let counts = (c.rung_decisions.clone(), c.ssm_routes.clone());
+            (counts, c.probes, c.declined)
+        };
         let want = histograms(&controller);
         assert_eq!(histograms(&report.controller), want, "controller");
     }
@@ -1192,8 +1185,8 @@ struct Tally {
     /// Reference steps that drafted, accepted a draft, were stalled or
     /// OOM, and drafted garbage.
     steps: [usize; 4],
-    /// Reference sessions that fell back and served fallback steps.
-    fell_back: usize,
+    /// Reference steps the adaptive router declined to draft.
+    declined: usize,
     /// Serving runs' slowed iterations, SSM stalls, garbage drafts, plan
     /// cancellations and completions.
     serving: [usize; 5],
@@ -1213,8 +1206,7 @@ impl Tally {
                     .zip(seen)
                     .for_each(|(n, b)| *n += usize::from(b));
             }
-            let d = solo.degradation;
-            self.fell_back += usize::from(d.fallbacks_taken > 0 && d.fallback_steps > 0);
+            self.declined += solo.controller.as_ref().map_or(0, |c| c.declined);
         }
         if let Some(r) = report {
             let f = r.faults;
@@ -1232,10 +1224,7 @@ impl Tally {
 
     fn assert_live(&self) {
         let mut counts = self.steps.iter().chain(&self.serving);
-        assert!(
-            self.fell_back > 0 && counts.all(|&n| n > 0),
-            "idle contract: {self:?}"
-        );
+        assert!(counts.all(|&n| n > 0), "idle contract: {self:?}");
     }
 }
 
@@ -1291,25 +1280,34 @@ fn run_cells(cells: &[Cell]) -> Tally {
 // The tests.
 // ---------------------------------------------------------------------
 
+/// Every cell of one decode rule's cross product, and the router
+/// declined somewhere in it.
+fn cross_product_cells(decode: Decode) {
+    let tally = run_cells(&cross_product(decode));
+    tally.assert_live();
+    assert!(tally.declined > 0, "the router never declined: {tally:?}");
+}
+
 #[test]
 fn greedy_cells() {
-    run_cells(&cross_product(Decode::Greedy)).assert_live();
+    cross_product_cells(Decode::Greedy);
 }
 
 #[test]
 fn mss_cells() {
-    run_cells(&cross_product(Decode::Mss)).assert_live();
+    cross_product_cells(Decode::Mss);
 }
 
 #[test]
 fn naive_cells() {
-    run_cells(&cross_product(Decode::Naive)).assert_live();
+    cross_product_cells(Decode::Naive);
 }
 
 /// The chaos mix (SSM garbage, stalls, KV pressure, slow passes,
 /// cancellations) plus a burst on a bounded queue, over eight plan
-/// seeds: replay cuts exactly what each plan schedules, and backpressure
-/// engages.
+/// seeds: replay cuts exactly what each plan schedules, backpressure
+/// engages, and the static tree drafts on every step its faults leave
+/// free.
 #[test]
 fn chaos_plans_cut_only_what_they_schedule() {
     let vocab = ModelConfig::smoke().vocab_size as u32;
@@ -1332,7 +1330,6 @@ fn chaos_plans_cut_only_what_they_schedule() {
             let plan = FaultPlan::new(seed ^ 0xc0ffee, FaultSpec::chaos_default());
             let faults = Faults::Plan(plan.with_burst(burst.clone()));
             Cell {
-                ladder: true,
                 faults,
                 seed,
                 ..cell.clone()
@@ -1342,6 +1339,7 @@ fn chaos_plans_cut_only_what_they_schedule() {
     let tally = run_cells(&cells);
     tally.assert_live();
     assert!(tally.backpressure > 0, "a burst must defer or drop");
+    assert_eq!(tally.declined, 0, "static modes always draft");
 }
 
 /// Requests no client should send, batched with ordinary ones, through
@@ -1393,7 +1391,8 @@ fn digests((tokens, steps): &Out, prompt_len: usize) -> (u64, u64) {
 /// them. The adaptive MSS pair was re-pinned on purpose when an SSM
 /// cache started to catch up to the committed rows before it drafts,
 /// and both adaptive rows when the mode became one constant depth-4
-/// shape (the greedy tokens digest did not move).
+/// shape (the greedy tokens digest did not move). The greedy adaptive
+/// steps digest moved again, alone, when the router learned to decline.
 #[test]
 fn outputs_and_acceptance_match_their_pinned_digests() {
     let adaptive = adaptive(AdaptiveConfig::default());
@@ -1427,7 +1426,7 @@ fn outputs_and_acceptance_match_their_pinned_digests() {
             adaptive,
             Pool::Three,
             Decode::Greedy,
-            (8393462203928360335, 17404619331179714351),
+            (8393462203928360335, 14040782622839051074),
         ),
     ];
     let cell = |(mode, pool, decode, _): &(_, _, _, _)| Cell {

@@ -4,6 +4,8 @@
 //! one-token-at-a-time decoding exactly, and greedy tree speculation
 //! must keep emitting the incremental sequence.
 
+use std::sync::{Mutex, MutexGuard};
+
 use specinfer::model::{sampler, DecodeMode, ModelConfig, Transformer};
 use specinfer::spec::{
     speculate_dynamic, speculate_expansion, BatchItem, BatchedVerifier, DynamicExpansionConfig,
@@ -11,6 +13,16 @@ use specinfer::spec::{
 };
 use specinfer::tensor::rng::SeededRng;
 use specinfer::tokentree::{ExpansionConfig, LinearizedTree, TokenTree};
+
+/// Held by every test that calls the process-global `set_max_threads`,
+/// so two of them never race on the thread count.
+static THREADS: Mutex<()> = Mutex::new(());
+
+fn threads_lock() -> MutexGuard<'static, ()> {
+    THREADS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Wide enough that every dense layer spans several panels and the
 /// feed-forward reduction spans several k-slices.
@@ -166,6 +178,7 @@ fn greedy_tree_speculation_is_thread_count_invariant_through_the_pool() {
     // feed-forward packs are 1.25 MiB each: at two threads every forward
     // multiplies them (and applies SwiGLU) as pool regions.
     use specinfer::tensor::{pool, set_max_threads};
+    let _threads = threads_lock();
     let llm = Transformer::from_seed(
         ModelConfig {
             d_ff: 8192,
@@ -223,6 +236,7 @@ fn pooled_ffn_keeps_speculation_and_batching_bitwise_at_3_5_and_9_rows() {
     // stacked rows) exactly what the two sessions emit alone. The LLM
     // drafts for itself, so rows are accepted and the cache compacted.
     use specinfer::tensor::set_max_threads;
+    let _threads = threads_lock();
     let llm = Transformer::from_seed(
         ModelConfig {
             d_ff: 8192,
