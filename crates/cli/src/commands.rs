@@ -331,8 +331,8 @@ pub fn serve(args: &Parsed) -> Result<(), String> {
     );
     if let [root_only, drafted] = report.controller.rung_decisions[..] {
         println!(
-            "controller: {drafted} drafts routed {:?} ({} probes), {root_only} root-only steps ({} declined)",
-            report.controller.ssm_routes, report.controller.probes, report.controller.declined
+            "controller: {drafted} drafts routed {:?} ({} probes), {root_only} root-only steps",
+            report.controller.ssm_routes, report.controller.probes
         );
     }
     let rows = &report.verify_rows;

@@ -143,9 +143,9 @@ pub struct ServerConfig {
     /// Deterministic fault schedule; `None` runs fault-free.
     pub faults: Option<FaultPlan>,
     /// Holds nothing, and the driver reads nothing from it: faults force
-    /// root-only steps per step, and the adaptive router is the one
-    /// acceptance-driven choice of whether to draft. Kept because the
-    /// frozen benchmark crate (`specbench/`) sets it.
+    /// root-only steps per step, and every other step drafts whatever
+    /// its acceptance. Kept because the frozen benchmark crate
+    /// (`specbench/`) sets it.
     pub degradation: DegradationPolicy,
     /// Admission-queue capacity and retry/backoff behaviour.
     pub queue: QueuePolicy,

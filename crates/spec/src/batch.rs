@@ -18,9 +18,10 @@
 //! commits the root plus the accepted path, in item order.
 //!
 //! Every participant is a tree: an incremental step (incremental mode,
-//! a router's decline, a fault) is the root alone — one row, whose
-//! walk accepts nothing and emits the bonus from the root's own logits —
-//! and every lane commits through [`crate::Session`]'s one commit path.
+//! a fault, a draft that no longer fits) is the root alone — one row,
+//! whose walk accepts nothing and emits the bonus from the root's own
+//! logits — and every lane commits through [`crate::Session`]'s one
+//! commit path.
 //!
 //! The batch is **ragged**: `step_batch` takes whatever set is live, so
 //! requests join and retire mid-flight and the block-diagonal mask is

@@ -7,15 +7,13 @@
 //! with *one* SSM of a heterogeneous pool per step, and this module picks
 //! which: [`SpecController`] keeps a per-SSM EWMA of accepted tokens per
 //! unit of draft FLOP and routes to the current best, with a
-//! deterministic round-robin probe every twelfth decision so a
+//! deterministic round-robin probe every twelfth draft so a
 //! temporarily-unlucky SSM can win its slot back (PAPERS.md: *SPIN*).
-//! The router is also the one acceptance-driven decision of whether a
-//! step drafts at all: once every SSM has been observed and scores below
-//! [`NO_DRAFT_PRICE`], it declines and the step is root-only, until a
-//! probe's accepted draft lifts a score again. Static modes always draft.
-//! Everything here is a pure function of observed step statistics — no
-//! clocks, no unseeded entropy — so runs replay bit-for-bit (the
-//! determinism lint rule enforces exactly this; see the
+//! The router only routes: like every plan, an adaptive session drafts
+//! each step its shape fits, and verification rejects what the LLM
+//! disagrees with. Everything here is a pure function of observed step
+//! statistics — no clocks, no unseeded entropy — so runs replay
+//! bit-for-bit (the determinism lint rule enforces exactly this; see the
 //! `adaptive_spec_bad` fixture).
 
 use std::borrow::Cow;
@@ -79,16 +77,9 @@ impl DraftShape {
 /// observation).
 const EWMA_ALPHA: f32 = 0.4;
 
-/// Every `PROBE_PERIOD`-th router decision drafts, cycling the pool, even
-/// when another SSM scores better or declining would win.
+/// Every `PROBE_PERIOD`-th draft cycles the pool, even when another SSM
+/// scores better.
 const PROBE_PERIOD: usize = 12;
-
-/// The score below which a draft is not worth its rows, in the scores'
-/// units (accepted tokens × the cheapest SSM's draft FLOPs over this
-/// one's). A 5-row verify costs 1.2–1.4 one-row forwards and a 4-node
-/// draft 0.06–0.1 of one, so a draft breaks even near 0.26–0.5 accepted
-/// tokens; of {0.25, 0.5, 0.75}, 0.25 gave the most tokens per step.
-pub const NO_DRAFT_PRICE: f32 = 0.25;
 
 /// The payload of [`InferenceMode::Adaptive`](crate::InferenceMode::Adaptive).
 /// The router has no settable knob (its constants are private), so this
@@ -107,36 +98,27 @@ impl AdaptiveConfig {
     }
 }
 
-/// One routing decision: what a session's next step drafts with.
+/// One routing decision: the SSM a session's next draft runs on.
 /// Returned by [`SpecController::decide`] and fed back via
 /// [`SpecController::observe`] once the step's acceptance is known.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdaptiveDecision {
-    /// Draft with this SSM pool index.
-    Draft {
-        /// SSM pool index to draft with.
-        ssm: usize,
-        /// Whether a periodic probe overrode the router's own choice.
-        probe: bool,
-    },
-    /// Draft nothing: every SSM scores below [`NO_DRAFT_PRICE`]. The step
-    /// is root-only.
-    Decline,
+#[derive(Debug, Clone, PartialEq)]
+pub struct AdaptiveDecision {
+    /// SSM pool index to draft with.
+    pub ssm: usize,
+    /// Whether this was a periodic probe rather than the best SSM.
+    pub probe: bool,
 }
 
 /// Aggregated controller telemetry for `ServeReport` histograms.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControllerSnapshot {
     /// `[root-only steps, drafted steps]`: a root-only step decoded
-    /// incrementally (a decline, a fault, a draft that no longer fit).
+    /// incrementally (a fault, a draft that no longer fit).
     pub rung_decisions: Vec<usize>,
     /// Drafts routed per SSM pool index.
     pub ssm_routes: Vec<usize>,
     /// How many drafts were periodic probes.
     pub probes: usize,
-    /// Root-only steps the router chose ([`AdaptiveDecision::Decline`]);
-    /// the rest of `rung_decisions[0]` were forced.
-    pub declined: usize,
 }
 
 impl ControllerSnapshot {
@@ -146,7 +128,6 @@ impl ControllerSnapshot {
         add(&mut self.rung_decisions, &other.rung_decisions);
         add(&mut self.ssm_routes, &other.ssm_routes);
         self.probes += other.probes;
-        self.declined += other.declined;
     }
 }
 
@@ -170,7 +151,7 @@ pub fn draft_flop_weight(cfg: &ModelConfig) -> f32 {
     cfg.n_layers as f32 * per_layer + d * cfg.vocab_size as f32
 }
 
-/// The per-session SSM router, and its "no draft" arm.
+/// The per-session SSM router.
 #[derive(Debug, Clone)]
 pub struct SpecController {
     /// Per SSM, the cheapest SSM's draft FLOPs over its own: the factor
@@ -203,57 +184,45 @@ impl SpecController {
                 rung_decisions: vec![0; 2],
                 ssm_routes: vec![0; n_ssms],
                 probes: 0,
-                declined: 0,
             },
         }
     }
 
-    /// Picks what the next step drafts with: the best scorer, or nothing
-    /// once every SSM has been observed and all score below
-    /// [`NO_DRAFT_PRICE`] — except that every twelfth decision drafts,
-    /// cycling the pool deterministically.
+    /// Picks the SSM for the next draft: the best scorer, except that
+    /// every twelfth draft cycles the pool deterministically.
     pub fn decide(&self) -> AdaptiveDecision {
         let (n, best) = (self.ssm_weight.len(), self.best_ssm());
-        let observed = self.counts.ssm_routes.iter().all(|&r| r > 0);
-        let decline = observed && self.ssm_score.iter().all(|&s| s < NO_DRAFT_PRICE);
-        // The ordinal of this decision among the session's drafts and
-        // declines.
-        let drafted = self.counts.rung_decisions.get(1).copied().unwrap_or(0);
-        let ordinal = drafted + self.counts.declined + 1;
-        if ordinal.is_multiple_of(PROBE_PERIOD) {
-            let ssm = (ordinal / PROBE_PERIOD) % n;
-            let probe = decline || ssm != best;
-            return AdaptiveDecision::Draft { ssm, probe };
-        }
-        match decline {
-            true => AdaptiveDecision::Decline,
-            false => AdaptiveDecision::Draft {
-                ssm: best,
-                probe: false,
-            },
+        // The ordinal of this draft among the session's drafts.
+        let draft = self.counts.rung_decisions.get(1).map_or(0, |d| d + 1);
+        let ssm = match draft.is_multiple_of(PROBE_PERIOD) {
+            true => (draft / PROBE_PERIOD) % n,
+            false => best,
+        };
+        AdaptiveDecision {
+            ssm,
+            probe: ssm != best,
         }
     }
 
-    /// Feeds back a committed step: the decision behind it, or `None` for
-    /// a root-only step the router did not choose, and the speculated
-    /// tokens that survived verification. Only a draft teaches a score.
-    pub fn observe(&mut self, decision: Option<AdaptiveDecision>, accepted: usize) {
-        let Some(AdaptiveDecision::Draft { ssm, probe }) = decision else {
+    /// Feeds back a committed step: the decision its draft ran on, or
+    /// `None` for a root-only step, and the speculated tokens that
+    /// survived verification.
+    pub fn observe(&mut self, decision: Option<&AdaptiveDecision>, accepted: usize) {
+        let Some(d) = decision else {
             if let Some(root_only) = self.counts.rung_decisions.first_mut() {
                 *root_only += 1;
             }
-            self.counts.declined += usize::from(decision == Some(AdaptiveDecision::Decline));
             return;
         };
         if let Some(drafted) = self.counts.rung_decisions.get_mut(1) {
             *drafted += 1;
         }
-        if let Some(routes) = self.counts.ssm_routes.get_mut(ssm) {
+        if let Some(routes) = self.counts.ssm_routes.get_mut(d.ssm) {
             *routes += 1;
         }
-        self.counts.probes += usize::from(probe);
-        let score = accepted as f32 * self.ssm_weight.get(ssm).copied().unwrap_or(1.0);
-        if let Some(slot) = self.ssm_score.get_mut(ssm) {
+        self.counts.probes += usize::from(d.probe);
+        let score = accepted as f32 * self.ssm_weight.get(d.ssm).copied().unwrap_or(1.0);
+        if let Some(slot) = self.ssm_score.get_mut(d.ssm) {
             *slot = EWMA_ALPHA * score + (1.0 - EWMA_ALPHA) * *slot;
         }
     }
@@ -278,17 +247,11 @@ impl SpecController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use AdaptiveDecision::{Decline, Draft};
 
-    /// Decides and observes one step: a draft accepting `accepted(ssm)`,
-    /// or a decline.
-    fn step(c: &mut SpecController, accepted: impl Fn(usize) -> usize) -> AdaptiveDecision {
+    /// Decides and observes one drafted step accepting `accepted(ssm)`.
+    fn draft(c: &mut SpecController, accepted: impl Fn(usize) -> usize) -> AdaptiveDecision {
         let d = c.decide();
-        let n = match d {
-            Draft { ssm, .. } => accepted(ssm),
-            Decline => 0,
-        };
-        c.observe(Some(d), n);
+        c.observe(Some(&d), accepted(d.ssm));
         d
     }
 
@@ -300,10 +263,11 @@ mod tests {
         // every 36 drafts — give the EWMA two full probe cycles of SSM 2
         // to overtake the incumbent.
         for _ in 0..150 {
-            step(&mut c, |ssm| if ssm == 2 { 2 } else { 1 });
+            draft(&mut c, |ssm| if ssm == 2 { 2 } else { 1 });
         }
-        if let Draft { ssm, probe: false } = c.decide() {
-            assert_eq!(ssm, 2, "non-probe decisions must route to the best SSM");
+        let d = c.decide();
+        if !d.probe {
+            assert_eq!(d.ssm, 2, "non-probe decisions must route to the best SSM");
         }
         let snap = c.snapshot();
         assert!(snap.probes > 0, "multi-SSM pools must be probed");
@@ -319,109 +283,44 @@ mod tests {
         // SSM 0 is 4x cheaper and accepts identically — it must win.
         let mut c = SpecController::new(vec![1.0e6, 4.0e6]);
         for _ in 0..32 {
-            step(&mut c, |_| 1);
+            draft(&mut c, |_| 1);
         }
-        if let Draft { ssm, probe: false } = c.decide() {
-            assert_eq!(ssm, 0, "equal acceptance must route to the cheaper SSM");
-        }
-    }
-
-    #[test]
-    fn a_lone_ssm_accepting_nothing_declines_except_each_twelfth_decision() {
-        let mut c = SpecController::new(vec![1.0e6]);
-        for ordinal in 1..=120 {
-            let d = step(&mut c, |_| 0);
-            match ordinal {
-                // Unobserved: the initial score must not trip the arm.
-                1 => assert_eq!(
-                    d,
-                    Draft {
-                        ssm: 0,
-                        probe: false
-                    }
-                ),
-                _ if ordinal % PROBE_PERIOD == 0 => assert_eq!(
-                    d,
-                    Draft {
-                        ssm: 0,
-                        probe: true
-                    }
-                ),
-                _ => assert_eq!(d, Decline, "decision {ordinal}"),
-            }
-        }
-        let snap = c.snapshot();
-        assert_eq!(snap.declined, 109);
-        assert_eq!(snap.rung_decisions, vec![109, 11]);
-        assert_eq!(snap.probes, 10);
-    }
-
-    #[test]
-    fn an_accepting_probe_resumes_drafting() {
-        let mut c = SpecController::new(vec![1.0e6]);
-        for _ in 1..PROBE_PERIOD - 1 {
-            step(&mut c, |_| 0);
-        }
-        assert_eq!(step(&mut c, |_| 0), Decline);
-        // The twelfth decision probes, and its draft accepts two tokens.
-        assert_eq!(
-            step(&mut c, |_| 2),
-            Draft {
-                ssm: 0,
-                probe: true
-            }
-        );
-        for _ in 0..30 {
-            assert_eq!(
-                step(&mut c, |_| 2),
-                Draft {
-                    ssm: 0,
-                    probe: false
-                }
-            );
+        let d = c.decide();
+        if !d.probe {
+            assert_eq!(d.ssm, 0, "equal acceptance must route to the cheaper SSM");
         }
     }
 
     #[test]
-    fn an_unobserved_pool_member_blocks_declining() {
+    fn the_probe_cycles_the_pool_every_twelfth_draft() {
+        // SSM 0 accepts something and SSM 1 nothing, so SSM 0 leads; the
+        // probe still hands SSM 1 every second twelfth draft.
         let mut c = SpecController::new(vec![1.0e6; 2]);
-        // SSM 1 is first drafted by the probe at decision 12; until then
-        // SSM 0's zero score alone must not decline.
-        for ordinal in 1..PROBE_PERIOD {
-            let d = step(&mut c, |_| 0);
-            assert_eq!(
-                d,
-                Draft {
-                    ssm: 0,
-                    probe: false
-                },
-                "decision {ordinal}"
-            );
+        for ordinal in 1..=48 {
+            let d = draft(&mut c, |ssm| usize::from(ssm == 0));
+            let want = match ordinal % PROBE_PERIOD {
+                0 => (ordinal / PROBE_PERIOD) % 2,
+                _ => 0,
+            };
+            assert_eq!(d.ssm, want, "draft {ordinal}");
+            assert_eq!(d.probe, want != 0, "draft {ordinal}");
         }
-        assert_eq!(
-            step(&mut c, |_| 0),
-            Draft {
-                ssm: 1,
-                probe: true
-            }
-        );
-        assert_eq!(c.decide(), Decline, "every SSM observed and below price");
+        assert_eq!(c.snapshot().ssm_routes, vec![46, 2]);
     }
 
     #[test]
     fn counts_root_only_and_drafted_steps() {
         let mut c = SpecController::new(vec![1.0e6; 2]);
-        for n in 0..30 {
-            if n % 3 == 0 {
+        for step in 0..30 {
+            if step % 3 == 0 {
                 c.observe(None, 0);
             } else {
-                step(&mut c, |_| 1);
+                draft(&mut c, |_| 1);
             }
         }
         let snap = c.snapshot();
         assert_eq!(snap.rung_decisions, vec![10, 20]);
         assert_eq!(snap.ssm_routes.iter().sum::<usize>(), 20);
-        assert_eq!(snap.declined, 0, "a forced root-only step is no decline");
     }
 
     #[test]
@@ -430,26 +329,23 @@ mod tests {
             rung_decisions: vec![1, 2],
             ssm_routes: vec![3],
             probes: 1,
-            declined: 1,
         };
         let b = ControllerSnapshot {
             rung_decisions: vec![0, 1],
             ssm_routes: vec![2, 2],
             probes: 2,
-            declined: 0,
         };
         a.absorb(&b);
         assert_eq!(a.rung_decisions, vec![1, 3]);
         assert_eq!(a.ssm_routes, vec![5, 2]);
         assert_eq!(a.probes, 3);
-        assert_eq!(a.declined, 1);
     }
 
     #[test]
     fn decisions_are_deterministic() {
         let run = || {
             let mut c = SpecController::new(vec![1.0e6; 3]);
-            let trace: Vec<_> = (0..40usize).map(|i| step(&mut c, |_| i % 3)).collect();
+            let trace: Vec<_> = (0..40usize).map(|i| draft(&mut c, |_| i % 3)).collect();
             (trace, c.snapshot())
         };
         assert_eq!(run(), run(), "controller must be a pure function of inputs");

@@ -14,10 +14,10 @@
 //! for any mode whose pool is empty — and one drafter (`Session::draft`)
 //! consumes the pair. Every row count (slab sizing, admission charging,
 //! "does it still fit") is read off that plan, so it counts a merged
-//! pool's one-expansion-per-SSM. A static plan drafts every step; a
-//! routed one drafts unless its router declines (the one
-//! acceptance-driven decision, [`SpecController`]). A fault forces a
-//! root-only step in either.
+//! pool's one-expansion-per-SSM. Every plan drafts each step its shape
+//! fits, as the paper does, and lets verification reject what the LLM
+//! disagrees with; only a fault (a stall, KV pressure) forces a step
+//! root-only.
 //!
 //! Every step is a token tree: an incremental one is the root alone,
 //! Algorithm 2's degenerate tree, verified and committed like any
@@ -73,11 +73,8 @@ pub enum InferenceMode {
     /// SPIN-style routed speculation: every step one SSM of the pool
     /// drafts an [`ADAPTIVE_DEPTH`]-long sequence, and a
     /// [`SpecController`] inside each session picks which by its
-    /// accepted-per-draft-FLOP EWMA, probing the pool round-robin — or
-    /// declines to draft while every SSM scores below
-    /// [`NO_DRAFT_PRICE`](crate::NO_DRAFT_PRICE). With one SSM it is
-    /// `SequenceSpeculative { depth: ADAPTIVE_DEPTH }` except on declined
-    /// steps.
+    /// accepted-per-draft-FLOP EWMA, probing the pool round-robin. With
+    /// one SSM it is `SequenceSpeculative { depth: ADAPTIVE_DEPTH }`.
     Adaptive {
         /// Holds nothing: the router has no settable knob.
         config: AdaptiveConfig,
@@ -145,22 +142,21 @@ enum Drafters {
     /// (Definition 3.2).
     Pool(usize),
     /// One SSM per step, inline like [`Drafters::One`], picked by the
-    /// controller ([`InferenceMode::Adaptive`]), or none when it
-    /// declines.
+    /// controller ([`InferenceMode::Adaptive`]).
     Routed(SpecController),
 }
 
 impl Drafters {
-    /// Pool indices of the SSMs drafting the next step (`None` when the
-    /// router declines), and the routing decision behind them.
-    fn pick(&self) -> (Option<Range<usize>>, Option<AdaptiveDecision>) {
+    /// Pool indices of the SSMs drafting the next step, and the routing
+    /// decision behind them.
+    fn pick(&self) -> (Range<usize>, Option<AdaptiveDecision>) {
         match self {
-            Drafters::One(id) => (Some(*id..*id + 1), None),
-            Drafters::Pool(n) => (Some(0..*n), None),
-            Drafters::Routed(controller) => match controller.decide() {
-                d @ AdaptiveDecision::Draft { ssm, .. } => (Some(ssm..ssm + 1), Some(d)),
-                AdaptiveDecision::Decline => (None, Some(AdaptiveDecision::Decline)),
-            },
+            Drafters::One(id) => (*id..*id + 1, None),
+            Drafters::Pool(n) => (0..*n, None),
+            Drafters::Routed(controller) => {
+                let d = controller.decide();
+                (d.ssm..d.ssm + 1, Some(d))
+            }
         }
     }
 }
@@ -264,9 +260,9 @@ impl StepFault {
 }
 
 /// The serving layer's degradation setting. It holds nothing: a fault
-/// forces a root-only step per step ([`StepFault`]), and whether a
-/// fault-free step drafts is the router's call ([`SpecController`]).
-/// It stays because the frozen benchmark crate (`specbench/`) names
+/// forces a root-only step per step ([`StepFault`]), and every other
+/// step drafts whatever its plan's acceptance. It stays because the
+/// frozen benchmark crate (`specbench/`) names
 /// `DegradationPolicy::serving_default()` and
 /// [`Session::set_degradation_policy`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -380,9 +376,8 @@ impl std::error::Error for EngineError {}
 pub(crate) struct Proposal {
     pub(crate) spec: Speculation,
     pub(crate) lin: LinearizedTree,
-    /// The routing decision behind the step (adaptive plans only, and
-    /// only when a draft ran or the router declined); fed back to the
-    /// controller at commit.
+    /// The routing decision behind the draft (adaptive plans only, and
+    /// only when a draft ran); fed back to the controller at commit.
     decision: Option<AdaptiveDecision>,
     /// Whether a fault (stall/OOM) forced this root-only step. The
     /// batched verifier forwards such a tree alone, after the fused
@@ -555,18 +550,12 @@ impl Session {
     }
 
     /// Whether the next [`Session::propose`] runs SSM forwards — a real
-    /// draft — rather than answering at once (a router's decline
-    /// included). Advice for scheduling only: it may say `true` for a
-    /// proposal that ends up incremental (a shape that no longer fits),
-    /// and a wrong answer costs parallelism, never a different proposal.
+    /// draft — rather than answering at once. Advice for scheduling
+    /// only: it may say `true` for a proposal that ends up incremental
+    /// (a shape that no longer fits), and a wrong answer costs
+    /// parallelism, never a different proposal.
     pub(crate) fn drafts_next(&self, config: &EngineConfig, fault: StepFault) -> bool {
-        !self.finished
-            && fault.is_noop()
-            && self
-                .plan
-                .as_ref()
-                .is_none_or(|plan| plan.drafters.pick().0.is_some())
-            && self.current_speculation_rows(config) > 1
+        !self.finished && fault.is_noop() && self.current_speculation_rows(config) > 1
     }
 
     /// Telemetry snapshot of the adaptive controller, if this session has
@@ -627,9 +616,8 @@ impl Session {
     /// iteration. A stall or simulated OOM forces incremental decoding;
     /// garbage logits replace the SSM drafts with uniform draws (which
     /// greedy verification rejects and stochastic verification absorbs
-    /// via the residual, keeping the output distribution exact). Under
-    /// [`InferenceMode::Adaptive`] the drafts' acceptance teaches the
-    /// router, which declines to draft once no SSM is worth its rows.
+    /// via the residual, keeping the output distribution exact). Neither
+    /// changes what later steps draft.
     ///
     /// A serial step is a batch of one through the one verifier
     /// ([`BatchedVerifier`]).
@@ -656,8 +644,8 @@ impl Session {
     /// — when the plan drafts — runs the whole SSM expansion, consuming
     /// the session's RNG stream exactly as [`Session::step_faulted`]
     /// always has. A step that drafts nothing (the incremental shape, a
-    /// router's decline, a fault-forced step, a shape that no longer fits)
-    /// proposes the root-only tree. Returns `None` when the session is
+    /// fault-forced step, a shape that no longer fits) proposes the
+    /// root-only tree. Returns `None` when the session is
     /// finished (or just exhausted its context). The returned
     /// [`Proposal`] must be forwarded and committed
     /// ([`Session::commit_verified`]) before the session can step again.
@@ -696,13 +684,12 @@ impl Session {
             self.degradation.forced_incremental += 1;
             None
         } else {
-            // Only a draft that ran, or a decline, reaches the controller:
-            // a shape that no longer fits near the context limit must not
-            // count against the SSM it was routed to.
+            // Only a draft that ran teaches the controller: a shape that
+            // no longer fits near the context limit must not count
+            // against the SSM it was routed to.
             let (ids, routed) = plan.drafters.pick();
-            let spec =
-                ids.and_then(|ids| self.draft(llm, ssms, &plan, ids, config, fault.ssm_garbage));
-            decision = routed.filter(|d| spec.is_some() || *d == AdaptiveDecision::Decline);
+            let spec = self.draft(llm, ssms, &plan, ids, config, fault.ssm_garbage);
+            decision = routed.filter(|_| spec.is_some());
             spec
         };
         self.plan = Some(plan);
@@ -831,7 +818,7 @@ impl Session {
             ..
         }) = &mut self.plan
         {
-            controller.observe(proposal.decision, stats.accepted);
+            controller.observe(proposal.decision.as_ref(), stats.accepted);
         }
         self.steps.push(stats);
         stats
@@ -1031,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn garbage_drafts_make_the_router_decline_and_static_trees_keep_drafting() {
+    fn garbage_drafts_are_drafted_every_step_and_rejected_losslessly() {
         let (llm, ssm) = models();
         let mut cfg = config(
             InferenceMode::Adaptive {
@@ -1041,8 +1028,14 @@ mod tests {
         );
         cfg.max_new_tokens = 40;
         let clean = SpecEngine::new(&llm, vec![&ssm], cfg.clone()).generate(&[4, 8], 0);
-        // Every step's draft is garbage.
-        let garbage = |mode| {
+        // Every step's draft is garbage. The context holds every draft,
+        // so the router and a static tree alike draft on every step.
+        for mode in [
+            cfg.mode.clone(),
+            InferenceMode::TreeSpeculative {
+                expansion: ExpansionConfig::new(vec![2, 2]),
+            },
+        ] {
             let cfg = EngineConfig {
                 mode,
                 ..cfg.clone()
@@ -1057,22 +1050,12 @@ mod tests {
                 let _ = s.step_faulted(&llm, &[&ssm], &cfg, fault);
                 step += 1;
             }
-            s
-        };
-        let routed = garbage(cfg.mode.clone());
-        let snap = routed.controller_snapshot().expect("a routed session");
-        assert!(2 * snap.declined > routed.steps().len(), "{snap:?}");
-        assert!(snap.probes > 0, "a declining session still probes");
-        assert_eq!(
-            routed.into_result().tokens,
-            clean.tokens,
-            "declining is lossless"
-        );
-        // The context holds every draft, so a static tree drafts them all.
-        let tree = garbage(InferenceMode::TreeSpeculative {
-            expansion: ExpansionConfig::new(vec![2, 2]),
-        });
-        assert!(tree.steps().iter().all(|st| st.tree_size > 0));
-        assert_eq!(tree.into_result().tokens, clean.tokens);
+            assert!(
+                s.steps().iter().all(|st| st.tree_size > 0),
+                "{:?}",
+                cfg.mode
+            );
+            assert_eq!(s.into_result().tokens, clean.tokens, "{:?}", cfg.mode);
+        }
     }
 }

@@ -61,7 +61,7 @@ pub use batch::{BatchItem, BatchRowStats, BatchedVerifier};
 pub use boost::{boost_tune_pool, BoostConfig, BoostResult};
 pub use controller::{
     draft_flop_weight, AdaptiveConfig, AdaptiveDecision, ControllerSnapshot, DraftShape,
-    SpecController, ADAPTIVE_DEPTH, NO_DRAFT_PRICE,
+    SpecController, ADAPTIVE_DEPTH,
 };
 pub use dynamic::{speculate_dynamic, DynamicExpansionConfig};
 pub use engine::{

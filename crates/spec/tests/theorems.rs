@@ -352,10 +352,10 @@ fn theorem_4_2_chi_square_battery() {
 
 /// Theorem 4.2 under a data-dependent draft shape: the draft width
 /// switches *mid-stream* as a function of acceptance history — what any
-/// acceptance-driven policy does (the router's switch between a draft and
-/// a declined, root-only step, [`AdaptiveDecision`], is the simplest),
-/// here modelled as a ladder over widths 1..=4 that climbs on acceptance
-/// and descends on rejection. Because the width chosen for
+/// acceptance-driven policy does (the adaptive router,
+/// [`SpecController`], switches the drafting SSM this way), here modelled
+/// as a ladder over widths 1..=4 that climbs on acceptance and descends
+/// on rejection. Because the width chosen for
 /// step `t` is measurable with respect to the history before step `t`,
 /// every step's output marginal must still be exactly the target `p`;
 /// we χ²-test the *last* step of each chain, whose width is maximally
@@ -363,7 +363,7 @@ fn theorem_4_2_chi_square_battery() {
 /// residual distribution would overshoot the critical value by orders
 /// of magnitude.
 ///
-/// [`AdaptiveDecision`]: specinfer_spec::AdaptiveDecision
+/// [`SpecController`]: specinfer_spec::SpecController
 #[test]
 fn theorem_4_2_chi_square_with_midstream_shape_switching() {
     #[allow(clippy::type_complexity)]

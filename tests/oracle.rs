@@ -755,15 +755,17 @@ fn check_step(cell: &Cell, s: &Session, step: StepStats, fault: StepFault, worst
     }
     assert!(step.tree_size < worst, "{step:?} outgrows {worst} rows");
     assert!(s.kv_rows() <= s.kv_capacity(), "KV overflow");
-    // A static shape drafts every step it fits that no fault forced
-    // root-only: only the adaptive router declines.
+    // A fixed shape, routed or not, drafts every step it fits that no
+    // fault forced root-only.
     let fits = s.kv_rows() - step.emitted + worst <= s.kv_capacity();
     let shape = matches!(
         cell.mode,
-        InferenceMode::SequenceSpeculative { depth: 1.. } | InferenceMode::TreeSpeculative { .. }
+        InferenceMode::SequenceSpeculative { depth: 1.. }
+            | InferenceMode::TreeSpeculative { .. }
+            | InferenceMode::Adaptive { .. }
     );
     if shape && cell.pool != Pool::Empty && fits && !(fault.ssm_stall || fault.kv_oom) {
-        assert!(step.tree_size > 0, "a static shape drafts whenever it fits");
+        assert!(step.tree_size > 0, "a fixed shape drafts whenever it fits");
     }
     // The LLM drafting a static shape for itself drafts all of it
     // whenever it fits, and has it accepted whole unless it was garbage.
@@ -791,8 +793,7 @@ fn check_session(run: &Run, s: &Session, req: &Req, faults: (usize, usize), n_ss
         "stops at its budget or a full context"
     );
     // Telemetry exists exactly for adaptive sessions with SSMs: every
-    // step is root-only or drafted, every draft routed to one SSM, and
-    // only a root-only step can be a decline.
+    // step is root-only or drafted, and every draft routed to one SSM.
     let adaptive = matches!(cell.mode, InferenceMode::Adaptive { .. }) && n_ssms > 0;
     let snap = s.controller_snapshot();
     assert_eq!(
@@ -806,7 +807,6 @@ fn check_session(run: &Run, s: &Session, req: &Req, faults: (usize, usize), n_ss
         let root_only = s.steps().len() - drafted;
         assert_eq!(snap.rung_decisions, [root_only, drafted]);
         assert_eq!(snap.ssm_routes.iter().sum::<usize>(), drafted);
-        assert!(snap.declined <= root_only, "{snap:?}");
     }
 }
 
@@ -839,11 +839,8 @@ fn check_engine(run: &Run) -> Vec<Solo> {
     for cap in distinct(&[2, 8, 32]) {
         assert_eq!(run.ragged(cap), reference, "ragged at cap {cap}");
     }
-    // One drafter leaves the router nothing to pick but whether to draft:
-    // an adaptive session is then a depth-4 sequence up to its first
-    // decline (a root-only step no fault forced where the sequence
-    // drafted), and under greedy decoding emits the same tokens (up to
-    // where either stops: a last step may overshoot the budget).
+    // One drafter leaves the router nothing to pick: an adaptive session
+    // is then a depth-4 sequence, in tokens and in every step.
     let one = matches!(run.cell.pool, Pool::One | Pool::Llm);
     if one && matches!(run.cell.mode, InferenceMode::Adaptive { .. }) {
         let sequence = Cell {
@@ -854,23 +851,12 @@ fn check_engine(run: &Run) -> Vec<Solo> {
             cell: &sequence,
             ..*run
         };
-        let outs = sequence.serial(Slab::Full).into_iter().map(|s| s.out);
-        for (id, (seq, adaptive)) in outs.zip(&reference).enumerate() {
-            let declined = |k: usize| {
-                let f = run.cell.fault(id, k);
-                let forced = f.ssm_stall || f.kv_oom;
-                adaptive.1[k].tree_size == 0 && seq.1[k].tree_size > 0 && !forced
-            };
-            let n = adaptive.1.len().min(seq.1.len());
-            let agree = (0..n).find(|&k| declined(k)).unwrap_or(n);
-            let steps = &adaptive.1[..agree];
-            assert_eq!(steps, &seq.1[..agree], "{id}: sequence(4) until a decline");
-            assert!(agree < n || adaptive.1.len() == seq.1.len(), "{id}: steps");
-            if run.cell.decode == Decode::Greedy {
-                let n = adaptive.0.len().min(seq.0.len());
-                assert_eq!(adaptive.0[..n], seq.0[..n], "{id}: greedy tokens");
-            }
-        }
+        let outs: Vec<Out> = sequence
+            .serial(Slab::Full)
+            .into_iter()
+            .map(|s| s.out)
+            .collect();
+        assert_eq!(outs, reference, "one-SSM adaptive is sequence(4)");
     }
     if run.cell.decode == Decode::Greedy {
         check_incremental(run, &solos);
@@ -1007,10 +993,8 @@ fn check_report(report: &ServeReport, solos: &[Solo]) {
         for c in solos.iter().filter_map(|s| s.controller.as_ref()) {
             controller.absorb(c);
         }
-        let histograms = |c: &ControllerSnapshot| {
-            let counts = (c.rung_decisions.clone(), c.ssm_routes.clone());
-            (counts, c.probes, c.declined)
-        };
+        let histograms =
+            |c: &ControllerSnapshot| (c.rung_decisions.clone(), c.ssm_routes.clone(), c.probes);
         let want = histograms(&controller);
         assert_eq!(histograms(&report.controller), want, "controller");
     }
@@ -1185,8 +1169,6 @@ struct Tally {
     /// Reference steps that drafted, accepted a draft, were stalled or
     /// OOM, and drafted garbage.
     steps: [usize; 4],
-    /// Reference steps the adaptive router declined to draft.
-    declined: usize,
     /// Serving runs' slowed iterations, SSM stalls, garbage drafts, plan
     /// cancellations and completions.
     serving: [usize; 5],
@@ -1206,7 +1188,6 @@ impl Tally {
                     .zip(seen)
                     .for_each(|(n, b)| *n += usize::from(b));
             }
-            self.declined += solo.controller.as_ref().map_or(0, |c| c.declined);
         }
         if let Some(r) = report {
             let f = r.faults;
@@ -1280,34 +1261,25 @@ fn run_cells(cells: &[Cell]) -> Tally {
 // The tests.
 // ---------------------------------------------------------------------
 
-/// Every cell of one decode rule's cross product, and the router
-/// declined somewhere in it.
-fn cross_product_cells(decode: Decode) {
-    let tally = run_cells(&cross_product(decode));
-    tally.assert_live();
-    assert!(tally.declined > 0, "the router never declined: {tally:?}");
-}
-
 #[test]
 fn greedy_cells() {
-    cross_product_cells(Decode::Greedy);
+    run_cells(&cross_product(Decode::Greedy)).assert_live();
 }
 
 #[test]
 fn mss_cells() {
-    cross_product_cells(Decode::Mss);
+    run_cells(&cross_product(Decode::Mss)).assert_live();
 }
 
 #[test]
 fn naive_cells() {
-    cross_product_cells(Decode::Naive);
+    run_cells(&cross_product(Decode::Naive)).assert_live();
 }
 
 /// The chaos mix (SSM garbage, stalls, KV pressure, slow passes,
 /// cancellations) plus a burst on a bounded queue, over eight plan
-/// seeds: replay cuts exactly what each plan schedules, backpressure
-/// engages, and the static tree drafts on every step its faults leave
-/// free.
+/// seeds: replay cuts exactly what each plan schedules, and backpressure
+/// engages.
 #[test]
 fn chaos_plans_cut_only_what_they_schedule() {
     let vocab = ModelConfig::smoke().vocab_size as u32;
@@ -1339,7 +1311,6 @@ fn chaos_plans_cut_only_what_they_schedule() {
     let tally = run_cells(&cells);
     tally.assert_live();
     assert!(tally.backpressure > 0, "a burst must defer or drop");
-    assert_eq!(tally.declined, 0, "static modes always draft");
 }
 
 /// Requests no client should send, batched with ordinary ones, through
@@ -1391,8 +1362,7 @@ fn digests((tokens, steps): &Out, prompt_len: usize) -> (u64, u64) {
 /// them. The adaptive MSS pair was re-pinned on purpose when an SSM
 /// cache started to catch up to the committed rows before it drafts,
 /// and both adaptive rows when the mode became one constant depth-4
-/// shape (the greedy tokens digest did not move). The greedy adaptive
-/// steps digest moved again, alone, when the router learned to decline.
+/// shape (the greedy tokens digest did not move).
 #[test]
 fn outputs_and_acceptance_match_their_pinned_digests() {
     let adaptive = adaptive(AdaptiveConfig::default());
@@ -1426,7 +1396,7 @@ fn outputs_and_acceptance_match_their_pinned_digests() {
             adaptive,
             Pool::Three,
             Decode::Greedy,
-            (8393462203928360335, 14040782622839051074),
+            (8393462203928360335, 17404619331179714351),
         ),
     ];
     let cell = |(mode, pool, decode, _): &(_, _, _, _)| Cell {
