@@ -13,8 +13,9 @@
 //!   thread the machine has.
 //! * `end_to_end` — tokens/step and tokens/s of incremental vs
 //!   tree-speculative generation on the smoke-scale trained suite.
-//! * `simd_backend` / `cpu_features` — which ISA backend the kernels
-//!   dispatched to and what the host CPU reports, so numbers are
+//! * `simd_backend` / `cpu_features` / `packed_tile` — which ISA
+//!   backend the kernels dispatched to, what the host CPU reports and
+//!   which packed register tile ran at which row count, so numbers are
 //!   attributable (set `SPECINFER_SIMD=scalar` to bench the reference).
 //!
 //! Everything is seeded; numbers vary with the machine, shapes don't.
@@ -26,7 +27,7 @@ use specinfer_bench::{Scale, Suite};
 use specinfer_model::DecodeMode;
 use specinfer_spec::{EngineConfig, InferenceMode, SpecEngine, StochasticVerifier};
 use specinfer_tensor::rng::SeededRng;
-use specinfer_tensor::{pool, simd, PackedPanels, Tensor};
+use specinfer_tensor::{pack, pool, simd, PackedPanels, Tensor};
 use specinfer_tokentree::ExpansionConfig;
 
 #[derive(Serialize)]
@@ -77,6 +78,11 @@ struct Report {
     effective_threads: usize,
     simd_backend: String,
     cpu_features: Vec<String>,
+    /// The packed GEMM's register tile by row count for the `ffn`
+    /// layer's up (`k = 96`) and down (`k = 8192`) packs, e.g.
+    /// `k = 96: avx2_4x16 (m < 5), avx512f_16x16 (m >= 5); k = 8192:
+    /// avx2_4x16 (every m)`.
+    packed_tile: String,
     kernels: Vec<KernelResult>,
     ffn: Vec<FfnResult>,
     end_to_end: Vec<EndToEnd>,
@@ -176,7 +182,7 @@ fn bench_ffn() -> Vec<FfnResult> {
     };
     let (w1, w3, w2) = (pack(d, d_ff), pack(d, d_ff), pack(d_ff, d));
     let mut results = Vec::new();
-    for m in [1usize, 2, 5, 20, 32] {
+    for m in [1usize, 2, 5, 10, 20, 32] {
         let h = Tensor::randn(&[m, d], 1.0, &mut rng);
         let (mut gate, mut lin, mut proj) =
             (Tensor::default(), Tensor::default(), Tensor::default());
@@ -228,6 +234,19 @@ fn bench_ffn() -> Vec<FfnResult> {
         specinfer_tensor::set_max_threads(0);
     }
     results
+}
+
+/// Which packed register tile runs at which row count, for the `ffn`
+/// layer's up and down packs.
+fn packed_tiles() -> String {
+    let tiles = |k: usize| {
+        let first = pack::packed_tile(1, k);
+        match (2..=64).find(|&m| pack::packed_tile(m, k) != first) {
+            Some(m) => format!("{first} (m < {m}), {} (m >= {m})", pack::packed_tile(m, k)),
+            None => format!("{first} (every m)"),
+        }
+    };
+    format!("k = 96: {}; k = 8192: {}", tiles(96), tiles(8192))
 }
 
 fn run_mode(
@@ -304,6 +323,7 @@ fn main() {
             .into_iter()
             .map(str::to_string)
             .collect(),
+        packed_tile: packed_tiles(),
         kernels,
         ffn,
         end_to_end,

@@ -36,9 +36,9 @@
 //! The register tile is a row block × one panel: four rows × two AVX2
 //! registers (four NEON ones) of accumulators, so a panel row loaded
 //! from L1 feeds four rows' FMAs and a slice is walked once per *four*
-//! rows. There is one geometry — one panel width, one tile shape per
-//! backend — because every pack of a forward meets every row count: a
-//! per-pack width would be a second layout to test at every `m`.
+//! rows. There is one geometry — one panel width — because every pack
+//! of a forward meets every row count: a per-pack width would be a
+//! second layout to test at every `m`.
 //!
 //! The first row block of a slice pulls it from memory, every further
 //! block reads it from L1, and while a slice is being multiplied each
@@ -49,9 +49,27 @@
 //!
 //! Per output element the reduction therefore remains one ascending-`k`
 //! chain from zero — plain mul+add on the scalar backend, fused FMA on
-//! AVX2/NEON — so within a backend the packed product is **bitwise
-//! identical** to the unpacked blocked kernel for the same element, at
-//! every `m`.
+//! AVX2/AVX-512F/NEON — so within a backend the packed product is
+//! **bitwise identical** to the unpacked blocked kernel for the same
+//! element, at every `m`.
+//!
+//! # The wide tile
+//!
+//! On [`SimdBackend::Avx2Fma`], when the CPU reports AVX-512F, a call
+//! of five rows or more against a pack of one k-slice (`k ≤ K_SLICE`:
+//! every projection out of the model width — QKV, attention output, FFN
+//! up, LM head) runs on a sixteen-row tile instead: one 512-bit
+//! accumulator per row, so a panel-row load feeds up to sixteen FMAs
+//! and a verify's ten rows walk each panel once instead of three times.
+//! Every panel of such a pack reads all of `A`, so the call first
+//! copies `A` once, each block of sixteen rows interleaved `[t][r]`
+//! (`interleave`), and the tile broadcasts a step's rows from one
+//! pointer. Calls of up to four rows — every decode step — and packs
+//! of several slices (the FFN down-projection) keep the four-row tile,
+//! so which tile runs depends only on the CPU, `m` and the pack. Both
+//! x86 tiles keep each output column in its own lane and extend it by
+//! one fused multiply–add per reduction step, in the same order, so
+//! they agree bitwise and the choice never shows in the output.
 //!
 //! # Tensor parallelism
 //!
@@ -72,13 +90,15 @@
 //! still in its cache.
 
 use std::array::from_fn;
+use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::ops::silu_scalar;
 use crate::pool::{self, SharedMut};
 use crate::simd::{self, SimdBackend};
 
-/// Panel width in columns: 16 floats = two AVX2 registers or four NEON
-/// registers per panel row, and exactly one cache line.
+/// Panel width in columns: 16 floats = one AVX-512 register, two AVX2
+/// or four NEON registers per panel row, and exactly one cache line.
 pub const PANEL_WIDTH: usize = 16;
 
 /// Row count up to which the model's dense layers multiply against the
@@ -96,6 +116,111 @@ pub(crate) const K_SLICE: usize = 256;
 const ROW_BLOCK: usize = 4;
 // `gemm` spells out the short last blocks of 3, 2 and 1 rows.
 const _: () = assert!(ROW_BLOCK == 4);
+
+/// Rows of `A` per block of the wide tile: sixteen of the thirty-two
+/// AVX-512 registers hold accumulators.
+const WIDE_ROWS: usize = 16;
+
+/// Fewest rows a call needs for the wide tile: up to four rows fit one
+/// four-row block already, so below this there is no panel walk to save.
+const WIDE_MIN_ROWS: usize = ROW_BLOCK + 1;
+
+/// The register tile a multiply runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Tile {
+    /// Four rows, computed two at a time with plain mul+add.
+    Scalar,
+    /// Four rows × two 256-bit accumulators (x86-64, AVX2+FMA).
+    Avx2,
+    /// Sixteen interleaved rows × one 512-bit accumulator (x86-64,
+    /// AVX-512F), for packs of one k-slice.
+    Avx512,
+    /// Four rows × four 128-bit accumulators (aarch64).
+    Neon,
+}
+
+impl Tile {
+    /// The tile a call of `m` rows against a pack of reduction length
+    /// `k` runs on backend `be`: the backend's own, except that on AVX2
+    /// a CPU with AVX-512F runs calls of [`WIDE_MIN_ROWS`] rows or more
+    /// against one-slice packs on the wide tile. Both x86 tiles compute
+    /// every element the same way, so the choice never shows in the
+    /// bits.
+    fn select(be: SimdBackend, m: usize, k: usize) -> Tile {
+        match be {
+            SimdBackend::Scalar => Tile::Scalar,
+            SimdBackend::Avx2Fma
+                if m >= WIDE_MIN_ROWS && k <= K_SLICE && simd::avx512_available() =>
+            {
+                Tile::Avx512
+            }
+            SimdBackend::Avx2Fma => Tile::Avx2,
+            SimdBackend::Neon => Tile::Neon,
+        }
+    }
+
+    /// Stable name: instruction set, rows × columns.
+    fn name(self) -> &'static str {
+        match self {
+            Tile::Scalar => "scalar_4x16",
+            Tile::Avx2 => "avx2_4x16",
+            Tile::Avx512 => "avx512f_16x16",
+            Tile::Neon => "neon_4x16",
+        }
+    }
+}
+
+/// The packed register tile a call of `m` rows against a pack of
+/// reduction length `k` runs on the process's backend, by name
+/// (`avx2_4x16`, `avx512f_16x16`, …), for benchmark reports.
+pub fn packed_tile(m: usize, k: usize) -> &'static str {
+    Tile::select(simd::backend(), m, k).name()
+}
+
+thread_local! {
+    /// The calling thread's [`interleave`]d copy of `A` for the wide
+    /// tile, kept for its next call: `m × k ≤ m × K_SLICE` floats.
+    static INTERLEAVED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on `A` (`[m, k]` row-major) as `tile` reads it: the wide
+/// tile's [`interleave`]d copy, every other tile's rows in place.
+fn with_lhs<T>(tile: Tile, a: &[f32], k: usize, f: impl FnOnce(&[f32]) -> T) -> T {
+    match tile {
+        Tile::Avx512 => INTERLEAVED.with_borrow_mut(|il| {
+            interleave(a, k, il);
+            f(il)
+        }),
+        _ => f(a),
+    }
+}
+
+/// Writes into `il` `A`'s rows in blocks of [`WIDE_ROWS`] (the last one
+/// shorter), each block `[t][r]`: element `(r, t)` of a block of `R`
+/// rows at `t · R + r`, so a reduction step's `R` elements are adjacent.
+fn interleave(a: &[f32], k: usize, il: &mut Vec<f32>) {
+    il.clear();
+    for blk in a.chunks(WIDE_ROWS * k) {
+        for t in 0..k {
+            il.extend(blk.chunks_exact(k).map(|row| row[t]));
+        }
+    }
+}
+
+/// Calls `$call` with the const `$R` = `$rows`, one of the listed row
+/// counts: a register tile's row count is a type-level constant.
+#[cfg(target_arch = "x86_64")]
+macro_rules! with_rows {
+    ($rows:expr, [$($n:literal)+], |$R:ident| $call:expr) => {
+        match $rows {
+            $($n => {
+                const $R: usize = $n;
+                $call
+            })+
+            rows => unreachable!("a row block of {rows} rows"),
+        }
+    };
+}
 
 /// A weight matrix repacked into [`PANEL_WIDTH`]-column panels.
 ///
@@ -173,12 +298,28 @@ impl PackedPanels {
     /// is not whole rows of length `k`, or if `out` is not `m × n`.
     pub fn matvec_into_with(&self, be: SimdBackend, a: &[f32], out: &mut [f32]) {
         self.check_shapes(a, out.len());
+        // SAFETY: `be` came from detection (`backend`,
+        // `available_backends`); `select` adds only the AVX-512F tile,
+        // and only where that was detected too.
+        unsafe { self.matvec_into_tile(Tile::select(be, a.len() / self.k, self.k), a, out) }
+    }
+
+    /// [`PackedPanels::matvec_into_with`] on an explicit register tile.
+    ///
+    /// # Safety
+    ///
+    /// The instruction set `tile` is written for must be available.
+    // SAFETY: (contract above) shapes are checked here; see `gemm_with`.
+    unsafe fn matvec_into_tile(&self, tile: Tile, a: &[f32], out: &mut [f32]) {
+        self.check_shapes(a, out.len());
         let out = SharedMut(out.as_mut_ptr());
         let tasks = self.tasks();
-        pool::run(tasks, |t| {
-            // SAFETY: `out` is `m × n` (checked above) and mutably
-            // borrowed for the whole region; tasks get disjoint panels.
-            unsafe { self.gemm_with(be, a, out.get(), self.panel_run(t, tasks)) }
+        with_lhs(tile, a, self.k, |a| {
+            pool::run(tasks, |t| {
+                // SAFETY: `out` is `m × n` (checked above) and mutably
+                // borrowed for the whole region; tasks get disjoint panels.
+                unsafe { self.gemm_with(tile, a, out.get(), self.panel_run(t, tasks)) }
+            })
         });
     }
 
@@ -202,23 +343,26 @@ impl PackedPanels {
         self.check_shapes(a, gate.len());
         assert_eq!(gate.len(), lin.len(), "lin must be m×n");
         let (be, n, m) = (simd::backend(), self.n, a.len() / self.k);
+        let tile = Tile::select(be, m, self.k);
         let (gate, lin) = (SharedMut(gate.as_mut_ptr()), SharedMut(lin.as_mut_ptr()));
         let tasks = self.tasks();
-        pool::run(tasks, |t| {
-            let std::ops::Range { start: p0, end: p1 } = self.panel_run(t, tasks);
-            let (j0, j1) = (p0 * PANEL_WIDTH, n.min(p1 * PANEL_WIDTH));
-            // SAFETY: `gate` and `lin` are `m × n` (checked above) and
-            // mutably borrowed for the whole region; columns `j0..j1` of
-            // their rows belong to this task's panels alone.
-            unsafe {
-                self.gemm_with(be, a, gate.get(), p0..p1);
-                up.gemm_with(be, a, lin.get(), p0..p1);
-                for r in 0..m {
-                    let g = std::slice::from_raw_parts_mut(gate.get().add(r * n + j0), j1 - j0);
-                    let l = std::slice::from_raw_parts(lin.get().add(r * n + j0), j1 - j0);
-                    swiglu_epilogue(be, g, l);
+        with_lhs(tile, a, self.k, |a| {
+            pool::run(tasks, |t| {
+                let Range { start: p0, end: p1 } = self.panel_run(t, tasks);
+                let (j0, j1) = (p0 * PANEL_WIDTH, n.min(p1 * PANEL_WIDTH));
+                // SAFETY: `select` names only detected tiles; `gate` and
+                // `lin` are `m × n` (checked above), borrowed for the
+                // region; columns `j0..j1` of their rows are this task's.
+                unsafe {
+                    self.gemm_with(tile, a, gate.get(), p0..p1);
+                    up.gemm_with(tile, a, lin.get(), p0..p1);
+                    for r in 0..m {
+                        let g = std::slice::from_raw_parts_mut(gate.get().add(r * n + j0), j1 - j0);
+                        let l = std::slice::from_raw_parts(lin.get().add(r * n + j0), j1 - j0);
+                        swiglu_epilogue(be, g, l);
+                    }
                 }
-            }
+            })
         });
     }
 
@@ -243,52 +387,81 @@ impl PackedPanels {
     }
 
     /// The contiguous run of panels task `t` of `tasks` multiplies.
-    fn panel_run(&self, t: usize, tasks: usize) -> std::ops::Range<usize> {
+    fn panel_run(&self, t: usize, tasks: usize) -> Range<usize> {
         let panels = self.n.div_ceil(PANEL_WIDTH);
         panels * t / tasks..panels * (t + 1) / tasks
     }
 
-    /// [`PackedPanels::gemm`] on backend `be`.
-    ///
-    /// # Safety
-    ///
-    /// As for [`PackedPanels::gemm`]; `be` came from runtime detection.
-    // SAFETY: (contract above) each tile type is only named under the
-    // backend whose detection vouches for its instruction set.
-    unsafe fn gemm_with(
-        &self,
-        be: SimdBackend,
-        a: &[f32],
-        out: *mut f32,
-        panels: std::ops::Range<usize>,
-    ) {
-        match be {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2Fma` is only selectable when AVX2+FMA were
-            // detected at startup; `out` per this fn's contract.
-            SimdBackend::Avx2Fma => unsafe { self.gemm::<simd::avx2::PackedTile>(a, out, panels) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is baseline on aarch64; `out` as above.
-            SimdBackend::Neon => unsafe { self.gemm::<simd::neon::PackedTile>(a, out, panels) },
-            // SAFETY: the scalar tile uses no ISA extension; `out` as above.
-            _ => unsafe { self.gemm::<ScalarTile>(a, out, panels) },
-        }
-    }
-
-    /// The loop nest of the module docs over one backend's register
-    /// tile and a run of `panels`: writes columns
-    /// `panels.start · 32 .. min(n, panels.end · 32)` of every row of
+    /// The loop nest of the module docs over a run of `panels` on
+    /// register tile `tile`: writes columns
+    /// `panels.start · 16 .. min(n, panels.end · 16)` of every row of
     /// `out`, and nothing else.
     ///
     /// # Safety
     ///
-    /// The instruction set `T` is written for must be available. `a`
-    /// must be whole rows of length `k` and `out` point at `m × n`
-    /// floats nobody else reads, or writes in these columns, meanwhile.
+    /// The instruction set `tile` is written for must be available. `a`
+    /// must be whole rows of length `k` laid out as [`with_lhs`] lays
+    /// them out for `tile`, and `out` point at `m × n` floats nobody else
+    /// reads, or writes in these columns, meanwhile.
+    // SAFETY: (contract above) each tile is only named under the `Tile`
+    // whose instruction set the caller vouches for.
+    unsafe fn gemm_with(&self, tile: Tile, a: &[f32], out: *mut f32, panels: Range<usize>) {
+        // SAFETY: as the caller vouches.
+        unsafe {
+            match tile {
+                #[cfg(target_arch = "x86_64")]
+                Tile::Avx2 => self.gemm::<simd::avx2::PackedTile>(a, out, panels),
+                #[cfg(target_arch = "x86_64")]
+                Tile::Avx512 => self.gemm_wide(a, out, panels),
+                #[cfg(target_arch = "aarch64")]
+                Tile::Neon => self.gemm::<simd::neon::PackedTile>(a, out, panels),
+                _ => self.gemm::<ScalarTile>(a, out, panels),
+            }
+        }
+    }
+
+    /// [`PackedPanels::gemm_with`] on the wide tile: one k-slice per
+    /// panel, `a` [`interleave`]d, every block of up to [`WIDE_ROWS`]
+    /// rows one tile call per panel.
+    ///
+    /// # Safety
+    ///
+    /// As for `gemm_with`, with AVX-512F available.
+    #[cfg(target_arch = "x86_64")]
     // SAFETY: (contract above) the only raw accesses are the output row
     // segments: row `< m`, columns `j0..j1` inside `n`, so in bounds of
     // `out`; segments of different rows are disjoint.
-    unsafe fn gemm<T: PanelTile>(&self, a: &[f32], out: *mut f32, panels: std::ops::Range<usize>) {
+    unsafe fn gemm_wide(&self, a: &[f32], out: *mut f32, panels: Range<usize>) {
+        let (k, n) = (self.k, self.n);
+        assert!(k <= K_SLICE, "the wide tile takes packs of one k-slice");
+        for p in panels {
+            let (j0, j1) = (p * PANEL_WIDTH, n.min((p + 1) * PANEL_WIDTH));
+            let b = &self.data[p * k * PANEL_WIDTH..(p + 1) * k * PANEL_WIDTH];
+            for (i, a_blk) in a.chunks(WIDE_ROWS * k).enumerate() {
+                // SAFETY: see the function-level argument.
+                let o = |d: usize| unsafe {
+                    std::slice::from_raw_parts_mut(out.add((i * WIDE_ROWS + d) * n + j0), j1 - j0)
+                };
+                // SAFETY: the caller vouches for AVX-512F; a block's rows
+                // are distinct, so are their output segments.
+                unsafe {
+                    with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
+                        simd::avx512::tile::<R>(b, a_blk, from_fn(o))
+                    })
+                }
+            }
+        }
+    }
+
+    /// [`PackedPanels::gemm_with`] on a four-row tile `T`, `a` row-major.
+    ///
+    /// # Safety
+    ///
+    /// As for `gemm_with`, for `T`'s instruction set.
+    // SAFETY: (contract above) the only raw accesses are the output row
+    // segments: row `< m`, columns `j0..j1` inside `n`, so in bounds of
+    // `out`; segments of different rows are disjoint.
+    unsafe fn gemm<T: PanelTile>(&self, a: &[f32], out: *mut f32, panels: Range<usize>) {
         let (k, n) = (self.k, self.n);
         let m = a.len() / k;
         let blocks = m.div_ceil(ROW_BLOCK);
@@ -495,13 +668,18 @@ pub(crate) mod tests {
 
     #[test]
     fn packed_matches_unpacked_bitwise_on_every_backend_at_every_row_count() {
-        // Row counts on both sides of every row-block boundary, reduction
-        // lengths on both sides of the k-slice boundary and at the FFN
-        // size, column counts on both sides of the panel boundary. `out`
-        // starts as NaN: the first slice must not read it and padding
-        // lanes must never reach it.
-        let ms = [1usize, 2, 3, 4, 5, 7, 8, 9, 20, 21, 48, 257];
-        let ks = [1usize, 96, K_SLICE - 1, K_SLICE, K_SLICE + 1, 8192];
+        // Row counts on both sides of every row-block boundary of both
+        // x86 tiles (4-row blocks; the wide tile's first row count, a
+        // verify's 10 rows, its 16-row blocks), reduction lengths on
+        // both sides of the k-slice boundary — the wide tile's
+        // interleaved `A` up to it, accumulators carried through `out`
+        // past it — and at the FFN sizes, column counts on both sides
+        // of the panel boundary. `out` starts as NaN: the first slice
+        // must not read it and padding lanes must never reach it.
+        let ms = [
+            1usize, 2, 3, 4, 5, 7, 8, 9, 10, 16, 17, 20, 21, 31, 32, 33, 40, 48, 257,
+        ];
+        let ks = [1usize, 95, 96, K_SLICE - 1, K_SLICE, K_SLICE + 1, 8192];
         let ns = [1usize, 15, 16, 17, 31, 32, 33, 47, 48, 49, 288];
         let a = randn(&[257, 8192], 3);
         for &k in &ks {
@@ -528,7 +706,9 @@ pub(crate) mod tests {
         for &(k, n) in &SHARED_SHAPES {
             let b = randn(&[k, n], 5);
             let p = PackedPanels::from_nn(b.data(), k, n);
-            for m in [1usize, 2, 3, 4, 5, 7, 8, 9, 20, 257] {
+            for m in [
+                1usize, 2, 3, 4, 5, 7, 8, 9, 10, 16, 17, 20, 31, 32, 33, 40, 257,
+            ] {
                 // 257 rows of the scalar backend are slow: the three
                 // shapes that cut differently, at two and eight threads.
                 let tall = m == 257;
@@ -550,6 +730,39 @@ pub(crate) mod tests {
             }
         }
         set_max_threads(0);
+    }
+
+    #[test]
+    fn wide_tile_equals_four_row_tile_bitwise_at_every_row_count() {
+        if !(simd::available_backends().contains(&SimdBackend::Avx2Fma) && simd::avx512_available())
+        {
+            eprintln!("skipped: this CPU does not report AVX2+FMA and AVX-512F");
+            return;
+        }
+        // Both tiles forced at every row count, 1..=4 included, where
+        // `select` would not pick the wide one, on packs of one k-slice
+        // (the wide tile's) with ragged and whole last panels; `out`
+        // starts as NaN.
+        let a = randn(&[40, K_SLICE], 14);
+        for &(k, n) in &[
+            (1usize, 17usize),
+            (95, 33),
+            (96, 288),
+            (K_SLICE - 1, 16),
+            (K_SLICE, 49),
+        ] {
+            let p = PackedPanels::from_nn(randn(&[k, n], 15).data(), k, n);
+            for m in 1..=40 {
+                let a = &a.data()[..m * k];
+                let [wide, four] = [Tile::Avx512, Tile::Avx2].map(|tile| {
+                    let mut out = vec![f32::NAN; m * n];
+                    // SAFETY: AVX2+FMA and AVX-512F were detected above.
+                    unsafe { p.matvec_into_tile(tile, a, &mut out) };
+                    out
+                });
+                assert!(wide == four, "{m}x{k}x{n}");
+            }
+        }
     }
 
     #[test]

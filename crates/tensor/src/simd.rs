@@ -10,6 +10,14 @@
 //! environment variable (`scalar` / `avx2` / `neon` / `native`) falling
 //! back to runtime CPU feature detection. No per-call feature probing.
 //!
+//! AVX-512F is not a backend. It is detected once too, and on the AVX2
+//! backend it gives the packed GEMM a second register tile
+//! (`avx512`: sixteen rows × one 512-bit register, for calls of five
+//! rows or more against packs of one k-slice; see [`crate::pack`],
+//! "The wide tile"). That tile
+//! computes every element exactly as the AVX2 one, so no backend,
+//! `SPECINFER_SIMD` value or result depends on it.
+//!
 //! # Determinism contract
 //!
 //! Bitwise equality **between** backends is not promised: FMA contracts
@@ -19,7 +27,7 @@
 //!
 //! * Column-vectorised kernels (`nn`, packed panels) keep one ascending-`k`
 //!   chain per output element — lanes are independent output columns, so
-//!   vector width never reorders a reduction.
+//!   vector width (256 or 512 bits) never reorders a reduction.
 //! * Dot-product kernels (`nt`) split each reduction into a *fixed* number
 //!   of per-lane ascending-`k` chains (lane `l` accumulates elements
 //!   `l, l+W, l+2W, …`), combine them with a deterministic pairwise
@@ -119,6 +127,20 @@ fn avx2_available() -> bool {
 
 #[cfg(not(target_arch = "x86_64"))]
 fn avx2_available() -> bool {
+    false
+}
+
+/// Whether the CPU reports AVX-512F (std probes the CPU once and caches
+/// the answer). It selects no backend: on [`SimdBackend::Avx2Fma`] it
+/// lets the packed GEMM run calls of five rows or more against packs of
+/// one k-slice on its 16-row tile ([`crate::pack`], "The wide tile").
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx512_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn avx512_available() -> bool {
     false
 }
 
@@ -616,6 +638,52 @@ pub(crate) mod avx2 {
         _mm256_storeu_ps(p.add(8), acc[1]);
         if o.len() < PANEL_WIDTH {
             o.copy_from_slice(&spill[..o.len()]);
+        }
+    }
+}
+
+/// The wide register tile of the packed GEMM (see [`crate::pack`], "The
+/// wide tile"): up to sixteen rows × one 16-column panel as one 512-bit
+/// accumulator per row, one panel-row load feeding a FMA per row and
+/// reduction step. A lane is an output column and each column one fused
+/// ascending-`k` chain, exactly as in the AVX2 tile's two 256-bit
+/// halves, so the two tiles agree bitwise element for element.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512 {
+    use core::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+
+    use crate::pack::PANEL_WIDTH;
+
+    /// `o[r] = A[r] × b` for `R` rows: `b` is a whole panel of a pack
+    /// of one k-slice (`kc` rows of [`PANEL_WIDTH`]), `a` the block's
+    /// rows of `A` interleaved `[t][r]` (`A[r][t]` at `a[t·R + r]`, so
+    /// every broadcast of a step addresses one pointer), `o[r]` the
+    /// panel's real columns of output row `r`. `o` is only written.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available.
+    // SAFETY: (contract above) reads stay inside the asserted lengths;
+    // masked stores touch the first `o[r].len() ≤ 16` floats of `o[r]`.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: [&mut [f32]; R]) {
+        let kc = b.len() / PANEL_WIDTH;
+        assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
+        assert_eq!(a.len(), kc * R, "one A element per row and panel row");
+        let mut acc = [_mm512_setzero_ps(); R];
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        for t in 0..kc {
+            let b_row = _mm512_loadu_ps(bp.add(t * PANEL_WIDTH));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(t * R + r)), b_row, *acc);
+            }
+        }
+        for (acc, o) in acc.iter().zip(o) {
+            assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
+            let columns = ((1u32 << o.len()) - 1) as u16;
+            _mm512_mask_storeu_ps(o.as_mut_ptr(), columns, *acc);
         }
     }
 }

@@ -228,13 +228,16 @@ fn greedy_tree_speculation_is_thread_count_invariant_through_the_pool() {
 }
 
 #[test]
-fn pooled_ffn_keeps_speculation_and_batching_bitwise_at_3_5_and_9_rows() {
-    // Tree verifies of 3, 5 and 9 rows sit on both sides of the packed
-    // GEMM's four-row block, and at `d_ff = 8192` the SwiGLU region is
-    // shared with the pool at two threads: greedy speculation must still
-    // emit the incremental sequence, and a batch of two (6, 10 and 18
-    // stacked rows) exactly what the two sessions emit alone. The LLM
-    // drafts for itself, so rows are accepted and the cache compacted.
+fn pooled_ffn_keeps_speculation_and_batching_bitwise_at_3_5_9_10_and_17_rows() {
+    // Tree verifies of 3, 5, 9, 10 and 17 rows sit on both sides of the
+    // packed GEMM's four-row block and, on a CPU with AVX-512F, of the
+    // row count where the 16-row tile takes over the one-slice packs
+    // (10 rows are one block of it, 17 two), and at `d_ff = 8192` the
+    // SwiGLU region is shared with the pool at two threads: greedy
+    // speculation must still emit the incremental sequence, and a batch
+    // of two (6, 10, 18, 20 and 34 stacked rows) exactly what the two
+    // sessions emit alone. The LLM drafts for itself, so rows are
+    // accepted and the cache compacted.
     use specinfer::tensor::set_max_threads;
     let _threads = threads_lock();
     let llm = Transformer::from_seed(
@@ -259,7 +262,13 @@ fn pooled_ffn_keeps_speculation_and_batching_bitwise_at_3_5_and_9_rows() {
             SpecEngine::new(&llm, vec![], engine_config(InferenceMode::Incremental))
                 .generate(&prompt, 0)
         });
-        for (widths, rows) in [(vec![2], 3), (vec![2, 1], 5), (vec![2, 3], 9)] {
+        for (widths, rows) in [
+            (vec![2], 3),
+            (vec![2, 1], 5),
+            (vec![2, 3], 9),
+            (vec![3, 2], 10),
+            (vec![4, 3], 17),
+        ] {
             let spec = engine_config(InferenceMode::TreeSpeculative {
                 expansion: ExpansionConfig::new(widths),
             });
