@@ -338,8 +338,10 @@ pub fn serve(args: &Parsed) -> Result<(), String> {
     let rows = &report.verify_rows;
     if rows.llm_forwards > 0 {
         println!(
-            "verify: {} rows in {} LLM forwards, {:.3} forwards per generated token",
+            "verify: {} rows ({} tree, {} prompt) in {} LLM forwards, {:.3} forwards per generated token",
+            rows.forwarded_rows() + rows.prompt_rows,
             rows.forwarded_rows(),
+            rows.prompt_rows,
             rows.llm_forwards,
             rows.llm_forwards as f64 / report.total_generated().max(1) as f64
         );

@@ -21,8 +21,6 @@
 //! watermark move (no data motion) and [`KvCache::retain_rows`] is one
 //! in-place compaction memmove per head.
 
-use specinfer_tensor::Tensor;
-
 /// Per-layer key/value slabs for one sequence.
 ///
 /// `k` and `v` are each `[n_heads][capacity, head_dim]`: head `h`'s rows
@@ -34,16 +32,6 @@ struct LayerCache {
     /// Rows written to this layer (committed rows plus any rows appended
     /// by a forward pass that has not yet called `commit_rows`).
     rows: usize,
-}
-
-/// A strided view of append-source rows: row `r` starts at
-/// `data[r · stride + off..]` and is `d_model` wide. Lets one scatter
-/// loop serve both separate K/V tensors and a fused QKV buffer.
-#[derive(Clone, Copy)]
-struct RowSource<'a> {
-    data: &'a [f32],
-    stride: usize,
-    off: usize,
 }
 
 /// The KV cache of one request against one model.
@@ -115,42 +103,13 @@ impl KvCache {
         self.layers.len()
     }
 
-    /// Appends `n` rows to layer `layer` from `[n, d_model]` key/value
-    /// tensors. Callers must append the same `n` to every layer of one
-    /// forward pass and then call [`KvCache::commit_rows`] once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dims disagree or capacity would be exceeded.
-    // The fused-QKV forward path appends via `append_layer_fused_rows`;
-    // this unfused form remains for callers holding separate K/V tensors.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn append_layer_rows(&mut self, layer: usize, k: &Tensor, v: &Tensor) {
-        assert_eq!(k.dims(), v.dims(), "key and value dims must agree");
-        assert_eq!(k.cols(), self.d_model(), "row width must equal d_model");
-        let d = self.d_model();
-        self.append_layer_from(
-            layer,
-            RowSource {
-                data: k.data(),
-                stride: d,
-                off: 0,
-            },
-            RowSource {
-                data: v.data(),
-                stride: d,
-                off: 0,
-            },
-            k.rows(),
-        );
-    }
-
     /// Appends `n` rows to layer `layer` straight from a fused
     /// `[n, stride]` projection buffer: row `r`'s key is
     /// `data[r·stride + k_off ..][..d_model]` and its value is
-    /// `data[r·stride + v_off ..][..d_model]`. This lets the fused-QKV
-    /// forward pass feed the cache without first slicing the packed
-    /// buffer into separate key/value tensors.
+    /// `data[r·stride + v_off ..][..d_model]`, each split per head into
+    /// the layer's head-major slabs. Callers must append the same `n` to
+    /// every layer of one forward pass and then call
+    /// [`KvCache::commit_rows`] once.
     ///
     /// # Panics
     ///
@@ -174,26 +133,6 @@ impl KvCache {
             k_off + d <= stride && v_off + d <= stride,
             "offset overruns fused row"
         );
-        self.append_layer_from(
-            layer,
-            RowSource {
-                data,
-                stride,
-                off: k_off,
-            },
-            RowSource {
-                data,
-                stride,
-                off: v_off,
-            },
-            n,
-        );
-    }
-
-    /// Shared scatter for both append forms: row `r` of a [`RowSource`]
-    /// starts at `data[r·stride + off..]`; each row is split per head
-    /// into the layer's head-major slabs.
-    fn append_layer_from(&mut self, layer: usize, k: RowSource<'_>, v: RowSource<'_>, n: usize) {
         let hd = self.head_dim;
         let cap = self.max_len;
         let lc = &mut self.layers[layer];
@@ -204,14 +143,13 @@ impl KvCache {
             n,
             cap
         );
-        for r in 0..n {
-            let k_row = &k.data[r * k.stride + k.off..];
-            let v_row = &v.data[r * v.stride + v.off..];
+        for (r, row) in data.chunks(stride).take(n).enumerate() {
             let dst_row = lc.rows + r;
             for h in 0..self.n_heads {
                 let dst = h * cap * hd + dst_row * hd;
-                lc.k[dst..dst + hd].copy_from_slice(&k_row[h * hd..(h + 1) * hd]);
-                lc.v[dst..dst + hd].copy_from_slice(&v_row[h * hd..(h + 1) * hd]);
+                let src = h * hd;
+                lc.k[dst..dst + hd].copy_from_slice(&row[k_off + src..k_off + src + hd]);
+                lc.v[dst..dst + hd].copy_from_slice(&row[v_off + src..v_off + src + hd]);
             }
         }
         lc.rows += n;
@@ -293,57 +231,46 @@ impl KvCache {
         self.len = new_len;
     }
 
-    /// Keeps rows `[0, prefix_len)` plus, in the given order, the rows at
-    /// `prefix_len + rel` for each `rel` in `keep_rel`; drops everything
-    /// else. This is how token-tree verification compacts the cache down
-    /// to the accepted path (root + verified tokens).
+    /// Keeps rows `[0, prefix_len)` plus the rows at `prefix_len + rel`
+    /// for each `rel` in `keep_rel`; drops everything else. This is how
+    /// token-tree verification compacts the cache down to the accepted
+    /// path (root + verified tokens).
     ///
-    /// Because DFS linearization places ancestors before descendants, the
-    /// accepted path's indices are strictly increasing, so the common
-    /// case compacts each head with one forward in-place memmove; an
-    /// arbitrary keep order falls back to a gather through scratch.
+    /// DFS linearization places ancestors before descendants, so an
+    /// accepted path's indices are strictly increasing, and each head
+    /// compacts with one forward in-place memmove: destination
+    /// `prefix_len + i` never exceeds source `prefix_len + keep_rel[i]`,
+    /// and each write lands at or below every source still to be read.
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range or `prefix_len > self.len()`.
+    /// Panics if `keep_rel` is not strictly increasing, any index is out
+    /// of range, or `prefix_len > self.len()`.
     pub fn retain_rows(&mut self, prefix_len: usize, keep_rel: &[usize]) {
         assert!(prefix_len <= self.len, "prefix exceeds cache length");
-        let hd = self.head_dim;
-        let cap = self.max_len;
-        for rel in keep_rel {
+        assert!(
+            keep_rel.windows(2).all(|w| w[0] < w[1]),
+            "retained rows must be strictly increasing: {keep_rel:?}"
+        );
+        if let Some(rel) = keep_rel.last() {
             assert!(
                 prefix_len + rel < self.len,
                 "retained row {rel} out of range"
             );
         }
-        // Strictly increasing keeps (the DFS accepted path) can move rows
-        // forward in place: destination `prefix_len + i` never exceeds
-        // source `prefix_len + keep_rel[i]`, and each write lands at or
-        // below every source still to be read.
-        let increasing = keep_rel.windows(2).all(|w| w[0] < w[1]);
+        let hd = self.head_dim;
+        let cap = self.max_len;
         for l in &mut self.layers {
             for h in 0..self.n_heads {
                 let base = h * cap * hd;
                 for slab in [&mut l.k, &mut l.v] {
                     let head = &mut slab[base..base + cap * hd];
-                    if increasing {
-                        for (i, &rel) in keep_rel.iter().enumerate() {
-                            let src = (prefix_len + rel) * hd;
-                            let dst = (prefix_len + i) * hd;
-                            if src != dst {
-                                head.copy_within(src..src + hd, dst);
-                            }
+                    for (i, &rel) in keep_rel.iter().enumerate() {
+                        let src = (prefix_len + rel) * hd;
+                        let dst = (prefix_len + i) * hd;
+                        if src != dst {
+                            head.copy_within(src..src + hd, dst);
                         }
-                    } else {
-                        let kept: Vec<f32> = keep_rel
-                            .iter()
-                            .flat_map(|&rel| {
-                                let src = (prefix_len + rel) * hd;
-                                head[src..src + hd].to_vec()
-                            })
-                            .collect();
-                        head[prefix_len * hd..(prefix_len + keep_rel.len()) * hd]
-                            .copy_from_slice(&kept);
                     }
                 }
             }
@@ -363,14 +290,25 @@ mod tests {
     use super::*;
     use specinfer_tensor::rng::SeededRng;
 
+    /// Appends the rows of `[n, d]` keys `k` and values `v` to `layer`
+    /// through the fused form, as one `[n, 2·d]` key‖value buffer.
+    fn append(c: &mut KvCache, layer: usize, k: &[f32], v: &[f32]) {
+        let d = c.d_model();
+        let fused: Vec<f32> = k
+            .chunks(d)
+            .zip(v.chunks(d))
+            .flat_map(|(k, v)| k.iter().chain(v).copied())
+            .collect();
+        c.append_layer_fused_rows(layer, &fused, 2 * d, 0, d, k.len() / d);
+    }
+
     fn filled_cache() -> KvCache {
         let mut c = KvCache::new(2, 1, 3, 16);
         for row in 0..5 {
             for layer in 0..2 {
                 let base = (layer * 100 + row * 10) as f32;
-                let k = Tensor::from_vec(vec![base, base + 1.0, base + 2.0], &[1, 3]);
-                let v = k.scale(-1.0);
-                c.append_layer_rows(layer, &k, &v);
+                let k = [base, base + 1.0, base + 2.0];
+                append(&mut c, layer, &k, &k.map(|x| -x));
             }
             c.commit_rows(1);
         }
@@ -417,8 +355,7 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn capacity_is_enforced() {
         let mut c = KvCache::new(1, 1, 2, 1);
-        let k = Tensor::zeros(&[2, 2]);
-        c.append_layer_rows(0, &k, &k);
+        append(&mut c, 0, &[0.0; 4], &[0.0; 4]);
     }
 
     #[test]
@@ -433,9 +370,8 @@ mod tests {
         let mut c = KvCache::new(1, 2, 2, 8);
         // Two rows of d_model = 4: head 0 owns columns 0..2, head 1 owns
         // columns 2..4.
-        let k = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], &[2, 4]);
-        let v = k.scale(10.0);
-        c.append_layer_rows(0, &k, &v);
+        let k = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+        append(&mut c, 0, &k, &k.map(|x| x * 10.0));
         c.commit_rows(2);
         assert_eq!(c.key_head(0, 0), &[1.0, 2.0, 5.0, 6.0]);
         assert_eq!(c.key_head(0, 1), &[3.0, 4.0, 7.0, 8.0]);
@@ -532,9 +468,7 @@ mod tests {
                                 (0..n * d).map(|_| rng.uniform() - 0.5).collect();
                             let v: Vec<f32> =
                                 (0..n * d).map(|_| rng.uniform() - 0.5).collect();
-                            let kt = Tensor::from_vec(k.clone(), &[n, d]);
-                            let vt = Tensor::from_vec(v.clone(), &[n, d]);
-                            slab.append_layer_rows(layer, &kt, &vt);
+                            append(&mut slab, layer, &k, &v);
                             reference.append(layer, &k, &v);
                         }
                         slab.commit_rows(n);
@@ -566,13 +500,9 @@ mod tests {
     }
 
     #[test]
-    fn retain_rows_accepts_arbitrary_keep_order() {
+    #[should_panic(expected = "strictly increasing")]
+    fn retain_rows_rejects_an_out_of_order_keep() {
         let mut c = filled_cache();
-        // Out-of-order keep exercises the gather fallback.
         c.retain_rows(1, &[3, 0, 2]);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.key_row(0, 1), &[40.0, 41.0, 42.0]);
-        assert_eq!(c.key_row(0, 2), &[10.0, 11.0, 12.0]);
-        assert_eq!(c.key_row(0, 3), &[30.0, 31.0, 32.0]);
     }
 }

@@ -25,11 +25,12 @@ pub enum Visibility<'a> {
     Causal,
     /// Tree decoding under the topology-aware causal mask. Once the
     /// batch is appended, the last `mask.len()` cache rows are the tree
-    /// (laid out parents first) and the batch rows are its last ones;
-    /// every earlier row is the committed prefix. A row sees the whole
-    /// prefix and exactly its tree ancestors. The verifier's mask covers
-    /// just the batch; a drafter's covers every tree row it has appended
-    /// since the prefix.
+    /// (laid out parents first); every earlier row is the prefix, and
+    /// earlier rows of the batch among them are seen causally, as under
+    /// [`Visibility::Causal`]. A tree row sees the whole prefix and
+    /// exactly its tree ancestors. The verifier's batch is the rows its
+    /// cache still lacks followed by the whole tree; a drafter's mask
+    /// covers every tree row it has appended since the prefix.
     Tree(&'a TopologyMask),
 }
 
@@ -57,8 +58,7 @@ pub struct BatchRequest<'a> {
 ///
 /// # Panics
 ///
-/// Panics if a tree mask covers fewer rows than the batch or more than
-/// the whole cache.
+/// Panics if a tree mask covers more rows than the whole cache.
 fn fill_visibility_block(
     visible: &Visibility<'_>,
     n: usize,
@@ -66,14 +66,14 @@ fn fill_visibility_block(
     out: &mut [bool],
     stride: usize,
 ) {
-    // Columns below `prefix` are visible to every new row; a tree mask
-    // covers the rest, whose first row is mask row 0.
+    // Columns below `prefix` are visible causally; a tree mask covers
+    // the rest, whose first row is mask row 0.
     let (mask, prefix) = match visible {
         Visibility::Causal => (None, old + n),
         Visibility::Tree(mask) => {
             assert!(
-                (n..=old + n).contains(&mask.len()),
-                "a tree mask covers the new rows and at most the whole cache"
+                mask.len() <= old + n,
+                "a tree mask covers at most the whole cache"
             );
             (Some(mask), old + n - mask.len())
         }
@@ -1047,9 +1047,10 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
         /// Every bit of a tree visibility block: the committed prefix and
         /// exactly the tree ancestors among the tree rows, never a later
-        /// row — whether the new rows are the whole tree (verification)
-        /// or its last nodes with the earlier ones already cached
-        /// (drafting).
+        /// row — whether the new rows are the whole tree (verification),
+        /// the prefix rows the cache still lacks followed by the whole
+        /// tree (a session's first verification), or the tree's last
+        /// nodes with the earlier ones already cached (drafting).
         #[test]
         fn tree_visibility_is_prefix_plus_ancestors(seed in 0u64..10_000) {
             let mut rng = specinfer_tensor::rng::SeededRng::new(seed);
@@ -1066,7 +1067,9 @@ mod tests {
             }
             let prefix = 1 + rng.below(7);
             let cached = rng.below(nodes.len());
-            let (n, old) = (nodes.len() - cached, prefix + cached);
+            // Prefix rows that ride ahead of a whole tree, seen causally.
+            let lacking = if cached == 0 { rng.below(prefix + 1) } else { 0 };
+            let (n, old) = (lacking + nodes.len() - cached, prefix - lacking + cached);
             let total = old + n;
             let mut out = vec![false; n * total];
             fill_visibility_block(&Visibility::Tree(&mask), n, old, &mut out, total);
@@ -1077,7 +1080,7 @@ mod tests {
                     } else if j < prefix {
                         true
                     } else {
-                        tree.is_ancestor(nodes[j - prefix], nodes[cached + i])
+                        tree.is_ancestor(nodes[j - prefix], nodes[old + i - prefix])
                     };
                     proptest::prop_assert_eq!(out[i * total + j], want, "({}, {})", i, j);
                 }

@@ -226,11 +226,12 @@ impl<'m> IterationDriver<'m> {
     }
 
     /// One ragged decoding iteration over whatever is live right now
-    /// (admission caps `live` at the batch limit). All non-faulted
-    /// sessions are verified by the LLM in a single batched tree-parallel
-    /// forward; a stalled/OOM request drops out to the serial incremental
-    /// path without touching batch-mates. Then the simulated clock is
-    /// charged and the iteration logged.
+    /// (admission caps `live` at the batch limit). Every live session is
+    /// verified by the LLM in one batched tree-parallel forward: a
+    /// session admitted this tick carries its prompt ahead of its first
+    /// tree, and a stalled/OOM request joins with its root alone, without
+    /// touching batch-mates. Then the simulated clock is charged and the
+    /// iteration logged.
     fn step(&mut self) {
         let plan = self.config.faults.as_ref();
         let batch = self.live.len();

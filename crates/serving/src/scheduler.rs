@@ -27,7 +27,8 @@ pub struct QueuePolicy {
     /// backoff) before being dropped.
     pub max_retries: u32,
     /// Base backoff between retries, seconds on the simulated clock;
-    /// attempt `n` waits `backoff_s · 2ⁿ`.
+    /// attempt `n` waits `backoff_s · 2ⁿ`, the doubling saturating at
+    /// `n = 31`.
     pub backoff_s: f64,
 }
 
@@ -244,7 +245,8 @@ impl IterationScheduler {
                 self.stats.rejected += 1;
                 self.rejected.push(d.request);
             } else if let Some(d) = self.deferred.get_mut(i) {
-                d.retry_at = now + self.policy.backoff_s * f64::from(1u32 << d.attempts);
+                let doubling = 1u32 << d.attempts.min(31);
+                d.retry_at = now + self.policy.backoff_s * f64::from(doubling);
                 i += 1;
             }
         }
@@ -456,6 +458,39 @@ mod tests {
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].id, RequestId(1));
         assert!(s.stats().retries >= 3, "{:?}", s.stats());
+    }
+
+    /// Regression: the backoff doubled by `1 << attempts`, which
+    /// overflowed at attempt 32 — a panic inside the serving loop in
+    /// debug builds, a wrap back to the base backoff in release.
+    #[test]
+    fn backoff_saturates_past_thirty_one_retries() {
+        let mut s = IterationScheduler::with_policy(
+            1,
+            QueuePolicy {
+                capacity: 1,
+                max_retries: 40,
+                backoff_s: 1e-9,
+            },
+        );
+        s.submit(request(0, 0.0));
+        s.submit(request(1, 0.0)); // deferred — the queue never drains
+        let mut now = 0.0;
+        let mut waits = Vec::new();
+        while s.stats().rejected == 0 {
+            // Past every backoff: the deferred request retries each time,
+            // into a queue the full active set keeps full.
+            now += 10.0;
+            let _ = s.admit(now, 1);
+            waits.extend(s.deferred.iter().map(|d| d.retry_at - now));
+        }
+        assert_eq!(s.stats().retries, 41);
+        assert_eq!(waits.len(), 40, "{waits:?}");
+        // Attempt n waits 2ⁿ base backoffs, and 2³¹ from attempt 31 on.
+        for (n, wait) in (1..).zip(waits) {
+            let want = 1e-9 * f64::from(1u32 << n.min(31));
+            assert!((wait - want).abs() < 1e-12, "attempt {n}: {wait} s");
+        }
     }
 
     #[test]

@@ -379,21 +379,20 @@ pub(crate) struct Proposal {
     /// The routing decision behind the draft (adaptive plans only, and
     /// only when a draft ran); fed back to the controller at commit.
     decision: Option<AdaptiveDecision>,
-    /// Whether a fault (stall/OOM) forced this root-only step. The
-    /// batched verifier forwards such a tree alone, after the fused
-    /// forward, so a faulted request never poisons its batch-mates.
-    pub(crate) forced: bool,
 }
 
 /// Per-request generation state, advanced one decoding iteration at a
 /// time.
 ///
-/// The KV-cache invariant maintained between iterations: the LLM cache
-/// holds rows for all tokens of the sequence *except the last one* — the
-/// last token is the root the next token tree grows from (Figure 4 feeds
-/// the verified token together with the speculated ones). Each SSM cache
-/// holds a prefix of those rows; an SSM catches up to all of them right
-/// before it drafts.
+/// The KV-cache invariant maintained between iterations: every cache —
+/// the LLM's and each SSM's — holds a prefix of the rows of all tokens of
+/// the sequence *except the last one*, and takes the rest with its next
+/// forward. The last token is the root the next token tree grows from
+/// (Figure 4 feeds the verified token together with the speculated
+/// ones). The LLM cache starts empty and takes the prompt's rows ahead of
+/// the session's first tree, in the batched verifier's one fused forward;
+/// from then on it holds all of them. An SSM catches up right before it
+/// drafts.
 #[derive(Debug)]
 pub struct Session {
     tokens: Vec<TokenId>,
@@ -411,9 +410,10 @@ pub struct Session {
 }
 
 impl Session {
-    /// Starts a session: prefills the prompt (all but its last token)
-    /// into the LLM cache. The SSM caches start empty and take the
-    /// prompt with their first draft.
+    /// Starts a session: validates the prompt and allocates the caches,
+    /// forwarding nothing. The LLM cache takes the prompt (all but its
+    /// last token) with the session's first verify forward, each SSM
+    /// cache with that SSM's first draft.
     ///
     /// This is the panicking convenience constructor for trusted callers
     /// (tests, benches, the CLI). Serving paths use [`Session::try_new`]
@@ -450,16 +450,17 @@ impl Session {
     /// [`EngineConfig::pool_speculation_rows`] for this pool is provably
     /// sufficient for bitwise-identical behavior to the full-capacity
     /// session: the last decoding iteration starts with at most
-    /// `prompt + max_new − 2` committed rows and no iteration — a merged
+    /// `prompt + max_new − 2` committed tokens and no iteration — a merged
     /// pool's `n_ssms` expansions included — appends more than that
     /// row count, so neither the context-exhaustion guard nor the
     /// speculation-fits check can trigger before generation finishes.
     /// Smaller budgets are accepted but degrade to incremental decoding
     /// (and eventually early termination) near the capacity limit.
     ///
-    /// Only the LLM prefills here. Each SSM cache is created empty at its
-    /// model's full `max_seq_len` and is written by that SSM's drafts
-    /// alone.
+    /// Nothing is forwarded here. The LLM slab is created empty and
+    /// takes the prompt's rows with the session's first step; each SSM
+    /// cache is created empty at its model's full `max_seq_len` and is
+    /// written by that SSM's drafts alone.
     pub fn try_new_budgeted(
         llm: &Transformer,
         ssms: &[&Transformer],
@@ -480,17 +481,10 @@ impl Session {
                 max,
             });
         }
-        // Everything but the last token is prefilled; the last token
-        // roots the first speculated tree.
-        let head = prompt.split_last().map(|(_, h)| h).unwrap_or(&[]);
-        let mut llm_cache = llm.new_cache_with_capacity(kv_rows.max(prompt.len()));
-        if !head.is_empty() {
-            let _ = llm.prefill(head, &mut llm_cache);
-        }
         Ok(Session {
             tokens: prompt.to_vec(),
             prompt_len: prompt.len(),
-            llm_cache,
+            llm_cache: llm.new_cache_with_capacity(kv_rows.max(prompt.len())),
             ssm_caches: ssms.iter().map(|ssm| ssm.new_cache()).collect(),
             rng: SeededRng::new(seed),
             steps: Vec::new(),
@@ -510,13 +504,24 @@ impl Session {
         }
     }
 
-    /// Committed length of the LLM KV cache (rows of verified context).
-    pub(crate) fn llm_cache_len(&self) -> usize {
-        self.llm_cache.len()
+    /// Committed tokens: every token but the root of the next tree. Each
+    /// cache holds a prefix of their rows.
+    fn committed(&self) -> usize {
+        self.tokens.len() - 1
     }
 
-    /// Committed KV rows of verified context (public mirror of the
-    /// crate-internal `llm_cache_len`, for occupancy accounting).
+    /// The committed tokens whose rows the LLM cache still lacks: the
+    /// prompt minus its last token before a session's first step,
+    /// nothing after.
+    pub(crate) fn uncached(&self) -> &[TokenId] {
+        self.tokens
+            .get(self.llm_cache.len()..self.committed())
+            .unwrap_or(&[])
+    }
+
+    /// Rows of verified context in the LLM KV cache, for occupancy
+    /// accounting: 0 until the session's first step, then one per
+    /// committed token.
     pub fn kv_rows(&self) -> usize {
         self.llm_cache.len()
     }
@@ -662,7 +667,7 @@ impl Session {
         // Context-window guard: when even one more row would overflow the
         // KV cache, the sequence has exhausted the model's context — end
         // the generation instead of panicking mid-flight.
-        if self.llm_cache.len() + 1 > self.llm_cache.max_len() {
+        if self.committed() + 1 > self.llm_cache.max_len() {
             self.finished = true;
             return None;
         }
@@ -701,7 +706,6 @@ impl Session {
             lin: LinearizedTree::new(&spec.tree),
             spec,
             decision,
-            forced: forced_incremental,
         })
     }
 
@@ -739,7 +743,7 @@ impl Session {
             let vocab = llm.config().vocab_size;
             return Some(speculate_garbage(root, &expansion, vocab, seed));
         }
-        let committed = self.llm_cache.len();
+        let committed = self.committed();
         let pool = ssms.iter().zip(&mut self.ssm_caches);
         for (ssm, cache) in pool.skip(ids.start).take(ids.len()) {
             let behind = self.tokens.get(cache.len()..committed);
@@ -776,19 +780,19 @@ impl Session {
     }
 
     /// Whether an iteration appending up to `need` rows (the root plus
-    /// every drafted node) on top of the committed rows fits in every
-    /// cache involved — a drafting SSM first catches up to those rows.
+    /// every drafted node) on top of the committed tokens' rows fits in
+    /// every cache involved — each first catches up to those rows.
     fn speculation_fits(&self, need: usize) -> bool {
-        let rows = self.llm_cache.len() + need;
+        let rows = self.committed() + need;
         rows <= self.llm_cache.max_len() && self.ssm_caches.iter().all(|c| rows <= c.max_len())
     }
 
     /// Commits a token tree the batched verifier has verified — the one
     /// commit path, a root-only tree included: `outcome` is the finished
-    /// walk's result, `prefix` the LLM-cache length from before any
-    /// verify rows were appended, and `keep` the strictly-increasing
-    /// positions (relative to `prefix`) of the root and accepted rows
-    /// within the cache's current appended tail. Compacts the LLM cache
+    /// walk's result, `prefix` the LLM-cache length with the committed
+    /// tokens' rows but none of the tree's, and `keep` the
+    /// strictly-increasing positions (relative to `prefix`) of the root
+    /// and accepted rows within the cache's current appended tail. Compacts the LLM cache
     /// onto `keep`, extends the token sequence, checks termination, feeds
     /// the controller and records the step.
     pub(crate) fn commit_verified(

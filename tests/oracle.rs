@@ -541,10 +541,15 @@ impl Run<'_> {
             }
             while sessions.iter().any(|s| !s.is_finished()) {
                 let done: Vec<bool> = sessions.iter().map(Session::is_finished).collect();
-                let forced_steps = |ss: &[Session]| -> usize {
-                    ss.iter().map(|s| s.degradation().forced_incremental).sum()
-                };
-                let forced_before = forced_steps(&sessions);
+                // A session that has not stepped yet forwards its prompt,
+                // bar the last token, ahead of its first tree.
+                let lacking: Vec<usize> = sessions
+                    .iter()
+                    .map(|s| match s.steps() {
+                        [] => s.tokens().len() - 1,
+                        _ => 0,
+                    })
+                    .collect();
                 let mut items: Vec<BatchItem<'_>> = sessions
                     .iter_mut()
                     .zip(&ids)
@@ -560,13 +565,20 @@ impl Run<'_> {
                 for (stat, done) in stats.iter().zip(done) {
                     assert!(!done || stat.is_none(), "a finished session yields None");
                 }
-                // One fused forward when a fault-free lane stepped, plus
-                // one per fault-forced lane (a root-only tree).
-                let forced = forced_steps(&sessions) - forced_before;
+                // One fused forward per iteration with a lane, fault-forced
+                // root-only lanes included.
                 let lanes = stats.iter().flatten().count();
-                drive.forwards += usize::from(lanes > forced) + forced;
-                let rows: usize = stats.iter().flatten().map(|s| s.tree_size + 1).sum();
-                drive.tree_rows += rows - forced;
+                drive.forwards += usize::from(lanes > 0);
+                drive.tree_rows += stats
+                    .iter()
+                    .flatten()
+                    .map(|s| s.tree_size + 1)
+                    .sum::<usize>();
+                drive.prompt_rows += stats
+                    .iter()
+                    .zip(&lacking)
+                    .filter_map(|(stat, &h)| stat.map(|_| h))
+                    .sum::<usize>();
             }
             for s in sessions.into_iter().skip(usize::from(mate.is_some())) {
                 drive.kv.push(s.kv_rows());
@@ -730,12 +742,15 @@ fn watchdog<T: Send + 'static>(cell: &Cell, drive: impl FnOnce() -> T + Send + '
 struct Drive {
     outs: Vec<Out>,
     rows: BatchRowStats,
-    /// Iterations with a fault-free lane plus fault-forced lane-steps:
-    /// the LLM forwards one whole-tree forward per iteration makes.
+    /// Iterations with a lane: the LLM forwards one fused forward per
+    /// iteration makes.
     forwards: usize,
-    /// Root plus drafted nodes of every fault-free lane-step: the rows
-    /// of whole-tree forwards.
+    /// Root plus drafted nodes of every lane-step: the rows of
+    /// whole-tree forwards.
     tree_rows: usize,
+    /// Prompt tokens bar the last of every session's first step: the
+    /// rows that rode ahead of the trees.
+    prompt_rows: usize,
     kv: Vec<usize>,
 }
 
@@ -830,10 +845,12 @@ fn check_engine(run: &Run) -> Vec<Solo> {
     for batch in distinct(&[1, 2, 4, 8]) {
         let drive = run.lockstep(batch, true);
         assert_eq!(drive.outs, reference, "batch {batch}");
-        // Every tree is forwarded whole, and the weights are read once
-        // per iteration plus once per fault-forced lane.
+        // Every tree is forwarded whole, each prompt rides its session's
+        // first forward, and the weights are read once per iteration,
+        // fault cells included.
         let rows = drive.rows;
         assert_eq!(rows.forwarded_rows(), drive.tree_rows, "batch {batch}");
+        assert_eq!(rows.prompt_rows, drive.prompt_rows, "batch {batch}");
         assert_eq!(rows.llm_forwards, drive.forwards, "batch {batch}: {rows:?}");
     }
     for cap in distinct(&[2, 8, 32]) {
