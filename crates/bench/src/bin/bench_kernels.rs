@@ -8,7 +8,8 @@
 //! * `ffn` — one feed-forward layer of a memory-bound LLM (`96×8192`
 //!   up, `8192×96` down) stage by stage as a forward runs it: the two
 //!   up-projections (`up_gemm`), the SwiGLU epilogue (the fused
-//!   up-stage minus `up_gemm`) and the down-projection, at decode,
+//!   up-stage minus `up_gemm`) and the down-projection reading what the
+//!   up-stage wrote, at decode,
 //!   tree-verify and prefill row counts, at one thread and at every
 //!   thread the machine has.
 //! * `end_to_end` — tokens/step and tokens/s of incremental vs
@@ -52,10 +53,10 @@ struct FfnResult {
     m: usize,
     /// `A × W₁` and `A × W₃` as two plain packed GEMMs.
     up_gemm_us: f64,
-    /// The fused up-stage (`swiglu_packed_into`) minus `up_gemm_us`:
+    /// The fused up-stage (`ffn_up_into`) minus `up_gemm_us`:
     /// `silu(g) · l` over `m × 8192` elements.
     epilogue_us: f64,
-    /// `gate × W₂`.
+    /// `gate × W₂` (`ffn_down_into`), `gate` as the up-stage wrote it.
     down_us: f64,
     up_gemm_gflops: f64,
     down_gflops: f64,
@@ -78,10 +79,12 @@ struct Report {
     effective_threads: usize,
     simd_backend: String,
     cpu_features: Vec<String>,
-    /// The packed GEMM's register tile by row count for the `ffn`
-    /// layer's up (`k = 96`) and down (`k = 8192`) packs, e.g.
+    /// The packed GEMM's register tile by row count for a row-major `A`
+    /// against the `ffn` layer's up (`k = 96`) and down (`k = 8192`)
+    /// packs, and for the FFN's own down-projection, e.g.
     /// `k = 96: avx2_4x16 (m < 5), avx512f_16x16 (m >= 5); k = 8192:
-    /// avx2_4x16 (every m)`.
+    /// avx2_4x16 (every m); ffn down: avx2_4x16 (m < 5), avx512f_16x16
+    /// (m >= 5)`.
     packed_tile: String,
     kernels: Vec<KernelResult>,
     ffn: Vec<FfnResult>,
@@ -184,8 +187,11 @@ fn bench_ffn() -> Vec<FfnResult> {
     let mut results = Vec::new();
     for m in [1usize, 2, 5, 10, 20, 32] {
         let h = Tensor::randn(&[m, d], 1.0, &mut rng);
-        let (mut gate, mut lin, mut proj) =
-            (Tensor::default(), Tensor::default(), Tensor::default());
+        let (mut gate, mut lin, mut proj) = (
+            vec![0.0f32; m * d_ff],
+            vec![0.0f32; m * d_ff],
+            vec![0.0f32; m * d],
+        );
         // One thread, then all of them (once, on a one-core machine).
         for threads in [1, all].into_iter().take(all.min(2)) {
             specinfer_tensor::set_max_threads(threads);
@@ -205,15 +211,19 @@ fn bench_ffn() -> Vec<FfnResult> {
                     calls[stage].push(t.elapsed().as_secs_f64());
                 };
                 timed(0, &mut || {
-                    h.matmul_packed_into(&w1[l], &mut gate);
-                    h.matmul_packed_into(&w3[l], &mut lin);
+                    w1[l].matvec_into(h.data(), &mut gate);
+                    w3[l].matvec_into(h.data(), &mut lin);
                 });
                 // The next layer's weights: this one's were just read.
                 let n = (l + 1) % FFN_LAYERS;
+                let mut hidden = None;
                 timed(1, &mut || {
-                    h.swiglu_packed_into(&w1[n], &w3[n], &mut gate, &mut lin)
+                    hidden = Some(w1[n].ffn_up_into(&w3[n], h.data(), &mut gate, &mut lin));
                 });
-                timed(2, &mut || gate.matmul_packed_into(&w2[l], &mut proj));
+                // The down-projection reads `gate` as the up-stage left
+                // it, as `ffn_into` does.
+                let hidden = hidden.expect("the up-stage ran");
+                timed(2, &mut || w2[l].ffn_down_into(hidden, &gate, &mut proj));
             }
             let [up_gemm_s, up_stage_s, down_s] = calls.map(|mut v| {
                 v.sort_by(f64::total_cmp);
@@ -237,16 +247,22 @@ fn bench_ffn() -> Vec<FfnResult> {
 }
 
 /// Which packed register tile runs at which row count, for the `ffn`
-/// layer's up and down packs.
+/// layer's up and down packs against a row-major `A` and for the FFN's
+/// down-projection.
 fn packed_tiles() -> String {
-    let tiles = |k: usize| {
-        let first = pack::packed_tile(1, k);
-        match (2..=64).find(|&m| pack::packed_tile(m, k) != first) {
-            Some(m) => format!("{first} (m < {m}), {} (m >= {m})", pack::packed_tile(m, k)),
+    let tiles = |tile: &dyn Fn(usize) -> &'static str| {
+        let first = tile(1);
+        match (2..=64).find(|&m| tile(m) != first) {
+            Some(m) => format!("{first} (m < {m}), {} (m >= {m})", tile(m)),
             None => format!("{first} (every m)"),
         }
     };
-    format!("k = 96: {}; k = 8192: {}", tiles(96), tiles(8192))
+    format!(
+        "k = 96: {}; k = 8192: {}; ffn down: {}",
+        tiles(&|m| pack::packed_tile(m, 96)),
+        tiles(&|m| pack::packed_tile(m, 8192)),
+        tiles(&|m| pack::ffn_down_tile(m, 96, 8192)),
+    )
 }
 
 fn run_mode(

@@ -186,21 +186,22 @@ impl KvCache {
     }
 
     /// Key row `row` of layer `layer`, re-interleaved across heads.
-    /// Gathering accessor for tests and debugging; the forward pass reads
-    /// whole heads via [`KvCache::key_head`].
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Gathering accessor for tests; the forward pass reads whole heads
+    /// via [`KvCache::key_head`].
+    #[cfg(test)]
     pub(crate) fn key_row(&self, layer: usize, row: usize) -> Vec<f32> {
         self.gather_row(&self.layers[layer].k, row)
     }
 
     /// Value row `row` of layer `layer`, re-interleaved across heads.
-    /// Gathering accessor for tests and debugging; the forward pass reads
-    /// whole heads via [`KvCache::value_head`].
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Gathering accessor for tests; the forward pass reads whole heads
+    /// via [`KvCache::value_head`].
+    #[cfg(test)]
     pub(crate) fn value_row(&self, layer: usize, row: usize) -> Vec<f32> {
         self.gather_row(&self.layers[layer].v, row)
     }
 
+    #[cfg(test)]
     fn gather_row(&self, slab: &[f32], row: usize) -> Vec<f32> {
         let hd = self.head_dim;
         let mut out = Vec::with_capacity(self.d_model());

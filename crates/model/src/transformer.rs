@@ -589,13 +589,14 @@ impl Transformer {
                 s.x.add_assign(&s.proj);
 
                 ops::rmsnorm_rows_into(&s.x, &layer.ffn_norm, ModelConfig::RMS_EPS, &mut s.h);
-                s.h.swiglu_packed_into(
+                s.h.ffn_packed_into(
                     &packs.w1[layer_idx],
                     &packs.w3[layer_idx],
+                    &packs.w2[layer_idx],
                     &mut s.gate,
                     &mut s.lin,
+                    &mut s.proj,
                 );
-                dense_into(&s.gate, &packs.w2[layer_idx], &mut s.proj);
                 s.x.add_assign(&s.proj);
             }
             for (r, cache) in caches.iter_mut().enumerate() {

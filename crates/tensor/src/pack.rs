@@ -56,20 +56,43 @@
 //! # The wide tile
 //!
 //! On [`SimdBackend::Avx2Fma`], when the CPU reports AVX-512F, a call
-//! of five rows or more against a pack of one k-slice (`k ≤ K_SLICE`:
-//! every projection out of the model width — QKV, attention output, FFN
-//! up, LM head) runs on a sixteen-row tile instead: one 512-bit
+//! of five rows or more runs on a sixteen-row tile instead: one 512-bit
 //! accumulator per row, so a panel-row load feeds up to sixteen FMAs
 //! and a verify's ten rows walk each panel once instead of three times.
-//! Every panel of such a pack reads all of `A`, so the call first
-//! copies `A` once, each block of sixteen rows interleaved `[t][r]`
-//! (`interleave`), and the tile broadcasts a step's rows from one
-//! pointer. Calls of up to four rows — every decode step — and packs
-//! of several slices (the FFN down-projection) keep the four-row tile,
-//! so which tile runs depends only on the CPU, `m` and the pack. Both
-//! x86 tiles keep each output column in its own lane and extend it by
-//! one fused multiply–add per reduction step, in the same order, so
-//! they agree bitwise and the choice never shows in the output.
+//! The tile reads `A` in the *wide layout*: blocks of sixteen rows (the
+//! last one shorter), each block `[t][r]`, so a reduction step's rows
+//! are adjacent and broadcast from one pointer. Its loop nest is
+//!
+//! ```text
+//! for panel p
+//!   for row block i                 (16 rows of A, or the 1–15 left over)
+//!     for k-slice s of the panel    (≤ K_SLICE reduction steps)
+//!       out[block, cols] (+)= A[block, slice] × slice
+//! ```
+//!
+//! with the accumulators carried through `out` between slices, as the
+//! four-row tile carries them. Who writes the wide layout decides where
+//! the tile runs:
+//!
+//! - A row-major `A` is copied into it once per call (`interleave`).
+//!   Every panel of a pack of one k-slice (`k ≤ K_SLICE`: every
+//!   projection out of the model width — QKV, attention output, FFN up,
+//!   LM head) reads all of `A`, so the copy pays; against a pack of
+//!   several slices it was measured slower from twenty rows
+//!   (EXPERIMENTS.md), and such calls keep the four-row tile.
+//! - The FFN ([`PackedPanels::ffn_into`]) needs no copy for its
+//!   down-projection: the up-stage's wide tile stores each block ×
+//!   panel of `gate` and `lin` transposed, in the wide layout, and the
+//!   down-projection (`k = d_ff`, many slices) reads `gate` in place.
+//!   The SwiGLU epilogue is element-wise, and a task's columns are one
+//!   run per block, so it runs on either layout unchanged.
+//!
+//! Calls of up to four rows — every decode step — keep the row-major
+//! `A` and the four-row tile, so which tile runs depends only on the
+//! CPU, `m`, the pack and the caller. Both x86 tiles keep each output
+//! column in its own lane and extend it by one fused multiply–add per
+//! reduction step, in the same order, so they agree bitwise and the
+//! choice never shows in the output.
 //!
 //! # Tensor parallelism
 //!
@@ -84,8 +107,8 @@
 //! the same call with one task covering every panel. The panel is the
 //! partition unit, so a narrow pack shares as well as its panel count
 //! divides: the down-projection's 96 columns are six panels, three per
-//! core on two cores. The SwiGLU up-stage
-//! ([`PackedPanels::swiglu_into`]) is one such region for two packs
+//! core on two cores. The FFN's up-stage
+//! ([`PackedPanels::ffn_up_into`]) is one such region for two packs
 //! plus the activation, applied to a task's columns while they are
 //! still in its cache.
 
@@ -132,11 +155,15 @@ pub(crate) enum Tile {
     Scalar,
     /// Four rows × two 256-bit accumulators (x86-64, AVX2+FMA).
     Avx2,
-    /// Sixteen interleaved rows × one 512-bit accumulator (x86-64,
-    /// AVX-512F), for packs of one k-slice.
+    /// Sixteen rows in the wide layout × one 512-bit accumulator
+    /// (x86-64, AVX-512F).
     Avx512,
     /// Four rows × four 128-bit accumulators (aarch64).
     Neon,
+    /// The wide tile's portable twin, [`PortableWide`]: what `Avx512`
+    /// computes, on every host.
+    #[cfg(test)]
+    WidePortable,
 }
 
 impl Tile {
@@ -145,7 +172,9 @@ impl Tile {
     /// a CPU with AVX-512F runs calls of [`WIDE_MIN_ROWS`] rows or more
     /// against one-slice packs on the wide tile. Both x86 tiles compute
     /// every element the same way, so the choice never shows in the
-    /// bits.
+    /// bits. This is the rule for a row-major `A`; the FFN's
+    /// down-projection follows its up-stage instead
+    /// ([`PackedPanels::ffn_into`]).
     fn select(be: SimdBackend, m: usize, k: usize) -> Tile {
         match be {
             SimdBackend::Scalar => Tile::Scalar,
@@ -166,8 +195,56 @@ impl Tile {
             Tile::Avx2 => "avx2_4x16",
             Tile::Avx512 => "avx512f_16x16",
             Tile::Neon => "neon_4x16",
+            #[cfg(test)]
+            Tile::WidePortable => "portable_16x16",
         }
     }
+
+    /// The layout the tile reads `A` in.
+    fn layout(self) -> Layout {
+        match self {
+            Tile::Avx512 => Layout::Wide,
+            #[cfg(test)]
+            Tile::WidePortable => Layout::Wide,
+            _ => Layout::Rows,
+        }
+    }
+}
+
+/// How an `m × n` operand (an `A` or an output) lies in its buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Layout {
+    /// Row-major.
+    Rows,
+    /// The wide tile's: blocks of [`WIDE_ROWS`] rows (the last one
+    /// shorter), each block column after column (`[t][r]`): element
+    /// `(r, j)` of a block of `R` rows at `j · R + r`, so the `R`
+    /// elements a reduction step broadcasts are adjacent.
+    Wide,
+}
+
+impl Layout {
+    /// The runs of the buffer that hold columns `cols` of every row: one
+    /// run per row, or per block of the wide layout.
+    fn runs(self, m: usize, n: usize, cols: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+        let block = match self {
+            Layout::Rows => 1,
+            Layout::Wide => WIDE_ROWS,
+        };
+        (0..m).step_by(block).map(move |row| {
+            let (at, rows) = (row * n, block.min(m - row));
+            at + cols.start * rows..at + cols.end * rows
+        })
+    }
+}
+
+/// Where a wide tile writes one block × one panel of output.
+pub(crate) enum WideOut<'a, const R: usize> {
+    /// The panel's real columns of each of the block's rows.
+    Rows([&'a mut [f32]; R]),
+    /// The block's run of the panel's real columns in the wide layout:
+    /// element `(r, c)` at `c · R + r`.
+    Columns(&'a mut [f32]),
 }
 
 /// The packed register tile a call of `m` rows against a pack of
@@ -177,27 +254,42 @@ pub fn packed_tile(m: usize, k: usize) -> &'static str {
     Tile::select(simd::backend(), m, k).name()
 }
 
+/// The packed register tile the down-projection of
+/// [`PackedPanels::ffn_into`] runs on at `m` rows, for a model width
+/// `d_model` and a hidden width `d_ff`: the up-stage's tile when that is
+/// the wide one, else [`packed_tile`]`(m, d_ff)`.
+pub fn ffn_down_tile(m: usize, d_model: usize, d_ff: usize) -> &'static str {
+    let be = simd::backend();
+    match Tile::select(be, m, d_model) {
+        Tile::Avx512 => Tile::Avx512,
+        _ => Tile::select(be, m, d_ff),
+    }
+    .name()
+}
+
 thread_local! {
     /// The calling thread's [`interleave`]d copy of `A` for the wide
     /// tile, kept for its next call: `m × k ≤ m × K_SLICE` floats.
     static INTERLEAVED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on `A` (`[m, k]` row-major) as `tile` reads it: the wide
-/// tile's [`interleave`]d copy, every other tile's rows in place.
-fn with_lhs<T>(tile: Tile, a: &[f32], k: usize, f: impl FnOnce(&[f32]) -> T) -> T {
-    match tile {
-        Tile::Avx512 => INTERLEAVED.with_borrow_mut(|il| {
+/// Runs `f` on `A` (`[m, k]` in `layout`) as `tile` reads it: in place
+/// when the layouts agree, else the wide tile's [`interleave`]d copy.
+fn with_lhs<T>(tile: Tile, layout: Layout, a: &[f32], k: usize, f: impl FnOnce(&[f32]) -> T) -> T {
+    match (tile.layout(), layout) {
+        (Layout::Wide, Layout::Rows) => INTERLEAVED.with_borrow_mut(|il| {
             interleave(a, k, il);
             f(il)
         }),
-        _ => f(a),
+        (want, have) => {
+            assert_eq!(want, have, "{} reads A row-major", tile.name());
+            f(a)
+        }
     }
 }
 
-/// Writes into `il` `A`'s rows in blocks of [`WIDE_ROWS`] (the last one
-/// shorter), each block `[t][r]`: element `(r, t)` of a block of `R`
-/// rows at `t · R + r`, so a reduction step's `R` elements are adjacent.
+/// Writes into `il` the row-major `[m, k]` `A` in the wide layout
+/// ([`Layout::Wide`]).
 fn interleave(a: &[f32], k: usize, il: &mut Vec<f32>) {
     il.clear();
     for blk in a.chunks(WIDE_ROWS * k) {
@@ -209,7 +301,7 @@ fn interleave(a: &[f32], k: usize, il: &mut Vec<f32>) {
 
 /// Calls `$call` with the const `$R` = `$rows`, one of the listed row
 /// counts: a register tile's row count is a type-level constant.
-#[cfg(target_arch = "x86_64")]
+#[cfg(any(target_arch = "x86_64", test))]
 macro_rules! with_rows {
     ($rows:expr, [$($n:literal)+], |$R:ident| $call:expr) => {
         match $rows {
@@ -220,6 +312,15 @@ macro_rules! with_rows {
             rows => unreachable!("a row block of {rows} rows"),
         }
     };
+}
+
+/// What [`PackedPanels::ffn_up_into`] wrote, for
+/// [`PackedPanels::ffn_down_into`]: the row count, and the tile that
+/// ran, whose layout `gate` is in — which only this module interprets.
+#[derive(Clone, Copy, Debug)]
+pub struct FfnHidden {
+    tile: Tile,
+    rows: usize,
 }
 
 /// A weight matrix repacked into [`PANEL_WIDTH`]-column panels.
@@ -301,40 +402,142 @@ impl PackedPanels {
         // SAFETY: `be` came from detection (`backend`,
         // `available_backends`); `select` adds only the AVX-512F tile,
         // and only where that was detected too.
-        unsafe { self.matvec_into_tile(Tile::select(be, a.len() / self.k, self.k), a, out) }
+        unsafe {
+            let tile = Tile::select(be, a.len() / self.k, self.k);
+            self.matvec_into_tile(tile, Layout::Rows, a, out)
+        }
     }
 
-    /// [`PackedPanels::matvec_into_with`] on an explicit register tile.
+    /// [`PackedPanels::matvec_into_with`] on an explicit register tile,
+    /// `a` in `layout`; `out` is row-major.
     ///
     /// # Safety
     ///
     /// The instruction set `tile` is written for must be available.
     // SAFETY: (contract above) shapes are checked here; see `gemm_with`.
-    unsafe fn matvec_into_tile(&self, tile: Tile, a: &[f32], out: &mut [f32]) {
+    unsafe fn matvec_into_tile(&self, tile: Tile, layout: Layout, a: &[f32], out: &mut [f32]) {
         self.check_shapes(a, out.len());
         let out = SharedMut(out.as_mut_ptr());
         let tasks = self.tasks();
-        with_lhs(tile, a, self.k, |a| {
+        with_lhs(tile, layout, a, self.k, |a| {
             pool::run(tasks, |t| {
                 // SAFETY: `out` is `m × n` (checked above) and mutably
                 // borrowed for the whole region; tasks get disjoint panels.
-                unsafe { self.gemm_with(tile, a, out.get(), self.panel_run(t, tasks)) }
+                unsafe {
+                    self.gemm_with(tile, a, out.get(), Layout::Rows, self.panel_run(t, tasks))
+                }
             })
         });
     }
 
-    /// The SwiGLU up-stage against two packs of one shape, as a single
-    /// region: `gate = silu(A × self) ⊙ (A × up)`. Each task multiplies
-    /// its run of panels of both packs and then gates those columns of
-    /// every row; `lin` (`[m, n]` like `gate`) receives `A × up`. Per
-    /// element exactly `matvec_into` twice, the backend's one `silu`
-    /// (`swiglu_epilogue`), multiply.
+    /// One feed-forward layer, `out = (silu(A × self) ⊙ (A × up)) × down`,
+    /// as a forward runs it: the up-stage region
+    /// ([`PackedPanels::ffn_up_into`]), then the down-projection
+    /// ([`PackedPanels::ffn_down_into`]) on what it wrote. `gate` and
+    /// `lin` (`[m, n]` floats each) are scratch in a layout of this
+    /// module's choosing; `out` is `[m, down.n]` row-major and fully
+    /// overwritten. Bitwise `swiglu` as two [`PackedPanels::matvec_into`]
+    /// calls and the backend's `silu`, then `matvec_into` against
+    /// `down`, at every `m` and thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the up packs' shapes differ, if `down.k` is not their
+    /// `n`, or under [`PackedPanels::matvec_into_with`]'s conditions.
+    pub fn ffn_into(
+        &self,
+        up: &PackedPanels,
+        down: &PackedPanels,
+        a: &[f32],
+        gate: &mut [f32],
+        lin: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let hidden = self.ffn_up_into(up, a, gate, lin);
+        down.ffn_down_into(hidden, gate, out);
+    }
+
+    /// The up-stage of [`PackedPanels::ffn_into`]: `gate = silu(A × self)
+    /// ⊙ (A × up)` and `lin = A × up` as one region. Each task multiplies
+    /// its run of panels of both packs and gates those columns while they
+    /// are still in its cache. Where the call runs on the wide tile
+    /// (five rows or more, AVX-512F) the outputs come out in the wide
+    /// layout, which is what [`PackedPanels::ffn_down_into`] — told so by
+    /// the returned [`FfnHidden`] — reads; otherwise row-major.
     ///
     /// # Panics
     ///
     /// Panics if the packs' shapes differ, or under
     /// [`PackedPanels::matvec_into_with`]'s conditions.
-    pub fn swiglu_into(&self, up: &PackedPanels, a: &[f32], gate: &mut [f32], lin: &mut [f32]) {
+    pub fn ffn_up_into(
+        &self,
+        up: &PackedPanels,
+        a: &[f32],
+        gate: &mut [f32],
+        lin: &mut [f32],
+    ) -> FfnHidden {
+        self.check_shapes(a, gate.len());
+        let rows = a.len() / self.k;
+        let tile = Tile::select(simd::backend(), rows, self.k);
+        // SAFETY: `select` names only detected tiles.
+        unsafe { self.up_stage(up, tile, tile.layout(), a, gate, lin) };
+        FfnHidden { tile, rows }
+    }
+
+    /// The down-projection of [`PackedPanels::ffn_into`]: `out = gate ×
+    /// self`, `gate` as [`PackedPanels::ffn_up_into`] left it (`hidden`).
+    /// A gate in the wide layout is read in place by the wide tile, one
+    /// k-slice after another; a row-major one takes
+    /// [`PackedPanels::matvec_into`]'s tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` is not the `hidden.rows × k` floats of that call,
+    /// or `out` not `hidden.rows × n`.
+    pub fn ffn_down_into(&self, hidden: FfnHidden, gate: &[f32], out: &mut [f32]) {
+        assert_eq!(
+            gate.len(),
+            hidden.rows * self.k,
+            "gate must be what the up-stage wrote"
+        );
+        let layout = hidden.tile.layout();
+        let tile = match layout {
+            Layout::Wide => hidden.tile,
+            Layout::Rows => Tile::select(simd::backend(), hidden.rows, self.k),
+        };
+        // SAFETY: `hidden.tile` came from `select` in `ffn_up_into` (or a
+        // test that vouches for it), and so does the other.
+        unsafe { self.matvec_into_tile(tile, layout, gate, out) }
+    }
+
+    /// The SwiGLU up-stage with row-major outputs, on the process's
+    /// backend and tile: the reference `ffn_into` is held to.
+    #[cfg(test)]
+    fn swiglu_into(&self, up: &PackedPanels, a: &[f32], gate: &mut [f32], lin: &mut [f32]) {
+        self.check_shapes(a, gate.len());
+        let tile = Tile::select(simd::backend(), a.len() / self.k, self.k);
+        // SAFETY: `select` names only detected tiles.
+        unsafe { self.up_stage(up, tile, Layout::Rows, a, gate, lin) };
+    }
+
+    /// The SwiGLU up-stage on tile `tile`, writing `gate` and `lin` in
+    /// `layout`: per element exactly the product twice, the backend's one
+    /// `silu` (`swiglu_epilogue`), multiply.
+    ///
+    /// # Safety
+    ///
+    /// The instruction set `tile` is written for must be available, and
+    /// `layout` must be `Rows` unless `tile` is a wide one.
+    // SAFETY: (contract above) shapes are checked here; see `gemm_with`.
+    unsafe fn up_stage(
+        &self,
+        up: &PackedPanels,
+        tile: Tile,
+        layout: Layout,
+        a: &[f32],
+        gate: &mut [f32],
+        lin: &mut [f32],
+    ) {
         assert_eq!(
             (self.k, self.n),
             (up.k, up.n),
@@ -343,22 +546,22 @@ impl PackedPanels {
         self.check_shapes(a, gate.len());
         assert_eq!(gate.len(), lin.len(), "lin must be m×n");
         let (be, n, m) = (simd::backend(), self.n, a.len() / self.k);
-        let tile = Tile::select(be, m, self.k);
         let (gate, lin) = (SharedMut(gate.as_mut_ptr()), SharedMut(lin.as_mut_ptr()));
         let tasks = self.tasks();
-        with_lhs(tile, a, self.k, |a| {
+        with_lhs(tile, Layout::Rows, a, self.k, |a| {
             pool::run(tasks, |t| {
                 let Range { start: p0, end: p1 } = self.panel_run(t, tasks);
-                let (j0, j1) = (p0 * PANEL_WIDTH, n.min(p1 * PANEL_WIDTH));
-                // SAFETY: `select` names only detected tiles; `gate` and
-                // `lin` are `m × n` (checked above), borrowed for the
-                // region; columns `j0..j1` of their rows are this task's.
+                let cols = p0 * PANEL_WIDTH..n.min(p1 * PANEL_WIDTH);
+                // SAFETY: as the caller vouches; `gate` and `lin` are
+                // `m × n` (checked above), borrowed for the region; the
+                // runs of columns `cols` are this task's in either layout.
                 unsafe {
-                    self.gemm_with(tile, a, gate.get(), p0..p1);
-                    up.gemm_with(tile, a, lin.get(), p0..p1);
-                    for r in 0..m {
-                        let g = std::slice::from_raw_parts_mut(gate.get().add(r * n + j0), j1 - j0);
-                        let l = std::slice::from_raw_parts(lin.get().add(r * n + j0), j1 - j0);
+                    self.gemm_with(tile, a, gate.get(), layout, p0..p1);
+                    up.gemm_with(tile, a, lin.get(), layout, p0..p1);
+                    for run in layout.runs(m, n, cols) {
+                        let g =
+                            std::slice::from_raw_parts_mut(gate.get().add(run.start), run.len());
+                        let l = std::slice::from_raw_parts(lin.get().add(run.start), run.len());
                         swiglu_epilogue(be, g, l);
                     }
                 }
@@ -395,58 +598,79 @@ impl PackedPanels {
     /// The loop nest of the module docs over a run of `panels` on
     /// register tile `tile`: writes columns
     /// `panels.start · 16 .. min(n, panels.end · 16)` of every row of
-    /// `out`, and nothing else.
+    /// `out`, laid out in `layout`, and nothing else.
     ///
     /// # Safety
     ///
     /// The instruction set `tile` is written for must be available. `a`
-    /// must be whole rows of length `k` laid out as [`with_lhs`] lays
-    /// them out for `tile`, and `out` point at `m × n` floats nobody else
-    /// reads, or writes in these columns, meanwhile.
+    /// must be whole rows of length `k` in the layout `tile` reads, `out`
+    /// point at `m × n` floats nobody else reads, or writes in these
+    /// columns, meanwhile, and `layout` be `Rows` unless `tile` is wide.
     // SAFETY: (contract above) each tile is only named under the `Tile`
     // whose instruction set the caller vouches for.
-    unsafe fn gemm_with(&self, tile: Tile, a: &[f32], out: *mut f32, panels: Range<usize>) {
+    unsafe fn gemm_with(
+        &self,
+        tile: Tile,
+        a: &[f32],
+        out: *mut f32,
+        layout: Layout,
+        panels: Range<usize>,
+    ) {
+        assert!(tile.layout() == Layout::Wide || layout == Layout::Rows);
         // SAFETY: as the caller vouches.
         unsafe {
             match tile {
                 #[cfg(target_arch = "x86_64")]
                 Tile::Avx2 => self.gemm::<simd::avx2::PackedTile>(a, out, panels),
                 #[cfg(target_arch = "x86_64")]
-                Tile::Avx512 => self.gemm_wide(a, out, panels),
+                Tile::Avx512 => self.gemm_wide::<simd::avx512::PackedTile>(a, out, layout, panels),
                 #[cfg(target_arch = "aarch64")]
                 Tile::Neon => self.gemm::<simd::neon::PackedTile>(a, out, panels),
+                #[cfg(test)]
+                Tile::WidePortable => self.gemm_wide::<PortableWide>(a, out, layout, panels),
                 _ => self.gemm::<ScalarTile>(a, out, panels),
             }
         }
     }
 
-    /// [`PackedPanels::gemm_with`] on the wide tile: one k-slice per
-    /// panel, `a` [`interleave`]d, every block of up to [`WIDE_ROWS`]
-    /// rows one tile call per panel.
+    /// [`PackedPanels::gemm_with`] on a wide tile `T`, `a` in the wide
+    /// layout: per panel, per block of up to [`WIDE_ROWS`] rows, one tile
+    /// call per k-slice, the accumulators carried through a row-major
+    /// `out` from one slice to the next. A wide `out` takes packs of one
+    /// k-slice. The slices are the innermost loop so that a pack of one
+    /// slice — most calls — dispatches on the row count once per block
+    /// and no more: with the slices outside that dispatch, one-slice
+    /// calls measured 13–24% slower (EXPERIMENTS.md).
     ///
     /// # Safety
     ///
-    /// As for `gemm_with`, with AVX-512F available.
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: (contract above) the only raw accesses are the output row
-    // segments: row `< m`, columns `j0..j1` inside `n`, so in bounds of
-    // `out`; segments of different rows are disjoint.
-    unsafe fn gemm_wide(&self, a: &[f32], out: *mut f32, panels: Range<usize>) {
+    /// As for `gemm_with`, for `T`'s instruction set.
+    #[cfg(any(target_arch = "x86_64", test))]
+    // SAFETY: (contract above) the only raw accesses are `wide_out`'s, of
+    // rows `< m` and a panel's columns inside `n`.
+    unsafe fn gemm_wide<T: WideTile>(
+        &self,
+        a: &[f32],
+        out: *mut f32,
+        layout: Layout,
+        panels: Range<usize>,
+    ) {
         let (k, n) = (self.k, self.n);
-        assert!(k <= K_SLICE, "the wide tile takes packs of one k-slice");
         for p in panels {
-            let (j0, j1) = (p * PANEL_WIDTH, n.min((p + 1) * PANEL_WIDTH));
-            let b = &self.data[p * k * PANEL_WIDTH..(p + 1) * k * PANEL_WIDTH];
+            let cols = p * PANEL_WIDTH..n.min((p + 1) * PANEL_WIDTH);
+            let panel = &self.data[p * k * PANEL_WIDTH..(p + 1) * k * PANEL_WIDTH];
             for (i, a_blk) in a.chunks(WIDE_ROWS * k).enumerate() {
-                // SAFETY: see the function-level argument.
-                let o = |d: usize| unsafe {
-                    std::slice::from_raw_parts_mut(out.add((i * WIDE_ROWS + d) * n + j0), j1 - j0)
-                };
-                // SAFETY: the caller vouches for AVX-512F; a block's rows
-                // are distinct, so are their output segments.
+                // SAFETY: the caller vouches for `T`'s ISA; see the
+                // function-level argument for the output.
                 unsafe {
                     with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
-                        simd::avx512::tile::<R>(b, a_blk, from_fn(o))
+                        // A block's slice is one run of its `[t][r]` rows.
+                        let slices =
+                            panel.chunks(K_SLICE * PANEL_WIDTH).zip(a_blk.chunks(K_SLICE * R));
+                        for (s, (b, a_s)) in slices.enumerate() {
+                            let o = wide_out::<R>(out, layout, n, i * WIDE_ROWS, &cols);
+                            T::tile::<R>(b, a_s, o, s > 0)
+                        }
                     })
                 }
             }
@@ -558,6 +782,107 @@ pub(crate) trait PanelTile {
     );
 }
 
+/// The output of block `row0..row0 + R` and columns `cols` (one panel's)
+/// of the `[m, n]` `out` in `layout`.
+///
+/// # Safety
+///
+/// `out` must point at `m × n` floats nobody else touches in these rows
+/// and columns meanwhile, `row0 + R ≤ m` with `R` the rows of the
+/// block (16 unless it is the last), and `cols` inside `0..n`.
+#[cfg(any(target_arch = "x86_64", test))]
+// SAFETY: (contract above) a row's segment and a block's run of a panel
+// lie inside `m × n` and are disjoint for distinct rows and panels.
+unsafe fn wide_out<'a, const R: usize>(
+    out: *mut f32,
+    layout: Layout,
+    n: usize,
+    row0: usize,
+    cols: &Range<usize>,
+) -> WideOut<'a, R> {
+    let w = cols.len();
+    // SAFETY: as the caller vouches.
+    unsafe {
+        match layout {
+            Layout::Rows => WideOut::Rows(from_fn(|r| {
+                std::slice::from_raw_parts_mut(out.add((row0 + r) * n + cols.start), w)
+            })),
+            Layout::Wide => WideOut::Columns(std::slice::from_raw_parts_mut(
+                out.add(row0 * n + cols.start * R),
+                w * R,
+            )),
+        }
+    }
+}
+
+/// A wide register tile of the packed GEMM ("The wide tile").
+pub(crate) trait WideTile {
+    /// `o (+)= A × b` for the `R` rows of a block: `b` is one k-slice of
+    /// one panel (`kc` rows of [`PANEL_WIDTH`]), `a` the block's `kc`
+    /// reduction steps in the wide layout (`A[r][t]` at `a[t·R + r]`), `o`
+    /// the panel's real columns of the block's rows, row by row or in
+    /// the wide layout. With `carry` — a row-major `o` only — the
+    /// accumulators continue from `o`, otherwise they start from zero.
+    /// Each output element extends its single ascending-`k` fused chain
+    /// by `kc` steps.
+    ///
+    /// # Safety
+    ///
+    /// The instruction set the implementation is written for must be
+    /// available.
+    // SAFETY: (contract above) all operands are slices; implementations
+    // assert the lengths their raw accesses rely on.
+    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>, carry: bool);
+}
+
+/// The wide tile's portable twin: the same blocks, wide layouts and carry
+/// through `out`, one `f32::mul_add` chain per output element — so the
+/// wide loop nest's indexing is checked on hosts without AVX-512F.
+#[cfg(test)]
+struct PortableWide;
+
+#[cfg(test)]
+impl WideTile for PortableWide {
+    // SAFETY: safe code throughout — no ISA extension, no raw access.
+    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>, carry: bool) {
+        assert_eq!(
+            a.len(),
+            b.len() / PANEL_WIDTH * R,
+            "one A element per row and panel row"
+        );
+        let mut acc = [[0.0f32; PANEL_WIDTH]; R];
+        if carry {
+            let WideOut::Rows(o) = &o else {
+                unreachable!("only a row-major output carries")
+            };
+            for (acc, o) in acc.iter_mut().zip(o) {
+                acc[..o.len()].copy_from_slice(o);
+            }
+        }
+        for (b_row, a_t) in b.chunks_exact(PANEL_WIDTH).zip(a.chunks_exact(R)) {
+            for (acc, &av) in acc.iter_mut().zip(a_t) {
+                for (s, &bv) in acc.iter_mut().zip(b_row) {
+                    *s = av.mul_add(bv, *s);
+                }
+            }
+        }
+        match o {
+            WideOut::Rows(o) => {
+                for (acc, o) in acc.iter().zip(o) {
+                    o.copy_from_slice(&acc[..o.len()]);
+                }
+            }
+            WideOut::Columns(o) => {
+                for (c, col) in o.chunks_exact_mut(R).enumerate() {
+                    for (v, acc) in col.iter_mut().zip(&acc) {
+                        *v = acc[c];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Scalar reference tile: per output column one ascending-`k` plain
 /// mul+add chain, bitwise identical to the unpacked scalar `nn` kernel
 /// (and so to `matmul_ref`).
@@ -637,6 +962,29 @@ pub(crate) mod tests {
         Tensor::randn(dims, 1.0, &mut SeededRng::new(seed))
     }
 
+    /// `A × B` with one `f32::mul_add` chain per element in ascending
+    /// `k`, as every fused backend computes it: that backend's blocked
+    /// kernel where the host has one, a plain loop elsewhere.
+    fn fused_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        match simd::available_backends()
+            .into_iter()
+            .find(|&be| be != SimdBackend::Scalar)
+        {
+            Some(be) => crate::kernels::matmul_nn_with(be, a, b, &mut out, m, k, n),
+            None => {
+                for (a_row, o_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                    for (t, &av) in a_row.iter().enumerate() {
+                        for (o, &bv) in o_row.iter_mut().zip(&b[t * n..(t + 1) * n]) {
+                            *o = av.mul_add(bv, *o);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn from_nn_and_from_nt_agree_on_the_canonical_layout() {
         for &(k, n) in &[(5usize, 3usize), (8, 32), (7, 33), (96, 288), (24, 65)] {
@@ -697,6 +1045,22 @@ pub(crate) mod tests {
                         crate::kernels::matmul_nn_with(be, a, b.data(), &mut unpacked, m, k, n);
                         assert!(packed == unpacked, "{be:?} {m}x{k}x{n}");
                     }
+                    // The wide loop nest on its portable twin, on every
+                    // host, against a fused reference. 257 rows are
+                    // sixteen-row blocks as 48 are, 8192 steps k-slices
+                    // as `K_SLICE + 1` are and 288 columns panels as 49
+                    // are: they would only cost time.
+                    if m < 257 && k < 8192 && n < 288 {
+                        let mut twin = vec![f32::NAN; m * n];
+                        // SAFETY: the twin is plain Rust.
+                        unsafe {
+                            p.matvec_into_tile(Tile::WidePortable, Layout::Rows, a, &mut twin)
+                        };
+                        assert!(
+                            twin == fused_reference(a, b.data(), m, k, n),
+                            "twin {m}x{k}x{n}"
+                        );
+                    }
                 }
             }
         }
@@ -739,30 +1103,79 @@ pub(crate) mod tests {
             eprintln!("skipped: this CPU does not report AVX2+FMA and AVX-512F");
             return;
         }
-        // Both tiles forced at every row count, 1..=4 included, where
-        // `select` would not pick the wide one, on packs of one k-slice
-        // (the wide tile's) with ragged and whole last panels; `out`
-        // starts as NaN.
-        let a = randn(&[40, K_SLICE], 14);
+        // The three tiles forced at every row count, 1..=4 included,
+        // where `select` would not pick a wide one, on packs of one
+        // k-slice and of several (a ragged last slice and group), with
+        // ragged and whole last panels; `out` starts as NaN.
+        let a = randn(&[40, 600], 14);
         for &(k, n) in &[
             (1usize, 17usize),
             (95, 33),
             (96, 288),
             (K_SLICE - 1, 16),
             (K_SLICE, 49),
+            (K_SLICE + 1, 33),
+            (600, 20),
         ] {
             let p = PackedPanels::from_nn(randn(&[k, n], 15).data(), k, n);
             for m in 1..=40 {
                 let a = &a.data()[..m * k];
-                let [wide, four] = [Tile::Avx512, Tile::Avx2].map(|tile| {
-                    let mut out = vec![f32::NAN; m * n];
-                    // SAFETY: AVX2+FMA and AVX-512F were detected above.
-                    unsafe { p.matvec_into_tile(tile, a, &mut out) };
-                    out
-                });
+                let [wide, twin, four] =
+                    [Tile::Avx512, Tile::WidePortable, Tile::Avx2].map(|tile| {
+                        let mut out = vec![f32::NAN; m * n];
+                        // SAFETY: AVX2+FMA and AVX-512F were detected above.
+                        unsafe { p.matvec_into_tile(tile, Layout::Rows, a, &mut out) };
+                        out
+                    });
                 assert!(wide == four, "{m}x{k}x{n}");
+                assert!(twin == four, "twin {m}x{k}x{n}");
             }
         }
+    }
+
+    #[test]
+    fn ffn_into_equals_swiglu_then_matvec_bitwise() {
+        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+        // `(d_model, d_ff, n)`: a down pack of one k-slice and of two,
+        // `d_ff` off the sixteen-column grid, a ragged down `n`, and one
+        // shape whose three packs are all shared pool regions.
+        let a = randn(&[40, 96], 16);
+        for &(d, d_ff, n) in &[(24usize, 200usize, 33usize), (96, 300, 33), (96, 2740, 96)] {
+            let [b1, b3] = [17, 18].map(|seed| randn(&[d, d_ff], seed));
+            let b2 = randn(&[d_ff, n], 19);
+            let [w1, w3] = [&b1, &b3].map(|b| PackedPanels::from_nn(b.data(), d, d_ff));
+            let w2 = PackedPanels::from_nn(b2.data(), d_ff, n);
+            for m in 1..=40 {
+                let a = &a.data()[..m * d];
+                set_max_threads(1);
+                let (mut want_gate, mut want_lin) =
+                    (vec![0.0f32; m * d_ff], vec![0.0f32; m * d_ff]);
+                w1.swiglu_into(&w3, a, &mut want_gate, &mut want_lin);
+                let mut want = vec![0.0f32; m * n];
+                w2.matvec_into(&want_gate, &mut want);
+                // The portable twin fuses every multiply–add on every
+                // backend, with the backend's epilogue.
+                let mut twin_gate = fused_reference(a, b1.data(), m, d, d_ff);
+                let twin_lin = fused_reference(a, b3.data(), m, d, d_ff);
+                swiglu_epilogue(simd::backend(), &mut twin_gate, &twin_lin);
+                let want_twin = fused_reference(&twin_gate, b2.data(), m, d_ff, n);
+                for threads in [1, 2, 3, 8] {
+                    set_max_threads(threads);
+                    let [mut gate, mut lin] = [(); 2].map(|()| vec![f32::NAN; m * d_ff]);
+                    let mut out = vec![f32::NAN; m * n];
+                    w1.ffn_into(&w3, &w2, a, &mut gate, &mut lin, &mut out);
+                    assert!(out == want, "{m}x{d}x{d_ff}x{n} @ {threads}");
+                    let [mut gate, mut lin] = [(); 2].map(|()| vec![f32::NAN; m * d_ff]);
+                    let mut out = vec![f32::NAN; m * n];
+                    let tile = Tile::WidePortable;
+                    // SAFETY: the twin is plain Rust.
+                    unsafe { w1.up_stage(&w3, tile, tile.layout(), a, &mut gate, &mut lin) };
+                    w2.ffn_down_into(FfnHidden { tile, rows: m }, &gate, &mut out);
+                    assert!(out == want_twin, "twin {m}x{d}x{d_ff}x{n} @ {threads}");
+                }
+            }
+        }
+        set_max_threads(0);
     }
 
     #[test]

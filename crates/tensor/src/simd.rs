@@ -13,8 +13,8 @@
 //! AVX-512F is not a backend. It is detected once too, and on the AVX2
 //! backend it gives the packed GEMM a second register tile
 //! (`avx512`: sixteen rows × one 512-bit register, for calls of five
-//! rows or more against packs of one k-slice; see [`crate::pack`],
-//! "The wide tile"). That tile
+//! rows or more against packs of one k-slice and for the FFN's
+//! down-projection; see [`crate::pack`], "The wide tile"). That tile
 //! computes every element exactly as the AVX2 one, so no backend,
 //! `SPECINFER_SIMD` value or result depends on it.
 //!
@@ -133,7 +133,8 @@ fn avx2_available() -> bool {
 /// Whether the CPU reports AVX-512F (std probes the CPU once and caches
 /// the answer). It selects no backend: on [`SimdBackend::Avx2Fma`] it
 /// lets the packed GEMM run calls of five rows or more against packs of
-/// one k-slice on its 16-row tile ([`crate::pack`], "The wide tile").
+/// one k-slice, and the FFN of five rows or more, on its 16-row tile
+/// ([`crate::pack`], "The wide tile").
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx512_available() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
@@ -651,40 +652,119 @@ pub(crate) mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use core::arch::x86_64::{
-        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        __m512, _mm512_fmadd_ps, _mm512_loadu_epi32, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_permutex2var_ps, _mm512_set1_ps, _mm512_setzero_ps,
     };
 
-    use crate::pack::PANEL_WIDTH;
+    use crate::pack::{WideOut, WideTile, PANEL_WIDTH};
 
-    /// `o[r] = A[r] × b` for `R` rows: `b` is a whole panel of a pack
-    /// of one k-slice (`kc` rows of [`PANEL_WIDTH`]), `a` the block's
-    /// rows of `A` interleaved `[t][r]` (`A[r][t]` at `a[t·R + r]`, so
-    /// every broadcast of a step addresses one pointer), `o[r]` the
-    /// panel's real columns of output row `r`. `o` is only written.
-    ///
-    /// # Safety
-    ///
-    /// AVX-512F must be available.
-    // SAFETY: (contract above) reads stay inside the asserted lengths;
-    // masked stores touch the first `o[r].len() ≤ 16` floats of `o[r]`.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: [&mut [f32]; R]) {
-        let kc = b.len() / PANEL_WIDTH;
-        assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
-        assert_eq!(a.len(), kc * R, "one A element per row and panel row");
-        let mut acc = [_mm512_setzero_ps(); R];
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        for t in 0..kc {
-            let b_row = _mm512_loadu_ps(bp.add(t * PANEL_WIDTH));
-            for (r, acc) in acc.iter_mut().enumerate() {
-                *acc = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(t * R + r)), b_row, *acc);
+    /// The AVX-512F implementation of [`WideTile`].
+    pub(crate) struct PackedTile;
+
+    impl WideTile for PackedTile {
+        #[target_feature(enable = "avx512f")]
+        // SAFETY: AVX-512F as the caller vouches; reads stay inside the
+        // asserted lengths, masked accesses inside `o[r]` or `o`'s columns.
+        unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>, carry: bool) {
+            let kc = b.len() / PANEL_WIDTH;
+            assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
+            assert_eq!(a.len(), kc * R, "one A element per row and panel row");
+            let mut acc = [_mm512_setzero_ps(); R];
+            if carry {
+                let WideOut::Rows(o) = &o else {
+                    unreachable!("only a row-major output carries")
+                };
+                for (acc, o) in acc.iter_mut().zip(o) {
+                    assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
+                    *acc = _mm512_maskz_loadu_ps(lanes(o.len()), o.as_ptr());
+                }
+            }
+            let (ap, bp) = (a.as_ptr(), b.as_ptr());
+            for t in 0..kc {
+                let b_row = _mm512_loadu_ps(bp.add(t * PANEL_WIDTH));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(t * R + r)), b_row, *acc);
+                }
+            }
+            match o {
+                WideOut::Rows(o) => {
+                    for (acc, o) in acc.iter().zip(o) {
+                        assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
+                        _mm512_mask_storeu_ps(o.as_mut_ptr(), lanes(o.len()), *acc);
+                    }
+                }
+                WideOut::Columns(o) => {
+                    let cols = o.len() / R;
+                    assert!(
+                        cols * R == o.len() && cols <= PANEL_WIDTH,
+                        "whole columns of one panel"
+                    );
+                    for (c, col) in transpose(&acc).iter().take(cols).enumerate() {
+                        _mm512_mask_storeu_ps(o.as_mut_ptr().add(c * R), lanes(R), *col);
+                    }
+                }
             }
         }
-        for (acc, o) in acc.iter().zip(o) {
-            assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
-            let columns = ((1u32 << o.len()) - 1) as u16;
-            _mm512_mask_storeu_ps(o.as_mut_ptr(), columns, *acc);
+    }
+
+    /// The 16 × 16 transpose of `acc` padded with zero rows: lane `r` of
+    /// the result's register `c` is lane `c` of `acc[r]`. Each of the
+    /// four stages exchanges one bit of the register index with the same
+    /// bit of the lane index, by two two-source permutes per pair of
+    /// registers; they are spelled out so that the registers stay
+    /// registers.
+    // SAFETY: the caller guarantees AVX-512F; the index loads read whole
+    // 16-entry arrays.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose<const R: usize>(acc: &[__m512; R]) -> [__m512; PANEL_WIDTH] {
+        let mut x = [_mm512_setzero_ps(); PANEL_WIDTH];
+        x[..R].copy_from_slice(acc);
+        macro_rules! stage {
+            ($s:literal: $($i:literal $j:literal),+) => {
+                let [lo, hi] = &PERMUTES[$s];
+                let (lo, hi) = (_mm512_loadu_epi32(lo.as_ptr()), _mm512_loadu_epi32(hi.as_ptr()));
+                $(
+                    let (u, v) = (x[$i], x[$j]);
+                    x[$i] = _mm512_permutex2var_ps(u, lo, v);
+                    x[$j] = _mm512_permutex2var_ps(u, hi, v);
+                )+
+            };
         }
+        stage!(0: 0 8, 1 9, 2 10, 3 11, 4 12, 5 13, 6 14, 7 15);
+        stage!(1: 0 4, 1 5, 2 6, 3 7, 8 12, 9 13, 10 14, 11 15);
+        stage!(2: 0 2, 1 3, 4 6, 5 7, 8 10, 9 11, 12 14, 13 15);
+        stage!(3: 0 1, 2 3, 4 5, 6 7, 8 9, 10 11, 12 13, 14 15);
+        x
+    }
+
+    /// The permute indices of [`transpose`]'s stages, for bits 8, 4, 2
+    /// and 1. Lane `c` of the lower register of a pair keeps its own
+    /// lane where `c` lacks the bit, else takes lane `c − bit` of the
+    /// upper register (index `16 + …`); the upper register the converse.
+    const PERMUTES: [[[i32; PANEL_WIDTH]; 2]; 4] = {
+        let mut idx = [[[0; PANEL_WIDTH]; 2]; 4];
+        let mut s = 0;
+        while s < 4 {
+            let bit = PANEL_WIDTH >> (s + 1);
+            let mut c = 0;
+            while c < PANEL_WIDTH {
+                let (lo, hi) = if c & bit == 0 {
+                    (c, c + bit)
+                } else {
+                    (16 + c - bit, 16 + c)
+                };
+                idx[s][0][c] = lo as i32;
+                idx[s][1][c] = hi as i32;
+                c += 1;
+            }
+            s += 1;
+        }
+        idx
+    };
+
+    /// The lane mask of the first `n ≤ 16` lanes.
+    fn lanes(n: usize) -> u16 {
+        ((1u32 << n) - 1) as u16
     }
 }
 

@@ -316,28 +316,40 @@ impl Tensor {
         panels.matvec_into(&self.data, &mut out.data);
     }
 
-    /// The SwiGLU up-stage against pre-packed weights,
-    /// `gate = silu(self × W₁) ⊙ (self × W₃)`, with `lin` receiving
-    /// `self × W₃`: bitwise [`Tensor::matmul_packed_into`] twice, then
-    /// `silu`, then the product — computed as one pool region (see
-    /// [`crate::pack::PackedPanels::swiglu_into`]).
+    /// One SwiGLU feed-forward layer against pre-packed weights,
+    /// `out = (silu(self × W₁) ⊙ (self × W₃)) × W₂`, with `gate` and `lin`
+    /// as scratch: bitwise [`Tensor::matmul_packed_into`] against `W₁`
+    /// and `W₃`, then `silu`, the product and `matmul_packed_into`
+    /// against `W₂` (see [`crate::pack::PackedPanels::ffn_into`]). What
+    /// `gate` and `lin` hold afterwards is in a layout private to the
+    /// kernels.
     ///
     /// # Panics
     ///
-    /// Panics if the shared dimension disagrees, the packs differ in
+    /// Panics if the shared dimensions disagree, the up packs differ in
     /// shape, or `self` is not 2-D.
-    pub fn swiglu_packed_into(
+    pub fn ffn_packed_into(
         &self,
         w1: &crate::pack::PackedPanels,
         w3: &crate::pack::PackedPanels,
+        w2: &crate::pack::PackedPanels,
         gate: &mut Tensor,
         lin: &mut Tensor,
+        out: &mut Tensor,
     ) {
         let (m, k) = (self.rows(), self.cols());
-        assert_eq!(k, w1.k(), "swiglu inner dimensions must agree");
+        assert_eq!(k, w1.k(), "ffn inner dimensions must agree");
         gate.reset_overwritten(&[m, w1.n()]);
         lin.reset_overwritten(&[m, w1.n()]);
-        w1.swiglu_into(w3, &self.data, &mut gate.data, &mut lin.data);
+        out.reset_overwritten(&[m, w2.n()]);
+        w1.ffn_into(
+            w3,
+            w2,
+            &self.data,
+            &mut gate.data,
+            &mut lin.data,
+            &mut out.data,
+        );
     }
 
     /// Matrix multiplication with the second operand transposed:
