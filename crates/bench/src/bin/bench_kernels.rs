@@ -2,9 +2,11 @@
 //!
 //! Writes `BENCH_kernels.json` into the current directory:
 //!
-//! * `kernels` — GFLOP/s of the blocked matmul kernels (and the
-//!   packed-panel GEMM) at several shapes alongside the naive
-//!   reference kernels, with the measured speedup.
+//! * `kernels` — GFLOP/s of the blocked matmul kernels and the
+//!   packed-panel GEMM at square shapes, and of what a decode step runs
+//!   at one row (the packed QKV projection, attention's serial block
+//!   kernels), alongside the naive reference kernels, with the measured
+//!   speedup.
 //! * `ffn` — one feed-forward layer of a memory-bound LLM (`96×8192`
 //!   up, `8192×96` down) stage by stage as a forward runs it: the two
 //!   up-projections (`up_gemm`), the SwiGLU epilogue (the fused
@@ -28,7 +30,7 @@ use specinfer_bench::{Scale, Suite};
 use specinfer_model::DecodeMode;
 use specinfer_spec::{EngineConfig, InferenceMode, SpecEngine, StochasticVerifier};
 use specinfer_tensor::rng::SeededRng;
-use specinfer_tensor::{pack, pool, simd, PackedPanels, Tensor};
+use specinfer_tensor::{kernels, pack, pool, simd, PackedPanels, Tensor};
 use specinfer_tokentree::ExpansionConfig;
 
 #[derive(Serialize)]
@@ -112,61 +114,66 @@ fn time_per_iter(mut f: impl FnMut()) -> f64 {
 fn bench_kernels() -> Vec<KernelResult> {
     let mut rng = SeededRng::new(1);
     let mut results = Vec::new();
-    // Square shapes stress the blocked/parallel path; the m=1 shapes are
-    // the decode-time matvecs the SIMD backends exist for: fused QKV
-    // (1,96,288), attention score against an L=256 key block (1,24,256),
-    // and the value gather back down to head_dim (1,256,24).
-    let shapes = &[
-        (96usize, 96usize, 96usize),
-        (256, 256, 256),
-        (1, 96, 288),
-        (1, 24, 256),
-        (1, 256, 24),
-    ];
-    for &(m, k, n) in shapes {
+    let mut push = |op: &str, (m, k, n): (usize, usize, usize), fast: f64, naive: f64| {
+        let flops = (2 * m * k * n) as f64;
+        results.push(KernelResult {
+            op: op.into(),
+            m,
+            k,
+            n,
+            fast_gflops: flops / fast / 1e9,
+            ref_gflops: flops / naive / 1e9,
+            speedup: naive / fast,
+        });
+    };
+    let mut operands = |(m, k, n): (usize, usize, usize)| {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let bt = b.transpose();
-        let flops = (2 * m * k * n) as f64;
-        let mut out = Tensor::default();
-        let fast_nn = time_per_iter(|| a.matmul_into(&b, &mut out));
         let ref_nn = time_per_iter(|| {
             std::hint::black_box(a.matmul_ref(&b));
         });
-        results.push(KernelResult {
-            op: "nn".into(),
-            m,
-            k,
-            n,
-            fast_gflops: flops / fast_nn / 1e9,
-            ref_gflops: flops / ref_nn / 1e9,
-            speedup: ref_nn / fast_nn,
-        });
-        let fast_nt = time_per_iter(|| a.matmul_nt_into(&bt, &mut out));
         let ref_nt = time_per_iter(|| {
             std::hint::black_box(a.matmul_nt_ref(&bt));
         });
-        results.push(KernelResult {
-            op: "nt".into(),
-            m,
-            k,
-            n,
-            fast_gflops: flops / fast_nt / 1e9,
-            ref_gflops: flops / ref_nt / 1e9,
-            speedup: ref_nt / fast_nt,
-        });
-        let panels = PackedPanels::from_nn(b.data(), k, n);
-        let fast_packed = time_per_iter(|| a.matmul_packed_into(&panels, &mut out));
-        results.push(KernelResult {
-            op: "nn_packed".into(),
-            m,
-            k,
-            n,
-            fast_gflops: flops / fast_packed / 1e9,
-            ref_gflops: flops / ref_nn / 1e9,
-            speedup: ref_nn / fast_packed,
-        });
+        (a, b, bt, ref_nn, ref_nt)
+    };
+    // Square shapes stress the blocked/parallel path of training.
+    for shape in [(96usize, 96usize, 96usize), (256, 256, 256)] {
+        let (a, b, bt, ref_nn, ref_nt) = operands(shape);
+        let mut out = Tensor::default();
+        let nn = time_per_iter(|| a.matmul_into(&b, &mut out));
+        push("nn", shape, nn, ref_nn);
+        let nt = time_per_iter(|| a.matmul_nt_into(&bt, &mut out));
+        push("nt", shape, nt, ref_nt);
+        let panels = PackedPanels::from_nn(b.data(), shape.1, shape.2);
+        let packed = time_per_iter(|| a.matmul_packed_into(&panels, &mut out));
+        push("nn_packed", shape, packed, ref_nn);
     }
+    // The m = 1 rows are what a decode step runs: the fused QKV
+    // projection against its packed panels (1, 96, 288), and one head's
+    // attention over a 256-row context — its scores (1, 24, 256) and its
+    // weighted sum of values (1, 256, 24) on the serial block kernels.
+    let qkv = (1, 96, 288);
+    let (a, b, _, ref_nn, _) = operands(qkv);
+    let panels = PackedPanels::from_nn(b.data(), qkv.1, qkv.2);
+    let mut out = Tensor::default();
+    let packed = time_per_iter(|| a.matmul_packed_into(&panels, &mut out));
+    push("nn_packed", qkv, packed, ref_nn);
+    let scores = (1, 24, 256);
+    let (a, _, bt, _, ref_nt) = operands(scores);
+    let mut out = vec![0.0f32; scores.2];
+    let fast =
+        time_per_iter(|| kernels::matmul_nt_block(a.data(), bt.data(), &mut out, 1, 24, 256));
+    push("nt_block", scores, fast, ref_nt);
+    let sum = (1, 256, 24);
+    let (a, b, _, ref_nn, _) = operands(sum);
+    let mut out = vec![0.0f32; sum.2];
+    let fast = time_per_iter(|| {
+        out.fill(0.0);
+        kernels::matmul_nn_block(a.data(), b.data(), &mut out, 1, 256, 24)
+    });
+    push("nn_block", sum, fast, ref_nn);
     results
 }
 

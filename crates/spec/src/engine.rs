@@ -275,15 +275,6 @@ impl DegradationPolicy {
     }
 }
 
-/// Counters of the faults one session absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DegradationStats {
-    /// Iterations that had any fault injected.
-    pub faulted_steps: usize,
-    /// Iterations forced incremental by a stall or simulated OOM.
-    pub forced_incremental: usize,
-}
-
 /// Per-iteration statistics of one session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepStats {
@@ -402,7 +393,6 @@ pub struct Session {
     rng: SeededRng,
     steps: Vec<StepStats>,
     finished: bool,
-    degradation: DegradationStats,
     /// The lowered [`InferenceMode`], installed by the first proposal
     /// (the configuration and the SSM pool's FLOP weights only arrive
     /// with the first step).
@@ -489,7 +479,6 @@ impl Session {
             rng: SeededRng::new(seed),
             steps: Vec::new(),
             finished: false,
-            degradation: DegradationStats::default(),
             plan: None,
         })
     }
@@ -580,11 +569,6 @@ impl Session {
     /// frozen benchmark crate, which calls it.
     pub fn set_degradation_policy(&mut self, _policy: DegradationPolicy) {}
 
-    /// Counters of the faults absorbed so far.
-    pub fn degradation(&self) -> DegradationStats {
-        self.degradation
-    }
-
     /// The full token sequence so far (prompt included).
     pub fn tokens(&self) -> &[TokenId] {
         &self.tokens
@@ -671,9 +655,6 @@ impl Session {
             self.finished = true;
             return None;
         }
-        if !fault.is_noop() {
-            self.degradation.faulted_steps += 1;
-        }
         let plan = match self.plan.take() {
             Some(plan) => plan,
             None => DraftPlan::lower(
@@ -686,7 +667,6 @@ impl Session {
 
         let mut decision = None;
         let spec = if forced_incremental {
-            self.degradation.forced_incremental += 1;
             None
         } else {
             // Only a draft that ran teaches the controller: a shape that

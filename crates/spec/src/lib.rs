@@ -65,8 +65,8 @@ pub use controller::{
 };
 pub use dynamic::{speculate_dynamic, DynamicExpansionConfig};
 pub use engine::{
-    DegradationPolicy, DegradationStats, EngineConfig, EngineError, GenerationResult,
-    InferenceMode, Session, SpecEngine, StepFault, StepStats,
+    DegradationPolicy, EngineConfig, EngineError, GenerationResult, InferenceMode, Session,
+    SpecEngine, StepFault, StepStats,
 };
 pub use speculator::{
     speculate_expansion, speculate_garbage, speculate_pool_parallel, ExpansionMode, Speculation,

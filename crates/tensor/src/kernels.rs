@@ -3,10 +3,11 @@
 //! All three matmul variants dispatch through this module. Large shapes
 //! become one region of the worker pool ([`crate::pool`]); small shapes
 //! are the same call as a single inline task. The partitioning is
-//! always over *output elements* (rows, or columns when there is a
-//! single output row), never over the shared `k` dimension, so every
-//! output element accumulates its products in a fixed order regardless
-//! of the thread count.
+//! always over *output rows*, never over the shared `k` dimension, so
+//! every output element accumulates its products in a fixed order
+//! regardless of the thread count. No forward issues a one-row blocked
+//! product (dense layers run packed, attention the serial `*_block`
+//! kernels), so a single row is one task like any other.
 //!
 //! Each partition runs on the process-selected [`SimdBackend`]
 //! (see [`crate::simd`]): the scalar kernels below are the
@@ -141,18 +142,6 @@ fn nn_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize)
     }
 }
 
-/// Single-output-row variant of [`nn_rows`] over a column range:
-/// `out[j0..j0+w] = a × B[:, j0..j0+w]` where `a` is one row.
-fn nn_cols(a: &[f32], b: &[f32], out: &mut [f32], j0: usize, k: usize, n: usize) {
-    let w = out.len();
-    for (kk, &av) in a.iter().enumerate().take(k) {
-        let b_seg = &b[kk * n + j0..kk * n + j0 + w];
-        for (o, &bv) in out.iter_mut().zip(b_seg) {
-            *o += av * bv;
-        }
-    }
-}
-
 /// [`nn_rows`] on an explicit backend: scalar stays the reference
 /// triple-loop order; AVX2/NEON vectorise over output columns, which
 /// keeps one (fused) ascending-`k` chain per element.
@@ -175,30 +164,6 @@ fn nn_rows_with(
         // SAFETY: NEON is baseline on aarch64; shape contract as above.
         SimdBackend::Neon => unsafe { simd::neon::nn_rows(a, b, out, i0, k, n) },
         _ => nn_rows(a, b, out, i0, k, n),
-    }
-}
-
-/// [`nn_cols`] on an explicit backend; same per-element chains as
-/// [`nn_rows_with`], so column-chunk boundaries are bitwise-inert.
-fn nn_cols_with(
-    be: SimdBackend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    j0: usize,
-    k: usize,
-    n: usize,
-) {
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only ever selected after runtime
-        // detection of AVX2+FMA, and the caller passes the same shape
-        // contract the scalar kernel relies on.
-        SimdBackend::Avx2Fma => unsafe { simd::avx2::nn_cols(a, b, out, j0, k, n) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; shape contract as above.
-        SimdBackend::Neon => unsafe { simd::neon::nn_cols(a, b, out, j0, k, n) },
-        _ => nn_cols(a, b, out, j0, k, n),
     }
 }
 
@@ -356,20 +321,15 @@ fn tn_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, m: usize, k: usize,
     }
 }
 
-/// Fewest columns of a single output row worth a task of their own: a
-/// cache line of `B`'s row, so neighbouring tasks share few lines.
-const COL_RUN: usize = 16;
-
-/// Tasks for a blocked `m·k·n` multiply over `units` output rows (or
-/// column runs of a single row), by the bytes of `B` it streams — every
-/// row's sweep re-reads it.
-fn tasks(units: usize, m: usize, k: usize, n: usize) -> usize {
-    pool::tasks_for(units, 4 * m * k * n)
+/// Tasks for a blocked `m·k·n` multiply over its `m` output rows, by
+/// the bytes of `B` it streams — every row's sweep re-reads it.
+fn tasks(m: usize, k: usize, n: usize) -> usize {
+    pool::tasks_for(m, 4 * m * k * n)
 }
 
 /// `out = A × B` on an explicit backend; `out` must be zero-filled,
-/// length `m·n`. Public so the bitwise test batteries can pin each
-/// backend regardless of which one the process latched.
+/// length `m·n`. Public so the forward oracle (`tests/forward.rs`) can
+/// pin each backend regardless of which one the process latched.
 pub fn matmul_nn_with(
     be: SimdBackend,
     a: &[f32],
@@ -380,15 +340,9 @@ pub fn matmul_nn_with(
     n: usize,
 ) {
     debug_assert_eq!(out.len(), m * n);
-    if m == 1 {
-        pool::run_chunks(out, 1, tasks(n.div_ceil(COL_RUN), m, k, n), |j0, chunk| {
-            nn_cols_with(be, a, b, chunk, j0, k, n)
-        });
-    } else {
-        pool::run_chunks(out, n, tasks(m, m, k, n), |i0, chunk| {
-            nn_rows_with(be, a, b, chunk, i0, k, n)
-        });
-    }
+    pool::run_chunks(out, n, tasks(m, k, n), |i0, chunk| {
+        nn_rows_with(be, a, b, chunk, i0, k, n)
+    });
 }
 
 /// `out = A × B` on the process-selected backend.
@@ -397,8 +351,8 @@ pub(crate) fn matmul_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 }
 
 /// `out = A × Bᵀ` (`b` stored `[n, k]`) on an explicit backend; `out`
-/// has length `m·n` and is fully overwritten. Public for the bitwise
-/// test batteries.
+/// has length `m·n` and is fully overwritten. Public for the forward
+/// oracle.
 pub fn matmul_nt_with(
     be: SimdBackend,
     a: &[f32],
@@ -409,18 +363,9 @@ pub fn matmul_nt_with(
     n: usize,
 ) {
     debug_assert_eq!(out.len(), m * n);
-    if m == 1 {
-        // Columns of the single output row are rows of `b`, so each
-        // chunk sees a contiguous slice of `b`.
-        pool::run_chunks(out, 1, tasks(n.div_ceil(COL_RUN), m, k, n), |j0, chunk| {
-            let b_chunk = &b[j0 * k..(j0 + chunk.len()) * k];
-            nt_rows_with(be, a, b_chunk, chunk, 0, k, chunk.len());
-        });
-    } else {
-        pool::run_chunks(out, n, tasks(m, m, k, n), |i0, chunk| {
-            nt_rows_with(be, a, b, chunk, i0, k, n)
-        });
-    }
+    pool::run_chunks(out, n, tasks(m, k, n), |i0, chunk| {
+        nt_rows_with(be, a, b, chunk, i0, k, n)
+    });
 }
 
 /// `out = A × Bᵀ` on the process-selected backend.
@@ -434,17 +379,9 @@ pub(crate) fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 /// are bitwise reproducible across machines.
 pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
-    if m == 1 {
-        // With one output row, Aᵀ is a single row of length k stored as
-        // a column, which is exactly the nn single-row sweep.
-        pool::run_chunks(out, 1, tasks(n.div_ceil(COL_RUN), m, k, n), |j0, chunk| {
-            nn_cols(a, b, chunk, j0, k, n)
-        });
-    } else {
-        pool::run_chunks(out, n, tasks(m, m, k, n), |i0, chunk| {
-            tn_rows(a, b, chunk, i0, m, k, n)
-        });
-    }
+    pool::run_chunks(out, n, tasks(m, k, n), |i0, chunk| {
+        tn_rows(a, b, chunk, i0, m, k, n)
+    });
 }
 
 /// Serial slice-level `out = A × B` (`a` is `[m, k]`, `b` is `[k, n]`,
@@ -477,180 +414,4 @@ pub fn matmul_nt_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
     debug_assert_eq!(b.len(), k * n, "B must be n×k row-major");
     debug_assert_eq!(out.len(), m * n, "out must be m×n");
     nt_rows_with(simd::backend(), a, b, out, 0, k, n);
-}
-
-/// Serializes tests that toggle the global thread cap.
-#[cfg(test)]
-pub(crate) static KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rng::SeededRng;
-    use crate::Tensor;
-
-    fn randn(dims: &[usize], seed: u64) -> Tensor {
-        Tensor::randn(dims, 1.0, &mut SeededRng::new(seed))
-    }
-
-    #[test]
-    fn forced_serial_and_parallel_agree_bitwise() {
-        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        // Shapes straddle the threshold and include non-multiples of the
-        // nt lane width and single-row/single-column extremes.
-        let shapes = [
-            (1, 96, 288),
-            (96, 96, 96),
-            (65, 70, 3),
-            (3, 300, 301),
-            (128, 1, 128),
-            (1, 4096, 7),
-        ];
-        for (idx, &(m, k, n)) in shapes.iter().enumerate() {
-            let a = randn(&[m, k], idx as u64);
-            let b = randn(&[k, n], 100 + idx as u64);
-            let bt = b.transpose();
-            let at = a.transpose();
-            set_max_threads(1);
-            let serial = (a.matmul(&b), a.matmul_nt(&bt), at.matmul_tn(&b));
-            set_max_threads(8);
-            let parallel = (a.matmul(&b), a.matmul_nt(&bt), at.matmul_tn(&b));
-            set_max_threads(0);
-            assert_eq!(serial.0.data(), parallel.0.data(), "nn {m}x{k}x{n}");
-            assert_eq!(serial.1.data(), parallel.1.data(), "nt {m}x{k}x{n}");
-            assert_eq!(serial.2.data(), parallel.2.data(), "tn {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn every_backend_is_thread_count_invariant_bitwise() {
-        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        let shapes = [(1, 96, 288), (96, 96, 96), (3, 300, 301), (1, 4096, 7)];
-        for be in simd::available_backends() {
-            for (idx, &(m, k, n)) in shapes.iter().enumerate() {
-                let a = randn(&[m, k], 20 + idx as u64);
-                let b = randn(&[k, n], 120 + idx as u64);
-                let bt = b.transpose();
-                let mut base_nn = vec![0.0f32; m * n];
-                let mut base_nt = vec![0.0f32; m * n];
-                set_max_threads(1);
-                matmul_nn_with(be, a.data(), b.data(), &mut base_nn, m, k, n);
-                matmul_nt_with(be, a.data(), bt.data(), &mut base_nt, m, k, n);
-                for threads in 2..=8 {
-                    set_max_threads(threads);
-                    let mut nn = vec![0.0f32; m * n];
-                    let mut nt = vec![0.0f32; m * n];
-                    matmul_nn_with(be, a.data(), b.data(), &mut nn, m, k, n);
-                    matmul_nt_with(be, a.data(), bt.data(), &mut nt, m, k, n);
-                    assert_eq!(base_nn, nn, "{be:?} nn {m}x{k}x{n} @ {threads} threads");
-                    assert_eq!(base_nt, nt, "{be:?} nt {m}x{k}x{n} @ {threads} threads");
-                }
-                set_max_threads(0);
-            }
-            // The packed path, on packs large enough to be pool regions:
-            // many panels, the down-projection's six, a ragged last
-            // panel, fewer panels than workers. `out` starts as NaN.
-            for &(k, n) in &crate::pack::tests::SHARED_SHAPES {
-                let b = randn(&[k, n], 220);
-                let p = crate::PackedPanels::from_nn(b.data(), k, n);
-                for m in [1usize, 3, 20] {
-                    let a = randn(&[m, k], 221);
-                    set_max_threads(1);
-                    let mut base = vec![f32::NAN; m * n];
-                    p.matvec_into_with(be, a.data(), &mut base);
-                    for threads in 2..=8 {
-                        set_max_threads(threads);
-                        let mut out = vec![f32::NAN; m * n];
-                        p.matvec_into_with(be, a.data(), &mut out);
-                        assert!(base == out, "{be:?} packed {m}x{k}x{n} @ {threads} threads");
-                    }
-                    set_max_threads(0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scalar_backend_matches_naive_reference_bitwise() {
-        let shapes = [
-            (1, 5, 9),
-            (7, 8, 9),
-            (96, 96, 96),
-            (1, 96, 96),
-            (96, 96, 1),
-            (2, 1, 2),
-        ];
-        for (idx, &(m, k, n)) in shapes.iter().enumerate() {
-            let a = randn(&[m, k], 7 + idx as u64);
-            let b = randn(&[k, n], 70 + idx as u64);
-            let mut nn = vec![0.0f32; m * n];
-            matmul_nn_with(SimdBackend::Scalar, a.data(), b.data(), &mut nn, m, k, n);
-            assert_eq!(nn, a.matmul_ref(&b).data(), "nn {m}x{k}x{n}");
-            let bt = b.transpose();
-            let mut nt = vec![0.0f32; m * n];
-            matmul_nt_with(SimdBackend::Scalar, a.data(), bt.data(), &mut nt, m, k, n);
-            assert_eq!(nt, a.matmul_nt_ref(&bt).data(), "nt {m}x{k}x{n}");
-            // `tn` runs the scalar reference kernels on every backend.
-            let at = a.transpose();
-            assert_eq!(
-                at.matmul_tn(&b).data(),
-                at.matmul_tn_ref(&b).data(),
-                "tn {m}x{k}x{n}"
-            );
-        }
-    }
-
-    #[test]
-    fn simd_backends_stay_close_to_reference() {
-        // FMA contracts mul+add into one rounding, so SIMD backends are
-        // not bitwise-equal to the scalar reference — but they compute
-        // the same sums, so the drift is bounded by rounding noise.
-        let shapes = [(1, 96, 288), (7, 33, 47), (96, 96, 96), (1, 4096, 7)];
-        for be in simd::available_backends() {
-            for (idx, &(m, k, n)) in shapes.iter().enumerate() {
-                let a = randn(&[m, k], 30 + idx as u64);
-                let b = randn(&[k, n], 130 + idx as u64);
-                let refv = a.matmul_ref(&b);
-                let mut nn = vec![0.0f32; m * n];
-                matmul_nn_with(be, a.data(), b.data(), &mut nn, m, k, n);
-                let tol = 1e-4 * (k as f32).sqrt();
-                for (got, want) in nn.iter().zip(refv.data()) {
-                    assert!(
-                        (got - want).abs() <= tol.max(1e-4 * want.abs()),
-                        "{be:?} nn {m}x{k}x{n}: {got} vs {want}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn slice_block_kernels_match_tensor_kernels_bitwise() {
-        // Shapes cover full 4×4 tiles, row/column remainders, and the
-        // degenerate single-row case used by incremental decoding. Both
-        // sides run the process-selected backend; equality is exact
-        // because block composition never changes per-element order.
-        let shapes = [(1, 8, 5), (3, 24, 7), (4, 16, 4), (7, 24, 10), (56, 24, 19)];
-        for (idx, &(m, k, n)) in shapes.iter().enumerate() {
-            let a = randn(&[m, k], 40 + idx as u64);
-            let b = randn(&[k, n], 140 + idx as u64);
-            let bt = b.transpose();
-            let mut nn = vec![0.0f32; m * n];
-            matmul_nn_block(a.data(), b.data(), &mut nn, m, k, n);
-            assert_eq!(nn, a.matmul(&b).data(), "nn {m}x{k}x{n}");
-            let mut nt = vec![1.0f32; m * n]; // overwritten, no zero-fill needed
-            matmul_nt_block(a.data(), bt.data(), &mut nt, m, k, n);
-            assert_eq!(nt, a.matmul_nt(&bt).data(), "nt {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn thread_cap_round_trips() {
-        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        set_max_threads(3);
-        assert_eq!(max_threads(), 3);
-        set_max_threads(0);
-        assert_eq!(max_threads(), 0);
-        assert!(effective_threads() >= 1);
-    }
 }

@@ -15,10 +15,8 @@
 //!
 //! (`t` the reduction index, `p` the panel, `c` the column within the
 //! panel; columns past `n` in the last panel are zero-padded and never
-//! copied out). [`PackedPanels::from_nn`] and [`PackedPanels::from_nt`]
-//! produce this same canonical layout from either storage orientation,
-//! so a single kernel serves both `matmul` and `matmul_nt` against a
-//! packed operand.
+//! copied out), built by [`PackedPanels::from_nn`] from a row-major
+//! `[k, n]` weight.
 //!
 //! # Loop nest
 //!
@@ -66,13 +64,16 @@
 //! ```text
 //! for panel p
 //!   for row block i                 (16 rows of A, or the 1–15 left over)
-//!     for k-slice s of the panel    (≤ K_SLICE reduction steps)
-//!       out[block, cols] (+)= A[block, slice] × slice
+//!     out[block, cols] = A[block, :] × panel
 //! ```
 //!
-//! with the accumulators carried through `out` between slices, as the
-//! four-row tile carries them. Who writes the wide layout decides where
-//! the tile runs:
+//! with no k-slices: a block walks the whole panel in one tile call.
+//! Slicing pays in the four-row nest, where a slice stays in L1 across
+//! the blocks that reuse it; here the blocks of a panel come after one
+//! another over its whole `k`, and a panel of a `d_ff`-long pack
+//! (512 KB at `k = 8192`) is evicted from L1 between blocks whether it
+//! is sliced or not. Who writes the wide layout decides where the tile
+//! runs:
 //!
 //! - A row-major `A` is copied into it once per call (`interleave`).
 //!   Every panel of a pack of one k-slice (`k ≤ K_SLICE`: every
@@ -350,21 +351,6 @@ impl PackedPanels {
         PackedPanels { data, k, n }
     }
 
-    /// Packs a row-major `[n, k]` matrix (the `nt` operand layout —
-    /// `n` output columns stored as rows) into the same canonical
-    /// panels as [`PackedPanels::from_nn`] of its transpose.
-    pub fn from_nt(b: &[f32], n: usize, k: usize) -> Self {
-        assert_eq!(b.len(), n * k, "B must be n×k");
-        let mut data = vec![0.0f32; n.div_ceil(PANEL_WIDTH) * k * PANEL_WIDTH];
-        for (j, b_row) in b.chunks_exact(k).enumerate() {
-            let (p, c) = (j / PANEL_WIDTH, j % PANEL_WIDTH);
-            for (t, &v) in b_row.iter().enumerate() {
-                data[p * (k * PANEL_WIDTH) + t * PANEL_WIDTH + c] = v;
-            }
-        }
-        PackedPanels { data, k, n }
-    }
-
     /// The shared (reduction) dimension.
     pub fn k(&self) -> usize {
         self.k
@@ -391,7 +377,7 @@ impl PackedPanels {
     }
 
     /// [`PackedPanels::matvec_into`] on an explicit backend — the hook
-    /// the bitwise test batteries use to compare backends directly.
+    /// the forward oracle (`tests/forward.rs`) uses to run every backend.
     ///
     /// # Panics
     ///
@@ -486,8 +472,8 @@ impl PackedPanels {
 
     /// The down-projection of [`PackedPanels::ffn_into`]: `out = gate ×
     /// self`, `gate` as [`PackedPanels::ffn_up_into`] left it (`hidden`).
-    /// A gate in the wide layout is read in place by the wide tile, one
-    /// k-slice after another; a row-major one takes
+    /// A gate in the wide layout is read in place by the wide tile; a
+    /// row-major one takes
     /// [`PackedPanels::matvec_into`]'s tile.
     ///
     /// # Panics
@@ -508,16 +494,6 @@ impl PackedPanels {
         // SAFETY: `hidden.tile` came from `select` in `ffn_up_into` (or a
         // test that vouches for it), and so does the other.
         unsafe { self.matvec_into_tile(tile, layout, gate, out) }
-    }
-
-    /// The SwiGLU up-stage with row-major outputs, on the process's
-    /// backend and tile: the reference `ffn_into` is held to.
-    #[cfg(test)]
-    fn swiglu_into(&self, up: &PackedPanels, a: &[f32], gate: &mut [f32], lin: &mut [f32]) {
-        self.check_shapes(a, gate.len());
-        let tile = Tile::select(simd::backend(), a.len() / self.k, self.k);
-        // SAFETY: `select` names only detected tiles.
-        unsafe { self.up_stage(up, tile, Layout::Rows, a, gate, lin) };
     }
 
     /// The SwiGLU up-stage on tile `tile`, writing `gate` and `lin` in
@@ -635,12 +611,7 @@ impl PackedPanels {
 
     /// [`PackedPanels::gemm_with`] on a wide tile `T`, `a` in the wide
     /// layout: per panel, per block of up to [`WIDE_ROWS`] rows, one tile
-    /// call per k-slice, the accumulators carried through a row-major
-    /// `out` from one slice to the next. A wide `out` takes packs of one
-    /// k-slice. The slices are the innermost loop so that a pack of one
-    /// slice — most calls — dispatches on the row count once per block
-    /// and no more: with the slices outside that dispatch, one-slice
-    /// calls measured 13–24% slower (EXPERIMENTS.md).
+    /// call over the panel's whole `k`.
     ///
     /// # Safety
     ///
@@ -664,13 +635,8 @@ impl PackedPanels {
                 // function-level argument for the output.
                 unsafe {
                     with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
-                        // A block's slice is one run of its `[t][r]` rows.
-                        let slices =
-                            panel.chunks(K_SLICE * PANEL_WIDTH).zip(a_blk.chunks(K_SLICE * R));
-                        for (s, (b, a_s)) in slices.enumerate() {
-                            let o = wide_out::<R>(out, layout, n, i * WIDE_ROWS, &cols);
-                            T::tile::<R>(b, a_s, o, s > 0)
-                        }
+                        let o = wide_out::<R>(out, layout, n, i * WIDE_ROWS, &cols);
+                        T::tile::<R>(panel, a_blk, o)
                     })
                 }
             }
@@ -817,14 +783,12 @@ unsafe fn wide_out<'a, const R: usize>(
 
 /// A wide register tile of the packed GEMM ("The wide tile").
 pub(crate) trait WideTile {
-    /// `o (+)= A × b` for the `R` rows of a block: `b` is one k-slice of
-    /// one panel (`kc` rows of [`PANEL_WIDTH`]), `a` the block's `kc`
-    /// reduction steps in the wide layout (`A[r][t]` at `a[t·R + r]`), `o`
-    /// the panel's real columns of the block's rows, row by row or in
-    /// the wide layout. With `carry` — a row-major `o` only — the
-    /// accumulators continue from `o`, otherwise they start from zero.
-    /// Each output element extends its single ascending-`k` fused chain
-    /// by `kc` steps.
+    /// `o = A × b` for the `R` rows of a block: `b` is one whole panel
+    /// (`k` rows of [`PANEL_WIDTH`]), `a` the block's `k` reduction steps
+    /// in the wide layout (`A[r][t]` at `a[t·R + r]`), `o` the panel's
+    /// real columns of the block's rows, row by row or in the wide
+    /// layout. Each output element is one ascending-`k` fused chain from
+    /// zero.
     ///
     /// # Safety
     ///
@@ -832,33 +796,25 @@ pub(crate) trait WideTile {
     /// available.
     // SAFETY: (contract above) all operands are slices; implementations
     // assert the lengths their raw accesses rely on.
-    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>, carry: bool);
+    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>);
 }
 
-/// The wide tile's portable twin: the same blocks, wide layouts and carry
-/// through `out`, one `f32::mul_add` chain per output element — so the
-/// wide loop nest's indexing is checked on hosts without AVX-512F.
+/// The wide tile's portable twin: the same blocks and wide layouts, one
+/// `f32::mul_add` chain per output element — so the wide loop nest's
+/// indexing is checked on hosts without AVX-512F.
 #[cfg(test)]
 struct PortableWide;
 
 #[cfg(test)]
 impl WideTile for PortableWide {
     // SAFETY: safe code throughout — no ISA extension, no raw access.
-    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>, carry: bool) {
+    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>) {
         assert_eq!(
             a.len(),
             b.len() / PANEL_WIDTH * R,
             "one A element per row and panel row"
         );
         let mut acc = [[0.0f32; PANEL_WIDTH]; R];
-        if carry {
-            let WideOut::Rows(o) = &o else {
-                unreachable!("only a row-major output carries")
-            };
-            for (acc, o) in acc.iter_mut().zip(o) {
-                acc[..o.len()].copy_from_slice(o);
-            }
-        }
         for (b_row, a_t) in b.chunks_exact(PANEL_WIDTH).zip(a.chunks_exact(R)) {
             for (acc, &av) in acc.iter_mut().zip(a_t) {
                 for (s, &bv) in acc.iter_mut().zip(b_row) {
@@ -930,172 +886,86 @@ impl PanelTile for ScalarTile {
     }
 }
 
+/// The contracts of the public API — packed ≡ blocked at every row
+/// count, backend and thread count, the FFN ≡ its rows one at a time —
+/// are cells of the forward oracle (`tests/forward.rs`). What stays here
+/// needs the module's private items: forced tiles and the wide tile's
+/// portable twin. The epilogue's polynomial SiLU is `simd.rs`'s.
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::kernels::{set_max_threads, KNOB};
     use crate::rng::SeededRng;
     use crate::Tensor;
-
-    /// `(k, n)` of packs around [`pool::MIN_SHARE_BYTES`]: the
-    /// up-projection's 512 panels, then down-projection-like packs on
-    /// both sides of the first three panel boundaries — one panel (below
-    /// the constant, never split), two to four with a ragged or a full
-    /// last one (fewer panels than workers) — `w2`'s six, and eighteen.
-    pub(crate) const SHARED_SHAPES: [(usize, usize); 13] = [
-        (96, 8192),
-        (8192, 1),
-        (8192, 15),
-        (8192, 16),
-        (8192, 17),
-        (8192, 31),
-        (8192, 32),
-        (8192, 33),
-        (8192, 47),
-        (8192, 48),
-        (8192, 49),
-        (8192, 96),
-        (8192, 288),
-    ];
 
     fn randn(dims: &[usize], seed: u64) -> Tensor {
         Tensor::randn(dims, 1.0, &mut SeededRng::new(seed))
     }
 
     /// `A × B` with one `f32::mul_add` chain per element in ascending
-    /// `k`, as every fused backend computes it: that backend's blocked
-    /// kernel where the host has one, a plain loop elsewhere.
+    /// `k`, as every fused backend computes it.
     fn fused_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
-        match simd::available_backends()
-            .into_iter()
-            .find(|&be| be != SimdBackend::Scalar)
-        {
-            Some(be) => crate::kernels::matmul_nn_with(be, a, b, &mut out, m, k, n),
-            None => {
-                for (a_row, o_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-                    for (t, &av) in a_row.iter().enumerate() {
-                        for (o, &bv) in o_row.iter_mut().zip(&b[t * n..(t + 1) * n]) {
-                            *o = av.mul_add(bv, *o);
-                        }
-                    }
+        for (a_row, o_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)).take(m) {
+            for (t, &av) in a_row.iter().enumerate() {
+                for (o, &bv) in o_row.iter_mut().zip(&b[t * n..(t + 1) * n]) {
+                    *o = av.mul_add(bv, *o);
                 }
             }
         }
         out
     }
 
+    /// The wide loop nest on its portable twin, on every host: the
+    /// sixteen-row blocks with a row-major `A` against packs of one
+    /// k-slice and of several with ragged last panels, and the FFN whose
+    /// up-stage stores `gate` transposed into the wide layout for the
+    /// down-projection to read. `out` and the scratch start as NaN.
     #[test]
-    fn from_nn_and_from_nt_agree_on_the_canonical_layout() {
-        for &(k, n) in &[(5usize, 3usize), (8, 32), (7, 33), (96, 288), (24, 65)] {
-            let b = randn(&[k, n], 9);
-            let bt = b.transpose();
-            let p_nn = PackedPanels::from_nn(b.data(), k, n);
-            let p_nt = PackedPanels::from_nt(bt.data(), n, k);
-            assert_eq!(p_nn.data, p_nt.data, "k={k} n={n}");
-            assert_eq!((p_nn.k(), p_nn.n()), (k, n));
-        }
-    }
-
-    #[test]
-    fn packed_scalar_matches_reference_bitwise() {
-        for &(m, k, n) in &[
-            (1usize, 96usize, 288usize),
-            (3, 7, 33),
-            (8, 24, 96),
-            (2, 1, 1),
+    fn wide_loop_nest_on_its_portable_twin_equals_a_fused_reference() {
+        let a = randn(&[40, 600], 3);
+        for &(k, n) in &[
+            (1usize, 17usize),
+            (95, 33),
+            (K_SLICE - 1, 16),
+            (K_SLICE + 1, 49),
+            (600, 20),
         ] {
-            let a = randn(&[m, k], 1);
-            let b = randn(&[k, n], 2);
+            let b = randn(&[k, n], 4);
             let p = PackedPanels::from_nn(b.data(), k, n);
-            let mut out = vec![0.0f32; m * n];
-            p.matvec_into_with(SimdBackend::Scalar, a.data(), &mut out);
-            assert_eq!(out, a.matmul_ref(&b).data(), "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn packed_matches_unpacked_bitwise_on_every_backend_at_every_row_count() {
-        // Row counts on both sides of every row-block boundary of both
-        // x86 tiles (4-row blocks; the wide tile's first row count, a
-        // verify's 10 rows, its 16-row blocks), reduction lengths on
-        // both sides of the k-slice boundary — the wide tile's
-        // interleaved `A` up to it, accumulators carried through `out`
-        // past it — and at the FFN sizes, column counts on both sides
-        // of the panel boundary. `out` starts as NaN: the first slice
-        // must not read it and padding lanes must never reach it.
-        let ms = [
-            1usize, 2, 3, 4, 5, 7, 8, 9, 10, 16, 17, 20, 21, 31, 32, 33, 40, 48, 257,
-        ];
-        let ks = [1usize, 95, 96, K_SLICE - 1, K_SLICE, K_SLICE + 1, 8192];
-        let ns = [1usize, 15, 16, 17, 31, 32, 33, 47, 48, 49, 288];
-        let a = randn(&[257, 8192], 3);
-        for &k in &ks {
-            for &n in &ns {
-                let b = randn(&[k, n], 4);
-                let p = PackedPanels::from_nn(b.data(), k, n);
-                for &m in &ms {
-                    // Rows of `a` are not contiguous for k < 8192; any
-                    // m·k floats of it will do.
-                    let a = &a.data()[..m * k];
-                    for be in crate::simd::available_backends() {
-                        let mut packed = vec![f32::NAN; m * n];
-                        p.matvec_into_with(be, a, &mut packed);
-                        let mut unpacked = vec![0.0f32; m * n];
-                        crate::kernels::matmul_nn_with(be, a, b.data(), &mut unpacked, m, k, n);
-                        assert!(packed == unpacked, "{be:?} {m}x{k}x{n}");
-                    }
-                    // The wide loop nest on its portable twin, on every
-                    // host, against a fused reference. 257 rows are
-                    // sixteen-row blocks as 48 are, 8192 steps k-slices
-                    // as `K_SLICE + 1` are and 288 columns panels as 49
-                    // are: they would only cost time.
-                    if m < 257 && k < 8192 && n < 288 {
-                        let mut twin = vec![f32::NAN; m * n];
-                        // SAFETY: the twin is plain Rust.
-                        unsafe {
-                            p.matvec_into_tile(Tile::WidePortable, Layout::Rows, a, &mut twin)
-                        };
-                        assert!(
-                            twin == fused_reference(a, b.data(), m, k, n),
-                            "twin {m}x{k}x{n}"
-                        );
-                    }
-                }
-            }
-        }
-        // The same, as pool regions at every thread count: the blocked
-        // reference is computed once, on one thread.
-        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        for &(k, n) in &SHARED_SHAPES {
-            let b = randn(&[k, n], 5);
-            let p = PackedPanels::from_nn(b.data(), k, n);
-            for m in [
-                1usize, 2, 3, 4, 5, 7, 8, 9, 10, 16, 17, 20, 31, 32, 33, 40, 257,
-            ] {
-                // 257 rows of the scalar backend are slow: the three
-                // shapes that cut differently, at two and eight threads.
-                let tall = m == 257;
-                if tall && !matches!(n, 8192 | 96 | 33) {
-                    continue;
-                }
+            for m in 1..=40 {
                 let a = &a.data()[..m * k];
-                for be in crate::simd::available_backends() {
-                    set_max_threads(1);
-                    let mut unpacked = vec![0.0f32; m * n];
-                    crate::kernels::matmul_nn_with(be, a, b.data(), &mut unpacked, m, k, n);
-                    for threads in (1..=8).filter(|t| !tall || matches!(t, 2 | 8)) {
-                        set_max_threads(threads);
-                        let mut packed = vec![f32::NAN; m * n];
-                        p.matvec_into_with(be, a, &mut packed);
-                        assert!(packed == unpacked, "{be:?} {m}x{k}x{n} @ {threads}");
-                    }
-                }
+                let mut twin = vec![f32::NAN; m * n];
+                // SAFETY: the twin is plain Rust.
+                unsafe { p.matvec_into_tile(Tile::WidePortable, Layout::Rows, a, &mut twin) };
+                assert!(twin == fused_reference(a, b.data(), m, k, n), "{m}x{k}x{n}");
             }
         }
-        set_max_threads(0);
+        for &(d, d_ff, n) in &[(24usize, 200usize, 33usize), (96, 300, 33)] {
+            let [b1, b3] = [17, 18].map(|seed| randn(&[d, d_ff], seed));
+            let b2 = randn(&[d_ff, n], 19);
+            let [w1, w3] = [&b1, &b3].map(|b| PackedPanels::from_nn(b.data(), d, d_ff));
+            let w2 = PackedPanels::from_nn(b2.data(), d_ff, n);
+            for m in 1..=40 {
+                let a = &a.data()[..m * d];
+                // Fused multiply–adds, with the backend's epilogue.
+                let mut want_gate = fused_reference(a, b1.data(), m, d, d_ff);
+                let want_lin = fused_reference(a, b3.data(), m, d, d_ff);
+                swiglu_epilogue(simd::backend(), &mut want_gate, &want_lin);
+                let want = fused_reference(&want_gate, b2.data(), m, d_ff, n);
+                let [mut gate, mut lin] = [(); 2].map(|()| vec![f32::NAN; m * d_ff]);
+                let mut out = vec![f32::NAN; m * n];
+                let tile = Tile::WidePortable;
+                // SAFETY: the twin is plain Rust.
+                unsafe { w1.up_stage(&w3, tile, tile.layout(), a, &mut gate, &mut lin) };
+                w2.ffn_down_into(FfnHidden { tile, rows: m }, &gate, &mut out);
+                assert!(out == want, "ffn {m}x{d}x{d_ff}x{n}");
+            }
+        }
     }
 
+    /// The x86 tiles forced at every row count, 1..=4 included, where
+    /// `select` would not pick the wide one, on packs of one k-slice and
+    /// of several, with ragged and whole last panels; `out` starts as NaN.
     #[test]
     fn wide_tile_equals_four_row_tile_bitwise_at_every_row_count() {
         if !(simd::available_backends().contains(&SimdBackend::Avx2Fma) && simd::avx512_available())
@@ -1103,10 +973,6 @@ pub(crate) mod tests {
             eprintln!("skipped: this CPU does not report AVX2+FMA and AVX-512F");
             return;
         }
-        // The three tiles forced at every row count, 1..=4 included,
-        // where `select` would not pick a wide one, on packs of one
-        // k-slice and of several (a ragged last slice and group), with
-        // ragged and whole last panels; `out` starts as NaN.
         let a = randn(&[40, 600], 14);
         for &(k, n) in &[
             (1usize, 17usize),
@@ -1120,99 +986,15 @@ pub(crate) mod tests {
             let p = PackedPanels::from_nn(randn(&[k, n], 15).data(), k, n);
             for m in 1..=40 {
                 let a = &a.data()[..m * k];
-                let [wide, twin, four] =
-                    [Tile::Avx512, Tile::WidePortable, Tile::Avx2].map(|tile| {
-                        let mut out = vec![f32::NAN; m * n];
-                        // SAFETY: AVX2+FMA and AVX-512F were detected above.
-                        unsafe { p.matvec_into_tile(tile, Layout::Rows, a, &mut out) };
-                        out
-                    });
+                let [wide, four] = [Tile::Avx512, Tile::Avx2].map(|tile| {
+                    let mut out = vec![f32::NAN; m * n];
+                    // SAFETY: AVX2+FMA and AVX-512F were detected above.
+                    unsafe { p.matvec_into_tile(tile, Layout::Rows, a, &mut out) };
+                    out
+                });
                 assert!(wide == four, "{m}x{k}x{n}");
-                assert!(twin == four, "twin {m}x{k}x{n}");
             }
         }
-    }
-
-    #[test]
-    fn ffn_into_equals_swiglu_then_matvec_bitwise() {
-        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        // `(d_model, d_ff, n)`: a down pack of one k-slice and of two,
-        // `d_ff` off the sixteen-column grid, a ragged down `n`, and one
-        // shape whose three packs are all shared pool regions.
-        let a = randn(&[40, 96], 16);
-        for &(d, d_ff, n) in &[(24usize, 200usize, 33usize), (96, 300, 33), (96, 2740, 96)] {
-            let [b1, b3] = [17, 18].map(|seed| randn(&[d, d_ff], seed));
-            let b2 = randn(&[d_ff, n], 19);
-            let [w1, w3] = [&b1, &b3].map(|b| PackedPanels::from_nn(b.data(), d, d_ff));
-            let w2 = PackedPanels::from_nn(b2.data(), d_ff, n);
-            for m in 1..=40 {
-                let a = &a.data()[..m * d];
-                set_max_threads(1);
-                let (mut want_gate, mut want_lin) =
-                    (vec![0.0f32; m * d_ff], vec![0.0f32; m * d_ff]);
-                w1.swiglu_into(&w3, a, &mut want_gate, &mut want_lin);
-                let mut want = vec![0.0f32; m * n];
-                w2.matvec_into(&want_gate, &mut want);
-                // The portable twin fuses every multiply–add on every
-                // backend, with the backend's epilogue.
-                let mut twin_gate = fused_reference(a, b1.data(), m, d, d_ff);
-                let twin_lin = fused_reference(a, b3.data(), m, d, d_ff);
-                swiglu_epilogue(simd::backend(), &mut twin_gate, &twin_lin);
-                let want_twin = fused_reference(&twin_gate, b2.data(), m, d_ff, n);
-                for threads in [1, 2, 3, 8] {
-                    set_max_threads(threads);
-                    let [mut gate, mut lin] = [(); 2].map(|()| vec![f32::NAN; m * d_ff]);
-                    let mut out = vec![f32::NAN; m * n];
-                    w1.ffn_into(&w3, &w2, a, &mut gate, &mut lin, &mut out);
-                    assert!(out == want, "{m}x{d}x{d_ff}x{n} @ {threads}");
-                    let [mut gate, mut lin] = [(); 2].map(|()| vec![f32::NAN; m * d_ff]);
-                    let mut out = vec![f32::NAN; m * n];
-                    let tile = Tile::WidePortable;
-                    // SAFETY: the twin is plain Rust.
-                    unsafe { w1.up_stage(&w3, tile, tile.layout(), a, &mut gate, &mut lin) };
-                    w2.ffn_down_into(FfnHidden { tile, rows: m }, &gate, &mut out);
-                    assert!(out == want_twin, "twin {m}x{d}x{d_ff}x{n} @ {threads}");
-                }
-            }
-        }
-        set_max_threads(0);
-    }
-
-    #[test]
-    fn swiglu_region_equals_dense_silu_dense_mul_bitwise() {
-        // The epilogue's `silu`, one element at a time: the polynomial's
-        // scalar twin on AVX2, libm everywhere else.
-        let silu: fn(f32) -> f32 = match simd::backend() {
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2Fma => simd::avx2::silu,
-            _ => silu_scalar,
-        };
-        let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        let a = randn(&[20, 8192], 11);
-        for &(k, n) in &SHARED_SHAPES {
-            let w1 = PackedPanels::from_nn(randn(&[k, n], 12).data(), k, n);
-            let w3 = PackedPanels::from_nn(randn(&[k, n], 13).data(), k, n);
-            for m in [1usize, 2, 3, 5, 20] {
-                let a = &a.data()[..m * k];
-                set_max_threads(1);
-                let mut want = Tensor::zeros(&[m, n]);
-                let mut want_lin = Tensor::zeros(&[m, n]);
-                w1.matvec_into(a, want.data_mut());
-                w3.matvec_into(a, want_lin.data_mut());
-                for (g, &l) in want.data_mut().iter_mut().zip(want_lin.data()) {
-                    *g = silu(*g) * l;
-                }
-                for threads in 1..=8 {
-                    set_max_threads(threads);
-                    let mut gate = vec![f32::NAN; m * n];
-                    let mut lin = vec![f32::NAN; m * n];
-                    w1.swiglu_into(&w3, a, &mut gate, &mut lin);
-                    assert!(gate == want.data(), "gate {m}x{k}x{n} @ {threads}");
-                    assert!(lin == want_lin.data(), "lin {m}x{k}x{n} @ {threads}");
-                }
-            }
-        }
-        set_max_threads(0);
     }
 
     #[test]
@@ -1220,35 +1002,5 @@ pub(crate) mod tests {
     fn empty_reduction_dimension_is_rejected_before_any_division() {
         let p = PackedPanels::from_nn(&[], 0, 4);
         p.matvec_into_with(SimdBackend::Scalar, &[], &mut []);
-    }
-
-    #[test]
-    fn packed_matvec_is_run_to_run_deterministic() {
-        let (m, k, n) = (1, 96, 288);
-        let a = randn(&[m, k], 5);
-        let b = randn(&[k, n], 6);
-        let p = PackedPanels::from_nt(b.transpose().data(), n, k);
-        let mut first = vec![0.0f32; m * n];
-        p.matvec_into(a.data(), &mut first);
-        for _ in 0..3 {
-            let mut again = vec![0.0f32; m * n];
-            p.matvec_into(a.data(), &mut again);
-            assert_eq!(first, again);
-        }
-    }
-
-    #[test]
-    fn padding_columns_never_leak() {
-        // One column past two panels leaves all but one column of the
-        // third zero-padded; the output must have exactly n columns of
-        // real data per row.
-        let (m, k, n) = (2, 5, 2 * PANEL_WIDTH + 1);
-        let a = randn(&[m, k], 7);
-        let b = randn(&[k, n], 8);
-        let p = PackedPanels::from_nn(b.data(), k, n);
-        let mut out = vec![f32::NAN; m * n];
-        p.matvec_into(a.data(), &mut out);
-        assert!(out.iter().all(|v| v.is_finite()));
-        assert_eq!(p.packed_len(), 3 * k * PANEL_WIDTH);
     }
 }

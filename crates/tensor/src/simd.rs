@@ -150,8 +150,8 @@ fn neon_available() -> bool {
     cfg!(target_arch = "aarch64")
 }
 
-/// Every backend runnable on this machine, scalar first. Test batteries
-/// iterate this to exercise each backend explicitly regardless of which
+/// Every backend runnable on this machine, scalar first. The forward
+/// oracle iterates this to exercise each backend explicitly regardless of which
 /// one [`backend`] latched.
 pub fn available_backends() -> Vec<SimdBackend> {
     let mut v = vec![SimdBackend::Scalar];
@@ -653,7 +653,7 @@ pub(crate) mod avx2 {
 pub(crate) mod avx512 {
     use core::arch::x86_64::{
         __m512, _mm512_fmadd_ps, _mm512_loadu_epi32, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-        _mm512_maskz_loadu_ps, _mm512_permutex2var_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_permutex2var_ps, _mm512_set1_ps, _mm512_setzero_ps,
     };
 
     use crate::pack::{WideOut, WideTile, PANEL_WIDTH};
@@ -664,21 +664,12 @@ pub(crate) mod avx512 {
     impl WideTile for PackedTile {
         #[target_feature(enable = "avx512f")]
         // SAFETY: AVX-512F as the caller vouches; reads stay inside the
-        // asserted lengths, masked accesses inside `o[r]` or `o`'s columns.
-        unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>, carry: bool) {
+        // asserted lengths, masked stores inside `o[r]` or `o`'s columns.
+        unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>) {
             let kc = b.len() / PANEL_WIDTH;
             assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
             assert_eq!(a.len(), kc * R, "one A element per row and panel row");
             let mut acc = [_mm512_setzero_ps(); R];
-            if carry {
-                let WideOut::Rows(o) = &o else {
-                    unreachable!("only a row-major output carries")
-                };
-                for (acc, o) in acc.iter_mut().zip(o) {
-                    assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
-                    *acc = _mm512_maskz_loadu_ps(lanes(o.len()), o.as_ptr());
-                }
-            }
             let (ap, bp) = (a.as_ptr(), b.as_ptr());
             for t in 0..kc {
                 let b_row = _mm512_loadu_ps(bp.add(t * PANEL_WIDTH));

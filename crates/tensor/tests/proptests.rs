@@ -1,9 +1,11 @@
 //! Property-based tests for the tensor substrate: algebraic identities
-//! of the linear-algebra kernels and invariants of the neural ops.
+//! of the linear-algebra kernels and invariants of the neural ops. The
+//! kernels' bitwise contracts are cells of the forward oracle
+//! (`tests/forward.rs`).
 
 use proptest::prelude::*;
 use specinfer_tensor::rng::SeededRng;
-use specinfer_tensor::{kernels, ops, simd, PackedPanels, SimdBackend, Tensor};
+use specinfer_tensor::{ops, Tensor};
 
 fn tensor(seed: u64, rows: usize, cols: usize) -> Tensor {
     let mut rng = SeededRng::new(seed);
@@ -118,124 +120,6 @@ proptest! {
         prop_assert_eq!(&full[..k], &partial[..]);
         for w in partial.windows(2) {
             prop_assert!(w[0].1 >= w[1].1);
-        }
-    }
-
-    /// The blocked/parallel scalar kernels are bitwise-identical to the
-    /// naive serial reference at every thread setting and shape —
-    /// including 1×N, N×1, widths that are not a multiple of the nt
-    /// lane width, and shapes above the parallel threshold
-    /// (output-element partitioning never splits the k reduction). The
-    /// scalar backend is pinned explicitly so this holds no matter
-    /// which backend the process latched; `tn` runs the scalar kernels
-    /// on every backend.
-    #[test]
-    fn scalar_kernels_bitwise_match_reference(
-        seed in 0u64..1_000,
-        m in 1usize..130, k in 1usize..130, n in 1usize..130,
-        threads in 1usize..9,
-    ) {
-        let a = tensor(seed, m, k);
-        let b = tensor(seed + 1, k, n);
-        let bt = b.transpose();
-        let at = a.transpose();
-        let nn_ref = a.matmul_ref(&b);
-        let nt_ref = a.matmul_nt_ref(&bt);
-        let tn_ref = at.matmul_tn_ref(&b);
-        let mut nn = vec![0.0f32; m * n];
-        let mut nt = vec![0.0f32; m * n];
-        specinfer_tensor::set_max_threads(threads);
-        kernels::matmul_nn_with(SimdBackend::Scalar, a.data(), b.data(), &mut nn, m, k, n);
-        kernels::matmul_nt_with(SimdBackend::Scalar, a.data(), bt.data(), &mut nt, m, k, n);
-        let tn = at.matmul_tn(&b);
-        specinfer_tensor::set_max_threads(0);
-        prop_assert_eq!(&nn, nn_ref.data());
-        prop_assert_eq!(&nt, nt_ref.data());
-        prop_assert_eq!(tn.data(), tn_ref.data());
-    }
-
-    /// Every backend runnable on this host is bitwise-deterministic:
-    /// identical results across `set_max_threads(1..=8)` and across
-    /// repeated runs. SIMD backends are *not* required to match the
-    /// scalar reference bitwise (FMA contracts a rounding step), but
-    /// each backend's own per-element reduction order is fixed, so
-    /// thread partitioning and re-execution must be bitwise-inert.
-    #[test]
-    fn every_backend_thread_and_run_invariant(
-        seed in 0u64..1_000,
-        m in 1usize..80, k in 1usize..80, n in 1usize..80,
-    ) {
-        let a = tensor(seed, m, k);
-        let b = tensor(seed + 1, k, n);
-        let bt = b.transpose();
-        for be in simd::available_backends() {
-            let mut base_nn = vec![0.0f32; m * n];
-            let mut base_nt = vec![0.0f32; m * n];
-            specinfer_tensor::set_max_threads(1);
-            kernels::matmul_nn_with(be, a.data(), b.data(), &mut base_nn, m, k, n);
-            kernels::matmul_nt_with(be, a.data(), bt.data(), &mut base_nt, m, k, n);
-            for threads in 1..=8 {
-                specinfer_tensor::set_max_threads(threads);
-                let mut nn = vec![0.0f32; m * n];
-                let mut nt = vec![0.0f32; m * n];
-                kernels::matmul_nn_with(be, a.data(), b.data(), &mut nn, m, k, n);
-                kernels::matmul_nt_with(be, a.data(), bt.data(), &mut nt, m, k, n);
-                prop_assert_eq!(&base_nn, &nn, "{:?} nn @ {} threads", be, threads);
-                prop_assert_eq!(&base_nt, &nt, "{:?} nt @ {} threads", be, threads);
-            }
-            specinfer_tensor::set_max_threads(0);
-        }
-    }
-
-    /// Packing a weight into panels never changes bits *within* a
-    /// backend: the packed GEMM and the unpacked kernel share each
-    /// element's reduction order, whichever orientation the panels were
-    /// built from and however many rows are multiplied (decode, verify
-    /// and prefill row counts; `k` on both sides of the k-slice). This
-    /// is the invariant that lets inference run on the panels alone
-    /// while training and the reference paths keep the row-major
-    /// kernels.
-    #[test]
-    fn packed_panels_bitwise_match_unpacked_per_backend(
-        seed in 0u64..1_000,
-        m in 1usize..70, k in 1usize..300, n in 1usize..80,
-    ) {
-        let a = tensor(seed, m, k);
-        let b = tensor(seed + 1, k, n);
-        let from_nn = PackedPanels::from_nn(b.data(), k, n);
-        let from_nt = PackedPanels::from_nt(b.transpose().data(), n, k);
-        for be in simd::available_backends() {
-            let mut unpacked = vec![0.0f32; m * n];
-            kernels::matmul_nn_with(be, a.data(), b.data(), &mut unpacked, m, k, n);
-            let mut packed = vec![0.0f32; m * n];
-            from_nn.matvec_into_with(be, a.data(), &mut packed);
-            prop_assert_eq!(&unpacked, &packed, "{:?} from_nn {}x{}x{}", be, m, k, n);
-            let mut packed_nt = vec![0.0f32; m * n];
-            from_nt.matvec_into_with(be, a.data(), &mut packed_nt);
-            prop_assert_eq!(&unpacked, &packed_nt, "{:?} from_nt {}x{}x{}", be, m, k, n);
-        }
-    }
-
-    /// SIMD backends agree with the scalar reference to rounding noise:
-    /// same sums, different rounding contraction.
-    #[test]
-    fn simd_backends_close_to_scalar_reference(
-        seed in 0u64..1_000,
-        m in 1usize..16, k in 1usize..200, n in 1usize..64,
-    ) {
-        let a = tensor(seed, m, k);
-        let b = tensor(seed + 1, k, n);
-        let nn_ref = a.matmul_ref(&b);
-        let tol = 1e-4 * (k as f32).sqrt();
-        for be in simd::available_backends() {
-            let mut nn = vec![0.0f32; m * n];
-            kernels::matmul_nn_with(be, a.data(), b.data(), &mut nn, m, k, n);
-            for (got, want) in nn.iter().zip(nn_ref.data()) {
-                prop_assert!(
-                    (got - want).abs() <= tol.max(1e-4 * want.abs()),
-                    "{:?}: {} vs {}", be, got, want
-                );
-            }
         }
     }
 

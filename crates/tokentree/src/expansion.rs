@@ -96,11 +96,6 @@ impl ExpansionConfig {
         &self.widths
     }
 
-    /// The maximum width across steps — the paper's "tree width".
-    pub fn tree_width(&self) -> usize {
-        self.widths.iter().copied().max().unwrap_or(1)
-    }
-
     /// Number of leaves (candidate full-length sequences): ∏ kᵢ.
     pub fn leaf_count(&self) -> usize {
         self.widths.iter().product()
@@ -143,14 +138,13 @@ mod tests {
         let cfg = ExpansionConfig::new(vec![2, 2, 1]);
         assert_eq!(cfg.leaf_count(), 4);
         assert_eq!(cfg.node_count(), 10);
-        assert_eq!(cfg.tree_width(), 2);
     }
 
     #[test]
     fn paper_default_shape() {
         let cfg = ExpansionConfig::paper_default();
         assert_eq!(cfg.depth(), 8);
-        assert_eq!(cfg.tree_width(), 3);
+        assert_eq!(cfg.widths()[2], 3);
         assert_eq!(cfg.leaf_count(), 3);
         // 1 + 1 + 3 + 3*5 more steps of width 1 = 2 + 3*6 = 20
         assert_eq!(cfg.node_count(), 20);
@@ -161,14 +155,12 @@ mod tests {
         let cfg = ExpansionConfig::sequence(5);
         assert_eq!(cfg.leaf_count(), 1);
         assert_eq!(cfg.node_count(), 5);
-        assert_eq!(cfg.tree_width(), 1);
     }
 
     #[test]
     fn width_at_third_matches_paper_sweep() {
         let cfg = ExpansionConfig::width_at_third(4);
         assert_eq!(cfg.widths(), &[1, 1, 4, 1, 1, 1, 1, 1]);
-        assert_eq!(cfg.tree_width(), 4);
     }
 
     #[test]

@@ -479,17 +479,14 @@ impl Run<'_> {
             let cfg = cell.engine(req.max_new);
             let worst = cfg.pool_speculation_rows(ssms.len());
             let mut s = self.session(&ssms, id, req, slab);
-            let (mut faulted, mut forced) = (0, 0);
             loop {
                 let fault = cell.fault(id, s.steps().len());
                 let Some(step) = s.step_faulted(&self.world.llm, &ssms, &cfg, fault) else {
                     break;
                 };
-                faulted += usize::from(!fault.is_noop());
-                forced += usize::from(fault.ssm_stall || fault.kv_oom);
                 check_step(cell, &s, step, fault, worst);
             }
-            check_session(self, &s, req, (faulted, forced), ssms.len());
+            check_session(self, &s, req, ssms.len());
             Solo {
                 controller: s.controller_snapshot(),
                 finished: s.is_finished(),
@@ -794,13 +791,9 @@ fn check_step(cell: &Cell, s: &Session, step: StepStats, fault: StepFault, worst
     }
 }
 
-/// Every finished reference session. `faults` counts its faulted and its
-/// stalled or OOM steps.
-fn check_session(run: &Run, s: &Session, req: &Req, faults: (usize, usize), n_ssms: usize) {
-    let (cell, d) = (run.cell, s.degradation());
-    let speculative = cell.mode != InferenceMode::Incremental && n_ssms > 0;
-    let forced = if speculative { faults.1 } else { 0 };
-    assert_eq!((d.faulted_steps, d.forced_incremental), (faults.0, forced));
+/// Every finished reference session.
+fn check_session(run: &Run, s: &Session, req: &Req, n_ssms: usize) {
+    let cell = run.cell;
     let ctx = run.world.llm.config().max_seq_len;
     let room = req.max_new.min(ctx - req.prompt.len());
     assert!(
@@ -1481,17 +1474,19 @@ fn default_verifier_row_counts_and_cache_lengths_are_pinned() {
 }
 
 /// On the d_ff-8192 model every forward shares its feed-forward regions
-/// with the worker pool at two threads. Tree verifies of 3, 5, 9 and 21
-/// rows sit on both sides of the packed GEMM's four-row block, and the
-/// LLM drafting for itself gets rows accepted and the cache compacted:
-/// every cell holds at two threads, with the outputs of one.
+/// with the worker pool at two threads. Tree verifies of 3, 5, 9, 10,
+/// 17 and 21 rows sit on both sides of the packed GEMM's four-row block
+/// and of the row count where the 16-row tile takes over (10 rows are
+/// one of its blocks, 17 two), and the LLM drafting for itself gets rows
+/// accepted and the cache compacted: every cell holds at two threads,
+/// with the outputs of one.
 #[test]
 fn thread_count_changes_no_cell() {
     use specinfer::tensor::set_max_threads;
     let shapes = [(paper(), Pool::One), (tree(&[2]), Pool::Llm)];
     let shapes = shapes
         .into_iter()
-        .chain([tree(&[2, 1]), tree(&[2, 3])].map(|m| (m, Pool::Llm)));
+        .chain([&[2, 1][..], &[2, 3], &[3, 2], &[4, 3]].map(|w| (tree(w), Pool::Llm)));
     let cell = |(mode, pool)| Cell::new(Family::Wide, Work::Wide, mode, pool, Decode::Greedy);
     let cells: Vec<Cell> = shapes.map(cell).collect();
     let world = Family::Wide.world();
