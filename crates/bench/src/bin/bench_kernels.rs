@@ -6,7 +6,7 @@
 //!   packed-panel GEMM at square shapes, and of what a decode step runs
 //!   at one row (the packed QKV projection, attention's serial block
 //!   kernels), alongside the naive reference kernels, with the measured
-//!   speedup.
+//!   speedup. A row's fast and naive calls take turns.
 //! * `ffn` — one feed-forward layer of a memory-bound LLM (`96×8192`
 //!   up, `8192×96` down) stage by stage as a forward runs it: the two
 //!   up-projections (`up_gemm`), the SwiGLU epilogue (the fused
@@ -21,8 +21,11 @@
 //!   which packed register tile ran at which row count, so numbers are
 //!   attributable (set `SPECINFER_SIMD=scalar` to bench the reference).
 //!
-//! Everything is seeded; numbers vary with the machine, shapes don't.
+//! Every time here is the median of interleaved calls (`medians`), so a
+//! committed row can be compared across runs. Everything is seeded;
+//! numbers vary with the machine, shapes don't.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -93,28 +96,50 @@ struct Report {
     end_to_end: Vec<EndToEnd>,
 }
 
-/// Median-free quick timer: doubles the iteration count until a batch
-/// takes ≥ 0.25 s, then reports seconds per iteration.
-fn time_per_iter(mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut iters = 1usize;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let dt = t.elapsed().as_secs_f64();
-        if dt >= 0.25 {
-            return dt / iters as f64;
-        }
-        iters *= 2;
+/// Seconds per call of each of `N` stages, timed the one way every row
+/// here is: `round` runs one round, passing each stage's call through
+/// `timed(stage, call)`, and rounds repeat for `budget_s`, so the
+/// stages take turns and a slow spell of the host falls on all of
+/// them. A stage's time is the median of its calls.
+fn medians<const N: usize>(
+    budget_s: f64,
+    mut round: impl FnMut(&mut dyn FnMut(usize, &mut dyn FnMut())),
+) -> [f64; N] {
+    let mut calls: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < budget_s {
+        round(&mut |stage, call| {
+            let t = Instant::now();
+            call();
+            calls[stage].push(t.elapsed().as_secs_f64());
+        });
     }
+    calls.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    })
+}
+
+/// How long each `kernels` row takes turns between its fast kernel and
+/// the naive reference.
+const KERNEL_BUDGET_S: f64 = 0.75;
+
+/// Medians of `fast` and `naive` calls, taking turns.
+fn fast_and_naive(mut fast: impl FnMut(), mut naive: impl FnMut()) -> (f64, f64) {
+    let [fast, naive] = medians(KERNEL_BUDGET_S, |timed| {
+        timed(0, &mut fast);
+        timed(1, &mut naive);
+    });
+    (fast, naive)
 }
 
 fn bench_kernels() -> Vec<KernelResult> {
+    // As in the `ffn` rows: workers poll between calls rather than park,
+    // so a fast call after a naive one does not time their wake-up.
+    let _hot = pool::hot();
     let mut rng = SeededRng::new(1);
     let mut results = Vec::new();
-    let mut push = |op: &str, (m, k, n): (usize, usize, usize), fast: f64, naive: f64| {
+    let mut push = |op: &str, (m, k, n): (usize, usize, usize), (fast, naive): (f64, f64)| {
         let flops = (2 * m * k * n) as f64;
         results.push(KernelResult {
             op: op.into(),
@@ -130,50 +155,61 @@ fn bench_kernels() -> Vec<KernelResult> {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let bt = b.transpose();
-        let ref_nn = time_per_iter(|| {
-            std::hint::black_box(a.matmul_ref(&b));
-        });
-        let ref_nt = time_per_iter(|| {
-            std::hint::black_box(a.matmul_nt_ref(&bt));
-        });
-        (a, b, bt, ref_nn, ref_nt)
+        (a, b, bt)
     };
     // Square shapes stress the blocked/parallel path of training.
     for shape in [(96usize, 96usize, 96usize), (256, 256, 256)] {
-        let (a, b, bt, ref_nn, ref_nt) = operands(shape);
+        let (a, b, bt) = operands(shape);
         let mut out = Tensor::default();
-        let nn = time_per_iter(|| a.matmul_into(&b, &mut out));
-        push("nn", shape, nn, ref_nn);
-        let nt = time_per_iter(|| a.matmul_nt_into(&bt, &mut out));
-        push("nt", shape, nt, ref_nt);
+        let nn = fast_and_naive(
+            || a.matmul_into(&b, &mut out),
+            || drop(black_box(a.matmul_ref(&b))),
+        );
+        push("nn", shape, nn);
+        let nt = fast_and_naive(
+            || a.matmul_nt_into(&bt, &mut out),
+            || drop(black_box(a.matmul_nt_ref(&bt))),
+        );
+        push("nt", shape, nt);
         let panels = PackedPanels::from_nn(b.data(), shape.1, shape.2);
-        let packed = time_per_iter(|| a.matmul_packed_into(&panels, &mut out));
-        push("nn_packed", shape, packed, ref_nn);
+        let packed = fast_and_naive(
+            || a.matmul_packed_into(&panels, &mut out),
+            || drop(black_box(a.matmul_ref(&b))),
+        );
+        push("nn_packed", shape, packed);
     }
     // The m = 1 rows are what a decode step runs: the fused QKV
     // projection against its packed panels (1, 96, 288), and one head's
     // attention over a 256-row context — its scores (1, 24, 256) and its
     // weighted sum of values (1, 256, 24) on the serial block kernels.
     let qkv = (1, 96, 288);
-    let (a, b, _, ref_nn, _) = operands(qkv);
+    let (a, b, _) = operands(qkv);
     let panels = PackedPanels::from_nn(b.data(), qkv.1, qkv.2);
     let mut out = Tensor::default();
-    let packed = time_per_iter(|| a.matmul_packed_into(&panels, &mut out));
-    push("nn_packed", qkv, packed, ref_nn);
+    let packed = fast_and_naive(
+        || a.matmul_packed_into(&panels, &mut out),
+        || drop(black_box(a.matmul_ref(&b))),
+    );
+    push("nn_packed", qkv, packed);
     let scores = (1, 24, 256);
-    let (a, _, bt, _, ref_nt) = operands(scores);
+    let (a, _, bt) = operands(scores);
     let mut out = vec![0.0f32; scores.2];
-    let fast =
-        time_per_iter(|| kernels::matmul_nt_block(a.data(), bt.data(), &mut out, 1, 24, 256));
-    push("nt_block", scores, fast, ref_nt);
+    let block = fast_and_naive(
+        || kernels::matmul_nt_block(a.data(), bt.data(), &mut out, 1, 24, 256),
+        || drop(black_box(a.matmul_nt_ref(&bt))),
+    );
+    push("nt_block", scores, block);
     let sum = (1, 256, 24);
-    let (a, b, _, ref_nn, _) = operands(sum);
+    let (a, b, _) = operands(sum);
     let mut out = vec![0.0f32; sum.2];
-    let fast = time_per_iter(|| {
-        out.fill(0.0);
-        kernels::matmul_nn_block(a.data(), b.data(), &mut out, 1, 256, 24)
-    });
-    push("nn_block", sum, fast, ref_nn);
+    let block = fast_and_naive(
+        || {
+            out.fill(0.0);
+            kernels::matmul_nn_block(a.data(), b.data(), &mut out, 1, 256, 24)
+        },
+        || drop(black_box(a.matmul_ref(&b))),
+    );
+    push("nn_block", sum, block);
     results
 }
 
@@ -203,20 +239,10 @@ fn bench_ffn() -> Vec<FfnResult> {
         for threads in [1, all].into_iter().take(all.min(2)) {
             specinfer_tensor::set_max_threads(threads);
             let _hot = pool::hot();
-            // The three stages take turns, layer after layer, so a slow
-            // spell of the host falls on all of them; a stage's time is
-            // the median of its calls.
-            let mut calls: [Vec<f64>; 3] = Default::default();
-            let start = Instant::now();
-            for l in (0..FFN_LAYERS).cycle() {
-                if start.elapsed().as_secs_f64() >= 0.75 {
-                    break;
-                }
-                let mut timed = |stage: usize, f: &mut dyn FnMut()| {
-                    let t = Instant::now();
-                    f();
-                    calls[stage].push(t.elapsed().as_secs_f64());
-                };
+            // The three stages take turns, layer after layer.
+            let mut layers = (0..FFN_LAYERS).cycle();
+            let [up_gemm_s, up_stage_s, down_s] = medians(0.75, |timed| {
+                let l = layers.next().unwrap_or(0);
                 timed(0, &mut || {
                     w1[l].matvec_into(h.data(), &mut gate);
                     w3[l].matvec_into(h.data(), &mut lin);
@@ -231,10 +257,6 @@ fn bench_ffn() -> Vec<FfnResult> {
                 // it, as `ffn_into` does.
                 let hidden = hidden.expect("the up-stage ran");
                 timed(2, &mut || w2[l].ffn_down_into(hidden, &gate, &mut proj));
-            }
-            let [up_gemm_s, up_stage_s, down_s] = calls.map(|mut v| {
-                v.sort_by(f64::total_cmp);
-                v[v.len() / 2]
             });
             let flops = (2 * m * d * d_ff) as f64;
             results.push(FfnResult {

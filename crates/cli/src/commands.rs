@@ -314,7 +314,7 @@ pub fn serve(args: &Parsed) -> Result<(), String> {
             .wait()
             .map_err(|e| e.to_string())?;
         println!(
-            "{}: {} tokens, {:.2} tokens/step, {:.1} ms/token (simulated)",
+            "{}: {} tokens, {:.2} tokens/step, {:.3} ms/token (wall clock)",
             r.id,
             r.generated.len(),
             r.tokens_per_step(),
@@ -323,7 +323,7 @@ pub fn serve(args: &Parsed) -> Result<(), String> {
     }
     let report = daemon.shutdown().map_err(|e| e.to_string())?;
     println!(
-        "served {} requests in {} iterations; mean {:.1} ms/token, {:.0} tokens/s (simulated)",
+        "served {} requests in {} iterations; mean {:.3} ms/token, {:.0} tokens/s (wall clock)",
         report.responses.len(),
         report.iterations,
         report.mean_per_token_latency_s() * 1e3,

@@ -1,23 +1,22 @@
 //! The workspace's one sanctioned wall-clock reader.
 //!
 //! Every token-affecting computation in this repository runs on seeded
-//! RNGs and a *simulated* clock (the cost model prices each iteration),
-//! so seeded replays are bitwise reproducible. Real elapsed time is
-//! still worth reporting — operators watch it — but it must stay
-//! *observational*: it may appear in reports, never in scheduling or
-//! decode decisions. The determinism lint (`cargo run -p specinfer-xtask
-//! -- lint`) enforces that split by forbidding `Instant::now` /
-//! `SystemTime` everywhere in library code except this module, which
-//! wraps the reads behind a stopwatch whose output feeds metrics only.
+//! RNGs, so seeded runs are bitwise reproducible. Time belongs to the
+//! serving front-ends: trace replay keeps a *simulated* clock (the cost
+//! model prices each iteration) and never reads this module's; the live
+//! daemon runs on wall time from a [`Stopwatch`]. The rule: wall time
+//! may shed a daemon request (its deadline is a wall-clock budget) and
+//! stamp its response, but it never changes a token, and replay never
+//! reads it. The determinism lint (`cargo run -p specinfer-xtask --
+//! lint`) enforces the split by forbidding `Instant::now` /
+//! `SystemTime` everywhere in library code except this module.
 
 use std::time::Instant;
 
-/// A started stopwatch measuring real elapsed time for reporting.
+/// A started stopwatch measuring real elapsed time.
 ///
-/// The reading is observational by construction: it is a plain `f64` of
-/// seconds, produced once at the end of a run and carried in
-/// [`ServeReport::wall_s`](crate::ServeReport::wall_s). Nothing
-/// downstream branches on it.
+/// A reading is a plain `f64` of seconds: the daemon's clock, and every
+/// run's [`ServeReport::wall_s`](crate::ServeReport::wall_s).
 #[derive(Debug)]
 pub struct Stopwatch {
     started: Instant,

@@ -1,20 +1,21 @@
 //! A live serving daemon: the iteration driver running on a real
-//! background thread.
+//! background thread, on wall time.
 //!
-//! [`Server`](crate::Server) hands the driver a whole trace up front;
+//! [`Server`](crate::Server) replays a whole trace on a simulated clock;
 //! [`ServerDaemon`] instead accepts submissions *while running* (from any
 //! thread, via channels). Its thread is a thin shell — pump the channel,
 //! tick the driver, repeat — so everything an iteration does (ragged
 //! admission through the [`IterationScheduler`](crate::IterationScheduler),
-//! the batched step, the clock charge, retirement, the
-//! [`FaultPlan`](crate::FaultPlan)) is the code trace replay runs, and
+//! the batched step, retirement, the [`FaultPlan`](crate::FaultPlan)'s
+//! per-step faults and cancellations) is the code trace replay runs, and
 //! this module owns only what is live-specific: the client handle, the
-//! message protocol, the idle heartbeat and the drain-on-shutdown flag.
-//! Simulated time is still used for the latency metrics (the cost model
-//! prices each iteration); wall-clock arrival order drives admission.
-//! The per-iteration audit trail ([`ServeReport::iteration_log`]) and
-//! batch/slab occupancy ([`ServeReport::occupancy`]) are reported on
-//! shutdown.
+//! message protocol, the idle heartbeat, the drain-on-shutdown flag and
+//! the clock. That clock is a [`Stopwatch`] started with the thread:
+//! arrivals, deadlines, finish stamps, the iteration log
+//! ([`ServeReport::iteration_log`]) and the makespan are wall seconds
+//! since spawn, and no cost model prices anything here. A plan's
+//! verifier slowdowns stretch simulated time only, so the daemon neither
+//! injects nor counts them.
 //!
 //! Any thread holding the daemon handle can cut a request — queued or
 //! mid-stream — with [`ServerDaemon::cancel`]; whatever was generated is
@@ -28,6 +29,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use specinfer_model::Transformer;
 use specinfer_tokentree::TokenId;
 
+use crate::clock::Stopwatch;
 use crate::driver::IterationDriver;
 use crate::metrics::ServeReport;
 use crate::request::{Request, RequestId, Response};
@@ -37,8 +39,8 @@ enum Msg {
     Submit {
         prompt: Vec<TokenId>,
         max_new_tokens: usize,
-        /// Latency budget in simulated seconds; the absolute deadline is
-        /// the admission clock plus this budget.
+        /// Latency budget in wall seconds; the absolute deadline is the
+        /// arrival stamp plus this budget.
         budget_s: Option<f64>,
         reply: Sender<Response>,
         id_reply: Sender<RequestId>,
@@ -133,8 +135,8 @@ impl ServerDaemon {
     }
 
     /// Submits a request with a latency budget: if the request hasn't
-    /// finished within `budget_s` simulated seconds of admission, it is
-    /// shed mid-stream and its ticket resolves with
+    /// finished within `budget_s` wall seconds of reaching the daemon, it
+    /// is shed, in queue or mid-stream, and its ticket resolves with
     /// [`RequestOutcome::DeadlineMissed`](crate::RequestOutcome::DeadlineMissed).
     pub fn submit_with_deadline(
         &self,
@@ -203,14 +205,15 @@ impl Drop for ServerDaemon {
 const IDLE_HEARTBEAT: Duration = Duration::from_millis(50);
 
 /// The live front-end of the iteration driver: pump the channel, tick,
-/// repeat. Arrivals are stamped with the driver's simulated clock and
-/// join mid-flight at the next tick's admission.
+/// repeat. Arrivals are stamped with the stopwatch and join mid-flight at
+/// the next tick's admission; each step lasts as long as it really took.
 fn daemon_loop(
     llm: &Transformer,
     ssms: &[Arc<Transformer>],
     config: &ServerConfig,
     rx: &Receiver<Msg>,
 ) -> ServeReport {
+    let wall = Stopwatch::start();
     let ssm_refs: Vec<&Transformer> = ssms.iter().map(Arc::as_ref).collect();
     let mut driver = IterationDriver::new(llm, &ssm_refs, config);
     let mut next_id = 0u64;
@@ -228,7 +231,9 @@ fn daemon_loop(
                 match rx.recv_timeout(IDLE_HEARTBEAT) {
                     Ok(m) => Some(m),
                     Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return driver.into_report(),
+                    Err(RecvTimeoutError::Disconnected) => {
+                        return driver.into_report(wall.elapsed_s())
+                    }
                 }
             } else {
                 rx.try_recv().ok()
@@ -244,7 +249,7 @@ fn daemon_loop(
                     let id = RequestId(next_id);
                     next_id += 1;
                     let _ = id_reply.send(id);
-                    let now = driver.clock();
+                    let now = wall.elapsed_s();
                     driver.submit(
                         Request {
                             id,
@@ -257,14 +262,15 @@ fn daemon_loop(
                         Some(reply),
                     );
                 }
-                Some(Msg::Cancel(id)) => driver.cancel(id),
+                Some(Msg::Cancel(id)) => driver.cancel(id, wall.elapsed_s()),
                 Some(Msg::Shutdown) => draining = true,
                 None => break,
             }
         }
-        driver.tick();
+        let now = wall.elapsed_s();
+        driver.tick(now, |_| wall.elapsed_s() - now);
         if draining && driver.is_idle() {
-            return driver.into_report();
+            return driver.into_report(wall.elapsed_s());
         }
     }
 }
@@ -274,29 +280,16 @@ mod tests {
     use super::*;
     use crate::request::RequestOutcome;
     use crate::scheduler::QueuePolicy;
-    use crate::server::TimingConfig;
-    use specinfer_model::{DecodeMode, ModelConfig};
-    use specinfer_spec::{DegradationPolicy, EngineConfig, InferenceMode, StochasticVerifier};
+    use crate::server::tests::server_config;
+    use specinfer_model::ModelConfig;
+    use specinfer_spec::InferenceMode;
     use specinfer_tokentree::ExpansionConfig;
 
     fn daemon_config(batch: usize) -> ServerConfig {
+        let expansion = ExpansionConfig::new(vec![2, 1, 1]);
         ServerConfig {
-            engine: EngineConfig {
-                decode: DecodeMode::Greedy,
-                verifier: StochasticVerifier::MultiStep,
-                mode: InferenceMode::TreeSpeculative {
-                    expansion: ExpansionConfig::new(vec![2, 1, 1]),
-                },
-                max_new_tokens: 8,
-                eos_token: None,
-            },
-            max_batch_size: batch,
-            timing: TimingConfig::llama_7b_single_gpu(),
             seed: 11,
-            faults: None,
-            degradation: DegradationPolicy::serving_default(),
-            queue: QueuePolicy::unbounded(),
-            slab_rows: None,
+            ..server_config(InferenceMode::TreeSpeculative { expansion }, batch)
         }
     }
 
@@ -431,6 +424,32 @@ mod tests {
                 assert!(r.generated.len() >= 96, "{what}");
             }
         }
+    }
+
+    /// A deadline is a wall-clock budget. About 120 smoke-model tokens,
+    /// which the cost model prices at roughly 22 ms each (LLaMA-7B on an
+    /// A10), are priced at over ten times the budget, yet decode in well
+    /// under a tenth of it: the request completes.
+    #[test]
+    fn a_deadline_is_a_budget_of_wall_time_not_of_priced_time() {
+        const TOKENS: usize = 120;
+        const BUDGET_S: f64 = 0.2;
+        let config = server_config(InferenceMode::Incremental, 1);
+        let mode = &config.engine.mode;
+        let priced: f64 = (1..=TOKENS)
+            .map(|n| config.timing.iteration_s(mode, 1, 0.0, 3 + n))
+            .sum();
+        assert!(priced > 10.0 * BUDGET_S, "priced at {priced} s");
+        let response = within_bound("deadline", move || {
+            let d = daemon_with(config);
+            let ticket = d.submit_with_deadline(vec![1, 2, 3], TOKENS, BUDGET_S);
+            let response = ticket.expect("daemon accepts").wait();
+            d.shutdown().expect("clean shutdown");
+            response.expect("ticket resolves")
+        });
+        let wall = response.latency_s();
+        assert_eq!(response.outcome, RequestOutcome::Completed, "{wall} s");
+        assert_eq!(response.generated.len(), TOKENS);
     }
 
     #[test]

@@ -30,7 +30,8 @@ pub struct FaultSpec {
     pub ssm_stall_rate: f64,
     /// P(simulated KV-arena OOM) per request-iteration.
     pub kv_oom_rate: f64,
-    /// P(verifier pass is slowed down) per server iteration.
+    /// P(verifier pass is slowed down) per trace-replay iteration; the
+    /// live daemon, on wall time, ignores it.
     pub verifier_slowdown_rate: f64,
     /// Slowdown multiplier applied to an affected iteration's duration.
     pub verifier_slowdown_factor: f64,
@@ -172,8 +173,8 @@ impl FaultPlan {
         (!fault.is_noop()).then_some(fault)
     }
 
-    /// The slowdown multiplier for server iteration `iteration`, if that
-    /// iteration's verifier pass is faulted.
+    /// The slowdown multiplier for trace-replay iteration `iteration`, if
+    /// that iteration's verifier pass is faulted.
     pub fn verifier_slowdown(&self, iteration: usize) -> Option<f64> {
         (self.hash01(SALT_SLOW, iteration as u64, 0) < self.spec.verifier_slowdown_rate)
             .then_some(self.spec.verifier_slowdown_factor)

@@ -8,14 +8,15 @@
 //!   loop of Figure 6, written once: each tick admits arrivals, verifies
 //!   the whole live batch of speculative-decoding
 //!   [`specinfer_spec::Session`]s in one batched LLM pass (real models,
-//!   real token trees), charges a simulated clock what the paper-scale
-//!   models would cost on the configured cluster ([`TimingConfig`]), and
-//!   retires what finished.
-//! * [`Server`] — trace replay: feeds the driver a whole trace and ticks
-//!   it until idle.
-//! * [`ServerDaemon`] — the same driver on a background thread, fed live
-//!   through a channel; submissions join mid-flight and resolve through
-//!   [`Ticket`]s.
+//!   real token trees), and retires what finished. It keeps no clock:
+//!   its caller gives it the time each iteration starts and how long it
+//!   took.
+//! * [`Server`] — trace replay, on a simulated clock: it prices each
+//!   iteration at what the paper-scale models would cost on the
+//!   configured cluster and ticks the driver until the trace is served.
+//! * [`ServerDaemon`] — the same driver on a background thread, on wall
+//!   time, fed live through a channel; submissions join mid-flight and
+//!   resolve through [`Ticket`]s.
 //! * [`FaultPlan`] — a seeded, replayable fault schedule both front-ends
 //!   honour; [`clock`] — the one sanctioned wall-clock reader.
 //! * [`ServeReport`] — per-request responses plus the aggregate metrics
@@ -35,5 +36,5 @@ pub use daemon::{DaemonError, ServerDaemon, Ticket};
 pub use fault::{BurstSpec, FaultPlan, FaultSpec};
 pub use metrics::{FaultCounters, IterationRecord, OccupancyStats, ServeReport};
 pub use request::{Request, RequestId, RequestOutcome, Response};
-pub use scheduler::{IterationScheduler, QueuePolicy, QueueStats};
+pub use scheduler::{IterationScheduler, QueuePolicy};
 pub use server::{Server, ServerConfig, TimingConfig};

@@ -8,7 +8,8 @@ use crate::request::{RequestOutcome, Response};
 /// the observability surface of a chaos run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
-    /// Total faults injected (per request-iteration, plus slowdowns).
+    /// Total faults injected (per request-iteration, plus trace replay's
+    /// slowdowns).
     pub injected: usize,
     /// Iterations where an SSM emitted garbage logits.
     pub ssm_garbage: usize,
@@ -16,11 +17,19 @@ pub struct FaultCounters {
     pub ssm_stalls: usize,
     /// Iterations with simulated KV-arena memory pressure.
     pub kv_ooms: usize,
-    /// Iterations whose verifier pass was slowed down.
+    /// Iterations whose verifier pass was slowed down. Trace replay only:
+    /// a slowdown stretches simulated time, and the daemon keeps none.
     pub slowdowns: usize,
-    /// Queue-backpressure retry attempts.
+    /// Always 0: a full queue refuses at the door (see `rejected`) and
+    /// nothing is retried. Stays only because the frozen benchmark crate
+    /// (`specbench/`) adds it into `serving.retries_rejected`; it goes
+    /// when the benchmark next changes.
     pub retries: usize,
-    /// Submissions dropped after exhausting their retries.
+    /// Submissions refused because the bounded queue was full; they are
+    /// answered with [`RequestOutcome::Rejected`] without ever being
+    /// queued.
+    ///
+    /// [`RequestOutcome::Rejected`]: crate::request::RequestOutcome::Rejected
     pub rejected: usize,
     /// Submissions rejected at admission as invalid (empty or oversized
     /// prompt); they are answered with [`RequestOutcome::Rejected`]
@@ -35,12 +44,14 @@ pub struct FaultCounters {
 }
 
 /// One decoding iteration as the server executed it — the audit trail
-/// behind the aggregate numbers.
+/// behind the aggregate numbers. Times are on the front-end's clock:
+/// simulated under trace replay, wall under the daemon.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationRecord {
-    /// Simulated time at which the iteration began.
+    /// Time at which the iteration began.
     pub start_s: f64,
-    /// Modelled duration of the iteration.
+    /// The iteration's duration: priced by the cost model under replay,
+    /// measured under the daemon.
     pub duration_s: f64,
     /// Requests active in the iteration.
     pub batch: usize,
@@ -71,7 +82,9 @@ pub struct ServeReport {
     /// Finished requests (completed, cancelled or expired), ordered by
     /// id.
     pub responses: Vec<Response>,
-    /// Total simulated time from first arrival to last completion.
+    /// Seconds from time 0 to the run's last answer or iteration end, on
+    /// the front-end's clock: simulated under trace replay, wall seconds
+    /// since spawn under the daemon (so there it is at most `wall_s`).
     pub makespan_s: f64,
     /// Number of decoding iterations executed.
     pub iterations: usize,
@@ -82,9 +95,9 @@ pub struct ServeReport {
     /// Faults injected and degradation responses taken during the run.
     pub faults: FaultCounters,
     /// Real (wall-clock) seconds the run took, measured by the sanctioned
-    /// stopwatch in [`crate::clock`]. Observational only: simulated time
-    /// (`makespan_s`) drives every latency metric and scheduling
-    /// decision; this field exists so operators can see actual runtime.
+    /// stopwatch in [`crate::clock`]: the whole replay, or the daemon's
+    /// life from spawn to shutdown. Replay never reads it; its latency
+    /// metrics are on the simulated clock.
     pub wall_s: f64,
     /// Aggregated adaptive-controller telemetry over all retired
     /// sessions: `[root-only, drafted]` step counts, drafts routed per
@@ -131,7 +144,7 @@ impl ServeReport {
             / n as f64
     }
 
-    /// Aggregate throughput: generated tokens per simulated second.
+    /// Aggregate throughput: generated tokens per second of makespan.
     pub fn throughput_tokens_per_s(&self) -> f64 {
         if self.makespan_s <= 0.0 {
             0.0

@@ -24,9 +24,10 @@ pub struct Request {
     pub prompt: Vec<TokenId>,
     /// Per-request generation budget.
     pub max_new_tokens: usize,
-    /// Arrival time on the simulated clock, seconds.
+    /// Arrival time, seconds on the front-end's clock: simulated under
+    /// trace replay, wall seconds since spawn under the daemon.
     pub arrival_s: f64,
-    /// Absolute simulated-clock deadline; the request is cancelled (in
+    /// Absolute deadline on that same clock; the request is shed (in
     /// queue or mid-stream) once the clock passes it. `None` = no SLO.
     pub deadline_s: Option<f64>,
     /// The dataset this prompt came from, when known.
@@ -34,7 +35,7 @@ pub struct Request {
 }
 
 impl Request {
-    /// Whether the request's deadline has passed at simulated time `now`.
+    /// Whether the request's deadline has passed at time `now`.
     pub fn deadline_missed(&self, now: f64) -> bool {
         self.deadline_s.is_some_and(|d| d <= now)
     }
@@ -60,8 +61,9 @@ pub enum RequestOutcome {
     Cancelled,
     /// The per-request deadline passed (in queue or mid-stream).
     DeadlineMissed,
-    /// The request was invalid at admission (empty or oversized prompt)
-    /// and was never decoded; `generated` is empty.
+    /// Refused: the bounded queue was full when it arrived, or it was
+    /// invalid at admission (empty or oversized prompt). It was never
+    /// decoded; `generated` is empty.
     Rejected,
 }
 
@@ -78,7 +80,8 @@ pub struct Response {
     pub generated: Vec<TokenId>,
     /// Arrival time, seconds.
     pub arrival_s: f64,
-    /// Completion (or cancellation) time on the simulated clock, seconds.
+    /// Completion (or cancellation) time, seconds on the same clock as
+    /// `arrival_s`.
     pub finish_s: f64,
     /// Per-iteration statistics of this request's decoding.
     pub steps: Vec<StepStats>,

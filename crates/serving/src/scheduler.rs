@@ -6,52 +6,37 @@
 //! requests are admitted, so a long-running request never blocks the
 //! queue (§5.1 of the paper).
 //!
-//! Under overload the admission queue applies **backpressure**: with a
-//! bounded [`QueuePolicy`] the queue rejects submissions beyond its
-//! capacity into a deferred list, retrying each with exponential backoff
-//! a bounded number of times before dropping it. Deadline-carrying
-//! requests that expire while queued are shed by [`IterationScheduler::
-//! expire`] before they waste an admission slot.
+//! Under overload a bounded [`QueuePolicy`] refuses at the door: a
+//! submission that finds the queue full is handed back to its caller,
+//! never parked for a retry, so the queue holds at most its capacity.
+//! Deadline-carrying requests that expire while queued are shed by
+//! [`IterationScheduler::expire`] before they waste an admission slot.
+//! Times are plain seconds on whatever clock the caller keeps.
 
 use std::collections::VecDeque;
 
 use crate::request::{Request, RequestId};
 
-/// Bounds on the admission queue and its retry behaviour.
+/// The bound on the admission queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueuePolicy {
-    /// Maximum requests waiting for admission before backpressure kicks
-    /// in.
+    /// Maximum requests waiting for admission; a submission beyond it is
+    /// refused.
     pub capacity: usize,
-    /// How many times a rejected submission is retried (with exponential
-    /// backoff) before being dropped.
-    pub max_retries: u32,
-    /// Base backoff between retries, seconds on the simulated clock;
-    /// attempt `n` waits `backoff_s · 2ⁿ`, the doubling saturating at
-    /// `n = 31`.
-    pub backoff_s: f64,
 }
 
 impl QueuePolicy {
-    /// No backpressure: the queue grows without bound (the historical
-    /// behaviour).
+    /// No bound: every submission queues.
     pub fn unbounded() -> Self {
         QueuePolicy {
             capacity: usize::MAX,
-            max_retries: 0,
-            backoff_s: 0.0,
         }
     }
 
-    /// A bounded queue with the default retry ladder (3 retries, 50 ms
-    /// base backoff).
+    /// A queue that holds at most `capacity` waiting requests.
     pub fn bounded(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        QueuePolicy {
-            capacity,
-            max_retries: 3,
-            backoff_s: 0.05,
-        }
+        QueuePolicy { capacity }
     }
 }
 
@@ -61,33 +46,12 @@ impl Default for QueuePolicy {
     }
 }
 
-/// Counters of backpressure activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Retry attempts performed for deferred submissions.
-    pub retries: usize,
-    /// Submissions dropped after exhausting their retries.
-    pub rejected: usize,
-    /// Pending requests shed because their deadline passed in queue.
-    pub expired: usize,
-}
-
-#[derive(Debug)]
-struct Deferred {
-    request: Request,
-    attempts: u32,
-    retry_at: f64,
-}
-
 /// The continuous-batching admission queue.
 #[derive(Debug)]
 pub struct IterationScheduler {
     pending: VecDeque<Request>,
-    deferred: Vec<Deferred>,
     max_batch_size: usize,
     policy: QueuePolicy,
-    stats: QueueStats,
-    rejected: Vec<Request>,
 }
 
 impl IterationScheduler {
@@ -101,7 +65,7 @@ impl IterationScheduler {
         IterationScheduler::with_policy(max_batch_size, QueuePolicy::unbounded())
     }
 
-    /// Creates a scheduler with an explicit queue/backpressure policy.
+    /// Creates a scheduler with an explicit queue bound.
     ///
     /// # Panics
     ///
@@ -111,11 +75,8 @@ impl IterationScheduler {
         assert!(policy.capacity > 0, "queue capacity must be positive");
         IterationScheduler {
             pending: VecDeque::new(),
-            deferred: Vec::new(),
             max_batch_size,
             policy,
-            stats: QueueStats::default(),
-            rejected: Vec::new(),
         }
     }
 
@@ -124,39 +85,17 @@ impl IterationScheduler {
         self.max_batch_size
     }
 
-    /// Backpressure counters so far.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
-
-    /// Drains the requests dropped after exhausting their retries.
-    pub fn take_rejected(&mut self) -> Vec<Request> {
-        std::mem::take(&mut self.rejected)
-    }
-
-    /// Enqueues a request, kept sorted by `(arrival_s, id)`.
+    /// Enqueues a request, kept sorted by `(arrival_s, id)`, or hands it
+    /// back unqueued when the queue is at capacity.
     ///
     /// Ties on `arrival_s` are broken by the request id — the id is
     /// issued at the front door in arrival order, so equal-arrival
     /// requests retain FIFO order even when their `submit` calls race
-    /// and land out of order. When the queue is at capacity, the request
-    /// is deferred for retry (or dropped if the policy has no retries).
-    pub fn submit(&mut self, request: Request) {
-        if self.pending.len() < self.policy.capacity {
-            self.insert_sorted(request);
-        } else if self.policy.max_retries > 0 {
-            self.deferred.push(Deferred {
-                retry_at: request.arrival_s + self.policy.backoff_s,
-                request,
-                attempts: 0,
-            });
-        } else {
-            self.stats.rejected += 1;
-            self.rejected.push(request);
+    /// and land out of order.
+    pub fn submit(&mut self, request: Request) -> Option<Request> {
+        if self.pending.len() >= self.policy.capacity {
+            return Some(request);
         }
-    }
-
-    fn insert_sorted(&mut self, request: Request) {
         // Requests usually arrive in order; walk back only when needed.
         let pos = self
             .pending
@@ -168,28 +107,12 @@ impl IterationScheduler {
             .map(|p| p + 1)
             .unwrap_or(0);
         self.pending.insert(pos, request);
+        None
     }
 
     /// Whether any request is waiting.
     pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty() || !self.deferred.is_empty()
-    }
-
-    /// The earliest time at which a pending (or deferred) request becomes
-    /// admissible, if any.
-    pub fn next_arrival_s(&self) -> Option<f64> {
-        let pending = self.pending.front().map(|r| r.arrival_s);
-        let deferred = self
-            .deferred
-            .iter()
-            .map(|d| d.retry_at)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.min(t)))
-            });
-        match (pending, deferred) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        !self.pending.is_empty()
     }
 
     /// Sheds pending requests whose deadline has passed by `now` and
@@ -206,56 +129,20 @@ impl IterationScheduler {
                 i += 1;
             }
         }
-        self.stats.expired += expired.len();
         expired
     }
 
-    /// Withdraws a waiting request — queued or deferred — and returns it,
-    /// or `None` if `id` is not waiting. Its queue slot is free at once,
-    /// so a cancelled request never holds a bounded queue against later
-    /// submissions.
+    /// Withdraws a queued request and returns it, or `None` if `id` is
+    /// not waiting. Its queue slot is free at once, so a cancelled
+    /// request never holds a bounded queue against later submissions.
     pub fn cancel(&mut self, id: RequestId) -> Option<Request> {
-        if let Some(i) = self.pending.iter().position(|r| r.id == id) {
-            return self.pending.remove(i);
-        }
-        let i = self.deferred.iter().position(|d| d.request.id == id)?;
-        Some(self.deferred.swap_remove(i).request)
-    }
-
-    /// Retries deferred submissions whose backoff has elapsed by `now`.
-    fn pump_deferred(&mut self, now: f64) {
-        let mut i = 0;
-        while i < self.deferred.len() {
-            if self.deferred.get(i).is_none_or(|d| d.retry_at > now) {
-                i += 1;
-                continue;
-            }
-            self.stats.retries += 1;
-            if self.pending.len() < self.policy.capacity {
-                let d = self.deferred.swap_remove(i);
-                self.insert_sorted(d.request);
-                continue;
-            }
-            let exhausted = self.deferred.get_mut(i).is_some_and(|d| {
-                d.attempts += 1;
-                d.attempts > self.policy.max_retries
-            });
-            if exhausted {
-                let d = self.deferred.swap_remove(i);
-                self.stats.rejected += 1;
-                self.rejected.push(d.request);
-            } else if let Some(d) = self.deferred.get_mut(i) {
-                let doubling = 1u32 << d.attempts.min(31);
-                d.retry_at = now + self.policy.backoff_s * f64::from(doubling);
-                i += 1;
-            }
-        }
+        let i = self.pending.iter().position(|r| r.id == id)?;
+        self.pending.remove(i)
     }
 
     /// Admits requests that have arrived by `now`, given `active` requests
     /// currently running, without exceeding the batch limit. Called once
-    /// per decoding iteration. Deferred submissions whose backoff has
-    /// elapsed are retried first.
+    /// per decoding iteration.
     pub fn admit(&mut self, now: f64, active: usize) -> Vec<Request> {
         self.admit_budgeted(now, active, usize::MAX, |_| 0)
     }
@@ -291,7 +178,6 @@ impl IterationScheduler {
         free_rows: usize,
         cost: impl Fn(&Request) -> usize,
     ) -> Vec<Request> {
-        self.pump_deferred(now);
         let mut admitted = Vec::new();
         let mut free = free_rows;
         let mut i = 0;
@@ -322,11 +208,6 @@ impl IterationScheduler {
 mod tests {
     use super::*;
 
-    /// Requests waiting for admission, deferred ones included.
-    fn waiting(s: &IterationScheduler) -> usize {
-        s.pending.len() + s.deferred.len()
-    }
-
     fn request(id: u64, arrival: f64) -> Request {
         Request {
             id: RequestId(id),
@@ -350,7 +231,7 @@ mod tests {
         // With one slot still busy, only one more fits.
         let second = s.admit(0.0, 1);
         assert_eq!(second.len(), 1);
-        assert_eq!(waiting(&s), 1);
+        assert_eq!(s.pending.len(), 1);
     }
 
     #[test]
@@ -360,7 +241,6 @@ mod tests {
         s.submit(request(1, 5.0));
         let now = s.admit(1.0, 0);
         assert_eq!(now.len(), 1);
-        assert_eq!(s.next_arrival_s(), Some(5.0));
         let later = s.admit(5.0, 0);
         assert_eq!(later.len(), 1);
     }
@@ -407,90 +287,7 @@ mod tests {
         let mut s = IterationScheduler::new(2);
         s.submit(request(0, 0.0));
         assert!(s.admit(0.0, 2).is_empty());
-        assert_eq!(waiting(&s), 1);
-    }
-
-    #[test]
-    fn bounded_queue_defers_and_retries() {
-        let mut s = IterationScheduler::with_policy(
-            1,
-            QueuePolicy {
-                capacity: 2,
-                max_retries: 3,
-                backoff_s: 1.0,
-            },
-        );
-        for i in 0..3 {
-            s.submit(request(i, 0.0));
-        }
-        assert_eq!(waiting(&s), 3, "third submission is deferred");
-        // Admitting one frees queue space; the deferred request retries
-        // once its backoff (1 s) elapses.
-        let first = s.admit(0.0, 0);
-        assert_eq!(first.len(), 1);
-        let retried = s.admit(1.0, 0);
-        assert_eq!(retried.len(), 1);
-        assert_eq!(retried[0].id, RequestId(1));
-        assert!(s.stats().retries >= 1);
-        assert_eq!(s.stats().rejected, 0);
-    }
-
-    #[test]
-    fn bounded_queue_rejects_after_max_retries() {
-        let mut s = IterationScheduler::with_policy(
-            1,
-            QueuePolicy {
-                capacity: 1,
-                max_retries: 2,
-                backoff_s: 0.5,
-            },
-        );
-        s.submit(request(0, 0.0));
-        s.submit(request(1, 0.0)); // deferred — the queue never drains
-        for t in 1..=8 {
-            // Admit with a full active set: the pending request stays
-            // queued, so every retry finds the queue still full. The
-            // clock advances past each backoff.
-            let _ = s.admit(t as f64 * 100.0, 1);
-        }
-        assert_eq!(s.stats().rejected, 1);
-        let dropped = s.take_rejected();
-        assert_eq!(dropped.len(), 1);
-        assert_eq!(dropped[0].id, RequestId(1));
-        assert!(s.stats().retries >= 3, "{:?}", s.stats());
-    }
-
-    /// Regression: the backoff doubled by `1 << attempts`, which
-    /// overflowed at attempt 32 — a panic inside the serving loop in
-    /// debug builds, a wrap back to the base backoff in release.
-    #[test]
-    fn backoff_saturates_past_thirty_one_retries() {
-        let mut s = IterationScheduler::with_policy(
-            1,
-            QueuePolicy {
-                capacity: 1,
-                max_retries: 40,
-                backoff_s: 1e-9,
-            },
-        );
-        s.submit(request(0, 0.0));
-        s.submit(request(1, 0.0)); // deferred — the queue never drains
-        let mut now = 0.0;
-        let mut waits = Vec::new();
-        while s.stats().rejected == 0 {
-            // Past every backoff: the deferred request retries each time,
-            // into a queue the full active set keeps full.
-            now += 10.0;
-            let _ = s.admit(now, 1);
-            waits.extend(s.deferred.iter().map(|d| d.retry_at - now));
-        }
-        assert_eq!(s.stats().retries, 41);
-        assert_eq!(waits.len(), 40, "{waits:?}");
-        // Attempt n waits 2ⁿ base backoffs, and 2³¹ from attempt 31 on.
-        for (n, wait) in (1..).zip(waits) {
-            let want = 1e-9 * f64::from(1u32 << n.min(31));
-            assert!((wait - want).abs() < 1e-12, "attempt {n}: {wait} s");
-        }
+        assert_eq!(s.pending.len(), 1);
     }
 
     #[test]
@@ -503,33 +300,31 @@ mod tests {
         let expired = s.expire(2.0);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].id, RequestId(0));
-        assert_eq!(s.stats().expired, 1);
-        assert_eq!(waiting(&s), 1);
+        assert_eq!(s.pending.len(), 1);
     }
 
+    /// A full bounded queue hands a submission back; cancelling a queued
+    /// request frees its slot for the next one at once.
     #[test]
-    fn cancel_withdraws_queued_and_deferred_requests() {
+    fn bounded_queue_refuses_at_capacity_and_cancel_frees_a_slot() {
         let mut s = IterationScheduler::with_policy(1, QueuePolicy::bounded(1));
-        s.submit(request(0, 0.0));
-        s.submit(request(1, 0.0)); // deferred: the queue holds one
+        assert_eq!(s.submit(request(0, 0.0)), None);
+        let refused = s.submit(request(1, 0.0)).map(|r| r.id);
+        assert_eq!(refused, Some(RequestId(1)), "the queue holds one");
         assert_eq!(s.cancel(RequestId(0)).map(|r| r.id), Some(RequestId(0)));
         assert_eq!(s.cancel(RequestId(0)), None, "already withdrawn");
-        // The freed slot takes a new submission without backoff.
-        s.submit(request(2, 0.0));
-        assert_eq!(s.cancel(RequestId(1)).map(|r| r.id), Some(RequestId(1)));
-        assert_eq!(waiting(&s), 1);
+        assert_eq!(s.submit(request(2, 0.0)), None, "the freed slot");
+        assert_eq!(s.pending.len(), 1);
         assert_eq!(s.admit(0.0, 0).first().map(|r| r.id), Some(RequestId(2)));
-        assert_eq!(s.stats(), QueueStats::default());
     }
 
     #[test]
-    fn unbounded_queue_never_rejects() {
+    fn unbounded_queue_never_refuses() {
         let mut s = IterationScheduler::new(1);
         for i in 0..100 {
-            s.submit(request(i, 0.0));
+            assert_eq!(s.submit(request(i, 0.0)), None);
         }
-        assert_eq!(waiting(&s), 100);
-        assert_eq!(s.stats(), QueueStats::default());
+        assert_eq!(s.pending.len(), 100);
     }
 
     fn sized_request(id: u64, arrival: f64, prompt_len: usize, max_new: usize) -> Request {
@@ -559,7 +354,7 @@ mod tests {
         assert_eq!(ids, vec![1, 2]);
         // The skipped head stays queued at the front and is admitted as
         // soon as the slab frees up.
-        assert_eq!(waiting(&s), 1);
+        assert_eq!(s.pending.len(), 1);
         let head = s.admit_budgeted(0.0, 1, 100, Request::kv_rows);
         assert_eq!(head[0].id, RequestId(0));
     }
@@ -598,7 +393,7 @@ mod tests {
         // Head admitted by the guard; the 10-row request no longer fits
         // the (saturated) budget and waits.
         assert_eq!(ids, vec![0]);
-        assert_eq!(waiting(&s), 1);
+        assert_eq!(s.pending.len(), 1);
     }
 
     /// The cost closure is evaluated per candidate: with a variable
@@ -625,30 +420,5 @@ mod tests {
         }
         let admitted = flat.admit_budgeted(0.0, 1, 45, |r| r.kv_rows() + 21);
         assert_eq!(admitted.len(), 1);
-    }
-
-    /// Bounded-queue defer/retry semantics are unchanged by the budget
-    /// path: `admit` delegates to `admit_budgeted` with an infinite slab.
-    #[test]
-    fn budgeted_admit_preserves_bounded_queue_backpressure() {
-        let mut s = IterationScheduler::with_policy(
-            1,
-            QueuePolicy {
-                capacity: 2,
-                max_retries: 3,
-                backoff_s: 1.0,
-            },
-        );
-        for i in 0..3 {
-            s.submit(sized_request(i, 0.0, 2, 8));
-        }
-        assert_eq!(waiting(&s), 3, "third submission is deferred");
-        let first = s.admit_budgeted(0.0, 0, usize::MAX, Request::kv_rows);
-        assert_eq!(first.len(), 1);
-        let retried = s.admit_budgeted(1.0, 0, usize::MAX, Request::kv_rows);
-        assert_eq!(retried.len(), 1);
-        assert_eq!(retried[0].id, RequestId(1));
-        assert!(s.stats().retries >= 1);
-        assert_eq!(s.stats().rejected, 0);
     }
 }

@@ -1,20 +1,21 @@
-//! Serving configuration, the simulated-clock cost model, and the
-//! trace-replay front-end.
+//! Serving configuration, the cost model, and trace replay — the one
+//! front-end that keeps simulated time.
 //!
-//! Every decoding iteration steps the batch of live sessions for real
-//! (speculation + tree verification on the workspace's tiny models),
-//! then charges the simulated clock what the *paper-scale* models would
-//! have cost on the configured cluster ([`TimingConfig`], priced by
-//! `specinfer-sim`). This separation is the substitution DESIGN.md
-//! documents: token-level behaviour is measured, hardware time is
-//! modelled. The iteration itself lives in `driver.rs`; [`Server`] only
-//! hands it a trace.
+//! Replay steps the batch of live sessions for real (speculation + tree
+//! verification on the workspace's tiny models) and prices each
+//! iteration at what the *paper-scale* models would have cost on the
+//! configured cluster ([`TimingConfig`], priced by `specinfer-sim`):
+//! token-level behaviour is measured, hardware time is modelled, the
+//! substitution DESIGN.md documents. [`Server::run`] owns that clock and
+//! hands its times to the iteration driver (`driver.rs`); the live
+//! daemon runs the same driver on wall time and never reads it.
 //!
 //! When a [`FaultPlan`] is configured the loop additionally injects
-//! deterministic faults — SSM garbage/stalls, KV-arena pressure, slow
-//! verifier passes, mid-stream cancellations, request bursts — and each
-//! faulted session absorbs its own: a stall or KV pressure forces that
-//! step root-only, a garbage draft is rejected. All engine-level faults are
+//! deterministic faults — SSM garbage/stalls, KV-arena pressure,
+//! mid-stream cancellations, request bursts, and here only, slow
+//! verifier passes, which stretch simulated time — and each faulted
+//! session absorbs its own: a stall or KV pressure forces that step
+//! root-only, a garbage draft is rejected. All engine-level faults are
 //! lossless under greedy decoding, so a chaos run's surviving outputs
 //! match a fault-free run of the same seed token for token.
 
@@ -27,13 +28,14 @@ use specinfer_spec::{DegradationPolicy, EngineConfig, InferenceMode, ADAPTIVE_DE
 use specinfer_tokentree::TokenId;
 use specinfer_workloads::trace::Trace;
 
-use crate::driver::IterationDriver;
+use crate::clock::Stopwatch;
+use crate::driver::{IterationDriver, StepShape};
 use crate::fault::FaultPlan;
 use crate::metrics::ServeReport;
 use crate::request::{Request, RequestId};
 use crate::scheduler::QueuePolicy;
 
-/// How simulated time is charged per iteration.
+/// How trace replay prices an iteration in simulated time.
 #[derive(Debug, Clone)]
 pub struct TimingConfig {
     /// The paper-scale LLM being modelled (e.g. LLaMA-7B).
@@ -136,7 +138,8 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Maximum concurrent requests per iteration.
     pub max_batch_size: usize,
-    /// Simulated-clock timing.
+    /// The cost model trace replay prices iterations with; the live
+    /// daemon runs on wall time and does not read it.
     pub timing: TimingConfig,
     /// Base seed; request `i` decodes with `seed + i`.
     pub seed: u64,
@@ -147,7 +150,7 @@ pub struct ServerConfig {
     /// its acceptance. Kept because the frozen benchmark crate
     /// (`specbench/`) sets it.
     pub degradation: DegradationPolicy,
-    /// Admission-queue capacity and retry/backoff behaviour.
+    /// Admission-queue capacity; a submission beyond it is refused.
     pub queue: QueuePolicy,
     /// Total KV-slab budget in rows shared by all live sessions, or
     /// `None` for unbudgeted admission (every session gets a
@@ -249,9 +252,9 @@ impl<'m> Server<'m> {
         self.submit_with_deadline(prompt, max_new_tokens, arrival_s, None)
     }
 
-    /// Submits a request with an optional absolute simulated-clock
-    /// deadline; the request is shed (in queue or mid-stream) once the
-    /// clock passes it. Thread-safe.
+    /// Submits a request with an optional absolute deadline on the
+    /// simulated clock; the request is shed (in queue or mid-stream) once
+    /// the clock passes it. Thread-safe.
     pub fn submit_with_deadline(
         &self,
         prompt: Vec<TokenId>,
@@ -301,21 +304,51 @@ impl<'m> Server<'m> {
     }
 
     /// Runs all submitted requests to completion on the simulated clock.
+    /// Each request is submitted when the clock reaches its arrival (a
+    /// bounded queue sees only what has arrived); each iteration costs
+    /// [`TimingConfig::iteration_s`], times the plan's verifier slowdown
+    /// if one hits it; an idle gap is skipped to the next arrival.
     pub fn run(&self) -> ServeReport {
-        let requests = std::mem::take(&mut self.inbox.lock().requests);
+        let wall = Stopwatch::start();
+        let mut arrivals = std::mem::take(&mut self.inbox.lock().requests);
+        // Stable: equal arrivals keep their id order.
+        arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
+        let mut arrivals = arrivals.into_iter().peekable();
         let mut driver = IterationDriver::new(self.llm, &self.ssms, &self.config);
-        for request in requests {
-            driver.submit(request, None);
+        let (timing, mode) = (&self.config.timing, &self.config.engine.mode);
+        let plan = self.config.faults.as_ref();
+        let (mut clock, mut iteration, mut slowdowns) = (0.0, 0, 0);
+        loop {
+            while let Some(request) = arrivals.next_if(|r| r.arrival_s <= clock) {
+                driver.submit(request, None);
+            }
+            if driver.is_idle() {
+                // Skip the idle gap to the next arrival.
+                let Some(next) = arrivals.next() else { break };
+                clock = clock.max(next.arrival_s);
+                driver.submit(next, None);
+                continue;
+            }
+            let price = |s: &StepShape| {
+                let dt = timing.iteration_s(mode, s.batch, s.mean_tree_size, s.mean_context);
+                let slowdown = plan.and_then(|p| p.verifier_slowdown(iteration));
+                slowdowns += usize::from(slowdown.is_some());
+                iteration += 1;
+                slowdown.map_or(dt, |factor| dt * factor)
+            };
+            if let Some(end) = driver.tick(clock, price) {
+                clock = end;
+            }
         }
-        while !driver.is_idle() {
-            driver.tick();
-        }
-        driver.into_report()
+        let mut report = driver.into_report(wall.elapsed_s());
+        report.faults.slowdowns = slowdowns;
+        report.faults.injected += slowdowns;
+        report
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::request::RequestOutcome;
     use specinfer_model::{DecodeMode, ModelConfig};
@@ -338,7 +371,9 @@ mod tests {
         )
     }
 
-    fn server_config(mode: InferenceMode, batch: usize) -> ServerConfig {
+    /// A fault-free greedy configuration with an unbounded queue and no
+    /// slab budget; the crate's unit tests vary it.
+    pub(crate) fn server_config(mode: InferenceMode, batch: usize) -> ServerConfig {
         ServerConfig {
             engine: EngineConfig {
                 decode: DecodeMode::Greedy,

@@ -63,19 +63,6 @@ proptest! {
         prop_assert_eq!(seen, expect);
     }
 
-    /// `next_arrival_s` is always the minimum pending arrival.
-    #[test]
-    fn next_arrival_is_minimum(
-        arrivals in prop::collection::vec(0.0f64..50.0, 1..30),
-    ) {
-        let mut s = IterationScheduler::new(2);
-        for (i, &a) in arrivals.iter().enumerate() {
-            s.submit(request(i as u64, a));
-        }
-        let min = arrivals.iter().cloned().fold(f64::MAX, f64::min);
-        prop_assert_eq!(s.next_arrival_s(), Some(min));
-    }
-
     /// Draining yields requests sorted by `(arrival_s, id)` regardless of
     /// the order `submit` calls landed in — equal-arrival requests keep
     /// the FIFO order their front-door ids encode.

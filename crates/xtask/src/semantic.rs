@@ -30,11 +30,13 @@ use crate::rules::Finding;
 
 /// Serving entry points for `panic_reachability` (path suffix, fn name):
 /// the iteration driver's `tick` (what both trace replay and the live
-/// daemon run), the daemon's channel pump around it, and the engine
-/// entries under them. In strict mode (fixtures) matching is by name
-/// alone.
+/// daemon run), the two front-end loops around it (replay's `run`, which
+/// prices each iteration with the cost model, and the daemon's channel
+/// pump), and the engine entries under them. In strict mode (fixtures)
+/// matching is by name alone.
 pub const PANIC_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/serving/src/driver.rs", "tick"),
+    ("crates/serving/src/server.rs", "run"),
     ("crates/serving/src/daemon.rs", "daemon_loop"),
     ("crates/spec/src/batch.rs", "step_batch"),
     ("crates/spec/src/engine.rs", "try_generate"),

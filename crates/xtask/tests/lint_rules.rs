@@ -266,10 +266,10 @@ fn renamed_entry_point_is_reported_as_a_stale_root() {
     }
     let driver = copy.join("crates/serving/src/driver.rs");
     let src = std::fs::read_to_string(&driver).expect("the driver was copied");
-    assert!(src.contains("fn tick(&mut self)"));
+    assert!(src.contains("pub(crate) fn tick("));
     std::fs::write(
         &driver,
-        src.replace("fn tick(&mut self)", "fn turn(&mut self)"),
+        src.replace("pub(crate) fn tick(", "pub(crate) fn turn("),
     )
     .expect("the copy is writable");
 

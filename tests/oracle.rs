@@ -148,8 +148,8 @@ enum Faults {
     /// from this seed: one in eight stalls, one OOMs, one drafts garbage.
     Mask(u64),
     /// A serving fault plan. Engine drives read its step faults; trace
-    /// replay and the daemon also apply its cancellations, slowdowns and
-    /// burst.
+    /// replay and the daemon also apply its cancellations, and replay its
+    /// slowdowns and burst.
     Plan(FaultPlan),
 }
 
@@ -639,16 +639,13 @@ impl Run<'_> {
             seed: cell.seed,
             faults: cell.plan().cloned(),
             degradation: DegradationPolicy::serving_default(),
-            // A burst overloads a bounded queue. Without one nothing waits
-            // on the simulated clock, which is what lets the daemon batch
-            // differently from the replay without changing a response.
+            // A burst overflows a bounded queue. Without one every request
+            // is served whenever it is admitted, which is what lets the
+            // daemon batch differently from the replay without changing a
+            // response.
             queue: match cell.burst_len() {
                 0 => QueuePolicy::unbounded(),
-                _ => QueuePolicy {
-                    capacity: 4,
-                    max_retries: 3,
-                    backoff_s: 0.01,
-                },
+                _ => QueuePolicy::bounded(4),
             },
             slab_rows,
         }
@@ -700,7 +697,10 @@ impl Run<'_> {
                     .unwrap_or_else(|e| panic!("{id} at slab {slab_rows:?} got no response: {e}"))
             };
             let responses = tickets.into_iter().map(wait).collect();
-            (responses, daemon.shutdown().expect("clean shutdown"))
+            let report = daemon.shutdown().expect("clean shutdown");
+            // Live stamps are wall seconds since spawn.
+            assert!(report.makespan_s <= report.wall_s, "{report:?}");
+            (responses, report)
         })
     }
 }
@@ -959,8 +959,8 @@ fn check_responses(run: &Run, responses: &[Response], solos: &[Solo], interrupte
                 assert!(k <= 1, "the deadline passes in the first iteration");
                 assert_eq!(r.outcome, DeadlineMissed);
             }
-            // A backpressure drop leaves before its first step.
-            _ if k == 0 && r.outcome == Cancelled => {}
+            // A submission refused by a full queue leaves unserved.
+            _ if k == 0 && r.outcome == Rejected => {}
             _ => assert_eq!((r.outcome, k), exit, "{}: exit", r.id),
         }
     }
@@ -974,8 +974,7 @@ fn check_report(report: &ServeReport, solos: &[Solo]) {
     assert!(o.mean_batch_fill > 0.0 && o.mean_slab_fill > 0.0, "{o:?}");
     assert!(report.verify_rows.forwarded_rows() > 0, "no rows");
     // The log is the clock: ordered, non-empty iterations of positive
-    // length that emit every generated token and end by the makespan
-    // (the clock may jump ahead after them only to a deferred retry).
+    // length that emit every generated token and end by the makespan.
     let log = &report.iteration_log;
     assert_eq!(log.len(), report.iterations);
     let mut end = 0.0;
@@ -995,7 +994,8 @@ fn check_report(report: &ServeReport, solos: &[Solo]) {
         f.ssm_garbage + f.ssm_stalls + f.kv_ooms + f.slowdowns
     );
     let count = |o| report.responses.iter().filter(|r| r.outcome == o).count();
-    assert_eq!(f.cancellations + f.rejected, count(Cancelled));
+    assert_eq!(f.cancellations, count(Cancelled));
+    assert_eq!(f.rejected + f.invalid, count(Rejected));
     assert_eq!(f.deadline_misses, count(DeadlineMissed));
     if count(Completed) == solos.len() {
         // A whole run reports exactly its sessions' own telemetry.
@@ -1182,8 +1182,10 @@ struct Tally {
     /// Serving runs' slowed iterations, SSM stalls, garbage drafts, plan
     /// cancellations and completions.
     serving: [usize; 5],
-    /// Backpressure retries and drops, which only a bursty plan causes.
-    backpressure: usize,
+    /// Submissions a full queue refused, which only a bursty plan causes.
+    refused: usize,
+    /// The reference outputs of every cell but a hostile one, in order.
+    references: Vec<Vec<Out>>,
 }
 
 impl Tally {
@@ -1209,8 +1211,10 @@ impl Tally {
                 r.completed_len(),
             ];
             self.serving.iter_mut().zip(seen).for_each(|(n, m)| *n += m);
-            self.backpressure += f.retries + f.rejected;
+            self.refused += f.rejected;
         }
+        self.references
+            .push(solos.iter().map(|s| s.out.clone()).collect());
     }
 
     fn assert_live(&self) {
@@ -1288,8 +1292,8 @@ fn naive_cells() {
 
 /// The chaos mix (SSM garbage, stalls, KV pressure, slow passes,
 /// cancellations) plus a burst on a bounded queue, over eight plan
-/// seeds: replay cuts exactly what each plan schedules, and backpressure
-/// engages.
+/// seeds: replay cuts exactly what each plan schedules, and the full
+/// queue refuses.
 #[test]
 fn chaos_plans_cut_only_what_they_schedule() {
     let vocab = ModelConfig::smoke().vocab_size as u32;
@@ -1320,7 +1324,7 @@ fn chaos_plans_cut_only_what_they_schedule() {
         .collect();
     let tally = run_cells(&cells);
     tally.assert_live();
-    assert!(tally.backpressure > 0, "a burst must defer or drop");
+    assert!(tally.refused > 0, "a burst must overflow the queue");
 }
 
 /// Requests no client should send, batched with ordinary ones, through
@@ -1477,8 +1481,9 @@ fn default_verifier_row_counts_and_cache_lengths_are_pinned() {
 /// with the worker pool at two threads. Tree verifies of 3, 5, 9 and 21
 /// rows sit on both sides of the packed GEMM's four-row block, and the
 /// LLM drafting for itself gets rows accepted and the cache compacted:
-/// every cell holds at two threads, with the outputs of one. The 10- and
-/// 17-row verifies (one and two blocks of the 16-row tile) are
+/// every cell holds at two threads, and its serial reference there (the
+/// one `run_cells` computed) is its serial run at one thread. The 10-
+/// and 17-row verifies (one and two blocks of the 16-row tile) are
 /// `tests/packed_verify_equiv.rs`'s.
 #[test]
 fn thread_count_changes_no_cell() {
@@ -1489,33 +1494,32 @@ fn thread_count_changes_no_cell() {
         .chain([tree(&[2, 1]), tree(&[2, 3])].map(|m| (m, Pool::Llm)));
     let cell = |(mode, pool)| Cell::new(Family::Wide, Work::Wide, mode, pool, Decode::Greedy);
     let cells: Vec<Cell> = shapes.map(cell).collect();
+    set_max_threads(2);
+    #[cfg(debug_assertions)]
+    let regions = specinfer::tensor::pool::shared_regions();
+    let references = run_cells(&cells).references;
+    #[cfg(debug_assertions)]
+    assert!(
+        specinfer::tensor::pool::shared_regions() > regions,
+        "never shared"
+    );
+    set_max_threads(1);
     let world = Family::Wide.world();
-    let outputs = [2, 1].map(|threads| {
-        set_max_threads(threads);
-        if threads == 2 {
-            #[cfg(debug_assertions)]
-            let regions = specinfer::tensor::pool::shared_regions();
-            run_cells(&cells);
-            #[cfg(debug_assertions)]
-            assert!(
-                specinfer::tensor::pool::shared_regions() > regions,
-                "never shared"
-            );
-        }
-        let reqs = Work::Wide.requests(Family::Wide.ctx());
-        let outs = cells.iter().map(|cell| {
-            Run {
+    let reqs = Work::Wide.requests(Family::Wide.ctx());
+    let one_thread: Vec<Vec<Out>> = cells
+        .iter()
+        .map(|cell| {
+            let run = Run {
                 world: &world,
                 cell,
                 reqs: &reqs,
-            }
-            .serial(Slab::Full)
-        });
-        outs.flatten().map(|s| s.out).collect::<Vec<_>>()
-    });
+            };
+            run.serial(Slab::Full).into_iter().map(|s| s.out).collect()
+        })
+        .collect();
     set_max_threads(0);
     assert!(
-        outputs[0] == outputs[1],
+        one_thread == references,
         "output depends on the thread count"
     );
 }
