@@ -21,9 +21,10 @@
 //!   which packed register tile ran at which row count, so numbers are
 //!   attributable (set `SPECINFER_SIMD=scalar` to bench the reference).
 //!
-//! Every time here is the median of interleaved calls (`medians`), so a
-//! committed row can be compared across runs. Everything is seeded;
-//! numbers vary with the machine, shapes don't.
+//! Every time here is the median of interleaved calls (`medians`): the
+//! stages of a row take turns, so a slow spell of the host falls on all
+//! of them. Everything is seeded; numbers vary with the machine, shapes
+//! don't.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -96,18 +97,20 @@ struct Report {
     end_to_end: Vec<EndToEnd>,
 }
 
+/// How long the calls of one row take turns.
+const ROW_BUDGET_S: f64 = 0.75;
+
 /// Seconds per call of each of `N` stages, timed the one way every row
 /// here is: `round` runs one round, passing each stage's call through
-/// `timed(stage, call)`, and rounds repeat for `budget_s`, so the
+/// `timed(stage, call)`, and rounds repeat for [`ROW_BUDGET_S`], so the
 /// stages take turns and a slow spell of the host falls on all of
 /// them. A stage's time is the median of its calls.
 fn medians<const N: usize>(
-    budget_s: f64,
     mut round: impl FnMut(&mut dyn FnMut(usize, &mut dyn FnMut())),
 ) -> [f64; N] {
     let mut calls: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
     let start = Instant::now();
-    while start.elapsed().as_secs_f64() < budget_s {
+    while start.elapsed().as_secs_f64() < ROW_BUDGET_S {
         round(&mut |stage, call| {
             let t = Instant::now();
             call();
@@ -120,13 +123,9 @@ fn medians<const N: usize>(
     })
 }
 
-/// How long each `kernels` row takes turns between its fast kernel and
-/// the naive reference.
-const KERNEL_BUDGET_S: f64 = 0.75;
-
 /// Medians of `fast` and `naive` calls, taking turns.
 fn fast_and_naive(mut fast: impl FnMut(), mut naive: impl FnMut()) -> (f64, f64) {
-    let [fast, naive] = medians(KERNEL_BUDGET_S, |timed| {
+    let [fast, naive] = medians(|timed| {
         timed(0, &mut fast);
         timed(1, &mut naive);
     });
@@ -241,7 +240,7 @@ fn bench_ffn() -> Vec<FfnResult> {
             let _hot = pool::hot();
             // The three stages take turns, layer after layer.
             let mut layers = (0..FFN_LAYERS).cycle();
-            let [up_gemm_s, up_stage_s, down_s] = medians(0.75, |timed| {
+            let [up_gemm_s, up_stage_s, down_s] = medians(|timed| {
                 let l = layers.next().unwrap_or(0);
                 timed(0, &mut || {
                     w1[l].matvec_into(h.data(), &mut gate);
