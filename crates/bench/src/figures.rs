@@ -9,7 +9,7 @@ use specinfer_model::{DecodeMode, Transformer};
 use specinfer_serving::TimingConfig;
 use specinfer_sim::{ClusterSpec, LlmProfile, OffloadSpec, ParallelismPlan, SystemProfile};
 use specinfer_spec::{EngineConfig, InferenceMode, SpecEngine, StochasticVerifier};
-use specinfer_tokentree::{ExpansionConfig, TokenId};
+use specinfer_tokentree::ExpansionConfig;
 use specinfer_workloads::{Dataset, EOS_TOKEN};
 
 use crate::models::Suite;
@@ -349,11 +349,6 @@ pub fn fig11(suite: &Suite, params: &ExpParams) -> TableData {
     // `leaf_count` branches re-processes its full root-to-leaf path.
     let branches = expansion.leaf_count();
     let branch_tokens = branches * (expansion.depth() + 1);
-    let seq_behavior = ModeBehavior {
-        tokens_per_step: b_tree.tokens_per_step,
-        mean_tree_size: (branch_tokens - 1) as f64,
-        mean_context: b_tree.mean_context,
-    };
 
     let mut tree_ms = Vec::new();
     let mut seq_ms = Vec::new();
@@ -361,32 +356,23 @@ pub fn fig11(suite: &Suite, params: &ExpParams) -> TableData {
         tree_ms.push(per_token_ms(&timing, &mode, bs, &b_tree));
         // kernel_groups shows up through a dedicated timing call: model
         // the per-branch kernels by inflating the workload.
-        let seq_timing = TimingConfig {
-            llm_profile: timing.llm_profile.clone(),
-            ssm_profile: timing.ssm_profile.clone(),
-            cluster: timing.cluster.clone(),
-            plan: timing.plan,
-            system: timing.system.clone(),
-            offload: None,
-        };
         let verify = specinfer_sim::StepWorkload {
             batch: bs,
             tokens_per_request: branch_tokens,
             kernel_groups: branches,
             context_len: b_tree.mean_context,
         };
-        let verify_s =
-            seq_timing
-                .cluster
-                .decode_step_s(&seq_timing.llm_profile, &seq_timing.plan, &verify);
-        let spec_s = seq_timing.cluster.ssm_speculation_s(
-            &seq_timing.ssm_profile,
+        let verify_s = timing
+            .cluster
+            .decode_step_s(&timing.llm_profile, &timing.plan, &verify);
+        let spec_s = timing.cluster.ssm_speculation_s(
+            &timing.ssm_profile,
             expansion.depth(),
             bs,
-            seq_behavior.mean_tree_size / expansion.depth() as f64,
+            (branch_tokens - 1) as f64 / expansion.depth() as f64,
             b_tree.mean_context,
         );
-        seq_ms.push(seq_timing.system.apply(verify_s + spec_s) / b_tree.tokens_per_step * 1e3);
+        seq_ms.push(timing.system.apply(verify_s + spec_s) / b_tree.tokens_per_step * 1e3);
     }
     let rows = vec![
         ("tree-based (ms)".to_string(), tree_ms.clone()),
@@ -687,10 +673,6 @@ pub fn overheads_table(suite: &Suite, params: &ExpParams) -> TableData {
             .into(),
     }
 }
-
-/// A quick sanity type so `TokenId` stays in scope for doc purposes.
-#[doc(hidden)]
-pub type _Token = TokenId;
 
 #[cfg(test)]
 mod tests {

@@ -80,11 +80,6 @@ impl IterationScheduler {
         }
     }
 
-    /// The admission limit.
-    pub fn max_batch_size(&self) -> usize {
-        self.max_batch_size
-    }
-
     /// Enqueues a request, kept sorted by `(arrival_s, id)`, or hands it
     /// back unqueued when the queue is at capacity.
     ///

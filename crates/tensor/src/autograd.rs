@@ -47,7 +47,6 @@ enum Op {
     Add(Var, Var),
     Mul(Var, Var),
     Scale(Var, f32),
-    AddRowBroadcast(Var, Var),
     AddConst(Var),
     Silu(Var),
     RmsNorm {
@@ -180,13 +179,6 @@ impl Tape {
         let value = self.value(a).scale(c);
         let rg = self.rg(a);
         self.push(value, Op::Scale(a, c), rg)
-    }
-
-    /// Adds a `[cols]` bias row to every row of `a`.
-    pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let value = self.value(a).add_row_broadcast(self.value(bias));
-        let rg = self.rg(a) || self.rg(bias);
-        self.push(value, Op::AddRowBroadcast(a, bias), rg)
     }
 
     /// Adds a constant tensor (e.g. an attention mask) that never receives
@@ -437,18 +429,6 @@ impl Tape {
                 Op::Scale(a, c) => {
                     let (a, c) = (*a, *c);
                     self.accumulate(a, out_grad.scale(c));
-                }
-                Op::AddRowBroadcast(a, bias) => {
-                    let (a, bias) = (*a, *bias);
-                    let cols = out_grad.cols();
-                    let mut dbias = Tensor::zeros(&[cols]);
-                    for r in 0..out_grad.rows() {
-                        for (g, o) in dbias.data_mut().iter_mut().zip(out_grad.row(r)) {
-                            *g += o;
-                        }
-                    }
-                    self.accumulate(a, out_grad);
-                    self.accumulate(bias, dbias);
                 }
                 Op::AddConst(a) => {
                     let a = *a;
@@ -802,22 +782,6 @@ mod tests {
                 let weight = tape.constant(w.clone());
                 let z = tape.mul(joined, weight);
                 tape.sum_scalar(z)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn add_row_broadcast_gradient() {
-        let mut rng = SeededRng::new(11);
-        let x = Tensor::randn(&[3, 4], 1.0, &mut rng);
-        let bias = Tensor::randn(&[4], 1.0, &mut rng);
-        check_gradient(
-            bias,
-            move |tape, p| {
-                let xv = tape.constant(x.clone());
-                let y = tape.add_row_broadcast(xv, p);
-                tape.sum_scalar(y)
             },
             1e-2,
         );

@@ -12,7 +12,7 @@
 //! Each partition runs on the process-selected [`SimdBackend`]
 //! (see [`crate::simd`]): the scalar kernels below are the
 //! cross-platform reference — bitwise identical to the naive triple
-//! loop — while the AVX2/NEON kernels keep their own fixed per-element
+//! loop — while the AVX2 kernels keep their own fixed per-element
 //! reduction order (fused ascending-`k` chains plus a deterministic
 //! lane-reduction tree for `nt`). Within a backend, results are
 //! bitwise identical no matter the thread count — see `ARCHITECTURE.md`
@@ -143,7 +143,7 @@ fn nn_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize)
 }
 
 /// [`nn_rows`] on an explicit backend: scalar stays the reference
-/// triple-loop order; AVX2/NEON vectorise over output columns, which
+/// triple-loop order; AVX2 vectorises over output columns, which
 /// keeps one (fused) ascending-`k` chain per element.
 fn nn_rows_with(
     be: SimdBackend,
@@ -160,9 +160,6 @@ fn nn_rows_with(
         // detection of AVX2+FMA, and the caller passes the same shape
         // contract the scalar kernel relies on.
         SimdBackend::Avx2Fma => unsafe { simd::avx2::nn_rows(a, b, out, i0, k, n) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; shape contract as above.
-        SimdBackend::Neon => unsafe { simd::neon::nn_rows(a, b, out, i0, k, n) },
         _ => nn_rows(a, b, out, i0, k, n),
     }
 }
@@ -278,7 +275,7 @@ fn nt_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize)
 }
 
 /// [`nt_rows`] on an explicit backend: scalar keeps the single
-/// ascending-`k` chain per element; AVX2/NEON reduce each dot product
+/// ascending-`k` chain per element; AVX2 reduces each dot product
 /// as fixed per-lane ascending-`k` chains folded by a deterministic
 /// lane-reduction tree (see `crate::simd`).
 fn nt_rows_with(
@@ -296,9 +293,6 @@ fn nt_rows_with(
         // detection of AVX2+FMA, and the caller passes the same shape
         // contract the scalar kernel relies on.
         SimdBackend::Avx2Fma => unsafe { simd::avx2::nt_rows(a, b, out, i0, k, n) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; shape contract as above.
-        SimdBackend::Neon => unsafe { simd::neon::nt_rows(a, b, out, i0, k, n) },
         _ => nt_rows(a, b, out, i0, k, n),
     }
 }

@@ -32,11 +32,11 @@
 //! ```
 //!
 //! The register tile is a row block × one panel: four rows × two AVX2
-//! registers (four NEON ones) of accumulators, so a panel row loaded
-//! from L1 feeds four rows' FMAs and a slice is walked once per *four*
-//! rows. There is one geometry — one panel width — because every pack
-//! of a forward meets every row count: a per-pack width would be a
-//! second layout to test at every `m`.
+//! registers of accumulators, so a panel row loaded from L1 feeds four
+//! rows' FMAs and a slice is walked once per *four* rows. There is one
+//! geometry — one panel width — because every pack of a forward meets
+//! every row count: a per-pack width would be a second layout to test
+//! at every `m`.
 //!
 //! The first row block of a slice pulls it from memory, every further
 //! block reads it from L1, and while a slice is being multiplied each
@@ -47,7 +47,7 @@
 //!
 //! Per output element the reduction therefore remains one ascending-`k`
 //! chain from zero — plain mul+add on the scalar backend, fused FMA on
-//! AVX2/AVX-512F/NEON — so within a backend the packed product is
+//! AVX2/AVX-512F — so within a backend the packed product is
 //! **bitwise identical** to the unpacked blocked kernel for the same
 //! element, at every `m`.
 //!
@@ -121,8 +121,8 @@ use crate::ops::silu_scalar;
 use crate::pool::{self, SharedMut};
 use crate::simd::{self, SimdBackend};
 
-/// Panel width in columns: 16 floats = one AVX-512 register, two AVX2
-/// or four NEON registers per panel row, and exactly one cache line.
+/// Panel width in columns: 16 floats = one AVX-512 register or two AVX2
+/// registers per panel row, and exactly one cache line.
 pub const PANEL_WIDTH: usize = 16;
 
 /// Row count up to which the model's dense layers multiply against the
@@ -159,8 +159,6 @@ pub(crate) enum Tile {
     /// Sixteen rows in the wide layout × one 512-bit accumulator
     /// (x86-64, AVX-512F).
     Avx512,
-    /// Four rows × four 128-bit accumulators (aarch64).
-    Neon,
     /// The wide tile's portable twin, [`PortableWide`]: what `Avx512`
     /// computes, on every host.
     #[cfg(test)]
@@ -185,7 +183,6 @@ impl Tile {
                 Tile::Avx512
             }
             SimdBackend::Avx2Fma => Tile::Avx2,
-            SimdBackend::Neon => Tile::Neon,
         }
     }
 
@@ -195,7 +192,6 @@ impl Tile {
             Tile::Scalar => "scalar_4x16",
             Tile::Avx2 => "avx2_4x16",
             Tile::Avx512 => "avx512f_16x16",
-            Tile::Neon => "neon_4x16",
             #[cfg(test)]
             Tile::WidePortable => "portable_16x16",
         }
@@ -600,8 +596,6 @@ impl PackedPanels {
                 Tile::Avx2 => self.gemm::<simd::avx2::PackedTile>(a, out, panels),
                 #[cfg(target_arch = "x86_64")]
                 Tile::Avx512 => self.gemm_wide::<simd::avx512::PackedTile>(a, out, layout, panels),
-                #[cfg(target_arch = "aarch64")]
-                Tile::Neon => self.gemm::<simd::neon::PackedTile>(a, out, panels),
                 #[cfg(test)]
                 Tile::WidePortable => self.gemm_wide::<PortableWide>(a, out, layout, panels),
                 _ => self.gemm::<ScalarTile>(a, out, panels),
@@ -707,7 +701,7 @@ impl PackedPanels {
 /// `g[i] = silu(g[i]) · l[i]`, the only SwiGLU of inference. AVX2
 /// evaluates `silu` by an in-crate polynomial `exp`, eight lanes at a
 /// time (within 2 ulp of SiLU, see [`simd::avx2::silu`]); the scalar
-/// and NEON backends call libm as training does.
+/// backend calls libm as training does.
 fn swiglu_epilogue(be: SimdBackend, g: &mut [f32], l: &[f32]) {
     match be {
         #[cfg(target_arch = "x86_64")]

@@ -2,13 +2,14 @@
 //!
 //! Inference's matmuls — one-row decode steps up to whole-prompt
 //! prefills — are latency-bound on the scalar kernels, so this module
-//! provides explicit `std::arch` paths: AVX2+FMA on x86-64, NEON on
-//! aarch64, with the scalar kernels in [`crate::kernels`] and
-//! [`crate::pack`] as the cross-platform reference. The backend is
-//! selected **exactly once** at startup — same discipline as
-//! [`crate::kernels::set_max_threads`] — from the `SPECINFER_SIMD`
-//! environment variable (`scalar` / `avx2` / `neon` / `native`) falling
-//! back to runtime CPU feature detection. No per-call feature probing.
+//! provides explicit `std::arch` paths for AVX2+FMA on x86-64, with the
+//! scalar kernels in [`crate::kernels`] and [`crate::pack`] as the
+//! cross-platform reference that every other host (aarch64 included)
+//! runs. The backend is selected **exactly once** at startup — same
+//! discipline as [`crate::kernels::set_max_threads`] — from the
+//! `SPECINFER_SIMD` environment variable (`scalar` forces the
+//! reference, anything else — `native` or unset — takes runtime CPU
+//! feature detection). No per-call feature probing.
 //!
 //! AVX-512F is not a backend. It is detected once too, and on the AVX2
 //! backend it gives the packed GEMM a second register tile
@@ -21,8 +22,8 @@
 //! # Determinism contract
 //!
 //! Bitwise equality **between** backends is not promised: FMA contracts
-//! the multiply–add into a single rounding, so AVX2/NEON results differ
-//! from the scalar reference in the last bits. What every backend *does*
+//! the multiply–add into a single rounding, so AVX2 results differ from
+//! the scalar reference in the last bits. What every backend *does*
 //! promise is bitwise determinism across runs and thread counts:
 //!
 //! * Column-vectorised kernels (`nn`, packed panels) keep one ascending-`k`
@@ -43,7 +44,7 @@
 //!   so an element's bits depend neither on its lane nor on whether it
 //!   fell in a vector or a tail. Inference has no other SwiGLU, so this
 //!   moves the AVX2 *model function* — by at most 2 ulp of SiLU against
-//!   the libm formula the scalar and NEON epilogues and training keep —
+//!   the libm formula the scalar epilogue and training keep —
 //!   and nothing else: speculation ≡ incremental, batched ≡ serial and
 //!   thread-count invariance compare the function with itself.
 
@@ -59,8 +60,6 @@ pub enum SimdBackend {
     Scalar,
     /// AVX2 + FMA kernels (x86-64).
     Avx2Fma,
-    /// NEON kernels (aarch64).
-    Neon,
 }
 
 impl SimdBackend {
@@ -69,7 +68,6 @@ impl SimdBackend {
         match self {
             SimdBackend::Scalar => "scalar",
             SimdBackend::Avx2Fma => "avx2_fma",
-            SimdBackend::Neon => "neon",
         }
     }
 }
@@ -80,41 +78,17 @@ static BACKEND: OnceLock<SimdBackend> = OnceLock::new();
 /// The process-wide SIMD backend.
 ///
 /// First call reads `SPECINFER_SIMD` (`scalar` forces the reference
-/// kernels; `avx2` / `neon` force an ISA *if the CPU supports it*, else
-/// fall back to scalar; anything else — including `native` or unset —
-/// picks the best detected ISA) and latches the answer for the lifetime
-/// of the process.
+/// kernels; anything else — including `native` or unset — picks the
+/// best detected ISA) and latches the answer for the lifetime of the
+/// process.
 pub fn backend() -> SimdBackend {
     *BACKEND.get_or_init(select_backend)
 }
 
 fn select_backend() -> SimdBackend {
-    match std::env::var("SPECINFER_SIMD").as_deref() {
-        Ok("scalar") => SimdBackend::Scalar,
-        Ok("avx2") => {
-            if avx2_available() {
-                SimdBackend::Avx2Fma
-            } else {
-                SimdBackend::Scalar
-            }
-        }
-        Ok("neon") => {
-            if neon_available() {
-                SimdBackend::Neon
-            } else {
-                SimdBackend::Scalar
-            }
-        }
-        _ => native_backend(),
-    }
-}
-
-/// The best backend the current CPU supports.
-fn native_backend() -> SimdBackend {
-    if avx2_available() {
+    let forced_scalar = std::env::var("SPECINFER_SIMD").as_deref() == Ok("scalar");
+    if avx2_available() && !forced_scalar {
         SimdBackend::Avx2Fma
-    } else if neon_available() {
-        SimdBackend::Neon
     } else {
         SimdBackend::Scalar
     }
@@ -145,11 +119,6 @@ pub(crate) fn avx512_available() -> bool {
     false
 }
 
-/// NEON is baseline on aarch64, absent elsewhere.
-fn neon_available() -> bool {
-    cfg!(target_arch = "aarch64")
-}
-
 /// Every backend runnable on this machine, scalar first. The forward
 /// oracle iterates this to exercise each backend explicitly regardless of which
 /// one [`backend`] latched.
@@ -158,35 +127,25 @@ pub fn available_backends() -> Vec<SimdBackend> {
     if avx2_available() {
         v.push(SimdBackend::Avx2Fma);
     }
-    if neon_available() {
-        v.push(SimdBackend::Neon);
-    }
     v
 }
 
 /// CPU features relevant to kernel selection that the host reports,
 /// recorded into benchmark reports so numbers are attributable.
 pub fn detected_features() -> Vec<&'static str> {
-    let mut v = Vec::new();
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx") {
-            v.push("avx");
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            v.push("avx2");
-        }
-        if std::arch::is_x86_feature_detected!("fma") {
-            v.push("fma");
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            v.push("avx512f");
-        }
-    }
-    if neon_available() {
-        v.push("neon");
-    }
-    v
+    let probed = [
+        ("avx", std::arch::is_x86_feature_detected!("avx")),
+        ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+        ("fma", std::arch::is_x86_feature_detected!("fma")),
+        ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+    ];
+    #[cfg(not(target_arch = "x86_64"))]
+    let probed: [(&'static str, bool); 0] = [];
+    probed
+        .into_iter()
+        .filter_map(|(name, on)| on.then_some(name))
+        .collect()
 }
 
 /// AVX2+FMA kernels. Lane width 8; per-element reduction order is fixed
@@ -759,314 +718,6 @@ pub(crate) mod avx512 {
     }
 }
 
-/// NEON kernels. Lane width 4; same reduction-order schemes as the AVX2
-/// module with a four-lane pairwise tree `(l0+l1) + (l2+l3)`.
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod neon {
-    use core::arch::aarch64::{float32x4_t, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32};
-
-    use crate::pack::{PanelTile, PANEL_WIDTH};
-
-    /// Folds the four lane partials with the fixed pairwise tree
-    /// `(l0+l1) + (l2+l3)`.
-    // SAFETY: NEON is baseline on aarch64; the store targets a
-    // local 4-float array.
-    #[target_feature(enable = "neon")]
-    unsafe fn lane_tree(v: float32x4_t) -> f32 {
-        let mut lanes = [0.0f32; 4];
-        vst1q_f32(lanes.as_mut_ptr(), v);
-        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    }
-
-    /// NEON `nn_rows`: four-row × 8-column register tile, one fused
-    /// ascending-`k` chain per output element.
-    // SAFETY: NEON is baseline on aarch64; the debug-asserted shape
-    // contract keeps every raw load/store in bounds.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn nn_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
-        let rows = out.len() / n;
-        debug_assert!(a.len() >= (i0 + rows) * k, "A covers the row chunk");
-        debug_assert_eq!(b.len(), k * n, "B must be k×n");
-        debug_assert_eq!(out.len(), rows * n, "out chunk must be whole rows");
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut r = 0;
-        while r + 4 <= rows {
-            let a0 = a.as_ptr().add((i0 + r) * k);
-            let a1 = a.as_ptr().add((i0 + r + 1) * k);
-            let a2 = a.as_ptr().add((i0 + r + 2) * k);
-            let a3 = a.as_ptr().add((i0 + r + 3) * k);
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut c00 = vdupq_n_f32(0.0);
-                let mut c01 = vdupq_n_f32(0.0);
-                let mut c10 = vdupq_n_f32(0.0);
-                let mut c11 = vdupq_n_f32(0.0);
-                let mut c20 = vdupq_n_f32(0.0);
-                let mut c21 = vdupq_n_f32(0.0);
-                let mut c30 = vdupq_n_f32(0.0);
-                let mut c31 = vdupq_n_f32(0.0);
-                for kk in 0..k {
-                    let bq = bp.add(kk * n + j);
-                    let b0 = vld1q_f32(bq);
-                    let b1 = vld1q_f32(bq.add(4));
-                    let v0 = vdupq_n_f32(*a0.add(kk));
-                    c00 = vfmaq_f32(c00, v0, b0);
-                    c01 = vfmaq_f32(c01, v0, b1);
-                    let v1 = vdupq_n_f32(*a1.add(kk));
-                    c10 = vfmaq_f32(c10, v1, b0);
-                    c11 = vfmaq_f32(c11, v1, b1);
-                    let v2 = vdupq_n_f32(*a2.add(kk));
-                    c20 = vfmaq_f32(c20, v2, b0);
-                    c21 = vfmaq_f32(c21, v2, b1);
-                    let v3 = vdupq_n_f32(*a3.add(kk));
-                    c30 = vfmaq_f32(c30, v3, b0);
-                    c31 = vfmaq_f32(c31, v3, b1);
-                }
-                vst1q_f32(op.add(r * n + j), c00);
-                vst1q_f32(op.add(r * n + j + 4), c01);
-                vst1q_f32(op.add((r + 1) * n + j), c10);
-                vst1q_f32(op.add((r + 1) * n + j + 4), c11);
-                vst1q_f32(op.add((r + 2) * n + j), c20);
-                vst1q_f32(op.add((r + 2) * n + j + 4), c21);
-                vst1q_f32(op.add((r + 3) * n + j), c30);
-                vst1q_f32(op.add((r + 3) * n + j + 4), c31);
-                j += 8;
-            }
-            while j < n {
-                for (dr, ap) in [a0, a1, a2, a3].into_iter().enumerate() {
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc = (*ap.add(kk)).mul_add(*bp.add(kk * n + j), acc);
-                    }
-                    *op.add((r + dr) * n + j) = acc;
-                }
-                j += 1;
-            }
-            r += 4;
-        }
-        while r < rows {
-            let a_row = &a[(i0 + r) * k..(i0 + r + 1) * k];
-            nn_cols(a_row, b, &mut out[r * n..(r + 1) * n], 0, k, n);
-            r += 1;
-        }
-    }
-
-    /// NEON single-output-row column sweep, 16-column blocks.
-    // SAFETY: NEON is baseline on aarch64; the debug-asserted shape
-    // contract keeps every raw load/store in bounds.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn nn_cols(a: &[f32], b: &[f32], out: &mut [f32], j0: usize, k: usize, n: usize) {
-        let w = out.len();
-        debug_assert!(a.len() >= k, "a must hold a full row");
-        debug_assert!(j0 + w <= n, "column range inside B");
-        debug_assert_eq!(b.len(), k * n, "B must be k×n");
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j = 0;
-        while j + 16 <= w {
-            let mut c0 = vdupq_n_f32(0.0);
-            let mut c1 = vdupq_n_f32(0.0);
-            let mut c2 = vdupq_n_f32(0.0);
-            let mut c3 = vdupq_n_f32(0.0);
-            for kk in 0..k {
-                let v = vdupq_n_f32(*ap.add(kk));
-                let bq = bp.add(kk * n + j0 + j);
-                c0 = vfmaq_f32(c0, v, vld1q_f32(bq));
-                c1 = vfmaq_f32(c1, v, vld1q_f32(bq.add(4)));
-                c2 = vfmaq_f32(c2, v, vld1q_f32(bq.add(8)));
-                c3 = vfmaq_f32(c3, v, vld1q_f32(bq.add(12)));
-            }
-            vst1q_f32(op.add(j), c0);
-            vst1q_f32(op.add(j + 4), c1);
-            vst1q_f32(op.add(j + 8), c2);
-            vst1q_f32(op.add(j + 12), c3);
-            j += 16;
-        }
-        while j + 4 <= w {
-            let mut c0 = vdupq_n_f32(0.0);
-            for kk in 0..k {
-                let v = vdupq_n_f32(*ap.add(kk));
-                c0 = vfmaq_f32(c0, v, vld1q_f32(bp.add(kk * n + j0 + j)));
-            }
-            vst1q_f32(op.add(j), c0);
-            j += 4;
-        }
-        while j < w {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc = (*ap.add(kk)).mul_add(*bp.add(kk * n + j0 + j), acc);
-            }
-            *op.add(j) = acc;
-            j += 1;
-        }
-    }
-
-    /// NEON `nt_rows`: four output columns at a time, four fixed
-    /// ascending-`k` lanes per column folded by [`lane_tree`], fused
-    /// ascending tail.
-    // SAFETY: NEON is baseline on aarch64; the debug-asserted shape
-    // contract keeps every raw load/store in bounds.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn nt_rows(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
-        let rows = out.len() / n;
-        debug_assert!(a.len() >= (i0 + rows) * k, "A covers the row chunk");
-        debug_assert_eq!(b.len(), n * k, "B must be n×k row-major");
-        debug_assert_eq!(out.len(), rows * n, "out chunk must be whole rows");
-        let k4 = k - k % 4;
-        for r in 0..rows {
-            let ap = a.as_ptr().add((i0 + r) * k);
-            let op = out.as_mut_ptr().add(r * n);
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = b.as_ptr().add(j * k);
-                let b1 = b.as_ptr().add((j + 1) * k);
-                let b2 = b.as_ptr().add((j + 2) * k);
-                let b3 = b.as_ptr().add((j + 3) * k);
-                let mut c0 = vdupq_n_f32(0.0);
-                let mut c1 = vdupq_n_f32(0.0);
-                let mut c2 = vdupq_n_f32(0.0);
-                let mut c3 = vdupq_n_f32(0.0);
-                let mut t = 0;
-                while t + 4 <= k {
-                    let av = vld1q_f32(ap.add(t));
-                    c0 = vfmaq_f32(c0, av, vld1q_f32(b0.add(t)));
-                    c1 = vfmaq_f32(c1, av, vld1q_f32(b1.add(t)));
-                    c2 = vfmaq_f32(c2, av, vld1q_f32(b2.add(t)));
-                    c3 = vfmaq_f32(c3, av, vld1q_f32(b3.add(t)));
-                    t += 4;
-                }
-                let mut s0 = lane_tree(c0);
-                let mut s1 = lane_tree(c1);
-                let mut s2 = lane_tree(c2);
-                let mut s3 = lane_tree(c3);
-                let mut tt = k4;
-                while tt < k {
-                    let av = *ap.add(tt);
-                    s0 = av.mul_add(*b0.add(tt), s0);
-                    s1 = av.mul_add(*b1.add(tt), s1);
-                    s2 = av.mul_add(*b2.add(tt), s2);
-                    s3 = av.mul_add(*b3.add(tt), s3);
-                    tt += 1;
-                }
-                *op.add(j) = s0;
-                *op.add(j + 1) = s1;
-                *op.add(j + 2) = s2;
-                *op.add(j + 3) = s3;
-                j += 4;
-            }
-            while j < n {
-                let bq = b.as_ptr().add(j * k);
-                let mut c0 = vdupq_n_f32(0.0);
-                let mut t = 0;
-                while t + 4 <= k {
-                    c0 = vfmaq_f32(c0, vld1q_f32(ap.add(t)), vld1q_f32(bq.add(t)));
-                    t += 4;
-                }
-                let mut s = lane_tree(c0);
-                let mut tt = k4;
-                while tt < k {
-                    s = (*ap.add(tt)).mul_add(*bq.add(tt), s);
-                    tt += 1;
-                }
-                *op.add(j) = s;
-                j += 1;
-            }
-        }
-    }
-
-    /// The NEON register tile of the packed GEMM (see [`crate::pack`]):
-    /// `R` rows × one 16-column panel as `4·R` accumulator registers, one
-    /// fused ascending-`k` chain per output column. No software prefetch:
-    /// the AVX2 tile's was sized by measurement, and this backend has not
-    /// been measured.
-    pub(crate) struct PackedTile;
-
-    impl PanelTile for PackedTile {
-        // SAFETY: NEON is baseline on aarch64; every raw access below is
-        // inside a slice whose length the asserts pin.
-        #[target_feature(enable = "neon")]
-        unsafe fn tile<const R: usize>(
-            b: &[f32],
-            a: [&[f32]; R],
-            o: [&mut [f32]; R],
-            carry: bool,
-            _ahead: &[f32],
-        ) {
-            let kc = b.len() / PANEL_WIDTH;
-            assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
-            let mut acc = [[vdupq_n_f32(0.0); 4]; R];
-            for r in 0..R {
-                assert_eq!(a[r].len(), kc, "one A element per panel row");
-                assert!(o[r].len() <= PANEL_WIDTH, "one panel of columns");
-                if carry {
-                    acc[r] = load_panel(o[r]);
-                }
-            }
-            let ap = a.map(<[f32]>::as_ptr);
-            let bp = b.as_ptr();
-            for t in 0..kc {
-                let bq = bp.add(t * PANEL_WIDTH);
-                let mut b_row = [vdupq_n_f32(0.0); 4];
-                for (q, lane) in b_row.iter_mut().enumerate() {
-                    *lane = vld1q_f32(bq.add(q * 4));
-                }
-                for r in 0..R {
-                    let v = vdupq_n_f32(*ap[r].add(t));
-                    for (slot, lane) in acc[r].iter_mut().zip(b_row) {
-                        *slot = vfmaq_f32(*slot, v, lane);
-                    }
-                }
-            }
-            for r in 0..R {
-                store_panel(&acc[r], o[r]);
-            }
-        }
-    }
-
-    /// Loads the accumulators a previous k-slice left in `o` (a panel's
-    /// real columns of one output row), zero in the padding lanes.
-    // SAFETY: NEON is baseline; the caller guarantees `o.len() <= 16`; a
-    // full panel loads in bounds, a partial one through a local copy.
-    #[target_feature(enable = "neon")]
-    unsafe fn load_panel(o: &[f32]) -> [float32x4_t; 4] {
-        let mut spill = [0.0f32; PANEL_WIDTH];
-        let p = if o.len() == PANEL_WIDTH {
-            o.as_ptr()
-        } else {
-            spill[..o.len()].copy_from_slice(o);
-            spill.as_ptr()
-        };
-        let mut acc = [vdupq_n_f32(0.0); 4];
-        for (q, slot) in acc.iter_mut().enumerate() {
-            *slot = vld1q_f32(p.add(q * 4));
-        }
-        acc
-    }
-
-    /// Stores a 16-wide panel of accumulators into `o`: a full panel
-    /// directly, the final partial panel through a local spill whose
-    /// zero-padded columns are dropped.
-    // SAFETY: NEON is baseline; the caller guarantees `o.len() <= 16`; a
-    // full panel stores in bounds, a partial one spills to a local first.
-    #[target_feature(enable = "neon")]
-    unsafe fn store_panel(acc: &[float32x4_t; 4], o: &mut [f32]) {
-        let mut spill = [0.0f32; PANEL_WIDTH];
-        let p = if o.len() == PANEL_WIDTH {
-            o.as_mut_ptr()
-        } else {
-            spill.as_mut_ptr()
-        };
-        for (q, slot) in acc.iter().enumerate() {
-            vst1q_f32(p.add(q * 4), *slot);
-        }
-        if o.len() < PANEL_WIDTH {
-            o.copy_from_slice(&spill[..o.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1091,7 +742,6 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(SimdBackend::Scalar.name(), "scalar");
         assert_eq!(SimdBackend::Avx2Fma.name(), "avx2_fma");
-        assert_eq!(SimdBackend::Neon.name(), "neon");
     }
 
     /// SiLU in `f64`, and the error of `got` against it in units of the
@@ -1190,8 +840,6 @@ mod tests {
         let be = backend();
         match std::env::var("SPECINFER_SIMD").as_deref() {
             Ok("scalar") => assert_eq!(be, SimdBackend::Scalar),
-            Ok("avx2") => assert!(matches!(be, SimdBackend::Avx2Fma | SimdBackend::Scalar)),
-            Ok("neon") => assert!(matches!(be, SimdBackend::Neon | SimdBackend::Scalar)),
             _ => assert_eq!(
                 be,
                 *available_backends().last().expect("scalar always present")

@@ -563,23 +563,6 @@ impl Tensor {
         }
     }
 
-    /// Adds a `[cols]` bias vector to every row of a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        let c = self.cols();
-        assert_eq!(bias.len(), c, "bias length must equal the column count");
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            for (o, b) in out.row_mut(r).iter_mut().zip(bias.data()) {
-                *o += b;
-            }
-        }
-        out
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -701,15 +684,6 @@ mod tests {
     fn argmax_first_on_ties() {
         let t = Tensor::from_vec(vec![0.0, 5.0, 5.0, 1.0], &[4]);
         assert_eq!(t.argmax(), 1);
-    }
-
-    #[test]
-    fn row_broadcast_adds_bias() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let out = a.add_row_broadcast(&b);
-        assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(out.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
