@@ -1,7 +1,5 @@
 //! Model hyperparameter configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyperparameters of a decoder-only Transformer (LLaMA-style: RMSNorm,
 /// rotary position embeddings, SwiGLU feed-forward).
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// architecture at different scales, mirroring how the paper pairs
 /// LLaMA-7B with LLaMA-68M. Presets: [`ModelConfig::tiny_llm`],
 /// [`ModelConfig::tiny_ssm`], [`ModelConfig::smoke`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Vocabulary size (token ids are `0..vocab_size`).
     pub vocab_size: usize,

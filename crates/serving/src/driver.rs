@@ -62,9 +62,7 @@ pub(crate) struct IterationDriver<'m> {
     live: Vec<Live>,
     responses: Vec<Response>,
     iteration_log: Vec<IterationRecord>,
-    batch_fill_sum: f64,
     slab_fill_sum: f64,
-    peak_batch: usize,
     faults: FaultCounters,
     controller: ControllerSnapshot,
     verify_rows: BatchRowStats,
@@ -89,9 +87,7 @@ impl<'m> IterationDriver<'m> {
             live: Vec::new(),
             responses: Vec::new(),
             iteration_log: Vec::new(),
-            batch_fill_sum: 0.0,
             slab_fill_sum: 0.0,
-            peak_batch: 0,
             faults: FaultCounters::default(),
             controller: ControllerSnapshot::default(),
             verify_rows: BatchRowStats::default(),
@@ -281,8 +277,6 @@ impl<'m> IterationDriver<'m> {
         let stepped = || stats.iter().flatten();
         let mean_tree_size = stepped().map(|s| s.tree_size as f64).sum::<f64>() / batch as f64;
         let emitted = stepped().map(|s| s.emitted).sum();
-        self.peak_batch = self.peak_batch.max(batch);
-        self.batch_fill_sum += batch as f64 / self.config.max_batch_size as f64;
         let cap: usize = self.live.iter().map(|r| r.session.kv_capacity()).sum();
         if cap > 0 {
             let rows: usize = self.live.iter().map(|r| r.session.kv_rows()).sum();
@@ -359,15 +353,20 @@ impl<'m> IterationDriver<'m> {
         let makespan_s = finishes.chain(ends).fold(0.0, f64::max);
         let iterations = self.iteration_log.len();
         let denom = iterations.max(1) as f64;
+        // Folds in log order from +0.0: `.sum()` would start at -0.0.
+        let max_batch = self.config.max_batch_size as f64;
+        let batches = self.iteration_log.iter().map(|i| i.batch);
+        let batch_fill_sum = batches.clone().fold(0.0, |s, b| s + b as f64 / max_batch);
+        let peak_batch = batches.fold(0, usize::max);
         ServeReport {
             responses: self.responses,
             makespan_s,
             iterations,
             iteration_log: self.iteration_log,
             occupancy: OccupancyStats {
-                mean_batch_fill: self.batch_fill_sum / denom,
+                mean_batch_fill: batch_fill_sum / denom,
                 mean_slab_fill: self.slab_fill_sum / denom,
-                peak_batch: self.peak_batch,
+                peak_batch,
             },
             faults: self.faults,
             wall_s,

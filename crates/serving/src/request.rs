@@ -1,12 +1,11 @@
 //! Request and response types for the serving layer.
 
-use serde::{Deserialize, Serialize};
 use specinfer_spec::StepStats;
 use specinfer_tokentree::TokenId;
 use specinfer_workloads::Dataset;
 
 /// Identifier of a request within one server run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for RequestId {
 }
 
 /// An LLM serving request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Unique id.
     pub id: RequestId,
@@ -52,7 +51,7 @@ impl Request {
 }
 
 /// How a request left the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
     /// Ran to completion (budget or EOS).
     Completed,

@@ -1,13 +1,11 @@
 //! GPU and interconnect specifications.
 
-use serde::{Deserialize, Serialize};
-
 /// A GPU's throughput envelope.
 ///
 /// Presets use public spec-sheet numbers; `matmul_efficiency` derates
 /// peak FLOPs to a realistic attained fraction for decoder inference
 /// kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: String,
@@ -53,7 +51,7 @@ impl GpuSpec {
 }
 
 /// A point-to-point or collective communication link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Sustained bandwidth, GB/s.
     pub gb_per_s: f64,

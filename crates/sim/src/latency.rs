@@ -1,8 +1,6 @@
 //! The per-decoding-step latency model for distributed (multi-GPU)
 //! serving.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gpu::{GpuSpec, LinkSpec};
 use crate::profile::LlmProfile;
 
@@ -12,7 +10,7 @@ use crate::profile::LlmProfile;
 const KERNELS_PER_LAYER: f64 = 6.0;
 
 /// How an LLM is sharded across GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelismPlan {
     /// Tensor-model-parallel degree (within a node, as in Megatron-LM).
     pub tensor_parallel: usize,
@@ -36,7 +34,7 @@ impl ParallelismPlan {
 }
 
 /// One decoding step's shape, from the cost model's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepWorkload {
     /// Concurrent requests in the iteration.
     pub batch: usize,
@@ -65,7 +63,7 @@ impl StepWorkload {
 }
 
 /// A GPU cluster: the machine the latency model runs on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// The GPU model (homogeneous cluster).
     pub gpu: GpuSpec,

@@ -5,14 +5,12 @@
 //! the step latency by two orders of magnitude, which is why verified-
 //! tokens-per-step translates almost directly into end-to-end speedup.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gpu::{GpuSpec, LinkSpec};
 use crate::latency::StepWorkload;
 use crate::profile::LlmProfile;
 
 /// A single GPU doing offloading-based inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OffloadSpec {
     /// The compute GPU.
     pub gpu: GpuSpec,

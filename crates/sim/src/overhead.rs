@@ -12,12 +12,10 @@
 //! This module computes those ratios from first principles so the claim
 //! is *checked*, not quoted.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::LlmProfile;
 
 /// The §5.3 overhead breakdown for one serving configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadReport {
     /// SSM weights as a fraction of LLM weights (aggregated over the
     /// pool).

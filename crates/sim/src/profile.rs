@@ -1,10 +1,8 @@
 //! Profiles of the paper's evaluation models (architecture-level numbers
 //! the cost model needs).
 
-use serde::{Deserialize, Serialize};
-
 /// The size facts of an LLM or SSM that determine its step cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlmProfile {
     /// Model name as used in the paper.
     pub name: String,

@@ -8,10 +8,8 @@
 //! per iteration and a kernel-efficiency derate) — calibration constants,
 //! documented here, not fitted to the paper's outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// A serving system's constant overheads on top of the roofline model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemProfile {
     /// System name as used in the paper's legends.
     pub name: String,

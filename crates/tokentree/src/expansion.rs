@@ -1,7 +1,5 @@
 //! Static expansion schedules for expansion-based tree construction (§3).
 
-use serde::{Deserialize, Serialize};
-
 /// The preset expansion configuration ⟨k₁, k₂, …, k_m⟩ of the paper:
 /// `m` is the number of speculative decoding steps and `kᵢ` is how many
 /// top-k tokens each frontier node expands to at step `i`.
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.leaf_count(), 4); // Figure 3: four candidate sequences
 /// assert_eq!(cfg.node_count(), 2 + 4 + 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExpansionConfig {
     widths: Vec<usize>,
 }

@@ -1,7 +1,5 @@
 //! The token tree of Definition 3.1 and the merge of Definition 3.2.
 
-use serde::{Deserialize, Serialize};
-
 /// A vocabulary token identifier.
 pub type TokenId = u32;
 
@@ -9,7 +7,7 @@ pub type TokenId = u32;
 ///
 /// Node ids are indices into the owning tree's arena; they are only
 /// meaningful for the tree that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -19,7 +17,7 @@ impl NodeId {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node {
     token: TokenId,
     parent: Option<NodeId>,
@@ -39,7 +37,7 @@ struct Node {
 /// SSM's conditional probability for the token given its parent's sequence
 /// (`ssm_prob`) — both are consumed by the stochastic verifier's multi-step
 /// speculative sampling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TokenTree {
     nodes: Vec<Node>,
 }

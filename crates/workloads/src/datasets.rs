@@ -5,14 +5,13 @@
 //! substitution rationale). Each dataset differs in predictability the
 //! same way the paper's datasets differ in speculation success rate.
 
-use serde::{Deserialize, Serialize};
 use specinfer_tensor::rng::SeededRng;
 use specinfer_tokentree::TokenId;
 
 use crate::grammar::Grammar;
 
 /// A prompt plus its generation budget — one serving request's input.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PromptSpec {
     /// The prompt tokens (starts with BOS).
     pub tokens: Vec<TokenId>,
@@ -21,7 +20,7 @@ pub struct PromptSpec {
 }
 
 /// The five prompt datasets of the paper's evaluation (§6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// Stanford Alpaca instruction prompts.
     Alpaca,

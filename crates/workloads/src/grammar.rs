@@ -13,7 +13,7 @@
 //! text (high speculation accept rates); high-branching domains produce
 //! entropic text — mirroring how the paper's datasets differ.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use specinfer_tensor::rng::SeededRng;
 use specinfer_tokentree::TokenId;
 
@@ -38,7 +38,7 @@ const DOMAIN_SHAPE: [(usize, f32); N_DOMAINS] =
 const EOS_PROB: f32 = 0.02;
 const SHARED_PROB: f32 = 0.08;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Transition {
     successors: Vec<TokenId>,
     probs: Vec<f32>,
@@ -60,7 +60,7 @@ struct Transition {
 /// let seq = grammar.sample_sequence(Some(3), 32, &mut rng);
 /// assert!(seq.len() >= 2 && seq.len() <= 33);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Grammar {
     vocab_size: usize,
     transitions: Vec<Transition>,

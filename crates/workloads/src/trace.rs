@@ -5,14 +5,13 @@
 //! shape and Poisson open-loop traces for the continuous-batching
 //! scheduler.
 
-use serde::{Deserialize, Serialize};
 use specinfer_tensor::rng::SeededRng;
 
 use crate::datasets::{Dataset, PromptSpec};
 use crate::grammar::Grammar;
 
 /// One request in a trace: a prompt with an arrival timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRequest {
     /// Arrival time in seconds from trace start.
     pub arrival_s: f64,
@@ -23,7 +22,7 @@ pub struct TraceRequest {
 }
 
 /// A request trace (sorted by arrival time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// The requests, ordered by `arrival_s`.
     pub requests: Vec<TraceRequest>,

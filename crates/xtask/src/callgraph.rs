@@ -62,8 +62,6 @@ pub struct Edge {
     pub callee: usize,
     /// Line of the call site in the caller.
     pub line: usize,
-    /// Whether the call site sits inside a loop in the caller.
-    pub in_loop: bool,
 }
 
 /// The workspace call graph.
@@ -257,26 +255,16 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
         let uses = use_maps.get(&node.path).cloned().unwrap_or_default();
         let mut seen: Vec<usize> = Vec::new();
         for fact in &node.facts {
-            let (targets, line, in_loop) = match fact {
-                Fact::Call {
-                    path,
-                    line,
-                    in_loop,
-                } => (
+            let (targets, line) = match fact {
+                Fact::Call { path, line } => (
                     resolve_path_call(&g, &by_name, &by_owner_name, &node, &uses, path),
                     *line,
-                    *in_loop,
                 ),
                 Fact::Method {
-                    name,
-                    recv,
-                    line,
-                    in_loop,
-                    ..
+                    name, recv, line, ..
                 } => (
                     resolve_method_call(&by_name, &by_owner_name, &g, &node, name, recv),
                     *line,
-                    *in_loop,
                 ),
                 _ => continue,
             };
@@ -285,11 +273,7 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
                     continue;
                 }
                 seen.push(t);
-                g.edges[caller].push(Edge {
-                    callee: t,
-                    line,
-                    in_loop,
-                });
+                g.edges[caller].push(Edge { callee: t, line });
             }
         }
     }

@@ -35,10 +35,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
         match std::fs::read_to_string(root.join(rel)) {
             Ok(src) => {
                 let file = scan::scan_source(rel, &src, false);
-                rules::rule_safety(&file, &mut findings);
-                rules::rule_no_unwrap(&file, false, &mut findings);
-                rules::rule_determinism(&file, false, &mut findings);
-                rules::rule_thread_confinement(&file, false, &mut findings);
+                lexical_rules(&file, false, &mut findings);
                 // The semantic pass wants the whole workspace at once —
                 // parse now, analyze after the walk. Shims stand in for
                 // external crates and stay outside the graph.
@@ -85,21 +82,27 @@ pub fn lint_files_strict(paths: &[PathBuf]) -> Vec<Finding> {
                     rules::rule_shim_hygiene(&rel, &text, &mut findings);
                 } else {
                     let file = scan::scan_source(&rel, &text, true);
-                    rules::rule_safety(&file, &mut findings);
-                    rules::rule_no_unwrap(&file, true, &mut findings);
-                    rules::rule_determinism(&file, true, &mut findings);
-                    rules::rule_thread_confinement(&file, true, &mut findings);
+                    lexical_rules(&file, true, &mut findings);
                     parsed.push(parse::parse_file(&file));
                 }
             }
             Err(e) => findings.push(io_finding(&rel, &e)),
         }
     }
-    // Semantic rules run over the given files as a mini-workspace, with
-    // all path scoping disabled and entry points matched by name.
+    // The call-graph rule runs over the given files as a mini-workspace,
+    // with all path scoping disabled and entry points matched by name.
     let graph = callgraph::build(&parsed);
     semantic::semantic_findings_with_graph(&parsed, &graph, true, &mut findings);
     findings
+}
+
+/// The lexical rules of one source file (`shim_hygiene` reads manifests).
+fn lexical_rules(file: &scan::ScannedFile, strict: bool, findings: &mut Vec<Finding>) {
+    rules::rule_safety(file, findings);
+    rules::rule_no_unwrap(file, strict, findings);
+    rules::rule_determinism(file, strict, findings);
+    rules::rule_thread_confinement(file, strict, findings);
+    rules::rule_float_reduction_order(file, strict, findings);
 }
 
 fn io_finding(rel: &str, e: &std::io::Error) -> Finding {

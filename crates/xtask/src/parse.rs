@@ -1,15 +1,15 @@
-//! A lightweight recursive-descent Rust parser for semantic lint rules.
+//! A lightweight recursive-descent Rust parser for the call-graph lint rule.
 //!
 //! [`crate::scan`] gives the rules comment/string/`cfg(test)`-aware
 //! *lines*; this module turns those lines into just enough structure for
 //! call-graph analysis: a token stream, the item tree (modules,
 //! impls, fns, `use` declarations), and per-function **facts** — calls,
-//! method calls, macro invocations, slice indexing, loops and their
-//! accumulation patterns. It is deliberately not a full Rust grammar
-//! (`syn` would drag a dependency across the shim boundary the lint
-//! polices): expression structure beyond the facts is skipped with
-//! balanced-delimiter scanning, which is exactly as much as the
-//! call-graph rules in [`crate::semantic`] need.
+//! method calls, macro invocations and slice indexing. It is
+//! deliberately not a full Rust grammar (`syn` would drag a dependency
+//! across the shim boundary the lint polices): expression structure
+//! beyond the facts is skipped with balanced-delimiter scanning, which
+//! is exactly as much as the call-graph rule in [`crate::semantic`]
+//! needs.
 //!
 //! Invariants the parser relies on (and the proptest suite pins):
 //! the scanner blanked string/char contents and stripped comments, so
@@ -146,11 +146,7 @@ pub struct UseDecl {
 pub enum Fact {
     /// A path call `a::b::f(…)`. `path` holds every segment incl. the
     /// callee name.
-    Call {
-        path: Vec<String>,
-        line: usize,
-        in_loop: bool,
-    },
+    Call { path: Vec<String>, line: usize },
     /// A method call `recv.name(…)`. `recv` is the trailing identifier
     /// chain of the receiver (`["self", "cache"]` for
     /// `self.cache.len()`), empty when the receiver is a compound
@@ -160,20 +156,11 @@ pub enum Fact {
         recv: Vec<String>,
         zero_args: bool,
         line: usize,
-        in_loop: bool,
     },
     /// A macro invocation `name!(…)`.
-    Macro {
-        name: String,
-        line: usize,
-        in_loop: bool,
-    },
+    Macro { name: String, line: usize },
     /// A slice/array index expression `expr[…]`.
-    Index { line: usize, in_loop: bool },
-    /// A `for`/`while` loop that iterates in non-ascending order
-    /// (`.rev()` / `.step_by(…)` in its header) while its body
-    /// accumulates with a compound assignment.
-    NonAscendingAccum { line: usize },
+    Index { line: usize },
 }
 
 /// A parsed function (free fn, inherent/trait method, or default trait
@@ -224,11 +211,9 @@ impl ParsedFile {
     }
 }
 
-/// Whether `prefix::callee(…)` / `prefix.callee(…)` runs a closure
-/// argument once per task: a `spawn`, or a worker-pool region.
-fn runs_per_task(callee: &str, prefix: &str) -> bool {
-    callee == "spawn" || (prefix == "pool" && matches!(callee, "run" | "run_chunks"))
-}
+/// Where a brace-less closure body ends: at any token that can close
+/// an expression, or a match arm's `=>`.
+const CLOSURE_STOPS: &[&str] = &[",", ";", ")", "]", "=>"];
 
 /// Keywords that look like calls when followed by `(` but are not.
 fn is_expr_keyword(s: &str) -> bool {
@@ -264,7 +249,6 @@ pub fn parse_file(file: &ScannedFile) -> ParsedFile {
     let mut p = Parser {
         toks,
         pos: 0,
-        raw_lines: file.lines.iter().map(|l| l.raw.clone()).collect(),
         out: ParsedFile {
             path: file.path.clone(),
             uses: Vec::new(),
@@ -272,7 +256,6 @@ pub fn parse_file(file: &ScannedFile) -> ParsedFile {
             errors: Vec::new(),
             raw_lines: file.lines.iter().map(|l| l.raw.clone()).collect(),
         },
-        call_ctx: Vec::new(),
     };
     let mut modules = Vec::new();
     p.items(&mut modules, None, usize::MAX);
@@ -282,12 +265,7 @@ pub fn parse_file(file: &ScannedFile) -> ParsedFile {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
-    raw_lines: Vec<String>,
     out: ParsedFile,
-    /// Stack of `(callee, receiver/path prefix)` for the call argument
-    /// groups the cursor is inside — closures read the top entry to
-    /// learn which call they are passed to.
-    call_ctx: Vec<(String, String)>,
 }
 
 impl Parser {
@@ -323,14 +301,8 @@ impl Parser {
     }
 
     fn cur_line(&self) -> usize {
-        self.peek().map_or(self.raw_lines.len().max(1), |t| t.line)
-    }
-
-    fn raw_line(&self, line: usize) -> String {
-        self.raw_lines
-            .get(line.saturating_sub(1))
-            .cloned()
-            .unwrap_or_default()
+        self.peek()
+            .map_or(self.out.raw_lines.len().max(1), |t| t.line)
     }
 
     fn error(&mut self, message: String) {
@@ -750,13 +722,13 @@ impl Parser {
             owner: owner.map(str::to_string),
             modules: modules.to_vec(),
             line: fn_tok_line,
-            sig: self.raw_line(fn_tok_line),
+            sig: self.out.raw_line(fn_tok_line),
             in_test,
             facts: Vec::new(),
         };
         if self.eat("{") {
             let mut facts = Vec::new();
-            self.body(&mut facts, 0);
+            self.scan(&mut facts, &[]);
             if !self.eat("}") {
                 self.error(format!("fn `{}`: unclosed body", def.name));
             }
@@ -781,45 +753,29 @@ impl Parser {
         }
     }
 
-    /// Scans one `{ … }` body (cursor past the opening brace), emitting
-    /// facts. `loop_depth` counts enclosing `for`/`while`/`loop` bodies.
-    fn body(&mut self, facts: &mut Vec<Fact>, loop_depth: usize) {
+    /// Scans expression tokens, emitting facts, up to an unmatched `}`
+    /// or one of `stops`, which it leaves unconsumed: a body stops at its
+    /// `}` only, a `(…)`/`[…]` group at its closer too, and a brace-less
+    /// closure body at [`CLOSURE_STOPS`].
+    fn scan(&mut self, facts: &mut Vec<Fact>, stops: &[&str]) {
         while let Some(t) = self.peek().cloned() {
+            if t.text == "}" || stops.contains(&t.text.as_str()) {
+                return;
+            }
             match t.text.as_str() {
-                "}" => return,
-                "{" => {
-                    self.pos += 1;
-                    self.body(facts, loop_depth);
-                    self.eat("}");
-                }
-                "for" | "while" | "loop" => {
-                    self.loop_expr(facts, loop_depth, &t.text);
-                }
+                "{" => self.group(facts, "}"),
+                "(" => self.group(facts, ")"),
                 "[" => {
-                    // Array literal or index: decided by the PREVIOUS
-                    // token (callers handle index detection before
-                    // descending; reaching `[` here means literal/type).
-                    let is_index = self.pos > 0 && self.tok_ends_expr(self.pos - 1);
-                    if is_index && !t.in_test {
-                        facts.push(Fact::Index {
-                            line: t.line,
-                            in_loop: loop_depth > 0,
-                        });
+                    // An index when the previous token ends an
+                    // expression; otherwise an array literal or type.
+                    if self.pos > 0 && self.tok_ends_expr(self.pos - 1) && !t.in_test {
+                        facts.push(Fact::Index { line: t.line });
                     }
-                    self.pos += 1;
-                    self.body_in_group(facts, loop_depth, "]");
-                    self.eat("]");
+                    self.group(facts, "]");
                 }
-                "(" => {
-                    self.pos += 1;
-                    self.body_in_group(facts, loop_depth, ")");
-                    self.eat(")");
-                }
-                "." => {
-                    self.method_or_field(facts, loop_depth);
-                }
+                "." => self.method_or_field(facts),
                 "#" => {
-                    // Statement attribute.
+                    // Statement or expression attribute.
                     self.pos += 1;
                     self.eat("!");
                     if self.peek_text() == "[" {
@@ -827,74 +783,29 @@ impl Parser {
                     }
                 }
                 "|" | "||" => {
-                    if !self.closure_expr(facts, loop_depth) {
+                    if !self.closure_expr(facts) {
                         self.pos += 1;
                     }
                 }
-                _ if t.kind == TokKind::Ident => {
-                    self.ident_in_body(facts, loop_depth, &t);
-                }
-                _ => {
-                    self.pos += 1;
-                }
+                _ if t.kind == TokKind::Ident => self.ident_in_body(facts, &t),
+                _ => self.pos += 1,
             }
         }
     }
 
-    /// Scans tokens inside `(…)` / `[…]` groups in a body — same fact
-    /// extraction, stopping before the given closer.
-    fn body_in_group(&mut self, facts: &mut Vec<Fact>, loop_depth: usize, close: &str) {
-        while let Some(t) = self.peek().cloned() {
-            if t.text == close {
-                return;
-            }
-            match t.text.as_str() {
-                "}" => return, // tolerate imbalance: recover upward
-                "{" => {
-                    self.pos += 1;
-                    self.body(facts, loop_depth);
-                    self.eat("}");
-                }
-                "for" | "while" | "loop" => self.loop_expr(facts, loop_depth, &t.text),
-                "[" => {
-                    let is_index = self.pos > 0 && self.tok_ends_expr(self.pos - 1);
-                    if is_index && !t.in_test {
-                        facts.push(Fact::Index {
-                            line: t.line,
-                            in_loop: loop_depth > 0,
-                        });
-                    }
-                    self.pos += 1;
-                    self.body_in_group(facts, loop_depth, "]");
-                    self.eat("]");
-                }
-                "(" => {
-                    self.pos += 1;
-                    self.body_in_group(facts, loop_depth, ")");
-                    self.eat(")");
-                }
-                "." => self.method_or_field(facts, loop_depth),
-                "|" | "||" => {
-                    if !self.closure_expr(facts, loop_depth) {
-                        self.pos += 1;
-                    }
-                }
-                _ if t.kind == TokKind::Ident => self.ident_in_body(facts, loop_depth, &t),
-                _ => {
-                    self.pos += 1;
-                }
-            }
-        }
+    /// Scans the group whose opener is at the cursor, through `close`.
+    fn group(&mut self, facts: &mut Vec<Fact>, close: &str) {
+        self.pos += 1;
+        self.scan(facts, &[close]);
+        self.eat(close);
     }
 
     /// Parses a closure at the cursor (`|` or `||`): its parameter list
-    /// is skipped and its body scanned for facts — one loop level deeper
-    /// when the closure is a per-task body (see [`runs_per_task`]).
-    /// Returns `false` when the token is a binary/pattern `|` (the
-    /// previous token ends an expression and no `move` precedes) or the
-    /// parameter list never closes — the caller then treats the token as
-    /// plain punctuation.
-    fn closure_expr(&mut self, facts: &mut Vec<Fact>, loop_depth: usize) -> bool {
+    /// is skipped and its body scanned for facts. Returns `false` when
+    /// the token is a binary/pattern `|` (the previous token ends an
+    /// expression and no `move` precedes) or the parameter list never
+    /// closes — the caller then treats the token as plain punctuation.
+    fn closure_expr(&mut self, facts: &mut Vec<Fact>) -> bool {
         let open = match self.peek() {
             Some(t) if t.text == "|" || t.text == "||" => t.text.clone(),
             _ => return false,
@@ -940,80 +851,23 @@ impl Parser {
                 }
             }
         }
-        // A closure handed to a task runner executes once per task: to
-        // every in-loop rule its *body* is a loop body, whether or not
-        // the call sits in a lexical loop.
-        let per_task = self
-            .call_ctx
-            .last()
-            .is_some_and(|(callee, prefix)| runs_per_task(callee, prefix));
-        let body_depth = loop_depth + usize::from(per_task);
-        if self.eat("{") {
-            self.body(facts, body_depth);
-            self.eat("}");
+        if self.peek_text() == "{" {
+            self.group(facts, "}");
         } else {
-            self.closure_body_expr(facts, body_depth);
+            self.scan(facts, CLOSURE_STOPS);
         }
         true
     }
 
-    /// Scans a brace-less closure body: like [`Self::body_in_group`]
-    /// but additionally stopping before any token that can end an
-    /// expression-form closure (`,`, `;`, a closer, or a match arm's
-    /// `=>`).
-    fn closure_body_expr(&mut self, facts: &mut Vec<Fact>, loop_depth: usize) {
-        while let Some(t) = self.peek().cloned() {
-            match t.text.as_str() {
-                "," | ";" | ")" | "]" | "}" | "=>" => return,
-                "{" => {
-                    self.pos += 1;
-                    self.body(facts, loop_depth);
-                    self.eat("}");
-                }
-                "for" | "while" | "loop" => self.loop_expr(facts, loop_depth, &t.text),
-                "[" => {
-                    let is_index = self.pos > 0 && self.tok_ends_expr(self.pos - 1);
-                    if is_index && !t.in_test {
-                        facts.push(Fact::Index {
-                            line: t.line,
-                            in_loop: loop_depth > 0,
-                        });
-                    }
-                    self.pos += 1;
-                    self.body_in_group(facts, loop_depth, "]");
-                    self.eat("]");
-                }
-                "(" => {
-                    self.pos += 1;
-                    self.body_in_group(facts, loop_depth, ")");
-                    self.eat(")");
-                }
-                "." => self.method_or_field(facts, loop_depth),
-                "|" | "||" => {
-                    if !self.closure_expr(facts, loop_depth) {
-                        self.pos += 1;
-                    }
-                }
-                _ if t.kind == TokKind::Ident => self.ident_in_body(facts, loop_depth, &t),
-                _ => {
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
     /// Handles an identifier inside a body: path call, macro, or plain
-    /// name. Other idents fall through.
-    fn ident_in_body(&mut self, facts: &mut Vec<Fact>, loop_depth: usize, t: &Tok) {
-        if is_expr_keyword(&t.text) && !matches!(t.text.as_str(), "for" | "while" | "loop") {
-            self.pos += 1;
+    /// name. Keywords and other idents fall through.
+    fn ident_in_body(&mut self, facts: &mut Vec<Fact>, t: &Tok) {
+        self.pos += 1;
+        if is_expr_keyword(&t.text) {
             return;
         }
         // Collect the full `a::b::c` path (turbofish generics skipped).
-        let start_line = t.line;
-        let in_test = t.in_test;
         let mut path = vec![t.text.clone()];
-        self.pos += 1;
         loop {
             if self.peek_text() == "::" {
                 if self.peek_at(1) == "<" {
@@ -1040,47 +894,22 @@ impl Parser {
                 // Macro invocation. Its arguments are real code (they
                 // execute), so keep scanning inside the delimiters.
                 self.pos += 1;
-                if !in_test {
-                    facts.push(Fact::Macro {
-                        name: path.last().cloned().unwrap_or_default(),
-                        line: start_line,
-                        in_loop: loop_depth > 0,
-                    });
+                if !t.in_test {
+                    let name = path.pop().unwrap_or_default();
+                    facts.push(Fact::Macro { name, line: t.line });
                 }
                 match self.peek_text() {
-                    "(" => {
-                        self.pos += 1;
-                        self.body_in_group(facts, loop_depth, ")");
-                        self.eat(")");
-                    }
-                    "[" => {
-                        self.pos += 1;
-                        self.body_in_group(facts, loop_depth, "]");
-                        self.eat("]");
-                    }
-                    "{" => {
-                        self.pos += 1;
-                        self.body(facts, loop_depth);
-                        self.eat("}");
-                    }
+                    "(" => self.group(facts, ")"),
+                    "[" => self.group(facts, "]"),
+                    "{" => self.group(facts, "}"),
                     _ => {}
                 }
             }
             "(" => {
-                let callee = path.last().cloned().unwrap_or_default();
-                let prefix = path[..path.len().saturating_sub(1)].join("::");
-                if !in_test {
-                    facts.push(Fact::Call {
-                        path,
-                        line: start_line,
-                        in_loop: loop_depth > 0,
-                    });
+                if !t.in_test {
+                    facts.push(Fact::Call { path, line: t.line });
                 }
-                self.call_ctx.push((callee, prefix));
-                self.pos += 1;
-                self.body_in_group(facts, loop_depth, ")");
-                self.eat(")");
-                self.call_ctx.pop();
+                self.group(facts, ")");
             }
             _ => {}
         }
@@ -1088,7 +917,7 @@ impl Parser {
 
     /// Handles `.name(…)` / `.name::<T>(…)` / `.await` / field access /
     /// tuple index. The cursor sits on `.`.
-    fn method_or_field(&mut self, facts: &mut Vec<Fact>, loop_depth: usize) {
+    fn method_or_field(&mut self, facts: &mut Vec<Fact>) {
         // Receiver: the trailing `ident(.ident)*` chain before the dot.
         let mut recv = Vec::new();
         let mut i = self.pos;
@@ -1111,122 +940,28 @@ impl Parser {
         }
         recv.reverse();
 
-        let dot = self.bump(); // `.`
+        self.pos += 1; // `.`
         let (name, line, in_test) = match self.peek() {
             Some(n) if n.kind == TokKind::Ident => (n.text.clone(), n.line, n.in_test),
-            _ => return, // tuple index `.0`, `.await` handled as idents? numbers fall here
+            _ => return, // tuple index `.0`
         };
-        let _ = dot;
         self.pos += 1;
         if self.peek_text() == "::" && self.peek_at(1) == "<" {
             self.pos += 1;
             self.skip_angles();
         }
         if self.peek_text() == "(" {
-            let zero_args = self.peek_at(1) == ")";
-            self.call_ctx.push((name.clone(), recv.join(".")));
             if !in_test {
+                let zero_args = self.peek_at(1) == ")";
                 facts.push(Fact::Method {
                     name,
                     recv,
                     zero_args,
                     line,
-                    in_loop: loop_depth > 0,
                 });
             }
-            self.pos += 1;
-            self.body_in_group(facts, loop_depth, ")");
-            self.eat(")");
-            self.call_ctx.pop();
+            self.group(facts, ")");
         }
-    }
-
-    /// Parses a loop: header (for `for`/`while`), then the body one loop
-    /// level deeper. Emits [`Fact::NonAscendingAccum`] when a
-    /// non-ascending header feeds a compound-assignment body.
-    fn loop_expr(&mut self, facts: &mut Vec<Fact>, loop_depth: usize, kw: &str) {
-        let loop_line = self.cur_line();
-        let in_test = self.peek().is_some_and(|t| t.in_test);
-        self.pos += 1; // keyword
-        let mut non_ascending = false;
-        if kw != "loop" {
-            // Header: scan to the body `{` at depth 0; facts inside the
-            // header belong to the ENCLOSING loop level (a `for` header
-            // runs once).
-            loop {
-                match self.peek_text() {
-                    "{" | "" | "}" => break,
-                    "(" => {
-                        // Look for `.rev()` / `.step_by(` before descending.
-                        self.pos += 1;
-                        self.body_in_group(facts, loop_depth, ")");
-                        self.eat(")");
-                    }
-                    "[" => {
-                        let is_index = self.pos > 0 && self.tok_ends_expr(self.pos - 1);
-                        if is_index && !self.peek().is_some_and(|t| t.in_test) {
-                            facts.push(Fact::Index {
-                                line: self.cur_line(),
-                                in_loop: loop_depth > 0,
-                            });
-                        }
-                        self.pos += 1;
-                        self.body_in_group(facts, loop_depth, "]");
-                        self.eat("]");
-                    }
-                    "." => {
-                        let before = facts.len();
-                        self.method_or_field(facts, loop_depth);
-                        if facts[before..].iter().any(|f| {
-                            matches!(f, Fact::Method { name, .. }
-                                     if name == "rev" || name == "step_by")
-                        }) {
-                            non_ascending = true;
-                        }
-                    }
-                    _ => match self.peek().cloned() {
-                        Some(t) if t.kind == TokKind::Ident => {
-                            self.ident_in_body(facts, loop_depth, &t)
-                        }
-                        Some(_) => self.pos += 1,
-                        None => break,
-                    },
-                }
-            }
-        }
-        if !self.eat("{") {
-            return;
-        }
-        let body_start = facts.len();
-        let compound_before = self.count_compound_assign_ahead();
-        self.body(facts, loop_depth + 1);
-        self.eat("}");
-        let _ = body_start;
-        if non_ascending && compound_before && !in_test {
-            facts.push(Fact::NonAscendingAccum { line: loop_line });
-        }
-    }
-
-    /// Whether a compound assignment (`+=` etc.) occurs in the balanced
-    /// region starting at the cursor (the just-opened loop body).
-    fn count_compound_assign_ahead(&self) -> bool {
-        let mut depth = 1usize;
-        let mut i = self.pos;
-        while let Some(t) = self.toks.get(i) {
-            match t.text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return false;
-                    }
-                }
-                "+=" | "-=" | "*=" | "/=" => return true,
-                _ => {}
-            }
-            i += 1;
-        }
-        false
     }
 }
 
@@ -1252,33 +987,6 @@ mod tests {
             .filter(|c| !c.is_whitespace())
             .collect();
         assert_eq!(joined, stripped);
-    }
-
-    #[test]
-    fn pool_region_closure_bodies_are_loop_bodies() {
-        // A closure run once per task (`pool::run`, `pool::run_chunks`)
-        // has a loop body; an iterator adapter's closure does not, and a
-        // pattern `|` is no closure at all.
-        let p = parse(
-            "fn f(xs: &[u32], out: &mut [f32]) {\n    pool::run(4, |t| grow(t));\n    pool::run_chunks(out, 1, 4, |first, run| { grow(first); });\n    xs.iter().map(|x| grow(*x));\n    match xs.len() { 0 | 1 => grow(0), _ => grow(1) }\n}\n",
-        );
-        assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let grows: Vec<(usize, bool)> = p.fns[0]
-            .facts
-            .iter()
-            .filter_map(|f| match f {
-                Fact::Call {
-                    path,
-                    line,
-                    in_loop,
-                } if path[0] == "grow" => Some((*line, *in_loop)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            grows,
-            [(2, true), (3, true), (4, false), (5, false), (5, false)]
-        );
     }
 
     #[test]
@@ -1313,68 +1021,70 @@ mod tests {
 
     #[test]
     fn calls_methods_macros_and_indexing_are_facts() {
-        let p = parse(
-            "fn f(v: &[u32]) {\n    helper(v);\n    a::b::g();\n    v.iter().count();\n    let x = v[0];\n    panic!(\"no\");\n    let arr = [1, 2];\n}\n",
-        );
-        let f = &p.fns[0];
-        assert!(f
+        // In straight-line code, in loop headers and bodies, in a pool
+        // region's closure, in brace-less closures that end at `,` and
+        // (a char-pattern `|` read as a closure) at `=>`, and in indexes
+        // after a call and after another index. An array literal is no
+        // index.
+        let p = parse(concat!(
+            "fn f(v: &[u32], out: &mut [f32], grid: &[[u32; 2]]) {\n",
+            "    helper(v);\n",
+            "    a::b::g();\n",
+            "    v.iter().count();\n",
+            "    let x = v[0];\n",
+            "    panic!(\"no\");\n",
+            "    let arr = [1, 2];\n",
+            "    for i in (0..rows(v)).rev() {\n",
+            "        shrink(v[i]);\n",
+            "    }\n",
+            "    while let Some(t) = next_tok(v) {\n",
+            "        seen(t);\n",
+            "    }\n",
+            "    pool::run_chunks(out, 1, 4, |first, run| { grow(first); });\n",
+            "    let pick = match x { 0 => |y: u32| odd(y), _ => |y: u32| even(y) };\n",
+            "    match x as u8 as char { 'a' | 'b' | 'c' => grow(1), _ => grow(2) }\n",
+            "    let y = key(x)[1] + grid[0][1];\n",
+            "}\n",
+        ));
+        assert!(p.errors.is_empty(), "{:?}", p.errors);
+        let facts: Vec<String> = p.fns[0]
             .facts
             .iter()
-            .any(|x| matches!(x, Fact::Call { path, .. } if path == &vec!["helper".to_string()])));
-        assert!(f.facts.iter().any(|x| matches!(
-            x,
-            Fact::Call { path, .. } if path.join("::") == "a::b::g"
-        )));
-        assert!(f
-            .facts
-            .iter()
-            .any(|x| matches!(x, Fact::Method { name, .. } if name == "iter")));
-        assert!(f
-            .facts
-            .iter()
-            .any(|x| matches!(x, Fact::Macro { name, .. } if name == "panic")));
-        let idx: Vec<_> = f
-            .facts
-            .iter()
-            .filter(|x| matches!(x, Fact::Index { .. }))
+            .map(|fact| match fact {
+                Fact::Call { path, line } => format!("{line}: {}()", path.join("::")),
+                Fact::Method { name, line, .. } => format!("{line}: .{name}()"),
+                Fact::Macro { name, line } => format!("{line}: {name}!"),
+                Fact::Index { line } => format!("{line}: []"),
+            })
             .collect();
-        assert_eq!(idx.len(), 1, "array literal must not count: {:?}", f.facts);
-    }
-
-    #[test]
-    fn loops_mark_in_loop_facts_and_rev_accumulation() {
-        let p = parse(
-            "fn f(v: &[f32]) -> f32 {\n    let before = alloc();\n    let mut s = 0.0;\n    for i in (0..v.len()).rev() {\n        s += v[i];\n    }\n    while s > 1.0 { shrink(&mut s); }\n    s\n}\n",
+        assert_eq!(
+            facts,
+            [
+                "2: helper()",
+                "3: a::b::g()",
+                "4: .iter()",
+                "4: .count()",
+                "5: []",
+                "6: panic!",
+                "8: rows()",
+                "8: .rev()",
+                "9: shrink()",
+                "9: []",
+                "11: Some()",
+                "11: next_tok()",
+                "12: seen()",
+                "14: pool::run_chunks()",
+                "14: grow()",
+                "15: odd()",
+                "15: even()",
+                "16: grow()",
+                "16: grow()",
+                "17: key()",
+                "17: []",
+                "17: []",
+                "17: []",
+            ]
         );
-        let f = &p.fns[0];
-        assert!(f.facts.iter().any(|x| matches!(
-            x,
-            Fact::Call { path, in_loop: false, .. } if path[0] == "alloc"
-        )));
-        assert!(f.facts.iter().any(|x| matches!(
-            x,
-            Fact::Call { path, in_loop: true, .. } if path[0] == "shrink"
-        )));
-        assert!(f
-            .facts
-            .iter()
-            .any(|x| matches!(x, Fact::Index { in_loop: true, .. })));
-        assert!(
-            f.facts
-                .iter()
-                .any(|x| matches!(x, Fact::NonAscendingAccum { line: 4 })),
-            "{:?}",
-            f.facts
-        );
-    }
-
-    #[test]
-    fn ascending_loops_are_not_flagged() {
-        let p = parse("fn f(v: &[f32]) -> f32 {\n    let mut s = 0.0;\n    for i in 0..v.len() {\n        s += v[i];\n    }\n    s\n}\n");
-        assert!(!p.fns[0]
-            .facts
-            .iter()
-            .any(|x| matches!(x, Fact::NonAscendingAccum { .. })));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The five workspace invariant rules.
+//! The six lexical workspace invariant rules.
 //!
 //! Each rule is a pure function from scanned sources (or manifests) to
 //! findings. Scoping — which crates a rule polices, which modules are
@@ -12,7 +12,8 @@ use crate::scan::{find_word, ScannedFile};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Stable rule id (`safety_comment`, `no_unwrap`, `determinism`,
-    /// `thread_confinement`, `shim_hygiene`, `allowlist`).
+    /// `thread_confinement`, `shim_hygiene`, `float_reduction_order`,
+    /// `panic_reachability`, `allowlist`, `parse`, `io`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -21,7 +22,7 @@ pub struct Finding {
     pub message: String,
     /// The raw source line (for allowlist matching and context).
     pub snippet: String,
-    /// For call-graph rules: the evidence chain `entry → … → function`.
+    /// For the call-graph rule: the evidence chain `entry → … → function`.
     /// Empty for lexical rules.
     pub call_path: Vec<String>,
 }
@@ -71,6 +72,37 @@ pub const CLOCK_MODULE: &str = "crates/serving/src/clock.rs";
 /// untested.
 pub const THREAD_SANCTIONED: &[&str] =
     &["crates/tensor/src/pool.rs", "crates/serving/src/daemon.rs"];
+
+/// Files where float reduction order is load-bearing: the blocked
+/// kernels and the SIMD/packed-panel kernels, each of which keeps one
+/// ascending-`k` chain per output (per lane, folded by a fixed pairwise
+/// lane tree) so every backend is bitwise-reproducible across runs and
+/// thread counts. The forward oracle (`tests/forward.rs`) holds that
+/// order bitwise; this rule keeps out the one way to bury it in the ISA.
+pub const FLOAT_REDUCTION_SCOPE: &[&str] = &[
+    "crates/tensor/src/kernels.rs",
+    "crates/tensor/src/simd.rs",
+    "crates/tensor/src/pack.rs",
+];
+
+/// Horizontal-reduction intrinsics whose in-register association order
+/// is an ISA artifact, not a documented contract of ours. The sanctioned
+/// SIMD reduction pattern spills the lanes and folds them with an
+/// explicit pairwise tree (`((l0+l1)+(l2+l3)) + …`), so the order is
+/// visible in source and identical on every run. A `hadd`/`addv`-style
+/// intrinsic hides that order and invites backend-dependent drift.
+const HORIZONTAL_REDUCE_INTRINSICS: &[&str] = &[
+    "_mm_hadd_ps",
+    "_mm_hadd_pd",
+    "_mm256_hadd_ps",
+    "_mm256_hadd_pd",
+    "_mm512_reduce_add_ps",
+    "_mm512_reduce_add_pd",
+    "vaddv_f32",
+    "vaddvq_f32",
+    "vpadd_f32",
+    "vpaddq_f32",
+];
 
 /// Paths exempt from the determinism rule: benchmark binaries (timing is
 /// their purpose) and the sanctioned clock module.
@@ -282,6 +314,35 @@ pub fn rule_shim_hygiene(path: &str, manifest: &str, out: &mut Vec<Finding>) {
     }
 }
 
+/// Rule 6 — `float_reduction_order`: no horizontal-reduce intrinsic in
+/// non-test code of [`FLOAT_REDUCTION_SCOPE`].
+pub fn rule_float_reduction_order(file: &ScannedFile, strict: bool, out: &mut Vec<Finding>) {
+    if !strict && !FLOAT_REDUCTION_SCOPE.contains(&file.path.as_str()) {
+        return;
+    }
+    for (i, line) in file.lines.iter().enumerate() {
+        if line.in_test {
+            continue;
+        }
+        for name in HORIZONTAL_REDUCE_INTRINSICS {
+            if find_word(&line.code, name).is_some() {
+                out.push(Finding {
+                    rule: "float_reduction_order",
+                    path: file.path.clone(),
+                    line: i + 1,
+                    message: format!(
+                        "horizontal-reduce intrinsic `{name}` hides the lane association \
+                         order; spill the lanes and fold them with an explicit pairwise tree \
+                         so each backend keeps one reduction order per output"
+                    ),
+                    snippet: line.raw.clone(),
+                    call_path: Vec::new(),
+                });
+            }
+        }
+    }
+}
+
 /// Extracts the quoted value of `key = "…"` from a line, if present.
 fn extract_quoted_after(line: &str, key: &str) -> Option<String> {
     let at = find_word(line, key)?;
@@ -324,6 +385,7 @@ mod tests {
         rule_no_unwrap(&f, false, &mut out);
         rule_determinism(&f, false, &mut out);
         rule_thread_confinement(&f, false, &mut out);
+        rule_float_reduction_order(&f, false, &mut out);
         out
     }
 
@@ -395,6 +457,26 @@ mod tests {
         let f = lint_all("crates/tensor/src/kernels.rs", unwrap_src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "no_unwrap");
+    }
+
+    #[test]
+    fn horizontal_reduce_intrinsics_flagged_in_kernel_scope_only() {
+        // Called bare or through a fully-qualified path: flagged.
+        let bad = "pub fn tail(acc: f32) -> f32 {\n    let h = _mm256_hadd_ps(acc, acc);\n    core::arch::aarch64::vaddvq_f32(h)\n}\n";
+        let f = lint_all("crates/tensor/src/simd.rs", bad);
+        let lines: Vec<_> = f.iter().map(|x| (x.rule, x.line)).collect();
+        assert_eq!(
+            lines,
+            [("float_reduction_order", 2), ("float_reduction_order", 3)]
+        );
+        // Outside the kernel files, and in their tests: out of scope.
+        assert!(lint_all("crates/model/src/sampler.rs", bad).is_empty());
+        let test_only = format!("#[cfg(test)]\nmod tests {{\n{bad}}}\n");
+        assert!(lint_all("crates/tensor/src/pack.rs", &test_only).is_empty());
+        // The sanctioned pattern — spill lanes, fold them with an
+        // explicit pairwise tree — stays clean.
+        let good = "pub fn tree(l: &[f32; 4]) -> f32 { (l[0] + l[1]) + (l[2] + l[3]) }\n";
+        assert!(lint_all("crates/tensor/src/pack.rs", good).is_empty());
     }
 
     #[test]

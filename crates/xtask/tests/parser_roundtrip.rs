@@ -1,5 +1,5 @@
-//! Parser trust battery: the semantic rules are only as strong as the
-//! in-repo parser under them, so this suite pins three properties.
+//! Parser trust battery: the call-graph rule is only as strong as the
+//! in-repo parser under it, so this suite pins three properties.
 //!
 //! 1. Every workspace source file lexes and parses with **zero**
 //!    diagnostics — a file the parser loses sync on is a file the call
