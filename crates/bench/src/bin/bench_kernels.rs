@@ -8,12 +8,13 @@
 //!   kernels), alongside the naive reference kernels, with the measured
 //!   speedup. A row's fast and naive calls take turns.
 //! * `ffn` — one feed-forward layer of a memory-bound LLM (`96×8192`
-//!   up, `8192×96` down) stage by stage as a forward runs it: the two
-//!   up-projections (`up_gemm`), the SwiGLU epilogue (the fused
-//!   up-stage minus `up_gemm`) and the down-projection reading what the
-//!   up-stage wrote, at decode,
-//!   tree-verify and prefill row counts, at one thread and at every
-//!   thread the machine has.
+//!   up, `8192×96` down) stage by stage as a forward runs it: the
+//!   up-stage with its SwiGLU epilogue (`up`), the down-projection
+//!   reading what the up-stage wrote, and for scale the two
+//!   up-projections as plain GEMMs (`up_gemm`), at decode, tree-verify
+//!   and prefill row counts, at one thread and at every thread the
+//!   machine has. Each row also times a one-row layer in its own
+//!   window, and reports its cost against it (`cost_vs_m1`).
 //! * `end_to_end` — tokens/step and tokens/s of incremental vs
 //!   tree-speculative generation on the smoke-scale trained suite.
 //! * `simd_backend` / `cpu_features` / `packed_tile` — which ISA
@@ -48,22 +49,27 @@ struct KernelResult {
     speedup: f64,
 }
 
-/// One feed-forward layer at one row count, stage by stage. Each call
-/// runs the next of [`FFN_LAYERS`] layers' distinct weights, so they
-/// come from memory as they do in a forward of a model larger than the
-/// cache; times are per layer, inside a [`pool::hot`] bracket.
+/// One feed-forward layer at one row count, stage by stage. Each stage
+/// runs on weights of its own among [`FFN_LAYERS`] layers', so between
+/// two reads of a pack the other layers' are read, as in a forward of a
+/// model of several layers; times are per layer, inside a [`pool::hot`]
+/// bracket.
 #[derive(Serialize)]
 struct FfnResult {
     /// `set_max_threads` for this row: the caller plus pool workers.
     threads: usize,
     m: usize,
+    /// The up-stage as a forward runs it (`ffn_up_into`): `silu(A ×
+    /// W₁) ⊙ (A × W₃)`, on the wide tile one pass over both packs.
+    up_us: f64,
     /// `A × W₁` and `A × W₃` as two plain packed GEMMs.
     up_gemm_us: f64,
-    /// The fused up-stage (`ffn_up_into`) minus `up_gemm_us`:
-    /// `silu(g) · l` over `m × 8192` elements.
-    epilogue_us: f64,
     /// `gate × W₂` (`ffn_down_into`), `gate` as the up-stage wrote it.
     down_us: f64,
+    /// `up_us + down_us` over one one-row layer (`ffn_into`) timed in
+    /// the same window: what the `m` rows cost against decoding one,
+    /// the host's drift between rows divided out.
+    cost_vs_m1: f64,
     up_gemm_gflops: f64,
     down_gflops: f64,
     /// Weight bytes the layer streams per forward, padding included:
@@ -87,10 +93,11 @@ struct Report {
     cpu_features: Vec<String>,
     /// The packed GEMM's register tile by row count for a row-major `A`
     /// against the `ffn` layer's up (`k = 96`) and down (`k = 8192`)
-    /// packs, and for the FFN's own down-projection, e.g.
+    /// packs, and for the FFN's own up-stage and down-projection, e.g.
     /// `k = 96: avx2_4x16 (m < 5), avx512f_16x16 (m >= 5); k = 8192:
-    /// avx2_4x16 (every m); ffn down: avx2_4x16 (m < 5), avx512f_16x16
-    /// (m >= 5)`.
+    /// avx2_4x16 (every m); ffn up: avx2_4x16 (m < 5),
+    /// avx512f_16x16_gate_up (m >= 5); ffn down: avx2_4x16 (m < 5),
+    /// avx512f_16x16 (m >= 5)`.
     packed_tile: String,
     kernels: Vec<KernelResult>,
     ffn: Vec<FfnResult>,
@@ -212,8 +219,9 @@ fn bench_kernels() -> Vec<KernelResult> {
     results
 }
 
-/// Layers the feed-forward rows cycle over: three projections each,
-/// 28 MB in all, as in the serving benchmark's inflated LLM.
+/// Layers the feed-forward rows' stages are spread over: three
+/// projections each, 28 MB in all, as in the serving benchmark's
+/// inflated LLM.
 const FFN_LAYERS: usize = 3;
 
 fn bench_ffn() -> Vec<FfnResult> {
@@ -226,6 +234,10 @@ fn bench_ffn() -> Vec<FfnResult> {
             .collect()
     };
     let (w1, w3, w2) = (pack(d, d_ff), pack(d, d_ff), pack(d_ff, d));
+    // The one-row layer each row is held against, and its scratch.
+    let h1 = Tensor::randn(&[1, d], 1.0, &mut rng);
+    let (mut gate1, mut lin1, mut proj1) =
+        (vec![0.0f32; d_ff], vec![0.0f32; d_ff], vec![0.0f32; d]);
     let mut results = Vec::new();
     for m in [1usize, 2, 5, 10, 20, 32] {
         let h = Tensor::randn(&[m, d], 1.0, &mut rng);
@@ -238,32 +250,33 @@ fn bench_ffn() -> Vec<FfnResult> {
         for threads in [1, all].into_iter().take(all.min(2)) {
             specinfer_tensor::set_max_threads(threads);
             let _hot = pool::hot();
-            // The three stages take turns, layer after layer.
-            let mut layers = (0..FFN_LAYERS).cycle();
-            let [up_gemm_s, up_stage_s, down_s] = medians(|timed| {
-                let l = layers.next().unwrap_or(0);
-                timed(0, &mut || {
-                    w1[l].matvec_into(h.data(), &mut gate);
-                    w3[l].matvec_into(h.data(), &mut lin);
-                });
-                // The next layer's weights: this one's were just read.
-                let n = (l + 1) % FFN_LAYERS;
+            // The stages take turns, each on a layer of its own, so the
+            // other two layers are read between two reads of a pack.
+            let [up_s, down_s, up_gemm_s, m1_s] = medians(|timed| {
                 let mut hidden = None;
-                timed(1, &mut || {
-                    hidden = Some(w1[n].ffn_up_into(&w3[n], h.data(), &mut gate, &mut lin));
+                timed(0, &mut || {
+                    hidden = Some(w1[0].ffn_up_into(&w3[0], h.data(), &mut gate, &mut lin));
                 });
                 // The down-projection reads `gate` as the up-stage left
                 // it, as `ffn_into` does.
                 let hidden = hidden.expect("the up-stage ran");
-                timed(2, &mut || w2[l].ffn_down_into(hidden, &gate, &mut proj));
+                timed(1, &mut || w2[0].ffn_down_into(hidden, &gate, &mut proj));
+                timed(2, &mut || {
+                    w1[1].matvec_into(h.data(), &mut gate);
+                    w3[1].matvec_into(h.data(), &mut lin);
+                });
+                timed(3, &mut || {
+                    w1[2].ffn_into(&w3[2], &w2[2], h1.data(), &mut gate1, &mut lin1, &mut proj1)
+                });
             });
             let flops = (2 * m * d * d_ff) as f64;
             results.push(FfnResult {
                 threads,
                 m,
+                up_us: up_s * 1e6,
                 up_gemm_us: up_gemm_s * 1e6,
-                epilogue_us: (up_stage_s - up_gemm_s) * 1e6,
                 down_us: down_s * 1e6,
+                cost_vs_m1: (up_s + down_s) / m1_s,
                 up_gemm_gflops: 2.0 * flops / up_gemm_s / 1e9,
                 down_gflops: flops / down_s / 1e9,
                 weight_bytes: 4 * (2 * w1[0].packed_len() + w2[0].packed_len()),
@@ -276,7 +289,7 @@ fn bench_ffn() -> Vec<FfnResult> {
 
 /// Which packed register tile runs at which row count, for the `ffn`
 /// layer's up and down packs against a row-major `A` and for the FFN's
-/// down-projection.
+/// up-stage and down-projection.
 fn packed_tiles() -> String {
     let tiles = |tile: &dyn Fn(usize) -> &'static str| {
         let first = tile(1);
@@ -286,9 +299,10 @@ fn packed_tiles() -> String {
         }
     };
     format!(
-        "k = 96: {}; k = 8192: {}; ffn down: {}",
+        "k = 96: {}; k = 8192: {}; ffn up: {}; ffn down: {}",
         tiles(&|m| pack::packed_tile(m, 96)),
         tiles(&|m| pack::packed_tile(m, 8192)),
+        tiles(&|m| pack::ffn_up_tile(m, 96)),
         tiles(&|m| pack::ffn_down_tile(m, 96, 8192)),
     )
 }

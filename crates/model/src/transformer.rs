@@ -91,13 +91,15 @@ fn fill_visibility_block(
 
 /// Reusable per-thread buffers for [`Transformer::forward_rows_batch`].
 ///
-/// Every large intermediate of the forward pass lives here, so once the
-/// buffers have grown to steady-state size a decode step performs no
-/// heap allocation beyond small per-call index vectors and the returned
+/// Every intermediate of the forward pass lives here, the requests'
+/// geometry included, so once the buffers have grown to steady-state
+/// size a decode step performs no heap allocation beyond the returned
 /// logits tensors. One scratch per thread (not per model) is safe
 /// because the pass fully resets each buffer before use.
 #[derive(Default)]
 struct ForwardScratch {
+    /// Where each request's rows lie, in batch order.
+    spans: Vec<Span>,
     /// Per-request visibility blocks `[nᵣ, totalᵣ]`, concatenated.
     vis: Vec<bool>,
     /// Residual stream, `[Σn, d]`.
@@ -117,6 +119,31 @@ struct ForwardScratch {
     /// RoPE inverse frequencies keyed by head_dim (LLM and SSMs with
     /// different head widths may share one thread).
     inv_freqs: Vec<(usize, Vec<f32>)>,
+}
+
+/// Where one request's rows lie in a stacked forward.
+#[derive(Clone, Copy)]
+struct Span {
+    /// New rows.
+    n: usize,
+    /// Rows cached before the forward.
+    old: usize,
+    /// The first of its rows in the stacked batch.
+    off: usize,
+    /// Where its visibility block `[n, old + n]` starts in `vis`.
+    vis_off: usize,
+}
+
+impl Span {
+    /// Cache rows once the forward's rows are appended.
+    fn total(self) -> usize {
+        self.old + self.n
+    }
+
+    /// Its visibility block in `vis`.
+    fn vis(self) -> std::ops::Range<usize> {
+        self.vis_off..self.vis_off + self.n * self.total()
+    }
 }
 
 thread_local! {
@@ -435,20 +462,14 @@ impl Transformer {
         let vocab = self.config.vocab_size;
         let packs = self.decode_packs();
 
-        // Per-request geometry: row counts, stacked row offsets, cache
-        // lengths before/after, and offsets into the concatenated
-        // visibility buffer.
-        let ns: Vec<usize> = reqs.iter().map(|q| q.tokens.len()).collect();
-        let olds: Vec<usize> = reqs.iter().map(|q| q.cache.len()).collect();
-        let totals: Vec<usize> = ns.iter().zip(&olds).map(|(n, o)| n + o).collect();
         for (r, q) in reqs.iter().enumerate() {
             assert!(
-                ns[r] > 0,
+                !q.tokens.is_empty(),
                 "request {r}: forward requires at least one token"
             );
             assert_eq!(
                 q.positions.len(),
-                ns[r],
+                q.tokens.len(),
                 "request {r}: one position per token required"
             );
             assert_eq!(
@@ -457,42 +478,34 @@ impl Transformer {
                 "request {r}: cache geometry does not match the model"
             );
         }
-        let offs: Vec<usize> = ns
-            .iter()
-            .scan(0usize, |acc, &n| {
-                let o = *acc;
-                *acc += n;
-                Some(o)
-            })
-            .collect();
-        let vis_offs: Vec<usize> = ns
-            .iter()
-            .zip(&totals)
-            .scan(0usize, |acc, (&n, &t)| {
-                let o = *acc;
-                *acc += n * t;
-                Some(o)
-            })
-            .collect();
-        let big_n: usize = ns.iter().sum();
-        let vis_len: usize = ns.iter().zip(&totals).map(|(&n, &t)| n * t).sum();
 
         SCRATCH.with(|cell| {
             let s = &mut *cell.borrow_mut();
+
+            // Per-request geometry: row counts, cache lengths, stacked
+            // row offsets and offsets into the concatenated visibility
+            // buffer.
+            s.spans.clear();
+            let (mut big_n, mut vis_len) = (0, 0);
+            for q in reqs.iter() {
+                let (n, old) = (q.tokens.len(), q.cache.len());
+                s.spans.push(Span {
+                    n,
+                    old,
+                    off: big_n,
+                    vis_off: vis_len,
+                });
+                big_n += n;
+                vis_len += n * (old + n);
+            }
 
             // Materialize each request's visibility block once:
             // vis[i][j] for absolute row j of that request's cache
             // (layout after this batch is appended).
             s.vis.clear();
             s.vis.resize(vis_len, false);
-            for (r, q) in reqs.iter().enumerate() {
-                fill_visibility_block(
-                    &q.visible,
-                    ns[r],
-                    olds[r],
-                    &mut s.vis[vis_offs[r]..vis_offs[r] + ns[r] * totals[r]],
-                    totals[r],
-                );
+            for (q, &sp) in reqs.iter().zip(&s.spans) {
+                fill_visibility_block(&q.visible, sp.n, sp.old, &mut s.vis[sp.vis()], sp.total());
             }
 
             // RoPE inverse frequencies for this head width.
@@ -507,21 +520,17 @@ impl Transformer {
 
             // Embedding gather straight into the stacked residual buffer.
             s.x.reset(&[big_n, d]);
-            for (r, q) in reqs.iter().enumerate() {
+            for (q, sp) in reqs.iter().zip(&s.spans) {
                 for (i, &t) in q.tokens.iter().enumerate() {
                     assert!((t as usize) < vocab, "token {t} outside vocabulary {vocab}");
-                    s.x.row_mut(offs[r] + i)
+                    s.x.row_mut(sp.off + i)
                         .copy_from_slice(self.weights.embed.row(t as usize));
                 }
             }
 
-            // From here on only positions and caches are needed; taking
-            // the caches out lets the attention region share them.
-            let positions: Vec<&[usize]> = reqs.iter().map(|q| q.positions).collect();
-            let mut caches: Vec<&mut KvCache> = reqs.iter_mut().map(|q| &mut *q.cache).collect();
             // Attention tasks of one layer, by the key/value bytes its
             // score and weighted-sum products stream.
-            let att_bytes: usize = ns.iter().zip(&totals).map(|(&n, &t)| 4 * n * t * d).sum();
+            let att_bytes: usize = s.spans.iter().map(|sp| 4 * sp.n * sp.total() * d).sum();
             let att_tasks = pool::tasks_for(big_n, att_bytes);
             // An LLM-sized model issues regions in quick succession:
             // keep the workers polling between them until the pass ends.
@@ -533,22 +542,22 @@ impl Transformer {
                 // One fused matmul computes Q|K|V side by side for the
                 // whole stacked batch.
                 dense_into(&s.h, &packs.qkv[layer_idx], &mut s.qkv);
-                for (r, positions) in positions.iter().enumerate() {
-                    for (i, &pos) in positions.iter().enumerate() {
-                        let row = s.qkv.row_mut(offs[r] + i);
-                        let inv = &s.inv_freqs[fi].1;
+                let inv = &s.inv_freqs[fi].1;
+                for (q, sp) in reqs.iter().zip(&s.spans) {
+                    for (i, &pos) in q.positions.iter().enumerate() {
+                        let row = s.qkv.row_mut(sp.off + i);
                         ops::rope_rotate_row_cached(&mut row[..d], pos, inv);
                         ops::rope_rotate_row_cached(&mut row[d..2 * d], pos, inv);
                     }
                 }
-                for (r, cache) in caches.iter_mut().enumerate() {
-                    cache.append_layer_fused_rows(
+                for (q, sp) in reqs.iter_mut().zip(&s.spans) {
+                    q.cache.append_layer_fused_rows(
                         layer_idx,
-                        &s.qkv.data()[offs[r] * 3 * d..],
+                        &s.qkv.data()[sp.off * 3 * d..],
                         3 * d,
                         d,
                         2 * d,
-                        ns[r],
+                        sp.n,
                     );
                 }
 
@@ -558,25 +567,25 @@ impl Transformer {
                 // the same ascending order wherever a run is cut, so the
                 // output is bitwise independent of the partitioning.
                 s.att.reset(&[big_n, d]);
-                let (qkv, vis, caches) = (&s.qkv, &s.vis, &caches);
+                let (qkv, vis, spans, reqs) = (&s.qkv, &s.vis, &s.spans, &*reqs);
                 pool::run_chunks(s.att.data_mut(), d, att_tasks, |row0, rows| {
                     ATTN_SCRATCH.with(|cell| {
                         let scratch = &mut *cell.borrow_mut();
                         let row1 = row0 + rows.len() / d;
-                        for (r, cache) in caches.iter().enumerate() {
-                            let (lo, hi) = (row0.max(offs[r]), row1.min(offs[r] + ns[r]));
+                        for (q, &sp) in reqs.iter().zip(spans) {
+                            let (lo, hi) = (row0.max(sp.off), row1.min(sp.off + sp.n));
                             if lo >= hi {
                                 continue;
                             }
                             attention_block(
                                 &mut rows[(lo - row0) * d..(hi - row0) * d],
-                                lo - offs[r],
+                                lo - sp.off,
                                 qkv,
-                                offs[r],
-                                &vis[vis_offs[r]..vis_offs[r] + ns[r] * totals[r]],
-                                cache,
+                                sp.off,
+                                &vis[sp.vis()],
+                                q.cache,
                                 layer_idx,
-                                totals[r],
+                                sp.total(),
                                 n_heads,
                                 hd,
                                 scale,
@@ -599,8 +608,8 @@ impl Transformer {
                 );
                 s.x.add_assign(&s.proj);
             }
-            for (r, cache) in caches.iter_mut().enumerate() {
-                cache.commit_rows(ns[r]);
+            for (q, sp) in reqs.iter_mut().zip(&s.spans) {
+                q.cache.commit_rows(sp.n);
             }
 
             ops::rmsnorm_rows_into(
@@ -611,15 +620,14 @@ impl Transformer {
             );
             let mut logits = Tensor::default();
             dense_into(&s.h, &packs.lm_head, &mut logits);
-            if ns.len() == 1 {
+            if s.spans.len() == 1 {
                 vec![logits]
             } else {
-                (0..ns.len())
-                    .map(|r| {
-                        Tensor::from_vec(
-                            logits.data()[offs[r] * vocab..(offs[r] + ns[r]) * vocab].to_vec(),
-                            &[ns[r], vocab],
-                        )
+                s.spans
+                    .iter()
+                    .map(|sp| {
+                        let rows = &logits.data()[sp.off * vocab..(sp.off + sp.n) * vocab];
+                        Tensor::from_vec(rows.to_vec(), &[sp.n, vocab])
                     })
                     .collect()
             }

@@ -64,7 +64,9 @@
 //! ```text
 //! for panel p
 //!   for row block i                 (16 rows of A, or the 1–15 left over)
-//!     out[block, cols] = A[block, :] × panel
+//!     for step t of the panel       (the whole k)
+//!       prefetch panel row t + PREFETCH_ROWS   (past the panel: the next one)
+//!       out[block, cols] += A[block, t] × panel row t
 //! ```
 //!
 //! with no k-slices: a block walks the whole panel in one tile call.
@@ -72,8 +74,11 @@
 //! the blocks that reuse it; here the blocks of a panel come after one
 //! another over its whole `k`, and a panel of a `d_ff`-long pack
 //! (512 KB at `k = 8192`) is evicted from L1 between blocks whether it
-//! is sliced or not. Who writes the wide layout decides where the tile
-//! runs:
+//! is sliced or not. Instead each step prefetches the panel row
+//! `PREFETCH_ROWS` (64, 4 KB) ahead, running on into the pack data after the
+//! panel (an `ahead` slice, cut short at the end of the pack), so the
+//! next panel's first rows are on their way when the walk reaches them.
+//! Who writes the wide layout decides where the tile runs:
 //!
 //! - A row-major `A` is copied into it once per call (`interleave`).
 //!   Every panel of a pack of one k-slice (`k ≤ K_SLICE`: every
@@ -81,12 +86,22 @@
 //!   LM head) reads all of `A`, so the copy pays; against a pack of
 //!   several slices it was measured slower from twenty rows
 //!   (EXPERIMENTS.md), and such calls keep the four-row tile.
-//! - The FFN ([`PackedPanels::ffn_into`]) needs no copy for its
-//!   down-projection: the up-stage's wide tile stores each block ×
-//!   panel of `gate` and `lin` transposed, in the wide layout, and the
-//!   down-projection (`k = d_ff`, many slices) reads `gate` in place.
-//!   The SwiGLU epilogue is element-wise, and a task's columns are one
-//!   run per block, so it runs on either layout unchanged.
+//! - The FFN ([`PackedPanels::ffn_into`]) runs its up-stage as one walk
+//!   over both up packs and needs no copy for its down-projection:
+//!
+//!   ```text
+//!   for panel p
+//!     for row block i
+//!       for step t                  (prefetching both packs ahead)
+//!         g[block] += A[block, t] × w1 panel row t     (one broadcast
+//!         l[block] += A[block, t] × w3 panel row t      feeds both)
+//!       gate[block, cols]ᵀ = silu(g) ⊙ l               (in registers and L1)
+//!   ```
+//!
+//!   The block's `2·R` accumulators are gated by the backend's own
+//!   SwiGLU (a spill to L1 and `simd::avx2::swiglu`) and only `gate`
+//!   is stored, transposed into the wide layout; `lin` is not written.
+//!   The down-projection (`k = d_ff`, many slices) reads `gate` in place.
 //!
 //! Calls of up to four rows — every decode step — keep the row-major
 //! `A` and the four-row tile, so which tile runs depends only on the
@@ -144,6 +159,11 @@ const _: () = assert!(ROW_BLOCK == 4);
 /// Rows of `A` per block of the wide tile: sixteen of the thirty-two
 /// AVX-512 registers hold accumulators.
 const WIDE_ROWS: usize = 16;
+
+/// Panel rows the wide tile prefetches ahead of the row it multiplies:
+/// 4 KB, past the end of the panel into the pack data that follows it.
+/// 32 and 128 rows measured 2–6% slower, 256 about 6% (EXPERIMENTS.md).
+pub(crate) const PREFETCH_ROWS: usize = 64;
 
 /// Fewest rows a call needs for the wide tile: up to four rows fit one
 /// four-row block already, so below this there is no panel walk to save.
@@ -208,7 +228,8 @@ impl Tile {
     }
 }
 
-/// How an `m × n` operand (an `A` or an output) lies in its buffer.
+/// How an `m × n` operand (an `A`, or the FFN's `gate`) lies in its
+/// buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Layout {
     /// Row-major.
@@ -220,35 +241,22 @@ enum Layout {
     Wide,
 }
 
-impl Layout {
-    /// The runs of the buffer that hold columns `cols` of every row: one
-    /// run per row, or per block of the wide layout.
-    fn runs(self, m: usize, n: usize, cols: Range<usize>) -> impl Iterator<Item = Range<usize>> {
-        let block = match self {
-            Layout::Rows => 1,
-            Layout::Wide => WIDE_ROWS,
-        };
-        (0..m).step_by(block).map(move |row| {
-            let (at, rows) = (row * n, block.min(m - row));
-            at + cols.start * rows..at + cols.end * rows
-        })
-    }
-}
-
-/// Where a wide tile writes one block × one panel of output.
-pub(crate) enum WideOut<'a, const R: usize> {
-    /// The panel's real columns of each of the block's rows.
-    Rows([&'a mut [f32]; R]),
-    /// The block's run of the panel's real columns in the wide layout:
-    /// element `(r, c)` at `c · R + r`.
-    Columns(&'a mut [f32]),
-}
-
 /// The packed register tile a call of `m` rows against a pack of
 /// reduction length `k` runs on the process's backend, by name
 /// (`avx2_4x16`, `avx512f_16x16`, …), for benchmark reports.
 pub fn packed_tile(m: usize, k: usize) -> &'static str {
     Tile::select(simd::backend(), m, k).name()
+}
+
+/// The packed register tile the up-stage of [`PackedPanels::ffn_into`]
+/// runs on at `m` rows for a model width `d_model`, by name: the wide
+/// tile's one-pass gate-and-up walk (`avx512f_16x16_gate_up`), or
+/// [`packed_tile`]`(m, d_model)` run twice before the epilogue.
+pub fn ffn_up_tile(m: usize, d_model: usize) -> &'static str {
+    match Tile::select(simd::backend(), m, d_model) {
+        Tile::Avx512 => "avx512f_16x16_gate_up",
+        tile => tile.name(),
+    }
 }
 
 /// The packed register tile the down-projection of
@@ -405,9 +413,7 @@ impl PackedPanels {
             pool::run(tasks, |t| {
                 // SAFETY: `out` is `m × n` (checked above) and mutably
                 // borrowed for the whole region; tasks get disjoint panels.
-                unsafe {
-                    self.gemm_with(tile, a, out.get(), Layout::Rows, self.panel_run(t, tasks))
-                }
+                unsafe { self.gemm_with(tile, a, out.get(), self.panel_run(t, tasks)) }
             })
         });
     }
@@ -440,12 +446,14 @@ impl PackedPanels {
     }
 
     /// The up-stage of [`PackedPanels::ffn_into`]: `gate = silu(A × self)
-    /// ⊙ (A × up)` and `lin = A × up` as one region. Each task multiplies
+    /// ⊙ (A × up)` as one region, `lin` its scratch. Each task multiplies
     /// its run of panels of both packs and gates those columns while they
     /// are still in its cache. Where the call runs on the wide tile
-    /// (five rows or more, AVX-512F) the outputs come out in the wide
-    /// layout, which is what [`PackedPanels::ffn_down_into`] — told so by
-    /// the returned [`FfnHidden`] — reads; otherwise row-major.
+    /// (five rows or more, AVX-512F) that is one walk over both packs
+    /// that gates each block in registers and writes `gate` alone, in
+    /// the wide layout, which is what [`PackedPanels::ffn_down_into`] —
+    /// told so by the returned [`FfnHidden`] — reads; otherwise two
+    /// products, row-major, then the epilogue.
     ///
     /// # Panics
     ///
@@ -462,7 +470,7 @@ impl PackedPanels {
         let rows = a.len() / self.k;
         let tile = Tile::select(simd::backend(), rows, self.k);
         // SAFETY: `select` names only detected tiles.
-        unsafe { self.up_stage(up, tile, tile.layout(), a, gate, lin) };
+        unsafe { self.up_stage(up, tile, a, gate, lin) };
         FfnHidden { tile, rows }
     }
 
@@ -492,20 +500,22 @@ impl PackedPanels {
         unsafe { self.matvec_into_tile(tile, layout, gate, out) }
     }
 
-    /// The SwiGLU up-stage on tile `tile`, writing `gate` and `lin` in
-    /// `layout`: per element exactly the product twice, the backend's one
-    /// `silu` (`swiglu_epilogue`), multiply.
+    /// The SwiGLU up-stage on tile `tile`, writing `gate` in the tile's
+    /// layout: per element exactly the product twice, the backend's one
+    /// `silu` (`swiglu_epilogue`), multiply. A wide tile walks both packs
+    /// in one pass and gates each block in registers
+    /// ([`PackedPanels::gate_up_wide`]), leaving `lin` unwritten; a
+    /// four-row tile writes both products row-major, then gates the
+    /// task's columns of each row.
     ///
     /// # Safety
     ///
-    /// The instruction set `tile` is written for must be available, and
-    /// `layout` must be `Rows` unless `tile` is a wide one.
+    /// The instruction set `tile` is written for must be available.
     // SAFETY: (contract above) shapes are checked here; see `gemm_with`.
     unsafe fn up_stage(
         &self,
         up: &PackedPanels,
         tile: Tile,
-        layout: Layout,
         a: &[f32],
         gate: &mut [f32],
         lin: &mut [f32],
@@ -522,19 +532,31 @@ impl PackedPanels {
         let tasks = self.tasks();
         with_lhs(tile, Layout::Rows, a, self.k, |a| {
             pool::run(tasks, |t| {
-                let Range { start: p0, end: p1 } = self.panel_run(t, tasks);
-                let cols = p0 * PANEL_WIDTH..n.min(p1 * PANEL_WIDTH);
+                let panels = self.panel_run(t, tasks);
                 // SAFETY: as the caller vouches; `gate` and `lin` are
                 // `m × n` (checked above), borrowed for the region; the
-                // runs of columns `cols` are this task's in either layout.
+                // columns of `panels` are this task's in either layout.
                 unsafe {
-                    self.gemm_with(tile, a, gate.get(), layout, p0..p1);
-                    up.gemm_with(tile, a, lin.get(), layout, p0..p1);
-                    for run in layout.runs(m, n, cols) {
-                        let g =
-                            std::slice::from_raw_parts_mut(gate.get().add(run.start), run.len());
-                        let l = std::slice::from_raw_parts(lin.get().add(run.start), run.len());
-                        swiglu_epilogue(be, g, l);
+                    match tile {
+                        #[cfg(target_arch = "x86_64")]
+                        Tile::Avx512 => {
+                            self.gate_up_wide::<simd::avx512::PackedTile>(up, a, gate.get(), panels)
+                        }
+                        #[cfg(test)]
+                        Tile::WidePortable => {
+                            self.gate_up_wide::<PortableWide>(up, a, gate.get(), panels)
+                        }
+                        _ => {
+                            let cols = panels.start * PANEL_WIDTH..n.min(panels.end * PANEL_WIDTH);
+                            self.gemm_with(tile, a, gate.get(), panels.clone());
+                            up.gemm_with(tile, a, lin.get(), panels);
+                            for at in (0..m).map(|r| r * n + cols.start) {
+                                let g =
+                                    std::slice::from_raw_parts_mut(gate.get().add(at), cols.len());
+                                let l = std::slice::from_raw_parts(lin.get().add(at), cols.len());
+                                swiglu_epilogue(be, g, l);
+                            }
+                        }
                     }
                 }
             })
@@ -556,6 +578,15 @@ impl PackedPanels {
         4 * self.data.len() >= pool::MIN_SHARE_BYTES
     }
 
+    /// Panel `p`, and the pack data after it that a wide tile prefetches
+    /// while it walks the panel: [`PREFETCH_ROWS`] panel rows, fewer at
+    /// the end of the buffer.
+    fn panel(&self, p: usize) -> (&[f32], &[f32]) {
+        let len = self.k * PANEL_WIDTH;
+        let (panel, rest) = self.data[p * len..].split_at(len);
+        (panel, &rest[..rest.len().min(PREFETCH_ROWS * PANEL_WIDTH)])
+    }
+
     /// Tasks a multiply against this pack is cut into (1: inline).
     fn tasks(&self) -> usize {
         pool::tasks_for(self.n.div_ceil(PANEL_WIDTH), 4 * self.data.len())
@@ -569,35 +600,27 @@ impl PackedPanels {
 
     /// The loop nest of the module docs over a run of `panels` on
     /// register tile `tile`: writes columns
-    /// `panels.start · 16 .. min(n, panels.end · 16)` of every row of
-    /// `out`, laid out in `layout`, and nothing else.
+    /// `panels.start · 16 .. min(n, panels.end · 16)` of every row of the
+    /// row-major `out`, and nothing else.
     ///
     /// # Safety
     ///
     /// The instruction set `tile` is written for must be available. `a`
-    /// must be whole rows of length `k` in the layout `tile` reads, `out`
-    /// point at `m × n` floats nobody else reads, or writes in these
-    /// columns, meanwhile, and `layout` be `Rows` unless `tile` is wide.
+    /// must be whole rows of length `k` in the layout `tile` reads, and
+    /// `out` point at `m × n` floats nobody else reads, or writes in these
+    /// columns, meanwhile.
     // SAFETY: (contract above) each tile is only named under the `Tile`
     // whose instruction set the caller vouches for.
-    unsafe fn gemm_with(
-        &self,
-        tile: Tile,
-        a: &[f32],
-        out: *mut f32,
-        layout: Layout,
-        panels: Range<usize>,
-    ) {
-        assert!(tile.layout() == Layout::Wide || layout == Layout::Rows);
+    unsafe fn gemm_with(&self, tile: Tile, a: &[f32], out: *mut f32, panels: Range<usize>) {
         // SAFETY: as the caller vouches.
         unsafe {
             match tile {
                 #[cfg(target_arch = "x86_64")]
                 Tile::Avx2 => self.gemm::<simd::avx2::PackedTile>(a, out, panels),
                 #[cfg(target_arch = "x86_64")]
-                Tile::Avx512 => self.gemm_wide::<simd::avx512::PackedTile>(a, out, layout, panels),
+                Tile::Avx512 => self.gemm_wide::<simd::avx512::PackedTile>(a, out, panels),
                 #[cfg(test)]
-                Tile::WidePortable => self.gemm_wide::<PortableWide>(a, out, layout, panels),
+                Tile::WidePortable => self.gemm_wide::<PortableWide>(a, out, panels),
                 _ => self.gemm::<ScalarTile>(a, out, panels),
             }
         }
@@ -605,32 +628,69 @@ impl PackedPanels {
 
     /// [`PackedPanels::gemm_with`] on a wide tile `T`, `a` in the wide
     /// layout: per panel, per block of up to [`WIDE_ROWS`] rows, one tile
-    /// call over the panel's whole `k`.
+    /// call over the panel's whole `k`, prefetching ahead into the next.
     ///
     /// # Safety
     ///
     /// As for `gemm_with`, for `T`'s instruction set.
     #[cfg(any(target_arch = "x86_64", test))]
-    // SAFETY: (contract above) the only raw accesses are `wide_out`'s, of
-    // rows `< m` and a panel's columns inside `n`.
-    unsafe fn gemm_wide<T: WideTile>(
-        &self,
-        a: &[f32],
-        out: *mut f32,
-        layout: Layout,
-        panels: Range<usize>,
-    ) {
+    // SAFETY: (contract above) the only raw accesses are the output row
+    // segments: row `< m`, a panel's columns inside `n`, so in bounds of
+    // `out`; segments of different rows or panels are disjoint.
+    unsafe fn gemm_wide<T: WideTile>(&self, a: &[f32], out: *mut f32, panels: Range<usize>) {
         let (k, n) = (self.k, self.n);
         for p in panels {
             let cols = p * PANEL_WIDTH..n.min((p + 1) * PANEL_WIDTH);
-            let panel = &self.data[p * k * PANEL_WIDTH..(p + 1) * k * PANEL_WIDTH];
+            let (panel, ahead) = self.panel(p);
             for (i, a_blk) in a.chunks(WIDE_ROWS * k).enumerate() {
                 // SAFETY: the caller vouches for `T`'s ISA; see the
                 // function-level argument for the output.
                 unsafe {
                     with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
-                        let o = wide_out::<R>(out, layout, n, i * WIDE_ROWS, &cols);
-                        T::tile::<R>(panel, a_blk, o)
+                        let o = from_fn(|r| {
+                            let at = (i * WIDE_ROWS + r) * n + cols.start;
+                            std::slice::from_raw_parts_mut(out.add(at), cols.len())
+                        });
+                        T::tile::<R>(panel, a_blk, o, ahead)
+                    })
+                }
+            }
+        }
+    }
+
+    /// The up-stage of a wide tile `T` over a run of `panels`, `a` in the
+    /// wide layout: per panel, per block of up to [`WIDE_ROWS`] rows, one
+    /// [`WideTile::swiglu_tile`] call walks this pack's and `up`'s panel
+    /// together and stores the block's gated columns into `gate`, in the
+    /// wide layout.
+    ///
+    /// # Safety
+    ///
+    /// As for `gemm_with`, for `T`'s instruction set, with `gate` as
+    /// `out` in the wide layout; `up` must be this pack's shape.
+    #[cfg(any(target_arch = "x86_64", test))]
+    // SAFETY: (contract above) the only raw accesses are a block's runs
+    // of a panel's columns: inside `m × n`, disjoint between blocks and
+    // panels.
+    unsafe fn gate_up_wide<T: WideTile>(
+        &self,
+        up: &PackedPanels,
+        a: &[f32],
+        gate: *mut f32,
+        panels: Range<usize>,
+    ) {
+        let (k, n) = (self.k, self.n);
+        for p in panels {
+            let cols = p * PANEL_WIDTH..n.min((p + 1) * PANEL_WIDTH);
+            let [(g, g_ahead), (l, l_ahead)] = [self.panel(p), up.panel(p)];
+            for (i, a_blk) in a.chunks(WIDE_ROWS * k).enumerate() {
+                // SAFETY: the caller vouches for `T`'s ISA; see the
+                // function-level argument for the output.
+                unsafe {
+                    with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
+                        let at = i * WIDE_ROWS * n + cols.start * R;
+                        let o = std::slice::from_raw_parts_mut(gate.add(at), cols.len() * R);
+                        T::swiglu_tile::<R>([g, l], a_blk, o, [g_ahead, l_ahead])
                     })
                 }
             }
@@ -742,47 +802,15 @@ pub(crate) trait PanelTile {
     );
 }
 
-/// The output of block `row0..row0 + R` and columns `cols` (one panel's)
-/// of the `[m, n]` `out` in `layout`.
-///
-/// # Safety
-///
-/// `out` must point at `m × n` floats nobody else touches in these rows
-/// and columns meanwhile, `row0 + R ≤ m` with `R` the rows of the
-/// block (16 unless it is the last), and `cols` inside `0..n`.
-#[cfg(any(target_arch = "x86_64", test))]
-// SAFETY: (contract above) a row's segment and a block's run of a panel
-// lie inside `m × n` and are disjoint for distinct rows and panels.
-unsafe fn wide_out<'a, const R: usize>(
-    out: *mut f32,
-    layout: Layout,
-    n: usize,
-    row0: usize,
-    cols: &Range<usize>,
-) -> WideOut<'a, R> {
-    let w = cols.len();
-    // SAFETY: as the caller vouches.
-    unsafe {
-        match layout {
-            Layout::Rows => WideOut::Rows(from_fn(|r| {
-                std::slice::from_raw_parts_mut(out.add((row0 + r) * n + cols.start), w)
-            })),
-            Layout::Wide => WideOut::Columns(std::slice::from_raw_parts_mut(
-                out.add(row0 * n + cols.start * R),
-                w * R,
-            )),
-        }
-    }
-}
-
 /// A wide register tile of the packed GEMM ("The wide tile").
 pub(crate) trait WideTile {
     /// `o = A × b` for the `R` rows of a block: `b` is one whole panel
     /// (`k` rows of [`PANEL_WIDTH`]), `a` the block's `k` reduction steps
-    /// in the wide layout (`A[r][t]` at `a[t·R + r]`), `o` the panel's
-    /// real columns of the block's rows, row by row or in the wide
-    /// layout. Each output element is one ascending-`k` fused chain from
-    /// zero.
+    /// in the wide layout (`A[r][t]` at `a[t·R + r]`), `o[r]` the panel's
+    /// real columns of row `r`. `ahead` is the pack data after the panel,
+    /// at most [`PREFETCH_ROWS`] panel rows: each reduction step
+    /// prefetches the row that far ahead of it. Each output element is
+    /// one ascending-`k` fused chain from zero.
     ///
     /// # Safety
     ///
@@ -790,46 +818,89 @@ pub(crate) trait WideTile {
     /// available.
     // SAFETY: (contract above) all operands are slices; implementations
     // assert the lengths their raw accesses rely on.
-    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>);
+    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: [&mut [f32]; R], ahead: &[f32]);
+
+    /// The FFN up-stage of a block in one pass: `gate = silu(A × b[0]) ⊙
+    /// (A × b[1])`, the two panels (same `k`, same columns) walked
+    /// together, each broadcast of `A[r][t]` feeding both products, and
+    /// the backend's SwiGLU epilogue applied before the store. `gate` is
+    /// the block's run of the panel's real columns in the wide layout
+    /// (element `(r, c)` at `c · R + r`); `a` and `ahead` as for
+    /// [`WideTile::tile`], one `ahead` per panel. Bitwise the two
+    /// products of `tile` and `swiglu_epilogue`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`WideTile::tile`].
+    // SAFETY: (contract above) as for `tile`.
+    unsafe fn swiglu_tile<const R: usize>(
+        b: [&[f32]; 2],
+        a: &[f32],
+        gate: &mut [f32],
+        ahead: [&[f32]; 2],
+    );
 }
 
-/// The wide tile's portable twin: the same blocks and wide layouts, one
-/// `f32::mul_add` chain per output element — so the wide loop nest's
-/// indexing is checked on hosts without AVX-512F.
+/// The wide tile's portable twin: the same blocks, wide layouts and
+/// one-pass up-stage, one `f32::mul_add` chain per output element — so
+/// the wide loop nests' indexing is checked on hosts without AVX-512F.
 #[cfg(test)]
 struct PortableWide;
 
 #[cfg(test)]
 impl WideTile for PortableWide {
     // SAFETY: safe code throughout — no ISA extension, no raw access.
-    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>) {
-        assert_eq!(
-            a.len(),
-            b.len() / PANEL_WIDTH * R,
-            "one A element per row and panel row"
-        );
-        let mut acc = [[0.0f32; PANEL_WIDTH]; R];
-        for (b_row, a_t) in b.chunks_exact(PANEL_WIDTH).zip(a.chunks_exact(R)) {
-            for (acc, &av) in acc.iter_mut().zip(a_t) {
-                for (s, &bv) in acc.iter_mut().zip(b_row) {
-                    *s = av.mul_add(bv, *s);
-                }
+    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: [&mut [f32]; R], _ahead: &[f32]) {
+        let [acc] = PortableWide::products::<R, 1>([b], a);
+        for (acc, o) in acc.iter().zip(o) {
+            o.copy_from_slice(&acc[..o.len()]);
+        }
+    }
+
+    // SAFETY: safe code throughout — no ISA extension, no raw access.
+    unsafe fn swiglu_tile<const R: usize>(
+        b: [&[f32]; 2],
+        a: &[f32],
+        gate: &mut [f32],
+        _ahead: [&[f32]; 2],
+    ) {
+        let [mut g, l] = PortableWide::products::<R, 2>(b, a);
+        swiglu_epilogue(simd::backend(), g.as_flattened_mut(), l.as_flattened());
+        assert_eq!(gate.len() % R, 0, "whole columns of one panel");
+        for (c, col) in gate.chunks_exact_mut(R).enumerate() {
+            for (v, g) in col.iter_mut().zip(&g) {
+                *v = g[c];
             }
         }
-        match o {
-            WideOut::Rows(o) => {
-                for (acc, o) in acc.iter().zip(o) {
-                    o.copy_from_slice(&acc[..o.len()]);
-                }
-            }
-            WideOut::Columns(o) => {
-                for (c, col) in o.chunks_exact_mut(R).enumerate() {
-                    for (v, acc) in col.iter_mut().zip(&acc) {
-                        *v = acc[c];
+    }
+}
+
+#[cfg(test)]
+impl PortableWide {
+    /// `A × b[i]` for each of `P` panels of the same `k`, in one walk: a
+    /// reduction step's `A[r][t]` feeds every panel's row.
+    fn products<const R: usize, const P: usize>(
+        b: [&[f32]; P],
+        a: &[f32],
+    ) -> [[[f32; PANEL_WIDTH]; R]; P] {
+        let kc = a.len() / R;
+        assert_eq!(a.len(), kc * R, "one A element per row and panel row");
+        assert!(
+            b.iter().all(|b| b.len() == kc * PANEL_WIDTH),
+            "whole panels"
+        );
+        let mut acc = [[[0.0f32; PANEL_WIDTH]; R]; P];
+        for (t, a_t) in a.chunks_exact(R).enumerate() {
+            for (acc, b) in acc.iter_mut().zip(b) {
+                let b_row = &b[t * PANEL_WIDTH..(t + 1) * PANEL_WIDTH];
+                for (acc, &av) in acc.iter_mut().zip(a_t) {
+                    for (s, &bv) in acc.iter_mut().zip(b_row) {
+                        *s = av.mul_add(bv, *s);
                     }
                 }
             }
         }
+        acc
     }
 }
 
@@ -950,7 +1021,7 @@ mod tests {
                 let mut out = vec![f32::NAN; m * n];
                 let tile = Tile::WidePortable;
                 // SAFETY: the twin is plain Rust.
-                unsafe { w1.up_stage(&w3, tile, tile.layout(), a, &mut gate, &mut lin) };
+                unsafe { w1.up_stage(&w3, tile, a, &mut gate, &mut lin) };
                 w2.ffn_down_into(FfnHidden { tile, rows: m }, &gate, &mut out);
                 assert!(out == want, "ffn {m}x{d}x{d_ff}x{n}");
             }
@@ -959,7 +1030,12 @@ mod tests {
 
     /// The x86 tiles forced at every row count, 1..=4 included, where
     /// `select` would not pick the wide one, on packs of one k-slice and
-    /// of several, with ragged and whole last panels; `out` starts as NaN.
+    /// of several, with ragged and whole last panels, and as the FFN:
+    /// the wide tile's one-pass up-stage and its down-projection reading
+    /// `gate` in place against two products on the four-row tile, the
+    /// epilogue and a row-major down-projection — on the AVX2 backend,
+    /// whose epilogue the wide tile runs. `out` and the scratch start as
+    /// NaN.
     #[test]
     fn wide_tile_equals_four_row_tile_bitwise_at_every_row_count() {
         if !(simd::available_backends().contains(&SimdBackend::Avx2Fma) && simd::avx512_available())
@@ -987,6 +1063,26 @@ mod tests {
                     out
                 });
                 assert!(wide == four, "{m}x{k}x{n}");
+            }
+        }
+        if simd::backend() != SimdBackend::Avx2Fma {
+            return;
+        }
+        for &(d, d_ff) in &[(24usize, 200usize), (96, 300), (96, 1024)] {
+            let [w1, w3] = [20, 21].map(|seed| randn(&[d, d_ff], seed));
+            let [w1, w3] = [&w1, &w3].map(|b| PackedPanels::from_nn(b.data(), d, d_ff));
+            let w2 = PackedPanels::from_nn(randn(&[d_ff, d], 22).data(), d_ff, d);
+            for m in 1..=40 {
+                let a = &a.data()[..m * d];
+                let [wide, four] = [Tile::Avx512, Tile::Avx2].map(|tile| {
+                    let [mut gate, mut lin] = [(); 2].map(|()| vec![f32::NAN; m * d_ff]);
+                    let mut out = vec![f32::NAN; m * d];
+                    // SAFETY: AVX2+FMA and AVX-512F were detected above.
+                    unsafe { w1.up_stage(&w3, tile, a, &mut gate, &mut lin) };
+                    w2.ffn_down_into(FfnHidden { tile, rows: m }, &gate, &mut out);
+                    out
+                });
+                assert!(wide == four, "ffn {m}x{d}x{d_ff}");
             }
         }
     }

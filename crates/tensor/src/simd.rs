@@ -14,9 +14,10 @@
 //! AVX-512F is not a backend. It is detected once too, and on the AVX2
 //! backend it gives the packed GEMM a second register tile
 //! (`avx512`: sixteen rows × one 512-bit register, for calls of five
-//! rows or more against packs of one k-slice and for the FFN's
-//! down-projection; see [`crate::pack`], "The wide tile"). That tile
-//! computes every element exactly as the AVX2 one, so no backend,
+//! rows or more against packs of one k-slice, the FFN's one-pass
+//! up-stage and its down-projection; see [`crate::pack`], "The wide
+//! tile"). That tile computes every element exactly as the AVX2 one,
+//! and gates the up-stage with the AVX2 `swiglu`, so no backend,
 //! `SPECINFER_SIMD` value or result depends on it.
 //!
 //! # Determinism contract
@@ -605,17 +606,19 @@ pub(crate) mod avx2 {
 /// The wide register tile of the packed GEMM (see [`crate::pack`], "The
 /// wide tile"): up to sixteen rows × one 16-column panel as one 512-bit
 /// accumulator per row, one panel-row load feeding a FMA per row and
-/// reduction step. A lane is an output column and each column one fused
-/// ascending-`k` chain, exactly as in the AVX2 tile's two 256-bit
-/// halves, so the two tiles agree bitwise element for element.
+/// reduction step, and for the FFN's up-stage two panels' rows feeding
+/// two accumulators per row. A lane is an output column and each column
+/// one fused ascending-`k` chain, exactly as in the AVX2 tile's two
+/// 256-bit halves, so the two tiles agree bitwise element for element.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use core::arch::x86_64::{
         __m512, _mm512_fmadd_ps, _mm512_loadu_epi32, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-        _mm512_permutex2var_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_permutex2var_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm_prefetch,
+        _MM_HINT_T0,
     };
 
-    use crate::pack::{WideOut, WideTile, PANEL_WIDTH};
+    use crate::pack::{WideTile, PANEL_WIDTH, PREFETCH_ROWS};
 
     /// The AVX-512F implementation of [`WideTile`].
     pub(crate) struct PackedTile;
@@ -623,37 +626,101 @@ pub(crate) mod avx512 {
     impl WideTile for PackedTile {
         #[target_feature(enable = "avx512f")]
         // SAFETY: AVX-512F as the caller vouches; reads stay inside the
-        // asserted lengths, masked stores inside `o[r]` or `o`'s columns.
-        unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: WideOut<'_, R>) {
+        // asserted lengths, masked stores inside `o[r]`.
+        unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: [&mut [f32]; R], ahead: &[f32]) {
             let kc = b.len() / PANEL_WIDTH;
             assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
             assert_eq!(a.len(), kc * R, "one A element per row and panel row");
             let mut acc = [_mm512_setzero_ps(); R];
             let (ap, bp) = (a.as_ptr(), b.as_ptr());
             for t in 0..kc {
+                prefetch(b, ahead, t);
                 let b_row = _mm512_loadu_ps(bp.add(t * PANEL_WIDTH));
                 for (r, acc) in acc.iter_mut().enumerate() {
                     *acc = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(t * R + r)), b_row, *acc);
                 }
             }
-            match o {
-                WideOut::Rows(o) => {
-                    for (acc, o) in acc.iter().zip(o) {
-                        assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
-                        _mm512_mask_storeu_ps(o.as_mut_ptr(), lanes(o.len()), *acc);
-                    }
-                }
-                WideOut::Columns(o) => {
-                    let cols = o.len() / R;
-                    assert!(
-                        cols * R == o.len() && cols <= PANEL_WIDTH,
-                        "whole columns of one panel"
-                    );
-                    for (c, col) in transpose(&acc).iter().take(cols).enumerate() {
-                        _mm512_mask_storeu_ps(o.as_mut_ptr().add(c * R), lanes(R), *col);
-                    }
+            for (acc, o) in acc.iter().zip(o) {
+                assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
+                _mm512_mask_storeu_ps(o.as_mut_ptr(), lanes(o.len()), *acc);
+            }
+        }
+
+        #[target_feature(enable = "avx512f")]
+        // SAFETY: AVX-512F as the caller vouches, and with it AVX2+FMA
+        // for `swiglu`; reads stay inside the asserted lengths, the
+        // spills are local, the stores `store_columns`'.
+        unsafe fn swiglu_tile<const R: usize>(
+            b: [&[f32]; 2],
+            a: &[f32],
+            gate: &mut [f32],
+            ahead: [&[f32]; 2],
+        ) {
+            let kc = b[0].len() / PANEL_WIDTH;
+            assert!(
+                b[0].len() == kc * PANEL_WIDTH && b[1].len() == b[0].len(),
+                "whole panel rows, as many of each pack"
+            );
+            assert_eq!(a.len(), kc * R, "one A element per row and panel row");
+            let mut gl = [[_mm512_setzero_ps(); 2]; R];
+            let (ap, b1, b3) = (a.as_ptr(), b[0].as_ptr(), b[1].as_ptr());
+            for t in 0..kc {
+                prefetch(b[0], ahead[0], t);
+                prefetch(b[1], ahead[1], t);
+                let g_row = _mm512_loadu_ps(b1.add(t * PANEL_WIDTH));
+                let l_row = _mm512_loadu_ps(b3.add(t * PANEL_WIDTH));
+                for (r, [g, l]) in gl.iter_mut().enumerate() {
+                    let v = _mm512_set1_ps(*ap.add(t * R + r));
+                    *g = _mm512_fmadd_ps(v, g_row, *g);
+                    *l = _mm512_fmadd_ps(v, l_row, *l);
                 }
             }
+            // The epilogue on the block while it is in L1: a spill, the
+            // AVX2 backend's own `swiglu`, a reload of the gated rows.
+            let mut spill = [[[0.0f32; PANEL_WIDTH]; R]; 2];
+            for (r, [g, l]) in gl.iter().enumerate() {
+                _mm512_storeu_ps(spill[0][r].as_mut_ptr(), *g);
+                _mm512_storeu_ps(spill[1][r].as_mut_ptr(), *l);
+            }
+            let [g, l] = &mut spill;
+            super::avx2::swiglu(g.as_flattened_mut(), l.as_flattened());
+            let mut gated = [_mm512_setzero_ps(); R];
+            for (acc, g) in gated.iter_mut().zip(&*g) {
+                *acc = _mm512_loadu_ps(g.as_ptr());
+            }
+            store_columns(&gated, gate);
+        }
+    }
+
+    /// Prefetches row `t + PREFETCH_ROWS` of a panel `b` followed in
+    /// the pack by `ahead`, if that row lies in either.
+    #[inline(always)]
+    fn prefetch(b: &[f32], ahead: &[f32], t: usize) {
+        let at = (t + PREFETCH_ROWS) * PANEL_WIDTH;
+        let row = if at < b.len() {
+            &b[at..]
+        } else if at - b.len() < ahead.len() {
+            &ahead[at - b.len()..]
+        } else {
+            return;
+        };
+        // SAFETY: SSE is baseline on x86-64; the address is `row`'s.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(row.as_ptr().cast()) };
+    }
+
+    /// Stores `acc`, one row of a block per register, into `o`, the
+    /// block's run of a panel's real columns in the wide layout.
+    // SAFETY: the caller guarantees AVX-512F; the masked stores stay
+    // inside `o`, whose length the assert pins.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_columns<const R: usize>(acc: &[__m512; R], o: &mut [f32]) {
+        let cols = o.len() / R;
+        assert!(
+            cols * R == o.len() && cols <= PANEL_WIDTH,
+            "whole columns of one panel"
+        );
+        for (c, col) in transpose(acc).iter().take(cols).enumerate() {
+            _mm512_mask_storeu_ps(o.as_mut_ptr().add(c * R), lanes(R), *col);
         }
     }
 

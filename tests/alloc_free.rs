@@ -1,6 +1,7 @@
 //! Allocation-free decode, measured: once the per-thread scratch has
-//! grown, a forward allocates per call — its small index vectors and the
-//! logits it returns — and never per layer, per row or per task.
+//! grown, a forward allocates per call — the logits it returns, and
+//! what the convenience calls build around `forward_rows_batch` — and
+//! never per layer, per row or per task.
 //!
 //! A counting global allocator sees every allocation on every thread,
 //! the pool's workers included. At each thread count each model is
@@ -9,8 +10,10 @@
 //! `prefill`, `decode_tree` and `forward_rows_batch`, over row counts,
 //! cached contexts and stacked requests, must allocate one and the same
 //! number of times per request count; a count that moves with rows,
-//! layers, context or `d_ff` is a per-trip allocation. The blocked
-//! attention kernels must allocate nothing at all.
+//! layers, context or `d_ff` is a per-trip allocation. That number may
+//! not exceed its entry in [`CEILINGS`], so one allocation added per
+//! call fails too. The blocked attention kernels must allocate nothing
+//! at all.
 //!
 //! The test is alone in its binary: another test's allocations would
 //! land in the same counter.
@@ -201,6 +204,12 @@ fn measure(model: &Transformer, name: &str, every: bool, threads: usize, seen: &
     }
 }
 
+/// The most allocations one call may make, by the requests it stacks,
+/// as measured: five for one request, the logits tensor among them; a
+/// call of several adds each request's own copy of its logits rows, a
+/// tensor's data and shape.
+const CEILINGS: [(usize, usize); MAX_REQUESTS] = [(1, 5), (2, 9), (3, 11)];
+
 /// Request count → allocation count → the calls that made it.
 type Counts = BTreeMap<usize, BTreeMap<usize, Vec<String>>>;
 
@@ -258,5 +267,22 @@ fn decode_allocates_per_call_not_per_row_layer_or_task() {
         spread.is_empty(),
         "allocations per call move with the shape:\n{}",
         spread.join("\n")
+    );
+    let over: Vec<String> = CEILINGS
+        .iter()
+        .filter_map(|&(requests, ceiling)| {
+            let (&count, calls) = seen.get(&requests)?.last_key_value()?;
+            (count > ceiling).then(|| {
+                format!(
+                    "{requests} request(s): {count} allocations, ceiling {ceiling}, e.g. {}",
+                    calls[0]
+                )
+            })
+        })
+        .collect();
+    assert!(
+        over.is_empty(),
+        "a call allocates more than its ceiling:\n{}",
+        over.join("\n")
     );
 }

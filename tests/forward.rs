@@ -124,8 +124,10 @@ struct Gemm {
 /// of the four- and sixteen-row block edges.
 const ROWS: [usize; 13] = [1, 2, 3, 4, 5, 7, 10, 15, 16, 17, 20, 33, 48];
 
-/// Row counts of a pack that is a pool region: one of each kind of call.
-const SHARED_ROWS: [usize; 6] = [1, 2, 5, 10, 17, 33];
+/// Row counts of a pack that is a pool region: one of each kind of call,
+/// and the wide tile's whole blocks of 16 rows (at 16 and 32 the FFN's
+/// one-pass up-stage holds 32 accumulators).
+const SHARED_ROWS: [usize; 8] = [1, 2, 5, 10, 16, 17, 32, 33];
 
 /// `(k, n)` past the models' packs: the edges of the four-row tile's
 /// 256-step k-slice (and three slices), with ragged last panels.
