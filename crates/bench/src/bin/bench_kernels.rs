@@ -19,7 +19,7 @@
 //!   tree-speculative generation on the smoke-scale trained suite.
 //! * `simd_backend` / `cpu_features` / `packed_tile` — which ISA
 //!   backend the kernels dispatched to, what the host CPU reports and
-//!   which packed register tile ran at which row count, so numbers are
+//!   which packed register tile ran against which pack, so numbers are
 //!   attributable (set `SPECINFER_SIMD=scalar` to bench the reference).
 //!
 //! Every time here is the median of interleaved calls (`medians`): the
@@ -91,13 +91,12 @@ struct Report {
     effective_threads: usize,
     simd_backend: String,
     cpu_features: Vec<String>,
-    /// The packed GEMM's register tile by row count for a row-major `A`
-    /// against the `ffn` layer's up (`k = 96`) and down (`k = 8192`)
-    /// packs, and for the FFN's own up-stage and down-projection, e.g.
-    /// `k = 96: avx2_4x16 (m < 5), avx512f_16x16 (m >= 5); k = 8192:
-    /// avx2_4x16 (every m); ffn up: avx2_4x16 (m < 5),
-    /// avx512f_16x16_gate_up (m >= 5); ffn down: avx2_4x16 (m < 5),
-    /// avx512f_16x16 (m >= 5)`.
+    /// The packed GEMM's register tile, the same at every row count, for
+    /// a row-major `A` against the `ffn` layer's up (`k = 96`) and down
+    /// (`k = 8192`) packs, and for the FFN's own up-stage and
+    /// down-projection, e.g. on an AVX-512F CPU `k = 96: avx512f_16x16;
+    /// k = 8192: avx2_4x16; ffn up: avx512f_16x16_gate_up; ffn down:
+    /// avx512f_16x16`.
     packed_tile: String,
     kernels: Vec<KernelResult>,
     ffn: Vec<FfnResult>,
@@ -239,7 +238,7 @@ fn bench_ffn() -> Vec<FfnResult> {
     let (mut gate1, mut lin1, mut proj1) =
         (vec![0.0f32; d_ff], vec![0.0f32; d_ff], vec![0.0f32; d]);
     let mut results = Vec::new();
-    for m in [1usize, 2, 5, 10, 20, 32] {
+    for m in [1usize, 2, 4, 5, 10, 20, 32] {
         let h = Tensor::randn(&[m, d], 1.0, &mut rng);
         let (mut gate, mut lin, mut proj) = (
             vec![0.0f32; m * d_ff],
@@ -287,23 +286,16 @@ fn bench_ffn() -> Vec<FfnResult> {
     results
 }
 
-/// Which packed register tile runs at which row count, for the `ffn`
-/// layer's up and down packs against a row-major `A` and for the FFN's
-/// up-stage and down-projection.
+/// Which packed register tile runs for the `ffn` layer's up and down
+/// packs against a row-major `A` and for the FFN's up-stage and
+/// down-projection.
 fn packed_tiles() -> String {
-    let tiles = |tile: &dyn Fn(usize) -> &'static str| {
-        let first = tile(1);
-        match (2..=64).find(|&m| tile(m) != first) {
-            Some(m) => format!("{first} (m < {m}), {} (m >= {m})", tile(m)),
-            None => format!("{first} (every m)"),
-        }
-    };
     format!(
         "k = 96: {}; k = 8192: {}; ffn up: {}; ffn down: {}",
-        tiles(&|m| pack::packed_tile(m, 96)),
-        tiles(&|m| pack::packed_tile(m, 8192)),
-        tiles(&|m| pack::ffn_up_tile(m, 96)),
-        tiles(&|m| pack::ffn_down_tile(m, 96, 8192)),
+        pack::packed_tile(96),
+        pack::packed_tile(8192),
+        pack::ffn_up_tile(96),
+        pack::ffn_down_tile(96, 8192),
     )
 }
 

@@ -49,6 +49,9 @@ pub(crate) struct StepShape {
     pub(crate) mean_context: usize,
     /// Tokens the whole batch emitted.
     emitted: usize,
+    /// KV rows committed, and slab rows reserved, across the batch.
+    kv_rows: usize,
+    slab_capacity: usize,
 }
 
 pub(crate) struct IterationDriver<'m> {
@@ -62,7 +65,6 @@ pub(crate) struct IterationDriver<'m> {
     live: Vec<Live>,
     responses: Vec<Response>,
     iteration_log: Vec<IterationRecord>,
-    slab_fill_sum: f64,
     faults: FaultCounters,
     controller: ControllerSnapshot,
     verify_rows: BatchRowStats,
@@ -87,7 +89,6 @@ impl<'m> IterationDriver<'m> {
             live: Vec::new(),
             responses: Vec::new(),
             iteration_log: Vec::new(),
-            slab_fill_sum: 0.0,
             faults: FaultCounters::default(),
             controller: ControllerSnapshot::default(),
             verify_rows: BatchRowStats::default(),
@@ -155,6 +156,8 @@ impl<'m> IterationDriver<'m> {
             batch: shape.batch,
             mean_tree_size: shape.mean_tree_size,
             emitted: shape.emitted,
+            kv_rows: shape.kv_rows,
+            slab_capacity: shape.slab_capacity,
         });
         // Retire finished, plan-cancelled and expired requests; the freed
         // slots and slab rows are re-filled by the next tick's admission.
@@ -277,17 +280,14 @@ impl<'m> IterationDriver<'m> {
         let stepped = || stats.iter().flatten();
         let mean_tree_size = stepped().map(|s| s.tree_size as f64).sum::<f64>() / batch as f64;
         let emitted = stepped().map(|s| s.emitted).sum();
-        let cap: usize = self.live.iter().map(|r| r.session.kv_capacity()).sum();
-        if cap > 0 {
-            let rows: usize = self.live.iter().map(|r| r.session.kv_rows()).sum();
-            self.slab_fill_sum += rows as f64 / cap as f64;
-        }
-        let tokens: usize = self.live.iter().map(|r| r.session.tokens().len()).sum();
+        let sum = |f: fn(&Live) -> usize| self.live.iter().map(f).sum();
         StepShape {
             batch,
             mean_tree_size,
-            mean_context: tokens / batch,
+            mean_context: sum(|r| r.session.tokens().len()) / batch,
             emitted,
+            kv_rows: sum(|r| r.session.kv_rows()),
+            slab_capacity: sum(|r| r.session.kv_capacity()),
         }
     }
 
@@ -358,6 +358,8 @@ impl<'m> IterationDriver<'m> {
         let batches = self.iteration_log.iter().map(|i| i.batch);
         let batch_fill_sum = batches.clone().fold(0.0, |s, b| s + b as f64 / max_batch);
         let peak_batch = batches.fold(0, usize::max);
+        let slabs = self.iteration_log.iter().filter(|i| i.slab_capacity > 0);
+        let slab_fill_sum = slabs.fold(0.0, |s, i| s + i.kv_rows as f64 / i.slab_capacity as f64);
         ServeReport {
             responses: self.responses,
             makespan_s,
@@ -365,7 +367,7 @@ impl<'m> IterationDriver<'m> {
             iteration_log: self.iteration_log,
             occupancy: OccupancyStats {
                 mean_batch_fill: batch_fill_sum / denom,
-                mean_slab_fill: self.slab_fill_sum / denom,
+                mean_slab_fill: slab_fill_sum / denom,
                 peak_batch,
             },
             faults: self.faults,

@@ -59,6 +59,10 @@ pub struct IterationRecord {
     pub mean_tree_size: f64,
     /// Tokens emitted by the whole batch this iteration.
     pub emitted: usize,
+    /// KV rows committed across the batch's sessions after the step.
+    pub kv_rows: usize,
+    /// Those sessions' slab capacities, summed: the rows reserved.
+    pub slab_capacity: usize,
 }
 
 /// Occupancy of the ragged batch over a run — how full the engine
@@ -68,9 +72,9 @@ pub struct OccupancyStats {
     /// Mean of `batch / max_batch_size` across iterations: slot
     /// occupancy. 1.0 means every iteration ran a full batch.
     pub mean_batch_fill: f64,
-    /// Mean of `Σ committed KV rows / Σ slab capacities` across
-    /// iterations, over the sessions live that iteration: how full the
-    /// right-sized slabs ran.
+    /// Mean of `kv_rows / slab_capacity` across iterations (one with no
+    /// capacity adds nothing but still counts): how full the right-sized
+    /// slabs ran.
     pub mean_slab_fill: f64,
     /// Largest batch any single iteration ran.
     pub peak_batch: usize,

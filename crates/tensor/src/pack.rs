@@ -53,8 +53,8 @@
 //!
 //! # The wide tile
 //!
-//! On [`SimdBackend::Avx2Fma`], when the CPU reports AVX-512F, a call
-//! of five rows or more runs on a sixteen-row tile instead: one 512-bit
+//! On [`SimdBackend::Avx2Fma`], when the CPU reports AVX-512F, calls of
+//! every row count run on a sixteen-row tile instead: one 512-bit
 //! accumulator per row, so a panel-row load feeds up to sixteen FMAs
 //! and a verify's ten rows walk each panel once instead of three times.
 //! The tile reads `A` in the *wide layout*: blocks of sixteen rows (the
@@ -103,12 +103,12 @@
 //!   is stored, transposed into the wide layout; `lin` is not written.
 //!   The down-projection (`k = d_ff`, many slices) reads `gate` in place.
 //!
-//! Calls of up to four rows — every decode step — keep the row-major
-//! `A` and the four-row tile, so which tile runs depends only on the
-//! CPU, `m`, the pack and the caller. Both x86 tiles keep each output
-//! column in its own lane and extend it by one fused multiply–add per
-//! reduction step, in the same order, so they agree bitwise and the
-//! choice never shows in the output.
+//! The four-row tile runs on AVX2-only CPUs, and for a row-major `A`
+//! against a pack of several slices, so which tile runs depends only on
+//! the CPU, the pack and the caller, never on `m`. Both x86 tiles keep
+//! each output column in its own lane and extend it by one fused
+//! multiply–add per reduction step, in the same order, so they agree
+//! bitwise and the choice never shows in the output.
 //!
 //! # Tensor parallelism
 //!
@@ -165,10 +165,6 @@ const WIDE_ROWS: usize = 16;
 /// 32 and 128 rows measured 2–6% slower, 256 about 6% (EXPERIMENTS.md).
 pub(crate) const PREFETCH_ROWS: usize = 64;
 
-/// Fewest rows a call needs for the wide tile: up to four rows fit one
-/// four-row block already, so below this there is no panel walk to save.
-const WIDE_MIN_ROWS: usize = ROW_BLOCK + 1;
-
 /// The register tile a multiply runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Tile {
@@ -186,22 +182,17 @@ pub(crate) enum Tile {
 }
 
 impl Tile {
-    /// The tile a call of `m` rows against a pack of reduction length
-    /// `k` runs on backend `be`: the backend's own, except that on AVX2
-    /// a CPU with AVX-512F runs calls of [`WIDE_MIN_ROWS`] rows or more
-    /// against one-slice packs on the wide tile. Both x86 tiles compute
-    /// every element the same way, so the choice never shows in the
-    /// bits. This is the rule for a row-major `A`; the FFN's
-    /// down-projection follows its up-stage instead
-    /// ([`PackedPanels::ffn_into`]).
-    fn select(be: SimdBackend, m: usize, k: usize) -> Tile {
+    /// The tile a call of any row count against a pack of reduction
+    /// length `k` runs on backend `be`: the backend's own, except that on
+    /// AVX2 a CPU with AVX-512F runs calls against one-slice packs on the
+    /// wide tile. Both x86 tiles compute every element the same way, so
+    /// the choice never shows in the bits. This is the rule for a
+    /// row-major `A`; the FFN's down-projection follows its up-stage
+    /// instead ([`PackedPanels::ffn_into`]).
+    fn select(be: SimdBackend, k: usize) -> Tile {
         match be {
             SimdBackend::Scalar => Tile::Scalar,
-            SimdBackend::Avx2Fma
-                if m >= WIDE_MIN_ROWS && k <= K_SLICE && simd::avx512_available() =>
-            {
-                Tile::Avx512
-            }
+            SimdBackend::Avx2Fma if k <= K_SLICE && simd::avx512_available() => Tile::Avx512,
             SimdBackend::Avx2Fma => Tile::Avx2,
         }
     }
@@ -241,33 +232,33 @@ enum Layout {
     Wide,
 }
 
-/// The packed register tile a call of `m` rows against a pack of
+/// The packed register tile a call of any row count against a pack of
 /// reduction length `k` runs on the process's backend, by name
 /// (`avx2_4x16`, `avx512f_16x16`, …), for benchmark reports.
-pub fn packed_tile(m: usize, k: usize) -> &'static str {
-    Tile::select(simd::backend(), m, k).name()
+pub fn packed_tile(k: usize) -> &'static str {
+    Tile::select(simd::backend(), k).name()
 }
 
 /// The packed register tile the up-stage of [`PackedPanels::ffn_into`]
-/// runs on at `m` rows for a model width `d_model`, by name: the wide
-/// tile's one-pass gate-and-up walk (`avx512f_16x16_gate_up`), or
-/// [`packed_tile`]`(m, d_model)` run twice before the epilogue.
-pub fn ffn_up_tile(m: usize, d_model: usize) -> &'static str {
-    match Tile::select(simd::backend(), m, d_model) {
+/// runs on for a model width `d_model`, by name: the wide tile's
+/// one-pass gate-and-up walk (`avx512f_16x16_gate_up`), or
+/// [`packed_tile`]`(d_model)` run twice before the epilogue.
+pub fn ffn_up_tile(d_model: usize) -> &'static str {
+    match Tile::select(simd::backend(), d_model) {
         Tile::Avx512 => "avx512f_16x16_gate_up",
         tile => tile.name(),
     }
 }
 
 /// The packed register tile the down-projection of
-/// [`PackedPanels::ffn_into`] runs on at `m` rows, for a model width
-/// `d_model` and a hidden width `d_ff`: the up-stage's tile when that is
-/// the wide one, else [`packed_tile`]`(m, d_ff)`.
-pub fn ffn_down_tile(m: usize, d_model: usize, d_ff: usize) -> &'static str {
+/// [`PackedPanels::ffn_into`] runs on, for a model width `d_model` and a
+/// hidden width `d_ff`: the up-stage's tile when that is the wide one,
+/// else [`packed_tile`]`(d_ff)`.
+pub fn ffn_down_tile(d_model: usize, d_ff: usize) -> &'static str {
     let be = simd::backend();
-    match Tile::select(be, m, d_model) {
+    match Tile::select(be, d_model) {
         Tile::Avx512 => Tile::Avx512,
-        _ => Tile::select(be, m, d_ff),
+        _ => Tile::select(be, d_ff),
     }
     .name()
 }
@@ -392,10 +383,7 @@ impl PackedPanels {
         // SAFETY: `be` came from detection (`backend`,
         // `available_backends`); `select` adds only the AVX-512F tile,
         // and only where that was detected too.
-        unsafe {
-            let tile = Tile::select(be, a.len() / self.k, self.k);
-            self.matvec_into_tile(tile, Layout::Rows, a, out)
-        }
+        unsafe { self.matvec_into_tile(Tile::select(be, self.k), Layout::Rows, a, out) }
     }
 
     /// [`PackedPanels::matvec_into_with`] on an explicit register tile,
@@ -449,11 +437,12 @@ impl PackedPanels {
     /// ⊙ (A × up)` as one region, `lin` its scratch. Each task multiplies
     /// its run of panels of both packs and gates those columns while they
     /// are still in its cache. Where the call runs on the wide tile
-    /// (five rows or more, AVX-512F) that is one walk over both packs
-    /// that gates each block in registers and writes `gate` alone, in
-    /// the wide layout, which is what [`PackedPanels::ffn_down_into`] —
-    /// told so by the returned [`FfnHidden`] — reads; otherwise two
-    /// products, row-major, then the epilogue.
+    /// (AVX-512F, a one-slice `k`: every row count) that is one walk over
+    /// both packs that gates each block in registers and writes `gate`
+    /// alone, in the wide layout, which is what
+    /// [`PackedPanels::ffn_down_into`] — told so by the returned
+    /// [`FfnHidden`] — reads; otherwise two products, row-major, then the
+    /// epilogue.
     ///
     /// # Panics
     ///
@@ -467,8 +456,7 @@ impl PackedPanels {
         lin: &mut [f32],
     ) -> FfnHidden {
         self.check_shapes(a, gate.len());
-        let rows = a.len() / self.k;
-        let tile = Tile::select(simd::backend(), rows, self.k);
+        let (tile, rows) = (Tile::select(simd::backend(), self.k), a.len() / self.k);
         // SAFETY: `select` names only detected tiles.
         unsafe { self.up_stage(up, tile, a, gate, lin) };
         FfnHidden { tile, rows }
@@ -493,7 +481,7 @@ impl PackedPanels {
         let layout = hidden.tile.layout();
         let tile = match layout {
             Layout::Wide => hidden.tile,
-            Layout::Rows => Tile::select(simd::backend(), hidden.rows, self.k),
+            Layout::Rows => Tile::select(simd::backend(), self.k),
         };
         // SAFETY: `hidden.tile` came from `select` in `ffn_up_into` (or a
         // test that vouches for it), and so does the other.
@@ -505,8 +493,8 @@ impl PackedPanels {
     /// `silu` (`swiglu_epilogue`), multiply. A wide tile walks both packs
     /// in one pass and gates each block in registers
     /// ([`PackedPanels::gate_up_wide`]), leaving `lin` unwritten; a
-    /// four-row tile writes both products row-major, then gates the
-    /// task's columns of each row.
+    /// four-row tile (the scalar backend, an AVX2-only CPU) writes both
+    /// products row-major, then gates the task's columns of each row.
     ///
     /// # Safety
     ///
@@ -954,8 +942,9 @@ impl PanelTile for ScalarTile {
 /// The contracts of the public API — packed ≡ blocked at every row
 /// count, backend and thread count, the FFN ≡ its rows one at a time —
 /// are cells of the forward oracle (`tests/forward.rs`). What stays here
-/// needs the module's private items: forced tiles and the wide tile's
-/// portable twin. The epilogue's polynomial SiLU is `simd.rs`'s.
+/// needs the module's private items: forced tiles, the tile each call
+/// runs on, and the wide tile's portable twin. The epilogue's polynomial
+/// SiLU is `simd.rs`'s.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1028,9 +1017,9 @@ mod tests {
         }
     }
 
-    /// The x86 tiles forced at every row count, 1..=4 included, where
-    /// `select` would not pick the wide one, on packs of one k-slice and
-    /// of several, with ragged and whole last panels, and as the FFN:
+    /// The x86 tiles forced at every row count, on packs of one k-slice
+    /// (where `select` picks the wide one) and of several (where it picks
+    /// the four-row one), with ragged and whole last panels, and as the FFN:
     /// the wide tile's one-pass up-stage and its down-projection reading
     /// `gate` in place against two products on the four-row tile, the
     /// epilogue and a row-major down-projection — on the AVX2 backend,
@@ -1085,6 +1074,58 @@ mod tests {
                 assert!(wide == four, "ffn {m}x{d}x{d_ff}");
             }
         }
+    }
+
+    /// Which tile this host runs: on the AVX2 backend with AVX-512F the
+    /// wide one against a one-slice pack at every row count, the FFN's
+    /// one-pass up-stage included, and the four-row one against several
+    /// slices; on every other host the backend's own four-row tile.
+    #[test]
+    fn dispatch_runs_the_wide_tile_at_every_row_count_where_avx512f_is() {
+        let be = simd::backend();
+        let four = match be {
+            SimdBackend::Scalar => Tile::Scalar,
+            SimdBackend::Avx2Fma => Tile::Avx2,
+        };
+        let wide = be == SimdBackend::Avx2Fma && simd::avx512_available();
+        let one_slice = if wide { Tile::Avx512 } else { four };
+        for k in [1, 96, K_SLICE] {
+            assert_eq!(Tile::select(be, k), one_slice, "k = {k}");
+        }
+        for k in [K_SLICE + 1, 8192] {
+            assert_eq!(Tile::select(be, k), four, "k = {k}");
+        }
+        // A projection and the up-stage as a forward calls them, at every
+        // row count: the wide tile reads `A` through this thread's
+        // interleaved copy.
+        let (d, d_ff) = (96, 40);
+        let [w1, w3] =
+            [23, 24].map(|s| PackedPanels::from_nn(randn(&[d, d_ff], s).data(), d, d_ff));
+        let a = randn(&[64, d], 25);
+        for m in 1..=64 {
+            let a = &a.data()[..m * d];
+            let [mut gate, mut lin] = [(); 2].map(|()| vec![0.0f32; m * d_ff]);
+            INTERLEAVED.with_borrow_mut(Vec::clear);
+            w1.matvec_into(a, &mut gate);
+            let copied = INTERLEAVED.with_borrow(Vec::len);
+            assert_eq!(copied, if wide { m * d } else { 0 }, "matvec m = {m}");
+            let hidden = w1.ffn_up_into(&w3, a, &mut gate, &mut lin);
+            assert_eq!((hidden.tile, hidden.rows), (one_slice, m), "ffn m = {m}");
+        }
+        let up = if wide {
+            "avx512f_16x16_gate_up"
+        } else {
+            four.name()
+        };
+        assert_eq!(
+            [
+                packed_tile(96),
+                packed_tile(8192),
+                ffn_up_tile(96),
+                ffn_down_tile(96, 8192)
+            ],
+            [one_slice.name(), four.name(), up, one_slice.name()]
+        );
     }
 
     #[test]

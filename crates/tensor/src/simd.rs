@@ -13,12 +13,12 @@
 //!
 //! AVX-512F is not a backend. It is detected once too, and on the AVX2
 //! backend it gives the packed GEMM a second register tile
-//! (`avx512`: sixteen rows × one 512-bit register, for calls of five
-//! rows or more against packs of one k-slice, the FFN's one-pass
-//! up-stage and its down-projection; see [`crate::pack`], "The wide
-//! tile"). That tile computes every element exactly as the AVX2 one,
-//! and gates the up-stage with the AVX2 `swiglu`, so no backend,
-//! `SPECINFER_SIMD` value or result depends on it.
+//! (`avx512`: sixteen rows × one 512-bit register, for calls of every
+//! row count against packs of one k-slice, the FFN's one-pass up-stage
+//! and its down-projection; see [`crate::pack`], "The wide tile").
+//! That tile computes every element exactly as the AVX2 one, and gates
+//! the up-stage with the AVX2 `swiglu`, so no backend, `SPECINFER_SIMD`
+//! value or result depends on it.
 //!
 //! # Determinism contract
 //!
@@ -107,9 +107,9 @@ fn avx2_available() -> bool {
 
 /// Whether the CPU reports AVX-512F (std probes the CPU once and caches
 /// the answer). It selects no backend: on [`SimdBackend::Avx2Fma`] it
-/// lets the packed GEMM run calls of five rows or more against packs of
-/// one k-slice, and the FFN of five rows or more, on its 16-row tile
-/// ([`crate::pack`], "The wide tile").
+/// lets the packed GEMM run calls against packs of one k-slice, and the
+/// FFN, on its 16-row tile at every row count ([`crate::pack`], "The
+/// wide tile").
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx512_available() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
@@ -719,6 +719,11 @@ pub(crate) mod avx512 {
             cols * R == o.len() && cols <= PANEL_WIDTH,
             "whole columns of one panel"
         );
+        if R == 1 {
+            // One row lies the same in both layouts: no transpose.
+            _mm512_mask_storeu_ps(o.as_mut_ptr(), lanes(cols), acc[0]);
+            return;
+        }
         for (c, col) in transpose(acc).iter().take(cols).enumerate() {
             _mm512_mask_storeu_ps(o.as_mut_ptr().add(c * R), lanes(R), *col);
         }
