@@ -60,7 +60,7 @@ struct FfnResult {
     threads: usize,
     m: usize,
     /// The up-stage as a forward runs it (`ffn_up_into`): `silu(A ×
-    /// W₁) ⊙ (A × W₃)`, on the wide tile one pass over both packs.
+    /// W₁) ⊙ (A × W₃)`, gated a block of rows at a time.
     up_us: f64,
     /// `A × W₁` and `A × W₃` as two plain packed GEMMs.
     up_gemm_us: f64,
@@ -91,12 +91,9 @@ struct Report {
     effective_threads: usize,
     simd_backend: String,
     cpu_features: Vec<String>,
-    /// The packed GEMM's register tile, the same at every row count, for
-    /// a row-major `A` against the `ffn` layer's up (`k = 96`) and down
-    /// (`k = 8192`) packs, and for the FFN's own up-stage and
-    /// down-projection, e.g. on an AVX-512F CPU `k = 96: avx512f_16x16;
-    /// k = 8192: avx2_4x16; ffn up: avx512f_16x16_gate_up; ffn down:
-    /// avx512f_16x16`.
+    /// The packed GEMM's register tile, the same for every call and row
+    /// count: `avx512f_16x16` on an AVX-512F CPU, `avx2_16x16` on an
+    /// AVX2-only one, `scalar_16x16` under `SPECINFER_SIMD=scalar`.
     packed_tile: String,
     kernels: Vec<KernelResult>,
     ffn: Vec<FfnResult>,
@@ -235,8 +232,7 @@ fn bench_ffn() -> Vec<FfnResult> {
     let (w1, w3, w2) = (pack(d, d_ff), pack(d, d_ff), pack(d_ff, d));
     // The one-row layer each row is held against, and its scratch.
     let h1 = Tensor::randn(&[1, d], 1.0, &mut rng);
-    let (mut gate1, mut lin1, mut proj1) =
-        (vec![0.0f32; d_ff], vec![0.0f32; d_ff], vec![0.0f32; d]);
+    let (mut gate1, mut proj1) = (vec![0.0f32; d_ff], vec![0.0f32; d]);
     let mut results = Vec::new();
     for m in [1usize, 2, 4, 5, 10, 20, 32] {
         let h = Tensor::randn(&[m, d], 1.0, &mut rng);
@@ -252,20 +248,16 @@ fn bench_ffn() -> Vec<FfnResult> {
             // The stages take turns, each on a layer of its own, so the
             // other two layers are read between two reads of a pack.
             let [up_s, down_s, up_gemm_s, m1_s] = medians(|timed| {
-                let mut hidden = None;
-                timed(0, &mut || {
-                    hidden = Some(w1[0].ffn_up_into(&w3[0], h.data(), &mut gate, &mut lin));
-                });
+                timed(0, &mut || w1[0].ffn_up_into(&w3[0], h.data(), &mut gate));
                 // The down-projection reads `gate` as the up-stage left
                 // it, as `ffn_into` does.
-                let hidden = hidden.expect("the up-stage ran");
-                timed(1, &mut || w2[0].ffn_down_into(hidden, &gate, &mut proj));
+                timed(1, &mut || w2[0].ffn_down_into(&gate, &mut proj));
                 timed(2, &mut || {
                     w1[1].matvec_into(h.data(), &mut gate);
                     w3[1].matvec_into(h.data(), &mut lin);
                 });
                 timed(3, &mut || {
-                    w1[2].ffn_into(&w3[2], &w2[2], h1.data(), &mut gate1, &mut lin1, &mut proj1)
+                    w1[2].ffn_into(&w3[2], &w2[2], h1.data(), &mut gate1, &mut proj1)
                 });
             });
             let flops = (2 * m * d * d_ff) as f64;
@@ -284,19 +276,6 @@ fn bench_ffn() -> Vec<FfnResult> {
         specinfer_tensor::set_max_threads(0);
     }
     results
-}
-
-/// Which packed register tile runs for the `ffn` layer's up and down
-/// packs against a row-major `A` and for the FFN's up-stage and
-/// down-projection.
-fn packed_tiles() -> String {
-    format!(
-        "k = 96: {}; k = 8192: {}; ffn up: {}; ffn down: {}",
-        pack::packed_tile(96),
-        pack::packed_tile(8192),
-        pack::ffn_up_tile(96),
-        pack::ffn_down_tile(96, 8192),
-    )
 }
 
 fn run_mode(
@@ -373,7 +352,7 @@ fn main() {
             .into_iter()
             .map(str::to_string)
             .collect(),
-        packed_tile: packed_tiles(),
+        packed_tile: pack::packed_tile().to_string(),
         kernels,
         ffn,
         end_to_end,

@@ -114,8 +114,6 @@ struct ForwardScratch {
     proj: Tensor,
     /// SwiGLU gate, `[Σn, d_ff]`.
     gate: Tensor,
-    /// SwiGLU linear branch, `[Σn, d_ff]`.
-    lin: Tensor,
     /// RoPE inverse frequencies keyed by head_dim (LLM and SSMs with
     /// different head widths may share one thread).
     inv_freqs: Vec<(usize, Vec<f32>)>,
@@ -603,7 +601,6 @@ impl Transformer {
                     &packs.w3[layer_idx],
                     &packs.w2[layer_idx],
                     &mut s.gate,
-                    &mut s.lin,
                     &mut s.proj,
                 );
                 s.x.add_assign(&s.proj);

@@ -52,6 +52,8 @@ pub(crate) struct StepShape {
     /// KV rows committed, and slab rows reserved, across the batch.
     kv_rows: usize,
     slab_capacity: usize,
+    /// The fused forward's rows.
+    verify_rows: BatchRowStats,
 }
 
 pub(crate) struct IterationDriver<'m> {
@@ -67,7 +69,6 @@ pub(crate) struct IterationDriver<'m> {
     iteration_log: Vec<IterationRecord>,
     faults: FaultCounters,
     controller: ControllerSnapshot,
-    verify_rows: BatchRowStats,
     /// Speculation rows of one iteration over this SSM pool: what a
     /// right-sized slab reserves on top of `prompt + max_new`.
     spec_rows: usize,
@@ -91,7 +92,6 @@ impl<'m> IterationDriver<'m> {
             iteration_log: Vec::new(),
             faults: FaultCounters::default(),
             controller: ControllerSnapshot::default(),
-            verify_rows: BatchRowStats::default(),
             spec_rows: config.engine.pool_speculation_rows(ssms.len()),
         }
     }
@@ -158,6 +158,7 @@ impl<'m> IterationDriver<'m> {
             emitted: shape.emitted,
             kv_rows: shape.kv_rows,
             slab_capacity: shape.slab_capacity,
+            verify_rows: shape.verify_rows,
         });
         // Retire finished, plan-cancelled and expired requests; the freed
         // slots and slab rows are re-filled by the next tick's admission.
@@ -274,7 +275,6 @@ impl<'m> IterationDriver<'m> {
             .verifier
             .step_batch_counted(self.llm, self.ssms, &mut items);
         drop(items);
-        self.verify_rows.absorb(&rows);
 
         // `None` marks a session that was already finished.
         let stepped = || stats.iter().flatten();
@@ -288,6 +288,7 @@ impl<'m> IterationDriver<'m> {
             emitted,
             kv_rows: sum(|r| r.session.kv_rows()),
             slab_capacity: sum(|r| r.session.kv_capacity()),
+            verify_rows: rows,
         }
     }
 
@@ -360,6 +361,13 @@ impl<'m> IterationDriver<'m> {
         let peak_batch = batches.fold(0, usize::max);
         let slabs = self.iteration_log.iter().filter(|i| i.slab_capacity > 0);
         let slab_fill_sum = slabs.fold(0.0, |s, i| s + i.kv_rows as f64 / i.slab_capacity as f64);
+        let verify_rows = self
+            .iteration_log
+            .iter()
+            .fold(BatchRowStats::default(), |mut v, i| {
+                v.absorb(&i.verify_rows);
+                v
+            });
         ServeReport {
             responses: self.responses,
             makespan_s,
@@ -373,7 +381,7 @@ impl<'m> IterationDriver<'m> {
             faults: self.faults,
             wall_s,
             controller: self.controller,
-            verify_rows: self.verify_rows,
+            verify_rows,
         }
     }
 }

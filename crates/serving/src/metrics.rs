@@ -63,6 +63,8 @@ pub struct IterationRecord {
     pub kv_rows: usize,
     /// Those sessions' slab capacities, summed: the rows reserved.
     pub slab_capacity: usize,
+    /// The rows of the iteration's fused verify forward.
+    pub verify_rows: BatchRowStats,
 }
 
 /// Occupancy of the ragged batch over a run — how full the engine
@@ -107,8 +109,8 @@ pub struct ServeReport {
     /// sessions: `[root-only, drafted]` step counts, drafts routed per
     /// SSM, probe counts. Empty when the run's mode was not adaptive.
     pub controller: ControllerSnapshot,
-    /// LLM verify rows and forwards (weight reads) summed over all
-    /// batched iterations. All-zero when the run never stepped a batch.
+    /// LLM verify rows and forwards (weight reads): the fold of
+    /// `iteration_log`'s. All-zero when the run never stepped a batch.
     /// Its `pruned_rows()` (always 0) and the field name
     /// `single_pass_rows` stay only for `specbench/`'s metrics and go
     /// when the benchmark next changes.

@@ -20,95 +20,71 @@
 //!
 //! # Loop nest
 //!
-//! The multiply walks the packed buffer front to back exactly once,
-//! whatever `m` is — the weights stay put and the activation rows come
-//! to them:
+//! There is one loop nest, for every backend and row count. It reads
+//! `A` in the *wide layout*: blocks of sixteen rows (the last one
+//! shorter), each block `[t][r]`, so a reduction step's rows are
+//! adjacent. A row-major `A` is copied into it once per call
+//! (`interleave`). The nest walks each k-slice of a panel once for all
+//! of a call's blocks, so the slice is read from memory once and from L1
+//! for every block after the first:
 //!
 //! ```text
 //! for panel p                       (16 output columns)
-//!   for k-slice s of the panel      (≤ K_SLICE reduction steps, ≤ 16 KB: L1-resident)
-//!     for row block i               (4 rows of A, or the 1–3 left over)
-//!       out[rows, cols] (+)= A[rows, slice] × slice
+//!   for k-slice s of the panel      (the tile's SLICE steps)
+//!     for row block i               (16 rows of A, or the 1–15 left over)
+//!       acc[block] (+)= A[block, s] × panel[s]     (one tile call)
+//!   out[rows, cols] = acc
 //! ```
 //!
-//! The register tile is a row block × one panel: four rows × two AVX2
-//! registers of accumulators, so a panel row loaded from L1 feeds four
-//! rows' FMAs and a slice is walked once per *four* rows. There is one
-//! geometry — one panel width — because every pack of a forward meets
-//! every row count: a per-pack width would be a second layout to test
-//! at every `m`.
+//! A panel of one slice is stored straight into `out`. Over several the
+//! accumulators are carried from slice to slice in a local spill (64
+//! rows a whole panel wide; a call of more rows walks the panel once per
+//! 64) and copied into `out` after the last: a store and reload of an
+//! `f32` is exact, and a carry through `out` would share cache lines
+//! with the next panel's columns, which another core may be writing.
 //!
-//! The first row block of a slice pulls it from memory, every further
-//! block reads it from L1, and while a slice is being multiplied each
-//! row block prefetches its share of the slice that follows it in
-//! memory, so the next slice's transfer overlaps this one's arithmetic.
-//! Accumulators of a panel with more than one slice are carried through
-//! `out` between slices; a store and reload of an `f32` is exact.
+//! The register tile (`PanelTile`) is the backend's:
+//!
+//! - AVX-512F (on [`SimdBackend::Avx2Fma`] where the CPU reports it):
+//!   one 512-bit accumulator per row, so a panel-row load feeds up to
+//!   sixteen FMAs. Its slice is the whole panel: each step prefetches
+//!   the panel row `PREFETCH_ROWS` (64, 4 KB) ahead, running on into the
+//!   pack data after the panel, so the next panel's first rows are on
+//!   their way when the walk reaches them.
+//! - AVX2 (the same backend on an AVX2-only CPU): groups of up to four
+//!   rows × two 256-bit accumulators over slices of `K_SLICE` steps (16
+//!   KB). While a slice is multiplied each group prefetches its share of
+//!   what follows the slice in memory (`Next::share`), so the fetch is
+//!   spread over every row of the call.
+//! - Scalar: the same slices, in pairs of rows with plain mul+add.
 //!
 //! Per output element the reduction therefore remains one ascending-`k`
 //! chain from zero — plain mul+add on the scalar backend, fused FMA on
 //! AVX2/AVX-512F — so within a backend the packed product is
 //! **bitwise identical** to the unpacked blocked kernel for the same
-//! element, at every `m`.
+//! element, at every `m`, and the two x86 tiles agree bitwise: which one
+//! runs never shows in the output. There is one geometry — one panel
+//! width — because every pack of a forward meets every row count.
 //!
-//! # The wide tile
-//!
-//! On [`SimdBackend::Avx2Fma`], when the CPU reports AVX-512F, calls of
-//! every row count run on a sixteen-row tile instead: one 512-bit
-//! accumulator per row, so a panel-row load feeds up to sixteen FMAs
-//! and a verify's ten rows walk each panel once instead of three times.
-//! The tile reads `A` in the *wide layout*: blocks of sixteen rows (the
-//! last one shorter), each block `[t][r]`, so a reduction step's rows
-//! are adjacent and broadcast from one pointer. Its loop nest is
+//! The FFN ([`PackedPanels::ffn_into`]) runs its up-stage over both up
+//! packs, a whole panel per tile call (its `k` is the model width, one
+//! slice), and needs no copy for its down-projection:
 //!
 //! ```text
 //! for panel p
-//!   for row block i                 (16 rows of A, or the 1–15 left over)
-//!     for step t of the panel       (the whole k)
-//!       prefetch panel row t + PREFETCH_ROWS   (past the panel: the next one)
-//!       out[block, cols] += A[block, t] × panel row t
+//!   for row block i
+//!     g[block] = A[block, :] × w1 panel         (one tile call over both
+//!     l[block] = A[block, :] × w3 panel          panels)
+//!     gate[block, cols]ᵀ = silu(g) ⊙ l          (in registers and L1)
 //! ```
 //!
-//! with no k-slices: a block walks the whole panel in one tile call.
-//! Slicing pays in the four-row nest, where a slice stays in L1 across
-//! the blocks that reuse it; here the blocks of a panel come after one
-//! another over its whole `k`, and a panel of a `d_ff`-long pack
-//! (512 KB at `k = 8192`) is evicted from L1 between blocks whether it
-//! is sliced or not. Instead each step prefetches the panel row
-//! `PREFETCH_ROWS` (64, 4 KB) ahead, running on into the pack data after the
-//! panel (an `ahead` slice, cut short at the end of the pack), so the
-//! next panel's first rows are on their way when the walk reaches them.
-//! Who writes the wide layout decides where the tile runs:
-//!
-//! - A row-major `A` is copied into it once per call (`interleave`).
-//!   Every panel of a pack of one k-slice (`k ≤ K_SLICE`: every
-//!   projection out of the model width — QKV, attention output, FFN up,
-//!   LM head) reads all of `A`, so the copy pays; against a pack of
-//!   several slices it was measured slower from twenty rows
-//!   (EXPERIMENTS.md), and such calls keep the four-row tile.
-//! - The FFN ([`PackedPanels::ffn_into`]) runs its up-stage as one walk
-//!   over both up packs and needs no copy for its down-projection:
-//!
-//!   ```text
-//!   for panel p
-//!     for row block i
-//!       for step t                  (prefetching both packs ahead)
-//!         g[block] += A[block, t] × w1 panel row t     (one broadcast
-//!         l[block] += A[block, t] × w3 panel row t      feeds both)
-//!       gate[block, cols]ᵀ = silu(g) ⊙ l               (in registers and L1)
-//!   ```
-//!
-//!   The block's `2·R` accumulators are gated by the backend's own
-//!   SwiGLU (a spill to L1 and `simd::avx2::swiglu`) and only `gate`
-//!   is stored, transposed into the wide layout; `lin` is not written.
-//!   The down-projection (`k = d_ff`, many slices) reads `gate` in place.
-//!
-//! The four-row tile runs on AVX2-only CPUs, and for a row-major `A`
-//! against a pack of several slices, so which tile runs depends only on
-//! the CPU, the pack and the caller, never on `m`. Both x86 tiles keep
-//! each output column in its own lane and extend it by one fused
-//! multiply–add per reduction step, in the same order, so they agree
-//! bitwise and the choice never shows in the output.
+//! The backend's own SwiGLU gates a block's products before it is
+//! stored, and only `gate` is stored, transposed into the wide layout.
+//! The x86 tiles walk both panels in one pass, one broadcast of `A`
+//! feeding both products (the AVX2 tile in groups of two rows, with the
+//! epilogue in registers and one 64-bit store per column); the scalar
+//! tile multiplies them one after the other into a local spill. The
+//! down-projection reads `gate` in place.
 //!
 //! # Tensor parallelism
 //!
@@ -116,14 +92,14 @@
 //! region of the worker pool: the *panels* are dealt out in contiguous
 //! runs, one run per task, and each task runs the loop nest above over
 //! its run for every row of `A` — the paper's §5.2 column sharding with
-//! cores for devices. A task streams its share of the weights once and
-//! writes its own columns of every output row; no output column is ever
-//! split (that would split a `k` chain), so the product is bitwise
-//! independent of the thread count by construction. Smaller packs are
-//! the same call with one task covering every panel. The panel is the
-//! partition unit, so a narrow pack shares as well as its panel count
-//! divides: the down-projection's 96 columns are six panels, three per
-//! core on two cores. The FFN's up-stage
+//! cores for devices. A task streams its share of the weights once per
+//! block and writes its own columns of every output row; no output
+//! column is ever split (that would split a `k` chain), so the product
+//! is bitwise independent of the thread count by construction. Smaller
+//! packs are the same call with one task covering every panel. The
+//! panel is the partition unit, so a narrow pack shares as well as its
+//! panel count divides: the down-projection's 96 columns are six
+//! panels, three per core on two cores. The FFN's up-stage
 //! ([`PackedPanels::ffn_up_into`]) is one such region for two packs
 //! plus the activation, applied to a task's columns while they are
 //! still in its cache.
@@ -146,149 +122,92 @@ pub const PANEL_WIDTH: usize = 16;
 /// dispatch; nothing in the workspace branches on it any more.
 pub const PACKED_SMALL_M_MAX: usize = usize::MAX;
 
-/// Reduction steps per k-slice: 256 panel rows are 16 KB, so the slice
-/// being multiplied, the slice being prefetched and the activation
-/// rows of a block share a 48 KB L1 data cache.
+/// Reduction steps per k-slice of the AVX2 and scalar tiles: 256 panel
+/// rows are 16 KB, so the slice being multiplied and the slice being
+/// prefetched fit a 48 KB L1 data cache beside the activations. 128
+/// steps measured slower (EXPERIMENTS.md).
 pub(crate) const K_SLICE: usize = 256;
 
-/// Rows of `A` per register tile.
-const ROW_BLOCK: usize = 4;
-// `gemm` spells out the short last blocks of 3, 2 and 1 rows.
-const _: () = assert!(ROW_BLOCK == 4);
+/// Rows of `A` per block: sixteen of the thirty-two AVX-512 registers
+/// hold accumulators.
+const BLOCK_ROWS: usize = 16;
 
-/// Rows of `A` per block of the wide tile: sixteen of the thirty-two
-/// AVX-512 registers hold accumulators.
-const WIDE_ROWS: usize = 16;
+/// Rows of the packed GEMM's carry between k-slices (module docs, "Loop
+/// nest"): four blocks, 4 KB of stack.
+const SPILL_ROWS: usize = 4 * BLOCK_ROWS;
 
-/// Panel rows the wide tile prefetches ahead of the row it multiplies:
-/// 4 KB, past the end of the panel into the pack data that follows it.
-/// 32 and 128 rows measured 2–6% slower, 256 about 6% (EXPERIMENTS.md).
+/// Panel rows the AVX-512F tile prefetches ahead of the row it
+/// multiplies: 4 KB, past the end of the panel into the pack data that
+/// follows it. 32 and 128 rows measured 2–6% slower, 256 about 6%
+/// (EXPERIMENTS.md).
 pub(crate) const PREFETCH_ROWS: usize = 64;
+// A panel's `ahead` is one slice, which covers this tile's reach too.
+const _: () = assert!(PREFETCH_ROWS <= K_SLICE);
 
 /// The register tile a multiply runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Tile {
-    /// Four rows, computed two at a time with plain mul+add.
+    /// Pairs of rows with plain mul+add.
     Scalar,
-    /// Four rows × two 256-bit accumulators (x86-64, AVX2+FMA).
+    /// Groups of four rows × two 256-bit accumulators (x86-64,
+    /// AVX2+FMA).
     Avx2,
-    /// Sixteen rows in the wide layout × one 512-bit accumulator
-    /// (x86-64, AVX-512F).
+    /// One 512-bit accumulator per row (x86-64, AVX-512F).
     Avx512,
-    /// The wide tile's portable twin, [`PortableWide`]: what `Avx512`
-    /// computes, on every host.
-    #[cfg(test)]
-    WidePortable,
 }
 
 impl Tile {
-    /// The tile a call of any row count against a pack of reduction
-    /// length `k` runs on backend `be`: the backend's own, except that on
-    /// AVX2 a CPU with AVX-512F runs calls against one-slice packs on the
-    /// wide tile. Both x86 tiles compute every element the same way, so
-    /// the choice never shows in the bits. This is the rule for a
-    /// row-major `A`; the FFN's down-projection follows its up-stage
-    /// instead ([`PackedPanels::ffn_into`]).
-    fn select(be: SimdBackend, k: usize) -> Tile {
+    /// The tile backend `be` runs every call on: the backend's own,
+    /// except that on AVX2 a CPU with AVX-512F runs the AVX-512F tile.
+    /// Both x86 tiles compute every element the same way, so the choice
+    /// never shows in the bits.
+    fn select(be: SimdBackend) -> Tile {
         match be {
             SimdBackend::Scalar => Tile::Scalar,
-            SimdBackend::Avx2Fma if k <= K_SLICE && simd::avx512_available() => Tile::Avx512,
+            SimdBackend::Avx2Fma if simd::avx512_available() => Tile::Avx512,
             SimdBackend::Avx2Fma => Tile::Avx2,
         }
     }
 
-    /// Stable name: instruction set, rows × columns.
+    /// Stable name: instruction set, rows × columns of a block.
     fn name(self) -> &'static str {
         match self {
-            Tile::Scalar => "scalar_4x16",
-            Tile::Avx2 => "avx2_4x16",
+            Tile::Scalar => "scalar_16x16",
+            Tile::Avx2 => "avx2_16x16",
             Tile::Avx512 => "avx512f_16x16",
-            #[cfg(test)]
-            Tile::WidePortable => "portable_16x16",
-        }
-    }
-
-    /// The layout the tile reads `A` in.
-    fn layout(self) -> Layout {
-        match self {
-            Tile::Avx512 => Layout::Wide,
-            #[cfg(test)]
-            Tile::WidePortable => Layout::Wide,
-            _ => Layout::Rows,
         }
     }
 }
 
-/// How an `m × n` operand (an `A`, or the FFN's `gate`) lies in its
-/// buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Layout {
-    /// Row-major.
-    Rows,
-    /// The wide tile's: blocks of [`WIDE_ROWS`] rows (the last one
-    /// shorter), each block column after column (`[t][r]`): element
-    /// `(r, j)` of a block of `R` rows at `j · R + r`, so the `R`
-    /// elements a reduction step broadcasts are adjacent.
-    Wide,
-}
-
-/// The packed register tile a call of any row count against a pack of
-/// reduction length `k` runs on the process's backend, by name
-/// (`avx2_4x16`, `avx512f_16x16`, …), for benchmark reports.
-pub fn packed_tile(k: usize) -> &'static str {
-    Tile::select(simd::backend(), k).name()
-}
-
-/// The packed register tile the up-stage of [`PackedPanels::ffn_into`]
-/// runs on for a model width `d_model`, by name: the wide tile's
-/// one-pass gate-and-up walk (`avx512f_16x16_gate_up`), or
-/// [`packed_tile`]`(d_model)` run twice before the epilogue.
-pub fn ffn_up_tile(d_model: usize) -> &'static str {
-    match Tile::select(simd::backend(), d_model) {
-        Tile::Avx512 => "avx512f_16x16_gate_up",
-        tile => tile.name(),
-    }
-}
-
-/// The packed register tile the down-projection of
-/// [`PackedPanels::ffn_into`] runs on, for a model width `d_model` and a
-/// hidden width `d_ff`: the up-stage's tile when that is the wide one,
-/// else [`packed_tile`]`(d_ff)`.
-pub fn ffn_down_tile(d_model: usize, d_ff: usize) -> &'static str {
-    let be = simd::backend();
-    match Tile::select(be, d_model) {
-        Tile::Avx512 => Tile::Avx512,
-        _ => Tile::select(be, d_ff),
-    }
-    .name()
+/// The packed register tile every call runs on, on the process's
+/// backend, by name (`avx2_16x16`, `avx512f_16x16`, …), for benchmark
+/// reports.
+pub fn packed_tile() -> &'static str {
+    Tile::select(simd::backend()).name()
 }
 
 thread_local! {
-    /// The calling thread's [`interleave`]d copy of `A` for the wide
-    /// tile, kept for its next call: `m × k ≤ m × K_SLICE` floats.
+    /// The calling thread's [`interleave`]d copy of `A`, kept for its
+    /// next call.
     static INTERLEAVED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on `A` (`[m, k]` in `layout`) as `tile` reads it: in place
-/// when the layouts agree, else the wide tile's [`interleave`]d copy.
-fn with_lhs<T>(tile: Tile, layout: Layout, a: &[f32], k: usize, f: impl FnOnce(&[f32]) -> T) -> T {
-    match (tile.layout(), layout) {
-        (Layout::Wide, Layout::Rows) => INTERLEAVED.with_borrow_mut(|il| {
-            interleave(a, k, il);
-            f(il)
-        }),
-        (want, have) => {
-            assert_eq!(want, have, "{} reads A row-major", tile.name());
-            f(a)
-        }
-    }
+/// Runs `f` on the row-major `[m, k]` `A` in the wide layout, this
+/// thread's [`interleave`]d copy.
+fn with_wide<T>(a: &[f32], k: usize, f: impl FnOnce(&[f32]) -> T) -> T {
+    INTERLEAVED.with_borrow_mut(|il| {
+        interleave(a, k, il);
+        f(il)
+    })
 }
 
-/// Writes into `il` the row-major `[m, k]` `A` in the wide layout
-/// ([`Layout::Wide`]).
+/// Writes into `il` the row-major `[m, k]` `A` in the wide layout:
+/// blocks of [`BLOCK_ROWS`] rows (the last one shorter), each block
+/// column after column, element `(r, t)` of a block of `R` rows at
+/// `t · R + r`.
 fn interleave(a: &[f32], k: usize, il: &mut Vec<f32>) {
     il.clear();
-    for blk in a.chunks(WIDE_ROWS * k) {
+    for blk in a.chunks(BLOCK_ROWS * k) {
         for t in 0..k {
             il.extend(blk.chunks_exact(k).map(|row| row[t]));
         }
@@ -297,7 +216,6 @@ fn interleave(a: &[f32], k: usize, il: &mut Vec<f32>) {
 
 /// Calls `$call` with the const `$R` = `$rows`, one of the listed row
 /// counts: a register tile's row count is a type-level constant.
-#[cfg(any(target_arch = "x86_64", test))]
 macro_rules! with_rows {
     ($rows:expr, [$($n:literal)+], |$R:ident| $call:expr) => {
         match $rows {
@@ -308,15 +226,6 @@ macro_rules! with_rows {
             rows => unreachable!("a row block of {rows} rows"),
         }
     };
-}
-
-/// What [`PackedPanels::ffn_up_into`] wrote, for
-/// [`PackedPanels::ffn_down_into`]: the row count, and the tile that
-/// ran, whose layout `gate` is in — which only this module interprets.
-#[derive(Clone, Copy, Debug)]
-pub struct FfnHidden {
-    tile: Tile,
-    rows: usize,
 }
 
 /// A weight matrix repacked into [`PANEL_WIDTH`]-column panels.
@@ -364,9 +273,9 @@ impl PackedPanels {
     /// `out = A × B` against the packed panels on the process-selected
     /// backend. `a` is `[m, k]` row-major for any `m ≥ 0`, `out` is
     /// `[m, n]` and fully overwritten (its prior contents are never
-    /// read). The panels are read from memory once per call whatever
-    /// `m` is, by one core or — a pack of [`pool::MIN_SHARE_BYTES`] or
-    /// more — by all of them, a run of panels each; see the module docs.
+    /// read). The panels are read from memory once per 64 rows, by one
+    /// core or — a pack of [`pool::MIN_SHARE_BYTES`] or more — by all of
+    /// them, a run of panels each; see the module docs.
     pub fn matvec_into(&self, a: &[f32], out: &mut [f32]) {
         self.matvec_into_with(simd::backend(), a, out);
     }
@@ -383,38 +292,38 @@ impl PackedPanels {
         // SAFETY: `be` came from detection (`backend`,
         // `available_backends`); `select` adds only the AVX-512F tile,
         // and only where that was detected too.
-        unsafe { self.matvec_into_tile(Tile::select(be, self.k), Layout::Rows, a, out) }
+        with_wide(a, self.k, |a| unsafe {
+            self.matvec_into_tile(Tile::select(be), a, out)
+        });
     }
 
     /// [`PackedPanels::matvec_into_with`] on an explicit register tile,
-    /// `a` in `layout`; `out` is row-major.
+    /// `a` in the wide layout; `out` is row-major.
     ///
     /// # Safety
     ///
     /// The instruction set `tile` is written for must be available.
     // SAFETY: (contract above) shapes are checked here; see `gemm_with`.
-    unsafe fn matvec_into_tile(&self, tile: Tile, layout: Layout, a: &[f32], out: &mut [f32]) {
+    unsafe fn matvec_into_tile(&self, tile: Tile, a: &[f32], out: &mut [f32]) {
         self.check_shapes(a, out.len());
         let out = SharedMut(out.as_mut_ptr());
         let tasks = self.tasks();
-        with_lhs(tile, layout, a, self.k, |a| {
-            pool::run(tasks, |t| {
-                // SAFETY: `out` is `m × n` (checked above) and mutably
-                // borrowed for the whole region; tasks get disjoint panels.
-                unsafe { self.gemm_with(tile, a, out.get(), self.panel_run(t, tasks)) }
-            })
+        pool::run(tasks, |t| {
+            // SAFETY: `out` is `m × n` (checked above) and mutably
+            // borrowed for the whole region; tasks get disjoint panels.
+            unsafe { self.gemm_with(tile, a, out.get(), self.panel_run(t, tasks)) }
         });
     }
 
     /// One feed-forward layer, `out = (silu(A × self) ⊙ (A × up)) × down`,
     /// as a forward runs it: the up-stage region
     /// ([`PackedPanels::ffn_up_into`]), then the down-projection
-    /// ([`PackedPanels::ffn_down_into`]) on what it wrote. `gate` and
-    /// `lin` (`[m, n]` floats each) are scratch in a layout of this
-    /// module's choosing; `out` is `[m, down.n]` row-major and fully
-    /// overwritten. Bitwise `swiglu` as two [`PackedPanels::matvec_into`]
-    /// calls and the backend's `silu`, then `matvec_into` against
-    /// `down`, at every `m` and thread count.
+    /// ([`PackedPanels::ffn_down_into`]) on what it wrote. `gate`
+    /// (`[m, n]` floats) is scratch in a layout of this module's
+    /// choosing; `out` is `[m, down.n]` row-major and fully overwritten.
+    /// Bitwise `swiglu` as two [`PackedPanels::matvec_into`] calls and
+    /// the backend's `silu`, then `matvec_into` against `down`, at every
+    /// `m` and thread count.
     ///
     /// # Panics
     ///
@@ -426,128 +335,78 @@ impl PackedPanels {
         down: &PackedPanels,
         a: &[f32],
         gate: &mut [f32],
-        lin: &mut [f32],
         out: &mut [f32],
     ) {
-        let hidden = self.ffn_up_into(up, a, gate, lin);
-        down.ffn_down_into(hidden, gate, out);
+        self.ffn_up_into(up, a, gate);
+        down.ffn_down_into(gate, out);
     }
 
     /// The up-stage of [`PackedPanels::ffn_into`]: `gate = silu(A × self)
-    /// ⊙ (A × up)` as one region, `lin` its scratch. Each task multiplies
-    /// its run of panels of both packs and gates those columns while they
-    /// are still in its cache. Where the call runs on the wide tile
-    /// (AVX-512F, a one-slice `k`: every row count) that is one walk over
-    /// both packs that gates each block in registers and writes `gate`
-    /// alone, in the wide layout, which is what
-    /// [`PackedPanels::ffn_down_into`] — told so by the returned
-    /// [`FfnHidden`] — reads; otherwise two products, row-major, then the
-    /// epilogue.
+    /// ⊙ (A × up)` as one region. Each task multiplies its run of panels
+    /// of both packs a block at a time and gates the block's columns in
+    /// registers and L1, and writes `gate` alone, in the wide layout,
+    /// which is what [`PackedPanels::ffn_down_into`] reads.
     ///
     /// # Panics
     ///
     /// Panics if the packs' shapes differ, or under
     /// [`PackedPanels::matvec_into_with`]'s conditions.
-    pub fn ffn_up_into(
-        &self,
-        up: &PackedPanels,
-        a: &[f32],
-        gate: &mut [f32],
-        lin: &mut [f32],
-    ) -> FfnHidden {
+    pub fn ffn_up_into(&self, up: &PackedPanels, a: &[f32], gate: &mut [f32]) {
         self.check_shapes(a, gate.len());
-        let (tile, rows) = (Tile::select(simd::backend(), self.k), a.len() / self.k);
         // SAFETY: `select` names only detected tiles.
-        unsafe { self.up_stage(up, tile, a, gate, lin) };
-        FfnHidden { tile, rows }
+        with_wide(a, self.k, |a| unsafe {
+            self.up_stage(up, Tile::select(simd::backend()), a, gate)
+        });
     }
 
     /// The down-projection of [`PackedPanels::ffn_into`]: `out = gate ×
-    /// self`, `gate` as [`PackedPanels::ffn_up_into`] left it (`hidden`).
-    /// A gate in the wide layout is read in place by the wide tile; a
-    /// row-major one takes
-    /// [`PackedPanels::matvec_into`]'s tile.
+    /// self`, `gate` read in place. `gate` must be exactly what
+    /// [`PackedPanels::ffn_up_into`] wrote for the same `m`: its layout
+    /// is private to this module, and a row-major `[m, k]` gate gives
+    /// wrong rows for `m > 1` without a panic.
     ///
     /// # Panics
     ///
-    /// Panics if `gate` is not the `hidden.rows × k` floats of that call,
-    /// or `out` not `hidden.rows × n`.
-    pub fn ffn_down_into(&self, hidden: FfnHidden, gate: &[f32], out: &mut [f32]) {
-        assert_eq!(
-            gate.len(),
-            hidden.rows * self.k,
-            "gate must be what the up-stage wrote"
-        );
-        let layout = hidden.tile.layout();
-        let tile = match layout {
-            Layout::Wide => hidden.tile,
-            Layout::Rows => Tile::select(simd::backend(), self.k),
-        };
-        // SAFETY: `hidden.tile` came from `select` in `ffn_up_into` (or a
-        // test that vouches for it), and so does the other.
-        unsafe { self.matvec_into_tile(tile, layout, gate, out) }
+    /// Panics if `gate` is not whole rows of length `k`, or `out` not
+    /// `m × n`.
+    pub fn ffn_down_into(&self, gate: &[f32], out: &mut [f32]) {
+        // SAFETY: `select` names only detected tiles.
+        unsafe { self.matvec_into_tile(Tile::select(simd::backend()), gate, out) }
     }
 
-    /// The SwiGLU up-stage on tile `tile`, writing `gate` in the tile's
+    /// The SwiGLU up-stage on tile `tile`, `a` and `gate` in the wide
     /// layout: per element exactly the product twice, the backend's one
-    /// `silu` (`swiglu_epilogue`), multiply. A wide tile walks both packs
-    /// in one pass and gates each block in registers
-    /// ([`PackedPanels::gate_up_wide`]), leaving `lin` unwritten; a
-    /// four-row tile (the scalar backend, an AVX2-only CPU) writes both
-    /// products row-major, then gates the task's columns of each row.
+    /// `silu` (`swiglu_epilogue`), multiply ([`PackedPanels::gate_up`]).
     ///
     /// # Safety
     ///
     /// The instruction set `tile` is written for must be available.
     // SAFETY: (contract above) shapes are checked here; see `gemm_with`.
-    unsafe fn up_stage(
-        &self,
-        up: &PackedPanels,
-        tile: Tile,
-        a: &[f32],
-        gate: &mut [f32],
-        lin: &mut [f32],
-    ) {
+    unsafe fn up_stage(&self, up: &PackedPanels, tile: Tile, a: &[f32], gate: &mut [f32]) {
         assert_eq!(
             (self.k, self.n),
             (up.k, up.n),
             "gate and up packs must agree"
         );
         self.check_shapes(a, gate.len());
-        assert_eq!(gate.len(), lin.len(), "lin must be m×n");
-        let (be, n, m) = (simd::backend(), self.n, a.len() / self.k);
-        let (gate, lin) = (SharedMut(gate.as_mut_ptr()), SharedMut(lin.as_mut_ptr()));
+        let gate = SharedMut(gate.as_mut_ptr());
         let tasks = self.tasks();
-        with_lhs(tile, Layout::Rows, a, self.k, |a| {
-            pool::run(tasks, |t| {
-                let panels = self.panel_run(t, tasks);
-                // SAFETY: as the caller vouches; `gate` and `lin` are
-                // `m × n` (checked above), borrowed for the region; the
-                // columns of `panels` are this task's in either layout.
-                unsafe {
-                    match tile {
-                        #[cfg(target_arch = "x86_64")]
-                        Tile::Avx512 => {
-                            self.gate_up_wide::<simd::avx512::PackedTile>(up, a, gate.get(), panels)
-                        }
-                        #[cfg(test)]
-                        Tile::WidePortable => {
-                            self.gate_up_wide::<PortableWide>(up, a, gate.get(), panels)
-                        }
-                        _ => {
-                            let cols = panels.start * PANEL_WIDTH..n.min(panels.end * PANEL_WIDTH);
-                            self.gemm_with(tile, a, gate.get(), panels.clone());
-                            up.gemm_with(tile, a, lin.get(), panels);
-                            for at in (0..m).map(|r| r * n + cols.start) {
-                                let g =
-                                    std::slice::from_raw_parts_mut(gate.get().add(at), cols.len());
-                                let l = std::slice::from_raw_parts(lin.get().add(at), cols.len());
-                                swiglu_epilogue(be, g, l);
-                            }
-                        }
+        pool::run(tasks, |t| {
+            let panels = self.panel_run(t, tasks);
+            // SAFETY: `tile` as the caller vouches; `gate` is `m × n`
+            // (checked above), borrowed for the region, and the columns
+            // of `panels` are this task's.
+            unsafe {
+                match tile {
+                    #[cfg(target_arch = "x86_64")]
+                    Tile::Avx2 => self.gate_up::<simd::avx2::PackedTile>(up, a, gate.get(), panels),
+                    #[cfg(target_arch = "x86_64")]
+                    Tile::Avx512 => {
+                        self.gate_up::<simd::avx512::PackedTile>(up, a, gate.get(), panels)
                     }
+                    _ => self.gate_up::<ScalarTile>(up, a, gate.get(), panels),
                 }
-            })
+            }
         });
     }
 
@@ -566,13 +425,13 @@ impl PackedPanels {
         4 * self.data.len() >= pool::MIN_SHARE_BYTES
     }
 
-    /// Panel `p`, and the pack data after it that a wide tile prefetches
-    /// while it walks the panel: [`PREFETCH_ROWS`] panel rows, fewer at
-    /// the end of the buffer.
+    /// Panel `p`, and the pack data after it that a tile may prefetch
+    /// while it walks the panel: [`K_SLICE`] panel rows, fewer at the end
+    /// of the buffer.
     fn panel(&self, p: usize) -> (&[f32], &[f32]) {
         let len = self.k * PANEL_WIDTH;
         let (panel, rest) = self.data[p * len..].split_at(len);
-        (panel, &rest[..rest.len().min(PREFETCH_ROWS * PANEL_WIDTH)])
+        (panel, &rest[..rest.len().min(K_SLICE * PANEL_WIDTH)])
     }
 
     /// Tasks a multiply against this pack is cut into (1: inline).
@@ -587,16 +446,15 @@ impl PackedPanels {
     }
 
     /// The loop nest of the module docs over a run of `panels` on
-    /// register tile `tile`: writes columns
+    /// register tile `tile`, `a` in the wide layout: writes columns
     /// `panels.start · 16 .. min(n, panels.end · 16)` of every row of the
     /// row-major `out`, and nothing else.
     ///
     /// # Safety
     ///
     /// The instruction set `tile` is written for must be available. `a`
-    /// must be whole rows of length `k` in the layout `tile` reads, and
-    /// `out` point at `m × n` floats nobody else reads, or writes in these
-    /// columns, meanwhile.
+    /// must be whole rows of length `k`, and `out` point at `m × n`
+    /// floats nobody else reads, or writes in these columns, meanwhile.
     // SAFETY: (contract above) each tile is only named under the `Tile`
     // whose instruction set the caller vouches for.
     unsafe fn gemm_with(&self, tile: Tile, a: &[f32], out: *mut f32, panels: Range<usize>) {
@@ -606,141 +464,121 @@ impl PackedPanels {
                 #[cfg(target_arch = "x86_64")]
                 Tile::Avx2 => self.gemm::<simd::avx2::PackedTile>(a, out, panels),
                 #[cfg(target_arch = "x86_64")]
-                Tile::Avx512 => self.gemm_wide::<simd::avx512::PackedTile>(a, out, panels),
-                #[cfg(test)]
-                Tile::WidePortable => self.gemm_wide::<PortableWide>(a, out, panels),
+                Tile::Avx512 => self.gemm::<simd::avx512::PackedTile>(a, out, panels),
                 _ => self.gemm::<ScalarTile>(a, out, panels),
             }
         }
     }
 
-    /// [`PackedPanels::gemm_with`] on a wide tile `T`, `a` in the wide
-    /// layout: per panel, per block of up to [`WIDE_ROWS`] rows, one tile
-    /// call over the panel's whole `k`, prefetching ahead into the next.
+    /// [`PackedPanels::gemm_with`] on tile `T`: per panel, per chunk of
+    /// up to [`SPILL_ROWS`] rows, per k-slice of [`PanelTile::SLICE`]
+    /// steps, per block of up to [`BLOCK_ROWS`] rows, one tile call. A
+    /// panel of one slice is stored straight into `out`. Over several,
+    /// the tiles accumulate into a local spill of the chunk's rows, a
+    /// whole panel wide, carried from slice to slice, and the panel's
+    /// real columns are copied into `out` after the last: a carry through
+    /// `out` itself would share cache lines with the next panel's
+    /// columns, which another core may be writing.
     ///
     /// # Safety
     ///
     /// As for `gemm_with`, for `T`'s instruction set.
-    #[cfg(any(target_arch = "x86_64", test))]
     // SAFETY: (contract above) the only raw accesses are the output row
     // segments: row `< m`, a panel's columns inside `n`, so in bounds of
     // `out`; segments of different rows or panels are disjoint.
-    unsafe fn gemm_wide<T: WideTile>(&self, a: &[f32], out: *mut f32, panels: Range<usize>) {
+    unsafe fn gemm<T: PanelTile>(&self, a: &[f32], out: *mut f32, panels: Range<usize>) {
         let (k, n) = (self.k, self.n);
+        let sliced = k > T::SLICE;
+        let mut spill = [[0.0f32; PANEL_WIDTH]; SPILL_ROWS];
         for p in panels {
             let cols = p * PANEL_WIDTH..n.min((p + 1) * PANEL_WIDTH);
             let (panel, ahead) = self.panel(p);
-            for (i, a_blk) in a.chunks(WIDE_ROWS * k).enumerate() {
-                // SAFETY: the caller vouches for `T`'s ISA; see the
-                // function-level argument for the output.
-                unsafe {
-                    with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
-                        let o = from_fn(|r| {
-                            let at = (i * WIDE_ROWS + r) * n + cols.start;
-                            std::slice::from_raw_parts_mut(out.add(at), cols.len())
-                        });
-                        T::tile::<R>(panel, a_blk, o, ahead)
-                    })
+            for (c, a_rows) in a.chunks(SPILL_ROWS * k).enumerate() {
+                let m = a_rows.len() / k;
+                // SAFETY: see the function-level argument.
+                let out_row = |r: usize| unsafe {
+                    let at = (c * SPILL_ROWS + r) * n + cols.start;
+                    std::slice::from_raw_parts_mut(out.add(at), cols.len())
+                };
+                for t0 in (0..k).step_by(T::SLICE) {
+                    let t1 = k.min(t0 + T::SLICE);
+                    let slice = &panel[t0 * PANEL_WIDTH..t1 * PANEL_WIDTH];
+                    let data = if t1 < k {
+                        &panel[t1 * PANEL_WIDTH..k.min(t1 + K_SLICE) * PANEL_WIDTH]
+                    } else {
+                        ahead
+                    };
+                    let blocks = a_rows
+                        .chunks(BLOCK_ROWS * k)
+                        .zip(spill.chunks_mut(BLOCK_ROWS));
+                    for (i, (a_blk, acc)) in blocks.enumerate() {
+                        let next = Next {
+                            data,
+                            first: i * BLOCK_ROWS,
+                            m,
+                        };
+                        with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
+                            let o: [&mut [f32]; R] = if sliced {
+                                match acc.first_chunk_mut::<R>() {
+                                    Some(acc) => acc.each_mut().map(|row| &mut row[..]),
+                                    None => unreachable!("a block has at most 16 rows"),
+                                }
+                            } else {
+                                from_fn(|r| out_row(i * BLOCK_ROWS + r))
+                            };
+                            // SAFETY: the caller vouches for `T`'s ISA.
+                            unsafe { T::tile::<R>(slice, &a_blk[t0 * R..t1 * R], o, t0 > 0, next) }
+                        })
+                    }
+                }
+                if sliced {
+                    for (r, acc) in spill[..m].iter().enumerate() {
+                        out_row(r).copy_from_slice(&acc[..cols.len()]);
+                    }
                 }
             }
         }
     }
 
-    /// The up-stage of a wide tile `T` over a run of `panels`, `a` in the
-    /// wide layout: per panel, per block of up to [`WIDE_ROWS`] rows, one
-    /// [`WideTile::swiglu_tile`] call walks this pack's and `up`'s panel
-    /// together and stores the block's gated columns into `gate`, in the
+    /// The up-stage of tile `T` over a run of `panels`, `a` in the wide
+    /// layout: per panel, per block of up to [`BLOCK_ROWS`] rows, one
+    /// [`PanelTile::swiglu_tile`] call multiplies this pack's and `up`'s
+    /// panel and stores the block's gated columns into `gate`, in the
     /// wide layout.
     ///
     /// # Safety
     ///
     /// As for `gemm_with`, for `T`'s instruction set, with `gate` as
     /// `out` in the wide layout; `up` must be this pack's shape.
-    #[cfg(any(target_arch = "x86_64", test))]
     // SAFETY: (contract above) the only raw accesses are a block's runs
     // of a panel's columns: inside `m × n`, disjoint between blocks and
     // panels.
-    unsafe fn gate_up_wide<T: WideTile>(
+    unsafe fn gate_up<T: PanelTile>(
         &self,
         up: &PackedPanels,
         a: &[f32],
         gate: *mut f32,
         panels: Range<usize>,
     ) {
-        let (k, n) = (self.k, self.n);
+        let (k, n, m) = (self.k, self.n, a.len() / self.k);
         for p in panels {
             let cols = p * PANEL_WIDTH..n.min((p + 1) * PANEL_WIDTH);
             let [(g, g_ahead), (l, l_ahead)] = [self.panel(p), up.panel(p)];
-            for (i, a_blk) in a.chunks(WIDE_ROWS * k).enumerate() {
+            for (i, a_blk) in a.chunks(BLOCK_ROWS * k).enumerate() {
+                let next = [g_ahead, l_ahead].map(|data| Next {
+                    data,
+                    first: i * BLOCK_ROWS,
+                    m,
+                });
                 // SAFETY: the caller vouches for `T`'s ISA; see the
                 // function-level argument for the output.
                 unsafe {
                     with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
-                        let at = i * WIDE_ROWS * n + cols.start * R;
+                        let at = i * BLOCK_ROWS * n + cols.start * R;
                         let o = std::slice::from_raw_parts_mut(gate.add(at), cols.len() * R);
-                        T::swiglu_tile::<R>([g, l], a_blk, o, [g_ahead, l_ahead])
+                        T::swiglu_tile::<R>([g, l], a_blk, o, next)
                     })
                 }
-            }
-        }
-    }
-
-    /// [`PackedPanels::gemm_with`] on a four-row tile `T`, `a` row-major.
-    ///
-    /// # Safety
-    ///
-    /// As for `gemm_with`, for `T`'s instruction set.
-    // SAFETY: (contract above) the only raw accesses are the output row
-    // segments: row `< m`, columns `j0..j1` inside `n`, so in bounds of
-    // `out`; segments of different rows are disjoint.
-    unsafe fn gemm<T: PanelTile>(&self, a: &[f32], out: *mut f32, panels: Range<usize>) {
-        let (k, n) = (self.k, self.n);
-        let m = a.len() / k;
-        let blocks = m.div_ceil(ROW_BLOCK);
-        // Slices are consecutive in `data` across panel boundaries, so
-        // "the slice after this one" is simply what follows `at`.
-        let mut at = panels.start * k * PANEL_WIDTH;
-        for j0 in panels.map(|p| p * PANEL_WIDTH) {
-            let j1 = n.min(j0 + PANEL_WIDTH);
-            // SAFETY: see the function-level argument.
-            let o_row =
-                |r: usize| unsafe { std::slice::from_raw_parts_mut(out.add(r * n + j0), j1 - j0) };
-            let mut t0 = 0;
-            while t0 < k {
-                let t1 = k.min(t0 + K_SLICE);
-                let (slice, rest) = self.data[at..].split_at((t1 - t0) * PANEL_WIDTH);
-                // With a single row block there is no reuse phase to
-                // hide a transfer behind: the call is one sequential
-                // read, which the hardware prefetcher already follows.
-                let ahead = match blocks {
-                    1 => &rest[..0],
-                    _ => &rest[..rest.len().min(slice.len())],
-                };
-                let (ahead_rows, carry) = (ahead.len() / PANEL_WIDTH, t0 > 0);
-                for (i, a_blk) in a.chunks(ROW_BLOCK * k).enumerate() {
-                    let share = &ahead[ahead_rows * i / blocks * PANEL_WIDTH
-                        ..ahead_rows * (i + 1) / blocks * PANEL_WIDTH];
-                    let a_row = |d: usize| &a_blk[d * k + t0..d * k + t1];
-                    let o = |d: usize| o_row(i * ROW_BLOCK + d);
-                    // SAFETY: the caller vouches for `T`'s ISA; a block's
-                    // rows are distinct, so are their output segments.
-                    unsafe {
-                        match a_blk.len() / k {
-                            ROW_BLOCK => T::tile::<ROW_BLOCK>(
-                                slice,
-                                from_fn(a_row),
-                                from_fn(o),
-                                carry,
-                                share,
-                            ),
-                            3 => T::tile::<3>(slice, from_fn(a_row), from_fn(o), carry, share),
-                            2 => T::tile::<2>(slice, from_fn(a_row), from_fn(o), carry, share),
-                            _ => T::tile::<1>(slice, from_fn(a_row), from_fn(o), carry, share),
-                        }
-                    }
-                }
-                at += slice.len();
-                t0 = t1;
             }
         }
     }
@@ -764,16 +602,24 @@ fn swiglu_epilogue(be: SimdBackend, g: &mut [f32], l: &[f32]) {
     }
 }
 
-/// One backend's register tile of the packed GEMM.
+/// One backend's register tile of the packed GEMM (module docs, "Loop
+/// nest").
 pub(crate) trait PanelTile {
-    /// `o[r] (+)= a[r] × b` for `R` rows: `b` is one k-slice of one
-    /// panel (`a[r].len()` rows of [`PANEL_WIDTH`]), `o[r]` the panel's
-    /// real columns of output row `r` (at most [`PANEL_WIDTH`]). With
-    /// `carry` the accumulators continue from `o` — the slice is not the
-    /// panel's first — otherwise they start from zero and `o` is only
-    /// written. `ahead` is panel data to prefetch while multiplying.
-    /// Each output element extends its single ascending-`k` chain by
-    /// `a[r].len()` steps.
+    /// Reduction steps per [`PanelTile::tile`] call: [`K_SLICE`] for a
+    /// tile whose rows share out the prefetch of the next slice, which
+    /// then sits in L1 for every block of the call; `usize::MAX` (whole
+    /// panels) for one whose prefetch runs a fixed distance ahead.
+    const SLICE: usize;
+
+    /// `o (+)= A × b` for the `R` rows of a block: `b` is one k-slice of
+    /// a panel (up to [`PanelTile::SLICE`] rows of [`PANEL_WIDTH`]), `a` the
+    /// block's steps of that slice in the wide layout (`A[r][t]` at
+    /// `a[t·R + r]`), `o[r]` row `r`'s accumulators: the panel's real
+    /// columns of its output row, or a whole panel wide in the nest's
+    /// spill. With `carry` (every slice of a panel but the first) they
+    /// continue from `o`, otherwise from zero: a store and reload of an
+    /// `f32` is exact, so each output element is one ascending-`k` chain
+    /// from zero across the slices. `next` is what the tile may prefetch.
     ///
     /// # Safety
     ///
@@ -783,168 +629,163 @@ pub(crate) trait PanelTile {
     // assert the lengths their raw accesses rely on.
     unsafe fn tile<const R: usize>(
         b: &[f32],
-        a: [&[f32]; R],
+        a: &[f32],
         o: [&mut [f32]; R],
         carry: bool,
-        ahead: &[f32],
+        next: Next<'_>,
     );
-}
 
-/// A wide register tile of the packed GEMM ("The wide tile").
-pub(crate) trait WideTile {
-    /// `o = A × b` for the `R` rows of a block: `b` is one whole panel
-    /// (`k` rows of [`PANEL_WIDTH`]), `a` the block's `k` reduction steps
-    /// in the wide layout (`A[r][t]` at `a[t·R + r]`), `o[r]` the panel's
-    /// real columns of row `r`. `ahead` is the pack data after the panel,
-    /// at most [`PREFETCH_ROWS`] panel rows: each reduction step
-    /// prefetches the row that far ahead of it. Each output element is
-    /// one ascending-`k` fused chain from zero.
+    /// The FFN up-stage of a block: `gate = silu(A × b[0]) ⊙ (A × b[1])`,
+    /// the two panels whole, of the same `k` and columns, the backend's
+    /// SwiGLU epilogue applied before the store. `gate` is the block's
+    /// run of the panel's real columns in the wide layout (element `(r,
+    /// c)` at `c · R + r`); `a` is the block's whole `k` in the wide
+    /// layout, and `next` holds the pack data after each panel. Bitwise
+    /// the two products of `tile` and `swiglu_epilogue`.
     ///
     /// # Safety
     ///
-    /// The instruction set the implementation is written for must be
-    /// available.
-    // SAFETY: (contract above) all operands are slices; implementations
-    // assert the lengths their raw accesses rely on.
-    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: [&mut [f32]; R], ahead: &[f32]);
-
-    /// The FFN up-stage of a block in one pass: `gate = silu(A × b[0]) ⊙
-    /// (A × b[1])`, the two panels (same `k`, same columns) walked
-    /// together, each broadcast of `A[r][t]` feeding both products, and
-    /// the backend's SwiGLU epilogue applied before the store. `gate` is
-    /// the block's run of the panel's real columns in the wide layout
-    /// (element `(r, c)` at `c · R + r`); `a` and `ahead` as for
-    /// [`WideTile::tile`], one `ahead` per panel. Bitwise the two
-    /// products of `tile` and `swiglu_epilogue`.
-    ///
-    /// # Safety
-    ///
-    /// As for [`WideTile::tile`].
+    /// As for [`PanelTile::tile`].
     // SAFETY: (contract above) as for `tile`.
     unsafe fn swiglu_tile<const R: usize>(
         b: [&[f32]; 2],
         a: &[f32],
         gate: &mut [f32],
-        ahead: [&[f32]; 2],
+        next: [Next<'_>; 2],
     );
 }
 
-/// The wide tile's portable twin: the same blocks, wide layouts and
-/// one-pass up-stage, one `f32::mul_add` chain per output element — so
-/// the wide loop nests' indexing is checked on hosts without AVX-512F.
-#[cfg(test)]
-struct PortableWide;
+/// The pack data that follows a tile call's panel rows in memory (the
+/// panel's next k-slice, or the start of the next panel; at most
+/// [`K_SLICE`] rows), and where the call's block lies among the `m` rows
+/// that walk the same panel rows, so that they can share out the
+/// prefetch of what follows.
+#[derive(Clone, Copy)]
+pub(crate) struct Next<'a> {
+    pub(crate) data: &'a [f32],
+    /// The block's first row among the `m`.
+    first: usize,
+    m: usize,
+}
 
-#[cfg(test)]
-impl WideTile for PortableWide {
-    // SAFETY: safe code throughout — no ISA extension, no raw access.
-    unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: [&mut [f32]; R], _ahead: &[f32]) {
-        let [acc] = PortableWide::products::<R, 1>([b], a);
+impl<'a> Next<'a> {
+    /// The share of `data` to prefetch for the block's rows `rows`: in
+    /// proportion to their place among the `m`, so that the walks of all
+    /// the rows together fetch it once, spread evenly. None when `rows`
+    /// are all `m`: with nothing else to reuse what it reads, their walk
+    /// is one sequential read, which the hardware prefetcher already
+    /// follows.
+    pub(crate) fn share(self, rows: Range<usize>) -> &'a [f32] {
+        let (lo, hi) = (self.first + rows.start, self.first + rows.end);
+        if hi - lo == self.m {
+            return &[];
+        }
+        let len = self.data.len() / PANEL_WIDTH;
+        &self.data[len * lo / self.m * PANEL_WIDTH..len * hi / self.m * PANEL_WIDTH]
+    }
+}
+
+/// Stores a block's gated rows `g` into `gate`, the block's run of a
+/// panel's real columns in the wide layout: `gate[c · R + r] = g[r][c]`.
+pub(crate) fn store_transposed<const R: usize>(g: &[[f32; PANEL_WIDTH]; R], gate: &mut [f32]) {
+    assert!(
+        gate.len().is_multiple_of(R) && gate.len() <= R * PANEL_WIDTH,
+        "whole columns of one panel"
+    );
+    for (c, col) in gate.chunks_exact_mut(R).enumerate() {
+        for (v, g) in col.iter_mut().zip(g) {
+            *v = g[c];
+        }
+    }
+}
+
+/// Scalar reference tile: pairs of rows, per output column one
+/// ascending-`k` plain mul+add chain, bitwise identical to the unpacked
+/// scalar `nn` kernel (and so to `matmul_ref`). Two rows at a time: 2 ×
+/// 16 accumulators are eight of the sixteen SSE registers of the x86-64
+/// baseline, enough chains to hide the add latency; four rows at once
+/// would spill.
+struct ScalarTile;
+
+impl ScalarTile {
+    /// `o[d] (+)= A[row + d][t] × b[t]` over the panel rows `b`, `a`
+    /// their steps of a block of `stride` rows.
+    fn group<const G: usize>(
+        b: &[f32],
+        a: &[f32],
+        stride: usize,
+        row: usize,
+        o: &mut [&mut [f32]],
+        carry: bool,
+    ) {
+        let mut acc = [[0.0f32; PANEL_WIDTH]; G];
+        if carry {
+            for (acc, o) in acc.iter_mut().zip(o.iter()) {
+                acc[..o.len()].copy_from_slice(o);
+            }
+        }
+        for (b_row, a_t) in b.chunks_exact(PANEL_WIDTH).zip(a.chunks_exact(stride)) {
+            for (acc, &av) in acc.iter_mut().zip(&a_t[row..row + G]) {
+                for (s, &bv) in acc.iter_mut().zip(b_row) {
+                    *s += av * bv;
+                }
+            }
+        }
         for (acc, o) in acc.iter().zip(o) {
             o.copy_from_slice(&acc[..o.len()]);
         }
     }
+}
 
+impl PanelTile for ScalarTile {
+    const SLICE: usize = K_SLICE;
+
+    // SAFETY: safe code throughout — no ISA extension, no raw access.
+    unsafe fn tile<const R: usize>(
+        b: &[f32],
+        a: &[f32],
+        mut o: [&mut [f32]; R],
+        carry: bool,
+        _next: Next<'_>,
+    ) {
+        assert_eq!(
+            b.len() / PANEL_WIDTH * R,
+            a.len(),
+            "one A element per row and panel row"
+        );
+        for (g, o) in o.chunks_mut(2).enumerate() {
+            match o.len() {
+                2 => ScalarTile::group::<2>(b, a, R, 2 * g, o, carry),
+                _ => ScalarTile::group::<1>(b, a, R, 2 * g, o, carry),
+            }
+        }
+    }
+
+    /// The two products into a local spill, the libm epilogue, then
+    /// [`store_transposed`].
     // SAFETY: safe code throughout — no ISA extension, no raw access.
     unsafe fn swiglu_tile<const R: usize>(
         b: [&[f32]; 2],
         a: &[f32],
         gate: &mut [f32],
-        _ahead: [&[f32]; 2],
+        next: [Next<'_>; 2],
     ) {
-        let [mut g, l] = PortableWide::products::<R, 2>(b, a);
-        swiglu_epilogue(simd::backend(), g.as_flattened_mut(), l.as_flattened());
-        assert_eq!(gate.len() % R, 0, "whole columns of one panel");
-        for (c, col) in gate.chunks_exact_mut(R).enumerate() {
-            for (v, g) in col.iter_mut().zip(&g) {
-                *v = g[c];
-            }
+        let mut gl = [[[0.0f32; PANEL_WIDTH]; R]; 2];
+        for ((acc, b), next) in gl.iter_mut().zip(b).zip(next) {
+            // SAFETY: plain Rust.
+            unsafe { ScalarTile::tile::<R>(b, a, acc.each_mut().map(|r| &mut r[..]), false, next) };
         }
-    }
-}
-
-#[cfg(test)]
-impl PortableWide {
-    /// `A × b[i]` for each of `P` panels of the same `k`, in one walk: a
-    /// reduction step's `A[r][t]` feeds every panel's row.
-    fn products<const R: usize, const P: usize>(
-        b: [&[f32]; P],
-        a: &[f32],
-    ) -> [[[f32; PANEL_WIDTH]; R]; P] {
-        let kc = a.len() / R;
-        assert_eq!(a.len(), kc * R, "one A element per row and panel row");
-        assert!(
-            b.iter().all(|b| b.len() == kc * PANEL_WIDTH),
-            "whole panels"
-        );
-        let mut acc = [[[0.0f32; PANEL_WIDTH]; R]; P];
-        for (t, a_t) in a.chunks_exact(R).enumerate() {
-            for (acc, b) in acc.iter_mut().zip(b) {
-                let b_row = &b[t * PANEL_WIDTH..(t + 1) * PANEL_WIDTH];
-                for (acc, &av) in acc.iter_mut().zip(a_t) {
-                    for (s, &bv) in acc.iter_mut().zip(b_row) {
-                        *s = av.mul_add(bv, *s);
-                    }
-                }
-            }
-        }
-        acc
-    }
-}
-
-/// Scalar reference tile: per output column one ascending-`k` plain
-/// mul+add chain, bitwise identical to the unpacked scalar `nn` kernel
-/// (and so to `matmul_ref`).
-struct ScalarTile;
-
-impl PanelTile for ScalarTile {
-    // SAFETY: safe code throughout — no ISA extension, no raw access.
-    unsafe fn tile<const R: usize>(
-        b: &[f32],
-        a: [&[f32]; R],
-        o: [&mut [f32]; R],
-        carry: bool,
-        _ahead: &[f32],
-    ) {
-        // Two rows at a time: 2 × 16 accumulators are eight of the
-        // sixteen SSE registers of the x86-64 baseline, enough chains to
-        // hide the add latency; four rows at once would spill. The odd
-        // last row is a pair whose second half is empty.
-        let load = |o_row: &[f32]| {
-            let mut acc = [0.0f32; PANEL_WIDTH];
-            if carry {
-                acc[..o_row.len()].copy_from_slice(o_row);
-            }
-            acc
-        };
-        let mut rows = a.into_iter().zip(o);
-        while let Some((a0, o0)) = rows.next() {
-            let (a1, o1) = rows.next().unwrap_or((&[], &mut []));
-            let (mut acc0, mut acc1) = (load(o0), load(o1));
-            let mut b_rows = b.chunks_exact(PANEL_WIDTH);
-            for ((&av0, &av1), b_row) in a0.iter().zip(a1).zip(b_rows.by_ref()) {
-                for ((s0, s1), &bv) in acc0.iter_mut().zip(&mut acc1).zip(b_row) {
-                    *s0 += av0 * bv;
-                    *s1 += av1 * bv;
-                }
-            }
-            for (&av0, b_row) in a0[a1.len()..].iter().zip(b_rows) {
-                for (s0, &bv) in acc0.iter_mut().zip(b_row) {
-                    *s0 += av0 * bv;
-                }
-            }
-            o0.copy_from_slice(&acc0[..o0.len()]);
-            o1.copy_from_slice(&acc1[..o1.len()]);
-        }
+        let [g, l] = &mut gl;
+        swiglu_epilogue(SimdBackend::Scalar, g.as_flattened_mut(), l.as_flattened());
+        store_transposed(g, gate);
     }
 }
 
 /// The contracts of the public API — packed ≡ blocked at every row
 /// count, backend and thread count, the FFN ≡ its rows one at a time —
-/// are cells of the forward oracle (`tests/forward.rs`). What stays here
-/// needs the module's private items: forced tiles, the tile each call
-/// runs on, and the wide tile's portable twin. The epilogue's polynomial
-/// SiLU is `simd.rs`'s.
+/// are cells of the forward oracle (`tests/forward.rs`), which runs the
+/// scalar tile on every host. What stays here needs the module's private
+/// items: forced tiles. The epilogue's polynomial SiLU is `simd.rs`'s.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,78 +796,47 @@ mod tests {
         Tensor::randn(dims, 1.0, &mut SeededRng::new(seed))
     }
 
-    /// `A × B` with one `f32::mul_add` chain per element in ascending
-    /// `k`, as every fused backend computes it.
-    fn fused_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        for (a_row, o_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)).take(m) {
-            for (t, &av) in a_row.iter().enumerate() {
-                for (o, &bv) in o_row.iter_mut().zip(&b[t * n..(t + 1) * n]) {
-                    *o = av.mul_add(bv, *o);
-                }
-            }
+    /// `A × B` (`a` row-major) on `tile`, from a NaN `out`.
+    ///
+    /// # Safety
+    ///
+    /// As for `matvec_into_tile`.
+    // SAFETY: (contract above) passed on to `matvec_into_tile`.
+    unsafe fn forced(tile: Tile, p: &PackedPanels, a: &[f32]) -> Vec<f32> {
+        let mut out = vec![f32::NAN; a.len() / p.k * p.n];
+        // SAFETY: as the caller vouches.
+        with_wide(a, p.k, |a| unsafe { p.matvec_into_tile(tile, a, &mut out) });
+        out
+    }
+
+    /// The FFN of `w1`, `w3` and `w2` on `tile`, from NaN scratch and
+    /// output.
+    ///
+    /// # Safety
+    ///
+    /// As for `matvec_into_tile`.
+    // SAFETY: (contract above) passed on to `up_stage` and
+    // `matvec_into_tile`.
+    unsafe fn forced_ffn(tile: Tile, [w1, w3, w2]: [&PackedPanels; 3], a: &[f32]) -> Vec<f32> {
+        let m = a.len() / w1.k;
+        let (mut gate, mut out) = (vec![f32::NAN; m * w1.n], vec![f32::NAN; m * w2.n]);
+        // SAFETY: as the caller vouches.
+        unsafe {
+            with_wide(a, w1.k, |a| w1.up_stage(w3, tile, a, &mut gate));
+            w2.matvec_into_tile(tile, &gate, &mut out);
         }
         out
     }
 
-    /// The wide loop nest on its portable twin, on every host: the
-    /// sixteen-row blocks with a row-major `A` against packs of one
-    /// k-slice and of several with ragged last panels, and the FFN whose
-    /// up-stage stores `gate` transposed into the wide layout for the
-    /// down-projection to read. `out` and the scratch start as NaN.
+    /// The two x86 tiles forced through the one nest at every row count,
+    /// on packs of one k-slice and of several (the AVX2 tile's
+    /// accumulators are carried across slices), with ragged and whole
+    /// last panels, and as the FFN: the AVX-512F tile's up-stage, its
+    /// epilogue over a spill and its transposed store against the AVX2
+    /// tile's, gated in registers and stored a pair of rows per column;
+    /// both down-projections read `gate` in place.
     #[test]
-    fn wide_loop_nest_on_its_portable_twin_equals_a_fused_reference() {
-        let a = randn(&[40, 600], 3);
-        for &(k, n) in &[
-            (1usize, 17usize),
-            (95, 33),
-            (K_SLICE - 1, 16),
-            (K_SLICE + 1, 49),
-            (600, 20),
-        ] {
-            let b = randn(&[k, n], 4);
-            let p = PackedPanels::from_nn(b.data(), k, n);
-            for m in 1..=40 {
-                let a = &a.data()[..m * k];
-                let mut twin = vec![f32::NAN; m * n];
-                // SAFETY: the twin is plain Rust.
-                unsafe { p.matvec_into_tile(Tile::WidePortable, Layout::Rows, a, &mut twin) };
-                assert!(twin == fused_reference(a, b.data(), m, k, n), "{m}x{k}x{n}");
-            }
-        }
-        for &(d, d_ff, n) in &[(24usize, 200usize, 33usize), (96, 300, 33)] {
-            let [b1, b3] = [17, 18].map(|seed| randn(&[d, d_ff], seed));
-            let b2 = randn(&[d_ff, n], 19);
-            let [w1, w3] = [&b1, &b3].map(|b| PackedPanels::from_nn(b.data(), d, d_ff));
-            let w2 = PackedPanels::from_nn(b2.data(), d_ff, n);
-            for m in 1..=40 {
-                let a = &a.data()[..m * d];
-                // Fused multiply–adds, with the backend's epilogue.
-                let mut want_gate = fused_reference(a, b1.data(), m, d, d_ff);
-                let want_lin = fused_reference(a, b3.data(), m, d, d_ff);
-                swiglu_epilogue(simd::backend(), &mut want_gate, &want_lin);
-                let want = fused_reference(&want_gate, b2.data(), m, d_ff, n);
-                let [mut gate, mut lin] = [(); 2].map(|()| vec![f32::NAN; m * d_ff]);
-                let mut out = vec![f32::NAN; m * n];
-                let tile = Tile::WidePortable;
-                // SAFETY: the twin is plain Rust.
-                unsafe { w1.up_stage(&w3, tile, a, &mut gate, &mut lin) };
-                w2.ffn_down_into(FfnHidden { tile, rows: m }, &gate, &mut out);
-                assert!(out == want, "ffn {m}x{d}x{d_ff}x{n}");
-            }
-        }
-    }
-
-    /// The x86 tiles forced at every row count, on packs of one k-slice
-    /// (where `select` picks the wide one) and of several (where it picks
-    /// the four-row one), with ragged and whole last panels, and as the FFN:
-    /// the wide tile's one-pass up-stage and its down-projection reading
-    /// `gate` in place against two products on the four-row tile, the
-    /// epilogue and a row-major down-projection — on the AVX2 backend,
-    /// whose epilogue the wide tile runs. `out` and the scratch start as
-    /// NaN.
-    #[test]
-    fn wide_tile_equals_four_row_tile_bitwise_at_every_row_count() {
+    fn avx512f_tile_equals_avx2_tile_bitwise_at_every_row_count() {
         if !(simd::available_backends().contains(&SimdBackend::Avx2Fma) && simd::avx512_available())
         {
             eprintln!("skipped: this CPU does not report AVX2+FMA and AVX-512F");
@@ -1045,17 +855,11 @@ mod tests {
             let p = PackedPanels::from_nn(randn(&[k, n], 15).data(), k, n);
             for m in 1..=40 {
                 let a = &a.data()[..m * k];
-                let [wide, four] = [Tile::Avx512, Tile::Avx2].map(|tile| {
-                    let mut out = vec![f32::NAN; m * n];
-                    // SAFETY: AVX2+FMA and AVX-512F were detected above.
-                    unsafe { p.matvec_into_tile(tile, Layout::Rows, a, &mut out) };
-                    out
-                });
-                assert!(wide == four, "{m}x{k}x{n}");
+                // SAFETY: AVX2+FMA and AVX-512F were detected above.
+                let [wide, avx2] =
+                    [Tile::Avx512, Tile::Avx2].map(|tile| unsafe { forced(tile, &p, a) });
+                assert!(wide == avx2, "{m}x{k}x{n}");
             }
-        }
-        if simd::backend() != SimdBackend::Avx2Fma {
-            return;
         }
         for &(d, d_ff) in &[(24usize, 200usize), (96, 300), (96, 1024)] {
             let [w1, w3] = [20, 21].map(|seed| randn(&[d, d_ff], seed));
@@ -1063,69 +867,13 @@ mod tests {
             let w2 = PackedPanels::from_nn(randn(&[d_ff, d], 22).data(), d_ff, d);
             for m in 1..=40 {
                 let a = &a.data()[..m * d];
-                let [wide, four] = [Tile::Avx512, Tile::Avx2].map(|tile| {
-                    let [mut gate, mut lin] = [(); 2].map(|()| vec![f32::NAN; m * d_ff]);
-                    let mut out = vec![f32::NAN; m * d];
+                let [wide, avx2] = [Tile::Avx512, Tile::Avx2].map(|tile| {
                     // SAFETY: AVX2+FMA and AVX-512F were detected above.
-                    unsafe { w1.up_stage(&w3, tile, a, &mut gate, &mut lin) };
-                    w2.ffn_down_into(FfnHidden { tile, rows: m }, &gate, &mut out);
-                    out
+                    unsafe { forced_ffn(tile, [&w1, &w3, &w2], a) }
                 });
-                assert!(wide == four, "ffn {m}x{d}x{d_ff}");
+                assert!(wide == avx2, "ffn {m}x{d}x{d_ff}");
             }
         }
-    }
-
-    /// Which tile this host runs: on the AVX2 backend with AVX-512F the
-    /// wide one against a one-slice pack at every row count, the FFN's
-    /// one-pass up-stage included, and the four-row one against several
-    /// slices; on every other host the backend's own four-row tile.
-    #[test]
-    fn dispatch_runs_the_wide_tile_at_every_row_count_where_avx512f_is() {
-        let be = simd::backend();
-        let four = match be {
-            SimdBackend::Scalar => Tile::Scalar,
-            SimdBackend::Avx2Fma => Tile::Avx2,
-        };
-        let wide = be == SimdBackend::Avx2Fma && simd::avx512_available();
-        let one_slice = if wide { Tile::Avx512 } else { four };
-        for k in [1, 96, K_SLICE] {
-            assert_eq!(Tile::select(be, k), one_slice, "k = {k}");
-        }
-        for k in [K_SLICE + 1, 8192] {
-            assert_eq!(Tile::select(be, k), four, "k = {k}");
-        }
-        // A projection and the up-stage as a forward calls them, at every
-        // row count: the wide tile reads `A` through this thread's
-        // interleaved copy.
-        let (d, d_ff) = (96, 40);
-        let [w1, w3] =
-            [23, 24].map(|s| PackedPanels::from_nn(randn(&[d, d_ff], s).data(), d, d_ff));
-        let a = randn(&[64, d], 25);
-        for m in 1..=64 {
-            let a = &a.data()[..m * d];
-            let [mut gate, mut lin] = [(); 2].map(|()| vec![0.0f32; m * d_ff]);
-            INTERLEAVED.with_borrow_mut(Vec::clear);
-            w1.matvec_into(a, &mut gate);
-            let copied = INTERLEAVED.with_borrow(Vec::len);
-            assert_eq!(copied, if wide { m * d } else { 0 }, "matvec m = {m}");
-            let hidden = w1.ffn_up_into(&w3, a, &mut gate, &mut lin);
-            assert_eq!((hidden.tile, hidden.rows), (one_slice, m), "ffn m = {m}");
-        }
-        let up = if wide {
-            "avx512f_16x16_gate_up"
-        } else {
-            four.name()
-        };
-        assert_eq!(
-            [
-                packed_tile(96),
-                packed_tile(8192),
-                ffn_up_tile(96),
-                ffn_down_tile(96, 8192)
-            ],
-            [one_slice.name(), four.name(), up, one_slice.name()]
-        );
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! feature detection). No per-call feature probing.
 //!
 //! AVX-512F is not a backend. It is detected once too, and on the AVX2
-//! backend it gives the packed GEMM a second register tile
-//! (`avx512`: sixteen rows × one 512-bit register, for calls of every
-//! row count against packs of one k-slice, the FFN's one-pass up-stage
-//! and its down-projection; see [`crate::pack`], "The wide tile").
-//! That tile computes every element exactly as the AVX2 one, and gates
-//! the up-stage with the AVX2 `swiglu`, so no backend, `SPECINFER_SIMD`
-//! value or result depends on it.
+//! backend it swaps the packed GEMM's register tile for its own
+//! (`avx512`: one 512-bit register per row of a block, over whole
+//! panels, instead of `avx2`'s groups of four rows × two 256-bit
+//! registers over k-slices; both read the one loop nest's blocks of
+//! sixteen rows, see [`crate::pack`], "Loop nest"). That tile computes
+//! every element exactly as the AVX2 one,
+//! and gates the up-stage with the AVX2 `swiglu`, so no backend,
+//! `SPECINFER_SIMD` value or result depends on it.
 //!
 //! # Determinism contract
 //!
@@ -107,9 +108,8 @@ fn avx2_available() -> bool {
 
 /// Whether the CPU reports AVX-512F (std probes the CPU once and caches
 /// the answer). It selects no backend: on [`SimdBackend::Avx2Fma`] it
-/// lets the packed GEMM run calls against packs of one k-slice, and the
-/// FFN, on its 16-row tile at every row count ([`crate::pack`], "The
-/// wide tile").
+/// runs the packed GEMM on the AVX-512F register tile ([`crate::pack`],
+/// "Loop nest").
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx512_available() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
@@ -162,7 +162,7 @@ pub(crate) mod avx2 {
         _MM_HINT_T0,
     };
 
-    use crate::pack::{PanelTile, PANEL_WIDTH};
+    use crate::pack::{store_transposed, Next, PanelTile, K_SLICE, PANEL_WIDTH};
 
     /// Folds the eight lane partials with a fixed pairwise tree:
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. The tree shape is a
@@ -454,8 +454,8 @@ pub(crate) mod avx2 {
     }
 
     /// The SwiGLU epilogue, `g[i] = silu(g[i]) · l[i]`, eight lanes at a
-    /// time; the `len % 8` tail goes through [`silu`], so where a vector
-    /// starts never shows in the bits.
+    /// time ([`silu_mul`]); the `len % 8` tail goes through [`silu`], so
+    /// where a vector starts never shows in the bits.
     // SAFETY: the caller guarantees AVX2+FMA; vector accesses stay below
     // `g.len()`, which the assert makes `l`'s length too.
     #[target_feature(enable = "avx2,fma")]
@@ -463,28 +463,8 @@ pub(crate) mod avx2 {
         assert_eq!(g.len(), l.len(), "gate and linear halves must agree");
         let body = g.len() - g.len() % 8;
         let (gp, lp) = (g.as_mut_ptr(), l.as_ptr());
-        let (one, neg_zero) = (_mm256_set1_ps(1.0), _mm256_set1_ps(-0.0));
         for i in (0..body).step_by(8) {
-            let x = _mm256_loadu_ps(gp.add(i));
-            let flush = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(-SILU_FLUSH));
-            let x = _mm256_blendv_ps(x, neg_zero, flush);
-            let t = _mm256_max_ps(_mm256_set1_ps(EXP_MIN), _mm256_xor_ps(x, neg_zero));
-            let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-                _mm256_mul_ps(t, _mm256_set1_ps(LOG2_E)),
-            );
-            let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_HI), t);
-            let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_LO), r);
-            let mut p = _mm256_set1_ps(EXP_POLY[0]);
-            for &c in &EXP_POLY[1..] {
-                p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(c));
-            }
-            let q = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
-            let e_r = _mm256_add_ps(q, one);
-            let lost = _mm256_sub_ps(q, _mm256_sub_ps(e_r, one));
-            let biased = _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127));
-            let two_n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased));
-            let den = _mm256_fmadd_ps(e_r, two_n, _mm256_fmadd_ps(lost, two_n, one));
-            let gated = _mm256_mul_ps(_mm256_div_ps(x, den), _mm256_loadu_ps(lp.add(i)));
+            let gated = silu_mul(_mm256_loadu_ps(gp.add(i)), _mm256_loadu_ps(lp.add(i)));
             _mm256_storeu_ps(gp.add(i), gated);
         }
         for (g, &l) in g[body..].iter_mut().zip(&l[body..]) {
@@ -492,78 +472,226 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// The AVX2 register tile of the packed GEMM (see [`crate::pack`]):
-    /// `R` rows × one 16-column panel as `2·R` accumulator registers —
-    /// at four rows, eight accumulators fed by two panel loads and four
-    /// broadcasts per step. Each output column is one fused
-    /// ascending-`k` chain, bitwise identical to the unpacked
-    /// [`nn_rows`]/[`nn_cols`] result for the same element.
+    /// `silu(x) · l` in eight lanes, each lane [`silu`]'s operations one
+    /// for one.
+    // SAFETY: the caller guarantees AVX2+FMA; no memory is accessed.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn silu_mul(x: __m256, l: __m256) -> __m256 {
+        let (one, neg_zero) = (_mm256_set1_ps(1.0), _mm256_set1_ps(-0.0));
+        let flush = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(-SILU_FLUSH));
+        let x = _mm256_blendv_ps(x, neg_zero, flush);
+        let t = _mm256_max_ps(_mm256_set1_ps(EXP_MIN), _mm256_xor_ps(x, neg_zero));
+        let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+            _mm256_mul_ps(t, _mm256_set1_ps(LOG2_E)),
+        );
+        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_HI), t);
+        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_LO), r);
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(c));
+        }
+        let q = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+        let e_r = _mm256_add_ps(q, one);
+        let lost = _mm256_sub_ps(q, _mm256_sub_ps(e_r, one));
+        let biased = _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127));
+        let two_n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased));
+        let den = _mm256_fmadd_ps(e_r, two_n, _mm256_fmadd_ps(lost, two_n, one));
+        _mm256_mul_ps(_mm256_div_ps(x, den), l)
+    }
+
+    /// The AVX2 register tile of the packed GEMM (see [`crate::pack`],
+    /// "Loop nest"): a block's rows in groups of up to [`GROUP`] × one
+    /// 16-column panel as `2·G` accumulator registers — at four rows,
+    /// eight accumulators fed by two panel loads and four broadcasts per
+    /// step — each group prefetching its share of what follows the slice
+    /// ([`Next::share`]). Each output column is one fused ascending-`k`
+    /// chain, bitwise identical to the unpacked [`nn_rows`]/[`nn_cols`]
+    /// result for the same element.
     pub(crate) struct PackedTile;
 
+    /// Rows of a group of [`PackedTile`].
+    const GROUP: usize = 4;
+
     impl PanelTile for PackedTile {
-        // SAFETY: the caller guarantees AVX2+FMA; every raw access below
-        // is inside a slice whose length the asserts pin.
+        const SLICE: usize = K_SLICE;
+
+        // SAFETY: the caller guarantees AVX2+FMA; `group` asserts what
+        // its raw accesses rely on.
         #[target_feature(enable = "avx2,fma")]
         unsafe fn tile<const R: usize>(
             b: &[f32],
-            a: [&[f32]; R],
-            o: [&mut [f32]; R],
+            a: &[f32],
+            mut o: [&mut [f32]; R],
             carry: bool,
-            ahead: &[f32],
+            next: Next<'_>,
         ) {
-            let kc = b.len() / PANEL_WIDTH;
-            assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
-            let mut acc = [[_mm256_setzero_ps(); 2]; R];
-            for r in 0..R {
-                assert_eq!(a[r].len(), kc, "one A element per panel row");
-                assert!(o[r].len() <= PANEL_WIDTH, "one panel of columns");
-                if carry {
-                    acc[r] = load_panel(o[r]);
+            for (g, o) in o.chunks_mut(GROUP).enumerate() {
+                let row = g * GROUP;
+                let share = next.share(row..row + o.len());
+                match o.len() {
+                    4 => group::<4>(b, a, R, row, o, carry, share),
+                    3 => group::<3>(b, a, R, row, o, carry, share),
+                    2 => group::<2>(b, a, R, row, o, carry, share),
+                    _ => group::<1>(b, a, R, row, o, carry, share),
                 }
             }
-            let ap = a.map(<[f32]>::as_ptr);
-            // The rows of `ahead` (one cache line each) are fetched at
-            // even intervals over the slice: a burst would fill the line
-            // fill buffers and stall the multiply behind it.
-            let pf = ahead.len() / PANEL_WIDTH;
-            let (bp, fp) = (b.as_ptr(), ahead.as_ptr());
-            let mut t = 0;
-            if let Some(period) = kc.checked_div(pf) {
-                for j in 0..pf {
-                    _mm_prefetch::<_MM_HINT_T0>(fp.add(j * PANEL_WIDTH).cast());
-                    for _ in 0..period {
-                        fma_step(&mut acc, bp.add(t * PANEL_WIDTH), &ap, t);
-                        t += 1;
-                    }
+        }
+
+        // SAFETY: the caller guarantees AVX2+FMA; `gate_up_group`
+        // asserts what its raw accesses rely on.
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn swiglu_tile<const R: usize>(
+            b: [&[f32]; 2],
+            a: &[f32],
+            gate: &mut [f32],
+            next: [Next<'_>; 2],
+        ) {
+            let mut gated = [[0.0f32; PANEL_WIDTH]; R];
+            // Of each pack, the next panel's worth of rows.
+            let next = next.map(|mut next| {
+                next.data = &next.data[..next.data.len().min(b[0].len())];
+                next
+            });
+            for (g, rows) in gated.chunks_mut(2).enumerate() {
+                let share = next.map(|next| next.share(2 * g..2 * g + rows.len()));
+                match rows.len() {
+                    2 => gate_up_group::<2>(b, a, R, 2 * g, rows, share),
+                    _ => gate_up_group::<1>(b, a, R, 2 * g, rows, share),
                 }
             }
-            while t < kc {
-                fma_step(&mut acc, bp.add(t * PANEL_WIDTH), &ap, t);
-                t += 1;
+            store_transposed(&gated, gate);
+        }
+    }
+
+    /// The up-stage of the `G` rows of a group, `gated[d] = silu(A[row +
+    /// d] × b[0]) · (A[row + d] × b[1])`, the two panels walked together
+    /// over their whole `k`, one broadcast of `A[r][t]` feeding both, the
+    /// epilogue ([`silu_mul`]) in registers; `a` is the block's steps, a
+    /// block of `stride` rows. Both `share`s are prefetched over the walk.
+    /// Unsliced: the up packs' `k` is the model width, one k-slice in
+    /// every model here.
+    // SAFETY: the caller guarantees AVX2+FMA; the asserts pin every
+    // length the raw accesses rely on.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gate_up_group<const G: usize>(
+        b: [&[f32]; 2],
+        a: &[f32],
+        stride: usize,
+        row: usize,
+        gated: &mut [[f32; PANEL_WIDTH]],
+        share: [&[f32]; 2],
+    ) {
+        let kc = b[0].len() / PANEL_WIDTH;
+        assert!(
+            b[0].len() == kc * PANEL_WIDTH && b[1].len() == b[0].len(),
+            "whole panel rows, as many of each pack"
+        );
+        assert!(
+            gated.len() == G && row + G <= stride && a.len() == kc * stride,
+            "a group of G rows of the block"
+        );
+        let mut acc = [[[_mm256_setzero_ps(); 2]; G]; 2];
+        let (ap, g_p, l_p) = (a.as_ptr().add(row), b[0].as_ptr(), b[1].as_ptr());
+        walk_prefetching(kc, share, |t| {
+            let g_row = [
+                _mm256_loadu_ps(g_p.add(t * PANEL_WIDTH)),
+                _mm256_loadu_ps(g_p.add(t * PANEL_WIDTH + 8)),
+            ];
+            let l_row = [
+                _mm256_loadu_ps(l_p.add(t * PANEL_WIDTH)),
+                _mm256_loadu_ps(l_p.add(t * PANEL_WIDTH + 8)),
+            ];
+            let [g, l] = &mut acc;
+            for (d, (g, l)) in g.iter_mut().zip(l).enumerate() {
+                let v = _mm256_set1_ps(*ap.add(t * stride + d));
+                for h in 0..2 {
+                    g[h] = _mm256_fmadd_ps(v, g_row[h], g[h]);
+                    l[h] = _mm256_fmadd_ps(v, l_row[h], l[h]);
+                }
             }
-            for r in 0..R {
-                store_panel(&acc[r], o[r]);
+        });
+        let [g, l] = &acc;
+        for ((gated, g), l) in gated.iter_mut().zip(g).zip(l) {
+            for h in 0..2 {
+                _mm256_storeu_ps(gated[8 * h..].as_mut_ptr(), silu_mul(g[h], l[h]));
             }
         }
     }
 
-    /// One reduction step of the tile: `acc[r] += a[r][t] · b_row`.
-    #[inline]
-    // SAFETY: the caller guarantees AVX2+FMA, 16 readable floats at
-    // `b_row` and `t` in bounds of every `a[r]`.
+    /// `o[d] (+)= A[row + d][t] × b[t]` for the `G` rows of a group over
+    /// the slice `b`, `a` its steps of a block of `stride` rows,
+    /// prefetching `share` over the walk.
+    // SAFETY: the caller guarantees AVX2+FMA; the asserts pin every
+    // length the raw accesses rely on.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn fma_step<const R: usize>(
-        acc: &mut [[__m256; 2]; R],
-        b_row: *const f32,
-        a: &[*const f32; R],
-        t: usize,
+    unsafe fn group<const G: usize>(
+        b: &[f32],
+        a: &[f32],
+        stride: usize,
+        row: usize,
+        o: &mut [&mut [f32]],
+        carry: bool,
+        share: &[f32],
     ) {
-        let b0 = _mm256_loadu_ps(b_row);
-        let b1 = _mm256_loadu_ps(b_row.add(8));
-        for r in 0..R {
-            let v = _mm256_set1_ps(*a[r].add(t));
-            acc[r][0] = _mm256_fmadd_ps(v, b0, acc[r][0]);
-            acc[r][1] = _mm256_fmadd_ps(v, b1, acc[r][1]);
+        let kc = b.len() / PANEL_WIDTH;
+        assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
+        assert!(
+            o.len() == G && row + G <= stride && a.len() == kc * stride,
+            "a group of G rows of the block"
+        );
+        let mut acc = [[_mm256_setzero_ps(); 2]; G];
+        if carry {
+            for (acc, o) in acc.iter_mut().zip(o.iter()) {
+                *acc = load_panel(o);
+            }
+        }
+        let (ap, bp) = (a.as_ptr().add(row), b.as_ptr());
+        walk_prefetching(kc, [share], |t| {
+            let b0 = _mm256_loadu_ps(bp.add(t * PANEL_WIDTH));
+            let b1 = _mm256_loadu_ps(bp.add(t * PANEL_WIDTH + 8));
+            for (d, acc) in acc.iter_mut().enumerate() {
+                let v = _mm256_set1_ps(*ap.add(t * stride + d));
+                acc[0] = _mm256_fmadd_ps(v, b0, acc[0]);
+                acc[1] = _mm256_fmadd_ps(v, b1, acc[1]);
+            }
+        });
+        for (acc, o) in acc.iter().zip(o) {
+            store_panel(acc, o);
+        }
+    }
+
+    /// Runs `step(t)` for each of the `kc` steps of a walk, prefetching
+    /// the rows of every `share` (one cache line each, as many in each)
+    /// at even intervals over it: a burst would fill the line fill
+    /// buffers and stall the multiply behind it.
+    #[inline(always)]
+    fn walk_prefetching<const P: usize>(
+        kc: usize,
+        share: [&[f32]; P],
+        mut step: impl FnMut(usize),
+    ) {
+        let pf = share
+            .map(|s| s.len() / PANEL_WIDTH)
+            .into_iter()
+            .min()
+            .unwrap_or(0);
+        let mut t = 0;
+        if let Some(period) = kc.checked_div(pf) {
+            for j in 0..pf {
+                for s in share {
+                    // SAFETY: SSE is baseline on x86-64; the address is `s`'s.
+                    unsafe { _mm_prefetch::<_MM_HINT_T0>(s[j * PANEL_WIDTH..].as_ptr().cast()) };
+                }
+                for _ in 0..period {
+                    step(t);
+                    t += 1;
+                }
+            }
+        }
+        while t < kc {
+            step(t);
+            t += 1;
         }
     }
 
@@ -603,8 +731,8 @@ pub(crate) mod avx2 {
     }
 }
 
-/// The wide register tile of the packed GEMM (see [`crate::pack`], "The
-/// wide tile"): up to sixteen rows × one 16-column panel as one 512-bit
+/// The AVX-512F register tile of the packed GEMM (see [`crate::pack`],
+/// "Loop nest"): up to sixteen rows × one 16-column panel as one 512-bit
 /// accumulator per row, one panel-row load feeding a FMA per row and
 /// reduction step, and for the FFN's up-stage two panels' rows feeding
 /// two accumulators per row. A lane is an output column and each column
@@ -618,23 +746,32 @@ pub(crate) mod avx512 {
         _MM_HINT_T0,
     };
 
-    use crate::pack::{WideTile, PANEL_WIDTH, PREFETCH_ROWS};
+    use crate::pack::{Next, PanelTile, PANEL_WIDTH, PREFETCH_ROWS};
 
-    /// The AVX-512F implementation of [`WideTile`].
+    /// The AVX-512F implementation of [`PanelTile`].
     pub(crate) struct PackedTile;
 
-    impl WideTile for PackedTile {
+    impl PanelTile for PackedTile {
+        const SLICE: usize = usize::MAX;
+
         #[target_feature(enable = "avx512f")]
         // SAFETY: AVX-512F as the caller vouches; reads stay inside the
         // asserted lengths, masked stores inside `o[r]`.
-        unsafe fn tile<const R: usize>(b: &[f32], a: &[f32], o: [&mut [f32]; R], ahead: &[f32]) {
+        unsafe fn tile<const R: usize>(
+            b: &[f32],
+            a: &[f32],
+            o: [&mut [f32]; R],
+            carry: bool,
+            next: Next<'_>,
+        ) {
             let kc = b.len() / PANEL_WIDTH;
             assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
             assert_eq!(a.len(), kc * R, "one A element per row and panel row");
+            assert!(!carry, "whole panels");
             let mut acc = [_mm512_setzero_ps(); R];
             let (ap, bp) = (a.as_ptr(), b.as_ptr());
             for t in 0..kc {
-                prefetch(b, ahead, t);
+                prefetch(b, next.data, t);
                 let b_row = _mm512_loadu_ps(bp.add(t * PANEL_WIDTH));
                 for (r, acc) in acc.iter_mut().enumerate() {
                     *acc = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(t * R + r)), b_row, *acc);
@@ -654,7 +791,7 @@ pub(crate) mod avx512 {
             b: [&[f32]; 2],
             a: &[f32],
             gate: &mut [f32],
-            ahead: [&[f32]; 2],
+            next: [Next<'_>; 2],
         ) {
             let kc = b[0].len() / PANEL_WIDTH;
             assert!(
@@ -665,8 +802,8 @@ pub(crate) mod avx512 {
             let mut gl = [[_mm512_setzero_ps(); 2]; R];
             let (ap, b1, b3) = (a.as_ptr(), b[0].as_ptr(), b[1].as_ptr());
             for t in 0..kc {
-                prefetch(b[0], ahead[0], t);
-                prefetch(b[1], ahead[1], t);
+                prefetch(b[0], next[0].data, t);
+                prefetch(b[1], next[1].data, t);
                 let g_row = _mm512_loadu_ps(b1.add(t * PANEL_WIDTH));
                 let l_row = _mm512_loadu_ps(b3.add(t * PANEL_WIDTH));
                 for (r, [g, l]) in gl.iter_mut().enumerate() {

@@ -317,12 +317,11 @@ impl Tensor {
     }
 
     /// One SwiGLU feed-forward layer against pre-packed weights,
-    /// `out = (silu(self × W₁) ⊙ (self × W₃)) × W₂`, with `gate` and `lin`
-    /// as scratch: bitwise [`Tensor::matmul_packed_into`] against `W₁`
+    /// `out = (silu(self × W₁) ⊙ (self × W₃)) × W₂`, with `gate` as
+    /// scratch: bitwise [`Tensor::matmul_packed_into`] against `W₁`
     /// and `W₃`, then `silu`, the product and `matmul_packed_into`
     /// against `W₂` (see [`crate::pack::PackedPanels::ffn_into`]). What
-    /// `gate` and `lin` hold afterwards is in a layout private to the
-    /// kernels.
+    /// `gate` holds afterwards is in a layout private to the kernels.
     ///
     /// # Panics
     ///
@@ -334,22 +333,13 @@ impl Tensor {
         w3: &crate::pack::PackedPanels,
         w2: &crate::pack::PackedPanels,
         gate: &mut Tensor,
-        lin: &mut Tensor,
         out: &mut Tensor,
     ) {
         let (m, k) = (self.rows(), self.cols());
         assert_eq!(k, w1.k(), "ffn inner dimensions must agree");
         gate.reset_overwritten(&[m, w1.n()]);
-        lin.reset_overwritten(&[m, w1.n()]);
         out.reset_overwritten(&[m, w2.n()]);
-        w1.ffn_into(
-            w3,
-            w2,
-            &self.data,
-            &mut gate.data,
-            &mut lin.data,
-            &mut out.data,
-        );
+        w1.ffn_into(w3, w2, &self.data, &mut gate.data, &mut out.data);
     }
 
     /// Matrix multiplication with the second operand transposed:

@@ -19,7 +19,7 @@
 //! Shapes are the ones the forwards multiply (the packs of `tiny_llm` at
 //! `d_ff` 8192, `tiny_ssm` and `smoke`), the row counts decode (1–2),
 //! verification (5–10) and prompts (16–48) bring, the edges of the
-//! 4- and 16-row blocks, of a k-slice and of a panel, and a fixed seeded
+//! 4-row groups and 16-row blocks, of a k-slice and of a panel, and a fixed seeded
 //! draw of random shapes. Outputs and scratch start as NaN wherever the
 //! kernel overwrites them.
 //!
@@ -120,17 +120,18 @@ struct Gemm {
     n: usize,
 }
 
-/// Decode (1, 2), verification (5–10), prompts (16–48), and both sides
-/// of the four- and sixteen-row block edges.
-const ROWS: [usize; 13] = [1, 2, 3, 4, 5, 7, 10, 15, 16, 17, 20, 33, 48];
+/// Decode (1, 2), verification (5–10), prompts (16–48), both sides of
+/// the AVX2 tile's four-row group and of the sixteen-row block, and past
+/// the packed GEMM's 64-row spill.
+const ROWS: [usize; 14] = [1, 2, 3, 4, 5, 7, 10, 15, 16, 17, 20, 33, 48, 65];
 
 /// Row counts of a pack that is a pool region: one of each kind of call,
-/// and the wide tile's whole blocks of 16 rows (at 16 and 32 the FFN's
+/// and whole blocks of 16 rows (at 16 and 32 the AVX-512F tile's
 /// one-pass up-stage holds 32 accumulators).
 const SHARED_ROWS: [usize; 8] = [1, 2, 5, 10, 16, 17, 32, 33];
 
-/// `(k, n)` past the models' packs: the edges of the four-row tile's
-/// 256-step k-slice (and three slices), with ragged last panels.
+/// `(k, n)` past the models' packs: the edges of the AVX2 and scalar
+/// tiles' 256-step k-slice (and three slices), with ragged last panels.
 const K_EDGES: [(usize, usize); 4] = [(255, 33), (256, 17), (257, 31), (600, 20)];
 
 /// `n` of `k = 24` packs: panels around 16 and 48.
@@ -288,8 +289,8 @@ fn ffn(x: &Tensor, n: usize, inputs: &mut Inputs) -> Vec<f32> {
     }
     let [w1, w3, w2] = keys.map(|key| &inputs.b[&key].2);
     let nan = |cols| Tensor::from_vec(vec![f32::NAN; rows * cols], &[rows, cols]);
-    let (mut gate, mut lin, mut out) = (nan(n), nan(n), nan(k));
-    x.ffn_packed_into(w1, w3, w2, &mut gate, &mut lin, &mut out);
+    let (mut gate, mut out) = (nan(n), nan(k));
+    x.ffn_packed_into(w1, w3, w2, &mut gate, &mut out);
     out.into_vec()
 }
 

@@ -1479,11 +1479,11 @@ fn default_verifier_row_counts_and_cache_lengths_are_pinned() {
 
 /// On the d_ff-8192 model every forward shares its feed-forward regions
 /// with the worker pool at two threads. Tree verifies of 3, 5, 9 and 21
-/// rows sit on both sides of the packed GEMM's four-row block, and the
+/// rows sit on both sides of the packed GEMM's four-row group, and the
 /// LLM drafting for itself gets rows accepted and the cache compacted:
 /// every cell holds at two threads, and its serial reference there (the
 /// one `run_cells` computed) is its serial run at one thread. The 10-
-/// and 17-row verifies (one and two blocks of the 16-row tile) are
+/// and 17-row verifies (one and two blocks of 16 rows) are
 /// `tests/packed_verify_equiv.rs`'s.
 #[test]
 fn thread_count_changes_no_cell() {

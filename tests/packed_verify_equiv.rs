@@ -230,9 +230,8 @@ fn greedy_tree_speculation_is_thread_count_invariant_through_the_pool() {
 #[test]
 fn pooled_ffn_keeps_speculation_and_batching_bitwise_at_3_5_9_10_and_17_rows() {
     // Tree verifies of 3, 5, 9, 10 and 17 rows sit on both sides of the
-    // packed GEMM's four-row block and, on a CPU with AVX-512F, of the
-    // row count where the 16-row tile takes over the one-slice packs
-    // (10 rows are one block of it, 17 two), and at `d_ff = 8192` the
+    // packed GEMM's four-row group and of its 16-row block (10 rows are
+    // one block, 17 two), and at `d_ff = 8192` the
     // SwiGLU region is shared with the pool at two threads: greedy
     // speculation must still emit the incremental sequence, and a batch
     // of two (6, 10, 18, 20 and 34 stacked rows) exactly what the two
