@@ -39,23 +39,6 @@ struct Live {
     cancel_at: Option<usize>,
 }
 
-/// The measured shape of one batched step: what a cost model prices.
-pub(crate) struct StepShape {
-    /// Sessions verified.
-    pub(crate) batch: usize,
-    /// Mean speculated nodes per session (0 under incremental decoding).
-    pub(crate) mean_tree_size: f64,
-    /// Mean tokens per session, prompt included.
-    pub(crate) mean_context: usize,
-    /// Tokens the whole batch emitted.
-    emitted: usize,
-    /// KV rows committed, and slab rows reserved, across the batch.
-    kv_rows: usize,
-    slab_capacity: usize,
-    /// The fused forward's rows.
-    verify_rows: BatchRowStats,
-}
-
 pub(crate) struct IterationDriver<'m> {
     llm: &'m Transformer,
     ssms: &'m [&'m Transformer],
@@ -131,35 +114,27 @@ impl<'m> IterationDriver<'m> {
     }
 
     /// One iteration starting at `now`: expire → admit → fault pick →
-    /// batched step → retire. `duration_s` is told the step's shape and
-    /// returns the seconds it took; the iteration ends at `now` plus
-    /// that, and what finished, was cut or overran its deadline by then
-    /// retires in this same tick. Returns that end, or `None` when
-    /// nothing was live to step.
+    /// batched step → retire. `duration_s` is told the step's record
+    /// (its times not yet stamped) and returns the seconds it took; the
+    /// iteration ends at `now` plus that, and what finished, was cut or
+    /// overran its deadline by then retires in this same tick. Returns
+    /// that end, or `None` when nothing was live to step.
     pub(crate) fn tick(
         &mut self,
         now: f64,
-        duration_s: impl FnOnce(&StepShape) -> f64,
+        duration_s: impl FnOnce(&IterationRecord) -> f64,
     ) -> Option<f64> {
         self.admit(now);
         if self.live.is_empty() {
             return None;
         }
-        let shape = self.step();
+        let mut record = self.step();
         // `now + duration` rather than an end time from the caller: the
         // replay clock has always advanced by adding each priced step.
-        let duration = duration_s(&shape);
-        let end = now + duration;
-        self.iteration_log.push(IterationRecord {
-            start_s: now,
-            duration_s: duration,
-            batch: shape.batch,
-            mean_tree_size: shape.mean_tree_size,
-            emitted: shape.emitted,
-            kv_rows: shape.kv_rows,
-            slab_capacity: shape.slab_capacity,
-            verify_rows: shape.verify_rows,
-        });
+        record.start_s = now;
+        record.duration_s = duration_s(&record);
+        let end = now + record.duration_s;
+        self.iteration_log.push(record);
         // Retire finished, plan-cancelled and expired requests; the freed
         // slots and slab rows are re-filled by the next tick's admission.
         let mut i = 0;
@@ -249,8 +224,8 @@ impl<'m> IterationDriver<'m> {
     /// verified by the LLM in one batched tree-parallel forward: a
     /// session admitted this tick carries its prompt ahead of its first
     /// tree, and a stalled/OOM request joins with its root alone, without
-    /// touching batch-mates. Returns the step's shape.
-    fn step(&mut self) -> StepShape {
+    /// touching batch-mates. Returns the step's record, its times zero.
+    fn step(&mut self) -> IterationRecord {
         let plan = self.config.faults.as_ref();
         let batch = self.live.len();
         let mut items: Vec<BatchItem<'_>> = Vec::with_capacity(batch);
@@ -281,7 +256,9 @@ impl<'m> IterationDriver<'m> {
         let mean_tree_size = stepped().map(|s| s.tree_size as f64).sum::<f64>() / batch as f64;
         let emitted = stepped().map(|s| s.emitted).sum();
         let sum = |f: fn(&Live) -> usize| self.live.iter().map(f).sum();
-        StepShape {
+        IterationRecord {
+            start_s: 0.0,
+            duration_s: 0.0,
             batch,
             mean_tree_size,
             mean_context: sum(|r| r.session.tokens().len()) / batch,

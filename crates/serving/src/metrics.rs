@@ -57,6 +57,9 @@ pub struct IterationRecord {
     pub batch: usize,
     /// Mean speculated-tree size across the batch.
     pub mean_tree_size: f64,
+    /// Mean tokens per request, prompt included: with `batch` and
+    /// `mean_tree_size`, what the replay's cost model prices.
+    pub mean_context: usize,
     /// Tokens emitted by the whole batch this iteration.
     pub emitted: usize,
     /// KV rows committed across the batch's sessions after the step.

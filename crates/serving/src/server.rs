@@ -29,9 +29,9 @@ use specinfer_tokentree::TokenId;
 use specinfer_workloads::trace::Trace;
 
 use crate::clock::Stopwatch;
-use crate::driver::{IterationDriver, StepShape};
+use crate::driver::IterationDriver;
 use crate::fault::FaultPlan;
-use crate::metrics::ServeReport;
+use crate::metrics::{IterationRecord, ServeReport};
 use crate::request::{Request, RequestId};
 use crate::scheduler::QueuePolicy;
 
@@ -329,7 +329,7 @@ impl<'m> Server<'m> {
                 driver.submit(next, None);
                 continue;
             }
-            let price = |s: &StepShape| {
+            let price = |s: &IterationRecord| {
                 let dt = timing.iteration_s(mode, s.batch, s.mean_tree_size, s.mean_context);
                 let slowdown = plan.and_then(|p| p.verifier_slowdown(iteration));
                 slowdowns += usize::from(slowdown.is_some());

@@ -30,7 +30,7 @@
 //!
 //! ```text
 //! for panel p                       (16 output columns)
-//!   for k-slice s of the panel      (the tile's SLICE steps)
+//!   for k-slice s of the panel      (K_SLICE steps)
 //!     for row block i               (16 rows of A, or the 1–15 left over)
 //!       acc[block] (+)= A[block, s] × panel[s]     (one tile call)
 //!   out[rows, cols] = acc
@@ -43,20 +43,20 @@
 //! `f32` is exact, and a carry through `out` would share cache lines
 //! with the next panel's columns, which another core may be writing.
 //!
-//! The register tile (`PanelTile`) is the backend's:
+//! The register tile (`PanelTile`) is the backend's; the tiles differ
+//! only in their registers and prefetch:
 //!
 //! - AVX-512F (on [`SimdBackend::Avx2Fma`] where the CPU reports it):
 //!   one 512-bit accumulator per row, so a panel-row load feeds up to
-//!   sixteen FMAs. Its slice is the whole panel: each step prefetches
-//!   the panel row `PREFETCH_ROWS` (64, 4 KB) ahead, running on into the
-//!   pack data after the panel, so the next panel's first rows are on
-//!   their way when the walk reaches them.
+//!   sixteen FMAs. Each step prefetches the panel row `PREFETCH_ROWS`
+//!   (64, 4 KB) ahead, running on from the slice into what follows it
+//!   in memory (the next slice, or the next panel's first rows), so the
+//!   rows are on their way when the walk reaches them.
 //! - AVX2 (the same backend on an AVX2-only CPU): groups of up to four
-//!   rows × two 256-bit accumulators over slices of `K_SLICE` steps (16
-//!   KB). While a slice is multiplied each group prefetches its share of
-//!   what follows the slice in memory (`Next::share`), so the fetch is
-//!   spread over every row of the call.
-//! - Scalar: the same slices, in pairs of rows with plain mul+add.
+//!   rows × two 256-bit accumulators. While a slice is multiplied each
+//!   group prefetches its share of what follows the slice in memory
+//!   (`Next::share`), so the fetch is spread over every row of the call.
+//! - Scalar: pairs of rows with plain mul+add.
 //!
 //! Per output element the reduction therefore remains one ascending-`k`
 //! chain from zero — plain mul+add on the scalar backend, fused FMA on
@@ -81,9 +81,9 @@
 //! The backend's own SwiGLU gates a block's products before it is
 //! stored, and only `gate` is stored, transposed into the wide layout.
 //! The x86 tiles walk both panels in one pass, one broadcast of `A`
-//! feeding both products (the AVX2 tile in groups of two rows, with the
-//! epilogue in registers and one 64-bit store per column); the scalar
-//! tile multiplies them one after the other into a local spill. The
+//! feeding both products, and gate them in registers with the AVX2
+//! `silu_mul` (the AVX-512F tile on each half of a row); the scalar tile
+//! multiplies them one after the other into a local spill. The
 //! down-projection reads `gate` in place.
 //!
 //! # Tensor parallelism
@@ -122,10 +122,10 @@ pub const PANEL_WIDTH: usize = 16;
 /// dispatch; nothing in the workspace branches on it any more.
 pub const PACKED_SMALL_M_MAX: usize = usize::MAX;
 
-/// Reduction steps per k-slice of the AVX2 and scalar tiles: 256 panel
-/// rows are 16 KB, so the slice being multiplied and the slice being
-/// prefetched fit a 48 KB L1 data cache beside the activations. 128
-/// steps measured slower (EXPERIMENTS.md).
+/// Reduction steps per k-slice of every tile: 256 panel rows are 16 KB,
+/// so the slice being multiplied and the slice being prefetched fit a
+/// 48 KB L1 data cache beside the activations. 128 steps measured
+/// slower (EXPERIMENTS.md).
 pub(crate) const K_SLICE: usize = 256;
 
 /// Rows of `A` per block: sixteen of the thirty-two AVX-512 registers
@@ -137,11 +137,11 @@ const BLOCK_ROWS: usize = 16;
 const SPILL_ROWS: usize = 4 * BLOCK_ROWS;
 
 /// Panel rows the AVX-512F tile prefetches ahead of the row it
-/// multiplies: 4 KB, past the end of the panel into the pack data that
-/// follows it. 32 and 128 rows measured 2–6% slower, 256 about 6%
-/// (EXPERIMENTS.md).
+/// multiplies: 4 KB, past the end of the slice into the pack data that
+/// follows it ([`Next`]). 32 and 128 rows measured 2–6% slower, 256
+/// about 6% (EXPERIMENTS.md).
 pub(crate) const PREFETCH_ROWS: usize = 64;
-// A panel's `ahead` is one slice, which covers this tile's reach too.
+// `Next` holds up to one slice, which covers this tile's reach.
 const _: () = assert!(PREFETCH_ROWS <= K_SLICE);
 
 /// The register tile a multiply runs on.
@@ -376,7 +376,7 @@ impl PackedPanels {
 
     /// The SwiGLU up-stage on tile `tile`, `a` and `gate` in the wide
     /// layout: per element exactly the product twice, the backend's one
-    /// `silu` (`swiglu_epilogue`), multiply ([`PackedPanels::gate_up`]).
+    /// `silu`, multiply ([`PackedPanels::gate_up`]).
     ///
     /// # Safety
     ///
@@ -471,67 +471,95 @@ impl PackedPanels {
     }
 
     /// [`PackedPanels::gemm_with`] on tile `T`: per panel, per chunk of
-    /// up to [`SPILL_ROWS`] rows, per k-slice of [`PanelTile::SLICE`]
-    /// steps, per block of up to [`BLOCK_ROWS`] rows, one tile call. A
-    /// panel of one slice is stored straight into `out`. Over several,
-    /// the tiles accumulate into a local spill of the chunk's rows, a
-    /// whole panel wide, carried from slice to slice, and the panel's
-    /// real columns are copied into `out` after the last: a carry through
-    /// `out` itself would share cache lines with the next panel's
-    /// columns, which another core may be writing.
+    /// up to [`SPILL_ROWS`] rows, per k-slice of [`K_SLICE`] steps, per
+    /// block of up to [`BLOCK_ROWS`] rows, one tile call. A panel of one
+    /// slice is stored straight into `out`. Over several, the tiles
+    /// accumulate into a local spill of the chunk's rows, a whole panel
+    /// wide, carried from slice to slice, and the panel's real columns
+    /// are copied into `out` after the last: a carry through `out` itself
+    /// would share cache lines with the next panel's columns, which
+    /// another core may be writing. The walk gets the slicing as a
+    /// constant: at run time, one-slice products of up to 10 rows read
+    /// 1.1–1.3× as long (EXPERIMENTS.md "PR 50" (b)).
     ///
     /// # Safety
     ///
     /// As for `gemm_with`, for `T`'s instruction set.
-    // SAFETY: (contract above) the only raw accesses are the output row
-    // segments: row `< m`, a panel's columns inside `n`, so in bounds of
-    // `out`; segments of different rows or panels are disjoint.
+    // SAFETY: (contract above) passed on to `walk`.
     unsafe fn gemm<T: PanelTile>(&self, a: &[f32], out: *mut f32, panels: Range<usize>) {
+        // SAFETY: as the caller vouches.
+        unsafe {
+            match self.k > K_SLICE {
+                true => self.walk::<T, true>(a, out, panels),
+                false => self.walk::<T, false>(a, out, panels),
+            }
+        }
+    }
+
+    /// [`PackedPanels::gemm`]'s walk, `SLICED` if `k > K_SLICE`.
+    ///
+    /// # Safety
+    ///
+    /// As for `gemm`.
+    // SAFETY: the raw accesses are the output row segments (row `< m`, a
+    // panel's columns inside `n`: disjoint, in bounds of `out`) and the
+    // chunk's spill rows, read through `spill` after its last tile call.
+    unsafe fn walk<T: PanelTile, const SLICED: bool>(
+        &self,
+        a: &[f32],
+        out: *mut f32,
+        panels: Range<usize>,
+    ) {
         let (k, n) = (self.k, self.n);
-        let sliced = k > T::SLICE;
+        let step = if SLICED { K_SLICE } else { usize::MAX };
         let mut spill = [[0.0f32; PANEL_WIDTH]; SPILL_ROWS];
         for p in panels {
             let cols = p * PANEL_WIDTH..n.min((p + 1) * PANEL_WIDTH);
             let (panel, ahead) = self.panel(p);
             for (c, a_rows) in a.chunks(SPILL_ROWS * k).enumerate() {
                 let m = a_rows.len() / k;
+                // Row `r` of `width` floats `stride` apart from `at`.
                 // SAFETY: see the function-level argument.
-                let out_row = |r: usize| unsafe {
-                    let at = (c * SPILL_ROWS + r) * n + cols.start;
-                    std::slice::from_raw_parts_mut(out.add(at), cols.len())
+                let row_of = |at: *mut f32, stride: usize, width: usize| {
+                    move |r: usize| unsafe {
+                        std::slice::from_raw_parts_mut(at.add(r * stride), width)
+                    }
                 };
-                for t0 in (0..k).step_by(T::SLICE) {
-                    let t1 = k.min(t0 + T::SLICE);
+                let at = out.wrapping_add(c * SPILL_ROWS * n + cols.start);
+                let out_row = row_of(at, n, cols.len());
+                // The rows the tiles accumulate into: over several slices
+                // the spill's, whole panels wide.
+                let acc_row = match SLICED {
+                    true => row_of(spill.as_mut_ptr().cast(), PANEL_WIDTH, PANEL_WIDTH),
+                    false => out_row,
+                };
+                for t0 in (0..k).step_by(step) {
+                    let t1 = k.min(t0 + step);
                     let slice = &panel[t0 * PANEL_WIDTH..t1 * PANEL_WIDTH];
                     let data = if t1 < k {
                         &panel[t1 * PANEL_WIDTH..k.min(t1 + K_SLICE) * PANEL_WIDTH]
                     } else {
                         ahead
                     };
-                    let blocks = a_rows
-                        .chunks(BLOCK_ROWS * k)
-                        .zip(spill.chunks_mut(BLOCK_ROWS));
-                    for (i, (a_blk, acc)) in blocks.enumerate() {
+                    for (i, a_blk) in a_rows.chunks(BLOCK_ROWS * k).enumerate() {
                         let next = Next {
                             data,
                             first: i * BLOCK_ROWS,
                             m,
                         };
-                        with_rows!(a_blk.len() / k, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
-                            let o: [&mut [f32]; R] = if sliced {
-                                match acc.first_chunk_mut::<R>() {
-                                    Some(acc) => acc.each_mut().map(|row| &mut row[..]),
-                                    None => unreachable!("a block has at most 16 rows"),
-                                }
-                            } else {
-                                from_fn(|r| out_row(i * BLOCK_ROWS + r))
-                            };
+                        // The block's steps of the slice, cut here rather than in
+                        // each arm: per arm, the compiler hoists the cut for all
+                        // sixteen ahead of every slice.
+                        let rows = a_blk.len() / k;
+                        let a_blk = &a_blk[t0 * rows..t1 * rows];
+                        with_rows!(rows, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |R| {
+                            let o = from_fn(|r| acc_row(i * BLOCK_ROWS + r));
                             // SAFETY: the caller vouches for `T`'s ISA.
-                            unsafe { T::tile::<R>(slice, &a_blk[t0 * R..t1 * R], o, t0 > 0, next) }
+                            unsafe { T::tile::<R>(slice, a_blk, o, t0 > 0, next) }
                         })
                     }
                 }
-                if sliced {
+                if SLICED {
                     for (r, acc) in spill[..m].iter().enumerate() {
                         out_row(r).copy_from_slice(&acc[..cols.len()]);
                     }
@@ -584,35 +612,11 @@ impl PackedPanels {
     }
 }
 
-/// `g[i] = silu(g[i]) · l[i]`, the only SwiGLU of inference. AVX2
-/// evaluates `silu` by an in-crate polynomial `exp`, eight lanes at a
-/// time (within 2 ulp of SiLU, see [`simd::avx2::silu`]); the scalar
-/// backend calls libm as training does.
-fn swiglu_epilogue(be: SimdBackend, g: &mut [f32], l: &[f32]) {
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2Fma` is only selectable when AVX2+FMA were
-        // detected at startup.
-        SimdBackend::Avx2Fma => unsafe { simd::avx2::swiglu(g, l) },
-        _ => {
-            for (g, &l) in g.iter_mut().zip(l) {
-                *g = silu_scalar(*g) * l;
-            }
-        }
-    }
-}
-
 /// One backend's register tile of the packed GEMM (module docs, "Loop
 /// nest").
 pub(crate) trait PanelTile {
-    /// Reduction steps per [`PanelTile::tile`] call: [`K_SLICE`] for a
-    /// tile whose rows share out the prefetch of the next slice, which
-    /// then sits in L1 for every block of the call; `usize::MAX` (whole
-    /// panels) for one whose prefetch runs a fixed distance ahead.
-    const SLICE: usize;
-
     /// `o (+)= A × b` for the `R` rows of a block: `b` is one k-slice of
-    /// a panel (up to [`PanelTile::SLICE`] rows of [`PANEL_WIDTH`]), `a` the
+    /// a panel (up to [`K_SLICE`] rows of [`PANEL_WIDTH`]), `a` the
     /// block's steps of that slice in the wide layout (`A[r][t]` at
     /// `a[t·R + r]`), `o[r]` row `r`'s accumulators: the panel's real
     /// columns of its output row, or a whole panel wide in the nest's
@@ -641,7 +645,9 @@ pub(crate) trait PanelTile {
     /// run of the panel's real columns in the wide layout (element `(r,
     /// c)` at `c · R + r`); `a` is the block's whole `k` in the wide
     /// layout, and `next` holds the pack data after each panel. Bitwise
-    /// the two products of `tile` and `swiglu_epilogue`.
+    /// the two products of `tile`, then `silu(g) · l` per element: the
+    /// AVX2 polynomial (`simd::avx2::silu_mul`) on x86, libm on the
+    /// scalar tile.
     ///
     /// # Safety
     ///
@@ -658,8 +664,9 @@ pub(crate) trait PanelTile {
 /// The pack data that follows a tile call's panel rows in memory (the
 /// panel's next k-slice, or the start of the next panel; at most
 /// [`K_SLICE`] rows), and where the call's block lies among the `m` rows
-/// that walk the same panel rows, so that they can share out the
-/// prefetch of what follows.
+/// that walk the same panel rows. The AVX2 tile's rows share out the
+/// prefetch of `data` ([`Next::share`]); the AVX-512F tile's walk runs
+/// on into it a fixed distance ahead ([`PREFETCH_ROWS`]).
 #[derive(Clone, Copy)]
 pub(crate) struct Next<'a> {
     pub(crate) data: &'a [f32],
@@ -738,8 +745,6 @@ impl ScalarTile {
 }
 
 impl PanelTile for ScalarTile {
-    const SLICE: usize = K_SLICE;
-
     // SAFETY: safe code throughout — no ISA extension, no raw access.
     unsafe fn tile<const R: usize>(
         b: &[f32],
@@ -776,7 +781,9 @@ impl PanelTile for ScalarTile {
             unsafe { ScalarTile::tile::<R>(b, a, acc.each_mut().map(|r| &mut r[..]), false, next) };
         }
         let [g, l] = &mut gl;
-        swiglu_epilogue(SimdBackend::Scalar, g.as_flattened_mut(), l.as_flattened());
+        for (g, &l) in g.as_flattened_mut().iter_mut().zip(l.as_flattened()) {
+            *g = silu_scalar(*g) * l;
+        }
         store_transposed(g, gate);
     }
 }
@@ -828,13 +835,16 @@ mod tests {
         out
     }
 
-    /// The two x86 tiles forced through the one nest at every row count,
-    /// on packs of one k-slice and of several (the AVX2 tile's
-    /// accumulators are carried across slices), with ragged and whole
-    /// last panels, and as the FFN: the AVX-512F tile's up-stage, its
-    /// epilogue over a spill and its transposed store against the AVX2
-    /// tile's, gated in registers and stored a pair of rows per column;
-    /// both down-projections read `gate` in place.
+    /// The two x86 tiles forced through the one nest at every row count
+    /// to 40, on packs of one k-slice and of several (each tile's
+    /// accumulators carried across slices), with ragged and whole last
+    /// panels, and as the FFN: the AVX-512F tile's up-stage, gated in
+    /// registers a 256-bit half at a time and stored by an in-register
+    /// transpose, against the AVX2 tile's, gated two rows at a time and
+    /// stored through `store_transposed`; both down-projections read
+    /// `gate` in place. Packs of several slices
+    /// also run 63–65 and 80 rows, past the nest's 64-row spill, whose
+    /// second chunk starts a carry of its own.
     #[test]
     fn avx512f_tile_equals_avx2_tile_bitwise_at_every_row_count() {
         if !(simd::available_backends().contains(&SimdBackend::Avx2Fma) && simd::avx512_available())
@@ -842,7 +852,11 @@ mod tests {
             eprintln!("skipped: this CPU does not report AVX2+FMA and AVX-512F");
             return;
         }
-        let a = randn(&[40, 600], 14);
+        let a = randn(&[80, 600], 14);
+        let rows = |k: usize| {
+            let past_spill: &[usize] = if k > K_SLICE { &[63, 64, 65, 80] } else { &[] };
+            (1..=40).chain(past_spill.iter().copied())
+        };
         for &(k, n) in &[
             (1usize, 17usize),
             (95, 33),
@@ -853,7 +867,7 @@ mod tests {
             (600, 20),
         ] {
             let p = PackedPanels::from_nn(randn(&[k, n], 15).data(), k, n);
-            for m in 1..=40 {
+            for m in rows(k) {
                 let a = &a.data()[..m * k];
                 // SAFETY: AVX2+FMA and AVX-512F were detected above.
                 let [wide, avx2] =
@@ -865,7 +879,7 @@ mod tests {
             let [w1, w3] = [20, 21].map(|seed| randn(&[d, d_ff], seed));
             let [w1, w3] = [&w1, &w3].map(|b| PackedPanels::from_nn(b.data(), d, d_ff));
             let w2 = PackedPanels::from_nn(randn(&[d_ff, d], 22).data(), d_ff, d);
-            for m in 1..=40 {
+            for m in rows(d_ff) {
                 let a = &a.data()[..m * d];
                 let [wide, avx2] = [Tile::Avx512, Tile::Avx2].map(|tile| {
                     // SAFETY: AVX2+FMA and AVX-512F were detected above.

@@ -13,13 +13,13 @@
 //!
 //! AVX-512F is not a backend. It is detected once too, and on the AVX2
 //! backend it swaps the packed GEMM's register tile for its own
-//! (`avx512`: one 512-bit register per row of a block, over whole
-//! panels, instead of `avx2`'s groups of four rows × two 256-bit
-//! registers over k-slices; both read the one loop nest's blocks of
-//! sixteen rows, see [`crate::pack`], "Loop nest"). That tile computes
-//! every element exactly as the AVX2 one,
-//! and gates the up-stage with the AVX2 `swiglu`, so no backend,
-//! `SPECINFER_SIMD` value or result depends on it.
+//! (`avx512`: one 512-bit register per row of a block instead of
+//! `avx2`'s groups of four rows × two 256-bit registers; both walk the
+//! one loop nest's k-slices and blocks of sixteen rows, see
+//! [`crate::pack`], "Loop nest"). That tile computes every element
+//! exactly as the AVX2 one, and gates the up-stage with the AVX2
+//! epilogue (`avx2::silu_mul`) on each 256-bit half of a row, so no
+//! backend, `SPECINFER_SIMD` value or result depends on it.
 //!
 //! # Determinism contract
 //!
@@ -162,7 +162,7 @@ pub(crate) mod avx2 {
         _MM_HINT_T0,
     };
 
-    use crate::pack::{store_transposed, Next, PanelTile, K_SLICE, PANEL_WIDTH};
+    use crate::pack::{store_transposed, Next, PanelTile, PANEL_WIDTH};
 
     /// Folds the eight lane partials with a fixed pairwise tree:
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. The tree shape is a
@@ -402,7 +402,7 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Below `-SILU_FLUSH`, `e^-x` leaves `f32`'s range and [`silu`] is
+    /// Below `-SILU_FLUSH`, `e^-x` leaves `f32`'s range and SiLU is
     /// its limit `-0.0`; down to it the exponent `n ≤ 127` stays finite.
     const SILU_FLUSH: f32 = 88.0;
     /// Lower clamp of `-x`: `e^-87 < 2^-125` vanishes against 1, and
@@ -422,7 +422,7 @@ pub(crate) mod avx2 {
         5.0e-1,
     ];
 
-    /// The scalar twin of one lane of [`swiglu`]'s SiLU, operation for
+    /// The scalar twin of one lane of [`silu_mul`]'s SiLU, operation for
     /// operation and so bitwise: `x / (1 + e^-x)` with
     /// `e^-x = 2^n · e^r`, `n = round(-x·log₂e)`, `r = -x - n·ln 2`, a
     /// degree-5 polynomial for `e^r` and `2^n` built from its exponent
@@ -434,6 +434,8 @@ pub(crate) mod avx2 {
     /// through libm; `silu(x) = x` from `x ≈ 17` up, `+∞` included;
     /// `silu(x) = -0.0` for every `x < -88`, **`-∞` included** (through
     /// libm that one is `-∞/∞` = NaN, the others flush from `-88.73`).
+    /// The tests hold [`silu_mul`] to it lane by lane.
+    #[cfg(test)]
     pub(crate) fn silu(x: f32) -> f32 {
         let x = if x < -SILU_FLUSH { -0.0 } else { x };
         // `maxps` keeps its second operand unless the first is greater:
@@ -453,31 +455,12 @@ pub(crate) mod avx2 {
         x / e_r.mul_add(two_n, lost.mul_add(two_n, 1.0))
     }
 
-    /// The SwiGLU epilogue, `g[i] = silu(g[i]) · l[i]`, eight lanes at a
-    /// time ([`silu_mul`]); the `len % 8` tail goes through [`silu`], so
-    /// where a vector starts never shows in the bits.
-    // SAFETY: the caller guarantees AVX2+FMA; vector accesses stay below
-    // `g.len()`, which the assert makes `l`'s length too.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn swiglu(g: &mut [f32], l: &[f32]) {
-        assert_eq!(g.len(), l.len(), "gate and linear halves must agree");
-        let body = g.len() - g.len() % 8;
-        let (gp, lp) = (g.as_mut_ptr(), l.as_ptr());
-        for i in (0..body).step_by(8) {
-            let gated = silu_mul(_mm256_loadu_ps(gp.add(i)), _mm256_loadu_ps(lp.add(i)));
-            _mm256_storeu_ps(gp.add(i), gated);
-        }
-        for (g, &l) in g[body..].iter_mut().zip(&l[body..]) {
-            *g = silu(*g) * l;
-        }
-    }
-
-    /// `silu(x) · l` in eight lanes, each lane [`silu`]'s operations one
-    /// for one.
+    /// `silu(x) · l` in eight lanes, each lane `silu`'s operations one
+    /// for one: the SwiGLU epilogue of both x86 tiles.
     // SAFETY: the caller guarantees AVX2+FMA; no memory is accessed.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn silu_mul(x: __m256, l: __m256) -> __m256 {
+    pub(super) unsafe fn silu_mul(x: __m256, l: __m256) -> __m256 {
         let (one, neg_zero) = (_mm256_set1_ps(1.0), _mm256_set1_ps(-0.0));
         let flush = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(-SILU_FLUSH));
         let x = _mm256_blendv_ps(x, neg_zero, flush);
@@ -514,8 +497,6 @@ pub(crate) mod avx2 {
     const GROUP: usize = 4;
 
     impl PanelTile for PackedTile {
-        const SLICE: usize = K_SLICE;
-
         // SAFETY: the caller guarantees AVX2+FMA; `group` asserts what
         // its raw accesses rely on.
         #[target_feature(enable = "avx2,fma")]
@@ -735,15 +716,20 @@ pub(crate) mod avx2 {
 /// "Loop nest"): up to sixteen rows × one 16-column panel as one 512-bit
 /// accumulator per row, one panel-row load feeding a FMA per row and
 /// reduction step, and for the FFN's up-stage two panels' rows feeding
-/// two accumulators per row. A lane is an output column and each column
-/// one fused ascending-`k` chain, exactly as in the AVX2 tile's two
-/// 256-bit halves, so the two tiles agree bitwise element for element.
+/// two accumulators per row, gated in registers. It walks the nest's
+/// k-slices as the AVX2 tile does, reloading the accumulators a slice
+/// left with a carry. A lane is an output column and each column one
+/// fused ascending-`k` chain, exactly as in the AVX2 tile's two 256-bit
+/// halves, and the epilogue is the AVX2 tile's on each half, so the two
+/// tiles agree bitwise element for element.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use core::arch::x86_64::{
-        __m512, _mm512_fmadd_ps, _mm512_loadu_epi32, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-        _mm512_permutex2var_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm_prefetch,
-        _MM_HINT_T0,
+        __m512, _mm256_castpd_ps, _mm256_castps_pd, _mm512_castpd_ps, _mm512_castps256_ps512,
+        _mm512_castps512_ps256, _mm512_castps_pd, _mm512_extractf64x4_pd, _mm512_fmadd_ps,
+        _mm512_insertf64x4, _mm512_loadu_epi32, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_permutex2var_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm_prefetch, _MM_HINT_T0,
     };
 
     use crate::pack::{Next, PanelTile, PANEL_WIDTH, PREFETCH_ROWS};
@@ -752,11 +738,9 @@ pub(crate) mod avx512 {
     pub(crate) struct PackedTile;
 
     impl PanelTile for PackedTile {
-        const SLICE: usize = usize::MAX;
-
         #[target_feature(enable = "avx512f")]
         // SAFETY: AVX-512F as the caller vouches; reads stay inside the
-        // asserted lengths, masked stores inside `o[r]`.
+        // asserted lengths, masked loads and stores inside `o[r]`.
         unsafe fn tile<const R: usize>(
             b: &[f32],
             a: &[f32],
@@ -767,8 +751,13 @@ pub(crate) mod avx512 {
             let kc = b.len() / PANEL_WIDTH;
             assert_eq!(b.len(), kc * PANEL_WIDTH, "whole panel rows");
             assert_eq!(a.len(), kc * R, "one A element per row and panel row");
-            assert!(!carry, "whole panels");
             let mut acc = [_mm512_setzero_ps(); R];
+            for (acc, o) in acc.iter_mut().zip(&o) {
+                assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
+                if carry {
+                    *acc = _mm512_maskz_loadu_ps(lanes(o.len()), o.as_ptr());
+                }
+            }
             let (ap, bp) = (a.as_ptr(), b.as_ptr());
             for t in 0..kc {
                 prefetch(b, next.data, t);
@@ -778,15 +767,13 @@ pub(crate) mod avx512 {
                 }
             }
             for (acc, o) in acc.iter().zip(o) {
-                assert!(o.len() <= PANEL_WIDTH, "one panel of columns");
                 _mm512_mask_storeu_ps(o.as_mut_ptr(), lanes(o.len()), *acc);
             }
         }
 
         #[target_feature(enable = "avx512f")]
-        // SAFETY: AVX-512F as the caller vouches, and with it AVX2+FMA
-        // for `swiglu`; reads stay inside the asserted lengths, the
-        // spills are local, the stores `store_columns`'.
+        // SAFETY: AVX-512F as the caller vouches; reads stay inside the
+        // asserted lengths, the stores are `store_columns`'.
         unsafe fn swiglu_tile<const R: usize>(
             b: [&[f32]; 2],
             a: &[f32],
@@ -812,21 +799,25 @@ pub(crate) mod avx512 {
                     *l = _mm512_fmadd_ps(v, l_row, *l);
                 }
             }
-            // The epilogue on the block while it is in L1: a spill, the
-            // AVX2 backend's own `swiglu`, a reload of the gated rows.
-            let mut spill = [[[0.0f32; PANEL_WIDTH]; R]; 2];
-            for (r, [g, l]) in gl.iter().enumerate() {
-                _mm512_storeu_ps(spill[0][r].as_mut_ptr(), *g);
-                _mm512_storeu_ps(spill[1][r].as_mut_ptr(), *l);
-            }
-            let [g, l] = &mut spill;
-            super::avx2::swiglu(g.as_flattened_mut(), l.as_flattened());
             let mut gated = [_mm512_setzero_ps(); R];
-            for (acc, g) in gated.iter_mut().zip(&*g) {
-                *acc = _mm512_loadu_ps(g.as_ptr());
+            for (gated, [g, l]) in gated.iter_mut().zip(&gl) {
+                *gated = silu_mul(*g, *l);
             }
             store_columns(&gated, gate);
         }
+    }
+
+    /// `silu(g) · l` in sixteen lanes: [`super::avx2::silu_mul`] on each
+    /// 256-bit half, each lane's operations one for one as in the AVX2 tile.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    // SAFETY: the caller's AVX-512F implies `silu_mul`'s AVX2+FMA.
+    unsafe fn silu_mul(g: __m512, l: __m512) -> __m512 {
+        let hi = |v: __m512| _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+        let lo = super::avx2::silu_mul(_mm512_castps512_ps256(g), _mm512_castps512_ps256(l));
+        let hi = super::avx2::silu_mul(hi(g), hi(l));
+        let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
     }
 
     /// Prefetches row `t + PREFETCH_ROWS` of a panel `b` followed in
@@ -963,30 +954,46 @@ mod tests {
         (f64::from(got) - want).abs() / ulp
     }
 
+    /// `avx2::silu_mul` of eight lanes.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available.
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: (contract above) the loads and the store are of local
+    // eight-float arrays.
+    unsafe fn silu_mul8(x: [f32; 8], l: [f32; 8]) -> [f32; 8] {
+        use core::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
+        let mut out = [0.0f32; 8];
+        // SAFETY: as the caller vouches.
+        unsafe {
+            let (x, l) = (_mm256_loadu_ps(x.as_ptr()), _mm256_loadu_ps(l.as_ptr()));
+            _mm256_storeu_ps(out.as_mut_ptr(), avx2::silu_mul(x, l));
+        }
+        out
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_silu_equals_its_scalar_twin_bitwise() {
         if !avx2_available() {
             return;
         }
-        // Every length 1..=40 at every offset into a buffer that runs
-        // through the clamps, both zeros and the denormals: whether an
-        // element falls in a vector or the tail, and at which lane, the
-        // bits are the twin's.
+        // Every element of a buffer that runs through the clamps, both
+        // zeros and the denormals, in every lane: the bits are the
+        // twin's.
         let mut rng = crate::rng::SeededRng::new(21);
         let mut src: Vec<f32> = (0..64).map(|_| rng.normal() * 6.0).collect();
         src.extend([0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE, 16.7, 17.5]);
         src.extend([87.5, -87.5, -88.0, -88.01, 100.0, -100.0, 3.0e38, -3.0e38]);
         let lin: Vec<f32> = (0..src.len()).map(|_| rng.normal()).collect();
-        for len in 1..=40 {
-            for at in 0..=src.len() - len {
-                let mut got = src[at..at + len].to_vec();
-                // SAFETY: AVX2+FMA were detected above.
-                unsafe { avx2::swiglu(&mut got, &lin[at..at + len]) };
-                for (i, g) in got.iter().enumerate() {
-                    let want = avx2::silu(src[at + i]) * lin[at + i];
-                    assert_eq!(g.to_bits(), want.to_bits(), "len {len} at {at} + {i}");
-                }
+        for (x, l) in src.windows(8).zip(lin.windows(8)) {
+            let (x, l) = (x.try_into().expect("8"), l.try_into().expect("8"));
+            // SAFETY: AVX2+FMA were detected above.
+            let got = unsafe { silu_mul8(x, l) };
+            for (lane, g) in got.iter().enumerate() {
+                let want = avx2::silu(x[lane]) * l[lane];
+                assert_eq!(g.to_bits(), want.to_bits(), "{} in lane {lane}", x[lane]);
             }
         }
     }
@@ -1030,9 +1037,8 @@ mod tests {
         // A lane agrees on each of them (NaN: is NaN).
         if avx2_available() {
             for x in [f32::NAN, 0.0, -0.0, 100.0, -100.0, 1e-40, f32::NEG_INFINITY] {
-                let mut g = [x; 8];
                 // SAFETY: AVX2+FMA were detected above.
-                unsafe { avx2::swiglu(&mut g, &[1.0; 8]) };
+                let g = unsafe { silu_mul8([x; 8], [1.0; 8]) };
                 assert!(g
                     .iter()
                     .all(|v| v.to_bits() == bits(x) || (v.is_nan() && x.is_nan())));

@@ -1,18 +1,18 @@
-//! The packed GEMM is the only dense path of inference, so a forward's
-//! bits must not depend on how many rows it stacks: a tree verify and a
-//! prefill read each weight once for all their rows and must still equal
-//! one-token-at-a-time decoding exactly, and greedy tree speculation
-//! must keep emitting the incremental sequence.
+//! Greedy tree speculation through the packed GEMM: at every row count a
+//! tree verify stacks, with the feed-forward packs shared with the worker
+//! pool or not, speculation must keep emitting the incremental sequence,
+//! and a batch exactly what its sessions emit alone. The forward-level
+//! contracts below it (a prefill, a tree verify and a drafter's rows
+//! equal token-by-token decoding) are cells of `tests/forward.rs`.
 
 use std::sync::{Mutex, MutexGuard};
 
-use specinfer::model::{sampler, DecodeMode, ModelConfig, Transformer};
+use specinfer::model::{DecodeMode, ModelConfig, Transformer};
 use specinfer::spec::{
-    speculate_dynamic, speculate_expansion, BatchItem, BatchedVerifier, DynamicExpansionConfig,
-    EngineConfig, ExpansionMode, InferenceMode, Session, SpecEngine, StochasticVerifier,
+    BatchItem, BatchedVerifier, EngineConfig, InferenceMode, Session, SpecEngine,
+    StochasticVerifier,
 };
-use specinfer::tensor::rng::SeededRng;
-use specinfer::tokentree::{ExpansionConfig, LinearizedTree, TokenTree};
+use specinfer::tokentree::ExpansionConfig;
 
 /// Held by every test that calls the process-global `set_max_threads`,
 /// so two of them never race on the thread count.
@@ -34,99 +34,6 @@ fn config() -> ModelConfig {
         n_heads: 2,
         d_ff: 272,
         max_seq_len: 128,
-    }
-}
-
-#[test]
-fn prefill_of_40_tokens_equals_token_by_token_decode_bitwise() {
-    let llm = Transformer::from_seed(config(), 7);
-    let tokens: Vec<u32> = (0..40).map(|i| (i * 13 + 5) % 64).collect();
-    let mut stacked = llm.new_cache();
-    let logits = llm.prefill(&tokens, &mut stacked);
-    let mut serial = llm.new_cache();
-    for (i, &t) in tokens.iter().enumerate() {
-        let row = llm.decode_one(t, &mut serial);
-        assert_eq!(logits.row(i), row.data(), "prompt row {i}");
-    }
-}
-
-#[test]
-fn decode_tree_of_21_rows_equals_token_by_token_decode_bitwise() {
-    let llm = Transformer::from_seed(config(), 8);
-    let prompt: Vec<u32> = vec![3, 1, 4, 1, 5, 9, 2, 6];
-    // A root with four branches of five nodes: 21 rows, depth 5.
-    let mut tree = TokenTree::new(11);
-    for branch in 0..4u32 {
-        let mut parent = TokenTree::ROOT;
-        for depth in 0..5u32 {
-            parent = tree.add_child(parent, (branch * 5 + depth + 20) % 64, 0, 0.5);
-        }
-    }
-    let lin = LinearizedTree::new(&tree);
-    assert_eq!(lin.len(), 21);
-
-    let mut base = llm.new_cache();
-    llm.prefill(&prompt, &mut base);
-    let mut verify = base.clone();
-    let tree_logits = llm.decode_tree(&lin, &mut verify);
-
-    for (row, &node) in lin.nodes().iter().enumerate() {
-        // Decode the node's root-to-node path one token at a time.
-        let mut cache = base.clone();
-        let mut last = None;
-        for &t in &tree.sequence(node) {
-            last = Some(llm.decode_one(t, &mut cache));
-        }
-        let last = last.expect("every path holds the root");
-        assert_eq!(tree_logits.row(row), last.data(), "tree row {row}");
-    }
-}
-
-/// The drafting twin of the test above: a drafter forwards its tree into
-/// the SSM cache level by level (best-first: node by node), so every
-/// distribution it records must equal, bit for bit, the one the SSM gives
-/// after consuming the node's root path token by token.
-#[test]
-fn drafted_distributions_equal_token_by_token_decode_bitwise() {
-    let ssm = Transformer::from_seed(config(), 9);
-    let prompt: Vec<u32> = vec![3, 1, 4, 1, 5, 9, 2, 6];
-    let mut base = ssm.new_cache();
-    ssm.prefill(&prompt, &mut base);
-    let (root, mut rng) = (11, SeededRng::new(1));
-    let expansion = ExpansionConfig::new(vec![2, 2, 1]);
-    let best_first = DynamicExpansionConfig {
-        max_nodes: 20,
-        max_depth: 8,
-        prob_threshold: 0.0,
-        max_children: 2,
-    };
-    let mut cache = base.clone();
-    let topk = speculate_expansion(
-        &ssm,
-        &mut cache,
-        root,
-        &expansion,
-        ExpansionMode::TopK,
-        &mut rng,
-    );
-    let dynamic = speculate_dynamic(&ssm, &mut cache, root, &best_first, 0);
-    for spec in [topk, dynamic] {
-        assert!(spec.tree.max_depth() >= 3, "a deep tree drafts");
-        assert_eq!(
-            spec.dists.len(),
-            spec.tree.len(),
-            "one distribution per node"
-        );
-        for u in spec.tree.node_ids() {
-            let mut cache = base.clone();
-            let mut last = None;
-            for &t in &spec.tree.sequence(u) {
-                last = Some(ssm.decode_one(t, &mut cache));
-            }
-            let last = last.expect("every path holds the root");
-            let want = sampler::probs_from_logits(last.data(), &DecodeMode::stochastic());
-            assert_eq!(spec.dists.get(u, 0), Some(&want[..]), "node {u:?}");
-        }
     }
 }
 
